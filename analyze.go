@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"hique/internal/codegen"
 	"hique/internal/plan"
-	"hique/internal/storage"
 )
 
 // StageStats is one recorded pipeline stage of an EXPLAIN ANALYZE run.
@@ -75,52 +73,25 @@ func (a *AnalyzeResult) String() string {
 func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err error) {
 	defer db.met.noteQuery(&err)
 	defer containPanic(&err)
-	db.mu.RLock()
-	exec, engine := db.exec, db.engine
-	db.mu.RUnlock()
-
-	p, unlock, err := db.planLocked(query)
-	if err != nil {
-		return nil, err
-	}
-	planText := p.Explain()
-	params, err := bindValuesInto(nil, p.Params, nil, false, args)
-	if err != nil {
-		unlock()
-		return nil, err
-	}
-
+	sc := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(sc)
 	tr := plan.GetTrace()
 	defer plan.PutTrace(tr)
-	p.Trace = tr
 
-	var run func() (*storage.Table, error)
-	engineName := exec.Name()
-	if level, compiled := cacheLevel(engine); compiled {
-		// The serving path for holistic engines is the codegen pipeline;
-		// compile a fresh artefact against the traced plan so fused loops
-		// bake their trace hooks in (codegen.fusedQuery.traced).
-		cq, gerr := codegen.Generate(p, level)
-		if gerr != nil {
-			unlock()
-			return nil, gerr
-		}
-		run = func() (*storage.Table, error) { return cq.RunParams(params) }
-	} else {
-		bp, berr := p.Bind(params)
-		if berr != nil {
-			unlock()
-			return nil, berr
-		}
-		run = func() (*storage.Table, error) { return exec.Execute(bp) }
+	// The serving path for holistic engines is the codegen pipeline;
+	// prepare compiles a fresh artefact against the traced plan so fused
+	// loops bake their trace hooks in (codegen.fusedQuery.traced).
+	art, unlock, err := db.prepare(query, db.engineChoice(), true, tr)
+	if err != nil {
+		return nil, err
 	}
-
+	planText := art.plan.Explain()
 	var dst Result
-	if err := db.finish(&dst, p, unlock, run); err != nil {
+	if _, err := db.lease(&dst, art, unlock, sc, false, args); err != nil {
 		return nil, err
 	}
 	out := &AnalyzeResult{
-		Engine:  engineName,
+		Engine:  art.exec.Name(),
 		Plan:    planText,
 		Stages:  make([]StageStats, len(tr.Stages)),
 		Rows:    len(dst.Rows),

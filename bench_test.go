@@ -408,9 +408,6 @@ func BenchmarkJoinAggServing(b *testing.B) {
 //
 //   - auto-param: the statement collapses to its parameterized shape, so
 //     the workload compiles once and then always hits (hit% ≈ 100).
-//   - literal-keyed: the pre-parameterization behaviour — every distinct
-//     literal is a distinct cache key, so the workload recompiles on
-//     every call (hit% ≈ 0) and pays the whole preparation pipeline.
 //   - explicit-params: the client binds '?' itself; same single compiled
 //     artefact, minus the literal-lifting lexer pass.
 //
@@ -439,18 +436,6 @@ func BenchmarkPointQueryShapeCache(b *testing.B) {
 	}
 	b.Run("auto-param", func(b *testing.B) {
 		db := pointDB(b, WithPlanCache(256))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(fmt.Sprintf("SELECT v FROM bench_points WHERE id = %d", i%rows)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		reportHitRate(b, db)
-	})
-	b.Run("literal-keyed", func(b *testing.B) {
-		db := pointDB(b, WithPlanCache(256), WithAutoParam(false))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

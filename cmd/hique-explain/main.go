@@ -111,6 +111,9 @@ func main() {
 	fmt.Println(codegen.EmitSource(p))
 
 	cq, err := codegen.Generate(p, codegen.OptO2)
+	if err == nil {
+		err = cq.EnsureSource()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -223,10 +223,9 @@ func (db *DB) execWrite(wp *plan.WritePlan, args []any, sc *execScratch, invalid
 // applyLocked runs the mutation with the entry's writer lock held and
 // guarantees its release: a panic inside the apply is converted to a
 // statement error *before* the deferred unlock runs, so a contained
-// write-path panic can never wedge the table (the read path's
-// runCompiled/finishLocked give the same guarantee under reader locks).
-// On a panic
-// the heap may hold a partial batch; statistics are conservatively
+// write-path panic can never wedge the table (the read path's lease
+// gives the same guarantee under reader locks). On a panic the heap may
+// hold a partial batch; statistics are conservatively
 // marked stale so the next query replans against what is actually there.
 //
 // On a durable DB the statement's record is appended to the WAL first,

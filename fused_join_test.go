@@ -66,26 +66,23 @@ var joinQueries = []struct {
 
 // TestFusedJoinMatchesAllEngines asserts byte-identical results for
 // every join shape across (a) all five engines uncached, (b) the cached
-// holistic path with auto-parameterization (the fused pipeline), (c) the
-// cached path with literal keys, and (d) index-backed variants (indexes
+// holistic path with auto-parameterization (the fused pipeline), (c) a
+// prepared handle with the literals baked in, and (d) index-backed variants (indexes
 // on both join keys switch the planner to the merge join, with the
 // dimension side streamed off the B+-tree in key order).
 func TestFusedJoinMatchesAllEngines(t *testing.T) {
 	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
 
-	type route struct {
-		name string
-		db   *DB
-	}
-	routes := []route{
-		{"cached-auto-param", joinTestDB(t, WithPlanCache(64))},
-		{"cached-literal-keyed", joinTestDB(t, WithPlanCache(64), WithAutoParam(false))},
-		{"cached-indexed", joinTestDB(t, WithPlanCache(64))},
-	}
+	cachedIndexed := joinTestDB(t, WithPlanCache(64))
 	for _, idx := range [][2]string{{"fact", "grp"}, {"fact", "id"}, {"dim", "id"}} {
-		if err := routes[2].db.BuildIndex(idx[0], idx[1]); err != nil {
+		if err := cachedIndexed.BuildIndex(idx[0], idx[1]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	routes := []route{
+		{"cached-auto-param", joinTestDB(t, WithPlanCache(64)).Query},
+		{"prepared-literal", preparedLiteralRoute(joinTestDB(t))},
+		{"cached-indexed", cachedIndexed.Query},
 	}
 	uncached := joinTestDB(t)
 	indexed := joinTestDB(t) // index-backed, uncached: every engine sees the merge-selected plan
@@ -127,7 +124,7 @@ func TestFusedJoinMatchesAllEngines(t *testing.T) {
 			// Twice: the first call compiles, the second exercises the
 			// warm fused path against recycled scratch and frames.
 			for pass := 0; pass < 2; pass++ {
-				got, err := r.db.Query(q.sql, q.args...)
+				got, err := r.run(q.sql, q.args...)
 				if err != nil {
 					t.Fatalf("%s via %s: %v", q.sql, r.name, err)
 				}

@@ -26,9 +26,9 @@
 package hique
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,11 +110,13 @@ type executor interface {
 type DB struct {
 	cat *catalog.Catalog
 
-	// mu guards the engine selection and optimizer options.
+	// mu guards the engine selection.
 	mu     sync.RWMutex
 	engine Engine
 	exec   executor
-	opts   plan.Options
+
+	// opts are the optimizer options, fixed at Open.
+	opts plan.Options
 
 	// ddlMu serialises CreateTable's existence check with registration.
 	ddlMu sync.Mutex
@@ -139,11 +141,6 @@ type DB struct {
 	// workload (every distinct multi-VALUES text is its own entry) can
 	// never evict the expensive compiled read plans; nil when disabled.
 	writeCache *plancache.Cache
-
-	// autoParam lifts literal comparison constants out of cached
-	// statements so one compiled plan serves the whole query shape.
-	// Guarded by mu; on by default.
-	autoParam bool
 
 	// met is the always-on serving telemetry (see metrics.go); set once
 	// in Open, immutable afterwards.
@@ -191,18 +188,6 @@ func WithEngine(e Engine) Option {
 	return func(db *DB) { db.SetEngine(e) }
 }
 
-// WithAutoParam toggles auto-parameterization of cached queries (on by
-// default). With it on, literal comparison constants in the WHERE clause
-// are lifted out of the statement before the plan-cache lookup, so N
-// same-shape queries with N distinct constants compile once and hit the
-// cache N-1 times. Turn it off to cache literal-specialized plans — the
-// pre-parameterization behaviour — e.g. to let range predicates plan
-// against their actual constants instead of catalogue-default
-// selectivities.
-func WithAutoParam(enabled bool) Option {
-	return func(db *DB) { db.autoParam = enabled }
-}
-
 // WithParallelism sets the worker target for morsel-driven parallel
 // execution of the fused pipelines: n workers cooperate on large scans
 // and join probe phases, with results stitched back in morsel order so
@@ -235,7 +220,7 @@ func Open(options ...Option) *DB {
 // come up before durability so recovery's fsyncs already observe into
 // the hique_wal_fsync_seconds histogram.
 func newDB(options []Option) (*DB, error) {
-	db := &DB{cat: catalog.New(), opts: plan.DefaultOptions(), stale: map[string]bool{}, refreshing: map[string]bool{}, autoParam: true}
+	db := &DB{cat: catalog.New(), opts: plan.DefaultOptions(), stale: map[string]bool{}, refreshing: map[string]bool{}}
 	db.SetEngine(Holistic)
 	for _, o := range options {
 		o(db)
@@ -471,101 +456,84 @@ func (db *DB) anyStale(names []string) bool {
 	return false
 }
 
-// lockTables acquires locks on the named tables in ascending table-ID
-// order — the single global acquisition order every multi-lock path
-// shares (the warm-hit fast path orders its direct entry locks the same
-// way), which precludes deadlock against the single-table writer locks
-// of the DML path. It returns the matching unlock plus the set of names
-// actually locked — a name missing from the catalogue is skipped, and
-// callers that later resolve it (a table registered mid-flight) must
-// notice and retry.
-func (db *DB) lockTables(names []string, write bool) (unlock func(), locked map[string]bool) {
-	seen := make(map[string]bool, len(names))
-	locked = make(map[string]bool, len(names))
-	entries := make([]*catalog.TableEntry, 0, len(names))
-	entryNames := make([]string, 0, len(names))
-	for _, n := range names {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if e, err := db.cat.Lookup(n); err == nil {
-			entries = append(entries, e)
-			entryNames = append(entryNames, n)
-		}
-	}
-	sort.Sort(&entriesByID{entries, entryNames})
-	for i, e := range entries {
+// lockSet is a statement's table entries, deduplicated and sorted by
+// TableEntry.ID — the single global acquisition order every multi-lock
+// path shares, which precludes deadlock against the single-table writer
+// locks of the DML path. lockTables is its only constructor (hique-vet:
+// lockorder), so a stored set can be locked again without re-sorting.
+type lockSet []*catalog.TableEntry
+
+// lockEntries is the one loop that takes table-entry locks for statement
+// execution: in set order, writer locks when write is set.
+func lockEntries(entries lockSet, write bool) {
+	for _, e := range entries {
 		if write {
 			e.Lock()
 		} else {
 			e.RLock()
 		}
-		locked[entryNames[i]] = true
 	}
-	return func() {
-		for i := len(entries) - 1; i >= 0; i-- {
-			if write {
-				entries[i].Unlock()
-			} else {
-				entries[i].RUnlock()
-			}
+}
+
+// unlockEntries releases what lockEntries took, in reverse order.
+func unlockEntries(entries lockSet, write bool) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		if write {
+			entries[i].Unlock()
+		} else {
+			entries[i].RUnlock()
 		}
-	}, locked
+	}
 }
 
-// entriesByID sorts catalogue entries (and their parallel name slice) by
-// table ID, the global lock acquisition order.
-type entriesByID struct {
-	entries []*catalog.TableEntry
-	names   []string
-}
-
-func (s *entriesByID) Len() int           { return len(s.entries) }
-func (s *entriesByID) Less(i, j int) bool { return s.entries[i].ID() < s.entries[j].ID() }
-func (s *entriesByID) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.names[i], s.names[j] = s.names[j], s.names[i]
-}
-
-// rlockTables acquires reader locks on the named tables.
-func (db *DB) rlockTables(names []string) (unlock func()) {
-	unlock, _ = db.lockTables(names, false)
-	return unlock
+// lockTables resolves the named tables into a lockSet and locks it,
+// returning the matching unlock plus the set actually locked — a name
+// missing from the catalogue is skipped, and callers that later resolve
+// it (a table registered mid-flight) must notice and retry. Two aliases
+// of one table share an entry, which is locked once (a recursive RLock
+// could deadlock against a queued writer).
+func (db *DB) lockTables(names []string, write bool) (unlock func(), entries lockSet) {
+	found := make([]*catalog.TableEntry, 0, len(names))
+	for _, n := range names {
+		if e, err := db.cat.Lookup(n); err == nil {
+			found = append(found, e)
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].ID() < found[j].ID() })
+	entries = lockSet(slices.Compact(found))
+	lockEntries(entries, write)
+	return func() { unlockEntries(entries, write) }, entries
 }
 
 // planLocked parses and optimises a query, returning the plan together
-// with an unlock function releasing the reader locks it holds on every
-// referenced table. The stats-refresh / lock / recheck loop guarantees
-// the plan is built against statistics consistent with the data the
-// locks pin.
-func (db *DB) planLocked(query string) (*plan.Plan, func(), error) {
+// with the locked entries of every referenced table and the function
+// releasing them. The stats-refresh / lock / recheck loop guarantees the
+// plan is built against statistics consistent with the data the locks
+// pin.
+func (db *DB) planLocked(query string) (*plan.Plan, lockSet, func(), error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	names := make([]string, len(stmt.From))
 	for i, t := range stmt.From {
 		names[i] = t.Name
 	}
-	db.mu.RLock()
-	opts := db.opts
-	db.mu.RUnlock()
 	for attempt := 0; ; attempt++ {
 		db.refreshStats()
 		// After three reader-lock rounds lost to writers slipping inserts
 		// in between refresh and lock, escalate to writer locks so
 		// nothing can land and refresh in place. Bounded latency beats
 		// reader starvation.
-		p, unlock, retry, err := db.planAttempt(stmt, names, opts, attempt >= 3)
+		p, entries, unlock, err := db.planAttempt(stmt, names, attempt >= 3)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if retry {
+		if p == nil {
 			continue
 		}
 		p.Pool = db.pool
-		return p, unlock, nil
+		return p, entries, unlock, nil
 	}
 }
 
@@ -573,12 +541,12 @@ func (db *DB) planLocked(query string) (*plan.Plan, func(), error) {
 // tables (writer locks once reader rounds keep losing to inserts),
 // verify statistics are current, and build the plan under the locks. On
 // success the locks transfer to the caller through the returned unlock
-// function; on retry or error every lock is released here. The
-// conditional-release defer is registered before containPanic so a
+// function; on retry (a nil plan) or error every lock is released here.
+// The conditional-release defer is registered before containPanic so a
 // panic inside plan building is contained first and then releases the
 // locks (hique-vet: containment, lockorder).
-func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string, opts plan.Options, write bool) (p *plan.Plan, unlock func(), retry bool, err error) {
-	unlockAll, locked := db.lockTables(names, write)
+func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string, write bool) (p *plan.Plan, entries lockSet, unlock func(), err error) {
+	unlockAll, entries := db.lockTables(names, write)
 	keep := false
 	defer func() {
 		if !keep {
@@ -591,31 +559,23 @@ func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string, opts plan.Option
 	} else if db.anyStale(names) {
 		// An Insert slipped in between the refresh and the lock; its
 		// stats are pending, so release and refresh again.
-		return nil, nil, true, nil
+		return nil, nil, nil, nil
 	}
-	p, err = plan.BuildWithOptions(stmt, db.cat, opts)
+	p, err = plan.BuildWithOptions(stmt, db.cat, db.opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, err
 	}
 	// A table missing at lock time can be registered before Build
 	// resolves it; using the plan then would scan it unlocked. Build
-	// succeeding proves every referenced table exists now, so each must
-	// be in the locked set — else retry.
-	for _, n := range planTables(p) {
-		if !locked[n] {
-			return nil, nil, true, nil
+	// succeeding proves every referenced table exists now, so each
+	// resolved entry must be in the locked set — else retry.
+	for i := range p.Tables {
+		if !slices.Contains(entries, p.Tables[i].Entry) {
+			return nil, nil, nil, nil
 		}
 	}
 	keep = true
-	return p, unlockAll, false, nil
-}
-
-func planTables(p *plan.Plan) []string {
-	names := make([]string, len(p.Tables))
-	for i := range p.Tables {
-		names[i] = p.Tables[i].Name
-	}
-	return names
+	return p, entries, unlockAll, nil
 }
 
 // Result is a materialised query result. All rows share one flat cell
@@ -710,11 +670,10 @@ func cacheLevel(e Engine) (codegen.OptLevel, bool) {
 // With the plan cache enabled (WithPlanCache) and a holistic engine
 // active, a repeated statement skips the whole preparation pipeline: the
 // cache is consulted with only a lexer pass, and a hit runs the
-// previously compiled query with a freshly bound parameter vector.
-// Auto-parameterization (on by default; see WithAutoParam) additionally
-// lifts literal comparison constants out of the statement first, so even
-// un-annotated SQL collapses to its shape and N distinct-constant point
-// queries compile exactly once.
+// previously compiled query with a freshly bound parameter vector. That
+// lexer pass also lifts literal comparison constants out of the WHERE
+// clause, so even un-annotated SQL collapses to its shape and N
+// distinct-constant point queries compile exactly once.
 func (db *DB) Query(query string, args ...any) (*Result, error) {
 	res := &Result{}
 	if err := db.queryInto(res, query, args); err != nil {
@@ -733,10 +692,11 @@ func (db *DB) QueryInto(res *Result, query string, args ...any) error {
 	return db.queryInto(res, query, args)
 }
 
-// queryScratch holds every buffer a warm cached query needs: the shape
+// queryScratch holds every buffer a warm statement needs: the shape
 // extractor's token/output/literal buffers, the rendered cache key, and
-// the bind vector. One scratch serves one query execution, drawn from a
-// pool, so the warm hit path allocates nothing before materialisation.
+// the bind vector. One scratch serves one statement execution, drawn
+// from a pool, so the warm hit path allocates nothing before
+// materialisation.
 type queryScratch struct {
 	shape  sql.ShapeBuf
 	key    []byte
@@ -745,304 +705,182 @@ type queryScratch struct {
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
+// engineChoice is the engine selection one statement is prepared and run
+// under, read once so a concurrent SetEngine cannot split a statement
+// across two engines.
+type engineChoice struct {
+	engine Engine
+	exec   executor
+}
+
+func (db *DB) engineChoice() engineChoice {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return engineChoice{db.engine, db.exec}
+}
+
 func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 	// Count the statement and classify its failure on the way out;
 	// registered before containPanic so the LIFO defer order lets the
 	// panic convert to an error first.
 	defer db.met.noteQuery(&err)
 	// Last-resort containment: execution and materialisation panics are
-	// converted lock-safely inside runCompiled / finishLocked; this outer
-	// recover catches anything unexpected above them so one statement
-	// cannot kill a process serving thousands of sessions.
+	// converted lock-safely inside lease; this outer recover catches
+	// anything unexpected above it so one statement cannot kill a process
+	// serving thousands of sessions.
 	defer containPanic(&err)
-	db.mu.RLock()
-	exec, engine := db.exec, db.engine
-	opts := db.opts
-	autoParam := db.autoParam
-	db.mu.RUnlock()
+	sc := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(sc)
+	ec := db.engineChoice()
 
-	level, cacheable := cacheLevel(engine)
-	if db.cache != nil && cacheable {
-		if autoParam {
-			sc := queryScratchPool.Get().(*queryScratch)
-			err := sc.shape.Shape(query)
-			if err != nil {
-				queryScratchPool.Put(sc)
-				return err
-			}
-			// The shape is already normalized and its arity known, so
-			// the whole hit path costs the one lexer pass above.
-			sc.key = codegen.AppendCacheKey(sc.key[:0], sc.shape.Out, len(sc.shape.Lits), opts, level)
-			prepFailed, err := db.queryCached(dst, "", sc, sc.shape.Lits, true, args, level)
-			retryLiterals := err != nil && prepFailed && liftedAny(sc.shape.Lits)
-			queryScratchPool.Put(sc)
-			if retryLiterals {
-				// Literal-specialized fallback (DESIGN.md §3.1): if the
-				// parameterized shape cannot be planned, retry with the
-				// constants baked in — which also reports plan-time
-				// errors in terms of the original literals. Bind errors
-				// on caller-supplied values and execution failures are
-				// not re-tried: re-planning cannot change them.
-				dst.Reset()
-				return db.queryLiteralKeyed(dst, query, args, opts, level)
-			}
+	// Without a cache to keep the artefact in (or with an interpreted
+	// engine, which compiles none) the text is planned as given.
+	level, compiled := cacheLevel(ec.engine)
+	cached := db.cache != nil && compiled
+	text := query
+	if cached {
+		// The shape is already normalized and its arity known, so the
+		// whole hit path costs the one lexer pass.
+		if err := sc.shape.Shape(query); err != nil {
 			return err
 		}
-		return db.queryLiteralKeyed(dst, query, args, opts, level)
-	}
-
-	p, unlock, err := db.planLocked(query)
-	if err != nil {
-		return err
-	}
-	params, err := bindValuesInto(nil, p.Params, nil, false, args)
-	if err != nil {
-		unlock()
-		return err
-	}
-	bp, err := p.Bind(params)
-	if err != nil {
-		unlock()
-		return err
-	}
-	err = db.finish(dst, bp, unlock, func() (*storage.Table, error) { return exec.Execute(bp) })
-	if err == nil {
-		// The uncached path re-plans every execution (cold) and runs the
-		// general engine walk; classification here is amortised against
-		// the full parse→plan pipeline it just paid for.
-		db.met.lat[classifyPlan(p)][pathGeneral][tempCold].Observe(dst.Elapsed)
-	}
-	return err
-}
-
-// queryLiteralKeyed runs the cached path without auto-parameterization:
-// the statement text itself (normalised) is the cache identity, binding
-// only explicit '?' placeholders.
-func (db *DB) queryLiteralKeyed(dst *Result, query string, args []any, opts plan.Options, level codegen.OptLevel) error {
-	key, err := codegen.CacheKey(query, opts, level)
-	if err != nil {
-		return err
-	}
-	sc := queryScratchPool.Get().(*queryScratch)
-	sc.key = append(sc.key[:0], key...)
-	_, err = db.queryCached(dst, query, sc, nil, false, args, level)
-	queryScratchPool.Put(sc)
-	return err
-}
-
-// queryCached is the plan-cache execution path: look up the compiled
-// query under sc.key, validate it against the catalogue stamp under the
-// table reader locks, and run it with the bind vector assembled from
-// lifted literals and caller args. On a miss it plans the statement once
-// (stmt, or the shape rendered in sc when stmt is empty) and populates
-// the cache before executing.
-//
-// prepFailed reports whether the error (if any) arose while preparing
-// the statement — planning, binding a lifted literal, code generation —
-// as opposed to a caller-value BindError or an execution failure; only
-// preparation failures are candidates for the literal-specialized
-// fallback, since re-planning cannot change the other two.
-func (db *DB) queryCached(dst *Result, stmt string, sc *queryScratch, lits []sql.LiftedLit, auto bool, args []any, level codegen.OptLevel) (prepFailed bool, err error) {
-	fail := func(err error) (bool, error) {
-		var bindErr *BindError
-		return !errors.As(err, &bindErr), err
-	}
-	// Hit path: validate the stored catalogue stamp (epoch + referenced
-	// tables' versions) under the table reader locks; retry on a race
-	// with a concurrent writer (its stats refresh bumps the table
-	// version, so the stored stamp no longer matches).
-	for attempt := 0; attempt < 4; attempt++ {
-		db.refreshStats()
-		cached, stored, ok := db.cache.GetStamped(sc.key)
-		if !ok {
-			break
-		}
-		ent, ok := cached.(*cachedQuery)
-		if !ok {
-			// Read keys and write keys occupy distinct spaces, so a
-			// foreign entry type here cannot happen; bail to the miss
-			// path defensively.
-			break
-		}
-		cq := ent.cq
-		p := cq.Plan
-		if len(p.Tables) <= 2 {
-			// One- and two-table fast path (point lookups and the fused
-			// join shapes): lock the plan's entries directly in table-ID
-			// order — no name slice, no lock-ordering bookkeeping — and
-			// validate the stored stamp against the per-table version sum
-			// under the locks. Two aliases of the same table share one
-			// entry, which is locked once (a recursive RLock could
-			// deadlock against a queued writer).
-			e0 := p.Tables[0].Entry
-			var e1 *catalog.TableEntry
-			if len(p.Tables) == 2 && p.Tables[1].Entry != e0 {
-				e1 = p.Tables[1].Entry
-				if e1.ID() < e0.ID() {
-					e0, e1 = e1, e0
-				}
+		sc.key = codegen.AppendCacheKey(sc.key[:0], sc.shape.Out, len(sc.shape.Lits), db.opts, level)
+		if v, _, ok := db.cache.GetStamped(sc.key); ok {
+			// Read keys and write keys occupy distinct caches, so the
+			// entry is always an artefact.
+			if stale, err := db.lease(dst, v.(*artefact), nil, sc, true, args); !stale {
+				return err
 			}
-			lockStart := time.Now()
-			e0.RLock()
-			if e1 != nil {
-				e1.RLock()
-			}
-			db.met.lockWait.Observe(time.Since(lockStart))
-			runlock := func() {
-				if e1 != nil {
-					e1.RUnlock()
-				}
-				e0.RUnlock()
-			}
-			if db.planStale(p) || db.stampForPlan(p) != stored {
-				runlock()
-				db.cache.Invalidate(string(sc.key))
-				continue
-			}
-			params, err := bindValuesInto(sc.params[:0], p.Params, lits, auto, args)
-			sc.params = params
-			if err != nil {
-				runlock()
-				return fail(err)
-			}
-			err = db.runCompiled(dst, cq, params)
-			runlock()
-			if err == nil {
-				ent.lat[tempWarm].Observe(dst.Elapsed)
-			}
-			return false, err
-		}
-		names := planTables(p)
-		lockStart := time.Now()
-		unlock := db.rlockTables(names)
-		db.met.lockWait.Observe(time.Since(lockStart))
-		if db.anyStale(names) || db.cat.StampFor(names) != stored {
-			// A writer slipped in after the lookup: the entry is
-			// stale, so reclassify the premature hit and retry.
-			unlock()
+			// A writer moved the catalogue since compilation: reclassify
+			// the premature hit and prepare afresh.
 			db.cache.Invalidate(string(sc.key))
-			continue
 		}
-		params, err := bindValuesInto(sc.params[:0], p.Params, lits, auto, args)
-		sc.params = params
-		if err != nil {
+		text = string(sc.shape.Out)
+	}
+	art, unlock, err := db.prepare(text, ec, cached, nil)
+	if err != nil {
+		return err
+	}
+	if cached {
+		db.cache.Put(string(sc.key), art.stamp, art)
+	}
+	_, err = db.lease(dst, art, unlock, sc, cached, args)
+	return err
+}
+
+// artefact is a prepared SELECT: everything an execution needs that does
+// not change between executions, resolved once at prepare time. The plan
+// cache and Prepared handles keep artefacts; uncached statements and
+// EXPLAIN ANALYZE build one per execution. Artefacts are immutable and
+// shared across concurrent executions.
+type artefact struct {
+	plan *plan.Plan
+	// cq is the compiled query (holistic engines when the artefact is
+	// kept or traced); when nil, exec interprets the bound plan.
+	cq   *codegen.CompiledQuery
+	exec executor
+	// engine is the selection the artefact was prepared under.
+	engine Engine
+	// entries are the referenced tables' locks in acquisition order;
+	// names lists the same tables for the staleness and stamp checks.
+	entries lockSet
+	names   []string
+	// stamp is the catalogue stamp (epoch + referenced tables' versions)
+	// the plan was built against.
+	stamp uint64
+	// lat is the cold/warm latency pair, resolved here so an execution
+	// records its duration without classifying the plan.
+	lat *[nTemp]*obs.Histogram
+}
+
+// prepare is the one preparation step: plan the text under the table
+// locks, compile it when asked to (and the engine is a holistic one),
+// and stamp the result. The locks planLocked took are still held on
+// success and transfer to the caller through unlock — lease executes
+// under them, Prepare just releases them. tr, when non-nil, is attached
+// to the plan before compilation so fused loops bake their trace hooks
+// in.
+func (db *DB) prepare(text string, ec engineChoice, compile bool, tr *plan.Trace) (*artefact, func(), error) {
+	p, entries, unlock, err := db.planLocked(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Trace = tr
+	art := &artefact{plan: p, exec: ec.exec, engine: ec.engine, entries: entries, names: make([]string, len(p.Tables))}
+	for i := range p.Tables {
+		art.names[i] = p.Tables[i].Name
+	}
+	art.stamp = db.cat.StampFor(art.names)
+	if level, ok := cacheLevel(ec.engine); ok && compile {
+		if art.cq, err = codegen.Generate(p, level); err != nil {
 			unlock()
-			return fail(err)
+			return nil, nil, err
 		}
-		err = db.runCompiled(dst, cq, params)
-		unlock()
-		if err == nil {
-			ent.lat[tempWarm].Observe(dst.Elapsed)
-		}
+	}
+	art.lat = db.met.latFor(p, art.cq != nil && art.cq.Fused)
+	return art, unlock, nil
+}
+
+// lease runs one execution of a prepared statement — the single read
+// path behind Query, QueryInto, Prepared.Run, and ExplainAnalyze. With a
+// nil unlock it takes the artefact's reader locks in stored order and
+// validates the artefact under them (pending statistics work or a moved
+// catalogue stamp reports stale, and the caller prepares afresh); a
+// non-nil unlock hands over the locks the prepare step still holds, under
+// which the artefact was just built. It then binds lifted literals (when
+// the artefact was prepared from sc's shape) and caller args into the
+// pooled scratch, runs, and materialises into dst before the locks
+// release: the result may alias base-table pages through an
+// identity-elided projection.
+//
+// The unlock defer is registered before containPanic, so a panic in the
+// engine run or the materialisation converts to a statement error in
+// this frame while the locks are still held, and then releases them — a
+// contained panic never leaks a table lock.
+func (db *DB) lease(dst *Result, art *artefact, unlock func(), sc *queryScratch, shaped bool, args []any) (stale bool, err error) {
+	held, temp := unlock != nil, tempCold
+	if !held {
+		temp = tempWarm
+		lockStart := time.Now()
+		lockEntries(art.entries, false)
+		db.met.lockWait.Observe(time.Since(lockStart))
+		unlock = func() { unlockEntries(art.entries, false) }
+	}
+	defer unlock()
+	defer containPanic(&err)
+	if !held && (db.anyStale(art.names) || db.cat.StampFor(art.names) != art.stamp) {
+		return true, nil
+	}
+	sc.params, err = bindValuesInto(sc.params[:0], art.plan.Params, sc.shape.Lits, shaped, args)
+	if err != nil {
 		return false, err
 	}
-	// Miss: prepare once under the reader locks and populate the cache
-	// before executing.
-	if stmt == "" {
-		stmt = string(sc.shape.Out)
-	}
-	p, unlock, err := db.planLocked(stmt)
-	if err != nil {
-		return fail(err)
-	}
-	params, err := bindValuesInto(nil, p.Params, lits, auto, args)
-	if err != nil {
-		unlock()
-		return fail(err)
-	}
-	stamp := db.cat.StampFor(planTables(p))
-	cq, err := codegen.Generate(p, level)
-	if err != nil {
-		unlock()
-		return fail(err)
-	}
-	// The latency handles resolve here, once per compilation; warm hits
-	// record through the cached pair without re-classifying the plan.
-	ent := &cachedQuery{cq: cq, lat: db.met.latFor(p, cq.Fused)}
-	db.cache.Put(string(sc.key), stamp, ent)
-	err = db.runCompiled(dst, cq, params)
-	unlock()
-	if err == nil {
-		ent.lat[tempCold].Observe(dst.Elapsed)
-	}
-	return false, err
-}
-
-// runCompiled times the execution, materialises into dst, and returns
-// the result table's frames to the page arena. The caller holds the
-// table reader locks across the call: materialisation may read tuples
-// that alias base-table pages (identity-elided projections), so it must
-// complete before the locks release.
-func (db *DB) runCompiled(dst *Result, cq *codegen.CompiledQuery, params []types.Datum) (err error) {
-	// Whole-body containment: a panic anywhere here — the engine run or
-	// the materialisation tail — converts to a statement error inside
-	// this frame, so the caller's lock-release paths always execute.
-	defer containPanic(&err)
 	start := time.Now()
-	out, err := cq.RunParams(params)
+	out, err := art.run(sc.params)
 	elapsed := time.Since(start)
 	if err != nil {
-		return err
+		return false, err
 	}
 	// Deferred so a contained materialisation panic still returns the
 	// pooled frames to the arena (it runs before containPanic recovers).
 	defer out.Release()
-	ensureGrouplessRow(cq.Plan, out)
-	materialiseInto(dst, cq.Plan.OutputNames, out, elapsed)
-	return nil
+	ensureGrouplessRow(art.plan, out)
+	materialiseInto(dst, art.plan.OutputNames, out, elapsed)
+	art.lat[temp].Observe(elapsed)
+	return false, nil
 }
 
-// planStale reports pending statistics work for any of a plan's tables
-// (anyStale without materialising a name slice, one mutex acquisition).
-func (db *DB) planStale(p *plan.Plan) bool {
-	db.staleMu.Lock()
-	defer db.staleMu.Unlock()
-	for i := range p.Tables {
-		n := p.Tables[i].Name
-		if db.stale[n] || db.refreshing[n] {
-			return true
-		}
+// run executes the artefact against a bind vector already coerced to the
+// plan's slot kinds.
+func (a *artefact) run(params []types.Datum) (*storage.Table, error) {
+	if a.cq != nil {
+		return a.cq.RunParams(params)
 	}
-	return false
-}
-
-// stampForPlan is cat.StampFor over the plan's table list without
-// materialising a name slice.
-func (db *DB) stampForPlan(p *plan.Plan) uint64 {
-	s := db.cat.Version()
-	for i := range p.Tables {
-		s += db.cat.TableVersion(p.Tables[i].Name)
-	}
-	return s
-}
-
-// finish times run, materialises the result into dst under the table
-// locks (the result may alias base-table pages through an identity-
-// elided projection), releases any arena-backed result frames, and then
-// releases the locks — the shared tail of the uncached Query path and
-// Prepared.Run.
-func (db *DB) finish(dst *Result, p *plan.Plan, unlock func(), run func() (*storage.Table, error)) error {
-	defer unlock()
-	return db.finishLocked(dst, p, run)
-}
-
-// finishLocked is finish's contained body: a panic in the engine run or
-// the materialisation converts to an error in this frame, before finish's
-// deferred unlock runs — a contained panic never leaks a table lock.
-func (db *DB) finishLocked(dst *Result, p *plan.Plan, run func() (*storage.Table, error)) (err error) {
-	defer containPanic(&err)
-	start := time.Now()
-	out, err := run()
-	elapsed := time.Since(start)
+	bp, err := a.plan.Bind(params)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Deferred for the same reason as in runCompiled: frames return to
-	// the arena even when a materialisation panic is contained.
-	defer out.Release()
-	ensureGrouplessRow(p, out)
-	materialiseInto(dst, p.OutputNames, out, elapsed)
-	return nil
+	return a.exec.Execute(bp)
 }
 
 // ensureGrouplessRow appends the aggregate identity row when a
@@ -1071,7 +909,7 @@ func ensureGrouplessRow(p *plan.Plan, out *storage.Table) {
 
 // Explain returns the optimizer's plan description.
 func (db *DB) Explain(query string) (string, error) {
-	p, unlock, err := db.planLocked(query)
+	p, _, unlock, err := db.planLocked(query)
 	if err != nil {
 		return "", err
 	}
@@ -1082,7 +920,7 @@ func (db *DB) Explain(query string) (string, error) {
 // GeneratedSource returns the query-specific source code the holistic code
 // generator instantiates for the query (paper §V).
 func (db *DB) GeneratedSource(query string) (string, error) {
-	p, unlock, err := db.planLocked(query)
+	p, _, unlock, err := db.planLocked(query)
 	if err != nil {
 		return "", err
 	}
@@ -1090,94 +928,80 @@ func (db *DB) GeneratedSource(query string) (string, error) {
 	return codegen.EmitSource(p), nil
 }
 
-// Prepare generates and compiles a query without running it, returning
-// preparation timings (paper Table III). The statement may contain '?'
-// placeholders; Run binds one value per placeholder.
+// Prepare plans and compiles a query without running it. The statement
+// is planned as given — literals stay baked in, so it may select a
+// literal-specialised fused pipeline — and may contain '?' placeholders;
+// Run binds one value per placeholder.
 func (db *DB) Prepare(query string) (*Prepared, error) {
-	pr := &Prepared{db: db, query: query}
-	if err := pr.reprepare(); err != nil {
+	art, unlock, err := db.prepare(query, db.engineChoice(), true, nil)
+	if err != nil {
 		return nil, err
 	}
-	return pr, nil
+	unlock()
+	return &Prepared{db: db, query: query, art: art}, nil
 }
 
-// Prepared is a generated, compiled query ready for repeated execution.
-// It is not pinned to the catalogue state it was compiled against: Run
-// re-validates the referenced tables' catalogue versions and transparently
-// re-plans and re-compiles after inserts, DDL, or statistics refreshes,
-// so a long-lived statement handle never executes a stale plan.
+// Prepared is a statement handle ready for repeated execution: the
+// artefact Query would run on the selected engine, kept outside the plan
+// cache. It is not pinned to the catalogue state it was compiled
+// against: Run re-validates the referenced tables' catalogue versions
+// and transparently re-plans and re-compiles after inserts, DDL,
+// statistics refreshes, or an engine switch, so a long-lived handle
+// never executes a stale plan.
 type Prepared struct {
 	db    *DB
 	query string
 
-	// mu guards compiled, stamp, and lat across Run's transparent
-	// re-prepares.
-	mu       sync.Mutex
-	compiled *codegen.CompiledQuery
-	stamp    uint64
-	// lat is the cold/warm latency pair for the compiled plan, resolved
-	// at prepare time (see dbMetrics.latFor); Run records warm.
-	lat *[nTemp]*obs.Histogram
+	// mu guards art across Run's transparent re-prepares.
+	mu  sync.Mutex
+	art *artefact
 }
 
-// snapshot returns the current compiled artefact and its stamp.
-func (p *Prepared) snapshot() (*codegen.CompiledQuery, uint64) {
+func (p *Prepared) current() *artefact {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.compiled, p.stamp
+	return p.art
 }
 
-// prepareLocked plans and compiles the statement and installs the new
-// artefact together with the catalogue stamp it was built against. The
-// table locks planLocked acquired are still held on success — the caller
-// either releases them (reprepare) or executes under them (Run's
-// starvation fallback).
-func (p *Prepared) prepareLocked() (*plan.Plan, *codegen.CompiledQuery, func(), error) {
-	pl, unlock, err := p.db.planLocked(p.query)
-	if err != nil {
-		return nil, nil, nil, err
+// compiled returns the current compiled query with its source emitted
+// and syntax-checked (paper Table III's generate and compile steps), or
+// nil when the handle was prepared under an interpreted engine.
+func (p *Prepared) compiled() *codegen.CompiledQuery {
+	cq := p.current().cq
+	if cq != nil {
+		// The syntax check's verdict is not a preparation failure: the
+		// closures run regardless, and TestGeneratedSourcesTypeCheck is
+		// what proves emitted units well-formed.
+		_ = cq.EnsureSource()
 	}
-	stamp := p.db.cat.StampFor(planTables(pl))
-	cq, err := codegen.Generate(pl, codegen.OptO2)
-	if err != nil {
-		unlock()
-		return nil, nil, nil, err
-	}
-	p.mu.Lock()
-	p.compiled, p.stamp = cq, stamp
-	p.lat = p.db.met.latFor(pl, cq.Fused)
-	p.mu.Unlock()
-	return pl, cq, unlock, nil
+	return cq
 }
 
-// reprepare plans and compiles the statement under fresh table locks and
-// installs the new artefact.
-func (p *Prepared) reprepare() error {
-	_, _, unlock, err := p.prepareLocked()
-	if err == nil {
-		unlock()
-	}
-	return err
-}
-
-// Source returns the generated source file.
+// Source returns the generated source file (empty under an interpreted
+// engine, which generates none).
 func (p *Prepared) Source() string {
-	cq, _ := p.snapshot()
-	return cq.Source
+	if cq := p.compiled(); cq != nil {
+		return cq.Source
+	}
+	return ""
 }
 
-// GenerateTime reports how long template instantiation took (for the most
-// recent compilation).
+// GenerateTime reports how long emitting the source file took (for the
+// most recent compilation).
 func (p *Prepared) GenerateTime() time.Duration {
-	cq, _ := p.snapshot()
-	return cq.Prep.Generate
+	if cq := p.compiled(); cq != nil {
+		return cq.Prep.Generate
+	}
+	return 0
 }
 
 // CompileTime reports how long compilation (syntax check + closure
 // construction) took (for the most recent compilation).
 func (p *Prepared) CompileTime() time.Duration {
-	cq, _ := p.snapshot()
-	return cq.Prep.Compile
+	if cq := p.compiled(); cq != nil {
+		return cq.Prep.Compile
+	}
+	return 0
 }
 
 // Run executes the prepared query with the given parameter values (one
@@ -1197,56 +1021,26 @@ func (p *Prepared) Run(args ...any) (*Result, error) {
 // DB.QueryInto); a serving loop reusing one Result per worker executes a
 // prepared statement with no per-call materialisation allocations.
 func (p *Prepared) RunInto(res *Result, args ...any) (err error) {
-	defer p.db.met.noteQuery(&err)
+	db := p.db
+	defer db.met.noteQuery(&err)
+	defer containPanic(&err)
 	res.Reset()
-	// noteWarm records a successful run against the handle's latency
-	// pair: warm, since preparation was paid at Prepare (or in a
-	// transparent re-prepare, whose cost Run excludes anyway).
-	noteWarm := func(err error) {
-		if err == nil {
-			p.mu.Lock()
-			lat := p.lat
-			p.mu.Unlock()
-			lat[tempWarm].Observe(res.Elapsed)
-		}
-	}
-	for attempt := 0; attempt < 4; attempt++ {
-		cq, stamp := p.snapshot()
-		p.db.refreshStats()
-		names := planTables(cq.Plan)
-		unlock := p.db.rlockTables(names)
-		if p.db.anyStale(names) || p.db.cat.StampFor(names) != stamp {
-			unlock()
-			if err := p.reprepare(); err != nil {
-				return err
-			}
-			continue
-		}
-		params, err := bindValuesInto(nil, cq.Plan.Params, nil, false, args)
-		if err != nil {
-			unlock()
+	sc := queryScratchPool.Get().(*queryScratch)
+	defer queryScratchPool.Put(sc)
+	ec := db.engineChoice()
+	if art := p.current(); art.engine == ec.engine {
+		if stale, err := db.lease(res, art, nil, sc, false, args); !stale {
 			return err
 		}
-		err = p.db.runCompiled(res, cq, params)
-		unlock()
-		noteWarm(err)
-		return err
 	}
-	// Sustained writer pressure kept invalidating the artefact between
-	// re-prepare and re-lock: prepare and run inside one lock scope
-	// (planLocked escalates to writer locks itself when starved).
-	pl, cq, unlock, err := p.prepareLocked()
+	art, unlock, err := db.prepare(p.query, ec, true, nil)
 	if err != nil {
 		return err
 	}
-	params, err := bindValuesInto(nil, pl.Params, nil, false, args)
-	if err != nil {
-		unlock()
-		return err
-	}
-	err = p.db.runCompiled(res, cq, params)
-	unlock()
-	noteWarm(err)
+	p.mu.Lock()
+	p.art = art
+	p.mu.Unlock()
+	_, err = db.lease(res, art, unlock, sc, false, args)
 	return err
 }
 
@@ -1304,15 +1098,12 @@ func (db *DB) buildIndexLocked(e *catalog.TableEntry, table, column string) (lsn
 // directly (hique-vet: lockorder).
 func (db *DB) TableInfo(name string) (rows int, columns []string, err error) {
 	name = strings.ToLower(name)
-	unlock, locked := db.lockTables([]string{name}, false)
+	unlock, entries := db.lockTables([]string{name}, false)
 	defer unlock()
-	if !locked[name] {
+	if len(entries) == 0 {
 		return 0, nil, fmt.Errorf("hique: unknown table %q", name)
 	}
-	e, err := db.cat.Lookup(name)
-	if err != nil {
-		return 0, nil, err
-	}
+	e := entries[0]
 	rows = e.Table.NumRows()
 	s := e.Table.Schema()
 	for i := 0; i < s.NumColumns(); i++ {
@@ -1328,7 +1119,6 @@ type DBStats struct {
 	CatalogVersion uint64          `json:"catalog_version"`
 	Engine         string          `json:"engine"`
 	CacheEnabled   bool            `json:"cache_enabled"`
-	AutoParam      bool            `json:"auto_param"`
 	Cache          plancache.Stats `json:"cache"`
 	// WriteCache tracks the DML descriptor cache (see DB.Exec).
 	WriteCache plancache.Stats `json:"write_cache"`
@@ -1347,14 +1137,10 @@ type ArenaStats struct {
 
 // Stats snapshots catalogue and plan-cache counters.
 func (db *DB) Stats() DBStats {
-	db.mu.RLock()
-	autoParam := db.autoParam
-	db.mu.RUnlock()
 	s := DBStats{
 		Tables:         len(db.cat.Names()),
 		CatalogVersion: db.cat.Version(),
 		Engine:         db.EngineName(),
-		AutoParam:      autoParam,
 	}
 	if db.cache != nil {
 		s.CacheEnabled = true

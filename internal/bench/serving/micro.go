@@ -95,16 +95,6 @@ func Micro() []MicroResult {
 			}
 		}
 	})
-	run("PointQueryShapeCache/literal-keyed", func(b *testing.B) {
-		db := pointDB(hique.WithPlanCache(256), hique.WithAutoParam(false))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(fmt.Sprintf("SELECT v FROM bench_points WHERE id = %d", i%pointRows)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	run("ServingColdVsWarm/cold", func(b *testing.B) {
 		db := servingDB(hique.WithPlanCache(64))
 		b.ReportAllocs()

@@ -192,16 +192,21 @@ func Tab3(sf float64) Result {
 		genT := timeIt(5, func() {
 			srcBytes = len(codegen.EmitSource(p))
 		})
-		c0 := timeIt(5, func() {
-			if _, err := codegen.Generate(p, codegen.OptO0); err != nil {
-				panic(err)
+		// Compile = closure construction + the emitted file's syntax
+		// check, which Generate leaves to EnsureSource.
+		compile := func(level codegen.OptLevel) func() {
+			return func() {
+				cq, err := codegen.Generate(p, level)
+				if err == nil {
+					err = cq.EnsureSource()
+				}
+				if err != nil {
+					panic(err)
+				}
 			}
-		})
-		c2 := timeIt(5, func() {
-			if _, err := codegen.Generate(p, codegen.OptO2); err != nil {
-				panic(err)
-			}
-		})
+		}
+		c0 := timeIt(5, compile(codegen.OptO0))
+		c2 := timeIt(5, compile(codegen.OptO2))
 
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("#%d", n),

@@ -4,14 +4,14 @@ import (
 	"strconv"
 
 	"hique/internal/plan"
-	"hique/internal/sql"
 )
 
-// CacheKey derives the plan-cache key for a query: the normalised SQL
-// token stream (the parameterized *shape* when the caller auto-
-// parameterized the statement first), its bind arity, and every other
-// input that shapes the compiled artefact — the optimisation level and
-// the optimizer options. Catalog state (schemata, statistics, indexes) is
+// AppendCacheKey renders the plan-cache key for a query shape into dst
+// and returns the extended slice (the warm serving path passes a pooled
+// scratch, so a hit computes its key without allocating): the normalised
+// shape's token stream, its bind arity, and every other input that
+// shapes the compiled artefact — the optimisation level and the
+// optimizer options. Catalog state (schemata, statistics, indexes) is
 // deliberately NOT part of the key; the cache validates entries against
 // the catalogue's version counter instead, so a schema or statistics
 // change invalidates every affected plan at once.
@@ -20,30 +20,9 @@ import (
 // injective: without the prefix, a string literal containing "\x00level="
 // could forge the key of a different query + options combination.
 //
-// Computing the key costs one pass of the lexer — no parsing, planning,
-// generation, or compilation — which is exactly what a cache hit is
-// allowed to spend.
-func CacheKey(query string, opts plan.Options, level OptLevel) (string, error) {
-	norm, arity, err := sql.NormalizeArity(query)
-	if err != nil {
-		return "", err
-	}
-	return CacheKeyNormalized(norm, arity, opts, level), nil
-}
-
-// CacheKeyNormalized builds the key from an already-normalized token
-// stream and its placeholder arity. The auto-parameterization path holds
-// both (sql.NormalizeShape's output is a normalization fixed point), so
-// using this variant keeps the cache hit at exactly one lexer pass
-// instead of re-lexing the shape.
-func CacheKeyNormalized(norm string, arity int, opts plan.Options, level OptLevel) string {
-	return string(AppendCacheKey(nil, []byte(norm), arity, opts, level))
-}
-
-// AppendCacheKey renders the cache key into dst and returns the extended
-// slice: the byte-buffer variant the warm serving path uses with a pooled
-// scratch, so a hit computes its key without allocating. The rendering is
-// identical to CacheKeyNormalized's.
+// The shape comes out of the same lexer pass (sql.ShapeBuf), so the key
+// costs no parsing, planning, generation, or compilation — which is
+// exactly what a cache hit is allowed to spend.
 func AppendCacheKey(dst []byte, norm []byte, arity int, opts plan.Options, level OptLevel) []byte {
 	dst = strconv.AppendInt(dst, int64(len(norm)), 10)
 	dst = append(dst, ':')

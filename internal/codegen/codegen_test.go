@@ -169,6 +169,14 @@ func TestTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Generate builds the closures only: the source rendering is emitted
+	// and syntax-checked on first request.
+	if cq.Source != "" || cq.Prep.Generate != 0 || cq.Prep.SourceBytes != 0 {
+		t.Errorf("Generate produced source eagerly: %d bytes, %+v", len(cq.Source), cq.Prep)
+	}
+	if err := cq.EnsureSource(); err != nil {
+		t.Fatal(err)
+	}
 	if cq.Prep.SourceBytes <= 0 {
 		t.Error("SourceBytes not recorded")
 	}

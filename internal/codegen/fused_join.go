@@ -870,7 +870,7 @@ func (f *fusedJoin) runWith(params []types.Datum, chainIn *storage.Table) (*stor
 		return out, nil
 	}
 	// A panic inside the pipeline is contained by the serving layer
-	// (runCompiled's containPanic), which never sees this table; without
+	// (lease's containPanic), which never sees this table; without
 	// the conditional release the contained error path would strand the
 	// result's arena pages forever. The scratch is deliberately NOT
 	// returned to its pool on that path — a half-mutated scratch must not

@@ -50,10 +50,10 @@ func manualTrivial(e *catalog.TableEntry) int {
 	return n
 }
 
-// finishLocked is a containing releaser: it defers the unlock of the
+// releaseContained is a containing releaser: it defers the unlock of the
 // entry it receives and defers the recover frame; callers may hand it a
 // held lock.
-func finishLocked(e *catalog.TableEntry) (err error) {
+func releaseContained(e *catalog.TableEntry) (err error) {
 	defer e.Unlock()
 	defer containPanic(&err)
 	mutate()
@@ -63,7 +63,7 @@ func finishLocked(e *catalog.TableEntry) (err error) {
 // lockAndFinish hands the held lock to the containing releaser. Clean.
 func lockAndFinish(e *catalog.TableEntry) error {
 	e.Lock()
-	return finishLocked(e)
+	return releaseContained(e)
 }
 
 func lockTables(names []string, write bool) func() { return func() {} }

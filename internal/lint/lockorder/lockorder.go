@@ -7,16 +7,15 @@
 //  1. direct acquisitions of table-entry locks outside the hique serving
 //     layer (only the root package may touch entry locks; everything else
 //     must go through the DB API);
-//  2. a second table lock acquired while one may already be held, unless
-//     the function establishes ascending-ID order with an explicit
-//     `a.ID() < b.ID()` guard (the warm fast path's swap) or is the
-//     sanctioned `lockTables` routine;
-//  3. calls to lock-acquiring functions (lockTables/rlockTables or any
-//     package function that itself takes entry locks) while an entry
-//     lock is held — the inter-procedural deadlock shape;
+//  2. a second table lock acquired while one may already be held,
+//     outside the one sanctioned lock loop (rule 4);
+//  3. calls to lock-acquiring functions (lockTables or any package
+//     function that takes entry locks, directly or through another)
+//     while an entry lock is held — the inter-procedural deadlock shape;
 //  4. entry locks acquired inside a loop without either releasing within
-//     the iteration or sorting by table ID first (lockTables' sort is
-//     what makes its loop legal);
+//     the iteration or ranging over a lockSet — the named slice type
+//     whose values are ID-sorted by construction, which is itself
+//     checked: a lockSet may only be built after a sort step;
 //  5. lock-leak paths: an acquisition whose release is unreachable on
 //     some path to return (unless the unlock escapes to the caller —
 //     ownership transfer, the planLocked contract).
@@ -71,87 +70,81 @@ func isServingLayer(pkg *types.Package) bool {
 }
 
 // acquirerSet computes the package-local functions that acquire table
-// locks (directly or through lockTables) — calling one of these while
-// holding an entry lock risks an out-of-order second acquisition.
+// locks — directly, through lockTables, or through another acquirer —
+// calling one of these while holding an entry lock risks an
+// out-of-order second acquisition.
 func acquirerSet(pass *analysis.Pass) map[*types.Func]bool {
 	set := map[*types.Func]bool{}
-	for _, fd := range lintutil.FuncDecls(pass.Files) {
-		obj, _ := pass.ObjectOf(fd.Name).(*types.Func)
-		if obj == nil {
-			continue
-		}
-		found := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if found {
-				return false
+	decls := lintutil.FuncDecls(pass.Files)
+	for changed := true; changed; {
+		changed = false
+		for _, fd := range decls {
+			obj, _ := pass.ObjectOf(fd.Name).(*types.Func)
+			if obj != nil && !set[obj] && acquires(pass.TypesInfo, fd.Body, set) {
+				set[obj] = true
+				changed = true
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, m, ok := lintutil.MethodCall(pass.TypesInfo, call, catalogPkg, "TableEntry"); ok && (m == "Lock" || m == "RLock") {
-				found = true
-			}
-			if isLockTablesCall(pass.TypesInfo, call) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			set[obj] = true
 		}
 	}
 	return set
 }
 
-func isLockTablesCall(info *types.Info, call *ast.CallExpr) bool {
-	f := lintutil.CalleeFunc(info, call)
-	return f != nil && (f.Name() == "lockTables" || f.Name() == "rlockTables")
-}
-
-// isLockTablesDecl reports whether fd is the sanctioned ordered-loop
-// acquirer itself.
-func isLockTablesDecl(fd *ast.FuncDecl) bool {
-	return fd.Name.Name == "lockTables" || fd.Name.Name == "rlockTables"
-}
-
-// hasIDGuard detects the explicit ascending-ID order guard: an if (or
-// swap) comparing two TableEntry.ID() calls with < or >.
-func hasIDGuard(pass *analysis.Pass, body *ast.BlockStmt) bool {
+// acquires reports whether the body takes an entry lock directly, calls
+// lockTables, or calls a function already known to acquire.
+func acquires(info *types.Info, body *ast.BlockStmt, known map[*types.Func]bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
 		}
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.LSS && be.Op != token.GTR) {
-			return true
-		}
-		if isIDCall(pass, be.X) && isIDCall(pass, be.Y) {
-			found = true
-		}
+		_, m, isEntry := lintutil.MethodCall(info, call, catalogPkg, "TableEntry")
+		found = (isEntry && (m == "Lock" || m == "RLock")) || isLockTablesCall(info, call) ||
+			known[lintutil.CalleeFunc(info, call)]
 		return !found
 	})
 	return found
 }
 
-func isIDCall(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	_, m, ok := lintutil.MethodCall(pass.TypesInfo, call, catalogPkg, "TableEntry")
-	if ok && m == "ID" {
+func isLockTablesCall(info *types.Info, call *ast.CallExpr) bool {
+	f := lintutil.CalleeFunc(info, call)
+	return f != nil && f.Name() == "lockTables"
+}
+
+// isLockSet reports whether t is the serving layer's lockSet: the named
+// entry-slice type whose values are deduplicated and ID-sorted by
+// construction, so ranging over one is the legal lock loop.
+func isLockSet(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "lockSet"
+}
+
+// checkLockSetBuilds enforces the construction half of rule 4: a
+// conversion to lockSet, a lockSet literal, or a make(lockSet, ...) must
+// come after a sort step in the same function.
+func checkLockSetBuilds(pass *analysis.Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		var built ast.Expr
+		switch x := n.(type) {
+		case *ast.CompositeLit:
+			built = x
+		case *ast.CallExpr:
+			if tv, ok := pass.TypesInfo.Types[x.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
+				built = x
+			}
+		}
+		if built == nil {
+			return true
+		}
+		if tv, ok := pass.TypesInfo.Types[built]; ok && isLockSet(tv.Type) && !hasSortBefore(pass, fd.Body, built.Pos()) {
+			pass.Reportf(built.Pos(), "lockSet built without sorting by table ID first; the global acquisition order is broken")
+		}
 		return true
-	}
-	// Comparing a Less-method style `s.entries[i].ID() < s.entries[j].ID()`
-	// resolves through the same path; also accept a plain selector .ID
-	// field on an entry-shaped struct (fixture freedom).
-	return false
+	})
 }
 
 // hasSortBefore reports a sort.* / slices.Sort* call anywhere in the
-// body before pos — the ordering step that legalises a lock loop.
+// body before pos — the ordering step that legalises building a lockSet.
 func hasSortBefore(pass *analysis.Pass, body *ast.BlockStmt, pos token.Pos) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -202,6 +195,7 @@ func (s lockState) equal(o lockState) bool {
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.Func]bool, rootPkg bool) {
 	info := pass.TypesInfo
+	checkLockSetBuilds(pass, fd)
 	// Fast scan: any lock-related activity at all?
 	var acquires []entryAcquire
 	anyLockTables := false
@@ -233,37 +227,35 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.Func]
 		}
 	}
 
-	sanctioned := isLockTablesDecl(fd)
-	idGuard := hasIDGuard(pass, fd.Body)
-
-	// Rule 4: acquisition loops.
-	checkLoops(pass, fd, sanctioned)
+	// Rule 4: acquisition loops. A function whose every acquisition sits
+	// in a loop over a lockSet is the sanctioned lock loop, exempt from
+	// the per-variable held-set rules below: it acquires through the
+	// sorted set and leaves the matching releases to its caller, which
+	// the token model cannot see.
+	sanctioned := checkLoops(pass, fd, len(acquires))
 
 	// Rules 2, 3, 5: path-sensitive held-set tracking.
-	checkHeldFlow(pass, fd, acquirers, sanctioned, idGuard)
+	checkHeldFlow(pass, fd, acquirers, sanctioned)
 }
 
 // checkLoops flags entry-lock acquisitions inside a loop body unless the
 // same loop body releases them (per-iteration critical section) or the
-// function is lockTables with a preceding sort (the ordered batch
-// acquisition).
-func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl, sanctioned bool) {
+// loop ranges over a lockSet (the ordered batch acquisition). It reports
+// whether all of the function's acquisitions sit in lockSet loops.
+func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl, acquires int) (sanctioned bool) {
 	info := pass.TypesInfo
-	var loops []ast.Stmt
+	ordered := 0
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			loops = append(loops, n.(ast.Stmt))
-		}
-		return true
-	})
-	for _, loop := range loops {
 		var body *ast.BlockStmt
-		switch l := loop.(type) {
+		overLockSet := false
+		switch l := n.(type) {
 		case *ast.ForStmt:
 			body = l.Body
 		case *ast.RangeStmt:
 			body = l.Body
+			overLockSet = isLockSet(info.TypeOf(l.X))
+		default:
+			return true
 		}
 		var acq []*ast.CallExpr
 		releases := false
@@ -282,26 +274,24 @@ func checkLoops(pass *analysis.Pass, fd *ast.FuncDecl, sanctioned bool) {
 			}
 			return true
 		})
-		if len(acq) == 0 || releases {
-			continue
+		if overLockSet {
+			ordered += len(acq)
+			return true
 		}
-		if sanctioned && hasSortBefore(pass, fd.Body, loop.Pos()) {
-			continue
-		}
-		for _, call := range acq {
-			if sanctioned {
-				pass.Reportf(call.Pos(), "lockTables acquires entry locks in a loop without sorting by table ID first; the global acquisition order is broken")
-			} else {
-				pass.Reportf(call.Pos(), "table locks acquired in a loop and held across iterations without table-ID ordering; route through lockTables")
+		if !releases {
+			for _, call := range acq {
+				pass.Reportf(call.Pos(), "table locks acquired in a loop and held across iterations without table-ID ordering; range over a lockSet (lockTables builds one)")
 			}
 		}
-	}
+		return true
+	})
+	return acquires > 0 && ordered == acquires
 }
 
 // checkHeldFlow runs the may-hold dataflow over the CFG: second
 // acquisitions without an ID guard, acquirer calls while held, and
 // leak-at-exit paths.
-func checkHeldFlow(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.Func]bool, sanctioned, idGuard bool) {
+func checkHeldFlow(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.Func]bool, sanctioned bool) {
 	info := pass.TypesInfo
 	g := cfgx.New(fd.Body)
 
@@ -344,14 +334,11 @@ func checkHeldFlow(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.F
 		work = work[:len(work)-1]
 		st := in[b.Index].clone()
 		for _, s := range b.Stmts {
-			st = transfer(pass, st, s, acquirers, sanctioned, idGuard, deferred, report)
+			st = transfer(pass, st, s, acquirers, sanctioned, report)
 		}
 		if b.Return && !sanctioned {
 			// Leak check: tokens still held that are neither deferred nor
-			// escaping via this return are stuck. lockTables itself is
-			// exempt: it acquires through the sorted entries slice and
-			// hands the matching releases to its returned closure, which
-			// the per-variable token model cannot see.
+			// escaping via this return are stuck.
 			var ret *ast.ReturnStmt
 			if n := len(b.Stmts); n > 0 {
 				ret, _ = b.Stmts[n-1].(*ast.ReturnStmt)
@@ -389,7 +376,7 @@ func checkHeldFlow(pass *analysis.Pass, fd *ast.FuncDecl, acquirers map[*types.F
 }
 
 // transfer applies one statement to the held-set.
-func transfer(pass *analysis.Pass, st lockState, s ast.Stmt, acquirers map[*types.Func]bool, sanctioned, idGuard bool, deferred map[*types.Var]bool, report func(token.Pos, string, ...any)) lockState {
+func transfer(pass *analysis.Pass, st lockState, s ast.Stmt, acquirers map[*types.Func]bool, sanctioned bool, report func(token.Pos, string, ...any)) lockState {
 	info := pass.TypesInfo
 	ast.Inspect(s, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -410,8 +397,8 @@ func transfer(pass *analysis.Pass, st lockState, s ast.Stmt, acquirers map[*type
 			}
 			switch m {
 			case "Lock", "RLock":
-				if len(st) > 0 && !sanctioned && !idGuard {
-					report(call.Pos(), "second table lock acquired while one may be held, with no a.ID() < b.ID() order guard; route through lockTables")
+				if len(st) > 0 && !sanctioned {
+					report(call.Pos(), "second table lock acquired while one may be held; route through lockTables")
 				}
 				if v != nil {
 					st[v] = true
@@ -423,7 +410,7 @@ func transfer(pass *analysis.Pass, st lockState, s ast.Stmt, acquirers map[*type
 			}
 			return true
 		}
-		// lockTables/rlockTables: the unlock binding becomes the token.
+		// lockTables: the unlock binding becomes the token.
 		if isLockTablesCall(info, call) {
 			if len(st) > 0 {
 				report(call.Pos(), "lockTables called while a table lock is already held; the combined acquisition is unordered")

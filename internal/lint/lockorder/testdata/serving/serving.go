@@ -9,32 +9,36 @@ import (
 	"hique/internal/catalog"
 )
 
-// lockTables is the sanctioned ordered batch acquirer: sort by table ID,
-// then lock in a loop, handing the releases to the returned closure.
-// Must produce no diagnostics.
-func lockTables(entries []*catalog.TableEntry) func() {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID() < entries[j].ID() })
-	for _, e := range entries {
+// lockSet is the serving layer's ordered entry set: ID-sorted by
+// construction (checked where one is built).
+type lockSet []*catalog.TableEntry
+
+// lockEntries is the sanctioned lock loop: it ranges over a lockSet and
+// leaves the releases to its caller. Must produce no diagnostics.
+func lockEntries(set lockSet) {
+	for _, e := range set {
 		e.Lock()
 	}
+}
+
+// lockTables is the lockSet constructor: sort by table ID, convert,
+// lock, and hand the releases to the returned closure. Must produce no
+// diagnostics.
+func lockTables(entries []*catalog.TableEntry) func() {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].ID() < entries[j].ID() })
+	set := lockSet(entries)
+	lockEntries(set)
 	return func() {
-		for i := len(entries) - 1; i >= 0; i-- {
-			entries[i].Unlock()
+		for i := len(set) - 1; i >= 0; i-- {
+			set[i].Unlock()
 		}
 	}
 }
 
-// rlockTables forgot the sort: the sanctioned name does not excuse an
-// unordered acquisition loop.
-func rlockTables(entries []*catalog.TableEntry) func() {
-	for _, e := range entries {
-		e.RLock() // want "lockTables acquires entry locks in a loop without sorting"
-	}
-	return func() {
-		for i := len(entries) - 1; i >= 0; i-- {
-			entries[i].RUnlock()
-		}
-	}
+// unsortedSet forgot the sort: the type's name does not excuse an
+// unordered set.
+func unsortedSet(entries []*catalog.TableEntry) lockSet {
+	return lockSet(entries) // want "lockSet built without sorting by table ID first"
 }
 
 func badPair(a, b *catalog.TableEntry) {
@@ -42,18 +46,6 @@ func badPair(a, b *catalog.TableEntry) {
 	b.Lock() // want "second table lock acquired while one may be held"
 	b.Unlock()
 	a.Unlock()
-}
-
-// goodPair establishes the ascending-ID order explicitly — the warm
-// fast-path swap idiom. Must produce no diagnostics.
-func goodPair(a, b *catalog.TableEntry) {
-	if b.ID() < a.ID() {
-		a, b = b, a
-	}
-	a.Lock()
-	b.Lock()
-	defer b.Unlock()
-	defer a.Unlock()
 }
 
 func badLeak(a *catalog.TableEntry, cond bool) {
@@ -72,6 +64,15 @@ func helperAcquire(e *catalog.TableEntry) {
 func badCallWhileHeld(a, b *catalog.TableEntry) {
 	a.Lock()
 	helperAcquire(b) // want `call to helperAcquire \(which acquires table locks\) while a table lock is held`
+	a.Unlock()
+}
+
+// indirectAcquire takes no lock itself, only through helperAcquire.
+func indirectAcquire(e *catalog.TableEntry) { helperAcquire(e) }
+
+func badIndirectWhileHeld(a, b *catalog.TableEntry) {
+	a.Lock()
+	indirectAcquire(b) // want `call to indirectAcquire \(which acquires table locks\) while a table lock is held`
 	a.Unlock()
 }
 

@@ -115,6 +115,12 @@ func Check(moduleDir string, cfg *Config) ([]Finding, error) {
 // through the allowlist. Split from Check so tests can feed canned
 // compiler output without building anything.
 func Analyze(moduleDir string, cfg *Config, mOutput string) ([]Finding, error) {
+	// go list reports absolute directories; resolve the compiler's
+	// module-relative paths against the same root or nothing attributes.
+	moduleDir, err := filepath.Abs(moduleDir)
+	if err != nil {
+		return nil, err
+	}
 	warm := map[string]bool{}
 	for _, w := range cfg.Warm {
 		warm[w] = true
@@ -127,6 +133,19 @@ func Analyze(moduleDir string, cfg *Config, mOutput string) ([]Finding, error) {
 	funcs, err := indexFuncs(moduleDir, cfg.Packages)
 	if err != nil {
 		return nil, err
+	}
+	// A warm name that matches no function guards nothing (a rename or a
+	// typo would otherwise pass the gate silently).
+	declared := map[string]bool{}
+	for _, spans := range funcs {
+		for _, sp := range spans {
+			declared[sp.name] = true
+		}
+	}
+	for _, w := range cfg.Warm {
+		if !declared[w] {
+			return nil, fmt.Errorf("warm function %s matches no function in packages %v", w, cfg.Packages)
+		}
 	}
 
 	var findings []Finding

@@ -3,6 +3,7 @@ package warmescape
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +61,40 @@ func TestAnalyzeAttributionAndAllowlist(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("allowlisted escape still reported: %v", findings)
+	}
+}
+
+// TestAnalyzeRejectsUnmatchedWarm: a warm entry naming no function in
+// the configured packages must fail the gate instead of guarding nothing.
+func TestAnalyzeRejectsUnmatchedWarm(t *testing.T) {
+	dir := tempModule(t)
+	cfg := &Config{Warm: []string{"escfix.Hot", "escfix.noSuchFunction"}, Packages: []string{"escfix"}}
+	_, err := Analyze(dir, cfg, "")
+	if err == nil || !strings.Contains(err.Error(), "escfix.noSuchFunction") {
+		t.Fatalf("err = %v, want the unmatched warm entry named", err)
+	}
+}
+
+// TestAnalyzeRelativeModuleDir: CI runs the gate with moduleDir ".";
+// findings must still attribute (they silently did not while go list's
+// absolute paths were compared against module-relative ones).
+func TestAnalyzeRelativeModuleDir(t *testing.T) {
+	dir := tempModule(t)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(wd, dir)
+	if err != nil {
+		t.Skip("temp dir not reachable relatively:", err)
+	}
+	cfg := &Config{Warm: []string{"escfix.Hot"}, Packages: []string{"escfix"}}
+	findings, err := Analyze(rel, cfg, "./warm.go:4:2: moved to heap: x\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings through a relative module dir, want 1", len(findings))
 	}
 }
 

@@ -3,7 +3,6 @@ package hique
 import (
 	"errors"
 
-	"hique/internal/codegen"
 	"hique/internal/morsel"
 	"hique/internal/obs"
 	"hique/internal/plan"
@@ -233,13 +232,4 @@ func (m *dbMetrics) noteQuery(err *error) {
 	if errors.As(e, &pe) {
 		m.panics.Inc()
 	}
-}
-
-// cachedQuery is the value the read plan-cache stores: the compiled
-// artefact plus its latency handles, resolved once at compile time so a
-// warm hit records its duration without a map lookup or classification
-// branch.
-type cachedQuery struct {
-	cq  *codegen.CompiledQuery
-	lat *[nTemp]*obs.Histogram
 }

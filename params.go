@@ -55,9 +55,7 @@ func bindValuesInto(dst []types.Datum, slots []plan.ParamSlot, lits []sql.Lifted
 			if !ok {
 				// A lifted literal that cannot coerce is a statement
 				// problem, not a caller-value problem: report it as a
-				// plain (plan-class) error, which also lets the
-				// literal-specialized fallback re-raise it with the
-				// original plan-time message.
+				// plain (plan-class) error, not a *BindError.
 				return dst, fmt.Errorf("hique: parameter %d (%s): plan: literal %s incompatible with %v column",
 					i+1, slots[i].Column, lits[i].Expr(), slots[i].Kind)
 			}
@@ -167,15 +165,4 @@ func coerceValue(v any, kind types.Kind) (types.Datum, error) {
 		}
 	}
 	return types.Datum{}, fmt.Errorf("cannot use %v (%T) as %v", v, v, kind)
-}
-
-// liftedAny reports whether auto-parameterization actually lifted a
-// literal (as opposed to only passing through explicit placeholders).
-func liftedAny(lits []sql.LiftedLit) bool {
-	for _, l := range lits {
-		if l.Kind != sql.LitNone {
-			return true
-		}
-	}
-	return false
 }

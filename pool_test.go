@@ -59,24 +59,49 @@ var fastPathQueries = []struct {
 	{sql: "SELECT COUNT(*) AS n FROM pts WHERE id = -1"},
 }
 
+// route is one way of executing a statement in the route-equivalence
+// tests (here and in fused_join_test.go).
+type route struct {
+	name string
+	run  func(sql string, args ...any) (*Result, error)
+}
+
+// preparedLiteralRoute runs each statement through
+// Prepare(text).Run(args...), keeping one handle per text so a repeated
+// statement exercises the warm handle. Prepare plans the text as given:
+// literals stay baked in, which keeps the literal-specialised fused
+// pipelines covered now that the plan cache always lifts them.
+func preparedLiteralRoute(db *DB) func(string, ...any) (*Result, error) {
+	handles := map[string]*Prepared{}
+	return func(q string, args ...any) (*Result, error) {
+		pr := handles[q]
+		if pr == nil {
+			var err error
+			if pr, err = db.Prepare(q); err != nil {
+				return nil, err
+			}
+			handles[q] = pr
+		}
+		return pr.Run(args...)
+	}
+}
+
 // TestFastPathMatchesAllEngines asserts byte-identical results for every
 // query shape across (a) all five engines uncached, (b) the cached
-// holistic path with auto-parameterization (the fused pipeline), (c) the
-// cached path with literal keys, and (d) an index-accelerated variant.
+// holistic path with auto-parameterization (the fused pipeline), (c) a
+// prepared handle with the literals baked in, and (d) an
+// index-accelerated variant.
 func TestFastPathMatchesAllEngines(t *testing.T) {
 	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
 
-	type route struct {
-		name string
-		db   *DB
+	cachedIndexed := poolTestDB(t, WithPlanCache(64))
+	if err := cachedIndexed.BuildIndex("pts", "id"); err != nil {
+		t.Fatal(err)
 	}
 	routes := []route{
-		{"cached-auto-param", poolTestDB(t, WithPlanCache(64))},
-		{"cached-literal-keyed", poolTestDB(t, WithPlanCache(64), WithAutoParam(false))},
-		{"cached-indexed", poolTestDB(t, WithPlanCache(64))},
-	}
-	if err := routes[2].db.BuildIndex("pts", "id"); err != nil {
-		t.Fatal(err)
+		{"cached-auto-param", poolTestDB(t, WithPlanCache(64)).Query},
+		{"prepared-literal", preparedLiteralRoute(poolTestDB(t))},
+		{"cached-indexed", cachedIndexed.Query},
 	}
 	uncached := poolTestDB(t)
 
@@ -100,7 +125,7 @@ func TestFastPathMatchesAllEngines(t *testing.T) {
 			// Twice: the first call compiles, the second exercises the
 			// warm (fused or pooled) path against recycled frames.
 			for pass := 0; pass < 2; pass++ {
-				got, err := r.db.Query(q.sql, q.args...)
+				got, err := r.run(q.sql, q.args...)
 				if err != nil {
 					t.Fatalf("%s via %s: %v", q.sql, r.name, err)
 				}

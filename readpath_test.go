@@ -1,0 +1,360 @@
+package hique
+
+// Tests for the one read path: every SELECT entry point leases its
+// prepared artefact through DB.lease, so one table-driven matrix covers
+// all of them — first run, warm hit, re-prepare after a write or an
+// index build on a referenced table, survival of changes to
+// unrelated tables, and 1- to 4-table statements including a self join —
+// always against the optimized-iterators reference rows.
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"hique/internal/codegen"
+	"hique/internal/storage"
+)
+
+// matrixDB builds a four-table chain t1 → t2 → t3 → t4 plus an unrelated
+// table, small enough that the whole matrix stays fast.
+func matrixDB(t testing.TB, options ...Option) *DB {
+	t.Helper()
+	db := Open(options...)
+	for _, ddl := range []struct {
+		name string
+		cols []Column
+	}{
+		{"t1", []Column{Int("id"), Int("g"), Int("k2")}},
+		{"t2", []Column{Int("id"), Int("k3")}},
+		{"t3", []Column{Int("id"), Int("k4")}},
+		{"t4", []Column{Int("id"), Int("w")}},
+		{"other", []Column{Int("x")}},
+	} {
+		if err := db.CreateTable(ddl.name, ddl.cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		if err := db.Insert("t1", i, i%5, i%12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if err := db.Insert("t2", i, i%6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := db.Insert("t3", i, i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := db.Insert("t4", i, 10*i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// matrixStatements all group by t1.g, so a row inserted into t1 with an
+// unseen g must surface as a new group — which a stale plan's baked value
+// directory would drop. tables counts distinct catalogue entries.
+var matrixStatements = []struct {
+	name   string
+	sql    string
+	tables int
+}{
+	{"1-table", "SELECT g, COUNT(*) AS n FROM t1 GROUP BY g ORDER BY g", 1},
+	{"2-table-self-join", "SELECT x.g, COUNT(*) AS n FROM t1 x, t1 y WHERE x.id = y.id GROUP BY x.g ORDER BY x.g", 1},
+	{"2-table", "SELECT t1.g, COUNT(*) AS n FROM t1, t2 WHERE t1.k2 = t2.id GROUP BY t1.g ORDER BY t1.g", 2},
+	{"3-table", "SELECT t1.g, COUNT(*) AS n FROM t1, t2, t3 WHERE t1.k2 = t2.id AND t2.k3 = t3.id GROUP BY t1.g ORDER BY t1.g", 3},
+	{"4-table", "SELECT t1.g, SUM(t4.w) AS w FROM t1, t2, t3, t4 WHERE t1.k2 = t2.id AND t2.k3 = t3.id AND t3.k4 = t4.id GROUP BY t1.g ORDER BY t1.g", 4},
+}
+
+// matrixRunner is one entry point bound to one statement. run returns the
+// rows (nil for ExplainAnalyze, which reports only the count); prepares
+// reports how often the statement has been prepared so far, or -1 when
+// the entry point prepares on every run.
+type matrixRunner struct {
+	run      func() (rows [][]any, n int, err error)
+	prepares func() int
+}
+
+func cacheMisses(db *DB) func() int {
+	return func() int { return int(db.Stats().Cache.Misses) }
+}
+
+// handleSwaps counts the distinct artefacts a Prepared handle has held.
+func handleSwaps(pr *Prepared) func() int {
+	last, n := pr.current(), 1
+	return func() int {
+		if cur := pr.current(); cur != last {
+			last = cur
+			n++
+		}
+		return n
+	}
+}
+
+var matrixEntryPoints = []struct {
+	name string
+	bind func(t *testing.T, db *DB, sql string, tables int) matrixRunner
+}{
+	{"Query", func(t *testing.T, db *DB, sql string, _ int) matrixRunner {
+		return matrixRunner{prepares: cacheMisses(db), run: func() ([][]any, int, error) {
+			res, err := db.Query(sql)
+			if err != nil {
+				return nil, 0, err
+			}
+			return res.Rows, len(res.Rows), nil
+		}}
+	}},
+	{"QueryInto", func(t *testing.T, db *DB, sql string, _ int) matrixRunner {
+		var res Result // reused across every step
+		return matrixRunner{prepares: cacheMisses(db), run: func() ([][]any, int, error) {
+			err := db.QueryInto(&res, sql)
+			return res.Rows, len(res.Rows), err
+		}}
+	}},
+	{"Prepared.Run", func(t *testing.T, db *DB, sql string, tables int) matrixRunner {
+		pr := mustPrepare(t, db, sql, tables)
+		return matrixRunner{prepares: handleSwaps(pr), run: func() ([][]any, int, error) {
+			res, err := pr.Run()
+			if err != nil {
+				return nil, 0, err
+			}
+			return res.Rows, len(res.Rows), nil
+		}}
+	}},
+	{"Prepared.RunInto", func(t *testing.T, db *DB, sql string, tables int) matrixRunner {
+		pr := mustPrepare(t, db, sql, tables)
+		var res Result
+		return matrixRunner{prepares: handleSwaps(pr), run: func() ([][]any, int, error) {
+			err := pr.RunInto(&res)
+			return res.Rows, len(res.Rows), err
+		}}
+	}},
+	{"ExplainAnalyze", func(t *testing.T, db *DB, sql string, _ int) matrixRunner {
+		return matrixRunner{prepares: func() int { return -1 }, run: func() ([][]any, int, error) {
+			a, err := db.ExplainAnalyze(sql)
+			if err != nil {
+				return nil, 0, err
+			}
+			return nil, a.Rows, nil
+		}}
+	}},
+}
+
+// mustPrepare prepares sql and checks the artefact's lock set: one entry
+// per distinct table (a self join locks its entry once), in ascending
+// ID order.
+func mustPrepare(t *testing.T, db *DB, sql string, tables int) *Prepared {
+	t.Helper()
+	pr, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := pr.current().entries
+	if len(entries) != tables {
+		t.Fatalf("lock set has %d entries, want %d", len(entries), tables)
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].ID() >= entries[i].ID() {
+			t.Fatalf("lock set not in ascending ID order: %d before %d", entries[i-1].ID(), entries[i].ID())
+		}
+	}
+	return pr
+}
+
+func TestReadPathMatrix(t *testing.T) {
+	// The balance, not an absolute zero: the arena is process-wide and an
+	// earlier test may still hold result tables.
+	inUseBefore, _ := storage.ArenaStats()
+	for _, ep := range matrixEntryPoints {
+		for _, st := range matrixStatements {
+			t.Run(ep.name+"/"+st.name, func(t *testing.T) {
+				db := matrixDB(t, WithPlanCache(16))
+				ref := matrixDB(t, WithEngine(OptimizedIterators))
+				both := func(f func(*DB) error) {
+					t.Helper()
+					for _, d := range []*DB{db, ref} {
+						if err := f(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				r := ep.bind(t, db, st.sql, st.tables)
+				// step runs the statement, compares it with the reference,
+				// and checks how many preparations it has cost so far.
+				step := func(name string, wantPrepares int) int {
+					t.Helper()
+					want, err := ref.Query(st.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, n, err := r.run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if n != len(want.Rows) || (rows != nil && !reflect.DeepEqual(rows, want.Rows)) {
+						t.Fatalf("%s: got %d rows %v\nwant %v", name, n, rows, want.Rows)
+					}
+					if got := r.prepares(); got != -1 && got != wantPrepares {
+						t.Fatalf("%s: statement prepared %d times so far, want %d", name, got, wantPrepares)
+					}
+					return n
+				}
+				groups := step("first run", 1)
+				step("warm hit", 1)
+
+				both(func(d *DB) error { return d.Insert("t1", 1000, 99, 0) })
+				if got := step("after insert into a referenced table", 2); got != groups+1 {
+					t.Fatalf("after insert: %d groups, want %d (stale plan dropped the new group)", got, groups+1)
+				}
+				both(func(d *DB) error { return d.BuildIndex("t1", "id") })
+				step("after index build on a referenced table", 3)
+
+				both(func(d *DB) error { return d.Insert("other", 1) })
+				both(func(d *DB) error { return d.BuildIndex("other", "x") })
+				step("after changes to an unrelated table", 3)
+
+				for _, name := range db.Tables() {
+					e, err := db.cat.Lookup(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lockFreeWithin(t, e, 2*time.Second)
+				}
+			})
+		}
+	}
+	if inUse, _ := storage.ArenaStats(); inUse != inUseBefore {
+		t.Fatalf("hique_arena_pages_in_use went %d -> %d over the matrix", inUseBefore, inUse)
+	}
+}
+
+// TestPreparedFollowsEngine: a handle runs what Query would run on the
+// selected engine — compiled at the engine's level, or interpreted — and
+// returns the reference rows on all five; switching the engine re-prepares
+// it.
+func TestPreparedFollowsEngine(t *testing.T) {
+	const q = "SELECT t1.g, COUNT(*) AS n FROM t1, t2 WHERE t1.k2 = t2.id AND t1.id < ? GROUP BY t1.g ORDER BY t1.g"
+	want, err := matrixDB(t, WithEngine(OptimizedIterators)).Query(q, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levelOf := func(pr *Prepared) string {
+		if cq := pr.current().cq; cq != nil {
+			return cq.Level.String()
+		}
+		return "interpreted"
+	}
+	wantLevel := map[Engine]string{
+		Holistic:            codegen.OptO2.String(),
+		HolisticUnoptimized: codegen.OptO0.String(),
+		GenericIterators:    "interpreted",
+		OptimizedIterators:  "interpreted",
+		ColumnStore:         "interpreted",
+	}
+	for e, level := range wantLevel {
+		t.Run(e.String(), func(t *testing.T) {
+			db := matrixDB(t, WithEngine(e))
+			pr, err := db.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := levelOf(pr); got != level {
+				t.Fatalf("artefact is %s, want %s", got, level)
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := pr.Run(40)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("pass %d: got %v\nwant %v", pass, got.Rows, want.Rows)
+				}
+			}
+			next := Holistic
+			if e == Holistic {
+				next = HolisticUnoptimized
+			}
+			db.SetEngine(next)
+			got, err := pr.Run(40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("after SetEngine(%v): got %v\nwant %v", next, got.Rows, want.Rows)
+			}
+			if got := levelOf(pr); got != wantLevel[next] {
+				t.Fatalf("after SetEngine(%v): artefact is %s, want %s", next, got, wantLevel[next])
+			}
+		})
+	}
+}
+
+// TestPreparedRunIntoWarmAllocs: a warm point Prepared.RunInto binds into
+// the pooled scratch like QueryInto does, so it may not allocate more
+// than the explicit-placeholder QueryInto (which also pays the shape and
+// cache lookup).
+func TestPreparedRunIntoWarmAllocs(t *testing.T) {
+	db := poolTestDB(t, WithPlanCache(64))
+	if err := db.BuildIndex("pts", "id"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT v FROM pts WHERE id = ?"
+	pr, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	i := 0
+	queryInto := testing.AllocsPerRun(200, func() {
+		i++
+		if err := db.QueryInto(&res, q, 300+i%500); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runInto := testing.AllocsPerRun(200, func() {
+		i++
+		if err := pr.RunInto(&res, 300+i%500); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if runInto > queryInto {
+		t.Fatalf("warm Prepared.RunInto allocates %.0f per run, QueryInto %.0f", runInto, queryInto)
+	}
+}
+
+// TestPreparedRunIntoContainsPanic: RunInto has the same last-resort
+// containment as Query — a panic above lease (here a handle with no
+// artefact) becomes a *PanicError instead of unwinding into the caller.
+func TestPreparedRunIntoContainsPanic(t *testing.T) {
+	db := matrixDB(t)
+	pr := &Prepared{db: db, query: "SELECT g FROM t1"}
+	var res Result
+	err := pr.RunInto(&res)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+}
+
+// TestLockSetDedupes pins lockTables' constructor contract directly:
+// repeated and unknown names collapse to one entry per existing table,
+// ascending by ID, and the returned unlock releases them.
+func TestLockSetDedupes(t *testing.T) {
+	db := matrixDB(t)
+	unlock, entries := db.lockTables([]string{"t3", "t1", "nosuch", "t3", "t1"}, false)
+	unlock()
+	if len(entries) != 2 || entries[0].ID() >= entries[1].ID() {
+		t.Fatalf("lock set has %d entries, want two in ascending ID order", len(entries))
+	}
+	for _, e := range entries {
+		lockFreeWithin(t, e, 2*time.Second)
+	}
+}

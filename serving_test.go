@@ -62,77 +62,6 @@ func TestWarmCacheSkipsPreparation(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnInsert pins correctness over speed: an insert
-// changes statistics (and possibly value directories baked into the
-// compiled plan), so the cached query must recompile and the fresh data
-// must appear in the result.
-func TestCacheInvalidationOnInsert(t *testing.T) {
-	db := cachedDB(t)
-	const q = "SELECT grp, COUNT(*) AS n FROM orders GROUP BY grp ORDER BY grp"
-
-	res, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("groups = %d, want 4", len(res.Rows))
-	}
-
-	// A row in a brand-new group: a stale plan's group directory would
-	// not know value 99.
-	if err := db.Insert("orders", int64(1000), int64(99), 1.0); err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("groups after insert = %d, want 5", len(res.Rows))
-	}
-	last := res.Rows[len(res.Rows)-1]
-	if last[0].(int64) != 99 || last[1].(int64) != 1 {
-		t.Fatalf("new group row = %v, want [99 1]", last)
-	}
-	s := db.Stats()
-	if s.Cache.Invalidations == 0 {
-		t.Fatalf("insert should have invalidated the cached plan: %+v", s.Cache)
-	}
-}
-
-// TestCacheInvalidationOnBuildIndex: an index build changes the
-// catalogue version (the optimizer may now pick an index scan), so
-// cached plans recompile.
-func TestCacheInvalidationOnBuildIndex(t *testing.T) {
-	db := cachedDB(t)
-	const q = "SELECT id FROM orders WHERE id = 42"
-
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildIndex("orders", "id"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].(int64) != 42 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	s := db.Stats()
-	if s.Cache.Invalidations == 0 {
-		t.Fatalf("index build should have invalidated cached plans: %+v", s.Cache)
-	}
-	// The recompiled entry serves hits again at the new version.
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if s = db.Stats(); s.Cache.Hits == 0 {
-		t.Fatalf("expected a hit after recompilation: %+v", s.Cache)
-	}
-}
-
 // TestCacheInvalidationOnCreateTable: DDL bumps the catalogue version,
 // so every cached plan (conservatively) recompiles rather than risking
 // a stale name binding.
