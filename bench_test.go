@@ -191,39 +191,6 @@ func BenchmarkMapAggShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelAblation compares the sequential holistic engine with
-// the multithreaded extension of §VII on a partitioned join + aggregation
-// workload (the ablation DESIGN.md calls out for the parallel feature).
-func BenchmarkParallelAblation(b *testing.B) {
-	cat := tpch.Generate(tpch.Config{ScaleFactor: benchSF, Seed: 42})
-	stmt, err := sql.Parse(tpch.Q10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := plan.Build(stmt, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		eng := core.NewEngine()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		eng := core.NewParallelEngine(workers)
-		b.Run(eng.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelFusedExecution times the morsel-driven parallel
 // fused pipelines at 1/2/4 workers on the serving join+agg shape. The
 // fixture is test-sized, so the serial threshold is dropped to force

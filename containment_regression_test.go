@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"hique/internal/catalog"
+	"hique/internal/codegen"
+	"hique/internal/morsel"
+	"hique/internal/storage"
 	"hique/internal/types"
 )
 
@@ -136,5 +139,81 @@ func TestTableInfo(t *testing.T) {
 	}
 	if _, _, err := db.TableInfo("nosuch"); err == nil {
 		t.Fatal("expected unknown-table error")
+	}
+}
+
+// TestParallelPhasePanicIsContained pins the morsel phases' panic
+// contract end to end: a panic raised inside a parallel phase — on a
+// helper goroutine or on the caller — comes back as a statement error,
+// only after every worker has stopped reading the table, with the
+// result's arena pages returned and the table's lock released.
+func TestParallelPhasePanicIsContained(t *testing.T) {
+	prev := codegen.SetParallelThreshold(1)
+	defer codegen.SetParallelThreshold(prev)
+	const rows = 5 * morsel.Rows
+	// Only a cached statement keeps its compiled pipeline.
+	db := Open(WithPlanCache(8), WithParallelism(4))
+	if err := db.CreateTable("f", Int("id"), Int("grp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("d", Int("id"), Int("w")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := db.Insert("f", int64(i), int64(i%8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := db.Insert("d", int64(i), int64(i*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := db.cat.Lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// narrow has f's row count in one column: a pipeline compiled for
+	// f's two-column tuples runs off the end of its pages.
+	narrow := storage.NewTable("f", types.NewSchema(types.Col("id", types.Int)))
+	for i := 0; i < rows; i++ {
+		narrow.AppendRow(types.IntDatum(int64(i)))
+	}
+	for _, c := range []struct{ name, q string }{
+		{"scan", "SELECT id FROM f WHERE grp <> 3"},
+		{"join-agg", "SELECT d.w, COUNT(*) AS n FROM f, d WHERE f.grp = d.id GROUP BY d.w"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := c.q
+			q0, _ := morsel.Stats()
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+			if q1, _ := morsel.Stats(); q1 == q0 {
+				t.Fatal("the statement did not run a parallel phase")
+			}
+			before := db.Stats().Arena.PagesInUse
+			// Swap the heap under the cached pipeline without a version
+			// bump, so the next run reuses it and panics inside the phase.
+			e.Lock()
+			good := e.Table
+			e.Table = narrow
+			e.Unlock()
+			_, err := db.Query(q)
+			e.Lock()
+			e.Table = good
+			e.Unlock()
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PanicError", err)
+			}
+			if after := db.Stats().Arena.PagesInUse; after != before {
+				t.Errorf("arena pages in use %d -> %d across the contained panic", before, after)
+			}
+			lockFreeWithin(t, e, 2*time.Second)
+			if err := db.Insert("f", int64(-1), int64(0)); err != nil {
+				t.Fatalf("Insert after contained panic: %v", err)
+			}
+		})
 	}
 }

@@ -62,8 +62,8 @@ type fusedQuery struct {
 	traced bool
 	// par is the worker target for the scan loop, resolved at generation
 	// time from the plan's Parallelism and the catalogued table size
-	// (parallelWorkers); 1 compiles the serial loop. Index probes stay
-	// serial — par applies to the scan, including the dropped-index
+	// (parallelWorkers); 1 runs the loop on the caller alone. Index probes
+	// stay serial — par applies to the scan, including the dropped-index
 	// fallback.
 	par int
 }
@@ -158,7 +158,7 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 		if f.par > 1 {
 			f.scanPar(t, params, out)
 		} else {
-			f.scan(t, params, out)
+			f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out})
 		}
 	}
 	if f.traced {
@@ -193,123 +193,94 @@ func (f *fusedQuery) probe(tree *btree.Tree, t *storage.Table, params []types.Da
 	})
 }
 
-// scan is the fused full-scan loop: direct page iteration with offset
-// arithmetic, the Listing 1 pattern, specialised further for the
-// dominant serving shape (a single integer predicate).
-func (f *fusedQuery) scan(t *storage.Table, params []types.Datum, out *storage.Table) {
-	w := f.width
-	if len(f.preds) == 1 && (f.preds[0].kind == types.Int || f.preds[0].kind == types.Date) {
-		pr := &f.preds[0]
-		v := pr.i
-		if pr.slot >= 0 {
-			v = params[pr.slot].I
-		}
-		off := pr.off
-		for pi := 0; pi < t.NumPages(); pi++ {
-			pg := t.Page(pi)
-			n := pg.NumTuples()
-			data := pg.Data()
-			for i, base := 0, 0; i < n; i, base = i+1, base+w {
-				if !cmpOrdered(types.GetInt(data, base+off), v, pr.op) {
-					continue
-				}
-				f.project(data[base:base+w:base+w], out.AppendSlot())
-				if f.limit >= 0 && out.NumRows() >= f.limit {
-					return
-				}
-			}
-		}
-		return
-	}
-	for pi := 0; pi < t.NumPages(); pi++ {
+// scanPages is the fused full-scan loop over pages [lo, hi). The
+// caller-only run covers the whole table with dst on the result; a
+// morsel covers its page range with dst on the worker's arena. It stops
+// early once dst holds limit rows.
+func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datum, dst *rowDst) {
+	for pi := lo; pi < hi; pi++ {
 		pg := t.Page(pi)
-		n := pg.NumTuples()
-		data := pg.Data()
-		for i, base := 0, 0; i < n; i, base = i+1, base+w {
-			tup := data[base : base+w : base+w]
-			if !f.match(tup, params) {
-				continue
-			}
-			f.project(tup, out.AppendSlot())
-			if f.limit >= 0 && out.NumRows() >= f.limit {
-				return
-			}
+		if !f.scanPage(pg.Data(), pg.NumTuples(), params, dst) {
+			return
 		}
 	}
 }
 
-// scanPar is scan split into page-range morsels executed by up to f.par
-// workers: every worker projects its matches into a private arena,
+// scanPage filters and projects one page's n tuples into dst: direct
+// iteration with offset arithmetic, the Listing 1 pattern, specialised
+// further for the dominant serving shape (a single integer predicate).
+// It returns false once dst holds limit rows. The page body is its own
+// function so that the tuple loops keep nothing of the page walk live
+// across their calls (DESIGN.md §8.3 has the measurement).
+func (f *fusedQuery) scanPage(data []byte, n int, params []types.Datum, dst *rowDst) bool {
+	w := f.width
+	if len(f.preds) == 1 && (f.preds[0].kind == types.Int || f.preds[0].kind == types.Date) {
+		pr := &f.preds[0]
+		v, op, off := pr.i, pr.op, pr.off
+		if pr.slot >= 0 {
+			v = params[pr.slot].I
+		}
+		for i, base := 0, 0; i < n; i, base = i+1, base+w {
+			if !cmpOrdered(types.GetInt(data, base+off), v, op) {
+				continue
+			}
+			f.project(data[base:base+w:base+w], dst.slot(f.out.TupleSize()))
+			if f.limit >= 0 && dst.rows >= f.limit {
+				return false
+			}
+		}
+		return true
+	}
+	for i, base := 0, 0; i < n; i, base = i+1, base+w {
+		tup := data[base : base+w : base+w]
+		if !f.match(tup, params) {
+			continue
+		}
+		f.project(tup, dst.slot(f.out.TupleSize()))
+		if f.limit >= 0 && dst.rows >= f.limit {
+			return false
+		}
+	}
+	return true
+}
+
+// scanPar splits the scan into page-range morsels executed by up to
+// f.par workers: every worker runs scanPages into its private arena,
 // records each morsel's byte range, and the caller stitches the ranges
-// back in morsel order — byte-identical to the serial scan, LIMIT
+// back in morsel order — byte-identical to the caller-only scan, LIMIT
 // included (a morsel emits at most limit rows, and once the completed
 // morsel prefix covers the limit the unclaimed tail is cancelled).
 func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storage.Table) {
 	per, n := pageMorsels(t)
+	pages := t.NumPages()
 	if n < 2 {
-		// Table shrank below one morsel since planning: the serial loop
-		// is strictly cheaper.
-		f.scan(t, params, out)
+		// Table shrank below one morsel since planning: the caller-only
+		// run is strictly cheaper.
+		f.scanPages(t, 0, pages, params, &rowDst{out: out})
 		return
 	}
 	ph := parPhasePool.Get().(*parPhase)
 	ph.reset(n, f.par, f.limit)
-	w, outW := f.width, f.out.TupleSize()
-	pages := t.NumPages()
-	// The dominant serving shape gets the same specialisation as the
-	// serial loop: a single integer predicate resolved once, not per
-	// tuple.
-	var fast *fusedPred
-	var fastV int64
-	if len(f.preds) == 1 && (f.preds[0].kind == types.Int || f.preds[0].kind == types.Date) {
-		fast = &f.preds[0]
-		fastV = fast.i
-		if fast.slot >= 0 {
-			fastV = params[fast.slot].I
-		}
-	}
-	body := func(wi int) {
-		wk := &ph.workers[wi]
+	ph.run(f.p.Pool, f.par, func(wi int) {
+		dst := &ph.workers[wi].tail.rowDst
 		for {
 			m, ok := ph.queue.Next()
 			if !ok {
 				return
 			}
-			mo := parMorsel{worker: int32(wi), start: len(wk.arena)}
-			hi := (m + 1) * per
-			if hi > pages {
-				hi = pages
-			}
-		morselPages:
-			for pi := m * per; pi < hi; pi++ {
-				pg := t.Page(pi)
-				nT := pg.NumTuples()
-				data := pg.Data()
-				for i, base := 0, 0; i < nT; i, base = i+1, base+w {
-					tup := data[base : base+w : base+w]
-					if fast != nil {
-						if !cmpOrdered(types.GetInt(tup, fast.off), fastV, fast.op) {
-							continue
-						}
-					} else if !f.match(tup, params) {
-						continue
-					}
-					off := len(wk.arena)
-					wk.arena = extendArena(wk.arena, outW)
-					f.project(tup, wk.arena[off:off+outW])
-					mo.rows++
-					if f.limit >= 0 && mo.rows >= f.limit {
-						break morselPages
-					}
-				}
-			}
-			mo.end = len(wk.arena)
+			mo := parMorsel{worker: int32(wi), start: len(dst.arena)}
+			dst.rows = 0
+			f.scanPages(t, m*per, min((m+1)*per, pages), params, dst)
+			mo.rows, mo.end = dst.rows, len(dst.arena)
 			ph.complete(m, mo)
 		}
+	})
+	ph.stitchRows(out, f.out.TupleSize(), f.limit)
+	if f.traced {
+		ph.finish(f.p.Trace, plan.TraceStageProject)
+	} else {
+		ph.finish(nil, "")
 	}
-	ph.run(f.p.Pool, f.par, body)
-	ph.stitchRows(out, outW, f.limit)
-	ph.finish(f.p.Trace, "scan")
 	morsel.CountQuery()
 	parPhasePool.Put(ph)
 }

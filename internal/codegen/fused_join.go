@@ -85,7 +85,7 @@ type fusedSide struct {
 
 	// par is the staging scan's worker target, resolved at generation
 	// time from the plan's Parallelism and the catalogued table size
-	// (parallelWorkers); 1 compiles the serial loop. Index probes and
+	// (parallelWorkers); 1 stages on the caller alone. Index probes and
 	// ordered traversals stay serial.
 	par int
 }
@@ -286,6 +286,7 @@ type fusedJoin struct {
 	agg *fusedAgg
 
 	outSchema *types.Schema
+	outWidth  int
 	sortCmp   core.Compare // final ORDER BY, nil when absent
 	limit     int
 	// traced is baked at generation time (see fusedQuery.traced): the
@@ -296,9 +297,48 @@ type fusedJoin struct {
 	// serial). Only partitioned algorithms with a deterministically
 	// mergeable tail — map aggregation's flat arrays, or a plain
 	// projection stitched in partition order — compile a parallel join
-	// phase; merge join and the collect aggregation modes keep their
-	// serial loops (see DESIGN.md §8).
+	// phase; merge join and the collect aggregation modes run on the
+	// caller alone (see DESIGN.md §8).
 	parJoin int
+}
+
+// stagedSide is the output of a staging loop: the projected tuples in a
+// flat arena, their partition routes (partitioned joins only), and the
+// tuple count. joinScratch holds one per side; a parWorker holds one
+// that its morsels' tuples land in before the caller concatenates them.
+type stagedSide struct {
+	arena   []byte
+	partIdx []int32
+	rows    int
+}
+
+// tailState is everything the join loop's tail (emit, fillTail) writes
+// to for one worker: held once by joinScratch for the caller-only run
+// and once per parWorker inside a morsel phase, so the loops exist once
+// and take it as an argument.
+type tailState struct {
+	// rowDst takes a non-aggregate tail's output rows; out is also where
+	// a streaming aggregation emits its closed groups.
+	rowDst
+	joinBuf []byte // assembled join tuple (tails that are not direct copies)
+	aggBuf  []byte // staged aggregation tuple
+	// pairs counts joined tuples handed to the tail: the join's rows-out.
+	pairs int
+
+	// Map aggregation: the accumulator arrays, and the per-side memo of
+	// the partial group index — valid while the side's staged tuple
+	// (identified by its first byte's address, stable for the whole
+	// execution) is unchanged.
+	ms      *mapState
+	lastPtr [2]*byte
+	lastG   [2]int32
+
+	// Stream and collect aggregation, which only the caller-only run
+	// compiles: the open group, and the staged aggregation input.
+	agg        aggState
+	aggArena   []byte
+	aggPartIdx []int32
+	aggRows    int
 }
 
 // joinScratch holds every transient a fused join execution needs: the
@@ -309,33 +349,19 @@ type fusedJoin struct {
 // from a process-wide pool, so a warm analytics query allocates
 // (amortised) nothing.
 type joinScratch struct {
-	arena   [2][]byte
-	partIdx [2][]int32
-	refs    [2][][]byte
-	parts   [2][][][]byte
-	counts  [2][]int
-	rows    [2]int
+	staged [2]stagedSide
+	refs   [2][][]byte
+	parts  [2][][][]byte
+	counts [2][]int
 
-	joinBuf []byte
-	// pairs counts joined tuples handed to the tail, maintained only on
-	// traced executions (join rows-out for EXPLAIN ANALYZE).
-	pairs int64
-
-	aggBuf     []byte
-	aggArena   []byte
-	aggPartIdx []int32
-	aggRefs    [][]byte
-	aggParts   [][][]byte
-	aggCounts  []int
-	aggRows    int
-	agg        aggState
-	mapAgg     mapState
-
-	// Per-side memo of the map aggregation's partial group index: valid
-	// while the side's staged tuple (identified by its first byte's
-	// address, stable for the whole execution) is unchanged.
-	lastPtr [2]*byte
-	lastG   [2]int32
+	// tail is the caller's tail state: the one the join loop writes to
+	// when it runs on the caller alone, with rows going to the result
+	// table and map aggregation into mapAgg.
+	tail      tailState
+	mapAgg    mapState
+	aggRefs   [][]byte
+	aggParts  [][][]byte
+	aggCounts []int
 
 	// chainIn feeds a chain-fed side (fusedSide.chain): the previous
 	// join's materialised output, set per execution by fusedChain.run.
@@ -485,6 +511,7 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 	default:
 		return nil
 	}
+	f.outWidth = f.outSchema.TupleSize()
 	if p.Sort != nil {
 		f.sortCmp = core.MakeSortCompare(f.outSchema, p.Sort.Keys)
 	}
@@ -494,7 +521,7 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 	// partition-wise join loop parallelises when the tail merges
 	// deterministically — map aggregation's flat accumulator arrays, or
 	// a plain projection stitched in partition order. Merge join and the
-	// collect aggregation modes keep their serial loops.
+	// collect aggregation modes run on the caller alone.
 	for i := 0; i < 2; i++ {
 		s := &f.sides[i]
 		s.par = 1
@@ -882,9 +909,9 @@ func (f *fusedJoin) runWith(params []types.Datum, chainIn *storage.Table) (*stor
 		}
 	}()
 	sc := joinScratchPool.Get().(*joinScratch)
-	sc.chainIn = chainIn
+	sc.chainIn, sc.tail.out = chainIn, out
 	f.exec(sc, params, out)
-	sc.chainIn = nil
+	sc.chainIn, sc.tail.out = nil, nil
 	joinScratchPool.Put(sc)
 
 	if f.sortCmp != nil {
@@ -936,39 +963,30 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		if f.traced {
 			f.p.Trace.Observe(plan.TraceJoinStage(0, i),
 				int64(f.p.Tables[f.sides[i].base].Entry.Table.NumRows()),
-				int64(sc.rows[i]), time.Since(t0))
+				int64(sc.staged[i].rows), time.Since(t0))
 		}
 	}
-	if cap(sc.joinBuf) < f.joinWidth {
-		sc.joinBuf = make([]byte, f.joinWidth)
-	}
-	sc.joinBuf = sc.joinBuf[:f.joinWidth]
-
-	if f.agg != nil {
-		if cap(sc.aggBuf) < f.agg.width {
-			sc.aggBuf = make([]byte, f.agg.width)
-		}
-		sc.aggBuf = sc.aggBuf[:f.agg.width]
-		if f.agg.mapped {
-			sc.mapAgg.init(f.agg.nGroups, f.agg.nAggs, len(f.agg.strides))
-			sc.lastPtr[0], sc.lastPtr[1] = nil, nil
+	ts := &sc.tail
+	f.prepTail(ts)
+	if fa := f.agg; fa != nil {
+		if fa.mapped {
+			ts.ms = &sc.mapAgg
+			ts.ms.init(fa.nGroups, fa.nAggs, len(fa.strides))
 		} else {
-			sc.agg.init(f.agg.nAggs)
-			sc.aggArena = sc.aggArena[:0]
-			sc.aggPartIdx = sc.aggPartIdx[:0]
-			sc.aggRows = 0
-			if want := preSize(f.agg.estRows, f.agg.width); want > 0 && cap(sc.aggArena) < want {
-				sc.aggArena = make([]byte, 0, want)
+			ts.agg.init(fa.nAggs)
+			ts.aggArena = ts.aggArena[:0]
+			ts.aggPartIdx = ts.aggPartIdx[:0]
+			ts.aggRows = 0
+			if want := preSize(fa.estRows, fa.width); want > 0 && cap(ts.aggArena) < want {
+				ts.aggArena = make([]byte, 0, want)
 			}
 		}
 	}
 
-	sc.pairs = 0
 	if f.traced {
 		t0 = time.Now()
 	}
-	switch f.alg {
-	case plan.MergeJoin:
+	if f.alg == plan.MergeJoin {
 		in0 := f.buildRefs(sc, 0)
 		in1 := f.buildRefs(sc, 1)
 		if !sorted[0] {
@@ -977,65 +995,30 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		if !sorted[1] {
 			core.SortTuples(in1, f.sides[1].keyCmp)
 		}
-		f.mergeJoin(sc, in0, in1, out, limit)
-	case plan.HybridJoin:
+		f.mergeJoin(ts, in0, in1, limit)
+	} else {
 		p0 := f.partitionSide(sc, 0)
 		p1 := f.partitionSide(sc, 1)
 		if f.parJoin > 1 && len(p0) > 1 {
-			f.joinPar(sc, p0, p1, out, limit)
+			f.joinPar(sc, p0, p1, limit)
 			parQ = true
-			break
-		}
-		for p := range p0 {
-			left, right := p0[p], p1[p]
-			if len(left) == 0 || len(right) == 0 {
-				continue
-			}
-			// Sort corresponding partitions just before merging them so
-			// the pair is L2-resident (§V-B).
-			core.SortTuples(left, f.sides[0].keyCmp)
-			core.SortTuples(right, f.sides[1].keyCmp)
-			if !f.mergeJoin(sc, left, right, out, limit) {
-				break
-			}
-		}
-	case plan.FinePartitionJoin:
-		// Corresponding partitions hold exactly one key value, so all
-		// tuples match: a pure nested loop per partition pair.
-		p0 := f.partitionSide(sc, 0)
-		p1 := f.partitionSide(sc, 1)
-		if f.parJoin > 1 && len(p0) > 1 {
-			f.joinPar(sc, p0, p1, out, limit)
-			parQ = true
-			break
-		}
-	fine:
-		for p := range p0 {
-			left, right := p0[p], p1[p]
-			if len(left) == 0 || len(right) == 0 {
-				continue
-			}
-			for _, a := range left {
-				for _, b := range right {
-					if !f.emit(sc, a, b, out, limit) {
-						break fine
-					}
-				}
-			}
+		} else {
+			f.joinPartitions(ts, p0, p1, 0, len(p0), limit)
 		}
 	}
 	if parQ {
 		morsel.CountQuery()
 	}
 
+	pairs := int64(ts.pairs)
 	if f.traced {
 		// The join loop's rows-out is the joined-pair count; the tail
 		// (projection or aggregation updates) runs fused inside the loop,
 		// so its per-stage elapsed time folds into the loop's.
 		f.p.Trace.Observe(plan.TraceJoin(0),
-			int64(sc.rows[0]+sc.rows[1]), sc.pairs, time.Since(t0))
+			int64(sc.staged[0].rows+sc.staged[1].rows), pairs, time.Since(t0))
 		if f.agg == nil {
-			f.p.Trace.Observe(plan.TraceStageProject, sc.pairs, int64(out.NumRows()), 0)
+			f.p.Trace.Observe(plan.TraceStageProject, pairs, int64(out.NumRows()), 0)
 		}
 	}
 
@@ -1045,7 +1028,59 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		}
 		f.finishAgg(sc, out, limit)
 		if f.traced {
-			f.p.Trace.Observe(plan.TraceStageAgg, sc.pairs, int64(out.NumRows()), time.Since(t0))
+			f.p.Trace.Observe(plan.TraceStageAgg, pairs, int64(out.NumRows()), time.Since(t0))
+		}
+	}
+}
+
+// prepTail readies a tail state for one join loop: the tuple buffers at
+// their compiled widths, the pair and row counts and the group memo
+// cleared (the state is pooled, so they carry a prior execution's
+// values).
+func (f *fusedJoin) prepTail(ts *tailState) {
+	if cap(ts.joinBuf) < f.joinWidth {
+		ts.joinBuf = make([]byte, f.joinWidth)
+	}
+	ts.joinBuf = ts.joinBuf[:f.joinWidth]
+	if f.agg != nil {
+		if cap(ts.aggBuf) < f.agg.width {
+			ts.aggBuf = make([]byte, f.agg.width)
+		}
+		ts.aggBuf = ts.aggBuf[:f.agg.width]
+	}
+	ts.pairs, ts.rows = 0, 0
+	ts.lastPtr[0], ts.lastPtr[1] = nil, nil
+}
+
+// joinPartitions joins corresponding partitions [lo, hi) of a hybrid or
+// fine-partition join into ts: every partition on the caller-only run,
+// one chunk of them per morsel inside a parallel join phase. It stops
+// when the tail reports the pipeline complete.
+func (f *fusedJoin) joinPartitions(ts *tailState, p0, p1 [][][]byte, lo, hi, limit int) {
+	hybrid := f.alg == plan.HybridJoin
+	for p := lo; p < hi; p++ {
+		left, right := p0[p], p1[p]
+		if len(left) == 0 || len(right) == 0 {
+			continue
+		}
+		if hybrid {
+			// Sort corresponding partitions just before merging them so
+			// the pair is L2-resident (§V-B).
+			core.SortTuples(left, f.sides[0].keyCmp)
+			core.SortTuples(right, f.sides[1].keyCmp)
+			if !f.mergeJoin(ts, left, right, limit) {
+				return
+			}
+			continue
+		}
+		// Fine partitions hold exactly one key value, so all tuples
+		// match: a pure nested loop per partition pair.
+		for _, a := range left {
+			for _, b := range right {
+				if !f.emit(ts, a, b, limit) {
+					return
+				}
+			}
 		}
 	}
 }
@@ -1055,7 +1090,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 // staged aggregation input and stream the groups out.
 func (f *fusedJoin) finishAgg(sc *joinScratch, out *storage.Table, limit int) {
 	fa := f.agg
-	st := &sc.agg
+	st := &sc.tail.agg
 	switch {
 	case fa.mapped:
 		f.emitMapGroups(sc, out, limit)
@@ -1169,21 +1204,19 @@ func (f *fusedJoin) emitMapGroups(sc *joinScratch, out *storage.Table, limit int
 // pair is assembled into joinBuf and run through the compiled projector.
 // It returns false when the pipeline is complete (row limit hit, or the
 // streaming aggregation reached its group limit).
-func (f *fusedJoin) emit(sc *joinScratch, t0, t1 []byte, out *storage.Table, limit int) bool {
-	if f.traced {
-		sc.pairs++
-	}
+func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte, limit int) bool {
+	ts.pairs++
 	fa := f.agg
 	if fa == nil {
-		f.fillTail(sc, t0, t1, out.AppendSlot())
-		return limit < 0 || out.NumRows() < limit
+		f.fillTail(ts, t0, t1, ts.slot(f.outWidth))
+		return limit < 0 || ts.rows < limit
 	}
 	if fa.mapped {
 		// The fully-fused pipeline: locate the group slot via the value
 		// directories and update the flat aggregate arrays right here in
 		// the join loop (paper Fig. 4) — no staging, no sort, no state
 		// but the arrays.
-		m := &sc.mapAgg
+		m := ts.ms
 		g := 0
 		if fa.direct {
 			// Side-bound lookups with a per-side memo: a side's group
@@ -1199,8 +1232,8 @@ func (f *fusedJoin) emit(sc *joinScratch, t0, t1 []byte, out *storage.Table, lim
 					t = t1
 				}
 				var pg int32
-				if sc.lastPtr[s] == &t[0] {
-					pg = sc.lastG[s]
+				if ts.lastPtr[s] == &t[0] {
+					pg = ts.lastG[s]
 				} else {
 					for _, l := range lks {
 						di := l.fn(t)
@@ -1210,7 +1243,7 @@ func (f *fusedJoin) emit(sc *joinScratch, t0, t1 []byte, out *storage.Table, lim
 						}
 						pg += di * l.stride
 					}
-					sc.lastPtr[s], sc.lastG[s] = &t[0], pg
+					ts.lastPtr[s], ts.lastG[s] = &t[0], pg
 				}
 				if pg < 0 {
 					return true // value outside directory: stale stats; skip
@@ -1228,9 +1261,9 @@ func (f *fusedJoin) emit(sc *joinScratch, t0, t1 []byte, out *storage.Table, lim
 			}
 			return true
 		}
-		f.fillTail(sc, t0, t1, sc.aggBuf)
+		f.fillTail(ts, t0, t1, ts.aggBuf)
 		for i, lk := range fa.lookups {
-			di := lk(sc.aggBuf)
+			di := lk(ts.aggBuf)
 			if di < 0 {
 				return true // value outside directory: stale stats; skip
 			}
@@ -1239,34 +1272,34 @@ func (f *fusedJoin) emit(sc *joinScratch, t0, t1 []byte, out *storage.Table, lim
 		m.tuples[g]++
 		base := g * fa.nAggs
 		for _, u := range fa.mapUpdates {
-			u.fn(m, base, sc.aggBuf)
+			u.fn(m, base, ts.aggBuf)
 		}
 		return true
 	}
 	if fa.stream {
-		f.fillTail(sc, t0, t1, sc.aggBuf)
-		return fa.push(&sc.agg, sc.aggBuf, out, limit)
+		f.fillTail(ts, t0, t1, ts.aggBuf)
+		return fa.push(&ts.agg, ts.aggBuf, ts.out, limit)
 	}
 	// Collect mode: stage the aggregation input tuple into the arena
 	// (and its partition route), deferring group evaluation to finishAgg.
 	w := fa.width
 	if w > 0 {
-		off := len(sc.aggArena)
-		sc.aggArena = extendArena(sc.aggArena, w)
-		slot := sc.aggArena[off : off+w]
-		f.fillTail(sc, t0, t1, slot)
+		off := len(ts.aggArena)
+		ts.aggArena = extendArena(ts.aggArena, w)
+		slot := ts.aggArena[off : off+w]
+		f.fillTail(ts, t0, t1, slot)
 		if fa.parts > 0 {
-			sc.aggPartIdx = append(sc.aggPartIdx, fa.route(slot))
+			ts.aggPartIdx = append(ts.aggPartIdx, fa.route(slot))
 		}
 	} else if fa.parts > 0 {
-		sc.aggPartIdx = append(sc.aggPartIdx, 0)
+		ts.aggPartIdx = append(ts.aggPartIdx, 0)
 	}
-	sc.aggRows++
+	ts.aggRows++
 	return true
 }
 
 // fillTail writes the tail's output tuple for one joined pair.
-func (f *fusedJoin) fillTail(sc *joinScratch, t0, t1, dst []byte) {
+func (f *fusedJoin) fillTail(ts *tailState, t0, t1, dst []byte) {
 	if f.tailDirect {
 		for _, c := range f.tailCopy[0] {
 			copy(dst[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
@@ -1276,7 +1309,7 @@ func (f *fusedJoin) fillTail(sc *joinScratch, t0, t1, dst []byte) {
 		}
 		return
 	}
-	buf := sc.joinBuf
+	buf := ts.joinBuf
 	for _, c := range f.copySpec[0] {
 		copy(buf[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
 	}
@@ -1326,8 +1359,9 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2
 // mergeJoin is the two-way sorted merge: advance both inputs to the next
 // common key, delimit the matching group in each, and emit the product —
 // exactly core's mergeJoinK specialised to k = 2, so emit order matches
-// the general engine byte-for-byte.
-func (f *fusedJoin) mergeJoin(sc *joinScratch, in0, in1 [][]byte, out *storage.Table, limit int) bool {
+// the general engine byte-for-byte. Pairs emit into ts; the result is
+// false when the tail reports the pipeline complete.
+func (f *fusedJoin) mergeJoin(ts *tailState, in0, in1 [][]byte, limit int) bool {
 	if len(in0) == 0 || len(in1) == 0 {
 		return true
 	}
@@ -1368,13 +1402,13 @@ func (f *fusedJoin) mergeJoin(sc *joinScratch, in0, in1 [][]byte, out *storage.T
 		// Emit the product of the groups; singleton groups (the
 		// key/foreign-key case) skip the inner loops.
 		if e0-pos0 == 1 && e1-pos1 == 1 {
-			if !f.emit(sc, head0, head1, out, limit) {
+			if !f.emit(ts, head0, head1, limit) {
 				return false
 			}
 		} else {
 			for a := pos0; a < e0; a++ {
 				for b := pos1; b < e1; b++ {
-					if !f.emit(sc, in0[a], in1[b], out, limit) {
+					if !f.emit(ts, in0[a], in1[b], limit) {
 						return false
 					}
 				}
@@ -1393,31 +1427,45 @@ func (f *fusedJoin) mergeJoin(sc *joinScratch, in0, in1 [][]byte, out *storage.T
 // tuples are already in key order (the ordered index traversal).
 func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) bool {
 	s := &f.sides[i]
-	sc.arena[i] = sc.arena[i][:0]
-	sc.partIdx[i] = sc.partIdx[i][:0]
-	sc.rows[i] = 0
-	if want := preSize(s.estRows, s.width); want > 0 && cap(sc.arena[i]) < want {
-		sc.arena[i] = make([]byte, 0, want)
+	st := &sc.staged[i]
+	st.arena, st.partIdx, st.rows = st.arena[:0], st.partIdx[:0], 0
+	if want := preSize(s.estRows, s.width); want > 0 && cap(st.arena) < want {
+		st.arena = make([]byte, 0, want)
 	}
 
 	if s.chain {
 		// Chain-fed side: the previous join's materialised output; no
-		// indexes exist over it, so it always stages by serial scan.
-		f.scanSide(sc, i, sc.chainIn, params)
+		// indexes exist over it, so it always stages by scan, on the
+		// caller alone.
+		s.stagePages(st, sc.chainIn, 0, sc.chainIn.NumPages(), params)
 		return false
 	}
 	entry := f.p.Tables[s.base].Entry
 	t := entry.Table
 	if s.idx != nil {
 		if tree := entry.Index(s.idx.Column); tree != nil {
-			f.probeSide(sc, i, tree, t, params)
+			// Equality lookups in RID order — the tuple order core's
+			// ApplyIndexScan materialises, so the sort permutes identically.
+			key := s.idx.Value.I
+			if s.idxSlot >= 0 {
+				key = params[s.idxSlot].I
+			}
+			tree.Range(key, key, func(_ int64, rid btree.RID) bool {
+				return s.stageRID(st, t, rid, params)
+			})
 			return false
 		}
 		// Index dropped since planning: the equality filter is still in
 		// preds, so the scan below stays correct.
 	} else if s.orderedCol != "" {
 		if tree := entry.Index(s.orderedCol); tree != nil {
-			f.orderedSide(sc, i, tree, t)
+			// Ordered leaf traversal: the staged tuples arrive already
+			// sorted on the join key, so the merge join starts without a
+			// sort — the paper's case for index-ordered inputs. Such a side
+			// compiles no predicates and no route.
+			tree.Ascend(func(_ int64, rid btree.RID) bool {
+				return s.stageRID(st, t, rid, params)
+			})
 			return true
 		}
 	}
@@ -1425,111 +1473,69 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 		*par = true
 		return false
 	}
-	f.scanSide(sc, i, t, params)
+	s.stagePages(st, t, 0, t.NumPages(), params)
 	return false
 }
 
-// scanSide is the full-scan staging loop: direct page iteration with
-// offset arithmetic, predicates evaluated against the bind vector.
-func (f *fusedJoin) scanSide(sc *joinScratch, i int, t *storage.Table, params []types.Datum) {
-	s := &f.sides[i]
-	w, inW := s.width, s.inWidth
-	for pi := 0; pi < t.NumPages(); pi++ {
+// stage is the one stage-a-tuple step: filter the base tuple against the
+// bind vector, extend the arena, project into the new slot, and record
+// its partition route — or drop the tuple again when the route is
+// negative (a key outside the fine directory cannot join).
+func (s *fusedSide) stage(st *stagedSide, tup []byte, params []types.Datum) {
+	if len(s.preds) > 0 && !matchPreds(s.preds, tup, params) {
+		return
+	}
+	off := len(st.arena)
+	st.arena = extendArena(st.arena, s.width)
+	slot := st.arena[off : off+s.width]
+	s.project(tup, slot)
+	if s.route != nil {
+		p := s.route(slot)
+		if p < 0 {
+			st.arena = st.arena[:off]
+			return
+		}
+		st.partIdx = append(st.partIdx, p)
+	}
+	st.rows++
+}
+
+// stagePages is the full-scan staging loop over pages [lo, hi): direct
+// page iteration with offset arithmetic. The caller-only run covers the
+// whole table with st in the scratch; a morsel covers its page range
+// with st private to the worker.
+func (s *fusedSide) stagePages(st *stagedSide, t *storage.Table, lo, hi int, params []types.Datum) {
+	inW := s.inWidth
+	for pi := lo; pi < hi; pi++ {
 		pg := t.Page(pi)
 		n := pg.NumTuples()
 		data := pg.Data()
 		for k, base := 0, 0; k < n; k, base = k+1, base+inW {
-			tup := data[base : base+inW : base+inW]
-			if len(s.preds) > 0 && !matchPreds(s.preds, tup, params) {
-				continue
-			}
-			off := len(sc.arena[i])
-			sc.arena[i] = extendArena(sc.arena[i], w)
-			slot := sc.arena[i][off : off+w]
-			s.project(tup, slot)
-			if s.route != nil {
-				p := s.route(slot)
-				if p < 0 {
-					sc.arena[i] = sc.arena[i][:off]
-					continue
-				}
-				sc.partIdx[i] = append(sc.partIdx[i], p)
-			}
-			sc.rows[i]++
+			s.stage(st, data[base:base+inW:base+inW], params)
 		}
 	}
 }
 
-// probeSide stages through the fractal B+-tree: equality lookups in RID
-// order, residual predicates re-applied, projection into the arena — the
-// same tuple order core's ApplyIndexScan materialises, so the subsequent
-// sort permutes identically.
-func (f *fusedJoin) probeSide(sc *joinScratch, i int, tree *btree.Tree, t *storage.Table, params []types.Datum) {
-	s := &f.sides[i]
-	key := s.idx.Value.I
-	if s.idxSlot >= 0 {
-		key = params[s.idxSlot].I
+// stageRID stages the tuple an index entry points at, skipping entries
+// whose row has since moved out of range. It always continues the
+// traversal.
+func (s *fusedSide) stageRID(st *stagedSide, t *storage.Table, rid btree.RID, params []types.Datum) bool {
+	if int(rid.Page) < t.NumPages() {
+		if page := t.Page(int(rid.Page)); int(rid.Slot) < page.NumTuples() {
+			s.stage(st, page.Tuple(int(rid.Slot)), params)
+		}
 	}
-	w := s.width
-	tree.Range(key, key, func(_ int64, rid btree.RID) bool {
-		if int(rid.Page) >= t.NumPages() {
-			return true
-		}
-		page := t.Page(int(rid.Page))
-		if int(rid.Slot) >= page.NumTuples() {
-			return true
-		}
-		tup := page.Tuple(int(rid.Slot))
-		if len(s.preds) > 0 && !matchPreds(s.preds, tup, params) {
-			return true
-		}
-		off := len(sc.arena[i])
-		sc.arena[i] = extendArena(sc.arena[i], w)
-		slot := sc.arena[i][off : off+w]
-		s.project(tup, slot)
-		if s.route != nil {
-			p := s.route(slot)
-			if p < 0 {
-				sc.arena[i] = sc.arena[i][:off]
-				return true
-			}
-			sc.partIdx[i] = append(sc.partIdx[i], p)
-		}
-		sc.rows[i]++
-		return true
-	})
-}
-
-// orderedSide stages through the B+-tree's ordered leaf traversal: the
-// staged tuples arrive already sorted on the join key, so the merge join
-// starts without a sort — the paper's case for index-ordered inputs.
-func (f *fusedJoin) orderedSide(sc *joinScratch, i int, tree *btree.Tree, t *storage.Table) {
-	s := &f.sides[i]
-	w := s.width
-	tree.Ascend(func(_ int64, rid btree.RID) bool {
-		if int(rid.Page) >= t.NumPages() {
-			return true
-		}
-		page := t.Page(int(rid.Page))
-		if int(rid.Slot) >= page.NumTuples() {
-			return true
-		}
-		off := len(sc.arena[i])
-		sc.arena[i] = extendArena(sc.arena[i], w)
-		s.project(page.Tuple(int(rid.Slot)), sc.arena[i][off:off+w])
-		sc.rows[i]++
-		return true
-	})
+	return true
 }
 
 // buildRefs slices the staged arena into per-tuple references.
 func (f *fusedJoin) buildRefs(sc *joinScratch, i int) [][]byte {
-	return sliceRefs(&sc.refs[i], sc.arena[i], f.sides[i].width, sc.rows[i])
+	return sliceRefs(&sc.refs[i], sc.staged[i].arena, f.sides[i].width, sc.staged[i].rows)
 }
 
 // buildAggRefs slices the aggregation staging arena into references.
 func (f *fusedJoin) buildAggRefs(sc *joinScratch) [][]byte {
-	return sliceRefs(&sc.aggRefs, sc.aggArena, f.agg.width, sc.aggRows)
+	return sliceRefs(&sc.aggRefs, sc.tail.aggArena, f.agg.width, sc.tail.aggRows)
 }
 
 func sliceRefs(dst *[][]byte, arena []byte, w, n int) [][]byte {
@@ -1556,14 +1562,16 @@ func sliceRefs(dst *[][]byte, arena []byte, w, n int) [][]byte {
 // order within each partition exactly as core's per-partition appends
 // do). The reference and count arrays live in the pooled scratch.
 func (f *fusedJoin) partitionSide(sc *joinScratch, i int) [][][]byte {
+	st := &sc.staged[i]
 	return bucketArena(&sc.parts[i], &sc.counts[i], &sc.refs[i],
-		sc.arena[i], f.sides[i].width, sc.rows[i], sc.partIdx[i], f.sides[i].partitions)
+		st.arena, f.sides[i].width, st.rows, st.partIdx, f.sides[i].partitions)
 }
 
 // partitionAgg is partitionSide for the aggregation staging arena.
 func (f *fusedJoin) partitionAgg(sc *joinScratch) [][][]byte {
+	ts := &sc.tail
 	return bucketArena(&sc.aggParts, &sc.aggCounts, &sc.aggRefs,
-		sc.aggArena, f.agg.width, sc.aggRows, sc.aggPartIdx, f.agg.parts)
+		ts.aggArena, f.agg.width, ts.aggRows, ts.aggPartIdx, f.agg.parts)
 }
 
 func bucketArena(partsDst *[][][]byte, countsDst *[]int, refsDst *[][]byte, arena []byte, w, n int, idx []int32, m int) [][][]byte {

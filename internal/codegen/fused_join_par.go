@@ -6,7 +6,7 @@
 //     morsels; workers filter/project/route into private arenas and the
 //     caller concatenates the per-morsel ranges in morsel order, so the
 //     staged arena, partition routes, and row count are byte-identical
-//     to the serial scanSide's. Everything downstream (sorts,
+//     to the caller-only scan's. Everything downstream (sorts,
 //     partitioning, merge order) is untouched. Index probes and ordered
 //     traversals stay serial — they are already sub-linear.
 //
@@ -15,83 +15,61 @@
 //     parallel loop: map aggregation (per-chunk flat accumulator arrays,
 //     merged in ascending chunk order — a per-slot array add, the payoff
 //     of the PR 5 value-directory layout) and plain projection (chunk
-//     outputs stitched in chunk order, reproducing the serial partition
-//     order exactly). Chunk boundaries depend only on the partition
-//     count and the generation-time worker target, never on claim
-//     timing or the admitted worker count, so integer aggregates are
-//     exactly the serial values and float sums fold in one fixed order
-//     run to run.
+//     outputs stitched in chunk order, reproducing the caller-only
+//     partition order exactly). Chunk boundaries depend only on the
+//     partition count and the generation-time worker target, never on
+//     claim timing or the admitted worker count, so integer aggregates
+//     are exactly the caller-only values and float sums fold in one
+//     fixed order run to run.
+//
+// Both phases run the same kernels the caller-only run does
+// (stagePages, joinPartitions); what lives here is the split, the
+// per-worker state hand-off, and the in-order stitch or merge.
 package codegen
 
 import (
-	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/types"
 )
 
-// scanSidePar is scanSide split into page-range morsels. It returns
-// false (having staged nothing) when the table is too small to split,
-// in which case the caller runs the serial loop.
+// scanSidePar splits a side's staging scan into page-range morsels:
+// workers run stagePages into private stagedSides and the caller
+// concatenates the per-morsel ranges. It returns false (having staged
+// nothing) when the table is too small to split, in which case the
+// caller stages on its own.
 func (f *fusedJoin) scanSidePar(sc *joinScratch, i int, t *storage.Table, params []types.Datum) bool {
 	per, n := pageMorsels(t)
 	if n < 2 {
 		return false
 	}
 	s := &f.sides[i]
-	w, inW := s.width, s.inWidth
 	pages := t.NumPages()
 	ph := &sc.par
 	ph.reset(n, s.par, -1)
-	body := func(wi int) {
-		wk := &ph.workers[wi]
+	ph.run(f.p.Pool, s.par, func(wi int) {
+		st := &ph.workers[wi].staged
 		for {
 			m, ok := ph.queue.Next()
 			if !ok {
 				return
 			}
-			mo := parMorsel{worker: int32(wi), start: len(wk.arena), pstart: len(wk.partIdx)}
-			hi := (m + 1) * per
-			if hi > pages {
-				hi = pages
-			}
-			for pi := m * per; pi < hi; pi++ {
-				pg := t.Page(pi)
-				nt := pg.NumTuples()
-				data := pg.Data()
-				for k, base := 0, 0; k < nt; k, base = k+1, base+inW {
-					tup := data[base : base+inW : base+inW]
-					if len(s.preds) > 0 && !matchPreds(s.preds, tup, params) {
-						continue
-					}
-					off := len(wk.arena)
-					wk.arena = extendArena(wk.arena, w)
-					slot := wk.arena[off : off+w]
-					s.project(tup, slot)
-					if s.route != nil {
-						p := s.route(slot)
-						if p < 0 {
-							wk.arena = wk.arena[:off]
-							continue
-						}
-						wk.partIdx = append(wk.partIdx, p)
-					}
-					mo.rows++
-				}
-			}
-			mo.end, mo.pend = len(wk.arena), len(wk.partIdx)
+			mo := parMorsel{worker: int32(wi), start: len(st.arena), pstart: len(st.partIdx)}
+			st.rows = 0
+			s.stagePages(st, t, m*per, min((m+1)*per, pages), params)
+			mo.rows, mo.end, mo.pend = st.rows, len(st.arena), len(st.partIdx)
 			ph.complete(m, mo)
 		}
-	}
-	ph.run(f.p.Pool, s.par, body)
+	})
 	// Concatenate in morsel order: page ranges are claimed out of order
-	// but reassemble into exactly the serial scan order.
+	// but reassemble into exactly the caller-only scan order.
+	dst := &sc.staged[i]
 	for k := range ph.morsels {
 		mo := &ph.morsels[k]
-		wk := &ph.workers[mo.worker]
-		sc.arena[i] = append(sc.arena[i], wk.arena[mo.start:mo.end]...)
-		sc.partIdx[i] = append(sc.partIdx[i], wk.partIdx[mo.pstart:mo.pend]...)
-		sc.rows[i] += mo.rows
+		st := &ph.workers[mo.worker].staged
+		dst.arena = append(dst.arena, st.arena[mo.start:mo.end]...)
+		dst.partIdx = append(dst.partIdx, st.partIdx[mo.pstart:mo.pend]...)
+		dst.rows += mo.rows
 	}
 	if f.traced {
 		ph.finish(f.p.Trace, plan.TraceJoinStage(0, i))
@@ -106,8 +84,11 @@ func (f *fusedJoin) scanSidePar(sc *joinScratch, i int, t *storage.Table, params
 // sides hold disjoint key ranges (coarse) or single keys (fine), so
 // chunks join independently — sorting a partition pair in place touches
 // disjoint subslices of the shared reference arrays. Chunks are sized
-// to ~4 per worker for claim-level load balancing.
-func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, out *storage.Table, limit int) {
+// to ~4 per worker for claim-level load balancing. Each chunk runs
+// joinPartitions with the worker's own tail state: rows go to its arena
+// and are stitched into the caller's result in chunk order, map
+// aggregation goes to a per-chunk mapState merged into the caller's.
+func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	m := len(p0)
 	target := f.parJoin
 	chunks := 4 * target
@@ -117,11 +98,9 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, out *storage.Tab
 	per := (m + chunks - 1) / chunks
 	chunks = (m + per - 1) / per
 	fa := f.agg // non-nil implies mapped (generation-time eligibility)
-	outW := 0
-	phLimit := -1
-	if fa == nil {
-		outW = f.outSchema.TupleSize()
-		phLimit = limit
+	phLimit := limit
+	if fa != nil {
+		phLimit = -1 // the limit bounds groups, not joined pairs
 	}
 	ph := &sc.par
 	ph.reset(chunks, target, phLimit)
@@ -134,261 +113,51 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, out *storage.Tab
 			sc.chunkMaps[i] = nil
 		}
 	}
-	hybrid := f.alg == plan.HybridJoin
-	body := func(wi int) {
+	ph.run(f.p.Pool, target, func(wi int) {
 		wk := &ph.workers[wi]
-		wk.lastPtr[0], wk.lastPtr[1] = nil, nil // pooled memo from a prior execution
-		if !f.tailDirect {
-			if cap(wk.joinBuf) < f.joinWidth {
-				wk.joinBuf = make([]byte, f.joinWidth)
-			}
-			wk.joinBuf = wk.joinBuf[:f.joinWidth]
-		}
-		if fa != nil && !fa.direct {
-			if cap(wk.aggBuf) < fa.width {
-				wk.aggBuf = make([]byte, fa.width)
-			}
-			wk.aggBuf = wk.aggBuf[:fa.width]
-		}
+		ts := &wk.tail
 		for {
 			c, ok := ph.queue.Next()
 			if !ok {
 				return
 			}
-			var ms *mapState
+			f.prepTail(ts)
 			if fa != nil {
-				ms = wk.popMap()
-				ms.init(fa.nGroups, fa.nAggs, len(fa.strides))
-				sc.chunkMaps[c] = ms
+				ts.ms = wk.popMap()
+				ts.ms.init(fa.nGroups, fa.nAggs, len(fa.strides))
+				sc.chunkMaps[c] = ts.ms
 			}
-			mo := parMorsel{worker: int32(wi), start: len(wk.arena)}
-			hi := (c + 1) * per
-			if hi > m {
-				hi = m
-			}
-			for p := c * per; p < hi; p++ {
-				left, right := p0[p], p1[p]
-				if len(left) == 0 || len(right) == 0 {
-					continue
-				}
-				if hybrid {
-					core.SortTuples(left, f.sides[0].keyCmp)
-					core.SortTuples(right, f.sides[1].keyCmp)
-					if !f.mergeJoinPar(wk, ms, left, right, outW, phLimit, &mo.rows) {
-						break
-					}
-				} else if !f.nestedJoinPar(wk, ms, left, right, outW, phLimit, &mo.rows) {
-					break
-				}
-			}
-			mo.end = len(wk.arena)
+			mo := parMorsel{worker: int32(wi), start: len(ts.arena)}
+			f.joinPartitions(ts, p0, p1, c*per, min((c+1)*per, m), phLimit)
+			mo.rows, mo.end = ts.pairs, len(ts.arena)
 			ph.complete(c, mo)
 		}
-	}
-	ph.run(f.p.Pool, target, body)
-	if f.traced {
-		for i := range ph.morsels {
-			sc.pairs += int64(ph.morsels[i].rows)
-		}
+	})
+	caller := &sc.tail
+	for i := range ph.morsels {
+		caller.pairs += ph.morsels[i].rows
 	}
 	if fa != nil {
 		// Merge the chunk accumulators into the execution's map state in
 		// ascending chunk order — a fixed fold order, whatever the claim
 		// timing — then return them to their workers' freelists.
-		for c := range sc.chunkMaps {
-			ms := sc.chunkMaps[c]
+		for c, ms := range sc.chunkMaps {
 			if ms == nil {
 				continue
 			}
-			mergeMapState(&sc.mapAgg, ms)
+			mergeMapState(caller.ms, ms)
 			wk := &ph.workers[ph.morsels[c].worker]
 			wk.maps = append(wk.maps, ms)
 			sc.chunkMaps[c] = nil
 		}
 	} else {
-		ph.stitchRows(out, outW, limit)
+		ph.stitchRows(caller.out, f.outWidth, limit)
 	}
 	if f.traced {
 		ph.finish(f.p.Trace, plan.TraceJoin(0))
 	} else {
 		ph.finish(nil, "")
 	}
-}
-
-// mergeJoinPar is mergeJoin inside a parallel join phase: the identical
-// two-way sorted merge (kept in lockstep with mergeJoin so emit order
-// matches byte-for-byte), but pairs emit into the worker's private
-// state via emitPar. rows counts pairs handed to the tail; the result
-// is false when a non-aggregate row limit is reached.
-func (f *fusedJoin) mergeJoinPar(wk *parWorker, ms *mapState, in0, in1 [][]byte, outW, limit int, rows *int) bool {
-	if len(in0) == 0 || len(in1) == 0 {
-		return true
-	}
-	cross := f.crossCmp
-	same0, same1 := f.sides[0].keyCmp, f.sides[1].keyCmp
-	pos0, pos1 := 0, 0
-	for {
-		for {
-			c := cross(in1[pos1], in0[pos0])
-			for c < 0 {
-				pos1++
-				if pos1 >= len(in1) {
-					return true
-				}
-				c = cross(in1[pos1], in0[pos0])
-			}
-			if c > 0 {
-				pos0++
-				if pos0 >= len(in0) {
-					return true
-				}
-				continue
-			}
-			break
-		}
-		e0 := pos0 + 1
-		head0 := in0[pos0]
-		for e0 < len(in0) && same0(in0[e0], head0) == 0 {
-			e0++
-		}
-		e1 := pos1 + 1
-		head1 := in1[pos1]
-		for e1 < len(in1) && same1(in1[e1], head1) == 0 {
-			e1++
-		}
-		if e0-pos0 == 1 && e1-pos1 == 1 {
-			if !f.emitPar(wk, ms, outW, head0, head1, limit, rows) {
-				return false
-			}
-		} else {
-			for a := pos0; a < e0; a++ {
-				for b := pos1; b < e1; b++ {
-					if !f.emitPar(wk, ms, outW, in0[a], in1[b], limit, rows) {
-						return false
-					}
-				}
-			}
-		}
-		pos0, pos1 = e0, e1
-		if pos0 >= len(in0) || pos1 >= len(in1) {
-			return true
-		}
-	}
-}
-
-// nestedJoinPar is the fine-partition nested loop inside a parallel
-// join phase (corresponding partitions hold one key value, so every
-// pair matches).
-func (f *fusedJoin) nestedJoinPar(wk *parWorker, ms *mapState, left, right [][]byte, outW, limit int, rows *int) bool {
-	for _, a := range left {
-		for _, b := range right {
-			if !f.emitPar(wk, ms, outW, a, b, limit, rows) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// emitPar hands one joined pair to the pipeline tail inside a parallel
-// join phase: the worker-private counterpart of emit. ms is non-nil
-// exactly when the tail is a map aggregation (the only aggregation mode
-// a parallel phase compiles); otherwise the pair projects into the
-// worker's arena. Returns false when the chunk's row cap (the query
-// limit) is reached.
-func (f *fusedJoin) emitPar(wk *parWorker, ms *mapState, outW int, t0, t1 []byte, limit int, rows *int) bool {
-	*rows++
-	if ms != nil {
-		f.emitMapPar(wk, ms, t0, t1)
-		return true
-	}
-	off := len(wk.arena)
-	wk.arena = extendArena(wk.arena, outW)
-	f.fillTailPar(wk, t0, t1, wk.arena[off:off+outW], f.project)
-	return limit < 0 || *rows < limit
-}
-
-// emitMapPar is emit's map-aggregation branch against worker-private
-// state: the same directory probes, per-side memo, and flat-array
-// updates, accumulating into the chunk's mapState.
-func (f *fusedJoin) emitMapPar(wk *parWorker, m *mapState, t0, t1 []byte) {
-	fa := f.agg
-	g := 0
-	if fa.direct {
-		for s := 0; s < 2; s++ {
-			lks := fa.sideLk[s]
-			if len(lks) == 0 {
-				continue
-			}
-			t := t0
-			if s == 1 {
-				t = t1
-			}
-			var pg int32
-			if wk.lastPtr[s] == &t[0] {
-				pg = wk.lastG[s]
-			} else {
-				for _, l := range lks {
-					di := l.fn(t)
-					if di < 0 {
-						pg = -1
-						break
-					}
-					pg += di * l.stride
-				}
-				wk.lastPtr[s], wk.lastG[s] = &t[0], pg
-			}
-			if pg < 0 {
-				return // value outside directory: stale stats; skip
-			}
-			g += int(pg)
-		}
-		m.tuples[g]++
-		base := g * fa.nAggs
-		for _, u := range fa.mapUpdates {
-			if u.side == 1 {
-				u.fn(m, base, t1)
-			} else {
-				u.fn(m, base, t0)
-			}
-		}
-		return
-	}
-	f.fillTailPar(wk, t0, t1, wk.aggBuf, fa.project)
-	for i, lk := range fa.lookups {
-		di := lk(wk.aggBuf)
-		if di < 0 {
-			return // value outside directory: stale stats; skip
-		}
-		g += int(di) * fa.strides[i]
-	}
-	m.tuples[g]++
-	base := g * fa.nAggs
-	for _, u := range fa.mapUpdates {
-		u.fn(m, base, wk.aggBuf)
-	}
-}
-
-// fillTailPar is fillTail against the worker's private join buffer; prj
-// is the tail projector for the non-direct path.
-func (f *fusedJoin) fillTailPar(wk *parWorker, t0, t1, dst []byte, prj func(src, dst []byte)) {
-	if f.tailDirect {
-		for _, c := range f.tailCopy[0] {
-			copy(dst[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
-		}
-		for _, c := range f.tailCopy[1] {
-			copy(dst[c.dstOff:c.dstOff+c.size], t1[c.srcOff:c.srcOff+c.size])
-		}
-		return
-	}
-	buf := wk.joinBuf
-	for _, c := range f.copySpec[0] {
-		copy(buf[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
-	}
-	for _, c := range f.copySpec[1] {
-		copy(buf[c.dstOff:c.dstOff+c.size], t1[c.srcOff:c.srcOff+c.size])
-	}
-	prj(buf, dst)
 }
 
 // mergeMapState folds src's accumulators into dst: per-slot array adds

@@ -10,10 +10,12 @@
 //
 // Parallelism is decided at generation time, like every other
 // specialisation here: a pipeline compiles its worker target from the
-// plan's Parallelism and the catalogue's cardinality estimates, so small
-// inputs compile exactly the serial loops they always had (the warm
-// point query keeps its allocation envelope), and a parallel pipeline
-// carries no branches the serial one pays for.
+// plan's Parallelism and the catalogue's cardinality estimates. Every
+// fused loop exists once and takes the state it writes to as an argument
+// (rowDst, stagedSide, tailState): a worker target of 1 calls the loop
+// over the whole input with the caller's own state — no phase, queue or
+// stitch — and a morsel phase calls the same loop per morsel with a
+// worker's private state.
 
 package codegen
 
@@ -75,22 +77,38 @@ type parMorsel struct {
 	pstart, pend int
 }
 
+// rowDst is where a fused loop writes its output rows: the result
+// table's next slot on the caller-only run, the worker's private arena
+// inside a morsel phase (out nil). rows counts the slots handed out
+// since the loop's caller last zeroed it, which is what a LIMIT bounds.
+type rowDst struct {
+	out   *storage.Table
+	arena []byte
+	rows  int
+}
+
+// slot reserves the next w-byte output row.
+func (d *rowDst) slot(w int) []byte {
+	d.rows++
+	if d.out != nil {
+		return d.out.AppendSlot()
+	}
+	off := len(d.arena)
+	d.arena = extendArena(d.arena, w)
+	return d.arena[off : off+w]
+}
+
 // parWorker is one worker's private output state, retained across
 // phases and executions through the owning scratch so a warm parallel
 // query allocates (amortised) nothing. Only the owning worker touches
 // it while a phase runs; the caller reads it after the phase barrier.
 type parWorker struct {
-	arena   []byte
-	partIdx []int32
-
-	// Parallel join-phase state: the assembled-join-tuple buffer and
-	// aggregation-tuple buffer (per-worker copies of joinScratch's), the
-	// map-aggregation accumulator freelist, and the per-side group memo.
-	joinBuf []byte
-	aggBuf  []byte
-	maps    []*mapState
-	lastPtr [2]*byte
-	lastG   [2]int32
+	// staged receives a staging-scan phase's tuples; tail is the join
+	// phase's tail state, whose row arena also takes the single-table
+	// scan's rows. maps is the map-aggregation accumulator freelist.
+	staged stagedSide
+	tail   tailState
+	maps   []*mapState
 
 	// Pad so adjacent workers' hot arena headers do not share a cache
 	// line while both append.
@@ -131,6 +149,10 @@ type parPhase struct {
 	// started is the worker count that actually ran (helpers admitted by
 	// the pool, plus the caller).
 	started int
+
+	// panicked is the first panic a worker's body raised (under mu), which
+	// run re-raises on the caller once every worker has returned.
+	panicked any
 }
 
 // reset prepares the phase for nMorsels morsels and a target worker
@@ -153,8 +175,9 @@ func (ph *parPhase) reset(nMorsels, workers, limit int) {
 	ph.workers = ph.workers[:workers]
 	for i := range ph.workers {
 		wk := &ph.workers[i]
-		wk.arena = wk.arena[:0]
-		wk.partIdx = wk.partIdx[:0]
+		wk.staged.arena = wk.staged.arena[:0]
+		wk.staged.partIdx = wk.staged.partIdx[:0]
+		wk.tail.arena = wk.tail.arena[:0]
 	}
 	ph.started = 0
 }
@@ -164,21 +187,48 @@ func (ph *parPhase) reset(nMorsels, workers, limit int) {
 // waits for all of them. Correctness never depends on how many helpers
 // were admitted: the claim queue lets any subset of workers drain every
 // morsel, and stitching is by morsel index, not worker.
+//
+// A panic in any worker's body is re-raised here, on the calling
+// goroutine, after every worker has returned: the caller's containment
+// (lease's containPanic) then turns it into a statement error, and the
+// table locks it holds are released only once no helper is still
+// reading pages.
 func (ph *parPhase) run(pool *morsel.Pool, target int, body func(w int)) {
 	var wg sync.WaitGroup
 	started := 1
 	for w := 1; w < target; w++ {
 		w := w
 		wg.Add(1)
-		if !pool.TryGo(func() { defer wg.Done(); body(w) }) {
+		if !pool.TryGo(func() { defer wg.Done(); ph.work(w, body) }) {
 			wg.Done()
 			break
 		}
 		started++
 	}
-	body(0)
+	ph.work(0, body)
 	wg.Wait()
 	ph.started = started
+	if r := ph.panicked; r != nil {
+		ph.panicked = nil
+		panic(r)
+	}
+}
+
+// work runs body as worker w. A panic stops the phase instead of the
+// process: it cancels the queue, so the other workers finish their
+// current morsel and return, and is kept (the first one) for run.
+func (ph *parPhase) work(w int, body func(w int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			ph.queue.Cancel()
+			ph.mu.Lock()
+			if ph.panicked == nil {
+				ph.panicked = r
+			}
+			ph.mu.Unlock()
+		}
+	}()
+	body(w)
 }
 
 // complete publishes morsel m's output record and advances the
@@ -235,7 +285,7 @@ func (ph *parPhase) stitchRows(out *storage.Table, w, limit int) {
 		if !mo.done || mo.rows == 0 {
 			continue
 		}
-		src := ph.workers[mo.worker].arena[mo.start:mo.end]
+		src := ph.workers[mo.worker].tail.arena[mo.start:mo.end]
 		for off := 0; off < len(src); off += w {
 			if limit >= 0 && emitted >= limit {
 				return

@@ -8,7 +8,10 @@ package codegen
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hique/internal/catalog"
 	"hique/internal/morsel"
@@ -168,8 +171,12 @@ func TestParallelTraceRecordsPhases(t *testing.T) {
 		t.Fatal("traced parallel execution recorded no parallel phases")
 	}
 	ph := tr.Parallel[0]
-	if ph.Stage != "scan" || ph.Workers < 1 {
+	// The phase carries the name of the Stages entry it ran under.
+	if ph.Stage != plan.TraceStageProject || ph.Workers < 1 {
 		t.Errorf("unexpected parallel phase %+v", ph)
+	}
+	if len(tr.Stages) != 1 || tr.Stages[0].Name != ph.Stage {
+		t.Errorf("phase %q does not match the recorded stages %+v", ph.Stage, tr.Stages)
 	}
 	var rows int64
 	for _, r := range ph.MorselRows {
@@ -177,5 +184,52 @@ func TestParallelTraceRecordsPhases(t *testing.T) {
 	}
 	if rows != int64(out.NumRows()) {
 		t.Errorf("morsel rows sum to %d, result has %d", rows, out.NumRows())
+	}
+}
+
+// TestParPhaseRunReraisesWorkerPanic pins run's panic contract: a body
+// that panics on a helper goroutine or on the caller surfaces as one
+// panic on the calling goroutine, raised only after every worker has
+// returned, with the queue cancelled so no further morsel is claimed.
+func TestParPhaseRunReraisesWorkerPanic(t *testing.T) {
+	for _, panicker := range []int{0, 2} {
+		t.Run(fmt.Sprintf("worker-%d", panicker), func(t *testing.T) {
+			const workers = 4
+			ph := new(parPhase)
+			ph.reset(64, workers, -1)
+			var running, entered atomic.Int32
+			release := make(chan struct{})
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				ph.run(nil, workers, func(w int) {
+					running.Add(1)
+					defer running.Add(-1)
+					// Every worker is inside its body before one panics, so
+					// the others are provably still running at that point.
+					if entered.Add(1) == workers {
+						close(release)
+					}
+					<-release
+					if w == panicker {
+						panic(fmt.Sprintf("boom-%d", w))
+					}
+					// Nobody claims a morsel, so only the panic's Cancel ends
+					// this wait (the deadline bounds a run without the fix).
+					for start := time.Now(); !ph.queue.Cancelled() && time.Since(start) < 5*time.Second; {
+						runtime.Gosched()
+					}
+				})
+			}()
+			if want := fmt.Sprintf("boom-%d", panicker); got != want {
+				t.Fatalf("run re-raised %v, want %q", got, want)
+			}
+			if n := running.Load(); n != 0 {
+				t.Errorf("%d workers still running after run returned", n)
+			}
+			if !ph.queue.Cancelled() {
+				t.Error("queue not cancelled after a worker panic")
+			}
+		})
 	}
 }

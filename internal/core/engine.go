@@ -172,8 +172,7 @@ func applyHaving(p *plan.Plan, result *storage.Table, owned bool) (*storage.Tabl
 
 // finishResult applies the shared final-ordering and LIMIT tail: sort
 // into a pooled copy, truncate to the limit, and release each replaced
-// result the execution owned. Both the sequential and the parallel
-// engine end with exactly this sequence.
+// result the execution owned.
 func finishResult(p *plan.Plan, result *storage.Table, owned bool) *storage.Table {
 	if p.Sort != nil {
 		var t0 time.Time

@@ -215,25 +215,10 @@ func siftDown(a [][]byte, cmp Compare, root, end int) {
 	}
 }
 
-// MaterializeSorted writes sorted tuple references into a fresh table.
-func MaterializeSorted(name string, tuples [][]byte, like *storage.Table) *storage.Table {
-	out := storage.NewTable(name, like.Schema())
-	for _, t := range tuples {
-		out.Append(t)
-	}
-	return out
-}
-
-// SortTable returns a new table with the rows of t ordered by cmp.
-func SortTable(name string, t *storage.Table, cmp Compare) *storage.Table {
-	tuples := Flatten(t)
-	SortTuples(tuples, cmp)
-	return MaterializeSorted(name, tuples, t)
-}
-
-// SortTablePooled is SortTable with the output drawn from the page arena:
-// the sorted copy of a staged intermediate is itself an intermediate, so
-// its frames return to the arena when the consuming operator releases it.
+// SortTablePooled returns a new table with the rows of t ordered by cmp,
+// drawn from the page arena: the sorted copy of a staged intermediate is
+// itself an intermediate, so its frames return to the arena when the
+// consuming operator releases it.
 func SortTablePooled(name string, t *storage.Table, cmp Compare) *storage.Table {
 	tuples := Flatten(t)
 	SortTuples(tuples, cmp)

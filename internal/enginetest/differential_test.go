@@ -51,9 +51,6 @@ func engines() []engine {
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),
-		core.NewParallelEngine(1),
-		core.NewParallelEngine(2),
-		core.NewParallelEngine(8),
 	}
 }
 

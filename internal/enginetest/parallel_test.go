@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hique/internal/codegen"
-	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
 )
@@ -60,91 +59,54 @@ func TestParallelCodegenAgreesForcedAlgorithms(t *testing.T) {
 
 // TestParallelRowOrderMatchesSerial compares raw emission order (no
 // multiset canonicalisation) between the serial fused pipeline and the
-// parallel one at every worker count: deterministic morsel stitching
-// means the bytes are identical even for queries without ORDER BY.
+// parallel one at every worker count, under the planner's own algorithm
+// choice and with each join algorithm forced. Both run the same
+// kernels, so a difference can only come from how the morsel outputs
+// are stitched together.
 func TestParallelRowOrderMatchesSerial(t *testing.T) {
 	lowThreshold(t)
 	cat := fixture(14, 6000, 200, 800)
 	eng := codegenEngine{level: codegen.OptO2}
-	for _, q := range corpus {
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
+	merge, hybrid, fine := plan.MergeJoin, plan.HybridJoin, plan.FinePartitionJoin
+	for _, alg := range []*plan.JoinAlgorithm{nil, &merge, &hybrid, &fine} {
+		name := "planner"
+		if alg != nil {
+			name = alg.String()
 		}
-		serialOpts := plan.DefaultOptions()
-		serialOpts.Parallelism = 1
-		sp, err := plan.BuildWithOptions(stmt, cat, serialOpts)
-		if err != nil {
-			t.Fatalf("plan %q: %v", q, err)
-		}
-		sout, err := eng.Execute(sp)
-		if err != nil {
-			t.Fatalf("serial %q: %v", q, err)
-		}
-		ref := canonical(sout, true) // raw order: no sorting of rows
-		for _, w := range parallelWorkerCounts[1:] {
+		// rawRows runs q at one worker target and returns its rows in
+		// emission order.
+		rawRows := func(stmt *sql.SelectStmt, q string, workers int) []string {
 			opts := plan.DefaultOptions()
-			opts.Parallelism = w
-			pp, err := plan.BuildWithOptions(stmt, cat, opts)
+			opts.Parallelism = workers
+			opts.ForceJoinAlg = alg
+			p, err := plan.BuildWithOptions(stmt, cat, opts)
 			if err != nil {
-				t.Fatalf("plan %q workers=%d: %v", q, w, err)
+				t.Fatalf("%s: plan %q workers=%d: %v", name, q, workers, err)
 			}
-			out, err := eng.Execute(pp)
+			out, err := eng.Execute(p)
 			if err != nil {
-				t.Fatalf("parallel %q workers=%d: %v", q, w, err)
+				t.Fatalf("%s: %q workers=%d: %v", name, q, workers, err)
 			}
-			got := canonical(out, true)
-			if len(got) != len(ref) {
-				t.Errorf("%q workers=%d: %d rows, serial returned %d", q, w, len(got), len(ref))
-				continue
+			return canonical(out, true)
+		}
+		for _, q := range corpus {
+			stmt, err := sql.Parse(q)
+			if err != nil {
+				t.Fatalf("parse %q: %v", q, err)
 			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Errorf("%q workers=%d: row %d differs from serial:\n  serial:   %s\n  parallel: %s",
-						q, w, i, ref[i], got[i])
-					break
+			ref := rawRows(stmt, q, 1)
+			for _, w := range parallelWorkerCounts[1:] {
+				got := rawRows(stmt, q, w)
+				if len(got) != len(ref) {
+					t.Errorf("%s: %q workers=%d: %d rows, serial returned %d", name, q, w, len(got), len(ref))
+					continue
 				}
-			}
-		}
-	}
-}
-
-// TestCoreParallelEngineWorkerCounts cross-checks the interpreted
-// parallel engine at the same worker counts against the serial core
-// engine (multiset comparison — the interpreted engine's contract).
-func TestCoreParallelEngineWorkerCounts(t *testing.T) {
-	cat := fixture(15, 4000, 150, 500)
-	serial := core.NewEngine()
-	for _, q := range corpus {
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		p, err := plan.BuildWithOptions(stmt, cat, plan.DefaultOptions())
-		if err != nil {
-			t.Fatalf("plan %q: %v", q, err)
-		}
-		ordered := p.Sort != nil
-		sout, err := serial.Execute(p)
-		if err != nil {
-			t.Fatalf("core %q: %v", q, err)
-		}
-		ref := canonical(sout, ordered)
-		for _, w := range parallelWorkerCounts {
-			out, err := core.NewParallelEngine(w).Execute(p)
-			if err != nil {
-				t.Fatalf("core-parallel(%d) %q: %v", w, q, err)
-			}
-			got := canonical(out, ordered)
-			if len(got) != len(ref) {
-				t.Errorf("%q workers=%d: %d rows, core returned %d", q, w, len(got), len(ref))
-				continue
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Errorf("%q workers=%d: row %d differs from core:\n  %s\n  %s",
-						q, w, i, ref[i], got[i])
-					break
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Errorf("%s: %q workers=%d: row %d differs from serial:\n  serial:   %s\n  parallel: %s",
+							name, q, w, i, ref[i], got[i])
+						break
+					}
 				}
 			}
 		}

@@ -244,72 +244,23 @@ func (c codegenEngine) Execute(p *plan.Plan) (*storage.Table, error) {
 	return q.Run()
 }
 
-func datumRows(t *storage.Table) [][]types.Datum {
-	s := t.Schema()
-	var rows [][]types.Datum
-	t.Scan(func(tp []byte) bool {
-		row := make([]types.Datum, s.NumColumns())
-		for i := range row {
-			row[i] = s.GetDatum(tp, i)
-		}
-		rows = append(rows, row)
-		return true
-	})
-	return rows
-}
-
-func rowsApproxEqual(a, b []types.Datum) bool {
-	for i := range a {
-		if a[i].Kind == types.Float && b[i].Kind == types.Float {
-			diff := a[i].F - b[i].F
-			if diff < 0 {
-				diff = -diff
-			}
-			scale := a[i].F
-			if scale < 0 {
-				scale = -scale
-			}
-			if diff > 1e-9*scale+1e-9 {
-				return false
-			}
-			continue
-		}
-		if types.Compare(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // TestTPCHGoldenResultsAcrossEngines pins Q1/Q3/Q6/Q10 at SF 0.01 with
 // Seed 42 — the exact catalogue hique-server's -tpch flag loads, so the
 // conformance suite's goldens and these agree — and asserts byte-identical
-// results across every engine, including the parallel engine at 1, 2, and
-// 8 workers.
+// results across every engine.
 func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 	cat := Generate(Config{ScaleFactor: 0.01, Seed: 42})
 	type engine interface {
 		Name() string
 		Execute(p *plan.Plan) (*storage.Table, error)
 	}
-	type variant struct {
-		e engine
-		// Parallel partial aggregation accumulates floats in worker order,
-		// so sums can differ from the serial engines in the last ulp; those
-		// variants compare with a tight relative tolerance instead of
-		// byte-for-byte.
-		approx bool
-	}
-	variants := []variant{
-		{core.NewEngine(), false},
-		{codegenEngine{level: codegen.OptO0}, false},
-		{codegenEngine{level: codegen.OptO2}, false},
-		{volcano.NewGeneric(), false},
-		{volcano.NewOptimized(), false},
-		{dsm.NewEngine(), false},
-		{core.NewParallelEngine(1), false},
-		{core.NewParallelEngine(2), true},
-		{core.NewParallelEngine(8), true},
+	engines := []engine{
+		core.NewEngine(),
+		codegenEngine{level: codegen.OptO0},
+		codegenEngine{level: codegen.OptO2},
+		volcano.NewGeneric(),
+		volcano.NewOptimized(),
+		dsm.NewEngine(),
 	}
 	golden := map[int]struct {
 		rows  int
@@ -331,17 +282,15 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 			t.Fatalf("Q%d plan: %v", n, err)
 		}
 		var ref []string
-		var refDatums [][]types.Datum
 		var refName string
-		for _, v := range variants {
-			out, err := v.e.Execute(p)
+		for _, e := range engines {
+			out, err := e.Execute(p)
 			if err != nil {
-				t.Fatalf("Q%d on %s: %v", n, v.e.Name(), err)
+				t.Fatalf("Q%d on %s: %v", n, e.Name(), err)
 			}
 			rows := canonical(out)
 			if ref == nil {
-				ref, refName = rows, v.e.Name()
-				refDatums = datumRows(out)
+				ref, refName = rows, e.Name()
 				g := golden[n]
 				if len(rows) != g.rows {
 					t.Errorf("Q%d: %d rows, golden %d", n, len(rows), g.rows)
@@ -352,24 +301,13 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 				continue
 			}
 			if len(rows) != len(ref) {
-				t.Errorf("Q%d: %s returned %d rows, %s returned %d", n, v.e.Name(), len(rows), refName, len(ref))
-				continue
-			}
-			if v.approx {
-				got := datumRows(out)
-				for i := range refDatums {
-					if !rowsApproxEqual(refDatums[i], got[i]) {
-						t.Errorf("Q%d: row %d differs (beyond float tolerance) between %s and %s:\n  %s\n  %s",
-							n, i, refName, v.e.Name(), ref[i], rows[i])
-						break
-					}
-				}
+				t.Errorf("Q%d: %s returned %d rows, %s returned %d", n, e.Name(), len(rows), refName, len(ref))
 				continue
 			}
 			for i := range ref {
 				if rows[i] != ref[i] {
 					t.Errorf("Q%d: row %d differs between %s and %s:\n  %s\n  %s",
-						n, i, refName, v.e.Name(), ref[i], rows[i])
+						n, i, refName, e.Name(), ref[i], rows[i])
 					break
 				}
 			}
