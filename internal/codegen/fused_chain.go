@@ -112,7 +112,7 @@ func chainJoinEligible(j *plan.Join, ji int) bool {
 				return false
 			}
 		case plan.FinePartitionJoin:
-			if st.Action != plan.StagePartitionFine || len(st.FineValues) == 0 {
+			if st.Action != plan.StagePartitionFine || st.FineValues == nil {
 				return false
 			}
 		default:

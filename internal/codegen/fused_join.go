@@ -9,22 +9,24 @@
 // probe→join→filter→aggregate→emit pipeline.
 //
 // Like the single-table pipeline, this is an execution strategy, never a
-// semantic fork: every loop replicates the operator algorithms of
-// internal/core exactly — same staging scan order, same sort, same
-// partition hash and count, same merge traversal, same accumulator
-// arithmetic — so fused results are byte-identical to the general
-// engines, row order included. What the fusion removes is materialised
-// state and per-execution setup: no Plan.Bind copy (parameters are read
-// from the bind vector), no staged intermediate tables (tuples stage
-// into a pooled flat arena), no join-output table (joined tuples feed
-// the aggregation or the final projection directly), and a pooled
-// hash/partition scratch sized from the catalogue's cardinality
-// estimates.
+// semantic fork: fused results are byte-identical to the general
+// engines, row order included. Accumulation, finalisation, group
+// emission, the value-directory probe and the coarse route are
+// internal/core's own kernels (core.AggProgram, core.DirProbe,
+// core.CoarseRouter) called here over pooled state, so for those the
+// identity holds by construction; the merge walk, the bucketing and the
+// sort's tie order are this file's loops over a flat arena and rest on
+// the differential suite (internal/enginetest). What the fusion removes
+// is materialised state and per-execution setup: no Plan.Bind copy
+// (parameters are read from the bind vector), no staged intermediate
+// tables (tuples stage into a pooled flat arena), no join-output table
+// (joined tuples feed the aggregation or the final projection directly),
+// and a pooled hash/partition scratch sized from the catalogue's
+// cardinality estimates.
 
 package codegen
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -32,15 +34,9 @@ import (
 	"hique/internal/core"
 	"hique/internal/morsel"
 	"hique/internal/plan"
-	"hique/internal/sql"
 	"hique/internal/storage"
 	"hique/internal/types"
 )
-
-// copyRange is one coalesced byte-range copy from a staged input tuple
-// into the assembled join tuple (the inlined add_to_result of the
-// paper's Listing 2).
-type copyRange struct{ srcOff, dstOff, size int }
 
 // fusedSide is one compiled join input: how to fetch base tuples (scan,
 // index probe, or ordered index traversal), the residual predicates, the
@@ -53,7 +49,6 @@ type fusedSide struct {
 	chain   bool
 	preds   []fusedPred
 	project func(src, dst []byte)
-	schema  *types.Schema
 	width   int // staged tuple width
 	inWidth int // base tuple width
 
@@ -90,25 +85,14 @@ type fusedSide struct {
 	par int
 }
 
-// aggWrite emits one aggregate's final value into an output tuple slot
-// (the compiled form of core's aggResult).
-type aggWrite struct {
-	fn      sql.AggFunc
-	star    bool
-	idx     int // aggregate position (accumulator index)
-	dstOff  int
-	isFloat bool // the staged argument column is Float
-}
-
 // fusedAgg is the compiled aggregation tail of a fused join: the staging
-// projection from the join tuple, the grouping comparator, the staging
-// action geometry, and the accumulator update/emit programs.
+// projection from the join tuple, the staging action geometry, and the
+// shared aggregation program (core.AggProgram: updates, probes, group
+// emission) that the general walk runs too.
 type fusedAgg struct {
-	project  func(src, dst []byte) // join tuple -> staged agg tuple
-	schema   *types.Schema
-	width    int
-	nAggs    int
-	groupCmp core.Compare
+	project func(src, dst []byte) // join tuple -> staged agg tuple
+	width   int
+	prog    *core.AggProgram
 
 	// Exactly one of the four modes applies, mirroring the algorithm and
 	// the agg input stage's action: stream (StageNone sort aggregation —
@@ -125,139 +109,17 @@ type fusedAgg struct {
 	sortParts bool
 	mapped    bool
 
-	// Map-aggregation geometry: one value-directory lookup per grouping
-	// attribute, the Figure 4 strides, and the directory datums for group
-	// column emission. With a direct tail (every staged aggregation
-	// column a plain copy of a join input column), lookups and updates
-	// are compiled against the staged *side* tuples instead of a
-	// composed aggregation tuple: the group contribution of a side is
-	// loop-invariant while that side's tuple is fixed, so the join loop
-	// memoises it per side and the inner loop touches only the
-	// aggregate-argument bytes.
-	direct  bool
-	sideLk  [2][]sideLookup
-	lookups []func(t []byte) int32 // composed-tuple fallback
-	strides []int
-	nGroups int
-	dirCols []mapGroupCol
-
-	updates    []func(st *aggState, t []byte)
-	mapUpdates []sideUpdate
-	copies     []copyRange // rep tuple -> output tuple (group columns)
-	writes     []aggWrite
+	// direct marks a map aggregation whose every staged column is a plain
+	// copy of a join input column: the program's probes and updates are
+	// then compiled against the staged *side* tuples instead of a composed
+	// aggregation tuple, and sideLk holds each side's probes. The group
+	// contribution of a side is loop-invariant while that side's tuple is
+	// fixed, so the join loop memoises it per side and the inner loop
+	// touches only the aggregate-argument bytes.
+	direct bool
+	sideLk [2][]core.GroupProbe
 
 	estRows int
-}
-
-// sideLookup is one group-directory probe bound to a staged side tuple,
-// pre-multiplied by its Figure 4 stride.
-type sideLookup struct {
-	fn     func(t []byte) int32
-	stride int32
-}
-
-// sideUpdate is one aggregate update bound to its source tuple: a staged
-// side (0/1) under a direct tail, or the composed aggregation tuple (-1).
-type sideUpdate struct {
-	side int8
-	fn   func(m *mapState, base int, t []byte)
-}
-
-// mapGroupCol emits one group column of a map aggregation from the
-// decoded directory indexes.
-type mapGroupCol struct {
-	dir    []types.Datum
-	refIdx int // index into the decoded idxs (GroupCols position)
-	dstOff int
-	kind   types.Kind
-	size   int
-}
-
-// mapState is the pooled flat-array state of a fused map aggregation
-// (core's RunMapAgg arrays, recycled across executions).
-type mapState struct {
-	sumI, cnt, minI, maxI []int64
-	sumF, minF, maxF      []float64
-	tuples                []int64
-	idxs                  []int
-}
-
-func (m *mapState) init(groups, aggs, groupCols int) {
-	n := groups * aggs
-	m.sumI = growZeroI(m.sumI, n, 0)
-	m.cnt = growZeroI(m.cnt, n, 0)
-	m.minI = growZeroI(m.minI, n, math.MaxInt64)
-	m.maxI = growZeroI(m.maxI, n, math.MinInt64)
-	m.sumF = growZeroF(m.sumF, n, 0)
-	m.minF = growZeroF(m.minF, n, math.Inf(1))
-	m.maxF = growZeroF(m.maxF, n, math.Inf(-1))
-	m.tuples = growZeroI(m.tuples, groups, 0)
-	if cap(m.idxs) < groupCols {
-		m.idxs = make([]int, groupCols)
-	}
-	m.idxs = m.idxs[:groupCols]
-}
-
-func growZeroI(s []int64, n int, v int64) []int64 {
-	if cap(s) < n {
-		s = make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-func growZeroF(s []float64, n int, v float64) []float64 {
-	if cap(s) < n {
-		s = make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-// aggState is the per-execution accumulator state for one open group,
-// drawn from the pooled join scratch. Slices are indexed by aggregate
-// position; reset values mirror core's aggAccum exactly so MIN/MAX of
-// any non-empty group agree bit-for-bit.
-type aggState struct {
-	sumI, cnt, minI, maxI []int64
-	sumF, minF, maxF      []float64
-	tuples                int64
-	rep                   []byte
-	open                  bool
-	groups                int
-}
-
-func (st *aggState) init(n int) {
-	if cap(st.sumI) < n {
-		st.sumI = make([]int64, n)
-		st.cnt = make([]int64, n)
-		st.minI = make([]int64, n)
-		st.maxI = make([]int64, n)
-		st.sumF = make([]float64, n)
-		st.minF = make([]float64, n)
-		st.maxF = make([]float64, n)
-	}
-	st.sumI, st.cnt = st.sumI[:n], st.cnt[:n]
-	st.minI, st.maxI = st.minI[:n], st.maxI[:n]
-	st.sumF, st.minF, st.maxF = st.sumF[:n], st.minF[:n], st.maxF[:n]
-	st.groups = 0
-	st.open = false
-	st.reset()
-}
-
-func (st *aggState) reset() {
-	for i := range st.sumI {
-		st.sumI[i], st.sumF[i], st.cnt[i] = 0, 0, 0
-		st.minI[i], st.maxI[i] = math.MaxInt64, math.MinInt64
-		st.minF[i], st.maxF[i] = math.Inf(1), math.Inf(-1)
-	}
-	st.tuples = 0
 }
 
 // fusedJoin is the compiled two-table pipeline.
@@ -266,7 +128,7 @@ type fusedJoin struct {
 	alg   plan.JoinAlgorithm
 	sides [2]fusedSide
 
-	copySpec  [2][]copyRange // staged tuple -> join tuple
+	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
 	crossCmp  func(b, a []byte) int // side-1 tuple vs side-0 tuple
 
@@ -277,7 +139,7 @@ type fusedJoin struct {
 	// staging) slot — the assembled join tuple never materialises, not
 	// even in a buffer. Computed output columns fall back to the
 	// joinBuf + projector path.
-	tailCopy   [2][]copyRange
+	tailCopy   [2][]core.CopyRange
 	tailDirect bool
 
 	// Non-aggregate tail: the final projection from the join tuple.
@@ -329,13 +191,13 @@ type tailState struct {
 	// the partial group index — valid while the side's staged tuple
 	// (identified by its first byte's address, stable for the whole
 	// execution) is unchanged.
-	ms      *mapState
+	acc     *core.Accum
 	lastPtr [2]*byte
 	lastG   [2]int32
 
 	// Stream and collect aggregation, which only the caller-only run
 	// compiles: the open group, and the staged aggregation input.
-	agg        aggState
+	groups     core.GroupStream
 	aggArena   []byte
 	aggPartIdx []int32
 	aggRows    int
@@ -358,7 +220,7 @@ type joinScratch struct {
 	// when it runs on the caller alone, with rows going to the result
 	// table and map aggregation into mapAgg.
 	tail      tailState
-	mapAgg    mapState
+	mapAgg    core.Accum
 	aggRefs   [][]byte
 	aggParts  [][][]byte
 	aggCounts []int
@@ -373,16 +235,15 @@ type joinScratch struct {
 	// until the in-order merge. Both are retained by the pool like every
 	// other scratch field.
 	par       parPhase
-	chunkMaps []*mapState
+	chunkMaps []*core.Accum
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
 // newFusedJoin compiles the fused pipeline for a two-table equi-join
 // plan, or returns nil when the plan's shape needs the general operator
-// walk: more tables, a string computed output, a parameterized string
-// filter, or an empty fine-partition value directory (a plan-level
-// error the general path reports).
+// walk: more tables, a string computed output, or a parameterized string
+// filter.
 func newFusedJoin(p *plan.Plan) *fusedJoin {
 	if len(p.Tables) != 2 || len(p.Joins) != 1 {
 		return nil
@@ -427,7 +288,6 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 		}
 		s.preds = preds
 		s.project = core.MakeProjector(in, st.Cols, st.Schema)
-		s.schema = st.Schema
 		s.width = st.Schema.TupleSize()
 		s.inWidth = in.TupleSize()
 		s.key = j.Keys[i]
@@ -458,10 +318,13 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 			}
 		case plan.StagePartitionCoarse:
 			s.partitions = st.Partitions
-			s.route = makeCoarseRoute(st.Schema, st.PartitionKey, st.Partitions)
+			s.route = core.CoarseRouter(st.Schema, st.PartitionKey, st.Partitions)
 		case plan.StagePartitionFine:
+			// An empty directory (disjoint key domains) routes every tuple
+			// to -1: zero partitions, nothing staged, no rows.
 			s.partitions = len(st.FineValues)
-			s.route = makeFineRoute(st.Schema, st.PartitionKey, st.FineValues)
+			kc := st.Schema.Column(st.PartitionKey)
+			s.route = core.DirProbe(kc.Kind, st.Schema.Offset(st.PartitionKey), kc.Size, st.FineValues)
 			if s.route == nil {
 				return nil
 			}
@@ -473,19 +336,7 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 	f.crossCmp = core.CrossCompare(j.Inputs[1].Schema, j.Keys[1], j.Inputs[0].Schema, j.Keys[0])
 
 	f.joinWidth = j.Schema.TupleSize()
-	for pos, o := range j.Out {
-		src := j.Inputs[o.Input].Schema
-		r := copyRange{src.Offset(o.Col), j.Schema.Offset(pos), src.Column(o.Col).Size}
-		specs := f.copySpec[o.Input]
-		if n := len(specs); n > 0 {
-			last := &specs[n-1]
-			if last.srcOff+last.size == r.srcOff && last.dstOff+last.size == r.dstOff {
-				last.size += r.size
-				continue
-			}
-		}
-		f.copySpec[o.Input] = append(specs, r)
-	}
+	f.copySpec = core.JoinCopies(j)
 
 	switch {
 	case p.Agg != nil:
@@ -563,7 +414,7 @@ func projectableCols(cols []plan.OutputColumn) bool {
 // schema, or returns nil when the algorithm or staging shape is outside
 // the fused pipeline. tailDirect reports that every staged aggregation
 // column is a plain copy of a join input column, which lets map
-// aggregation bind its directory lookups and updates to the staged side
+// aggregation bind its directory probes and updates to the staged side
 // tuples directly.
 func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
 	if !a.FusionEligible() {
@@ -577,47 +428,19 @@ func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
 		return nil
 	}
 	fa := &fusedAgg{
-		project:  core.MakeProjector(j.Schema, st.Cols, st.Schema),
-		schema:   st.Schema,
-		width:    st.Schema.TupleSize(),
-		nAggs:    len(a.Aggs),
-		groupCmp: core.MakeKeyCompare(st.Schema, a.GroupCols),
+		project: core.MakeProjector(j.Schema, st.Cols, st.Schema),
+		width:   st.Schema.TupleSize(),
 	}
+	var at core.ColumnAt // nil: the composed aggregation tuple
 	switch {
 	case a.Alg == plan.MapAggregation:
 		fa.mapped = true
-		fa.direct = tailDirect
-		fa.strides = make([]int, len(a.GroupCols))
-		s := 1
-		for i := len(a.GroupCols) - 1; i >= 0; i-- {
-			fa.strides[i] = s
-			s *= len(a.Directories[i])
-		}
-		fa.nGroups = s
-		// sideAt maps a staged column to its (join input, source offset);
-		// valid whenever the tail is direct (makeTailCopy proved every
-		// column a width-matched copy).
-		sideAt := func(col int) (int8, int) {
-			o := j.Out[st.Cols[col].Source]
-			return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
-		}
-		if fa.direct {
-			for i, gc := range a.GroupCols {
-				side, off := sideAt(gc)
-				c := st.Schema.Column(gc)
-				lk := makeDirLookupAt(c.Kind, off, c.Size, a.Directories[i])
-				if lk == nil {
-					return nil
-				}
-				fa.sideLk[side] = append(fa.sideLk[side], sideLookup{fn: lk, stride: int32(fa.strides[i])})
-			}
-		} else {
-			fa.lookups = make([]func(t []byte) int32, len(a.GroupCols))
-			for i, gc := range a.GroupCols {
-				fa.lookups[i] = makeFineRoute(st.Schema, gc, a.Directories[i])
-				if fa.lookups[i] == nil {
-					return nil
-				}
+		if fa.direct = tailDirect; fa.direct {
+			// makeTailCopy proved every staged column a width-matched copy
+			// of a join input column: resolve to that side's staged tuple.
+			at = func(col int) (int8, int) {
+				o := j.Out[st.Cols[col].Source]
+				return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
 			}
 		}
 	case st.Action == plan.StageNone:
@@ -629,253 +452,20 @@ func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
 		fa.parts = st.Partitions
 		fa.sortParts = st.SortPartitions
 		fa.sortCmp = core.MakeKeyCompare(st.Schema, st.SortKeys)
-		fa.route = makeCoarseRoute(st.Schema, st.PartitionKey, st.Partitions)
+		fa.route = core.CoarseRouter(st.Schema, st.PartitionKey, st.Partitions)
+	}
+	if fa.prog = core.CompileAgg(a, st.Schema, at); fa.prog == nil {
+		return nil
+	}
+	if fa.direct {
+		for _, pr := range fa.prog.Probes {
+			fa.sideLk[pr.Src] = append(fa.sideLk[pr.Src], pr)
+		}
 	}
 	if fa.estRows = int(st.EstRows); fa.estRows < 0 {
 		fa.estRows = 0
 	}
-
-	// Per-tuple accumulator updates (core.compileUpdates, with the state
-	// passed in instead of captured, so one compiled program serves
-	// concurrent executions through pooled scratches). Map aggregation
-	// gets the flat-array flavour (indexed by group slot, Figure 4),
-	// bound to side tuples when the tail is direct.
-	if fa.mapped {
-		at := func(col int) (int8, int) { return -1, st.Schema.Offset(col) }
-		if fa.direct {
-			at = func(col int) (int8, int) {
-				o := j.Out[st.Cols[col].Source]
-				return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
-			}
-		}
-		fa.compileMapUpdates(a, st.Schema, at)
-	}
-	for i := range a.Aggs {
-		spec := &a.Aggs[i]
-		idx := i
-		if spec.Star {
-			continue // covered by aggState.tuples
-		}
-		off := st.Schema.Offset(spec.Col)
-		isFloat := st.Schema.Column(spec.Col).Kind == types.Float
-		switch spec.Func {
-		case sql.AggSum:
-			if isFloat {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) { st.sumF[idx] += types.GetFloat(t, off) })
-			} else {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) { st.sumI[idx] += types.GetInt(t, off) })
-			}
-		case sql.AggAvg:
-			if isFloat {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) { st.sumF[idx] += types.GetFloat(t, off); st.cnt[idx]++ })
-			} else {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) { st.sumF[idx] += float64(types.GetInt(t, off)); st.cnt[idx]++ })
-			}
-		case sql.AggCount:
-			fa.updates = append(fa.updates, func(st *aggState, t []byte) { st.cnt[idx]++ })
-		case sql.AggMin:
-			if isFloat {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) {
-					if v := types.GetFloat(t, off); v < st.minF[idx] {
-						st.minF[idx] = v
-					}
-				})
-			} else {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) {
-					if v := types.GetInt(t, off); v < st.minI[idx] {
-						st.minI[idx] = v
-					}
-				})
-			}
-		case sql.AggMax:
-			if isFloat {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) {
-					if v := types.GetFloat(t, off); v > st.maxF[idx] {
-						st.maxF[idx] = v
-					}
-				})
-			} else {
-				fa.updates = append(fa.updates, func(st *aggState, t []byte) {
-					if v := types.GetInt(t, off); v > st.maxI[idx] {
-						st.maxI[idx] = v
-					}
-				})
-			}
-		}
-	}
-
-	// Group emission program (core.makeGroupWriter / RunMapAgg's output
-	// loop): group columns copy from the representative tuple (or decode
-	// from the value directories under map aggregation), aggregates
-	// finalise from the state.
-	for pos, ref := range a.Output {
-		dstOff := a.Schema.Offset(pos)
-		if ref.IsAgg {
-			spec := &a.Aggs[ref.Index]
-			isFloat := false
-			if spec.Col >= 0 {
-				isFloat = st.Schema.Column(spec.Col).Kind == types.Float
-			}
-			fa.writes = append(fa.writes, aggWrite{fn: spec.Func, star: spec.Star, idx: ref.Index, dstOff: dstOff, isFloat: isFloat})
-			continue
-		}
-		if fa.mapped {
-			c := a.Schema.Column(pos)
-			fa.dirCols = append(fa.dirCols, mapGroupCol{
-				dir: a.Directories[ref.Index], refIdx: ref.Index,
-				dstOff: dstOff, kind: c.Kind, size: c.Size,
-			})
-		} else {
-			src := a.GroupCols[ref.Index]
-			fa.copies = append(fa.copies, copyRange{st.Schema.Offset(src), dstOff, st.Schema.Column(src).Size})
-		}
-	}
 	return fa
-}
-
-// compileMapUpdates builds the flat-array per-tuple updates of map
-// aggregation, replicating core.RunMapAgg's accumulation exactly. at
-// resolves an aggregate argument's staged column to the tuple the
-// update reads: a join side (direct tails) or the composed aggregation
-// tuple (side -1).
-func (fa *fusedAgg) compileMapUpdates(a *plan.Agg, schema *types.Schema, at func(col int) (int8, int)) {
-	for i := range a.Aggs {
-		spec := &a.Aggs[i]
-		idx := i
-		if spec.Star {
-			continue // covered by mapState.tuples
-		}
-		side, off := at(spec.Col)
-		isFloat := schema.Column(spec.Col).Kind == types.Float
-		var fn func(m *mapState, base int, t []byte)
-		switch spec.Func {
-		case sql.AggSum:
-			if isFloat {
-				fn = func(m *mapState, base int, t []byte) { m.sumF[base+idx] += types.GetFloat(t, off) }
-			} else {
-				fn = func(m *mapState, base int, t []byte) { m.sumI[base+idx] += types.GetInt(t, off) }
-			}
-		case sql.AggAvg:
-			if isFloat {
-				fn = func(m *mapState, base int, t []byte) { m.sumF[base+idx] += types.GetFloat(t, off); m.cnt[base+idx]++ }
-			} else {
-				fn = func(m *mapState, base int, t []byte) {
-					m.sumF[base+idx] += float64(types.GetInt(t, off))
-					m.cnt[base+idx]++
-				}
-			}
-		case sql.AggCount:
-			fn = func(m *mapState, base int, t []byte) { m.cnt[base+idx]++ }
-		case sql.AggMin:
-			if isFloat {
-				fn = func(m *mapState, base int, t []byte) {
-					if v := types.GetFloat(t, off); v < m.minF[base+idx] {
-						m.minF[base+idx] = v
-					}
-				}
-			} else {
-				fn = func(m *mapState, base int, t []byte) {
-					if v := types.GetInt(t, off); v < m.minI[base+idx] {
-						m.minI[base+idx] = v
-					}
-				}
-			}
-		case sql.AggMax:
-			if isFloat {
-				fn = func(m *mapState, base int, t []byte) {
-					if v := types.GetFloat(t, off); v > m.maxF[base+idx] {
-						m.maxF[base+idx] = v
-					}
-				}
-			} else {
-				fn = func(m *mapState, base int, t []byte) {
-					if v := types.GetInt(t, off); v > m.maxI[base+idx] {
-						m.maxI[base+idx] = v
-					}
-				}
-			}
-		}
-		fa.mapUpdates = append(fa.mapUpdates, sideUpdate{side: side, fn: fn})
-	}
-}
-
-// push feeds one staged tuple, ordered by group, into the accumulator,
-// emitting the previous group when it closes. It returns false once the
-// group limit is reached (the caller aborts the pipeline).
-func (fa *fusedAgg) push(st *aggState, t []byte, out *storage.Table, limit int) bool {
-	if !st.open {
-		st.rep = append(st.rep[:0], t...)
-		st.open = true
-	} else if fa.groupCmp(st.rep, t) != 0 {
-		fa.emitGroup(st, out)
-		if limit >= 0 && st.groups >= limit {
-			st.open = false
-			return false
-		}
-		st.reset()
-		st.rep = append(st.rep[:0], t...)
-	}
-	st.tuples++
-	for _, u := range fa.updates {
-		u(st, t)
-	}
-	return true
-}
-
-// flush closes the open group at a partition boundary (hash partitioning
-// routes whole groups to one partition, so a group never spans parts).
-// It returns false once the group limit is reached.
-func (fa *fusedAgg) flush(st *aggState, out *storage.Table, limit int) bool {
-	if !st.open {
-		return true
-	}
-	fa.emitGroup(st, out)
-	st.reset()
-	st.open = false
-	return limit < 0 || st.groups < limit
-}
-
-// emitGroup writes one finished group straight into the result table.
-func (fa *fusedAgg) emitGroup(st *aggState, out *storage.Table) {
-	dst := out.AppendSlot()
-	for _, c := range fa.copies {
-		copy(dst[c.dstOff:c.dstOff+c.size], st.rep[c.srcOff:c.srcOff+c.size])
-	}
-	for _, w := range fa.writes {
-		switch w.fn {
-		case sql.AggSum:
-			if w.isFloat {
-				types.PutFloat(dst, w.dstOff, st.sumF[w.idx])
-			} else {
-				types.PutInt(dst, w.dstOff, st.sumI[w.idx])
-			}
-		case sql.AggAvg:
-			if st.cnt[w.idx] > 0 {
-				types.PutFloat(dst, w.dstOff, st.sumF[w.idx]/float64(st.cnt[w.idx]))
-			} else {
-				types.PutFloat(dst, w.dstOff, 0)
-			}
-		case sql.AggCount:
-			if w.star {
-				types.PutInt(dst, w.dstOff, st.tuples)
-			} else {
-				types.PutInt(dst, w.dstOff, st.cnt[w.idx])
-			}
-		case sql.AggMin:
-			if w.isFloat {
-				types.PutFloat(dst, w.dstOff, st.minF[w.idx])
-			} else {
-				types.PutInt(dst, w.dstOff, st.minI[w.idx])
-			}
-		case sql.AggMax:
-			if w.isFloat {
-				types.PutFloat(dst, w.dstOff, st.maxF[w.idx])
-			} else {
-				types.PutInt(dst, w.dstOff, st.maxI[w.idx])
-			}
-		}
-	}
-	st.groups++
 }
 
 // run executes the fused pipeline against a bind vector. The result
@@ -970,10 +560,10 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 	f.prepTail(ts)
 	if fa := f.agg; fa != nil {
 		if fa.mapped {
-			ts.ms = &sc.mapAgg
-			ts.ms.init(fa.nGroups, fa.nAggs, len(fa.strides))
+			ts.acc = &sc.mapAgg
+			ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
 		} else {
-			ts.agg.init(fa.nAggs)
+			ts.groups.Reset(fa.prog)
 			ts.aggArena = ts.aggArena[:0]
 			ts.aggPartIdx = ts.aggPartIdx[:0]
 			ts.aggRows = 0
@@ -1089,22 +679,22 @@ func (f *fusedJoin) joinPartitions(ts *tailState, p0, p1 [][][]byte, lo, hi, lim
 // flushes its last group; collect modes sort (or partition-sort) the
 // staged aggregation input and stream the groups out.
 func (f *fusedJoin) finishAgg(sc *joinScratch, out *storage.Table, limit int) {
-	fa := f.agg
-	st := &sc.tail.agg
+	fa, prog := f.agg, f.agg.prog
+	gs := &sc.tail.groups
 	switch {
 	case fa.mapped:
-		f.emitMapGroups(sc, out, limit)
+		prog.EmitMapGroups(&sc.mapAgg, out, limit)
 	case fa.stream:
-		fa.flush(st, out, limit)
+		prog.Flush(gs, out, limit)
 	case fa.sorted:
 		refs := f.buildAggRefs(sc)
 		core.SortTuples(refs, fa.sortCmp)
 		for _, t := range refs {
-			if !fa.push(st, t, out, limit) {
+			if !prog.Push(gs, t, out, limit) {
 				return
 			}
 		}
-		fa.flush(st, out, limit)
+		prog.Flush(gs, out, limit)
 	default: // coarse partitions (hybrid hash-sort aggregation)
 		parts := f.partitionAgg(sc)
 		for _, part := range parts {
@@ -1115,85 +705,14 @@ func (f *fusedJoin) finishAgg(sc *joinScratch, out *storage.Table, limit int) {
 				core.SortTuples(part, fa.sortCmp)
 			}
 			for _, t := range part {
-				if !fa.push(st, t, out, limit) {
+				if !prog.Push(gs, t, out, limit) {
 					return
 				}
 			}
-			if !fa.flush(st, out, limit) {
+			if !prog.Flush(gs, out, limit) {
 				return
 			}
 		}
-	}
-}
-
-// emitMapGroups writes the map aggregation's groups in directory order
-// (which is sorted order — an interesting order for a downstream ORDER
-// BY), skipping empty slots, exactly as core.RunMapAgg emits them.
-func (f *fusedJoin) emitMapGroups(sc *joinScratch, out *storage.Table, limit int) {
-	fa := f.agg
-	m := &sc.mapAgg
-	emitted := 0
-	for g := 0; g < fa.nGroups; g++ {
-		if m.tuples[g] == 0 {
-			continue
-		}
-		if limit >= 0 && emitted >= limit {
-			return
-		}
-		rem := g
-		for i := range m.idxs {
-			m.idxs[i] = rem / fa.strides[i]
-			rem %= fa.strides[i]
-		}
-		dst := out.AppendSlot()
-		for _, gc := range fa.dirCols {
-			d := gc.dir[m.idxs[gc.refIdx]]
-			switch gc.kind {
-			case types.Float:
-				types.PutFloat(dst, gc.dstOff, d.F)
-			case types.String:
-				types.PutString(dst, gc.dstOff, gc.size, d.S)
-			default:
-				types.PutInt(dst, gc.dstOff, d.I)
-			}
-		}
-		base := g * fa.nAggs
-		for _, w := range fa.writes {
-			i := base + w.idx
-			switch w.fn {
-			case sql.AggSum:
-				if w.isFloat {
-					types.PutFloat(dst, w.dstOff, m.sumF[i])
-				} else {
-					types.PutInt(dst, w.dstOff, m.sumI[i])
-				}
-			case sql.AggAvg:
-				if m.cnt[i] > 0 {
-					types.PutFloat(dst, w.dstOff, m.sumF[i]/float64(m.cnt[i]))
-				} else {
-					types.PutFloat(dst, w.dstOff, 0)
-				}
-			case sql.AggCount:
-				if w.star {
-					types.PutInt(dst, w.dstOff, m.tuples[g])
-				} else {
-					types.PutInt(dst, w.dstOff, m.cnt[i])
-				}
-			case sql.AggMin:
-				if w.isFloat {
-					types.PutFloat(dst, w.dstOff, m.minF[i])
-				} else {
-					types.PutInt(dst, w.dstOff, m.minI[i])
-				}
-			case sql.AggMax:
-				if w.isFloat {
-					types.PutFloat(dst, w.dstOff, m.maxF[i])
-				} else {
-					types.PutInt(dst, w.dstOff, m.maxI[i])
-				}
-			}
-		}
-		emitted++
 	}
 }
 
@@ -1215,70 +734,45 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte, limit int) bool {
 		// The fully-fused pipeline: locate the group slot via the value
 		// directories and update the flat aggregate arrays right here in
 		// the join loop (paper Fig. 4) — no staging, no sort, no state
-		// but the arrays.
-		m := ts.ms
-		g := 0
-		if fa.direct {
-			// Side-bound lookups with a per-side memo: a side's group
-			// contribution is invariant while its tuple is fixed, which
-			// hoists the directory probe out of the join's inner loop.
-			for s := 0; s < 2; s++ {
-				lks := fa.sideLk[s]
-				if len(lks) == 0 {
-					continue
-				}
-				t := t0
-				if s == 1 {
-					t = t1
-				}
-				var pg int32
-				if ts.lastPtr[s] == &t[0] {
-					pg = ts.lastG[s]
-				} else {
-					for _, l := range lks {
-						di := l.fn(t)
-						if di < 0 {
-							pg = -1
-							break
-						}
-						pg += di * l.stride
-					}
-					ts.lastPtr[s], ts.lastG[s] = &t[0], pg
-				}
-				if pg < 0 {
-					return true // value outside directory: stale stats; skip
-				}
-				g += int(pg)
-			}
-			m.tuples[g]++
-			base := g * fa.nAggs
-			for _, u := range fa.mapUpdates {
-				if u.side == 1 {
-					u.fn(m, base, t1)
-				} else {
-					u.fn(m, base, t0)
-				}
+		// but the arrays. A negative group is a value outside its
+		// directory (stale statistics): the pair is skipped.
+		acc := ts.acc
+		if !fa.direct {
+			f.fillTail(ts, t0, t1, ts.aggBuf)
+			if g := core.Locate(fa.prog.Probes, ts.aggBuf); g >= 0 {
+				acc.Add(fa.prog.Updates, int(g), ts.aggBuf)
 			}
 			return true
 		}
-		f.fillTail(ts, t0, t1, ts.aggBuf)
-		for i, lk := range fa.lookups {
-			di := lk(ts.aggBuf)
-			if di < 0 {
-				return true // value outside directory: stale stats; skip
+		// Side-bound probes with a per-side memo: a side's group
+		// contribution is invariant while its tuple is fixed, which
+		// hoists the directory probe out of the join's inner loop.
+		g := 0
+		for s := 0; s < 2; s++ {
+			lks := fa.sideLk[s]
+			if len(lks) == 0 {
+				continue
 			}
-			g += int(di) * fa.strides[i]
+			t := t0
+			if s == 1 {
+				t = t1
+			}
+			pg := ts.lastG[s]
+			if ts.lastPtr[s] != &t[0] {
+				pg = core.Locate(lks, t)
+				ts.lastPtr[s], ts.lastG[s] = &t[0], pg
+			}
+			if pg < 0 {
+				return true
+			}
+			g += int(pg)
 		}
-		m.tuples[g]++
-		base := g * fa.nAggs
-		for _, u := range fa.mapUpdates {
-			u.fn(m, base, ts.aggBuf)
-		}
+		acc.AddFrom(fa.prog.Updates, g, t0, t1)
 		return true
 	}
 	if fa.stream {
 		f.fillTail(ts, t0, t1, ts.aggBuf)
-		return fa.push(&ts.agg, ts.aggBuf, ts.out, limit)
+		return fa.prog.Push(&ts.groups, ts.aggBuf, ts.out, limit)
 	}
 	// Collect mode: stage the aggregation input tuple into the arena
 	// (and its partition route), deferring group evaluation to finishAgg.
@@ -1301,21 +795,13 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte, limit int) bool {
 // fillTail writes the tail's output tuple for one joined pair.
 func (f *fusedJoin) fillTail(ts *tailState, t0, t1, dst []byte) {
 	if f.tailDirect {
-		for _, c := range f.tailCopy[0] {
-			copy(dst[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
-		}
-		for _, c := range f.tailCopy[1] {
-			copy(dst[c.dstOff:c.dstOff+c.size], t1[c.srcOff:c.srcOff+c.size])
-		}
+		core.CopyInto(dst, t0, f.tailCopy[0])
+		core.CopyInto(dst, t1, f.tailCopy[1])
 		return
 	}
 	buf := ts.joinBuf
-	for _, c := range f.copySpec[0] {
-		copy(buf[c.dstOff:c.dstOff+c.size], t0[c.srcOff:c.srcOff+c.size])
-	}
-	for _, c := range f.copySpec[1] {
-		copy(buf[c.dstOff:c.dstOff+c.size], t1[c.srcOff:c.srcOff+c.size])
-	}
+	core.CopyInto(buf, t0, f.copySpec[0])
+	core.CopyInto(buf, t1, f.copySpec[1])
 	if f.agg != nil {
 		f.agg.project(buf, dst)
 	} else {
@@ -1329,8 +815,8 @@ func (f *fusedJoin) fillTail(ts *tailState, t0, t1, dst []byte) {
 // of coalesced staged→output byte-range lists and the join tuple needs
 // no buffer at all. ok is false when any column is computed or widths
 // disagree.
-func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2][]copyRange, bool) {
-	var spec [2][]copyRange
+func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2][]core.CopyRange, bool) {
+	var spec [2][]core.CopyRange
 	for i := range cols {
 		c := &cols[i]
 		if c.Source < 0 || c.Compute != nil {
@@ -1342,16 +828,7 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2
 		if src.Column(o.Col).Size != size {
 			return spec, false
 		}
-		r := copyRange{src.Offset(o.Col), out.Offset(i), size}
-		s := spec[o.Input]
-		if n := len(s); n > 0 {
-			last := &s[n-1]
-			if last.srcOff+last.size == r.srcOff && last.dstOff+last.size == r.dstOff {
-				last.size += r.size
-				continue
-			}
-		}
-		spec[o.Input] = append(s, r)
+		spec[o.Input] = core.AppendCopy(spec[o.Input], core.CopyRange{SrcOff: src.Offset(o.Col), DstOff: out.Offset(i), Size: size})
 	}
 	return spec, true
 }
@@ -1634,100 +1111,6 @@ func bucketArena(partsDst *[][][]byte, countsDst *[]int, refsDst *[][]byte, aren
 	*countsDst = counts
 	*refsDst = ordered
 	return parts
-}
-
-// makeCoarseRoute compiles the hash-and-modulo partition route,
-// bit-identically to core's coarseRouter (§V-B). A partition key outside
-// the schema (group-less aggregation staging) routes everything to 0,
-// and a single partition skips the hash entirely — the route is total
-// either way, so the shortcut cannot change which bucket a tuple lands
-// in.
-func makeCoarseRoute(schema *types.Schema, key, m int) func(t []byte) int32 {
-	if key >= schema.NumColumns() || m <= 1 {
-		return func([]byte) int32 { return 0 }
-	}
-	c := schema.Column(key)
-	off := schema.Offset(key)
-	mask := uint64(m - 1)
-	if c.Kind == types.String {
-		end := off + c.Size
-		return func(t []byte) int32 { return int32(core.HashBytes(t[off:end]) & mask) }
-	}
-	// Int, Date, and Float (raw bits; equal floats have equal bits).
-	return func(t []byte) int32 { return int32(core.HashInt(types.GetInt(t, off)) & mask) }
-}
-
-// makeFineRoute compiles the value-directory route of the fine-partition
-// join: binary search over the sorted directory, -1 for keys outside it
-// (they cannot produce a match; core's fineRouter drops them the same
-// way). nil when the key kind has no directory form.
-func makeFineRoute(schema *types.Schema, key int, dir []types.Datum) func(t []byte) int32 {
-	c := schema.Column(key)
-	return makeDirLookupAt(c.Kind, schema.Offset(key), c.Size, dir)
-}
-
-// makeDirLookupAt is makeFineRoute with the column geometry explicit, so
-// the same directory probe compiles against either a staged schema or a
-// join input's tuple layout (the direct map-aggregation path).
-func makeDirLookupAt(kind types.Kind, off, size int, dir []types.Datum) func(t []byte) int32 {
-	switch kind {
-	case types.Int, types.Date:
-		vals := make([]int64, len(dir))
-		for i, d := range dir {
-			vals[i] = d.I
-		}
-		// Dense contiguous domains (surrogate keys) route by offset; the
-		// directory is sorted and distinct, so span == n-1 proves it.
-		if n := len(vals); vals[n-1]-vals[0] == int64(n-1) {
-			lo := vals[0]
-			hi := int64(n)
-			return func(t []byte) int32 {
-				v := types.GetInt(t, off) - lo
-				if v < 0 || v >= hi {
-					return -1
-				}
-				return int32(v)
-			}
-		}
-		return func(t []byte) int32 {
-			v := types.GetInt(t, off)
-			lo, hi := 0, len(vals)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if vals[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(vals) && vals[lo] == v {
-				return int32(lo)
-			}
-			return -1
-		}
-	case types.String:
-		vals := make([]string, len(dir))
-		for i, d := range dir {
-			vals[i] = d.S
-		}
-		return func(t []byte) int32 {
-			v := types.GetString(t, off, size)
-			lo, hi := 0, len(vals)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if vals[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(vals) && vals[lo] == v {
-				return int32(lo)
-			}
-			return -1
-		}
-	}
-	return nil
 }
 
 // preSize converts the optimizer's cardinality estimate into an initial

@@ -28,6 +28,7 @@
 package codegen
 
 import (
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/types"
@@ -87,7 +88,7 @@ func (f *fusedJoin) scanSidePar(sc *joinScratch, i int, t *storage.Table, params
 // to ~4 per worker for claim-level load balancing. Each chunk runs
 // joinPartitions with the worker's own tail state: rows go to its arena
 // and are stitched into the caller's result in chunk order, map
-// aggregation goes to a per-chunk mapState merged into the caller's.
+// aggregation goes to a per-chunk accumulator merged into the caller's.
 func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	m := len(p0)
 	target := f.parJoin
@@ -106,7 +107,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	ph.reset(chunks, target, phLimit)
 	if fa != nil {
 		if cap(sc.chunkMaps) < chunks {
-			sc.chunkMaps = make([]*mapState, chunks)
+			sc.chunkMaps = make([]*core.Accum, chunks)
 		}
 		sc.chunkMaps = sc.chunkMaps[:chunks]
 		for i := range sc.chunkMaps {
@@ -123,9 +124,9 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 			}
 			f.prepTail(ts)
 			if fa != nil {
-				ts.ms = wk.popMap()
-				ts.ms.init(fa.nGroups, fa.nAggs, len(fa.strides))
-				sc.chunkMaps[c] = ts.ms
+				ts.acc = wk.popMap()
+				ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
+				sc.chunkMaps[c] = ts.acc
 			}
 			mo := parMorsel{worker: int32(wi), start: len(ts.arena)}
 			f.joinPartitions(ts, p0, p1, c*per, min((c+1)*per, m), phLimit)
@@ -141,13 +142,13 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 		// Merge the chunk accumulators into the execution's map state in
 		// ascending chunk order — a fixed fold order, whatever the claim
 		// timing — then return them to their workers' freelists.
-		for c, ms := range sc.chunkMaps {
-			if ms == nil {
+		for c, acc := range sc.chunkMaps {
+			if acc == nil {
 				continue
 			}
-			mergeMapState(caller.ms, ms)
+			caller.acc.Merge(acc)
 			wk := &ph.workers[ph.morsels[c].worker]
-			wk.maps = append(wk.maps, ms)
+			wk.maps = append(wk.maps, acc)
 			sc.chunkMaps[c] = nil
 		}
 	} else {
@@ -157,32 +158,5 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 		ph.finish(f.p.Trace, plan.TraceJoin(0))
 	} else {
 		ph.finish(nil, "")
-	}
-}
-
-// mergeMapState folds src's accumulators into dst: per-slot array adds
-// for SUM/COUNT and min/max folds — O(groups × aggs) whatever the row
-// count, the payoff of the flat value-directory layout. Empty slots
-// hold the accumulators' identity values, so a blanket merge is exact.
-func mergeMapState(dst, src *mapState) {
-	for g, n := range src.tuples {
-		dst.tuples[g] += n
-	}
-	for i := range src.sumI {
-		dst.sumI[i] += src.sumI[i]
-		dst.cnt[i] += src.cnt[i]
-		dst.sumF[i] += src.sumF[i]
-		if src.minI[i] < dst.minI[i] {
-			dst.minI[i] = src.minI[i]
-		}
-		if src.maxI[i] > dst.maxI[i] {
-			dst.maxI[i] = src.maxI[i]
-		}
-		if src.minF[i] < dst.minF[i] {
-			dst.minF[i] = src.minF[i]
-		}
-		if src.maxF[i] > dst.maxF[i] {
-			dst.maxF[i] = src.maxF[i]
-		}
 	}
 }

@@ -41,23 +41,39 @@ func BenchmarkFusedKernels(b *testing.B) {
 	const (
 		joinAgg  = "SELECT d.label, COUNT(*) AS n, SUM(f.price) AS total FROM par_fact f, par_dims d WHERE f.grp = d.id AND f.price > 10.0 GROUP BY d.label"
 		joinProj = "SELECT f.id, d.label FROM par_fact f, par_dims d WHERE f.grp = d.id AND f.price > 500.0"
+		// A computed argument keeps the map tail off the direct side-tuple
+		// path: it composes the aggregation tuple, then probes and updates.
+		joinAggComputed = "SELECT d.label, COUNT(*) AS n, AVG(f.price * 2.0) AS mean FROM par_fact f, par_dims d WHERE f.grp = d.id AND f.price > 10.0 GROUP BY d.label"
+		// Grouping on a merge join's key with no value directory (262144
+		// distinct ids) streams: one group opens and closes per joined pair.
+		selfJoinAgg = "SELECT a.id, COUNT(*) AS n, SUM(b.price) AS total FROM par_fact a, par_fact b WHERE a.id = b.id AND a.price > 500.0 GROUP BY a.id"
 	)
 	hybrid, merge := plan.HybridJoin, plan.MergeJoin
+	sortAgg, hybridAgg := plan.SortAggregation, plan.HybridAggregation
+	serial, both := []int{1}, []int{1, 2}
 	cat := kernelCatalog()
 	for _, c := range []struct {
 		name, q string
 		alg     *plan.JoinAlgorithm // nil: the planner's choice (fine partitions)
+		agg     *plan.AggAlgorithm  // nil: the planner's choice (map, or stream over a merge join's order)
+		workers []int
 	}{
-		{"scan-float-1pct", "SELECT id, price FROM par_fact WHERE price > 990.0", nil},
-		{"scan-int-6pct", "SELECT id, price FROM par_fact WHERE grp = 3", nil},
-		{"scan-int-all", "SELECT id, price FROM par_fact WHERE grp >= 0", nil},
-		{"joinagg-fine", joinAgg, nil},
-		{"joinagg-hybrid", joinAgg, &hybrid},
-		{"joinagg-merge", joinAgg, &merge},
-		{"joinproj-fine", joinProj, nil},
-		{"joinproj-hybrid", joinProj, &hybrid},
+		{"scan-float-1pct", "SELECT id, price FROM par_fact WHERE price > 990.0", nil, nil, both},
+		{"scan-int-6pct", "SELECT id, price FROM par_fact WHERE grp = 3", nil, nil, both},
+		{"scan-int-all", "SELECT id, price FROM par_fact WHERE grp >= 0", nil, nil, both},
+		{"joinagg-fine", joinAgg, nil, nil, both},
+		{"joinagg-hybrid", joinAgg, &hybrid, nil, both},
+		{"joinagg-merge", joinAgg, &merge, nil, both},
+		{"joinproj-fine", joinProj, nil, nil, both},
+		{"joinproj-hybrid", joinProj, &hybrid, nil, both},
+		// The aggregation tails the rows above (all direct map tails) leave
+		// untimed; they compile no parallel join phase.
+		{"aggtail-map-composed", joinAggComputed, nil, nil, serial},
+		{"aggtail-sorted", joinAgg, nil, &sortAgg, serial},
+		{"aggtail-partitioned", joinAgg, nil, &hybridAgg, serial},
+		{"aggtail-stream", selfJoinAgg, &merge, nil, serial},
 	} {
-		for _, w := range []int{1, 2} {
+		for _, w := range c.workers {
 			b.Run(fmt.Sprintf("%s/workers-%d", c.name, w), func(b *testing.B) {
 				stmt, err := sql.Parse(c.q)
 				if err != nil {
@@ -66,6 +82,7 @@ func BenchmarkFusedKernels(b *testing.B) {
 				opts := plan.DefaultOptions()
 				opts.Parallelism = w
 				opts.ForceJoinAlg = c.alg
+				opts.ForceAggAlg = c.agg
 				p, err := plan.BuildWithOptions(stmt, cat, opts)
 				if err != nil {
 					b.Fatal(err)
@@ -73,6 +90,9 @@ func BenchmarkFusedKernels(b *testing.B) {
 				cq, err := Generate(p, OptO2)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if !cq.Fused {
+					b.Fatalf("%s did not compile to a fused pipeline", c.name)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hique/internal/core"
 	"hique/internal/morsel"
 	"hique/internal/plan"
 	"hique/internal/storage"
@@ -108,7 +109,7 @@ type parWorker struct {
 	// scan's rows. maps is the map-aggregation accumulator freelist.
 	staged stagedSide
 	tail   tailState
-	maps   []*mapState
+	maps   []*core.Accum
 
 	// Pad so adjacent workers' hot arena headers do not share a cache
 	// line while both append.
@@ -118,13 +119,13 @@ type parWorker struct {
 // popMap draws a pooled map-aggregation state from the worker's private
 // freelist. The caller returns states through the phase's morsel records
 // after the barrier.
-func (wk *parWorker) popMap() *mapState {
+func (wk *parWorker) popMap() *core.Accum {
 	if n := len(wk.maps); n > 0 {
 		m := wk.maps[n-1]
 		wk.maps = wk.maps[:n-1]
 		return m
 	}
-	return new(mapState)
+	return new(core.Accum)
 }
 
 // parPhase coordinates one parallel phase: the morsel claim queue, the

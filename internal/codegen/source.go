@@ -561,7 +561,9 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 			break // key prefix comparison is enough to detect change in sorted input
 		}
 		for i, spec := range a.Aggs {
-			if spec.Star {
+			// COUNT(col) counts tuples like COUNT(*) (no NULLs), and must
+			// not read its argument: it may be a CHAR column.
+			if spec.Star || spec.Func == sql.AggCount {
 				w.line("acc.Count(%d)", i)
 				continue
 			}

@@ -10,189 +10,385 @@ import (
 	"hique/internal/types"
 )
 
-// aggAccum holds one group's accumulator state; slices are indexed by
-// aggregate position.
-type aggAccum struct {
-	sumI   []int64
-	sumF   []float64
-	cnt    []int64
-	minI   []int64
-	maxI   []int64
-	minF   []float64
-	maxF   []float64
-	tuples int64
+// Accum is the accumulator state of every aggregation algorithm, laid out
+// as the flat arrays of the paper's Figure 4: aggregate idx of group g
+// lives at g*nAggs+idx, and tuples[g] counts the group's tuples — COUNT(*)
+// and, under map aggregation, the presence marker. Sort and hybrid
+// aggregation hold one open group at a time: the one-group instance.
+// The general walk allocates one per run; the fused pipelines pool theirs.
+type Accum struct {
+	sumI, cnt, minI, maxI []int64
+	sumF, minF, maxF      []float64
+	tuples                []int64
+	nAggs                 int
 }
 
-func newAggAccum(n int) *aggAccum {
-	a := &aggAccum{
-		sumI: make([]int64, n), sumF: make([]float64, n), cnt: make([]int64, n),
-		minI: make([]int64, n), maxI: make([]int64, n),
-		minF: make([]float64, n), maxF: make([]float64, n),
+// Reset sizes the state for groups × aggs slots, reusing capacity, and
+// sets every slot to its aggregate's identity value.
+func (a *Accum) Reset(groups, aggs int) {
+	n := groups * aggs
+	a.nAggs = aggs
+	a.sumI, a.cnt = fill(a.sumI, n, 0), fill(a.cnt, n, 0)
+	a.minI, a.maxI = fill(a.minI, n, math.MaxInt64), fill(a.maxI, n, math.MinInt64)
+	a.sumF = fill(a.sumF, n, 0)
+	a.minF, a.maxF = fill(a.minF, n, math.Inf(1)), fill(a.maxF, n, math.Inf(-1))
+	a.tuples = fill(a.tuples, groups, 0)
+}
+
+func fill[T int64 | float64](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
 	}
-	a.reset()
-	return a
-}
-
-func (a *aggAccum) reset() {
-	for i := range a.sumI {
-		a.sumI[i], a.sumF[i], a.cnt[i] = 0, 0, 0
-		a.minI[i], a.maxI[i] = math.MaxInt64, math.MinInt64
-		a.minF[i], a.maxF[i] = math.Inf(1), math.Inf(-1)
+	s = s[:n]
+	for i := range s {
+		s[i] = v
 	}
-	a.tuples = 0
+	return s
 }
 
-// compileUpdates builds the per-tuple accumulator update for each aggregate
-// over the staged schema: inlined, type-specialised, no dispatch (the
-// paper stresses the importance of call-free aggregation inner loops).
-func compileUpdates(a *plan.Agg, schema *types.Schema, acc *aggAccum) func(t []byte) {
-	type update func(t []byte)
-	var ups []update
+// AggUpdate is one compiled per-tuple accumulator update: Fn folds the
+// aggregate argument it reads from t into the slots of the group at base.
+// Src names the tuple Fn must be handed, in the terms of the ColumnAt the
+// update was compiled with.
+type AggUpdate struct {
+	Src int8
+	Fn  func(a *Accum, base int, t []byte)
+}
+
+// ColumnAt resolves a staged aggregation column to the tuple a compiled
+// read takes it from and the byte offset inside that tuple. The staged
+// tuple itself is source 0; the fused join's direct tail resolves to the
+// staged join inputs instead, so no aggregation tuple is ever composed.
+type ColumnAt func(col int) (src int8, off int)
+
+// compileUpdates builds the per-tuple update of each aggregate: inlined,
+// type-specialised, no dispatch (the paper stresses the importance of
+// call-free aggregation inner loops). The state is passed in, not
+// captured, so one compiled program serves concurrent executions.
+func compileUpdates(a *plan.Agg, staged *types.Schema, at ColumnAt) []AggUpdate {
+	ups := make([]AggUpdate, 0, len(a.Aggs))
 	for i := range a.Aggs {
 		spec := &a.Aggs[i]
-		idx := i
 		if spec.Star {
-			continue // covered by acc.tuples
+			continue // covered by tuples
 		}
-		off := schema.Offset(spec.Col)
-		isFloat := schema.Column(spec.Col).Kind == types.Float
+		idx := i
+		src, off := at(spec.Col)
+		isFloat := staged.Column(spec.Col).Kind == types.Float
+		var fn func(a *Accum, base int, t []byte)
 		switch spec.Func {
 		case sql.AggSum:
 			if isFloat {
-				ups = append(ups, func(t []byte) { acc.sumF[idx] += types.GetFloat(t, off) })
+				fn = func(a *Accum, base int, t []byte) { a.sumF[base+idx] += types.GetFloat(t, off) }
 			} else {
-				ups = append(ups, func(t []byte) { acc.sumI[idx] += types.GetInt(t, off) })
+				fn = func(a *Accum, base int, t []byte) { a.sumI[base+idx] += types.GetInt(t, off) }
 			}
 		case sql.AggAvg:
 			if isFloat {
-				ups = append(ups, func(t []byte) { acc.sumF[idx] += types.GetFloat(t, off); acc.cnt[idx]++ })
+				fn = func(a *Accum, base int, t []byte) { a.sumF[base+idx] += types.GetFloat(t, off); a.cnt[base+idx]++ }
 			} else {
-				ups = append(ups, func(t []byte) { acc.sumF[idx] += float64(types.GetInt(t, off)); acc.cnt[idx]++ })
+				fn = func(a *Accum, base int, t []byte) {
+					a.sumF[base+idx] += float64(types.GetInt(t, off))
+					a.cnt[base+idx]++
+				}
 			}
 		case sql.AggCount:
-			ups = append(ups, func(t []byte) { acc.cnt[idx]++ })
+			fn = func(a *Accum, base int, t []byte) { a.cnt[base+idx]++ }
 		case sql.AggMin:
 			if isFloat {
-				ups = append(ups, func(t []byte) {
-					if v := types.GetFloat(t, off); v < acc.minF[idx] {
-						acc.minF[idx] = v
+				fn = func(a *Accum, base int, t []byte) {
+					if v := types.GetFloat(t, off); v < a.minF[base+idx] {
+						a.minF[base+idx] = v
 					}
-				})
+				}
 			} else {
-				ups = append(ups, func(t []byte) {
-					if v := types.GetInt(t, off); v < acc.minI[idx] {
-						acc.minI[idx] = v
+				fn = func(a *Accum, base int, t []byte) {
+					if v := types.GetInt(t, off); v < a.minI[base+idx] {
+						a.minI[base+idx] = v
 					}
-				})
+				}
 			}
 		case sql.AggMax:
 			if isFloat {
-				ups = append(ups, func(t []byte) {
-					if v := types.GetFloat(t, off); v > acc.maxF[idx] {
-						acc.maxF[idx] = v
+				fn = func(a *Accum, base int, t []byte) {
+					if v := types.GetFloat(t, off); v > a.maxF[base+idx] {
+						a.maxF[base+idx] = v
 					}
-				})
+				}
 			} else {
-				ups = append(ups, func(t []byte) {
-					if v := types.GetInt(t, off); v > acc.maxI[idx] {
-						acc.maxI[idx] = v
+				fn = func(a *Accum, base int, t []byte) {
+					if v := types.GetInt(t, off); v > a.maxI[base+idx] {
+						a.maxI[base+idx] = v
 					}
-				})
+				}
 			}
 		}
+		ups = append(ups, AggUpdate{Src: src, Fn: fn})
 	}
-	switch len(ups) {
-	case 0:
-		return func(t []byte) { acc.tuples++ }
-	case 1:
-		u := ups[0]
-		return func(t []byte) { acc.tuples++; u(t) }
-	case 2:
-		u0, u1 := ups[0], ups[1]
-		return func(t []byte) { acc.tuples++; u0(t); u1(t) }
-	default:
-		return func(t []byte) {
-			acc.tuples++
-			for _, u := range ups {
-				u(t)
-			}
+	return ups
+}
+
+// Add folds one staged tuple into group g.
+func (a *Accum) Add(ups []AggUpdate, g int, t []byte) { a.AddFrom(ups, g, t, nil) }
+
+// AddFrom folds one joined pair into group g without staging it: each
+// update reads the side tuple it was compiled against (Src 1 is t1).
+func (a *Accum) AddFrom(ups []AggUpdate, g int, t0, t1 []byte) {
+	a.tuples[g]++
+	base := g * a.nAggs
+	for _, u := range ups {
+		if u.Src == 1 {
+			u.Fn(a, base, t1)
+		} else {
+			u.Fn(a, base, t0)
 		}
 	}
 }
 
-// aggResult writes one aggregate's final value into the output tuple.
-func aggResult(spec *plan.AggSpec, idx int, acc *aggAccum, dst []byte, off int, argIsFloat bool) {
-	switch spec.Func {
+// Merge folds src's accumulators into a: per-slot adds for SUM/COUNT and
+// min/max folds — O(groups × aggs) whatever the row count, the payoff of
+// the flat value-directory layout. Empty slots hold the accumulators'
+// identity values, so a blanket merge is exact.
+func (a *Accum) Merge(src *Accum) {
+	for g, n := range src.tuples {
+		a.tuples[g] += n
+	}
+	for i := range src.sumI {
+		a.sumI[i] += src.sumI[i]
+		a.cnt[i] += src.cnt[i]
+		a.sumF[i] += src.sumF[i]
+		a.minI[i] = min(a.minI[i], src.minI[i])
+		a.maxI[i] = max(a.maxI[i], src.maxI[i])
+		// Floats fold with the update's own comparison, which never
+		// selects a NaN; the min/max builtins would propagate one.
+		if src.minF[i] < a.minF[i] {
+			a.minF[i] = src.minF[i]
+		}
+		if src.maxF[i] > a.maxF[i] {
+			a.maxF[i] = src.maxF[i]
+		}
+	}
+}
+
+// aggOut places one aggregate's final value in the output tuple.
+type aggOut struct {
+	fn      sql.AggFunc
+	star    bool
+	isFloat bool // the staged argument column is Float
+	idx     int  // aggregate position
+	dstOff  int
+}
+
+// finalise writes aggregate o of group g into its output slot.
+func (a *Accum) finalise(o *aggOut, g int, dst []byte) {
+	i := g*a.nAggs + o.idx
+	switch o.fn {
 	case sql.AggSum:
-		if argIsFloat {
-			types.PutFloat(dst, off, acc.sumF[idx])
+		if o.isFloat {
+			types.PutFloat(dst, o.dstOff, a.sumF[i])
 		} else {
-			types.PutInt(dst, off, acc.sumI[idx])
+			types.PutInt(dst, o.dstOff, a.sumI[i])
 		}
 	case sql.AggAvg:
-		if acc.cnt[idx] > 0 {
-			types.PutFloat(dst, off, acc.sumF[idx]/float64(acc.cnt[idx]))
+		if a.cnt[i] > 0 {
+			types.PutFloat(dst, o.dstOff, a.sumF[i]/float64(a.cnt[i]))
 		} else {
-			types.PutFloat(dst, off, 0)
+			types.PutFloat(dst, o.dstOff, 0)
 		}
 	case sql.AggCount:
-		if spec.Star {
-			types.PutInt(dst, off, acc.tuples)
+		if o.star {
+			types.PutInt(dst, o.dstOff, a.tuples[g])
 		} else {
-			types.PutInt(dst, off, acc.cnt[idx])
+			types.PutInt(dst, o.dstOff, a.cnt[i])
 		}
 	case sql.AggMin:
-		if argIsFloat {
-			types.PutFloat(dst, off, acc.minF[idx])
+		if o.isFloat {
+			types.PutFloat(dst, o.dstOff, a.minF[i])
 		} else {
-			types.PutInt(dst, off, acc.minI[idx])
+			types.PutInt(dst, o.dstOff, a.minI[i])
 		}
 	case sql.AggMax:
-		if argIsFloat {
-			types.PutFloat(dst, off, acc.maxF[idx])
+		if o.isFloat {
+			types.PutFloat(dst, o.dstOff, a.maxF[i])
 		} else {
-			types.PutInt(dst, off, acc.maxI[idx])
+			types.PutInt(dst, o.dstOff, a.maxI[i])
 		}
 	}
 }
 
-// groupWriter emits a finished group: group-column values come from a
-// representative staged tuple, aggregates from the accumulator.
-func makeGroupWriter(a *plan.Agg, staged *types.Schema, out *storage.Table) func(rep []byte, acc *aggAccum) {
-	outSchema := a.Schema
-	buf := make([]byte, outSchema.TupleSize())
-	type groupCopy struct{ srcOff, dstOff, size int }
-	var copies []groupCopy
-	type aggWrite struct {
-		spec    *plan.AggSpec
-		idx     int
-		dstOff  int
-		isFloat bool
+// GroupProbe is one grouping attribute's value-directory probe, bound to
+// its source tuple and pre-multiplied by its Figure 4 stride.
+type GroupProbe struct {
+	Src    int8
+	Fn     func(t []byte) int32
+	Stride int32
+}
+
+// Locate applies the Figure 4 offset formula: the sum of the directory
+// indexes of t's grouping values times their strides, or -1 when a value
+// is outside its directory (stale statistics; the tuple is skipped).
+func Locate(probes []GroupProbe, t []byte) int32 {
+	var g int32
+	for i := range probes {
+		di := probes[i].Fn(t)
+		if di < 0 {
+			return -1
+		}
+		g += di * probes[i].Stride
 	}
-	var writes []aggWrite
+	return g
+}
+
+// AggProgram is an aggregation descriptor compiled once per plan: the
+// per-tuple updates, the group-emission program, and — under map
+// aggregation — the directory probes and group geometry. It holds no
+// execution state; every method takes the Accum or GroupStream it
+// writes to, so the general walk and the fused pipelines (caller-only
+// and per-worker alike) run the same code over their own state.
+type AggProgram struct {
+	agg     *plan.Agg
+	NAggs   int
+	Updates []AggUpdate
+	outs    []aggOut
+
+	// Sort and hybrid aggregation: the grouping comparator, and the group
+	// columns' copies from a representative staged tuple.
+	sameGroup Compare
+	copies    []CopyRange
+
+	// Map aggregation: one probe per grouping attribute, and the size of
+	// the group space (the product of the directory sizes).
+	Probes  []GroupProbe
+	NGroups int
+}
+
+// CompileAgg compiles the descriptor over the staged schema. at resolves
+// the columns the updates and probes read; nil means the staged tuple
+// itself. The result is nil when a grouping attribute's kind has no
+// directory form.
+func CompileAgg(a *plan.Agg, staged *types.Schema, at ColumnAt) *AggProgram {
+	if at == nil {
+		at = func(col int) (int8, int) { return 0, staged.Offset(col) }
+	}
+	p := &AggProgram{
+		agg:     a,
+		NAggs:   len(a.Aggs),
+		Updates: compileUpdates(a, staged, at),
+		outs:    make([]aggOut, 0, len(a.Aggs)),
+	}
+	mapped := a.Alg == plan.MapAggregation
+	if mapped {
+		// offset(v1..vn) = sum of directory indexes times the product of
+		// later directory sizes.
+		p.Probes = make([]GroupProbe, len(a.GroupCols))
+		p.NGroups = 1
+		for i := len(a.GroupCols) - 1; i >= 0; i-- {
+			c := staged.Column(a.GroupCols[i])
+			src, off := at(a.GroupCols[i])
+			fn := DirProbe(c.Kind, off, c.Size, a.Directories[i])
+			if fn == nil {
+				return nil
+			}
+			p.Probes[i] = GroupProbe{Src: src, Fn: fn, Stride: int32(p.NGroups)}
+			p.NGroups *= len(a.Directories[i])
+		}
+	} else {
+		p.sameGroup = MakeKeyCompare(staged, a.GroupCols)
+		p.copies = make([]CopyRange, 0, len(a.GroupCols))
+	}
 	for pos, ref := range a.Output {
-		dstOff := outSchema.Offset(pos)
 		if ref.IsAgg {
 			spec := &a.Aggs[ref.Index]
-			isFloat := false
-			if spec.Col >= 0 {
-				isFloat = staged.Column(spec.Col).Kind == types.Float
-			}
-			writes = append(writes, aggWrite{spec: spec, idx: ref.Index, dstOff: dstOff, isFloat: isFloat})
-		} else {
+			p.outs = append(p.outs, aggOut{
+				fn: spec.Func, star: spec.Star, idx: ref.Index, dstOff: a.Schema.Offset(pos),
+				isFloat: spec.Col >= 0 && staged.Column(spec.Col).Kind == types.Float,
+			})
+		} else if !mapped {
 			src := a.GroupCols[ref.Index]
-			copies = append(copies, groupCopy{staged.Offset(src), dstOff, staged.Column(src).Size})
+			p.copies = append(p.copies, CopyRange{staged.Offset(src), a.Schema.Offset(pos), staged.Column(src).Size})
 		}
 	}
-	return func(rep []byte, acc *aggAccum) {
-		for _, c := range copies {
-			copy(buf[c.dstOff:c.dstOff+c.size], rep[c.srcOff:c.srcOff+c.size])
-		}
-		for _, w := range writes {
-			aggResult(w.spec, w.idx, acc, buf, w.dstOff, w.isFloat)
-		}
-		out.Append(buf)
+	return p
+}
+
+// emit writes group g's output tuple: group columns from the
+// representative staged tuple, aggregates finalised from the state.
+func (p *AggProgram) emit(acc *Accum, g int, rep, dst []byte) {
+	CopyInto(dst, rep, p.copies)
+	for i := range p.outs {
+		acc.finalise(&p.outs[i], g, dst)
 	}
+}
+
+// EmitMapGroups writes a map aggregation's groups in directory order
+// (which is sorted order — an interesting order for a downstream ORDER
+// BY), skipping empty slots and stopping at limit groups (-1: no limit).
+func (p *AggProgram) EmitMapGroups(acc *Accum, out *storage.Table, limit int) {
+	emitted := 0
+	for g := 0; g < p.NGroups && (limit < 0 || emitted < limit); g++ {
+		if acc.tuples[g] == 0 {
+			continue
+		}
+		// A group column is the directory datum at index g / stride mod
+		// the directory's size.
+		dst := out.AppendSlot()
+		for pos, ref := range p.agg.Output {
+			if !ref.IsAgg {
+				dir := p.agg.Directories[ref.Index]
+				p.agg.Schema.PutDatum(dst, pos, dir[g/int(p.Probes[ref.Index].Stride)%len(dir)])
+			}
+		}
+		p.emit(acc, g, nil, dst)
+		emitted++
+	}
+}
+
+// GroupStream is the state of one pass over group-ordered staged tuples
+// (sort and hybrid aggregation): the open group's accumulator and
+// representative tuple, and the number of groups emitted so far.
+type GroupStream struct {
+	acc Accum
+	rep []byte
+	// open tracks whether a group is in progress; a nil-rep sentinel
+	// would misread zero-width tuples (group-less aggregates), whose
+	// representative is legitimately empty.
+	open   bool
+	groups int
+}
+
+// Reset readies the stream for one execution of p.
+func (gs *GroupStream) Reset(p *AggProgram) {
+	gs.acc.Reset(1, p.NAggs)
+	gs.open, gs.groups = false, 0
+}
+
+// Push feeds one staged tuple, ordered by group, into the stream,
+// emitting the previous group into out when it closes. It returns false
+// once limit groups have been emitted (-1: no limit).
+func (p *AggProgram) Push(gs *GroupStream, t []byte, out *storage.Table, limit int) bool {
+	if gs.open && p.sameGroup(gs.rep, t) != 0 && !p.Flush(gs, out, limit) {
+		return false
+	}
+	if !gs.open {
+		gs.rep = append(gs.rep[:0], t...)
+		gs.open = true
+	}
+	gs.acc.Add(p.Updates, 0, t)
+	return true
+}
+
+// Flush closes the open group, if any: at the end of the input, and at a
+// partition boundary (hash partitioning routes whole groups to one
+// partition, so a group never spans parts). It returns false once limit
+// groups have been emitted.
+func (p *AggProgram) Flush(gs *GroupStream, out *storage.Table, limit int) bool {
+	if gs.open {
+		p.emit(&gs.acc, 0, gs.rep, out.AppendSlot())
+		gs.acc.Reset(1, p.NAggs)
+		gs.open = false
+		gs.groups++
+	}
+	return limit < 0 || gs.groups < limit
 }
 
 // RunSortedAgg evaluates sort or hybrid aggregation over a staged input
@@ -200,36 +396,12 @@ func makeGroupWriter(a *plan.Agg, staged *types.Schema, out *storage.Table) func
 // part, emitting each group as it closes (§V-B).
 func RunSortedAgg(a *plan.Agg, staged *Staged) (*storage.Table, error) {
 	out := storage.NewTable("agg", a.Schema)
-	acc := newAggAccum(len(a.Aggs))
-	update := compileUpdates(a, staged.Schema, acc)
-	write := makeGroupWriter(a, staged.Schema, out)
-	sameGroup := MakeKeyCompare(staged.Schema, a.GroupCols)
-
-	// open tracks whether a group is in progress; a nil-rep sentinel
-	// would misread zero-width tuples (group-less aggregates), whose
-	// representative is legitimately empty.
-	var rep []byte
-	open := false
+	prog := CompileAgg(a, staged.Schema, nil)
+	var gs GroupStream
+	gs.Reset(prog)
 	for _, part := range staged.Parts {
-		part.Scan(func(t []byte) bool {
-			if !open {
-				rep = append(rep[:0], t...)
-				open = true
-			} else if sameGroup(rep, t) != 0 {
-				write(rep, acc)
-				acc.reset()
-				rep = append(rep[:0], t...)
-			}
-			update(t)
-			return true
-		})
-		// Hash partitioning routes whole groups to one partition, so a
-		// group never spans parts: close the open group at part end.
-		if open {
-			write(rep, acc)
-			acc.reset()
-			open = false
-		}
+		part.Scan(func(t []byte) bool { return prog.Push(&gs, t, out, -1) })
+		prog.Flush(&gs, out, -1)
 	}
 	return out, nil
 }
@@ -243,100 +415,16 @@ func RunMapAgg(a *plan.Agg, input *storage.Table) (*storage.Table, error) {
 		return nil, fmt.Errorf("core: map aggregation needs one directory per grouping attribute")
 	}
 	st := &a.Input
+	prog := CompileAgg(a, st.Schema, nil)
+	if prog == nil {
+		return nil, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
+	}
 	inSchema := input.Schema()
 	filter := MakeFilter(inSchema, st.Filters)
 	project := MakeProjector(inSchema, st.Cols, st.Schema)
-	staged := st.Schema
-	buf := make([]byte, staged.TupleSize())
-
-	// Build typed directories and strides: offset(v1..vn) = sum of
-	// directory indexes times the product of later directory sizes.
-	nGroups := 1
-	lookups := make([]func(t []byte) int, len(a.GroupCols))
-	for i, gc := range a.GroupCols {
-		dir := a.Directories[i]
-		nGroups *= len(dir)
-		lookups[i] = makeDirectoryLookup(staged, gc, dir)
-	}
-	strides := make([]int, len(a.GroupCols))
-	s := 1
-	for i := len(a.GroupCols) - 1; i >= 0; i-- {
-		strides[i] = s
-		s *= len(a.Directories[i])
-	}
-
-	// One flat array per aggregate function (paper Fig. 4), plus a tuple
-	// counter per group that doubles as the presence marker.
-	nAggs := len(a.Aggs)
-	sumI := make([]int64, nGroups*nAggs)
-	sumF := make([]float64, nGroups*nAggs)
-	cnt := make([]int64, nGroups*nAggs)
-	minI := make([]int64, nGroups*nAggs)
-	maxI := make([]int64, nGroups*nAggs)
-	minF := make([]float64, nGroups*nAggs)
-	maxF := make([]float64, nGroups*nAggs)
-	for i := range minI {
-		minI[i], maxI[i] = math.MaxInt64, math.MinInt64
-		minF[i], maxF[i] = math.Inf(1), math.Inf(-1)
-	}
-	tuples := make([]int64, nGroups)
-
-	// Compile the per-tuple update over the flat arrays.
-	type update func(t []byte, base int)
-	var ups []update
-	for i := range a.Aggs {
-		spec := &a.Aggs[i]
-		idx := i
-		if spec.Star {
-			continue
-		}
-		off := staged.Offset(spec.Col)
-		isFloat := staged.Column(spec.Col).Kind == types.Float
-		switch spec.Func {
-		case sql.AggSum:
-			if isFloat {
-				ups = append(ups, func(t []byte, base int) { sumF[base+idx] += types.GetFloat(t, off) })
-			} else {
-				ups = append(ups, func(t []byte, base int) { sumI[base+idx] += types.GetInt(t, off) })
-			}
-		case sql.AggAvg:
-			if isFloat {
-				ups = append(ups, func(t []byte, base int) { sumF[base+idx] += types.GetFloat(t, off); cnt[base+idx]++ })
-			} else {
-				ups = append(ups, func(t []byte, base int) { sumF[base+idx] += float64(types.GetInt(t, off)); cnt[base+idx]++ })
-			}
-		case sql.AggCount:
-			ups = append(ups, func(t []byte, base int) { cnt[base+idx]++ })
-		case sql.AggMin:
-			if isFloat {
-				ups = append(ups, func(t []byte, base int) {
-					if v := types.GetFloat(t, off); v < minF[base+idx] {
-						minF[base+idx] = v
-					}
-				})
-			} else {
-				ups = append(ups, func(t []byte, base int) {
-					if v := types.GetInt(t, off); v < minI[base+idx] {
-						minI[base+idx] = v
-					}
-				})
-			}
-		case sql.AggMax:
-			if isFloat {
-				ups = append(ups, func(t []byte, base int) {
-					if v := types.GetFloat(t, off); v > maxF[base+idx] {
-						maxF[base+idx] = v
-					}
-				})
-			} else {
-				ups = append(ups, func(t []byte, base int) {
-					if v := types.GetInt(t, off); v > maxI[base+idx] {
-						maxI[base+idx] = v
-					}
-				})
-			}
-		}
-	}
+	buf := make([]byte, st.Schema.TupleSize())
+	var acc Accum
+	acc.Reset(prog.NGroups, prog.NAggs)
 
 	// The single scan: filter, project (computing aggregate arguments),
 	// locate the group slot, update the arrays.
@@ -345,104 +433,43 @@ func RunMapAgg(a *plan.Agg, input *storage.Table) (*storage.Table, error) {
 			return true
 		}
 		project(raw, buf)
-		g := 0
-		for i, lk := range lookups {
-			di := lk(buf)
-			if di < 0 {
-				return true // value outside directory: stale stats; skip
-			}
-			g += di * strides[i]
-		}
-		tuples[g]++
-		base := g * nAggs
-		for _, u := range ups {
-			u(buf, base)
+		if g := Locate(prog.Probes, buf); g >= 0 {
+			acc.Add(prog.Updates, int(g), buf)
 		}
 		return true
 	})
-
-	// Emit groups in directory order (which is sorted order, a useful
-	// interesting order for downstream ORDER BY).
 	out := storage.NewTable("agg", a.Schema)
-	outBuf := make([]byte, a.Schema.TupleSize())
-	idxs := make([]int, len(a.GroupCols))
-	for g := 0; g < nGroups; g++ {
-		if tuples[g] == 0 {
-			continue
-		}
-		rem := g
-		for i := range idxs {
-			idxs[i] = rem / strides[i]
-			rem %= strides[i]
-		}
-		base := g * nAggs
-		for pos, ref := range a.Output {
-			dstOff := a.Schema.Offset(pos)
-			if !ref.IsAgg {
-				d := a.Directories[ref.Index][idxs[ref.Index]]
-				col := a.Schema.Column(pos)
-				switch col.Kind {
-				case types.Int, types.Date:
-					types.PutInt(outBuf, dstOff, d.I)
-				case types.Float:
-					types.PutFloat(outBuf, dstOff, d.F)
-				case types.String:
-					types.PutString(outBuf, dstOff, col.Size, d.S)
-				}
-				continue
-			}
-			spec := &a.Aggs[ref.Index]
-			i := base + ref.Index
-			switch spec.Func {
-			case sql.AggSum:
-				if spec.Col >= 0 && staged.Column(spec.Col).Kind == types.Float {
-					types.PutFloat(outBuf, dstOff, sumF[i])
-				} else {
-					types.PutInt(outBuf, dstOff, sumI[i])
-				}
-			case sql.AggAvg:
-				if cnt[i] > 0 {
-					types.PutFloat(outBuf, dstOff, sumF[i]/float64(cnt[i]))
-				} else {
-					types.PutFloat(outBuf, dstOff, 0)
-				}
-			case sql.AggCount:
-				if spec.Star {
-					types.PutInt(outBuf, dstOff, tuples[g])
-				} else {
-					types.PutInt(outBuf, dstOff, cnt[i])
-				}
-			case sql.AggMin:
-				if spec.Col >= 0 && staged.Column(spec.Col).Kind == types.Float {
-					types.PutFloat(outBuf, dstOff, minF[i])
-				} else {
-					types.PutInt(outBuf, dstOff, minI[i])
-				}
-			case sql.AggMax:
-				if spec.Col >= 0 && staged.Column(spec.Col).Kind == types.Float {
-					types.PutFloat(outBuf, dstOff, maxF[i])
-				} else {
-					types.PutInt(outBuf, dstOff, maxI[i])
-				}
-			}
-		}
-		out.Append(outBuf)
-	}
+	prog.EmitMapGroups(&acc, out, -1)
 	return out, nil
 }
 
-// makeDirectoryLookup compiles a binary-search lookup into a sorted value
-// directory (the paper's value-partition map, §V-B).
-func makeDirectoryLookup(schema *types.Schema, col int, dir []types.Datum) func(t []byte) int {
-	c := schema.Column(col)
-	off := schema.Offset(col)
-	switch c.Kind {
+// DirProbe compiles the lookup of the key at off in a tuple against a
+// sorted, distinct value directory (the paper's value-partition map,
+// §V-B): the key's directory index, or -1 when it is absent — a fine
+// partition route drops such a tuple (it cannot join), map aggregation
+// skips it. An empty directory routes everything to -1. The result is
+// nil when the kind has no directory form.
+func DirProbe(kind types.Kind, off, size int, dir []types.Datum) func(t []byte) int32 {
+	switch kind {
 	case types.Int, types.Date:
 		vals := make([]int64, len(dir))
 		for i, d := range dir {
 			vals[i] = d.I
 		}
-		return func(t []byte) int {
+		// Dense contiguous domains (surrogate keys) probe by offset; the
+		// directory is sorted and distinct, so span == n-1 proves it, and
+		// the offset is the index the search would find.
+		if n := len(vals); n > 0 && vals[n-1]-vals[0] == int64(n-1) {
+			lo, hi := vals[0], int64(n)
+			return func(t []byte) int32 {
+				v := types.GetInt(t, off) - lo
+				if v < 0 || v >= hi {
+					return -1
+				}
+				return int32(v)
+			}
+		}
+		return func(t []byte) int32 {
 			v := types.GetInt(t, off)
 			lo, hi := 0, len(vals)
 			for lo < hi {
@@ -454,7 +481,7 @@ func makeDirectoryLookup(schema *types.Schema, col int, dir []types.Datum) func(
 				}
 			}
 			if lo < len(vals) && vals[lo] == v {
-				return lo
+				return int32(lo)
 			}
 			return -1
 		}
@@ -463,8 +490,7 @@ func makeDirectoryLookup(schema *types.Schema, col int, dir []types.Datum) func(
 		for i, d := range dir {
 			vals[i] = d.S
 		}
-		size := c.Size
-		return func(t []byte) int {
+		return func(t []byte) int32 {
 			v := types.GetString(t, off, size)
 			lo, hi := 0, len(vals)
 			for lo < hi {
@@ -476,10 +502,10 @@ func makeDirectoryLookup(schema *types.Schema, col int, dir []types.Datum) func(
 				}
 			}
 			if lo < len(vals) && vals[lo] == v {
-				return lo
+				return int32(lo)
 			}
 			return -1
 		}
 	}
-	panic(fmt.Sprintf("core.makeDirectoryLookup: unsupported kind %v", c.Kind))
+	return nil
 }

@@ -525,3 +525,24 @@ func TestEmptyInputs(t *testing.T) {
 		t.Errorf("empty aggregation rows = %d", out.NumRows())
 	}
 }
+
+// A fine stage the planner gave no directory is a plan defect and must
+// fail; an empty directory (disjoint join domains) is zero partitions
+// with every tuple dropped.
+func TestFineRouterNilVersusEmptyDirectory(t *testing.T) {
+	schema := types.NewSchema(types.Col("k", types.Int))
+	st := &plan.Stage{Action: plan.StagePartitionFine, Schema: schema}
+	if _, _, err := stageRouter(st); err == nil {
+		t.Error("nil value directory: want an error")
+	}
+	st.FineValues = []types.Datum{}
+	route, n, err := stageRouter(st)
+	if err != nil || n != 0 {
+		t.Fatalf("empty value directory: partitions = %d, err = %v", n, err)
+	}
+	tuple := make([]byte, schema.TupleSize())
+	types.PutInt(tuple, 0, 3)
+	if p := route(tuple); p != -1 {
+		t.Errorf("empty value directory routed a tuple to %d", p)
+	}
+}

@@ -7,50 +7,63 @@ import (
 	"hique/internal/storage"
 )
 
+// CopyRange is one coalesced byte-range copy from a staged input tuple
+// into an assembled output tuple (the inlined add_to_result of the
+// paper's Listing 2).
+type CopyRange struct{ SrcOff, DstOff, Size int }
+
+// AppendCopy adds r to specs, extending the last range instead when r
+// continues it on both the source and the destination side.
+func AppendCopy(specs []CopyRange, r CopyRange) []CopyRange {
+	if n := len(specs); n > 0 {
+		last := &specs[n-1]
+		if last.SrcOff+last.Size == r.SrcOff && last.DstOff+last.Size == r.DstOff {
+			last.Size += r.Size
+			return specs
+		}
+	}
+	return append(specs, r)
+}
+
+// CopyInto applies specs: each range copies from src into dst.
+func CopyInto(dst, src []byte, specs []CopyRange) {
+	for _, c := range specs {
+		copy(dst[c.DstOff:c.DstOff+c.Size], src[c.SrcOff:c.SrcOff+c.Size])
+	}
+}
+
+// JoinCopies compiles the join's output mapping into per-input copy
+// ranges from the staged tuples into the join tuple.
+func JoinCopies(j *plan.Join) [][]CopyRange {
+	specs := make([][]CopyRange, len(j.Inputs))
+	for pos, o := range j.Out {
+		src := j.Inputs[o.Input].Schema
+		specs[o.Input] = AppendCopy(specs[o.Input],
+			CopyRange{src.Offset(o.Col), j.Schema.Offset(pos), src.Column(o.Col).Size})
+	}
+	return specs
+}
+
 // rowBuilder assembles join output tuples from the current tuple of each
-// input, with all offsets pre-resolved (the inlined add_to_result of
-// Listing 2).
+// input, with all offsets pre-resolved.
 type rowBuilder struct {
 	out   *storage.Table
 	buf   []byte
-	specs [][]copyRange // per input: coalesced copy ranges
+	specs [][]CopyRange // per input
 }
 
-type copyRange struct{ srcOff, dstOff, size int }
-
 func newRowBuilder(j *plan.Join) *rowBuilder {
-	rb := &rowBuilder{
+	return &rowBuilder{
 		out:   storage.NewTable("joined", j.Schema),
 		buf:   make([]byte, j.Schema.TupleSize()),
-		specs: make([][]copyRange, len(j.Inputs)),
+		specs: JoinCopies(j),
 	}
-	for pos, o := range j.Out {
-		src := j.Inputs[o.Input].Schema
-		r := copyRange{
-			srcOff: src.Offset(o.Col),
-			dstOff: j.Schema.Offset(pos),
-			size:   src.Column(o.Col).Size,
-		}
-		specs := rb.specs[o.Input]
-		if n := len(specs); n > 0 {
-			last := &specs[n-1]
-			if last.srcOff+last.size == r.srcOff && last.dstOff+last.size == r.dstOff {
-				last.size += r.size
-				continue
-			}
-		}
-		rb.specs[o.Input] = append(specs, r)
-	}
-	return rb
 }
 
 // emit writes one output tuple built from the given per-input tuples.
 func (rb *rowBuilder) emit(tuples [][]byte) {
 	for i, specs := range rb.specs {
-		t := tuples[i]
-		for _, c := range specs {
-			copy(rb.buf[c.dstOff:c.dstOff+c.size], t[c.srcOff:c.srcOff+c.size])
-		}
+		CopyInto(rb.buf, tuples[i], specs)
 	}
 	rb.out.Append(rb.buf)
 }

@@ -92,34 +92,11 @@ func RunStage(st *plan.Stage, input *storage.Table) (*Staged, error) {
 		}
 		return staged, nil
 
-	case plan.StagePartitionFine:
-		router, parts, err := fineRouter(st)
+	case plan.StagePartitionFine, plan.StagePartitionCoarse:
+		router, m, err := stageRouter(st)
 		if err != nil {
 			return nil, err
 		}
-		buf := make([]byte, width)
-		input.Scan(func(tuple []byte) bool {
-			if filter != nil && !filter(tuple) {
-				return true
-			}
-			project(tuple, buf)
-			if p := router(buf); p >= 0 {
-				parts[p].Append(buf)
-			}
-			return true
-		})
-		staged := &Staged{Parts: parts, Schema: st.Schema, Owned: true}
-		if st.SortPartitions {
-			sortParts(staged, st.SortKeys)
-		}
-		return staged, nil
-
-	case plan.StagePartitionCoarse:
-		m := st.Partitions
-		if m <= 0 {
-			return nil, fmt.Errorf("core: coarse partitioning with %d partitions", m)
-		}
-		router := coarseRouter(st.Schema, st.PartitionKey, m)
 		parts := make([]*storage.Table, m)
 		for i := range parts {
 			parts[i] = storage.NewPooledTable(fmt.Sprintf("part%d", i), st.Schema)
@@ -130,7 +107,9 @@ func RunStage(st *plan.Stage, input *storage.Table) (*Staged, error) {
 				return true
 			}
 			project(tuple, buf)
-			parts[router(buf)].Append(buf)
+			if p := router(buf); p >= 0 {
+				parts[p].Append(buf)
+			}
 			return true
 		})
 		staged := &Staged{Parts: parts, Schema: st.Schema, Owned: true}
@@ -153,96 +132,50 @@ func sortParts(s *Staged, keys []int) {
 	s.Sorted = true
 }
 
-// fineRouter maps a staged tuple to its value partition through a sorted
-// value directory with binary search (§V-B, fine-grained partitioning).
-// Tuples whose key is absent from the directory route to -1 and are
-// dropped: they cannot join with anything on the other side.
-func fineRouter(st *plan.Stage) (func(tuple []byte) int, []*storage.Table, error) {
-	if len(st.FineValues) == 0 {
-		return nil, nil, fmt.Errorf("core: fine partitioning without a value directory")
+// stageRouter compiles a partitioning stage's route and partition count:
+// the hash route for coarse partitions; for fine ones the probe of the
+// stage's value directory, one partition per directory value. A tuple
+// whose key is absent from the directory routes to -1 and is dropped: it
+// cannot join with anything on the other side. The directory is empty —
+// zero partitions, every tuple dropped — when the join inputs' key
+// domains are disjoint; it is nil only when the planner chose fine
+// partitioning over a key domain the catalogue never tracked.
+func stageRouter(st *plan.Stage) (func(tuple []byte) int32, int, error) {
+	if st.Action == plan.StagePartitionCoarse {
+		if st.Partitions <= 0 {
+			return nil, 0, fmt.Errorf("core: coarse partitioning with %d partitions", st.Partitions)
+		}
+		return CoarseRouter(st.Schema, st.PartitionKey, st.Partitions), st.Partitions, nil
 	}
-	parts := make([]*storage.Table, len(st.FineValues))
-	for i := range parts {
-		parts[i] = storage.NewPooledTable(fmt.Sprintf("part%d", i), st.Schema)
+	if st.FineValues == nil {
+		return nil, 0, fmt.Errorf("core: fine partitioning without a value directory")
 	}
 	col := st.Schema.Column(st.PartitionKey)
-	off := st.Schema.Offset(st.PartitionKey)
-	switch col.Kind {
-	case types.Int, types.Date:
-		dir := make([]int64, len(st.FineValues))
-		for i, d := range st.FineValues {
-			dir[i] = d.I
-		}
-		return func(t []byte) int {
-			v := types.GetInt(t, off)
-			lo, hi := 0, len(dir)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if dir[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(dir) && dir[lo] == v {
-				return lo
-			}
-			return -1
-		}, parts, nil
-	case types.String:
-		dir := make([]string, len(st.FineValues))
-		for i, d := range st.FineValues {
-			dir[i] = d.S
-		}
-		size := col.Size
-		return func(t []byte) int {
-			v := types.GetString(t, off, size)
-			lo, hi := 0, len(dir)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if dir[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(dir) && dir[lo] == v {
-				return lo
-			}
-			return -1
-		}, parts, nil
+	router := DirProbe(col.Kind, st.Schema.Offset(st.PartitionKey), col.Size, st.FineValues)
+	if router == nil {
+		return nil, 0, fmt.Errorf("core: fine partitioning on %v column", col.Kind)
 	}
-	return nil, nil, fmt.Errorf("core: fine partitioning on %v column", col.Kind)
+	return router, len(st.FineValues), nil
 }
 
-// coarseRouter maps a tuple to one of m partitions by hash-and-modulo
+// CoarseRouter maps a tuple to one of m partitions by hash-and-modulo
 // (§V-B, coarse-grained partitioning). m must be a power of two. A
 // group-less aggregate stages an empty tuple with no partitioning key;
-// everything routes to partition 0.
-func coarseRouter(schema *types.Schema, key, m int) func(tuple []byte) int {
-	if key >= schema.NumColumns() {
-		return func([]byte) int { return 0 }
+// it, and a single partition, route everything to partition 0 without
+// hashing.
+func CoarseRouter(schema *types.Schema, key, m int) func(tuple []byte) int32 {
+	if key >= schema.NumColumns() || m <= 1 {
+		return func([]byte) int32 { return 0 }
 	}
 	col := schema.Column(key)
 	off := schema.Offset(key)
 	mask := uint64(m - 1)
-	switch col.Kind {
-	case types.Int, types.Date:
-		return func(t []byte) int {
-			return int(HashInt(types.GetInt(t, off)) & mask)
-		}
-	case types.Float:
-		return func(t []byte) int {
-			// Hash the raw bits; equal floats have equal bits.
-			return int(HashInt(types.GetInt(t, off)) & mask)
-		}
-	case types.String:
+	if col.Kind == types.String {
 		end := off + col.Size
-		return func(t []byte) int {
-			return int(HashBytes(t[off:end]) & mask)
-		}
+		return func(t []byte) int32 { return int32(HashBytes(t[off:end]) & mask) }
 	}
-	panic("core.coarseRouter: bad kind")
+	// Int, Date, and Float (raw bits; equal floats have equal bits).
+	return func(t []byte) int32 { return int32(HashInt(types.GetInt(t, off)) & mask) }
 }
 
 // HashInt is a Fibonacci multiplicative hash over a 64-bit key.

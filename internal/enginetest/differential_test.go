@@ -56,9 +56,10 @@ func engines() []engine {
 
 // fixture builds a three-table schema exercising every algorithm:
 //
-//	ev(id INT, k INT, grp INT, price FLOAT, tag CHAR(4), day DATE)
+//	ev(id INT, k INT, grp INT, price FLOAT, tag CHAR(4), day DATE, amt FLOAT)
 //	dm(k2 INT, bucket INT)
 //	xt(k3 INT, weight FLOAT)
+//	da(ka INT, v INT), db(kb INT, w INT)   disjoint key domains
 func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 	cat := catalog.New()
 	rng := rand.New(rand.NewSource(seed))
@@ -67,7 +68,8 @@ func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 	ev := storage.NewTable("ev", types.NewSchema(
 		types.Col("id", types.Int), types.Col("k", types.Int),
 		types.Col("grp", types.Int), types.Col("price", types.Float),
-		types.CharCol("tag", 4), types.Col("day", types.Date)))
+		types.CharCol("tag", 4), types.Col("day", types.Date),
+		types.Col("amt", types.Float)))
 	for i := 0; i < nEv; i++ {
 		ev.AppendRow(
 			types.IntDatum(int64(i)),
@@ -75,7 +77,10 @@ func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 			types.IntDatum(int64(rng.Intn(13))),
 			types.FloatDatum(float64(rng.Intn(10000))/100),
 			types.StringDatum(tags[rng.Intn(len(tags))]),
-			types.DateDatum(int64(10000+rng.Intn(300))))
+			types.DateDatum(int64(10000+rng.Intn(300))),
+			// Eighths sum exactly in any order, so SUM and AVG over amt
+			// compare bit for bit between engines and morsel merges.
+			types.FloatDatum(float64(i%1009)/8))
 	}
 	cat.Register(ev)
 
@@ -92,6 +97,19 @@ func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 		xt.AppendRow(types.IntDatum(int64(rng.Intn(nDm))), types.FloatDatum(float64(i)))
 	}
 	cat.Register(xt)
+
+	// da and db share no key value: their fine-partition join reconciles
+	// to an empty value directory.
+	da := storage.NewTable("da", types.NewSchema(
+		types.Col("ka", types.Int), types.Col("v", types.Int)))
+	db := storage.NewTable("db", types.NewSchema(
+		types.Col("kb", types.Int), types.Col("w", types.Int)))
+	for i := 0; i < 2000; i++ {
+		da.AppendRow(types.IntDatum(int64(i%5)), types.IntDatum(int64(i)))
+		db.AppendRow(types.IntDatum(int64(10+i%5)), types.IntDatum(int64(i)))
+	}
+	cat.Register(da)
+	cat.Register(db)
 	return cat
 }
 
@@ -145,6 +163,47 @@ var corpus = []string{
 	"SELECT SUM(price * price) AS s FROM ev WHERE day >= 10010 AND day < 10200 AND price BETWEEN 10.0 AND 70.0",
 	// Integer arithmetic in projections.
 	"SELECT id, grp + 1 AS g1, id - grp AS d FROM ev WHERE id < 500 ORDER BY id",
+	// A join whose inputs' key domains are disjoint: an empty fine
+	// value directory, no rows, no error.
+	"SELECT da.v, db.w FROM da, db WHERE da.ka = db.kb",
+	"SELECT da.ka, COUNT(*) AS n, SUM(db.w) AS s FROM da, db WHERE da.ka = db.kb GROUP BY da.ka",
+	// COUNT is the one aggregate a CHAR argument may feed.
+	"SELECT grp, COUNT(tag) AS n FROM ev GROUP BY grp ORDER BY grp",
+}
+
+// The aggregate matrix the shared accumulator (core.AggProgram) carries
+// for every engine path: each function over an Int, a Float and a Date
+// argument, group-less and under one and two grouping columns, on a base
+// table and as the tail of a join (grouping columns from both sides), and
+// once more over an empty selection.
+func init() {
+	for _, from := range []struct{ tables, and, g1, g2 string }{
+		{"ev", " WHERE ", "grp", "grp, tag"},
+		{"ev, dm WHERE ev.k = dm.k2", " AND ", "bucket", "bucket, tag"},
+	} {
+		for _, groups := range []string{"", from.g1, from.g2} {
+			sel, tail := "SELECT ", ""
+			if groups != "" {
+				sel, tail = "SELECT "+groups+", ", " GROUP BY "+groups
+			}
+			for _, arg := range []string{"id", "amt", "day"} {
+				corpus = append(corpus, fmt.Sprintf(
+					"%sSUM(%[2]s), AVG(%[2]s), MIN(%[2]s), MAX(%[2]s), COUNT(%[2]s), COUNT(*) FROM %s%s",
+					sel, arg, from.tables, tail))
+			}
+			corpus = append(corpus, sel+
+				"SUM(id), AVG(amt), MIN(day), MAX(amt), COUNT(day), COUNT(*) FROM "+
+				from.tables+from.and+"id < 0"+tail)
+		}
+	}
+}
+
+// rejected holds statements plan.Build must refuse whatever engine would
+// have run them: the accumulators have integer and float lanes only.
+var rejected = []string{
+	"SELECT grp, MIN(tag), MAX(tag) FROM ev GROUP BY grp",
+	"SELECT SUM(tag) FROM ev",
+	"SELECT bucket, AVG(tag) FROM ev, dm WHERE ev.k = dm.k2 GROUP BY bucket",
 }
 
 // canonical renders a result as a sorted multiset of row strings.
@@ -172,6 +231,16 @@ func canonical(t *storage.Table, ordered bool) []string {
 
 func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 	t.Helper()
+	for _, q := range rejected {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		_, err = plan.BuildWithOptions(stmt, cat, opts)
+		if err == nil || !strings.Contains(err.Error(), "over CHAR argument tag") {
+			t.Errorf("plan %q: want a CHAR-argument plan error, got %v", q, err)
+		}
+	}
 	for _, q := range corpus {
 		stmt, err := sql.Parse(q)
 		if err != nil {
@@ -213,6 +282,11 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 func TestAllEnginesAgreeDefaultPlans(t *testing.T) {
 	cat := fixture(7, 5000, 200, 800)
 	runCorpus(t, cat, plan.DefaultOptions())
+	// And with the -O2 engine on the general walk for the plans its fused
+	// pipelines would otherwise claim.
+	codegen.SetFusion(false)
+	defer codegen.SetFusion(true)
+	runCorpus(t, cat, plan.DefaultOptions())
 }
 
 func TestAllEnginesAgreeForcedMerge(t *testing.T) {
@@ -233,7 +307,7 @@ func TestAllEnginesAgreeForcedHybrid(t *testing.T) {
 
 func TestAllEnginesAgreeForcedAggAlgorithms(t *testing.T) {
 	cat := fixture(10, 4000, 100, 200)
-	for _, alg := range []plan.AggAlgorithm{plan.SortAggregation, plan.HybridAggregation} {
+	for _, alg := range []plan.AggAlgorithm{plan.SortAggregation, plan.HybridAggregation, plan.MapAggregation} {
 		opts := plan.DefaultOptions()
 		opts.ForceAggAlg = &alg
 		runCorpus(t, cat, opts)

@@ -993,7 +993,10 @@ func reconcilePartitions(j *Join) {
 // reconcileFineDirectories gives every fine-partitioned input the same
 // value directory: the intersection of the per-input directories. Keys
 // outside the intersection cannot produce join matches, so dropping them
-// during staging is both correct and a free semi-join reduction.
+// during staging is both correct and a free semi-join reduction. Inputs
+// whose key domain the catalogue did not track (a nil directory) do not
+// narrow it. Disjoint domains intersect to an empty, non-nil directory:
+// the executors tell "no row can join" from "no directory was planned".
 func reconcileFineDirectories(j *Join) {
 	if j.Alg != FinePartitionJoin {
 		return
@@ -1001,14 +1004,14 @@ func reconcileFineDirectories(j *Join) {
 	var common []types.Datum
 	for i := range j.Inputs {
 		fv := j.Inputs[i].FineValues
-		if len(fv) == 0 {
+		if fv == nil {
 			continue
 		}
 		if common == nil {
 			common = fv
 			continue
 		}
-		var next []types.Datum
+		next := []types.Datum{}
 		a, c := 0, 0
 		for a < len(common) && c < len(fv) {
 			switch cmp := types.Compare(common[a], fv[c]); {

@@ -218,7 +218,7 @@ type Join struct {
 // FusionEligible reports whether the join's shape allows the holistic
 // fused pipeline: a binary join over two base-table inputs whose staging
 // matches the algorithm (sorted inputs for merge join, coarse partitions
-// for the hybrid hash-sort-merge join, a non-empty value directory for
+// for the hybrid hash-sort-merge join, a value directory for
 // the fine-partition join) and whose staged columns are all direct
 // copies. Filters and index specs on the inputs may carry parameter
 // slots — including on the join-key columns themselves — since the fused
@@ -245,9 +245,9 @@ func (j *Join) FusionEligible() bool {
 				return false
 			}
 		case FinePartitionJoin:
-			// An empty value directory is a plan-level error the general
-			// path reports; decline so the message stays identical.
-			if st.Action != StagePartitionFine || len(st.FineValues) == 0 {
+			// A missing directory (nil, as opposed to an empty one) is a
+			// plan-level error the general path reports.
+			if st.Action != StagePartitionFine || st.FineValues == nil {
 				return false
 			}
 		default:

@@ -183,6 +183,11 @@ func (b *builder) planAggregation(rel *relation) error {
 				if err != nil {
 					return err
 				}
+				// The accumulators have integer and float lanes only; a
+				// CHAR argument would be read as its first eight bytes.
+				if e.Func != sql.AggCount && bound.Kind() == types.String {
+					return fmt.Errorf("plan: %s over CHAR argument %s is not supported (aggregate arguments are INT, FLOAT or DATE; COUNT takes any)", e.Func, e.Arg)
+				}
 				// Reuse a staged column if the same source column
 				// is already staged; otherwise add one.
 				spec.Col = b.stageAggArg(st, bound)
