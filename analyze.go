@@ -32,10 +32,16 @@ type ParallelStats struct {
 }
 
 // AnalyzeResult is the outcome of DB.ExplainAnalyze: the optimizer's
-// plan, the per-stage execution statistics, and the totals of the actual
-// run that produced them. Parallel is empty for serial executions.
+// plan, the execution path and worker target the artefact compiled to,
+// the per-stage execution statistics, and the totals of the actual run
+// that produced them. Path is "fused", "fused-chain" or "general"
+// (always "general" on the interpreted engines); Workers is the
+// compiled worker target of the widest phase, Parallel the phases that
+// actually ran on more than the caller (empty for serial executions).
 type AnalyzeResult struct {
 	Engine   string          `json:"engine"`
+	Path     string          `json:"path"`
+	Workers  int             `json:"workers"`
 	Plan     string          `json:"plan"`
 	Stages   []StageStats    `json:"stages"`
 	Parallel []ParallelStats `json:"parallel,omitempty"`
@@ -50,7 +56,7 @@ func (a *AnalyzeResult) String() string {
 	if !strings.HasSuffix(a.Plan, "\n") {
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "engine: %s\n", a.Engine)
+	fmt.Fprintf(&b, "engine: %s  path: %s  workers: %d\n", a.Engine, a.Path, a.Workers)
 	for _, s := range a.Stages {
 		fmt.Fprintf(&b, "%-18s rows_in=%-10d rows_out=%-10d elapsed=%s\n",
 			s.Name, s.RowsIn, s.RowsOut, time.Duration(s.ElapsedUs)*time.Microsecond)
@@ -69,7 +75,10 @@ func (a *AnalyzeResult) String() string {
 // result is drained to count rows), on the engine currently selected —
 // holistic engines compile a dedicated traced pipeline, so cached
 // serving pipelines never carry trace branches and pay nothing when
-// tracing is not requested.
+// tracing is not requested. The text is shaped exactly as Query shapes
+// it (literals lifted into bind slots when the plan cache is on), so the
+// plan, path and worker target reported are the serving artefact's, not
+// those of a literal-specialised sibling.
 func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err error) {
 	defer db.met.noteQuery(&err)
 	defer containPanic(&err)
@@ -81,21 +90,35 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 	// The serving path for holistic engines is the codegen pipeline;
 	// prepare compiles a fresh artefact against the traced plan so fused
 	// loops bake their trace hooks in (codegen.fusedQuery.traced).
-	art, unlock, err := db.prepare(query, db.engineChoice(), true, tr)
+	ec := db.engineChoice()
+	_, compiled := cacheLevel(ec.engine)
+	shaped := db.cache != nil && compiled
+	if shaped {
+		if err := sc.shape.Shape(query); err != nil {
+			return nil, err
+		}
+		query = string(sc.shape.Out)
+	}
+	art, unlock, err := db.prepare(query, ec, true, tr)
 	if err != nil {
 		return nil, err
 	}
 	planText := art.plan.Explain()
 	var dst Result
-	if _, err := db.lease(&dst, art, unlock, sc, false, args); err != nil {
+	if _, err := db.lease(&dst, art, unlock, sc, shaped, args); err != nil {
 		return nil, err
 	}
 	out := &AnalyzeResult{
 		Engine:  art.exec.Name(),
+		Path:    "general",
+		Workers: 1,
 		Plan:    planText,
 		Stages:  make([]StageStats, len(tr.Stages)),
 		Rows:    len(dst.Rows),
 		Elapsed: dst.Elapsed,
+	}
+	if art.cq != nil {
+		out.Path, out.Workers = art.cq.Path, art.cq.Workers
 	}
 	for i, s := range tr.Stages {
 		out.Stages[i] = StageStats{

@@ -181,6 +181,7 @@ func TestParallelPhasePanicIsContained(t *testing.T) {
 	}
 	for _, c := range []struct{ name, q string }{
 		{"scan", "SELECT id FROM f WHERE grp <> 3"},
+		{"scan-agg", "SELECT grp, COUNT(*) AS n, SUM(id) AS s FROM f WHERE id >= 0 GROUP BY grp"},
 		{"join-agg", "SELECT d.w, COUNT(*) AS n FROM f, d WHERE f.grp = d.id GROUP BY d.w"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -71,6 +71,11 @@ type CompiledQuery struct {
 	// pipeline, no staged intermediates) rather than the general operator
 	// walk — the execution-path axis of the serving metrics.
 	Fused bool
+	// Path names that strategy — "fused", "fused-chain" (core-run prefix
+	// joins feeding a fused final join) or "general" — and Workers is the
+	// worker target of its widest phase (1: every loop runs on the caller).
+	Path    string
+	Workers int
 
 	run func(params []types.Datum) (*storage.Table, error)
 
@@ -83,34 +88,30 @@ type CompiledQuery struct {
 // of the same instantiation never executes, so it is not produced here;
 // EnsureSource emits and syntax-checks it on first request.
 func Generate(p *plan.Plan, level OptLevel) (*CompiledQuery, error) {
-	q := &CompiledQuery{Plan: p, Level: level}
+	q := &CompiledQuery{Plan: p, Level: level, Path: "general", Workers: 1}
 	start := time.Now()
 	switch level {
 	case OptO2:
 		// Fused fast paths: single-table plans compile to one pipeline
 		// that probes/scans, filters, and projects straight into the
-		// result table; two-table equi-join plans (with optional GROUP BY
-		// aggregation, ORDER BY, and LIMIT) compile to one fused
-		// probe→join→filter→aggregate→emit loop. Both read parameters
-		// from the bind vector without an execution copy of the plan.
+		// result table or the aggregation tail; two-table equi-join plans
+		// (with optional GROUP BY aggregation, ORDER BY, and LIMIT)
+		// compile to one fused probe→join→filter→aggregate→emit loop.
+		// Both read parameters from the bind vector without an execution
+		// copy of the plan.
 		if !fusionDisabled.Load() {
 			if f := newFused(p); f != nil {
-				q.run = f.run
-				q.Fused = true
-				break
+				q.run, q.Path, q.Workers = f.run, "fused", f.par
+			} else if fj := newFusedJoin(p); fj != nil {
+				q.run, q.Path, q.Workers = fj.run, "fused", fj.workers()
+			} else if fc := newFusedChain(p); fc != nil {
+				// N-way left-deep chains: prefix joins through core's staged
+				// operators, the final join + tail in one fused loop.
+				q.run, q.Path, q.Workers = fc.run, "fused-chain", fc.final.workers()
 			}
-			if fj := newFusedJoin(p); fj != nil {
-				q.run = fj.run
-				q.Fused = true
-				break
-			}
-			// N-way left-deep chains: prefix joins through core's staged
-			// operators, the final join + tail in one fused loop.
-			if fc := newFusedChain(p); fc != nil {
-				q.run = fc.run
-				q.Fused = true
-				break
-			}
+		}
+		if q.Fused = q.run != nil; q.Fused {
+			break
 		}
 		eng := core.NewEngine()
 		q.run = func(params []types.Datum) (*storage.Table, error) {

@@ -1,9 +1,12 @@
 // The fused fast path: for a single-table SELECT — point or range
 // lookup, residual filters, projection, optional LIMIT — the generator
 // emits one pipeline that goes index-probe → filter → project directly
-// into the result table. This is the holistic fusion of the paper's
-// Listing 1 extended across the whole plan: no staged intermediate, no
-// per-execution closure compilation, no separate materialisation pass.
+// into the result table; a single-table aggregation is the same scan
+// feeding the aggregation tails of the fused join (fused_join.go) instead:
+// the no-join instance of that pipeline. This is the holistic fusion of
+// the paper's Listing 1 extended across the whole plan: no staged
+// intermediate, no per-execution closure compilation, no separate
+// materialisation pass.
 // The planner's descriptors are unchanged — the fast path is an
 // execution strategy the generator selects when the plan's shape allows
 // it, never a semantic fork, so every engine keeps byte-identical
@@ -12,7 +15,6 @@
 package codegen
 
 import (
-	"bytes"
 	"time"
 
 	"hique/internal/btree"
@@ -34,10 +36,8 @@ type fusedPred struct {
 	slot int
 	i    int64
 	f    float64
-	s    []byte // baked string value, zero-padded to the column width
-	// sOver marks a baked value wider than the column: s then holds the
-	// width-length prefix and an equal prefix compares as field < value.
-	sOver bool
+	s    string // baked CHAR value, unpadded
+	size int    // CHAR column width
 }
 
 // fusedQuery is the compiled single-table pipeline.
@@ -66,49 +66,60 @@ type fusedQuery struct {
 	// stay serial — par applies to the scan, including the dropped-index
 	// fallback.
 	par int
+
+	// agg, when non-nil, replaces the projection into the result with an
+	// aggregation tail: map and group-less aggregation fold each matching
+	// tuple straight into accumulator arrays (aggPages); the collect modes
+	// stage through in — the scan's filter with the aggregation input's
+	// projection and coarse route, as a join side stages — and sort in
+	// fusedAgg.finish. sortCmp is the ORDER BY over the groups.
+	agg     *fusedAgg
+	in      fusedSide
+	sortCmp core.Compare
 }
 
-// newFused compiles the fused pipeline for a plan, or returns nil when
-// the plan's shape needs the general operator walk: joins, aggregation,
-// ordering, staging actions, or a filter the pipeline cannot evaluate
-// allocation-free (a parameterized string comparison needs per-execution
-// padding, so it falls back).
+// newFused compiles the fused pipeline for a single-table plan, or
+// returns nil when the plan's shape needs the general operator walk:
+// joins, HAVING, ordering of a plain projection, staging actions, an
+// index-probed aggregation, or a computed CHAR column.
 func newFused(p *plan.Plan) *fusedQuery {
-	if len(p.Joins) != 0 || p.Agg != nil || p.Sort != nil || p.Final == nil {
-		return nil
-	}
 	st := p.Final
-	if st.Action != plan.StageNone || st.Input.Base < 0 || st.Input.Base >= len(p.Tables) {
+	if p.Agg != nil {
+		st = &p.Agg.Input
+	}
+	if len(p.Joins) != 0 || len(p.Having) != 0 || st == nil ||
+		st.Input.Base < 0 || st.Input.Base >= len(p.Tables) || !st.Projectable() {
 		return nil
 	}
-	in := p.Tables[st.Input.Base].Entry.Table.Schema()
-	for i := range st.Cols {
-		c := &st.Cols[i]
-		if c.Source >= 0 && c.Compute == nil {
-			continue
-		}
-		switch c.Compute.Kind() {
-		case types.Int, types.Float, types.Date:
-		default:
-			return nil
-		}
-	}
-
+	entry := p.Tables[st.Input.Base].Entry
+	in := entry.Table.Schema()
 	f := &fusedQuery{
 		p:       p,
 		base:    st.Input.Base,
-		out:     st.Schema,
+		out:     p.ResultSchema(),
 		width:   in.TupleSize(),
+		preds:   compileFusedPreds(in, st.Filters),
 		idxSlot: -1,
 		limit:   p.Limit,
 		traced:  p.Trace != nil,
-		par:     parallelWorkers(p, p.Tables[st.Input.Base].Entry.Stats.Rows),
+		par:     parallelWorkers(p, entry.Stats.Rows),
 	}
-	preds, ok := compileFusedPreds(in, st.Filters)
-	if !ok {
+	if p.Agg != nil {
+		fa := newFusedAgg(p.Agg, in, nil)
+		if fa == nil || fa.stream || st.IndexScan != nil {
+			return nil
+		}
+		f.agg = fa
+		f.in = fusedSide{preds: f.preds, project: fa.project, width: fa.width,
+			inWidth: f.width, route: fa.route, par: f.par}
+		if p.Sort != nil {
+			f.sortCmp = core.MakeSortCompare(f.out, p.Sort.Keys)
+		}
+		return f
+	}
+	if p.Sort != nil || st.Action != plan.StageNone {
 		return nil
 	}
-	f.preds = preds
 	if st.IndexScan != nil {
 		f.idx = st.IndexScan
 		if slot, ok := st.IndexScan.Slot(); ok {
@@ -144,6 +155,15 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 		t0 = time.Now()
 	}
 	t := f.p.Tables[f.base].Entry.Table
+	if f.agg != nil {
+		f.runAgg(t, params, out)
+		if f.traced {
+			f.p.Trace.Observe(plan.TraceStageAgg, int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
+		}
+		out = core.FinishResult(f.p, f.sortCmp, out, true)
+		done = true
+		return out, nil
+	}
 	probed := false
 	if f.idx != nil {
 		entry := f.p.Tables[f.base].Entry
@@ -251,7 +271,7 @@ func (f *fusedQuery) scanPage(data []byte, n int, params []types.Datum, dst *row
 // included (a morsel emits at most limit rows, and once the completed
 // morsel prefix covers the limit the unclaimed tail is cancelled).
 func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storage.Table) {
-	per, n := pageMorsels(t)
+	per, n := pageMorsels(t, morsel.Rows)
 	pages := t.NumPages()
 	if n < 2 {
 		// Table shrank below one morsel since planning: the caller-only
@@ -276,54 +296,104 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 		}
 	})
 	ph.stitchRows(out, f.out.TupleSize(), f.limit)
-	if f.traced {
-		ph.finish(f.p.Trace, plan.TraceStageProject)
-	} else {
-		ph.finish(nil, "")
-	}
+	ph.finish(f.p.Trace, plan.TraceStageProject)
 	morsel.CountQuery()
 	parPhasePool.Put(ph)
 }
 
-// compileFusedPreds lowers a stage's filters to the baked-offset form the
-// fused pipelines evaluate. ok is false when a filter needs per-execution
-// allocation — a parameterized string comparison requires padding the
-// bound value to the column width — in which case the caller declines
-// fusion and the general path handles the plan.
-func compileFusedPreds(in *types.Schema, filters []plan.Filter) ([]fusedPred, bool) {
-	var preds []fusedPred
-	for _, flt := range filters {
-		c := in.Column(flt.Col)
-		pr := fusedPred{off: in.Offset(flt.Col), op: flt.Op, kind: c.Kind, slot: -1}
-		if slot, ok := flt.Slot(); ok {
-			if c.Kind == types.String {
-				return nil, false
-			}
-			pr.slot = slot
+// runAgg drives the scan into the aggregation tail and emits the groups
+// into out. Map and group-less aggregation fold the table chunk by chunk
+// — page-range morsels, each into a private accumulator, merged in
+// ascending chunk order — on every worker count, one included: the split
+// is a pure function of the page count, so float sums fold in one order
+// whatever the worker target, claim timing or admitted helpers. A chunk
+// covers at least four tuples per accumulator slot so the merges stay a
+// fraction of the scan. Collect modes stage as a join side does and
+// stitch in morsel order.
+func (f *fusedQuery) runAgg(t *storage.Table, params []types.Datum, out *storage.Table) {
+	fa := f.agg
+	sc := joinScratchPool.Get().(*joinScratch)
+	ts, ph := &sc.tail, &sc.par
+	fa.begin(sc)
+	pages := t.NumPages()
+	per, n := pageMorsels(t, max(morsel.Rows, 4*fa.prog.NGroups*fa.prog.NAggs))
+	switch {
+	case !fa.mapped:
+		if f.par > 1 && f.in.scanPar(ph, &ts.aggIn, f.p.Pool, t, params) {
+			ph.finish(f.p.Trace, plan.TraceStageAgg)
+			morsel.CountQuery()
 		} else {
-			switch c.Kind {
-			case types.Int, types.Date:
-				pr.i = flt.Val.I
-			case types.Float:
-				pr.f = flt.Val.F
-			case types.String:
-				if len(flt.Val.S) > c.Size {
-					// Wider than the column: never equal, and the stored
-					// field (a proper prefix at best) sorts strictly below
-					// the value. sOver folds that into the comparison.
-					pr.s = []byte(flt.Val.S[:c.Size])
-					pr.sOver = true
-				} else {
-					pr.s = make([]byte, c.Size)
-					copy(pr.s, flt.Val.S)
+			f.in.stagePages(&ts.aggIn, t, 0, pages, params)
+		}
+	case n < 2:
+		f.aggPages(ts, t, 0, pages, params)
+	default:
+		ph.reset(n, f.par, -1)
+		sc.resetChunkMaps(n)
+		ph.run(f.p.Pool, f.par, func(wi int) {
+			wk := &ph.workers[wi]
+			wk.tail.aggBuf = grown(wk.tail.aggBuf, fa.width)
+			for {
+				m, ok := ph.queue.Next()
+				if !ok {
+					return
 				}
-			default:
-				return nil, false
+				wk.tail.acc, wk.tail.pairs = sc.chunkMap(wk, m, fa.prog), 0
+				f.aggPages(&wk.tail, t, m*per, min((m+1)*per, pages), params)
+				ph.complete(m, parMorsel{worker: int32(wi), rows: wk.tail.pairs})
+			}
+		})
+		sc.mergeChunkMaps()
+		if f.par > 1 {
+			ph.finish(f.p.Trace, plan.TraceStageAgg)
+			morsel.CountQuery()
+		}
+	}
+	limit := f.limit
+	if f.sortCmp != nil {
+		limit = -1 // ORDER BY needs every group; LIMIT truncates after the sort
+	}
+	fa.finish(sc, out, limit)
+	sc.release()
+}
+
+// aggPages is the fused scan → aggregate loop over pages [lo, hi): filter,
+// project the aggregate arguments, locate the group through the value
+// directories (slot 0 for a group-less aggregate) and update ts.acc in
+// place — Figure 4 with no staging; ts.pairs counts the tuples folded. The
+// caller-only run covers the whole table with the scratch's state; a
+// chunk covers its page range with a worker's.
+func (f *fusedQuery) aggPages(ts *tailState, t *storage.Table, lo, hi int, params []types.Datum) {
+	fa, w, buf := f.agg, f.width, ts.aggBuf
+	for pi := lo; pi < hi; pi++ {
+		pg := t.Page(pi)
+		data := pg.Data()
+		for k, base := pg.NumTuples(), 0; k > 0; k, base = k-1, base+w {
+			tup := data[base : base+w : base+w]
+			if !matchPreds(f.preds, tup, params) {
+				continue
+			}
+			fa.project(tup, buf)
+			if g := core.Locate(fa.prog.Probes, buf); g >= 0 {
+				ts.acc.Add(fa.prog.Updates, int(g), buf)
+				ts.pairs++
 			}
 		}
-		preds = append(preds, pr)
 	}
-	return preds, true
+}
+
+// compileFusedPreds lowers a stage's filters to the baked-offset form the
+// fused pipelines evaluate; a parameterized filter keeps its bind slot and
+// reads its value at execution time.
+func compileFusedPreds(in *types.Schema, filters []plan.Filter) []fusedPred {
+	preds := make([]fusedPred, len(filters))
+	for k, flt := range filters {
+		c := in.Column(flt.Col)
+		slot, _ := flt.Slot()
+		preds[k] = fusedPred{off: in.Offset(flt.Col), op: flt.Op, kind: c.Kind, slot: slot,
+			i: flt.Val.I, f: flt.Val.F, s: flt.Val.S, size: c.Size}
+	}
+	return preds
 }
 
 // matchPreds evaluates a compiled predicate conjunction against one
@@ -349,16 +419,42 @@ func matchPreds(preds []fusedPred, tup []byte, params []types.Datum) bool {
 				return false
 			}
 		case types.String:
-			c := bytes.Compare(tup[pr.off:pr.off+len(pr.s)], pr.s)
-			if c == 0 && pr.sOver {
-				c = -1
+			v := pr.s
+			if pr.slot >= 0 {
+				v = params[pr.slot].S
 			}
-			if !pr.op.Holds(c) {
+			if !pr.op.Holds(cmpChar(tup[pr.off:pr.off+pr.size], v)) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// cmpChar three-way compares a stored CHAR field with a value as if the
+// value were zero-padded to the field's width, without padding it: a
+// bound value is compared in place, so a string parameter costs no
+// allocation. A value wider than the field is never equal, and the field
+// — at best a proper prefix of it — sorts strictly below.
+func cmpChar(field []byte, v string) int {
+	n := min(len(field), len(v))
+	for i := 0; i < n; i++ {
+		if field[i] != v[i] {
+			if field[i] < v[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	if len(v) > len(field) {
+		return -1
+	}
+	for _, b := range field[n:] {
+		if b != 0 {
+			return 1
+		}
+	}
+	return 0
 }
 
 // match evaluates the predicate conjunction against one tuple.

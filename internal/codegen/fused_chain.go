@@ -14,12 +14,12 @@
 //
 // Like every fused path this is an execution strategy, never a semantic
 // fork: results stay byte-identical to the general engines, row order
-// included. Shapes outside the chain decline gracefully (return nil)
+// included. A parameterized chain binds once per run: the prefix reads
+// the pooled bound copy of the plan (runBound), the final pipeline the
+// bind vector. Shapes outside the chain decline gracefully (return nil)
 // and take the general walk: join teams (one join descriptor with more
-// than two inputs), bushy trees, parameterized plans (the prefix runs
-// through core's descriptors, which would need a bound copy), traced
-// executions (EXPLAIN ANALYZE observes per-operator stages), and any
-// final join or tail the two-table pipeline itself cannot claim.
+// than two inputs), bushy trees, HAVING, and any final join or tail the
+// two-table pipeline itself cannot claim.
 
 package codegen
 
@@ -41,7 +41,7 @@ type fusedChain struct {
 // plan's shape needs the general operator walk.
 func newFusedChain(p *plan.Plan) *fusedChain {
 	k := len(p.Joins)
-	if k < 2 || len(p.Having) > 0 || p.Trace != nil || len(p.Params) > 0 {
+	if k < 2 || len(p.Having) > 0 {
 		return nil
 	}
 	// Left-deep chain: join 0 reads two base tables; join i>0 reads join
@@ -79,104 +79,27 @@ func newFusedChain(p *plan.Plan) *fusedChain {
 	default:
 		return nil
 	}
-	if !chainJoinEligible(p.Joins[k-1], k-1) {
-		return nil
-	}
-	f := compileFusedJoin(p, k-1, true)
+	f := compileFusedJoin(p, k-1)
 	if f == nil {
 		return nil
 	}
 	return &fusedChain{p: p, final: f}
 }
 
-// chainJoinEligible mirrors plan.Join.FusionEligible for the chain's
-// final join, where one input reads the previous join's output instead
-// of a base table: staging must match the algorithm and every staged
-// column must be a direct copy.
-func chainJoinEligible(j *plan.Join, ji int) bool {
-	if len(j.Inputs) != 2 || len(j.Keys) != 2 {
-		return false
-	}
-	for i := range j.Inputs {
-		st := &j.Inputs[i]
-		if st.Input.Base < 0 && st.Input.Join != ji-1 {
-			return false
-		}
-		switch j.Alg {
-		case plan.MergeJoin:
-			if st.Action != plan.StageSort {
-				return false
-			}
-		case plan.HybridJoin:
-			if st.Action != plan.StagePartitionCoarse || st.Partitions <= 0 {
-				return false
-			}
-		case plan.FinePartitionJoin:
-			if st.Action != plan.StagePartitionFine || st.FineValues == nil {
-				return false
-			}
-		default:
-			return false
-		}
-		for k := range st.Cols {
-			if st.Cols[k].Source < 0 || st.Cols[k].Compute != nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// run executes the chain: prefix joins through core's staged operators,
-// then the fused final pipeline over the last intermediate. The caller
-// owns the returned table and releases it after draining; the prefix
-// intermediates are plain (GC-managed) tables, exactly as core's walk
-// materialises them.
+// run executes the chain: the prefix joins through core's staged
+// operators over the bound plan, then the fused final pipeline over the
+// last intermediate. The caller owns the returned table and releases it
+// after draining; the prefix intermediates are plain (GC-managed) tables,
+// exactly as core's walk materialises them.
 func (c *fusedChain) run(params []types.Datum) (*storage.Table, error) {
-	p := c.p
-	if err := p.CheckArgs(params); err != nil {
-		return nil, err
-	}
-	if p.Limit == 0 {
-		return storage.NewPooledTable("result", c.final.outSchema), nil
-	}
-	last := len(p.Joins) - 1
-	joinOut := make([]*storage.Table, last)
-	resolve := func(ref plan.InputRef) *storage.Table {
-		if ref.Base >= 0 {
-			return p.Tables[ref.Base].Entry.Table
+	return runBound(c.p, params, func(bp *plan.Plan) (*storage.Table, error) {
+		if bp.Limit == 0 {
+			return storage.NewPooledTable("result", c.final.outSchema), nil
 		}
-		return joinOut[ref.Join]
-	}
-	for ji := 0; ji < last; ji++ {
-		j := p.Joins[ji]
-		staged := make([]*core.Staged, len(j.Inputs))
-		fail := func(err error) (*storage.Table, error) {
-			for _, s := range staged {
-				if s != nil {
-					s.Release()
-				}
-			}
-			return nil, err
-		}
-		for i := range j.Inputs {
-			st := &j.Inputs[i]
-			in, err := core.ApplyIndexScan(p, st, resolve(st.Input))
-			if err != nil {
-				return fail(err)
-			}
-			if staged[i], err = core.RunStage(st, in); err != nil {
-				return fail(err)
-			}
-		}
-		out, err := core.RunJoin(j, staged)
-		for _, s := range staged {
-			s.Release()
-		}
+		prefix, err := core.RunJoins(bp, len(bp.Joins)-1)
 		if err != nil {
 			return nil, err
 		}
-		joinOut[ji] = out
-	}
-	return c.final.runWith(params, joinOut[last-1])
+		return c.final.runWith(params, prefix[len(prefix)-1])
+	})
 }

@@ -20,6 +20,10 @@ func TestFusedChainSelection(t *testing.T) {
 		chainQuery,
 		"SELECT d.label, SUM(x.w) AS s FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id GROUP BY d.label ORDER BY d.label",
 		"SELECT COUNT(*) AS n FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id",
+		// Parameterized: the prefix binds through the pooled scratch, the
+		// final pipeline reads the bind vector (CHAR values included).
+		"SELECT f.id, x.w FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id AND f.price > ?",
+		"SELECT f.id, x.w FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id AND d.label = ?",
 	}
 	for _, q := range fused {
 		p := buildPlan(t, cat, q)
@@ -35,8 +39,6 @@ func TestFusedChainSelection(t *testing.T) {
 		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
 		// HAVING filters between aggregation and sort; no fused slot.
 		"SELECT d.label, COUNT(*) AS n FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id GROUP BY d.label HAVING n > 1",
-		// Parameterized: the prefix runs core's descriptors unbound.
-		"SELECT f.id, x.w FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id AND f.price > ?",
 	}
 	for _, q := range declined {
 		p := buildPlan(t, cat, q)

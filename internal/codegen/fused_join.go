@@ -127,6 +127,10 @@ type fusedJoin struct {
 	p     *plan.Plan
 	alg   plan.JoinAlgorithm
 	sides [2]fusedSide
+	// names are the canonical trace names of the two staging steps and the
+	// join loop (plan.TraceJoinStage, plan.TraceJoin); rendered only for a
+	// traced pipeline.
+	names [3]string
 
 	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
@@ -197,10 +201,8 @@ type tailState struct {
 
 	// Stream and collect aggregation, which only the caller-only run
 	// compiles: the open group, and the staged aggregation input.
-	groups     core.GroupStream
-	aggArena   []byte
-	aggPartIdx []int32
-	aggRows    int
+	groups core.GroupStream
+	aggIn  stagedSide
 }
 
 // joinScratch holds every transient a fused join execution needs: the
@@ -240,6 +242,29 @@ type joinScratch struct {
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
+// maxPooledScratch bounds the staging memory a scratch may keep alive in
+// the pool. A serving-size execution (BENCH_serving's join+aggregation
+// holds ~100 KB) stays allocation-free; an analytic-size one (28 MB for
+// TPC-H Q3 at SF 0.1) goes back to the collector instead: kept in every
+// P's pool slot it stays live and doubles through GC pacing into
+// resident memory (tpch_analytic peak_rss_mb 243 → 335 when pooled).
+const maxPooledScratch = 4 << 20
+
+// release returns the scratch to the pool unless its arenas and
+// reference arrays outgrew maxPooledScratch.
+func (sc *joinScratch) release() {
+	n := cap(sc.tail.arena) + cap(sc.tail.aggIn.arena) + 24*cap(sc.aggRefs)
+	for i := range sc.staged {
+		n += cap(sc.staged[i].arena) + 24*cap(sc.refs[i])
+	}
+	for i := range sc.par.workers {
+		n += cap(sc.par.workers[i].staged.arena) + cap(sc.par.workers[i].tail.arena)
+	}
+	if n <= maxPooledScratch {
+		joinScratchPool.Put(sc)
+	}
+}
+
 // newFusedJoin compiles the fused pipeline for a two-table equi-join
 // plan, or returns nil when the plan's shape needs the general operator
 // walk: more tables, a string computed output, or a parameterized string
@@ -253,21 +278,23 @@ func newFusedJoin(p *plan.Plan) *fusedJoin {
 	if len(p.Having) > 0 {
 		return nil
 	}
-	if !p.Joins[0].FusionEligible() {
-		return nil
-	}
-	return compileFusedJoin(p, 0, false)
+	return compileFusedJoin(p, 0)
 }
 
 // compileFusedJoin compiles join ji and the plan tail into the fused
-// two-input pipeline. The caller has already vetted the structural shape:
-// newFusedJoin via Join.FusionEligible for the base-table case, and
-// newFusedChain via chainJoinEligible when chained is set — there the
-// side reading the previous join's output stages from a materialised
-// intermediate supplied at run time, and the whole pipeline stays serial.
-func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
+// two-input pipeline, or returns nil. For ji > 0 (the final join of a
+// chain newFusedChain vetted as left-deep) the side reading the previous
+// join's output stages from a materialised intermediate supplied at run
+// time.
+func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
 	j := p.Joins[ji]
+	if !j.FusionEligible(ji > 0) {
+		return nil
+	}
 	f := &fusedJoin{p: p, alg: j.Alg, limit: p.Limit, traced: p.Trace != nil}
+	if f.traced {
+		f.names = [3]string{plan.TraceJoinStage(ji, 0), plan.TraceJoinStage(ji, 1), plan.TraceJoin(ji)}
+	}
 	for i := 0; i < 2; i++ {
 		st := &j.Inputs[i]
 		s := &f.sides[i]
@@ -282,11 +309,7 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 				return nil // index probes only reach base tables
 			}
 		}
-		preds, ok := compileFusedPreds(in, st.Filters)
-		if !ok {
-			return nil
-		}
-		s.preds = preds
+		s.preds = compileFusedPreds(in, st.Filters)
 		s.project = core.MakeProjector(in, st.Cols, st.Schema)
 		s.width = st.Schema.TupleSize()
 		s.inWidth = in.TupleSize()
@@ -340,20 +363,27 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 
 	switch {
 	case p.Agg != nil:
-		f.tailCopy, f.tailDirect = makeTailCopy(j, p.Agg.Input.Cols, p.Agg.Input.Schema)
-		fa := newFusedAgg(p.Agg, j, ji, f.tailDirect)
-		if fa == nil {
+		st := &p.Agg.Input
+		if st.Input.Base >= 0 || st.Input.Join != ji || len(st.Filters) != 0 || st.IndexScan != nil {
 			return nil
 		}
-		f.agg = fa
+		var at core.ColumnAt // nil: the composed aggregation tuple
+		if f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema); f.tailDirect {
+			// Every staged column is a width-matched copy of a join input
+			// column: resolve to that side's staged tuple.
+			at = func(col int) (int8, int) {
+				o := j.Out[st.Cols[col].Source]
+				return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
+			}
+		}
+		if f.agg = newFusedAgg(p.Agg, j.Schema, at); f.agg == nil {
+			return nil
+		}
 		f.outSchema = p.Agg.Schema
 	case p.Final != nil:
 		st := p.Final
 		if st.Input.Base >= 0 || st.Input.Join != ji ||
-			st.Action != plan.StageNone || len(st.Filters) != 0 || st.IndexScan != nil {
-			return nil
-		}
-		if !projectableCols(st.Cols) {
+			st.Action != plan.StageNone || len(st.Filters) != 0 || st.IndexScan != nil || !st.Projectable() {
 			return nil
 		}
 		f.project = core.MakeProjector(j.Schema, st.Cols, st.Schema)
@@ -368,20 +398,23 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 	}
 	// Morsel-driven parallelism, resolved at generation time like every
 	// other specialisation here (see fused_join_par.go): staging
-	// parallelises per side from the catalogued table size; the
-	// partition-wise join loop parallelises when the tail merges
-	// deterministically — map aggregation's flat accumulator arrays, or
-	// a plain projection stitched in partition order. Merge join and the
-	// collect aggregation modes run on the caller alone.
+	// parallelises per side from the catalogued table size (a chain-fed
+	// side from the previous join's estimate); the partition-wise join
+	// loop parallelises when the tail merges deterministically — map
+	// aggregation's flat accumulator arrays, or a plain projection
+	// stitched in partition order. Merge join and the collect aggregation
+	// modes run on the caller alone.
 	for i := 0; i < 2; i++ {
 		s := &f.sides[i]
 		s.par = 1
-		if !chained && s.idx == nil && s.orderedCol == "" {
+		if s.chain {
+			s.par = parallelWorkers(p, int(p.Joins[ji-1].EstRows))
+		} else if s.idx == nil && s.orderedCol == "" {
 			s.par = parallelWorkers(p, p.Tables[s.base].Entry.Stats.Rows)
 		}
 	}
 	f.parJoin = 1
-	if !chained && (f.alg == plan.HybridJoin || f.alg == plan.FinePartitionJoin) &&
+	if (f.alg == plan.HybridJoin || f.alg == plan.FinePartitionJoin) &&
 		(f.agg == nil || f.agg.mapped) {
 		est := f.sides[0].estRows
 		if f.sides[1].estRows > est {
@@ -392,57 +425,34 @@ func compileFusedJoin(p *plan.Plan, ji int, chained bool) *fusedJoin {
 	return f
 }
 
-// projectableCols reports whether every computed output column has a
-// kind the compiled projector supports (String computes would need
-// per-tuple allocation).
-func projectableCols(cols []plan.OutputColumn) bool {
-	for i := range cols {
-		c := &cols[i]
-		if c.Source >= 0 && c.Compute == nil {
-			continue
-		}
-		switch c.Compute.Kind() {
-		case types.Int, types.Float, types.Date:
-		default:
-			return false
-		}
-	}
-	return true
+// workers is the pipeline's widest compiled worker target.
+func (f *fusedJoin) workers() int {
+	return max(f.sides[0].par, f.sides[1].par, f.parJoin)
 }
 
-// newFusedAgg compiles the aggregation tail over the join's output
-// schema, or returns nil when the algorithm or staging shape is outside
-// the fused pipeline. tailDirect reports that every staged aggregation
-// column is a plain copy of a join input column, which lets map
-// aggregation bind its directory probes and updates to the staged side
-// tuples directly.
-func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
-	if !a.FusionEligible() {
-		return nil
-	}
+// newFusedAgg compiles the aggregation tail over its input schema — a
+// join's output, or the base table of the single-table pipeline — or
+// returns nil when the algorithm or staging shape is outside the fused
+// pipelines. The caller has vetted the input reference and owns the
+// stage's filters. at, when non-nil, resolves a staged aggregation column
+// to the staged join-side tuple it is a plain copy of, which lets map
+// aggregation bind its directory probes and updates to the side tuples
+// directly.
+func newFusedAgg(a *plan.Agg, in *types.Schema, at core.ColumnAt) *fusedAgg {
 	st := &a.Input
-	if st.Input.Base >= 0 || st.Input.Join != ji || len(st.Filters) != 0 || st.IndexScan != nil {
-		return nil
-	}
-	if !projectableCols(st.Cols) {
+	if !a.FusionEligible() || !st.Projectable() {
 		return nil
 	}
 	fa := &fusedAgg{
-		project: core.MakeProjector(j.Schema, st.Cols, st.Schema),
+		project: core.MakeProjector(in, st.Cols, st.Schema),
 		width:   st.Schema.TupleSize(),
 	}
-	var at core.ColumnAt // nil: the composed aggregation tuple
 	switch {
-	case a.Alg == plan.MapAggregation:
+	case a.Alg == plan.MapAggregation || len(a.GroupCols) == 0:
+		// A group-less aggregate is the one-group map: no staging, no
+		// partition pass, whatever algorithm the descriptor names.
 		fa.mapped = true
-		if fa.direct = tailDirect; fa.direct {
-			// makeTailCopy proved every staged column a width-matched copy
-			// of a join input column: resolve to that side's staged tuple.
-			at = func(col int) (int8, int) {
-				o := j.Out[st.Cols[col].Source]
-				return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
-			}
-		}
+		fa.direct = at != nil
 	case st.Action == plan.StageNone:
 		fa.stream = true
 	case st.Action == plan.StageSort:
@@ -453,6 +463,9 @@ func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
 		fa.sortParts = st.SortPartitions
 		fa.sortCmp = core.MakeKeyCompare(st.Schema, st.SortKeys)
 		fa.route = core.CoarseRouter(st.Schema, st.PartitionKey, st.Partitions)
+	}
+	if !fa.direct {
+		at = nil
 	}
 	if fa.prog = core.CompileAgg(a, st.Schema, at); fa.prog == nil {
 		return nil
@@ -466,6 +479,21 @@ func newFusedAgg(a *plan.Agg, j *plan.Join, ji int, tailDirect bool) *fusedAgg {
 		fa.estRows = 0
 	}
 	return fa
+}
+
+// begin readies the caller's tail state in sc for one execution: the
+// accumulator arrays for map aggregation, the open group and the staging
+// arena for the stream and collect modes.
+func (fa *fusedAgg) begin(sc *joinScratch) {
+	ts := &sc.tail
+	ts.aggBuf = grown(ts.aggBuf, fa.width)
+	if fa.mapped {
+		ts.acc = &sc.mapAgg
+		ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
+		return
+	}
+	ts.groups.Reset(fa.prog)
+	ts.aggIn.reset(fa.estRows, fa.width)
 }
 
 // run executes the fused pipeline against a bind vector. The result
@@ -502,35 +530,9 @@ func (f *fusedJoin) runWith(params []types.Datum, chainIn *storage.Table) (*stor
 	sc.chainIn, sc.tail.out = chainIn, out
 	f.exec(sc, params, out)
 	sc.chainIn, sc.tail.out = nil, nil
-	joinScratchPool.Put(sc)
+	sc.release()
 
-	if f.sortCmp != nil {
-		var t0 time.Time
-		if f.traced {
-			t0 = time.Now()
-		}
-		sorted := core.SortTablePooled("result", out, f.sortCmp)
-		out.Release()
-		out = sorted
-		if f.traced {
-			n := int64(out.NumRows())
-			f.p.Trace.Observe(plan.TraceStageSort, n, n, time.Since(t0))
-		}
-		if f.limit >= 0 && out.NumRows() > f.limit {
-			truncated := storage.NewPooledTable("result", out.Schema())
-			n := 0
-			out.Scan(func(t []byte) bool {
-				if n >= f.limit {
-					return false
-				}
-				truncated.Append(t)
-				n++
-				return true
-			})
-			out.Release()
-			out = truncated
-		}
-	}
+	out = core.FinishResult(f.p, f.sortCmp, out, true)
 	done = true
 	return out, nil
 }
@@ -551,26 +553,17 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		}
 		sorted[i] = f.stageSide(sc, i, params, &parQ)
 		if f.traced {
-			f.p.Trace.Observe(plan.TraceJoinStage(0, i),
-				int64(f.p.Tables[f.sides[i].base].Entry.Table.NumRows()),
-				int64(sc.staged[i].rows), time.Since(t0))
+			in := sc.chainIn
+			if !f.sides[i].chain {
+				in = f.p.Tables[f.sides[i].base].Entry.Table
+			}
+			f.p.Trace.Observe(f.names[i], int64(in.NumRows()), int64(sc.staged[i].rows), time.Since(t0))
 		}
 	}
 	ts := &sc.tail
 	f.prepTail(ts)
-	if fa := f.agg; fa != nil {
-		if fa.mapped {
-			ts.acc = &sc.mapAgg
-			ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
-		} else {
-			ts.groups.Reset(fa.prog)
-			ts.aggArena = ts.aggArena[:0]
-			ts.aggPartIdx = ts.aggPartIdx[:0]
-			ts.aggRows = 0
-			if want := preSize(fa.estRows, fa.width); want > 0 && cap(ts.aggArena) < want {
-				ts.aggArena = make([]byte, 0, want)
-			}
-		}
+	if f.agg != nil {
+		f.agg.begin(sc)
 	}
 
 	if f.traced {
@@ -605,7 +598,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		// The join loop's rows-out is the joined-pair count; the tail
 		// (projection or aggregation updates) runs fused inside the loop,
 		// so its per-stage elapsed time folds into the loop's.
-		f.p.Trace.Observe(plan.TraceJoin(0),
+		f.p.Trace.Observe(f.names[2],
 			int64(sc.staged[0].rows+sc.staged[1].rows), pairs, time.Since(t0))
 		if f.agg == nil {
 			f.p.Trace.Observe(plan.TraceStageProject, pairs, int64(out.NumRows()), 0)
@@ -616,7 +609,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		if f.traced {
 			t0 = time.Now()
 		}
-		f.finishAgg(sc, out, limit)
+		f.agg.finish(sc, out, limit)
 		if f.traced {
 			f.p.Trace.Observe(plan.TraceStageAgg, pairs, int64(out.NumRows()), time.Since(t0))
 		}
@@ -628,15 +621,9 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 // cleared (the state is pooled, so they carry a prior execution's
 // values).
 func (f *fusedJoin) prepTail(ts *tailState) {
-	if cap(ts.joinBuf) < f.joinWidth {
-		ts.joinBuf = make([]byte, f.joinWidth)
-	}
-	ts.joinBuf = ts.joinBuf[:f.joinWidth]
+	ts.joinBuf = grown(ts.joinBuf, f.joinWidth)
 	if f.agg != nil {
-		if cap(ts.aggBuf) < f.agg.width {
-			ts.aggBuf = make([]byte, f.agg.width)
-		}
-		ts.aggBuf = ts.aggBuf[:f.agg.width]
+		ts.aggBuf = grown(ts.aggBuf, f.agg.width)
 	}
 	ts.pairs, ts.rows = 0, 0
 	ts.lastPtr[0], ts.lastPtr[1] = nil, nil
@@ -675,19 +662,19 @@ func (f *fusedJoin) joinPartitions(ts *tailState, p0, p1 [][][]byte, lo, hi, lim
 	}
 }
 
-// finishAgg completes the aggregation tail: a streaming aggregation just
-// flushes its last group; collect modes sort (or partition-sort) the
-// staged aggregation input and stream the groups out.
-func (f *fusedJoin) finishAgg(sc *joinScratch, out *storage.Table, limit int) {
-	fa, prog := f.agg, f.agg.prog
-	gs := &sc.tail.groups
+// finish completes the aggregation tail into out: map aggregation emits
+// its groups in directory order, a streaming aggregation just flushes its
+// last group; collect modes sort (or partition-sort) the staged
+// aggregation input and stream the groups out.
+func (fa *fusedAgg) finish(sc *joinScratch, out *storage.Table, limit int) {
+	prog, gs, in := fa.prog, &sc.tail.groups, &sc.tail.aggIn
 	switch {
 	case fa.mapped:
 		prog.EmitMapGroups(&sc.mapAgg, out, limit)
 	case fa.stream:
 		prog.Flush(gs, out, limit)
 	case fa.sorted:
-		refs := f.buildAggRefs(sc)
+		refs := sliceRefs(&sc.aggRefs, in.arena, fa.width, in.rows)
 		core.SortTuples(refs, fa.sortCmp)
 		for _, t := range refs {
 			if !prog.Push(gs, t, out, limit) {
@@ -696,7 +683,8 @@ func (f *fusedJoin) finishAgg(sc *joinScratch, out *storage.Table, limit int) {
 		}
 		prog.Flush(gs, out, limit)
 	default: // coarse partitions (hybrid hash-sort aggregation)
-		parts := f.partitionAgg(sc)
+		parts := bucketArena(&sc.aggParts, &sc.aggCounts, &sc.aggRefs,
+			in.arena, fa.width, in.rows, in.partIdx, fa.parts)
 		for _, part := range parts {
 			if len(part) == 0 {
 				continue
@@ -775,20 +763,16 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte, limit int) bool {
 		return fa.prog.Push(&ts.groups, ts.aggBuf, ts.out, limit)
 	}
 	// Collect mode: stage the aggregation input tuple into the arena
-	// (and its partition route), deferring group evaluation to finishAgg.
-	w := fa.width
-	if w > 0 {
-		off := len(ts.aggArena)
-		ts.aggArena = extendArena(ts.aggArena, w)
-		slot := ts.aggArena[off : off+w]
-		f.fillTail(ts, t0, t1, slot)
-		if fa.parts > 0 {
-			ts.aggPartIdx = append(ts.aggPartIdx, fa.route(slot))
-		}
-	} else if fa.parts > 0 {
-		ts.aggPartIdx = append(ts.aggPartIdx, 0)
+	// (and its partition route), deferring group evaluation to finish.
+	in := &ts.aggIn
+	off := len(in.arena)
+	in.arena = extendArena(in.arena, fa.width)
+	slot := in.arena[off : off+fa.width]
+	f.fillTail(ts, t0, t1, slot)
+	if fa.parts > 0 {
+		in.partIdx = append(in.partIdx, fa.route(slot))
 	}
-	ts.aggRows++
+	in.rows++
 	return true
 }
 
@@ -905,48 +889,43 @@ func (f *fusedJoin) mergeJoin(ts *tailState, in0, in1 [][]byte, limit int) bool 
 func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) bool {
 	s := &f.sides[i]
 	st := &sc.staged[i]
-	st.arena, st.partIdx, st.rows = st.arena[:0], st.partIdx[:0], 0
-	if want := preSize(s.estRows, s.width); want > 0 && cap(st.arena) < want {
-		st.arena = make([]byte, 0, want)
-	}
-
-	if s.chain {
-		// Chain-fed side: the previous join's materialised output; no
-		// indexes exist over it, so it always stages by scan, on the
-		// caller alone.
-		s.stagePages(st, sc.chainIn, 0, sc.chainIn.NumPages(), params)
-		return false
-	}
-	entry := f.p.Tables[s.base].Entry
-	t := entry.Table
-	if s.idx != nil {
-		if tree := entry.Index(s.idx.Column); tree != nil {
-			// Equality lookups in RID order — the tuple order core's
-			// ApplyIndexScan materialises, so the sort permutes identically.
-			key := s.idx.Value.I
-			if s.idxSlot >= 0 {
-				key = params[s.idxSlot].I
+	st.reset(s.estRows, s.width)
+	// A chain-fed side stages the previous join's materialised output; no
+	// indexes exist over it, so it always stages by scan.
+	t := sc.chainIn
+	if !s.chain {
+		entry := f.p.Tables[s.base].Entry
+		t = entry.Table
+		if s.idx != nil {
+			if tree := entry.Index(s.idx.Column); tree != nil {
+				// Equality lookups in RID order — the tuple order core's
+				// ApplyIndexScan materialises, so the sort permutes identically.
+				key := s.idx.Value.I
+				if s.idxSlot >= 0 {
+					key = params[s.idxSlot].I
+				}
+				tree.Range(key, key, func(_ int64, rid btree.RID) bool {
+					return s.stageRID(st, t, rid, params)
+				})
+				return false
 			}
-			tree.Range(key, key, func(_ int64, rid btree.RID) bool {
-				return s.stageRID(st, t, rid, params)
-			})
-			return false
-		}
-		// Index dropped since planning: the equality filter is still in
-		// preds, so the scan below stays correct.
-	} else if s.orderedCol != "" {
-		if tree := entry.Index(s.orderedCol); tree != nil {
-			// Ordered leaf traversal: the staged tuples arrive already
-			// sorted on the join key, so the merge join starts without a
-			// sort — the paper's case for index-ordered inputs. Such a side
-			// compiles no predicates and no route.
-			tree.Ascend(func(_ int64, rid btree.RID) bool {
-				return s.stageRID(st, t, rid, params)
-			})
-			return true
+			// Index dropped since planning: the equality filter is still in
+			// preds, so the scan below stays correct.
+		} else if s.orderedCol != "" {
+			if tree := entry.Index(s.orderedCol); tree != nil {
+				// Ordered leaf traversal: the staged tuples arrive already
+				// sorted on the join key, so the merge join starts without a
+				// sort — the paper's case for index-ordered inputs. Such a side
+				// compiles no predicates and no route.
+				tree.Ascend(func(_ int64, rid btree.RID) bool {
+					return s.stageRID(st, t, rid, params)
+				})
+				return true
+			}
 		}
 	}
-	if s.par > 1 && f.scanSidePar(sc, i, t, params) {
+	if s.par > 1 && s.scanPar(&sc.par, st, f.p.Pool, t, params) {
+		sc.par.finish(f.p.Trace, f.names[i])
 		*par = true
 		return false
 	}
@@ -1010,11 +989,6 @@ func (f *fusedJoin) buildRefs(sc *joinScratch, i int) [][]byte {
 	return sliceRefs(&sc.refs[i], sc.staged[i].arena, f.sides[i].width, sc.staged[i].rows)
 }
 
-// buildAggRefs slices the aggregation staging arena into references.
-func (f *fusedJoin) buildAggRefs(sc *joinScratch) [][]byte {
-	return sliceRefs(&sc.aggRefs, sc.tail.aggArena, f.agg.width, sc.tail.aggRows)
-}
-
 func sliceRefs(dst *[][]byte, arena []byte, w, n int) [][]byte {
 	refs := (*dst)[:0]
 	if cap(refs) < n {
@@ -1042,13 +1016,6 @@ func (f *fusedJoin) partitionSide(sc *joinScratch, i int) [][][]byte {
 	st := &sc.staged[i]
 	return bucketArena(&sc.parts[i], &sc.counts[i], &sc.refs[i],
 		st.arena, f.sides[i].width, st.rows, st.partIdx, f.sides[i].partitions)
-}
-
-// partitionAgg is partitionSide for the aggregation staging arena.
-func (f *fusedJoin) partitionAgg(sc *joinScratch) [][][]byte {
-	ts := &sc.tail
-	return bucketArena(&sc.aggParts, &sc.aggCounts, &sc.aggRefs,
-		ts.aggArena, f.agg.width, ts.aggRows, ts.aggPartIdx, f.agg.parts)
 }
 
 func bucketArena(partsDst *[][][]byte, countsDst *[]int, refsDst *[][]byte, arena []byte, w, n int, idx []int32, m int) [][][]byte {
@@ -1124,6 +1091,23 @@ func preSize(estRows, width int) int {
 		return maxPreSize
 	}
 	return want
+}
+
+// reset empties the staged side for one execution, pre-sizing the arena
+// from the optimizer's estimate.
+func (st *stagedSide) reset(estRows, width int) {
+	st.arena, st.partIdx, st.rows = st.arena[:0], st.partIdx[:0], 0
+	if want := preSize(estRows, width); want > 0 && cap(st.arena) < want {
+		st.arena = make([]byte, 0, want)
+	}
+}
+
+// grown returns b resliced to n bytes, reallocating only when short.
+func grown(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
 
 // extendArena grows a flat staging arena by w bytes, reusing capacity.

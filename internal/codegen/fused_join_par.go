@@ -8,7 +8,9 @@
 //     staged arena, partition routes, and row count are byte-identical
 //     to the caller-only scan's. Everything downstream (sorts,
 //     partitioning, merge order) is untouched. Index probes and ordered
-//     traversals stay serial — they are already sub-linear.
+//     traversals stay serial — they are already sub-linear. The same
+//     phase stages a chain's intermediate and, for the single-table
+//     pipeline, a collect-mode aggregation's input (fused.go).
 //
 //   - The partition-wise join loop: a morsel is a contiguous chunk of
 //     partitions. Only tails that merge deterministically compile a
@@ -28,27 +30,27 @@
 package codegen
 
 import (
+	"slices"
+
 	"hique/internal/core"
-	"hique/internal/plan"
+	"hique/internal/morsel"
 	"hique/internal/storage"
 	"hique/internal/types"
 )
 
-// scanSidePar splits a side's staging scan into page-range morsels:
-// workers run stagePages into private stagedSides and the caller
-// concatenates the per-morsel ranges. It returns false (having staged
-// nothing) when the table is too small to split, in which case the
-// caller stages on its own.
-func (f *fusedJoin) scanSidePar(sc *joinScratch, i int, t *storage.Table, params []types.Datum) bool {
-	per, n := pageMorsels(t)
+// scanPar splits the side's staging scan of t into page-range morsels on
+// ph: workers run stagePages into private stagedSides and the caller
+// concatenates the per-morsel ranges into dst. It returns false (having
+// staged nothing) when the table is too small to split, in which case
+// the caller stages on its own; after true the caller owes ph.finish.
+func (s *fusedSide) scanPar(ph *parPhase, dst *stagedSide, pool *morsel.Pool, t *storage.Table, params []types.Datum) bool {
+	per, n := pageMorsels(t, morsel.Rows)
 	if n < 2 {
 		return false
 	}
-	s := &f.sides[i]
 	pages := t.NumPages()
-	ph := &sc.par
 	ph.reset(n, s.par, -1)
-	ph.run(f.p.Pool, s.par, func(wi int) {
+	ph.run(pool, s.par, func(wi int) {
 		st := &ph.workers[wi].staged
 		for {
 			m, ok := ph.queue.Next()
@@ -64,18 +66,17 @@ func (f *fusedJoin) scanSidePar(sc *joinScratch, i int, t *storage.Table, params
 	})
 	// Concatenate in morsel order: page ranges are claimed out of order
 	// but reassemble into exactly the caller-only scan order.
-	dst := &sc.staged[i]
+	total := 0
+	for k := range ph.morsels {
+		total += ph.morsels[k].end - ph.morsels[k].start
+	}
+	dst.arena = slices.Grow(dst.arena, total)
 	for k := range ph.morsels {
 		mo := &ph.morsels[k]
 		st := &ph.workers[mo.worker].staged
 		dst.arena = append(dst.arena, st.arena[mo.start:mo.end]...)
 		dst.partIdx = append(dst.partIdx, st.partIdx[mo.pstart:mo.pend]...)
 		dst.rows += mo.rows
-	}
-	if f.traced {
-		ph.finish(f.p.Trace, plan.TraceJoinStage(0, i))
-	} else {
-		ph.finish(nil, "")
 	}
 	return true
 }
@@ -106,13 +107,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	ph := &sc.par
 	ph.reset(chunks, target, phLimit)
 	if fa != nil {
-		if cap(sc.chunkMaps) < chunks {
-			sc.chunkMaps = make([]*core.Accum, chunks)
-		}
-		sc.chunkMaps = sc.chunkMaps[:chunks]
-		for i := range sc.chunkMaps {
-			sc.chunkMaps[i] = nil
-		}
+		sc.resetChunkMaps(chunks)
 	}
 	ph.run(f.p.Pool, target, func(wi int) {
 		wk := &ph.workers[wi]
@@ -124,9 +119,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 			}
 			f.prepTail(ts)
 			if fa != nil {
-				ts.acc = wk.popMap()
-				ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
-				sc.chunkMaps[c] = ts.acc
+				ts.acc = sc.chunkMap(wk, c, fa.prog)
 			}
 			mo := parMorsel{worker: int32(wi), start: len(ts.arena)}
 			f.joinPartitions(ts, p0, p1, c*per, min((c+1)*per, m), phLimit)
@@ -139,24 +132,41 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 		caller.pairs += ph.morsels[i].rows
 	}
 	if fa != nil {
-		// Merge the chunk accumulators into the execution's map state in
-		// ascending chunk order — a fixed fold order, whatever the claim
-		// timing — then return them to their workers' freelists.
-		for c, acc := range sc.chunkMaps {
-			if acc == nil {
-				continue
-			}
-			caller.acc.Merge(acc)
-			wk := &ph.workers[ph.morsels[c].worker]
-			wk.maps = append(wk.maps, acc)
-			sc.chunkMaps[c] = nil
-		}
+		sc.mergeChunkMaps()
 	} else {
 		ph.stitchRows(caller.out, f.outWidth, limit)
 	}
-	if f.traced {
-		ph.finish(f.p.Trace, plan.TraceJoin(0))
-	} else {
-		ph.finish(nil, "")
+	ph.finish(f.p.Trace, f.names[2])
+}
+
+// resetChunkMaps sizes the per-chunk accumulator table of a phase whose
+// chunks each fold into a private map-aggregation state.
+func (sc *joinScratch) resetChunkMaps(chunks int) {
+	sc.chunkMaps = slices.Grow(sc.chunkMaps[:0], chunks)[:chunks]
+	clear(sc.chunkMaps)
+}
+
+// chunkMap draws chunk c's accumulator from worker wk's freelist, reset
+// for prog, and records it for the merge.
+func (sc *joinScratch) chunkMap(wk *parWorker, c int, prog *core.AggProgram) *core.Accum {
+	acc := wk.popMap()
+	acc.Reset(prog.NGroups, prog.NAggs)
+	sc.chunkMaps[c] = acc
+	return acc
+}
+
+// mergeChunkMaps folds the chunk accumulators into the execution's map
+// state in ascending chunk order — a fixed fold order, whatever the claim
+// timing or the worker count — then returns them to their workers'
+// freelists.
+func (sc *joinScratch) mergeChunkMaps() {
+	for c, acc := range sc.chunkMaps {
+		if acc == nil {
+			continue
+		}
+		sc.tail.acc.Merge(acc)
+		wk := &sc.par.workers[sc.par.morsels[c].worker]
+		wk.maps = append(wk.maps, acc)
+		sc.chunkMaps[c] = nil
 	}
 }

@@ -303,9 +303,11 @@ func (ph *parPhase) stitchRows(out *storage.Table, w, limit int) {
 var parPhasePool = sync.Pool{New: func() any { return new(parPhase) }}
 
 // pageMorsels computes the page-range split of a table scan: each morsel
-// covers enough whole pages to hold about morsel.Rows tuples. n is the
-// morsel count; a caller seeing n < 2 runs its serial loop.
-func pageMorsels(t *storage.Table) (perMorsel, n int) {
+// covers enough whole pages to hold about rows tuples (morsel.Rows, or
+// more where a morsel carries a fixed merge cost). n is the morsel count;
+// a caller seeing n < 2 runs its serial loop. The split is a pure
+// function of the page count, never of the worker count.
+func pageMorsels(t *storage.Table, rows int) (perMorsel, n int) {
 	pages := t.NumPages()
 	if pages == 0 {
 		return 1, 0
@@ -314,7 +316,7 @@ func pageMorsels(t *storage.Table) (perMorsel, n int) {
 	if cap < 1 {
 		cap = 1
 	}
-	perMorsel = (morsel.Rows + cap - 1) / cap
+	perMorsel = (rows + cap - 1) / cap
 	if perMorsel < 1 {
 		perMorsel = 1
 	}

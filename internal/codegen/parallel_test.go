@@ -44,9 +44,10 @@ func parCatalog(n int) *catalog.Catalog {
 	return cat
 }
 
-// runParallelVsSerial compiles q at OptO2 both serial and parallel
-// (workers=4) and requires byte-identical raw-order results.
-func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ...types.Datum) {
+// runParallelVsSerial compiles q at OptO2 serial, parallel (workers=4)
+// and once more through the general walk (fusion off), requires
+// byte-identical raw-order results, and returns them.
+func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ...types.Datum) []string {
 	t.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {
@@ -55,8 +56,10 @@ func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ..
 	serial, parallel := plan.DefaultOptions(), plan.DefaultOptions()
 	serial.Parallelism = 1
 	parallel.Parallelism = 4
+	defer SetFusion(true)
 	var ref []string
-	for _, opts := range []plan.Options{serial, parallel} {
+	for i, opts := range []plan.Options{serial, parallel, serial} {
+		SetFusion(i < 2)
 		p, err := plan.BuildWithOptions(stmt, cat, opts)
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
@@ -64,6 +67,9 @@ func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ..
 		cq, err := Generate(p, OptO2)
 		if err != nil {
 			t.Fatalf("generate %q: %v", q, err)
+		}
+		if cq.Fused != (i < 2) {
+			t.Fatalf("%q: run %d compiled fused=%v", q, i, cq.Fused)
 		}
 		out, err := cq.Run(params...)
 		if err != nil {
@@ -75,9 +81,10 @@ func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ..
 			continue
 		}
 		if fmt.Sprint(got) != fmt.Sprint(ref) {
-			t.Errorf("%q: parallel result differs from serial\nserial:   %v\nparallel: %v", q, ref, got)
+			t.Errorf("%q: run %d (0 serial, 1 parallel, 2 general walk) differs from serial\nserial: %v\ngot:    %v", q, i, ref, got)
 		}
 	}
+	return ref
 }
 
 func TestParallelScanEmptyTable(t *testing.T) {
@@ -99,6 +106,45 @@ func TestParallelScanRowCountNotMultipleOfMorsel(t *testing.T) {
 	runParallelVsSerial(t, cat, "SELECT id FROM pt WHERE grp >= 3")
 	runParallelVsSerial(t, cat,
 		"SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM pt GROUP BY grp ORDER BY grp")
+}
+
+// TestScanAggregateCorners pins the fused scan → aggregate where its
+// chunked fold degenerates or its inputs go stale: a table below one
+// morsel (one chunk, no phase), an empty selection, LIMIT 0, a LIMIT
+// over the groups, and a group value the plan's value directory has
+// never seen (rows appended after the statistics were taken) — which map
+// aggregation skips on every path.
+func TestScanAggregateCorners(t *testing.T) {
+	forceParallel(t)
+	const q = "SELECT grp, COUNT(*) AS n, SUM(val) AS s, MIN(id) AS lo FROM pt WHERE id >= 0 GROUP BY grp ORDER BY grp"
+	for _, n := range []int{100, 2*morsel.Rows + 55} {
+		cat := parCatalog(n)
+		if rows := runParallelVsSerial(t, cat, q); len(rows) != 7 {
+			t.Errorf("%d rows: %d groups, want 7", n, len(rows))
+		}
+		if rows := runParallelVsSerial(t, cat, q+" LIMIT 3"); len(rows) != 3 {
+			t.Errorf("%d rows: LIMIT 3 returned %d groups", n, len(rows))
+		}
+		if rows := runParallelVsSerial(t, cat, q+" LIMIT 0"); len(rows) != 0 {
+			t.Errorf("%d rows: LIMIT 0 returned %d groups", n, len(rows))
+		}
+		runParallelVsSerial(t, cat, "SELECT grp, COUNT(*) AS n FROM pt WHERE id < 0 GROUP BY grp")
+		runParallelVsSerial(t, cat, "SELECT COUNT(*) AS n, SUM(val * 2) AS s FROM pt WHERE grp = ?", types.IntDatum(3))
+
+		e, err := cat.Lookup("pt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			e.Table.AppendRow(types.IntDatum(int64(n+i)), types.IntDatum(99), types.FloatDatum(1))
+		}
+		if p := mustPlan(t, cat, q); p.Agg.Alg != plan.MapAggregation {
+			t.Fatalf("the absent-group case needs map aggregation, planned %v", p.Agg.Alg)
+		}
+		if rows := runParallelVsSerial(t, cat, q); len(rows) != 7 {
+			t.Errorf("%d rows: a group absent from the directory surfaced: %v", n, rows)
+		}
+	}
 }
 
 func TestParallelScanParamPredicateInWorkers(t *testing.T) {

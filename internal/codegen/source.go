@@ -551,8 +551,14 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 		w.line("page := in.PageOf(part, p)")
 		w.line("for t := 0; t < page.NumTuples; t++ {")
 		w.in()
-		width := a.Input.Schema.TupleSize()
-		w.line("tuple := page.Data[t*%d : (t+1)*%d]", width, width)
+		// Group-less COUNTs read no staged field: no tuple to declare.
+		reads := len(a.GroupCols) > 0
+		for _, spec := range a.Aggs {
+			reads = reads || !(spec.Star || spec.Func == sql.AggCount)
+		}
+		if width := a.Input.Schema.TupleSize(); reads {
+			w.line("tuple := page.Data[t*%d : (t+1)*%d]", width, width)
+		}
 		for _, gc := range a.GroupCols {
 			off := a.Input.Schema.Offset(gc)
 			size := a.Input.Schema.Column(gc).Size

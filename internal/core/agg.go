@@ -295,6 +295,11 @@ func CompileAgg(a *plan.Agg, staged *types.Schema, at ColumnAt) *AggProgram {
 	} else {
 		p.sameGroup = MakeKeyCompare(staged, a.GroupCols)
 		p.copies = make([]CopyRange, 0, len(a.GroupCols))
+		if len(a.GroupCols) == 0 {
+			// A group-less aggregate is also the one-group, no-probe map:
+			// Locate yields slot 0 and EmitMapGroups its single row.
+			p.NGroups = 1
+		}
 	}
 	for pos, ref := range a.Output {
 		if ref.IsAgg {
@@ -486,6 +491,22 @@ func DirProbe(kind types.Kind, off, size int, dir []types.Datum) func(t []byte) 
 			return -1
 		}
 	case types.String:
+		if size == 1 {
+			// CHAR(1) is a dense domain: the byte indexes a table of the
+			// indexes the search below would find.
+			var tab [256]int32
+			for b := range tab {
+				tab[b] = -1
+			}
+			for i, d := range dir {
+				if len(d.S) == 0 {
+					tab[0] = int32(i)
+				} else if len(d.S) == 1 {
+					tab[d.S[0]] = int32(i)
+				}
+			}
+			return func(t []byte) int32 { return tab[t[off]] }
+		}
 		vals := make([]string, len(dir))
 		for i, d := range dir {
 			vals[i] = d.S

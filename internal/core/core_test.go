@@ -546,3 +546,26 @@ func TestFineRouterNilVersusEmptyDirectory(t *testing.T) {
 		t.Errorf("empty value directory routed a tuple to %d", p)
 	}
 }
+
+// TestDirProbeDenseChar1 pins the CHAR(1) table form against the search
+// it replaces: the index the binary search would return, -1 for a byte
+// outside the directory and for every byte of an empty directory.
+func TestDirProbeDenseChar1(t *testing.T) {
+	dirs := [][]types.Datum{
+		{},
+		{types.StringDatum("A"), types.StringDatum("N"), types.StringDatum("R")},
+		{types.StringDatum(""), types.StringDatum("F"), types.StringDatum("O")},
+	}
+	for _, dir := range dirs {
+		dense := DirProbe(types.String, 2, 1, dir)
+		// The same directory over a CHAR(2) column takes the search lane.
+		search := DirProbe(types.String, 2, 2, dir)
+		tuple := make([]byte, 4)
+		for b := 0; b < 256; b++ {
+			tuple[2] = byte(b)
+			if got, want := dense(tuple), search(tuple); got != want {
+				t.Fatalf("directory %v byte %d: dense form = %d, search = %d", dir, b, got, want)
+			}
+		}
+	}
+}

@@ -24,36 +24,106 @@ func (e *Engine) Name() string { return "HIQUE" }
 
 // Execute runs the plan to completion and returns the result table.
 func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
-	joinOut := make([]*storage.Table, len(p.Joins))
-	resolve := func(ref plan.InputRef) (*storage.Table, error) {
-		if ref.Base >= 0 {
-			return p.Tables[ref.Base].Entry.Table, nil
-		}
-		if ref.Join < 0 || ref.Join >= len(joinOut) || joinOut[ref.Join] == nil {
-			return nil, fmt.Errorf("core: dangling input reference %v", ref)
-		}
-		return joinOut[ref.Join], nil
+	joinOut, err := RunJoins(p, len(p.Joins))
+	if err != nil {
+		return nil, err
 	}
-	// stageInput resolves a stage's input, fetching through the fractal
-	// B+-tree when the planner marked the stage for index access.
-	stageInput := func(st *plan.Stage) (*storage.Table, error) {
-		in, err := resolve(st.Input)
+	tr := p.Trace
+	var t0 time.Time
+
+	var result *storage.Table
+	// resultOwned marks a result the caller may Release: it was
+	// materialised from the arena by this execution and aliases no base
+	// table or join output.
+	resultOwned := false
+	switch {
+	case p.Agg != nil:
+		if tr != nil {
+			t0 = time.Now()
+		}
+		in, err := stageInput(p, joinOut, &p.Agg.Input)
 		if err != nil {
 			return nil, err
 		}
-		return ApplyIndexScan(p, st, in)
+		aggIn := int64(in.NumRows())
+		if p.Agg.Alg == plan.MapAggregation {
+			result, err = RunMapAgg(p.Agg, in)
+		} else {
+			var staged *Staged
+			staged, err = RunStage(&p.Agg.Input, in)
+			if err != nil {
+				return nil, err
+			}
+			aggIn = int64(staged.Rows())
+			result, err = RunSortedAgg(p.Agg, staged)
+			staged.Release()
+		}
+		if err != nil {
+			return nil, err
+		}
+		if tr != nil {
+			tr.Observe(plan.TraceStageAgg, aggIn, int64(result.NumRows()), time.Since(t0))
+		}
+	case p.Final != nil:
+		if tr != nil {
+			t0 = time.Now()
+		}
+		in, err := stageInput(p, joinOut, p.Final)
+		if err != nil {
+			return nil, err
+		}
+		staged, err := RunStage(p.Final, in)
+		if err != nil {
+			return nil, err
+		}
+		result = staged.Parts[0]
+		resultOwned = staged.Owned
+		if tr != nil {
+			tr.Observe(plan.TraceStageProject,
+				int64(in.NumRows()), int64(result.NumRows()), time.Since(t0))
+		}
+	default:
+		return nil, fmt.Errorf("core: plan has neither aggregation nor final projection")
 	}
 
+	result, resultOwned = applyHaving(p, result, resultOwned)
+	var cmp Compare
+	if p.Sort != nil {
+		cmp = MakeSortCompare(result.Schema(), p.Sort.Keys)
+	}
+	return FinishResult(p, cmp, result, resultOwned), nil
+}
+
+// stageInput resolves a stage's input — a base table, or an earlier
+// join's output in joinOut — fetching through the fractal B+-tree when
+// the planner marked the stage for index access.
+func stageInput(p *plan.Plan, joinOut []*storage.Table, st *plan.Stage) (*storage.Table, error) {
+	ref := st.Input
+	if ref.Base >= 0 {
+		return ApplyIndexScan(p, st, p.Tables[ref.Base].Entry.Table)
+	}
+	if ref.Join < 0 || ref.Join >= len(joinOut) || joinOut[ref.Join] == nil {
+		return nil, fmt.Errorf("core: dangling input reference %v", ref)
+	}
+	return joinOut[ref.Join], nil
+}
+
+// RunJoins runs the plan's first n join descriptors in order — stage
+// each input, join, release the staged inputs — and returns their
+// materialised outputs. The general walk runs them all; a fused chain
+// runs its prefix through here, so its intermediates are the walk's own.
+func RunJoins(p *plan.Plan, n int) ([]*storage.Table, error) {
+	joinOut := make([]*storage.Table, n)
 	tr := p.Trace
 	var t0 time.Time
-	for ji, j := range p.Joins {
+	for ji, j := range p.Joins[:n] {
 		staged := make([]*Staged, len(j.Inputs))
 		stagedRows := int64(0)
 		for i := range j.Inputs {
 			if tr != nil {
 				t0 = time.Now()
 			}
-			in, err := stageInput(&j.Inputs[i])
+			in, err := stageInput(p, joinOut, &j.Inputs[i])
 			if err != nil {
 				releaseAll(staged)
 				return nil, err
@@ -85,64 +155,7 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 		}
 		joinOut[ji] = out
 	}
-
-	var result *storage.Table
-	// resultOwned marks a result the caller may Release: it was
-	// materialised from the arena by this execution and aliases no base
-	// table or join output.
-	resultOwned := false
-	switch {
-	case p.Agg != nil:
-		if tr != nil {
-			t0 = time.Now()
-		}
-		in, err := stageInput(&p.Agg.Input)
-		if err != nil {
-			return nil, err
-		}
-		aggIn := int64(in.NumRows())
-		if p.Agg.Alg == plan.MapAggregation {
-			result, err = RunMapAgg(p.Agg, in)
-		} else {
-			var staged *Staged
-			staged, err = RunStage(&p.Agg.Input, in)
-			if err != nil {
-				return nil, err
-			}
-			aggIn = int64(staged.Rows())
-			result, err = RunSortedAgg(p.Agg, staged)
-			staged.Release()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Observe(plan.TraceStageAgg, aggIn, int64(result.NumRows()), time.Since(t0))
-		}
-	case p.Final != nil:
-		if tr != nil {
-			t0 = time.Now()
-		}
-		in, err := stageInput(p.Final)
-		if err != nil {
-			return nil, err
-		}
-		staged, err := RunStage(p.Final, in)
-		if err != nil {
-			return nil, err
-		}
-		result = staged.Parts[0]
-		resultOwned = staged.Owned
-		if tr != nil {
-			tr.Observe(plan.TraceStageProject,
-				int64(in.NumRows()), int64(result.NumRows()), time.Since(t0))
-		}
-	default:
-		return nil, fmt.Errorf("core: plan has neither aggregation nor final projection")
-	}
-
-	result, resultOwned = applyHaving(p, result, resultOwned)
-	return finishResult(p, result, resultOwned), nil
+	return joinOut, nil
 }
 
 // applyHaving filters aggregated groups against the plan's HAVING
@@ -170,16 +183,16 @@ func applyHaving(p *plan.Plan, result *storage.Table, owned bool) (*storage.Tabl
 	return out, true
 }
 
-// finishResult applies the shared final-ordering and LIMIT tail: sort
-// into a pooled copy, truncate to the limit, and release each replaced
-// result the execution owned.
-func finishResult(p *plan.Plan, result *storage.Table, owned bool) *storage.Table {
-	if p.Sort != nil {
+// FinishResult applies the final-ordering and LIMIT tail the general walk
+// and the fused pipelines share: sort by cmp (the compiled ORDER BY, nil
+// when the plan has none) into a pooled copy, truncate to the limit, and
+// release each replaced result the execution owned.
+func FinishResult(p *plan.Plan, cmp Compare, result *storage.Table, owned bool) *storage.Table {
+	if cmp != nil {
 		var t0 time.Time
 		if p.Trace != nil {
 			t0 = time.Now()
 		}
-		cmp := MakeSortCompare(result.Schema(), p.Sort.Keys)
 		sorted := SortTablePooled("result", result, cmp)
 		if owned {
 			result.Release()

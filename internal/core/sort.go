@@ -41,6 +41,16 @@ func SortTuples(tuples [][]byte, cmp Compare) {
 		// equal; there is nothing to order.
 		return
 	}
+	// Already ordered — a table stored in key order, a merge join's output
+	// re-keyed on the same class: one pass that stops at the first
+	// inversion, and ties keep their input order.
+	i := 1
+	for i < n && cmp(tuples[i-1], tuples[i]) <= 0 {
+		i++
+	}
+	if i == n {
+		return
+	}
 	runLen := l2CacheBytes / 2 / tupleSize
 	if runLen < 1024 {
 		runLen = 1024

@@ -77,3 +77,53 @@ func TestSortTuplesCyclicPatternFast(t *testing.T) {
 		}
 	}
 }
+
+// TestSortTuplesOrderedInputIsOnePass pins the early-out: input already
+// in key order (ties included) costs n-1 compares and keeps its order —
+// the identity permutation, which is also what a stable sort produces.
+func TestSortTuplesOrderedInputIsOnePass(t *testing.T) {
+	s := types.NewSchema(types.Col("k", types.Int), types.Col("v", types.Int))
+	base := MakeKeyCompare(s, []int{0})
+	const n = 200000 // past the run size, so the merge path would run
+	tuples := buildPatternTuples(n, n, 16, "asc")
+	for i, tp := range tuples {
+		types.PutInt(tp, 0, int64(i/3)) // runs of three equal keys
+		types.PutInt(tp, 8, int64(i))
+	}
+	count := 0
+	SortTuples(tuples, func(a, b []byte) int { count++; return base(a, b) })
+	if count != n-1 {
+		t.Errorf("ordered input cost %d compares, want %d", count, n-1)
+	}
+	for i, tp := range tuples {
+		if types.GetInt(tp, 8) != int64(i) {
+			t.Fatalf("ordered input was permuted at %d", i)
+		}
+	}
+	// One inversion at the very end still sorts.
+	types.PutInt(tuples[n-1], 0, -1)
+	SortTuples(tuples, base)
+	if types.GetInt(tuples[0], 0) != -1 {
+		t.Error("input with a late inversion came back unsorted")
+	}
+}
+
+// BenchmarkSortTuples measures the early-out where it pays (ordered) and
+// the extra pass where it cannot (random stops at the first inversion,
+// reversed at the first pair).
+func BenchmarkSortTuples(b *testing.B) {
+	s := types.NewSchema(types.Col("k", types.Int), types.Col("v", types.Int))
+	cmp := MakeKeyCompare(s, []int{0})
+	const n = 200000
+	for _, pattern := range []string{"ordered", "random", "reversed"} {
+		b.Run(pattern, func(b *testing.B) {
+			src := buildPatternTuples(n, n, 16, map[string]string{"ordered": "asc", "random": "rand", "reversed": "desc"}[pattern])
+			work := make([][]byte, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, src)
+				SortTuples(work, cmp)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ package enginetest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -41,6 +42,49 @@ func (c codegenEngine) Execute(p *plan.Plan) (*storage.Table, error) {
 		return nil, err
 	}
 	return q.Run()
+}
+
+// shapedEngine is the -O2 generator over the statement as DB.Query shapes
+// it when the plan cache is on: literals lifted into bind slots by the
+// lexer pass, the plan built from the parameterised text, the lifted
+// values bound at run time. That is also exactly what Prepare with '?'
+// placeholders compiles; the other engines run what Prepare with
+// literals does.
+type shapedEngine struct {
+	cat  *catalog.Catalog
+	opts plan.Options
+	q    string
+}
+
+func (shapedEngine) Name() string { return "codegen-O2(shaped)" }
+
+func (e shapedEngine) Execute(*plan.Plan) (*storage.Table, error) {
+	var sb sql.ShapeBuf
+	if err := sb.Shape(e.q); err != nil {
+		return nil, err
+	}
+	stmt, err := sql.Parse(string(sb.Out))
+	if err != nil {
+		return nil, err
+	}
+	p, err := plan.BuildWithOptions(stmt, e.cat, e.opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(sb.Lits) != len(p.Params) {
+		return nil, fmt.Errorf("shape lifted %d literals, plan has %d slots", len(sb.Lits), len(p.Params))
+	}
+	params := make([]types.Datum, len(p.Params))
+	for i, slot := range p.Params {
+		if params[i], err = plan.LiteralDatum(sb.Lits[i].Expr(), slot.Kind); err != nil {
+			return nil, err
+		}
+	}
+	q, err := codegen.Generate(p, codegen.OptO2)
+	if err != nil {
+		return nil, err
+	}
+	return q.Run(params...)
 }
 
 func engines() []engine {
@@ -169,6 +213,16 @@ var corpus = []string{
 	"SELECT da.ka, COUNT(*) AS n, SUM(db.w) AS s FROM da, db WHERE da.ka = db.kb GROUP BY da.ka",
 	// COUNT is the one aggregate a CHAR argument may feed.
 	"SELECT grp, COUNT(tag) AS n FROM ev GROUP BY grp ORDER BY grp",
+	// The Q1 shape: CHAR and Int grouping columns through the value
+	// directories, expression aggregate arguments, a range filter.
+	"SELECT tag, grp, SUM(amt) AS s, SUM(amt * (1 + id)) AS e, AVG(amt) AS a, COUNT(*) AS n FROM ev WHERE day <= 10250 GROUP BY tag, grp ORDER BY tag, grp",
+	// LIMIT 0 over an aggregation and over a scan: no rows, no work.
+	"SELECT grp, COUNT(*) AS n FROM ev GROUP BY grp ORDER BY grp LIMIT 0",
+	"SELECT id FROM ev WHERE grp = 1 LIMIT 0",
+	// CHAR comparisons beyond equality (bound in place when lifted), one
+	// of them against a value wider than the column.
+	"SELECT tag, COUNT(*) AS n FROM ev WHERE tag >= 'bb' AND tag < 'dd' GROUP BY tag ORDER BY tag",
+	"SELECT COUNT(*) AS n FROM ev WHERE tag < 'ccccc'",
 }
 
 // The aggregate matrix the shared accumulator (core.AggProgram) carries
@@ -241,7 +295,18 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 			t.Errorf("plan %q: want a CHAR-argument plan error, got %v", q, err)
 		}
 	}
-	for _, q := range corpus {
+	runQueries(t, cat, opts, corpus, engines(), 0)
+}
+
+// runQueries plans each statement and requires every engine in engs, and
+// the -O2 generator over the statement's auto-parameterised shape, to
+// return the first engine's rows. floatTol 0 compares the rendered rows
+// exactly, as the corpus always has; the TPC-H statements pass 1e-9, the
+// relative float tolerance the yardstick applies to them (their sums are
+// not order-exact, and the fused scan folds them chunk by chunk).
+func runQueries(t *testing.T, cat *catalog.Catalog, opts plan.Options, stmts []string, engs []engine, floatTol float64) {
+	t.Helper()
+	for _, q := range stmts {
 		stmt, err := sql.Parse(q)
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
@@ -252,15 +317,16 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 		}
 		ordered := p.Sort != nil
 		var ref []string
+		var refOut *storage.Table
 		var refName string
-		for _, e := range engines() {
+		for _, e := range append(engs[:len(engs):len(engs)], shapedEngine{cat, opts, q}) {
 			out, err := e.Execute(p)
 			if err != nil {
 				t.Fatalf("%s: %q: %v", e.Name(), q, err)
 			}
 			got := canonical(out, ordered)
 			if ref == nil {
-				ref, refName = got, e.Name()
+				ref, refOut, refName = got, out, e.Name()
 				continue
 			}
 			if len(got) != len(ref) {
@@ -269,7 +335,7 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 				continue
 			}
 			for i := range ref {
-				if got[i] != ref[i] {
+				if got[i] != ref[i] && !(floatTol > 0 && ordered && closeRow(refOut, out, i, floatTol)) {
 					t.Errorf("%q: row %d differs between %s and %s:\n  %s\n  %s",
 						q, i, refName, e.Name(), ref[i], got[i])
 					break
@@ -277,6 +343,24 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 			}
 		}
 	}
+}
+
+// closeRow compares row i of two results cell by cell: floats to tol
+// relative, everything else exactly.
+func closeRow(a, b *storage.Table, i int, tol float64) bool {
+	sa, sb := a.Schema(), b.Schema()
+	ta, tb := a.Tuple(i), b.Tuple(i)
+	for c := 0; c < sa.NumColumns(); c++ {
+		x, y := sa.GetDatum(ta, c), sb.GetDatum(tb, c)
+		if x.Kind != types.Float {
+			if types.Compare(x, y) != 0 {
+				return false
+			}
+		} else if math.Abs(x.F-y.F) > tol*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAllEnginesAgreeDefaultPlans(t *testing.T) {

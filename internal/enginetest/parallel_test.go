@@ -6,11 +6,17 @@
 package enginetest
 
 import (
+	"strings"
 	"testing"
 
+	"hique/internal/catalog"
 	"hique/internal/codegen"
+	"hique/internal/core"
+	"hique/internal/morsel"
 	"hique/internal/plan"
 	"hique/internal/sql"
+	"hique/internal/tpch"
+	"hique/internal/volcano"
 )
 
 // parallelWorkerCounts spans the interesting shapes: forced serial, an
@@ -65,7 +71,18 @@ func TestParallelCodegenAgreesForcedAlgorithms(t *testing.T) {
 // are stitched together.
 func TestParallelRowOrderMatchesSerial(t *testing.T) {
 	lowThreshold(t)
-	cat := fixture(14, 6000, 200, 800)
+	// ev spans three scan morsels, so the single-table pipelines — the
+	// stitched scan and the chunk-merged scan → aggregate — split too.
+	cat := fixture(14, 2*morsel.Rows+900, 200, 800)
+	rowOrderMatchesSerial(t, cat, corpus)
+	// TPC-H at SF 0.01: lineitem is eight morsels, orders two. The float
+	// sums are not order-exact, so equal rendered rows across worker
+	// counts mean the fold order did not move with the worker target.
+	rowOrderMatchesSerial(t, tpchCatalog(), tpchStatements())
+}
+
+func rowOrderMatchesSerial(t *testing.T, cat *catalog.Catalog, stmts []string) {
+	t.Helper()
 	eng := codegenEngine{level: codegen.OptO2}
 	merge, hybrid, fine := plan.MergeJoin, plan.HybridJoin, plan.FinePartitionJoin
 	for _, alg := range []*plan.JoinAlgorithm{nil, &merge, &hybrid, &fine} {
@@ -89,7 +106,7 @@ func TestParallelRowOrderMatchesSerial(t *testing.T) {
 			}
 			return canonical(out, true)
 		}
-		for _, q := range corpus {
+		for _, q := range stmts {
 			stmt, err := sql.Parse(q)
 			if err != nil {
 				t.Fatalf("parse %q: %v", q, err)
@@ -109,6 +126,54 @@ func TestParallelRowOrderMatchesSerial(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+func tpchCatalog() *catalog.Catalog {
+	return tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 42})
+}
+
+func tpchStatements() []string {
+	var out []string
+	for _, n := range tpch.QueryNumbers() {
+		q, _ := tpch.Query(n)
+		out = append(out, q)
+	}
+	return out
+}
+
+// TestParallelScanAggregateAndTPCH sweeps what ISSUE 20 moved onto the
+// fused pipelines — single-table aggregation (the aggregate matrix, the
+// Q1 and Q6 shapes, empty selections, LIMIT 0, CHAR predicates) over a
+// table of several morsels, and TPC-H Q1/Q3/Q6/Q10 — across fusion on and
+// off and workers {1, 2, 3, 8}, as Prepare with literals compiles them
+// and as DB.Query's auto-parameterisation (or Prepare with '?') does.
+// The reference rows come from the general walk and optimized-iterators;
+// dm, da and db stay below one morsel throughout.
+func TestParallelScanAggregateAndTPCH(t *testing.T) {
+	lowThreshold(t)
+	cat := fixture(15, 2*morsel.Rows+900, 200, 800)
+	var single []string
+	for _, q := range corpus {
+		if strings.Contains(q, "FROM ev") && !strings.Contains(q, "FROM ev,") &&
+			!strings.Contains(q, "JOIN") && !strings.Contains(q, "HAVING") {
+			single = append(single, q)
+		}
+	}
+	if len(single) < 30 {
+		t.Fatalf("only %d single-table statements selected from the corpus", len(single))
+	}
+	tc := tpchCatalog()
+	engs := []engine{core.NewEngine(), volcano.NewOptimized(), codegenEngine{level: codegen.OptO2}}
+	defer codegen.SetFusion(true)
+	for _, fusion := range []bool{true, false} {
+		codegen.SetFusion(fusion)
+		for _, w := range parallelWorkerCounts {
+			opts := plan.DefaultOptions()
+			opts.Parallelism = w
+			runQueries(t, cat, opts, single, engs, 0)
+			runQueries(t, tc, opts, tpchStatements(), engs, 1e-9)
 		}
 	}
 }

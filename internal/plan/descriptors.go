@@ -172,6 +172,24 @@ func (st *Stage) IsIdentity(in *types.Schema) bool {
 	return true
 }
 
+// Projectable reports whether the compiled projector can evaluate every
+// column of the stage: direct copies of any kind, computed columns of a
+// numeric kind (a computed CHAR would need per-tuple allocation).
+func (st *Stage) Projectable() bool {
+	for i := range st.Cols {
+		c := &st.Cols[i]
+		if c.Source >= 0 && c.Compute == nil {
+			continue
+		}
+		switch c.Compute.Kind() {
+		case types.Int, types.Float, types.Date:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // JoinAlgorithm enumerates the paper's join strategies (§V-B). All of them
 // instantiate the same nested-loops template (Listing 2) and differ only in
 // staging and in-loop extras.
@@ -216,23 +234,23 @@ type Join struct {
 }
 
 // FusionEligible reports whether the join's shape allows the holistic
-// fused pipeline: a binary join over two base-table inputs whose staging
-// matches the algorithm (sorted inputs for merge join, coarse partitions
-// for the hybrid hash-sort-merge join, a value directory for
-// the fine-partition join) and whose staged columns are all direct
-// copies. Filters and index specs on the inputs may carry parameter
-// slots — including on the join-key columns themselves — since the fused
-// executor reads the bind vector at run time. The generator applies
-// further checks of its own (predicate compilability, computed output
-// kinds); this method captures the structural half so the planner and
-// the generator agree on what "fusible" means.
-func (j *Join) FusionEligible() bool {
+// fused pipeline: a binary join whose inputs are base tables — or, when
+// chainFed is set (the final join of a left-deep chain), the previous
+// join's output on one side — whose staging matches the algorithm
+// (sorted inputs for merge join, coarse partitions for the hybrid
+// hash-sort-merge join, a value directory for the fine-partition join)
+// and whose staged columns are all direct copies. Filters and index
+// specs on the inputs may carry parameter slots — including on the
+// join-key columns themselves — since the fused executor reads the bind
+// vector at run time. This is the one structural predicate: the planner
+// and the generator agree on what "fusible" means through it.
+func (j *Join) FusionEligible(chainFed bool) bool {
 	if len(j.Inputs) != 2 || len(j.Keys) != 2 {
 		return false
 	}
 	for i := range j.Inputs {
 		st := &j.Inputs[i]
-		if st.Input.Base < 0 {
+		if st.Input.Base < 0 && !chainFed {
 			return false
 		}
 		switch j.Alg {

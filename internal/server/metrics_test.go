@@ -381,6 +381,10 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	if ar.Plan == "" || len(ar.Stages) == 0 {
 		t.Fatalf("missing plan or stages: %+v", ar)
 	}
+	// A single-table aggregation is a fused pipeline; 200 rows compile serial.
+	if ar.Path != "fused" || ar.Workers != 1 {
+		t.Errorf("path = %q workers = %d, want fused/1", ar.Path, ar.Workers)
+	}
 	var agg *hique.StageStats
 	for i := range ar.Stages {
 		if ar.Stages[i].Name == "aggregate" {

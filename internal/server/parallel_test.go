@@ -210,6 +210,9 @@ func TestParallelExplainAnalyzeOverHTTP(t *testing.T) {
 	if len(ar.Parallel) == 0 {
 		t.Fatalf("no parallel phases in analyze response: %+v", ar)
 	}
+	if ar.Path != "fused" || ar.Workers != 4 {
+		t.Errorf("path = %q workers = %d, want the fused scan compiled for 4 workers", ar.Path, ar.Workers)
+	}
 	ph := ar.Parallel[0]
 	if ph.Stage == "" || ph.Workers < 1 || len(ph.MorselRows) == 0 {
 		t.Fatalf("malformed parallel phase %+v", ph)

@@ -283,6 +283,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // analyzeResponse is the POST /query success body for EXPLAIN ANALYZE.
 type analyzeResponse struct {
 	Engine    string                `json:"engine"`
+	Path      string                `json:"path"`
+	Workers   int                   `json:"workers"`
 	Plan      string                `json:"plan"`
 	Stages    []hique.StageStats    `json:"stages"`
 	Parallel  []hique.ParallelStats `json:"parallel,omitempty"`
@@ -313,6 +315,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, stmt stri
 	sess.note(a.Elapsed, false, time.Now())
 	writeJSON(w, http.StatusOK, analyzeResponse{
 		Engine:    a.Engine,
+		Path:      a.Path,
+		Workers:   a.Workers,
 		Plan:      a.Plan,
 		Stages:    a.Stages,
 		Parallel:  a.Parallel,

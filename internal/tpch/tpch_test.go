@@ -3,6 +3,7 @@ package tpch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -282,6 +283,7 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 			t.Fatalf("Q%d plan: %v", n, err)
 		}
 		var ref []string
+		var refOut *storage.Table
 		var refName string
 		for _, e := range engines {
 			out, err := e.Execute(p)
@@ -290,7 +292,7 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 			}
 			rows := canonical(out)
 			if ref == nil {
-				ref, refName = rows, e.Name()
+				ref, refOut, refName = rows, out, e.Name()
 				g := golden[n]
 				if len(rows) != g.rows {
 					t.Errorf("Q%d: %d rows, golden %d", n, len(rows), g.rows)
@@ -305,7 +307,7 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 				continue
 			}
 			for i := range ref {
-				if rows[i] != ref[i] {
+				if !sameRow(refOut, out, i) {
 					t.Errorf("Q%d: row %d differs between %s and %s:\n  %s\n  %s",
 						n, i, refName, e.Name(), ref[i], rows[i])
 					break
@@ -313,6 +315,29 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameRow compares row i of two results column by column: integers,
+// dates and strings exactly, floats to 1e-9 relative — the fused
+// scan → aggregate folds its float sums chunk by chunk (a fixed order of
+// its own, for every worker count), the other engines tuple by tuple,
+// and a printed %.4f can round a 1e-16 difference either way.
+func sameRow(a, b *storage.Table, i int) bool {
+	s := a.Schema()
+	ta, tb := a.Tuple(i), b.Tuple(i)
+	for c := 0; c < s.NumColumns(); c++ {
+		x, y := s.GetDatum(ta, c), b.Schema().GetDatum(tb, c)
+		if x.Kind != types.Float {
+			if types.Compare(x, y) != 0 {
+				return false
+			}
+			continue
+		}
+		if d := math.Abs(x.F - y.F); d > 1e-9*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQ1GroupCountMatchesReference(t *testing.T) {

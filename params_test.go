@@ -280,3 +280,65 @@ func TestPreparedParams(t *testing.T) {
 		t.Errorf("missing argument: got %v, want BindError", err)
 	}
 }
+
+// TestBoundCharWiderThanColumn: a string parameter binds in place in the
+// fused pipelines (it used to demote the whole statement to the general
+// walk), and a bound value wider than the column keeps the literal's
+// semantics — never equal, the stored field sorts strictly below it —
+// on every comparison operator, in a scan, an aggregate and a join side,
+// against optimized-iterators.
+func TestBoundCharWiderThanColumn(t *testing.T) {
+	build := func(options ...Option) *DB {
+		db := Open(options...)
+		if err := db.CreateTable("fl", Int("id"), Char("f", 1), Int("k")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateTable("dk", Int("k"), Int("w")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			if err := db.Insert("fl", int64(i), string(rune('P'+i%4)), int64(i%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 5; k++ {
+			if err := db.Insert("dk", int64(k), int64(10*k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	db, ref := build(WithPlanCache(32)), build(WithEngine(OptimizedIterators))
+	shapes := []string{
+		"SELECT id FROM fl WHERE f %s ?",
+		"SELECT COUNT(*) AS n, SUM(id) AS s FROM fl WHERE f %s ?",
+		"SELECT dk.w, COUNT(*) AS n FROM fl, dk WHERE fl.k = dk.k AND fl.f %s ? GROUP BY dk.w ORDER BY dk.w",
+	}
+	for _, shape := range shapes {
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			q := fmt.Sprintf(shape, op)
+			pr, err := db.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cq := pr.compiled(); cq == nil || !cq.Fused {
+				t.Errorf("%s: a bound CHAR filter did not compile to a fused pipeline", q)
+			}
+			for _, arg := range []string{"Rxx", "R", "Q", "", "Zz"} {
+				want, err := ref.Query(q, arg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, run := range map[string]func(string, ...any) (*Result, error){"Query": db.Query, "Prepared": func(_ string, a ...any) (*Result, error) { return pr.Run(a...) }} {
+					got, err := run(q, arg)
+					if err != nil {
+						t.Fatalf("%s %q via %s: %v", q, arg, name, err)
+					}
+					if !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Errorf("%s with %q via %s:\n got  %v\n want %v", q, arg, name, got.Rows, want.Rows)
+					}
+				}
+			}
+		}
+	}
+}

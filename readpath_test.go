@@ -10,11 +10,14 @@ package hique
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"hique/internal/codegen"
+	"hique/internal/plan"
 	"hique/internal/storage"
+	"hique/internal/tpch"
 )
 
 // matrixDB builds a four-table chain t1 → t2 → t3 → t4 plus an unrelated
@@ -356,5 +359,54 @@ func TestLockSetDedupes(t *testing.T) {
 	}
 	for _, e := range entries {
 		lockFreeWithin(t, e, 2*time.Second)
+	}
+}
+
+// TestTPCHFusesAsQueryShapesIt asserts, for the four TPC-H texts, that the
+// artefact DB.Query caches — compiled from the auto-parameterised shape,
+// not from the literal text — took a fused pipeline, and that EXPLAIN
+// ANALYZE names that same path and traces it. This is the check the
+// yardstick's codegen.fused_share 0 would have tripped: every existing
+// "is it fused" test planned the literal text.
+func TestTPCHFusesAsQueryShapesIt(t *testing.T) {
+	db := Open(WithCatalog(tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})), WithPlanCache(16))
+	wantPath := map[int]string{1: "fused", 6: "fused", 3: "fused-chain", 10: "fused-chain"}
+	for _, n := range tpch.QueryNumbers() {
+		text, err := tpch.Query(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Query(text); err != nil {
+			t.Fatalf("Q%d: %v", n, err)
+		}
+		sc := new(queryScratch)
+		if err := sc.shape.Shape(text); err != nil {
+			t.Fatal(err)
+		}
+		key := codegen.AppendCacheKey(nil, sc.shape.Out, len(sc.shape.Lits), db.opts, codegen.OptO2)
+		v, _, ok := db.cache.GetStamped(key)
+		if !ok {
+			t.Fatalf("Q%d: no cached artefact under the statement's shape key", n)
+		}
+		cq := v.(*artefact).cq
+		if !cq.Fused || cq.Path != wantPath[n] {
+			t.Errorf("Q%d as Query shapes it: fused=%v path=%q, want %q (shape: %s)", n, cq.Fused, cq.Path, wantPath[n], sc.shape.Out)
+		}
+		a, err := db.ExplainAnalyze(text)
+		if err != nil {
+			t.Fatalf("Q%d EXPLAIN ANALYZE: %v", n, err)
+		}
+		if a.Path != cq.Path || a.Workers != cq.Workers {
+			t.Errorf("Q%d: EXPLAIN ANALYZE reports path=%q workers=%d, the serving artefact has %q/%d", n, a.Path, a.Workers, cq.Path, cq.Workers)
+		}
+		// A traced chain records every join of the plan, prefix included.
+		for ji := range cq.Plan.Joins {
+			if _, ok := stageByName(a.Stages, plan.TraceJoin(ji)); !ok {
+				t.Errorf("Q%d: traced %s run has no %s stage: %+v", n, a.Path, plan.TraceJoin(ji), a.Stages)
+			}
+		}
+		if !strings.Contains(a.String(), "path: "+cq.Path) {
+			t.Errorf("Q%d: rendered analyze output does not name the path:\n%s", n, a)
+		}
 	}
 }

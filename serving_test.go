@@ -6,8 +6,12 @@ package hique
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"hique/internal/codegen"
+	"hique/internal/morsel"
 )
 
 func cachedDB(t *testing.T) *DB {
@@ -297,5 +301,75 @@ func TestQueryRacesTableCreation(t *testing.T) {
 			}
 		}()
 		wg.Wait()
+	}
+}
+
+// TestConcurrentInsertParallelScanAggregate is the -race regression for
+// the morsel-parallel scan → aggregate: readers fold a table of several
+// morsels on private per-chunk accumulators while a writer inserts into
+// it. Workers take no locks of their own — the reader's table lock pins
+// the pages for the whole phase — so every reply must be a consistent
+// snapshot: group counts summing to a row count the table passed through.
+func TestConcurrentInsertParallelScanAggregate(t *testing.T) {
+	prev := codegen.SetParallelThreshold(1)
+	defer codegen.SetParallelThreshold(prev)
+	const seeded, inserts, readers, perReader = 3*morsel.Rows + 17, 24, 3, 8
+	db := Open(WithPlanCache(16), WithParallelism(4))
+	if err := db.CreateTable("pt", Int("id"), Int("grp"), Float("v")); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 64
+	stmt := "INSERT INTO pt VALUES (?, ?, ?)" + strings.Repeat(", (?, ?, ?)", batch-1)
+	for i := 0; i < seeded; i += batch {
+		args := make([]any, 0, 3*batch)
+		for k := i; k < i+batch; k++ {
+			args = append(args, k, k%5, float64(k%64)/8)
+		}
+		if _, err := db.Exec(stmt, args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded := (seeded + batch - 1) / batch * batch
+	q0, _ := morsel.Stats()
+	var wg sync.WaitGroup
+	errc := make(chan error, readers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < inserts; i++ {
+			if err := db.Insert("pt", int64(1_000_000+i), int64(i%5), 0.5); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var res Result
+			for i := 0; i < perReader; i++ {
+				if err := db.QueryInto(&res, "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM pt WHERE id >= 0 GROUP BY grp ORDER BY grp"); err != nil {
+					errc <- err
+					return
+				}
+				var sum int64
+				for _, row := range res.Rows {
+					sum += row[1].(int64)
+				}
+				if len(res.Rows) != 5 || sum < int64(loaded) || sum > int64(loaded+inserts) {
+					errc <- fmt.Errorf("inconsistent snapshot: %d groups, %d rows", len(res.Rows), sum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if q1, _ := morsel.Stats(); q1 == q0 {
+		t.Fatal("no reader ran a parallel phase")
 	}
 }
