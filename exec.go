@@ -8,6 +8,7 @@ import (
 
 	"hique/internal/btree"
 	"hique/internal/catalog"
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/types"
@@ -362,12 +363,11 @@ func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 		}
 		return n
 	}
-	s := t.Schema()
-	match := writeMatcher(s, filters)
+	preds := core.CompilePreds(t.Schema(), filters)
 	removed := 0
 	var survivors [][]byte // alias the old pages, copied on re-append
 	t.Scan(func(tuple []byte) bool {
-		if match(tuple) {
+		if core.MatchPreds(preds, tuple, nil) {
 			removed++
 		} else {
 			survivors = append(survivors, tuple)
@@ -391,7 +391,7 @@ func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetColumn) int {
 	t := e.Table
 	s := t.Schema()
-	match := writeMatcher(s, filters)
+	preds := core.CompilePreds(s, filters)
 	n := 0
 	for pi := 0; pi < t.NumPages(); pi++ {
 		pg := t.Page(pi)
@@ -400,7 +400,7 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 		data := pg.Data()
 		for i := 0; i < cnt; i++ {
 			tuple := data[i*ts : i*ts+ts]
-			if !match(tuple) {
+			if !core.MatchPreds(preds, tuple, nil) {
 				continue
 			}
 			for k := range sets {
@@ -422,24 +422,6 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 		}
 	}
 	return n
-}
-
-// writeMatcher compiles the filter conjunction into a tuple predicate.
-// The write path is engine-independent, so it evaluates through boxed
-// datum comparison rather than any engine's specialised closures.
-func writeMatcher(s *types.Schema, filters []plan.Filter) func(tuple []byte) bool {
-	if len(filters) == 0 {
-		return func([]byte) bool { return true }
-	}
-	return func(tuple []byte) bool {
-		for i := range filters {
-			f := &filters[i]
-			if !f.Op.Holds(types.Compare(s.GetDatum(tuple, f.Col), f.Val)) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // PrepareExec plans a DML statement without running it; Run binds one

@@ -222,6 +222,37 @@ func TestOversizedStringComparisons(t *testing.T) {
 	}
 }
 
+// TestWriteFilterComparesCharInPlace: DELETE and UPDATE evaluate their
+// filters through the compiled predicates, which compare a CHAR field in
+// place — a statement that scans every row allocates per statement, not
+// per row scanned.
+func TestWriteFilterComparesCharInPlace(t *testing.T) {
+	const rows = 2000
+	db := execDB(t, WithPlanCache(64))
+	for i := 0; i < rows; i++ {
+		if err := db.Insert("items", i, float64(i), fmt.Sprintf("n%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		stmt string
+		args []any
+	}{
+		{"DELETE FROM items WHERE label = 'nobody'", nil},
+		{"UPDATE items SET price = 1.0 WHERE label = 'nobody'", nil},
+		{"DELETE FROM items WHERE label > ?", []any{"zzzz"}},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if res, err := db.Exec(c.stmt, c.args...); err != nil || res.RowsAffected != 0 {
+				t.Fatalf("%s: %v / %+v", c.stmt, err, res)
+			}
+		})
+		if allocs > rows/10 {
+			t.Errorf("%s scanning %d rows: %.0f allocs per statement", c.stmt, rows, allocs)
+		}
+	}
+}
+
 // TestCoercionUnified pins that the Go-API Insert accepts exactly what
 // query bind parameters accept: int into Float, date strings and
 // integral floats into Date, int64 into Int.

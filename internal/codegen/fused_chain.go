@@ -1,25 +1,20 @@
 // Chained-join fused pipelines: N-way left-deep plans (TPC-H Q3's
 // customer⋈orders⋈lineitem, Q10's four-way chain) extend the two-table
-// fused pipeline of fused_join.go. The prefix joins run through core's
-// staged operators — the exact stage/join algorithms the general walk
-// uses, so every intermediate is byte-identical to what that walk would
-// materialise — and the *final* join plus the whole aggregation, ORDER
-// BY, and LIMIT tail compiles into the single fused
-// probe→join→aggregate→emit loop, with the pipeline's left side staged
-// from the last intermediate instead of a base table. The expensive end
-// of an analytical chain (the final join usually sees the largest
-// inputs, and the tail folds the aggregation into its loop) is where
-// fusion pays; the prefix keeps the general algorithms and their
-// operator-at-a-time materialisation.
+// fused pipeline of fused_join.go. The prefix joins run as the general
+// walk's own operators (core.RunJoins), so every intermediate is the
+// table that walk materialises, and the *final* join plus the whole
+// aggregation, HAVING, ORDER BY and LIMIT tail compiles into the single
+// fused probe→join→aggregate→emit loop, with the pipeline's left side
+// staged from the last intermediate instead of a base table. Both halves
+// run core's staging, bucketing and join-loop kernels; what the fused
+// half removes is the materialisation of the final join and its tail.
 //
-// Like every fused path this is an execution strategy, never a semantic
-// fork: results stay byte-identical to the general engines, row order
-// included. A parameterized chain binds once per run: the prefix reads
-// the pooled bound copy of the plan (runBound), the final pipeline the
-// bind vector. Shapes outside the chain decline gracefully (return nil)
-// and take the general walk: join teams (one join descriptor with more
-// than two inputs), bushy trees, HAVING, and any final join or tail the
-// two-table pipeline itself cannot claim.
+// A parameterized chain binds once per run: the prefix reads the pooled
+// bound copy of the plan (runBound), the final pipeline the bind vector.
+// Shapes outside the chain decline gracefully (return nil) and take the
+// general walk: join teams (one join descriptor with more than two
+// inputs), bushy trees, and any final join or tail the two-table pipeline
+// itself cannot claim.
 
 package codegen
 
@@ -41,7 +36,7 @@ type fusedChain struct {
 // plan's shape needs the general operator walk.
 func newFusedChain(p *plan.Plan) *fusedChain {
 	k := len(p.Joins)
-	if k < 2 || len(p.Having) > 0 {
+	if k < 2 {
 		return nil
 	}
 	// Left-deep chain: join 0 reads two base tables; join i>0 reads join

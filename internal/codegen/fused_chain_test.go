@@ -24,6 +24,8 @@ func TestFusedChainSelection(t *testing.T) {
 		// final pipeline reads the bind vector (CHAR values included).
 		"SELECT f.id, x.w FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id AND f.price > ?",
 		"SELECT f.id, x.w FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id AND d.label = ?",
+		// HAVING filters the emitted groups in the shared result tail.
+		"SELECT d.label, COUNT(*) AS n FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id GROUP BY d.label HAVING n > 1",
 	}
 	for _, q := range fused {
 		p := buildPlan(t, cat, q)
@@ -37,8 +39,6 @@ func TestFusedChainSelection(t *testing.T) {
 	declined := []string{
 		// A join team: one descriptor with three inputs, not a chain.
 		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
-		// HAVING filters between aggregation and sort; no fused slot.
-		"SELECT d.label, COUNT(*) AS n FROM fact f, dim d, ext x WHERE f.grp = d.id AND x.id = f.id GROUP BY d.label HAVING n > 1",
 	}
 	for _, q := range declined {
 		p := buildPlan(t, cat, q)

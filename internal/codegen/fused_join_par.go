@@ -24,9 +24,9 @@
 //     are exactly the caller-only values and float sums fold in one
 //     fixed order run to run.
 //
-// Both phases run the same kernels the caller-only run does
-// (stagePages, joinPartitions); what lives here is the split, the
-// per-worker state hand-off, and the in-order stitch or merge.
+// Both phases run the same kernels the caller-only run does (core's
+// StagePages and JoinLoop); what lives here is the split, the per-worker
+// state hand-off, and the in-order stitch or merge.
 package codegen
 
 import (
@@ -38,29 +38,29 @@ import (
 	"hique/internal/types"
 )
 
-// scanPar splits the side's staging scan of t into page-range morsels on
-// ph: workers run stagePages into private stagedSides and the caller
+// stageScan splits a staging scan of t into page-range morsels: up to
+// workers workers run s.StagePages into private arenas and the caller
 // concatenates the per-morsel ranges into dst. It returns false (having
 // staged nothing) when the table is too small to split, in which case
 // the caller stages on its own; after true the caller owes ph.finish.
-func (s *fusedSide) scanPar(ph *parPhase, dst *stagedSide, pool *morsel.Pool, t *storage.Table, params []types.Datum) bool {
+func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool *morsel.Pool, t *storage.Table, params []types.Datum) bool {
 	per, n := pageMorsels(t, morsel.Rows)
 	if n < 2 {
 		return false
 	}
 	pages := t.NumPages()
-	ph.reset(n, s.par, -1)
-	ph.run(pool, s.par, func(wi int) {
-		st := &ph.workers[wi].staged
+	ph.reset(n, workers, -1)
+	ph.run(pool, workers, func(wi int) {
+		a := &ph.workers[wi].staged
 		for {
 			m, ok := ph.queue.Next()
 			if !ok {
 				return
 			}
-			mo := parMorsel{worker: int32(wi), start: len(st.arena), pstart: len(st.partIdx)}
-			st.rows = 0
-			s.stagePages(st, t, m*per, min((m+1)*per, pages), params)
-			mo.rows, mo.end, mo.pend = st.rows, len(st.arena), len(st.partIdx)
+			mo := parMorsel{worker: int32(wi), start: len(a.Data), pstart: len(a.PartIdx)}
+			a.Rows = 0
+			s.StagePages(a, t, m*per, min((m+1)*per, pages), params)
+			mo.rows, mo.end, mo.pend = a.Rows, len(a.Data), len(a.PartIdx)
 			ph.complete(m, mo)
 		}
 	})
@@ -70,37 +70,33 @@ func (s *fusedSide) scanPar(ph *parPhase, dst *stagedSide, pool *morsel.Pool, t 
 	for k := range ph.morsels {
 		total += ph.morsels[k].end - ph.morsels[k].start
 	}
-	dst.arena = slices.Grow(dst.arena, total)
+	dst.Data = slices.Grow(dst.Data, total)
 	for k := range ph.morsels {
 		mo := &ph.morsels[k]
-		st := &ph.workers[mo.worker].staged
-		dst.arena = append(dst.arena, st.arena[mo.start:mo.end]...)
-		dst.partIdx = append(dst.partIdx, st.partIdx[mo.pstart:mo.pend]...)
-		dst.rows += mo.rows
+		a := &ph.workers[mo.worker].staged
+		dst.Data = append(dst.Data, a.Data[mo.start:mo.end]...)
+		dst.PartIdx = append(dst.PartIdx, a.PartIdx[mo.pstart:mo.pend]...)
+		dst.Rows += mo.rows
 	}
 	return true
 }
 
-// joinPar runs the per-partition join loop across workers. A morsel is
-// a contiguous chunk of partitions; corresponding partitions on both
-// sides hold disjoint key ranges (coarse) or single keys (fine), so
-// chunks join independently — sorting a partition pair in place touches
-// disjoint subslices of the shared reference arrays. Chunks are sized
-// to ~4 per worker for claim-level load balancing. Each chunk runs
-// joinPartitions with the worker's own tail state: rows go to its arena
-// and are stitched into the caller's result in chunk order, map
+// joinPar runs the per-partition join loop over m partitions across
+// workers. A morsel is a contiguous chunk of partitions; corresponding
+// partitions on both sides hold disjoint key ranges (coarse) or single
+// keys (fine), so chunks join independently — sorting a partition pair in
+// place touches disjoint subslices of the shared reference arrays. Chunks
+// are sized to ~4 per worker for claim-level load balancing. Each chunk
+// runs the join loop with the worker's own tail state: rows go to its
+// arena and are stitched into the caller's result in chunk order, map
 // aggregation goes to a per-chunk accumulator merged into the caller's.
-func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
-	m := len(p0)
+func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 	target := f.parJoin
-	chunks := 4 * target
-	if chunks > m {
-		chunks = m
-	}
+	chunks := min(4*target, m)
 	per := (m + chunks - 1) / chunks
 	chunks = (m + per - 1) / per
 	fa := f.agg // non-nil implies mapped (generation-time eligibility)
-	phLimit := limit
+	phLimit := f.limit
 	if fa != nil {
 		phLimit = -1 // the limit bounds groups, not joined pairs
 	}
@@ -109,6 +105,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	if fa != nil {
 		sc.resetChunkMaps(chunks)
 	}
+	parts := sc.parts[:]
 	ph.run(f.p.Pool, target, func(wi int) {
 		wk := &ph.workers[wi]
 		ts := &wk.tail
@@ -122,7 +119,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 				ts.acc = sc.chunkMap(wk, c, fa.prog)
 			}
 			mo := parMorsel{worker: int32(wi), start: len(ts.arena)}
-			f.joinPartitions(ts, p0, p1, c*per, min((c+1)*per, m), phLimit)
+			f.join(ts, parts, c*per, min((c+1)*per, m))
 			mo.rows, mo.end = ts.pairs, len(ts.arena)
 			ph.complete(c, mo)
 		}
@@ -134,7 +131,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, p0, p1 [][][]byte, limit int) {
 	if fa != nil {
 		sc.mergeChunkMaps()
 	} else {
-		ph.stitchRows(caller.out, f.outWidth, limit)
+		ph.stitchRows(caller.out, f.outWidth, f.limit)
 	}
 	ph.finish(f.p.Trace, f.names[2])
 }

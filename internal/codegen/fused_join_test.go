@@ -67,11 +67,24 @@ func TestFusedJoinSelection(t *testing.T) {
 		"SELECT d.label, MIN(f.id) AS lo, MAX(f.price) AS hi, AVG(f.price) AS m FROM fact f, dim d WHERE f.grp = d.id GROUP BY d.label",
 		// A parameterized string filter compares the bound value in place.
 		"SELECT f.id FROM fact f, dim d WHERE f.grp = d.id AND d.label = ?",
+		// HAVING filters the emitted groups in the shared result tail.
+		"SELECT d.label, COUNT(*) AS n FROM fact f, dim d WHERE f.grp = d.id GROUP BY d.label HAVING n > 10 ORDER BY n DESC LIMIT 2",
 	}
 	for _, q := range fused {
 		p := buildPlan(t, cat, q)
 		if newFusedJoin(p) == nil {
 			t.Errorf("fused join declined %q (alg %v)", q, p.Joins[0].Alg)
+		}
+	}
+	// The single-table pipeline sorts a plain projection and filters
+	// groups through the same tail.
+	for _, q := range []string{
+		"SELECT id, price FROM fact WHERE grp = 3 ORDER BY price DESC, id",
+		"SELECT id FROM fact WHERE price > ? ORDER BY id LIMIT 7",
+		"SELECT grp, COUNT(*) AS n FROM fact GROUP BY grp HAVING n >= 50 ORDER BY grp LIMIT 5",
+	} {
+		if newFused(buildPlan(t, cat, q)) == nil {
+			t.Errorf("single-table pipeline declined %q", q)
 		}
 	}
 	declined := []string{

@@ -47,9 +47,9 @@ func TestFusedRunReleasesArenaOnPanic(t *testing.T) {
 	// Let the scan append enough rows to draw real pages from the arena,
 	// then blow up mid-stream: the pages already inside `out` are exactly
 	// what leaked before run released on the unwind path.
-	orig := f.project
+	orig := f.st.Project
 	rows := 0
-	f.project = func(src, dst []byte) {
+	f.st.Project = func(src, dst []byte) {
 		if rows++; rows > 600 {
 			panic("sabotaged projector")
 		}

@@ -12,7 +12,7 @@
 // specialisation here: a pipeline compiles its worker target from the
 // plan's Parallelism and the catalogue's cardinality estimates. Every
 // fused loop exists once and takes the state it writes to as an argument
-// (rowDst, stagedSide, tailState): a worker target of 1 calls the loop
+// (rowDst, core.Arena, tailState): a worker target of 1 calls the loop
 // over the whole input with the caller's own state — no phase, queue or
 // stitch — and a morsel phase calls the same loop per morsel with a
 // worker's private state.
@@ -95,7 +95,7 @@ func (d *rowDst) slot(w int) []byte {
 		return d.out.AppendSlot()
 	}
 	off := len(d.arena)
-	d.arena = extendArena(d.arena, w)
+	d.arena = core.Extend(d.arena, w)
 	return d.arena[off : off+w]
 }
 
@@ -107,7 +107,7 @@ type parWorker struct {
 	// staged receives a staging-scan phase's tuples; tail is the join
 	// phase's tail state, whose row arena also takes the single-table
 	// scan's rows. maps is the map-aggregation accumulator freelist.
-	staged stagedSide
+	staged core.Arena
 	tail   tailState
 	maps   []*core.Accum
 
@@ -176,8 +176,8 @@ func (ph *parPhase) reset(nMorsels, workers, limit int) {
 	ph.workers = ph.workers[:workers]
 	for i := range ph.workers {
 		wk := &ph.workers[i]
-		wk.staged.arena = wk.staged.arena[:0]
-		wk.staged.partIdx = wk.staged.partIdx[:0]
+		wk.staged.Data = wk.staged.Data[:0]
+		wk.staged.PartIdx = wk.staged.PartIdx[:0]
 		wk.tail.arena = wk.tail.arena[:0]
 	}
 	ph.started = 0

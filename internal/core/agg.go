@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"hique/internal/plan"
@@ -396,56 +395,55 @@ func (p *AggProgram) Flush(gs *GroupStream, out *storage.Table, limit int) bool 
 	return limit < 0 || gs.groups < limit
 }
 
-// RunSortedAgg evaluates sort or hybrid aggregation over a staged input
-// whose parts are sorted on the grouping attributes: one linear scan per
-// part, emitting each group as it closes (§V-B).
-func RunSortedAgg(a *plan.Agg, staged *Staged) (*storage.Table, error) {
-	out := storage.NewTable("agg", a.Schema)
-	prog := CompileAgg(a, staged.Schema, nil)
-	var gs GroupStream
-	gs.Reset(prog)
-	for _, part := range staged.Parts {
-		part.Scan(func(t []byte) bool { return prog.Push(&gs, t, out, -1) })
-		prog.Flush(&gs, out, -1)
+// StreamParts streams staged parts, each ordered by group, through gs into
+// out — one linear scan per part, emitting each group as it closes (§V-B)
+// and closing the open group at every part boundary. It returns false
+// once limit groups have been emitted.
+func (p *AggProgram) StreamParts(gs *GroupStream, parts [][][]byte, out *storage.Table, limit int) bool {
+	for _, part := range parts {
+		for _, t := range part {
+			if !p.Push(gs, t, out, limit) {
+				return false
+			}
+		}
+		if !p.Flush(gs, out, limit) {
+			return false
+		}
 	}
-	return out, nil
+	return true
 }
 
-// RunMapAgg evaluates map aggregation: a single pass over the raw input,
-// no staging, per-attribute value directories, and the offset formula of
-// Figure 4 mapping each grouping-value combination to a slot in flat
-// aggregate arrays.
-func RunMapAgg(a *plan.Agg, input *storage.Table) (*storage.Table, error) {
-	if len(a.Directories) != len(a.GroupCols) {
-		return nil, fmt.Errorf("core: map aggregation needs one directory per grouping attribute")
+// FoldPages is map aggregation's single pass (Figure 4, no staging) over
+// pages [lo, hi) of t: filter and project each tuple through s into buf,
+// locate its group through the value directories (slot 0 for a
+// group-less aggregate), and update acc in place. It returns the number
+// of tuples folded.
+func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Table, lo, hi int, params []types.Datum) int {
+	n := 0
+	for pi := lo; pi < hi; pi++ {
+		pg := t.Page(pi)
+		n += p.fold(acc, s, buf, pg.Data(), pg.NumTuples(), params)
 	}
-	st := &a.Input
-	prog := CompileAgg(a, st.Schema, nil)
-	if prog == nil {
-		return nil, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
-	}
-	inSchema := input.Schema()
-	filter := MakeFilter(inSchema, st.Filters)
-	project := MakeProjector(inSchema, st.Cols, st.Schema)
-	buf := make([]byte, st.Schema.TupleSize())
-	var acc Accum
-	acc.Reset(prog.NGroups, prog.NAggs)
+	return n
+}
 
-	// The single scan: filter, project (computing aggregate arguments),
-	// locate the group slot, update the arrays.
-	input.Scan(func(raw []byte) bool {
-		if filter != nil && !filter(raw) {
-			return true
+// fold folds the n consecutive input tuples in data — a page, or one
+// tuple an index probe fetched.
+func (p *AggProgram) fold(acc *Accum, s *Stager, buf, data []byte, n int, params []types.Datum) int {
+	w, preds, project, probes, updates := s.InWidth, s.Preds, s.Project, p.Probes, p.Updates
+	folded := 0
+	for k, base := 0, 0; k < n; k, base = k+1, base+w {
+		tup := data[base : base+w : base+w]
+		if !MatchPreds(preds, tup, params) {
+			continue
 		}
-		project(raw, buf)
-		if g := Locate(prog.Probes, buf); g >= 0 {
-			acc.Add(prog.Updates, int(g), buf)
+		project(tup, buf)
+		if g := Locate(probes, buf); g >= 0 {
+			acc.Add(updates, int(g), buf)
+			folded++
 		}
-		return true
-	})
-	out := storage.NewTable("agg", a.Schema)
-	prog.EmitMapGroups(&acc, out, -1)
-	return out, nil
+	}
+	return folded
 }
 
 // DirProbe compiles the lookup of the key at off in a tuple against a

@@ -149,106 +149,112 @@ func CrossCompare(sa *types.Schema, ka int, sb *types.Schema, kb int) func(a, b 
 	panic("core.CrossCompare: bad kind")
 }
 
-// MakeFilter compiles a conjunction of constant predicates into a single
-// specialised closure. The generated code evaluates primitive comparisons
-// with the offsets and constants baked in — the Listing 1 pattern.
-func MakeFilter(schema *types.Schema, filters []plan.Filter) func(tuple []byte) bool {
-	if len(filters) == 0 {
-		return nil
+// Pred is one compiled filter (the Listing 1 pattern): the column's offset,
+// kind and width and the operator baked at generation time, the comparison
+// value either baked or — Slot >= 0 — read from the bind vector at
+// execution time. The general walk, the fused pipelines and the DML write
+// path all filter through it.
+type Pred struct {
+	Off  int
+	Op   sql.CmpOp
+	Kind types.Kind
+	Slot int
+	I    int64
+	F    float64
+	S    string // baked CHAR value, unpadded
+	Size int    // CHAR column width
+}
+
+// CompilePreds lowers a stage's filters over the input schema; a
+// parameterized filter keeps its bind slot.
+func CompilePreds(in *types.Schema, filters []plan.Filter) []Pred {
+	preds := make([]Pred, len(filters))
+	for k, flt := range filters {
+		c := in.Column(flt.Col)
+		slot, _ := flt.Slot()
+		preds[k] = Pred{Off: in.Offset(flt.Col), Op: flt.Op, Kind: c.Kind, Slot: slot,
+			I: flt.Val.I, F: flt.Val.F, S: flt.Val.S, Size: c.Size}
 	}
-	preds := make([]func([]byte) bool, len(filters))
-	for i, f := range filters {
-		preds[i] = makePredicate(schema, f)
-	}
-	if len(preds) == 1 {
-		return preds[0]
-	}
-	return func(t []byte) bool {
-		for _, p := range preds {
-			if !p(t) {
+	return preds
+}
+
+// MatchPreds evaluates a compiled predicate conjunction against one tuple,
+// reading parameterized comparison values from the bind vector.
+func MatchPreds(preds []Pred, tup []byte, params []types.Datum) bool {
+	for i := range preds {
+		pr := &preds[i]
+		switch pr.Kind {
+		case types.Int, types.Date:
+			v := pr.I
+			if pr.Slot >= 0 {
+				v = params[pr.Slot].I
+			}
+			if !CmpOrdered(types.GetInt(tup, pr.Off), v, pr.Op) {
+				return false
+			}
+		case types.Float:
+			v := pr.F
+			if pr.Slot >= 0 {
+				v = params[pr.Slot].F
+			}
+			if !CmpOrdered(types.GetFloat(tup, pr.Off), v, pr.Op) {
+				return false
+			}
+		case types.String:
+			v := pr.S
+			if pr.Slot >= 0 {
+				v = params[pr.Slot].S
+			}
+			if !pr.Op.Holds(cmpChar(tup[pr.Off:pr.Off+pr.Size], v)) {
 				return false
 			}
 		}
-		return true
 	}
+	return true
 }
 
-func makePredicate(schema *types.Schema, f plan.Filter) func(tuple []byte) bool {
-	if slot, ok := f.Slot(); ok {
-		panic(fmt.Sprintf("core: filter reads unbound parameter $%d (bind the plan before execution)", slot))
-	}
-	c := schema.Column(f.Col)
-	off := schema.Offset(f.Col)
-	switch c.Kind {
-	case types.Int, types.Date:
-		v := f.Val.I
-		switch f.Op {
-		case sql.CmpEq:
-			return func(t []byte) bool { return types.GetInt(t, off) == v }
-		case sql.CmpNe:
-			return func(t []byte) bool { return types.GetInt(t, off) != v }
-		case sql.CmpLt:
-			return func(t []byte) bool { return types.GetInt(t, off) < v }
-		case sql.CmpLe:
-			return func(t []byte) bool { return types.GetInt(t, off) <= v }
-		case sql.CmpGt:
-			return func(t []byte) bool { return types.GetInt(t, off) > v }
-		case sql.CmpGe:
-			return func(t []byte) bool { return types.GetInt(t, off) >= v }
-		}
-	case types.Float:
-		v := f.Val.F
-		switch f.Op {
-		case sql.CmpEq:
-			return func(t []byte) bool { return types.GetFloat(t, off) == v }
-		case sql.CmpNe:
-			return func(t []byte) bool { return types.GetFloat(t, off) != v }
-		case sql.CmpLt:
-			return func(t []byte) bool { return types.GetFloat(t, off) < v }
-		case sql.CmpLe:
-			return func(t []byte) bool { return types.GetFloat(t, off) <= v }
-		case sql.CmpGt:
-			return func(t []byte) bool { return types.GetFloat(t, off) > v }
-		case sql.CmpGe:
-			return func(t []byte) bool { return types.GetFloat(t, off) >= v }
-		}
-	case types.String:
-		end := off + c.Size
-		if len(f.Val.S) > c.Size {
-			// A stored field can never equal a value wider than the
-			// column, and for ordering the field sorts strictly below any
-			// oversized value sharing its prefix (the field is a proper
-			// prefix). Fold that into the three-way result instead of
-			// truncating the comparand — truncation made 'zzzzz' equal a
-			// stored 'zzzz'.
-			v := []byte(f.Val.S[:c.Size])
-			cmp := func(t []byte) int {
-				if c := bytes.Compare(t[off:end], v); c != 0 {
-					return c
-				}
+// cmpChar three-way compares a stored CHAR field with a value as if the
+// value were zero-padded to the field's width, without padding it: a
+// bound value is compared in place, so a string parameter costs no
+// allocation. A value wider than the field is never equal, and the field
+// — at best a proper prefix of it — sorts strictly below.
+func cmpChar(field []byte, v string) int {
+	n := min(len(field), len(v))
+	for i := 0; i < n; i++ {
+		if field[i] != v[i] {
+			if field[i] < v[i] {
 				return -1
 			}
-			op := f.Op
-			return func(t []byte) bool { return op.Holds(cmp(t)) }
-		}
-		v := make([]byte, c.Size)
-		copy(v, f.Val.S)
-		switch f.Op {
-		case sql.CmpEq:
-			return func(t []byte) bool { return bytes.Equal(t[off:end], v) }
-		case sql.CmpNe:
-			return func(t []byte) bool { return !bytes.Equal(t[off:end], v) }
-		case sql.CmpLt:
-			return func(t []byte) bool { return bytes.Compare(t[off:end], v) < 0 }
-		case sql.CmpLe:
-			return func(t []byte) bool { return bytes.Compare(t[off:end], v) <= 0 }
-		case sql.CmpGt:
-			return func(t []byte) bool { return bytes.Compare(t[off:end], v) > 0 }
-		case sql.CmpGe:
-			return func(t []byte) bool { return bytes.Compare(t[off:end], v) >= 0 }
+			return 1
 		}
 	}
-	panic(fmt.Sprintf("core.makePredicate: unsupported %v %v", c.Kind, f.Op))
+	if len(v) > len(field) {
+		return -1
+	}
+	for _, b := range field[n:] {
+		if b != 0 {
+			return 1
+		}
+	}
+	return 0
+}
+
+// CmpOrdered applies a comparison operator to two ordered values.
+func CmpOrdered[T int64 | float64](x, v T, op sql.CmpOp) bool {
+	switch op {
+	case sql.CmpEq:
+		return x == v
+	case sql.CmpNe:
+		return x != v
+	case sql.CmpLt:
+		return x < v
+	case sql.CmpLe:
+		return x <= v
+	case sql.CmpGt:
+		return x > v
+	default:
+		return x >= v
+	}
 }
 
 // MakeProjector compiles a staged-column list into a closure that fills an

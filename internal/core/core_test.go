@@ -483,20 +483,28 @@ func TestFilterCompilation(t *testing.T) {
 		{plan.Filter{Col: 2, Op: sql.CmpLt, Val: types.StringDatum("m")}, mk(0, 0, "a"), mk(0, 0, "z")},
 	}
 	for i, c := range cases {
-		pred := MakeFilter(schema, []plan.Filter{c.f})
-		if !pred(c.hit) {
+		preds := CompilePreds(schema, []plan.Filter{c.f})
+		if !MatchPreds(preds, c.hit, nil) {
 			t.Errorf("case %d: filter rejected matching tuple", i)
 		}
-		if pred(c.miss) {
+		if MatchPreds(preds, c.miss, nil) {
 			t.Errorf("case %d: filter accepted non-matching tuple", i)
+		}
+		// The same filter as a parameter reads its value from the bind
+		// vector.
+		param := c.f
+		param.Val, param.Param = types.Datum{}, 1
+		preds = CompilePreds(schema, []plan.Filter{param})
+		if bind := []types.Datum{c.f.Val}; !MatchPreds(preds, c.hit, bind) || MatchPreds(preds, c.miss, bind) {
+			t.Errorf("case %d: bound filter disagrees with the literal", i)
 		}
 	}
 	// Conjunction.
-	both := MakeFilter(schema, []plan.Filter{
+	both := CompilePreds(schema, []plan.Filter{
 		{Col: 0, Op: sql.CmpGe, Val: types.IntDatum(3)},
 		{Col: 0, Op: sql.CmpLe, Val: types.IntDatum(7)},
 	})
-	if !both(mk(5, 0, "")) || both(mk(8, 0, "")) || both(mk(2, 0, "")) {
+	if !MatchPreds(both, mk(5, 0, ""), nil) || MatchPreds(both, mk(8, 0, ""), nil) || MatchPreds(both, mk(2, 0, ""), nil) {
 		t.Error("conjunction filter wrong")
 	}
 }

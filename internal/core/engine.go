@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"hique/internal/btree"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/types"
@@ -13,7 +14,9 @@ import (
 // descriptor list in order — joins first, then aggregation, then sorting
 // (§IV) — instantiating and running the specialised template for each
 // operator, and materialising intermediate results as temporary tables
-// between operators (§V-C).
+// between operators (§V-C). Every operator runs the kernels the fused
+// pipelines run: the staging step, the bucketing, the join loop and the
+// aggregation program.
 type Engine struct{}
 
 // NewEngine creates a holistic engine.
@@ -22,15 +25,20 @@ func NewEngine() *Engine { return &Engine{} }
 // Name identifies the engine in experiment output.
 func (e *Engine) Name() string { return "HIQUE" }
 
-// Execute runs the plan to completion and returns the result table.
+// Execute runs a bound plan to completion and returns the result table.
 func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
+	if err := p.CheckArgs(nil); err != nil {
+		return nil, fmt.Errorf("core: bind the plan before execution: %w", err)
+	}
 	joinOut, err := RunJoins(p, len(p.Joins))
 	if err != nil {
 		return nil, err
 	}
 	tr := p.Trace
 	var t0 time.Time
-
+	if tr != nil {
+		t0 = time.Now()
+	}
 	var result *storage.Table
 	// resultOwned marks a result the caller may Release: it was
 	// materialised from the arena by this execution and aliases no base
@@ -38,55 +46,39 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 	resultOwned := false
 	switch {
 	case p.Agg != nil:
-		if tr != nil {
-			t0 = time.Now()
-		}
-		in, err := stageInput(p, joinOut, &p.Agg.Input)
-		if err != nil {
-			return nil, err
-		}
-		aggIn := int64(in.NumRows())
-		if p.Agg.Alg == plan.MapAggregation {
-			result, err = RunMapAgg(p.Agg, in)
-		} else {
-			var staged *Staged
-			staged, err = RunStage(&p.Agg.Input, in)
-			if err != nil {
-				return nil, err
-			}
-			aggIn = int64(staged.Rows())
-			result, err = RunSortedAgg(p.Agg, staged)
-			staged.Release()
-		}
-		if err != nil {
+		var aggIn int
+		if result, aggIn, err = runAgg(p, joinOut); err != nil {
 			return nil, err
 		}
 		if tr != nil {
-			tr.Observe(plan.TraceStageAgg, aggIn, int64(result.NumRows()), time.Since(t0))
+			tr.Observe(plan.TraceStageAgg, int64(aggIn), int64(result.NumRows()), time.Since(t0))
 		}
 	case p.Final != nil:
-		if tr != nil {
-			t0 = time.Now()
-		}
-		in, err := stageInput(p, joinOut, p.Final)
+		in, tree, err := stageInput(p, joinOut, p.Final)
 		if err != nil {
 			return nil, err
 		}
-		staged, err := RunStage(p.Final, in)
-		if err != nil {
-			return nil, err
+		inRows := in.NumRows()
+		if p.Final.IsIdentity(in.Schema()) {
+			// Identity elision: the projection would be a tuple-by-tuple
+			// copy, so the input itself is the result.
+			result = in
+		} else {
+			var parts [][][]byte
+			if parts, inRows, err = stage(p.Final, in, tree); err != nil {
+				return nil, err
+			}
+			result, resultOwned = storage.NewPooledTable("result", p.Final.Schema), true
+			for _, t := range parts[0] {
+				result.Append(t)
+			}
 		}
-		result = staged.Parts[0]
-		resultOwned = staged.Owned
 		if tr != nil {
-			tr.Observe(plan.TraceStageProject,
-				int64(in.NumRows()), int64(result.NumRows()), time.Since(t0))
+			tr.Observe(plan.TraceStageProject, int64(inRows), int64(result.NumRows()), time.Since(t0))
 		}
 	default:
 		return nil, fmt.Errorf("core: plan has neither aggregation nor final projection")
 	}
-
-	result, resultOwned = applyHaving(p, result, resultOwned)
 	var cmp Compare
 	if p.Sort != nil {
 		cmp = MakeSortCompare(result.Schema(), p.Sort.Keys)
@@ -94,100 +86,195 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 	return FinishResult(p, cmp, result, resultOwned), nil
 }
 
-// stageInput resolves a stage's input — a base table, or an earlier
-// join's output in joinOut — fetching through the fractal B+-tree when
-// the planner marked the stage for index access.
-func stageInput(p *plan.Plan, joinOut []*storage.Table, st *plan.Stage) (*storage.Table, error) {
-	ref := st.Input
-	if ref.Base >= 0 {
-		return ApplyIndexScan(p, st, p.Tables[ref.Base].Entry.Table)
+// runAgg evaluates the plan's aggregation over its input: map aggregation
+// folds the raw input in one pass, sort and hybrid aggregation stream the
+// staged, group-ordered parts. It also returns the row count the trace
+// reports going in: the input's under map aggregation, the staged parts'
+// otherwise.
+func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error) {
+	a := p.Agg
+	mapped := a.Alg == plan.MapAggregation
+	if mapped && len(a.Directories) != len(a.GroupCols) {
+		return nil, 0, fmt.Errorf("core: map aggregation needs one directory per grouping attribute")
 	}
-	if ref.Join < 0 || ref.Join >= len(joinOut) || joinOut[ref.Join] == nil {
-		return nil, fmt.Errorf("core: dangling input reference %v", ref)
+	prog := CompileAgg(a, a.Input.Schema, nil)
+	if prog == nil {
+		return nil, 0, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
 	}
-	return joinOut[ref.Join], nil
+	in, tree, err := stageInput(p, joinOut, &a.Input)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := storage.NewTable("agg", a.Schema)
+	if !mapped {
+		parts, _, err := stage(&a.Input, in, tree)
+		if err != nil {
+			return nil, 0, err
+		}
+		var gs GroupStream
+		gs.Reset(prog)
+		prog.StreamParts(&gs, parts, out, -1)
+		return out, countRefs(parts), nil
+	}
+	s, err := CompileStage(&a.Input, in.Schema())
+	if err != nil {
+		return nil, 0, err
+	}
+	var acc Accum
+	acc.Reset(prog.NGroups, prog.NAggs)
+	buf := make([]byte, s.Width)
+	rows := in.NumRows()
+	if tree == nil {
+		prog.FoldPages(&acc, s, buf, in, 0, in.NumPages(), nil)
+	} else {
+		rows = Probe(in, tree, a.Input.IndexScan.Key(nil), func(tup []byte) bool {
+			prog.fold(&acc, s, buf, tup, 1, nil)
+			return true
+		})
+	}
+	prog.EmitMapGroups(&acc, out, -1)
+	return out, rows, nil
 }
 
-// RunJoins runs the plan's first n join descriptors in order — stage
-// each input, join, release the staged inputs — and returns their
-// materialised outputs. The general walk runs them all; a fused chain
-// runs its prefix through here, so its intermediates are the walk's own.
+// stageInput resolves a stage's input — a base table, or an earlier
+// join's output in joinOut — and, when the planner marked the stage for
+// index access and the index still exists, its fractal B+-tree (paper
+// §IV). The matching filter stays in the stage, so re-evaluation keeps a
+// stale index safe, and a dropped one degrades to the scan.
+func stageInput(p *plan.Plan, joinOut []*storage.Table, st *plan.Stage) (*storage.Table, *btree.Tree, error) {
+	ref := st.Input
+	if ref.Base >= 0 {
+		entry := p.Tables[ref.Base].Entry
+		var tree *btree.Tree
+		if st.IndexScan != nil {
+			tree = entry.Index(st.IndexScan.Column)
+		}
+		return entry.Table, tree, nil
+	}
+	if ref.Join < 0 || ref.Join >= len(joinOut) || joinOut[ref.Join] == nil {
+		return nil, nil, fmt.Errorf("core: dangling input reference %v", ref)
+	}
+	return joinOut[ref.Join], nil, nil
+}
+
+// stage runs one staging step of the walk (§IV step 1): filter, project
+// and route the input — the tuples the index probe fetches when tree is
+// non-nil, otherwise every page — into an arena, then lay it out for the
+// consuming operator. An identity stage that neither partitions nor
+// probes references the input's pages instead of copying them. It also
+// returns the input row count the trace reports.
+func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) ([][][]byte, int, error) {
+	s, err := CompileStage(st, in.Schema())
+	if err != nil {
+		return nil, 0, err
+	}
+	if s.Route == nil && st.IsIdentity(in.Schema()) {
+		parts := [][][]byte{Flatten(in)}
+		s.sortEach(parts)
+		return parts, in.NumRows(), nil
+	}
+	// The arena lives for this one operator: size it from the estimate,
+	// which the input's row count bounds, instead of growing it.
+	a := Arena{Data: make([]byte, 0, min(max(int(st.EstRows), 0), in.NumRows())*s.Width)}
+	rows := in.NumRows()
+	if tree != nil {
+		rows = Probe(in, tree, st.IndexScan.Key(nil), func(tup []byte) bool {
+			s.Stage(&a, tup, nil)
+			return true
+		})
+	} else {
+		s.StagePages(&a, in, 0, in.NumPages(), nil)
+	}
+	var b Buckets
+	return s.Order(&a, &b, false), rows, nil
+}
+
+// countRefs counts the tuples of staged parts.
+func countRefs(parts [][][]byte) int {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	return n
+}
+
+// RunJoins runs the plan's first n join descriptors in order — stage each
+// input, run the join loop, materialise its output as a table (§V-C) —
+// and returns those outputs. The general walk runs them all; a fused
+// chain runs its prefix through here, so its intermediates are the walk's
+// own.
 func RunJoins(p *plan.Plan, n int) ([]*storage.Table, error) {
 	joinOut := make([]*storage.Table, n)
 	tr := p.Trace
 	var t0 time.Time
 	for ji, j := range p.Joins[:n] {
-		staged := make([]*Staged, len(j.Inputs))
-		stagedRows := int64(0)
+		parts := make([][][][]byte, len(j.Inputs))
+		staged := 0
 		for i := range j.Inputs {
 			if tr != nil {
 				t0 = time.Now()
 			}
-			in, err := stageInput(p, joinOut, &j.Inputs[i])
+			in, tree, err := stageInput(p, joinOut, &j.Inputs[i])
 			if err != nil {
-				releaseAll(staged)
 				return nil, err
 			}
-			s, err := RunStage(&j.Inputs[i], in)
-			if err != nil {
-				releaseAll(staged)
+			rows := 0
+			if parts[i], rows, err = stage(&j.Inputs[i], in, tree); err != nil {
 				return nil, err
 			}
-			staged[i] = s
+			if len(parts[i]) != len(parts[0]) {
+				return nil, fmt.Errorf("core: join input %d has %d partitions, want %d", i, len(parts[i]), len(parts[0]))
+			}
+			out := countRefs(parts[i])
+			staged += out
 			if tr != nil {
-				tr.Observe(plan.TraceJoinStage(ji, i),
-					int64(in.NumRows()), int64(s.Rows()), time.Since(t0))
-				stagedRows += int64(s.Rows())
+				tr.Observe(plan.TraceJoinStage(ji, i), int64(rows), int64(out), time.Since(t0))
 			}
 		}
 		if tr != nil {
 			t0 = time.Now()
 		}
-		out, err := RunJoin(j, staged)
-		// Join outputs copy every emitted tuple, so the staged inputs
-		// return to the page arena as soon as the join has drained them.
-		releaseAll(staged)
-		if err != nil {
-			return nil, err
-		}
+		out := storage.NewTable("joined", j.Schema)
+		copies := JoinCopies(j)
+		var c Cursor
+		CompileJoin(j).Run(parts, 0, len(parts[0]), &c, func(c *Cursor) bool {
+			dst := out.AppendSlot()
+			for i, specs := range copies {
+				CopyInto(dst, c.Tuple(i), specs)
+			}
+			return true
+		})
 		if tr != nil {
-			tr.Observe(plan.TraceJoin(ji), stagedRows, int64(out.NumRows()), time.Since(t0))
+			tr.Observe(plan.TraceJoin(ji), int64(staged), int64(out.NumRows()), time.Since(t0))
 		}
 		joinOut[ji] = out
 	}
 	return joinOut, nil
 }
 
-// applyHaving filters aggregated groups against the plan's HAVING
-// conjunction, between aggregation and the final sort, exactly where the
-// other engines apply it. The filtered copy draws from the arena; the
-// replaced result is released when this execution owned it.
-func applyHaving(p *plan.Plan, result *storage.Table, owned bool) (*storage.Table, bool) {
-	if len(p.Having) == 0 {
-		return result, owned
-	}
-	s := result.Schema()
-	out := storage.NewPooledTable("result", s)
-	result.Scan(func(t []byte) bool {
-		for _, h := range p.Having {
-			if !h.Op.Holds(types.Compare(s.GetDatum(t, h.Col), h.Val)) {
-				return true
-			}
-		}
-		out.Append(t)
-		return true
-	})
-	if owned {
-		result.Release()
-	}
-	return out, true
-}
-
-// FinishResult applies the final-ordering and LIMIT tail the general walk
-// and the fused pipelines share: sort by cmp (the compiled ORDER BY, nil
-// when the plan has none) into a pooled copy, truncate to the limit, and
-// release each replaced result the execution owned.
+// FinishResult applies the tail the general walk and the fused pipelines
+// share, in SQL order: HAVING over the aggregated groups, the final
+// ordering by cmp (the compiled ORDER BY, nil when the plan has none), and
+// LIMIT. Each replaced result the execution owned is released, and each
+// replacement draws from the arena.
 func FinishResult(p *plan.Plan, cmp Compare, result *storage.Table, owned bool) *storage.Table {
+	if len(p.Having) > 0 {
+		s := result.Schema()
+		kept := storage.NewPooledTable("result", s)
+		result.Scan(func(t []byte) bool {
+			for _, h := range p.Having {
+				if !h.Op.Holds(types.Compare(s.GetDatum(t, h.Col), h.Val)) {
+					return true
+				}
+			}
+			kept.Append(t)
+			return true
+		})
+		if owned {
+			result.Release()
+		}
+		result, owned = kept, true
+	}
 	if cmp != nil {
 		var t0 time.Time
 		if p.Trace != nil {
@@ -220,41 +307,4 @@ func FinishResult(p *plan.Plan, cmp Compare, result *storage.Table, owned bool) 
 		result = truncated
 	}
 	return result
-}
-
-// releaseAll returns every owned staged input to the page arena.
-func releaseAll(staged []*Staged) {
-	for _, s := range staged {
-		s.Release()
-	}
-}
-
-// ApplyIndexScan reduces a stage's input to the tuples matching its index
-// predicate, fetched through the fractal B+-tree (paper §IV). The matching
-// filter stays in the stage, so re-evaluation keeps the path safe even if
-// the index is stale; non-index engines simply scan.
-func ApplyIndexScan(p *plan.Plan, st *plan.Stage, in *storage.Table) (*storage.Table, error) {
-	if st.IndexScan == nil || st.Input.Base < 0 {
-		return in, nil
-	}
-	if slot, ok := st.IndexScan.Slot(); ok {
-		return nil, fmt.Errorf("core: index scan reads unbound parameter $%d (bind the plan before execution)", slot)
-	}
-	entry := p.Tables[st.Input.Base].Entry
-	idx := entry.Index(st.IndexScan.Column)
-	if idx == nil {
-		return in, nil // index dropped since planning: fall back to scan
-	}
-	out := storage.NewTable(in.Name()+"_idx", in.Schema())
-	for _, rid := range idx.Search(st.IndexScan.Value.I) {
-		if int(rid.Page) >= in.NumPages() {
-			continue
-		}
-		page := in.Page(int(rid.Page))
-		if int(rid.Slot) >= page.NumTuples() {
-			continue
-		}
-		out.Append(page.Tuple(int(rid.Slot)))
-	}
-	return out, nil
 }

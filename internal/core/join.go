@@ -1,10 +1,7 @@
 package core
 
 import (
-	"fmt"
-
 	"hique/internal/plan"
-	"hique/internal/storage"
 )
 
 // CopyRange is one coalesced byte-range copy from a staged input tuple
@@ -44,219 +41,172 @@ func JoinCopies(j *plan.Join) [][]CopyRange {
 	return specs
 }
 
-// rowBuilder assembles join output tuples from the current tuple of each
-// input, with all offsets pre-resolved.
-type rowBuilder struct {
-	out   *storage.Table
-	buf   []byte
-	specs [][]CopyRange // per input
+// JoinLoop is a join descriptor's compiled loop: the nested-loops
+// template of Listing 2 specialised to the descriptor's algorithm, with
+// the merge walk's comparators compiled once per join (§V-B). It holds
+// no execution state; the caller's Cursor does.
+type JoinLoop struct {
+	alg plan.JoinAlgorithm
+	// cross[i] compares a tuple of input i with one of input 0; key[i]
+	// orders input i on its join key.
+	cross []func(a, b []byte) int
+	key   []Compare
 }
 
-func newRowBuilder(j *plan.Join) *rowBuilder {
-	return &rowBuilder{
-		out:   storage.NewTable("joined", j.Schema),
-		buf:   make([]byte, j.Schema.TupleSize()),
-		specs: JoinCopies(j),
+// CompileJoin compiles the loop of a join over its staged inputs.
+func CompileJoin(j *plan.Join) *JoinLoop {
+	jl := &JoinLoop{alg: j.Alg, cross: make([]func(a, b []byte) int, len(j.Inputs)), key: make([]Compare, len(j.Inputs))}
+	for i := range j.Inputs {
+		jl.cross[i] = CrossCompare(j.Inputs[i].Schema, j.Keys[i], j.Inputs[0].Schema, j.Keys[0])
+		jl.key[i] = MakeKeyCompare(j.Inputs[i].Schema, []int{j.Keys[i]})
 	}
+	return jl
 }
 
-// emit writes one output tuple built from the given per-input tuples.
-func (rb *rowBuilder) emit(tuples [][]byte) {
-	for i, specs := range rb.specs {
-		CopyInto(rb.buf, tuples[i], specs)
-	}
-	rb.out.Append(rb.buf)
+// Cursor is one execution's join-loop state: the inputs of the current
+// partition and, per input, the position of the current tuple and the
+// merge walk's group bounds. Positions are integers so the loops store no
+// pointers. Emit reads the current tuple set through Tuple. The fused
+// pipelines keep one per tail state in their pooled scratch.
+type Cursor struct {
+	in         [][][]byte
+	at, lo, hi []int
 }
 
-// RunJoin evaluates a join descriptor over its staged inputs and returns
-// the materialised result. All variants share the nested-loops structure
-// of Listing 2; they differ in how the inputs were staged and in the
-// in-loop bound updates (§V-B).
-func RunJoin(j *plan.Join, staged []*Staged) (*storage.Table, error) {
-	if len(staged) != len(j.Inputs) {
-		return nil, fmt.Errorf("core: join expects %d staged inputs, got %d", len(j.Inputs), len(staged))
+// Tuple returns input i's current tuple.
+func (c *Cursor) Tuple(i int) []byte { return c.in[i][c.at[i]] }
+
+func (c *Cursor) reset(k int) {
+	if cap(c.at) < k {
+		*c = Cursor{in: make([][][]byte, k), at: make([]int, k), lo: make([]int, k), hi: make([]int, k)}
 	}
-	rb := newRowBuilder(j)
-
-	switch j.Alg {
-	case plan.MergeJoin:
-		inputs := make([][][]byte, len(staged))
-		for i, s := range staged {
-			if len(s.Parts) != 1 {
-				return nil, fmt.Errorf("core: merge join input %d is partitioned", i)
-			}
-			inputs[i] = Flatten(s.Parts[0])
-		}
-		mergeJoinK(j, inputs, rb)
-		return rb.out, nil
-
-	case plan.FinePartitionJoin:
-		m := len(staged[0].Parts)
-		for i, s := range staged {
-			if len(s.Parts) != m {
-				return nil, fmt.Errorf("core: fine join input %d has %d partitions, want %d", i, len(s.Parts), m)
-			}
-		}
-		// Corresponding partitions hold exactly one key value, so all
-		// tuples match: a pure nested loop per partition set.
-		current := make([][]byte, len(staged))
-		for p := 0; p < m; p++ {
-			parts := make([][][]byte, len(staged))
-			empty := false
-			for i, s := range staged {
-				parts[i] = Flatten(s.Parts[p])
-				if len(parts[i]) == 0 {
-					empty = true
-					break
-				}
-			}
-			if empty {
-				continue
-			}
-			cartesian(parts, current, 0, rb)
-		}
-		return rb.out, nil
-
-	case plan.HybridJoin:
-		m := len(staged[0].Parts)
-		for i, s := range staged {
-			if len(s.Parts) != m {
-				return nil, fmt.Errorf("core: hybrid join input %d has %d partitions, want %d", i, len(s.Parts), m)
-			}
-		}
-		// Sort corresponding partitions just before joining them so the
-		// pair is L2-resident during the merge (§V-B).
-		cmps := make([]Compare, len(staged))
-		for i := range staged {
-			cmps[i] = MakeKeyCompare(j.Inputs[i].Schema, []int{j.Keys[i]})
-		}
-		inputs := make([][][]byte, len(staged))
-		for p := 0; p < m; p++ {
-			empty := false
-			for i, s := range staged {
-				inputs[i] = Flatten(s.Parts[p])
-				if len(inputs[i]) == 0 {
-					empty = true
-					break
-				}
-			}
-			if empty {
-				continue
-			}
-			if !staged[0].Sorted {
-				for i := range inputs {
-					SortTuples(inputs[i], cmps[i])
-				}
-			}
-			mergeJoinK(j, inputs, rb)
-		}
-		return rb.out, nil
-	}
-	return nil, fmt.Errorf("core: unknown join algorithm %v", j.Alg)
+	c.in, c.at, c.lo, c.hi = c.in[:k], c.at[:k], c.lo[:k], c.hi[:k]
 }
 
-// cartesian emits the cross product of the partition tuple sets (the fine
-// partition join inner loops).
-func cartesian(parts [][][]byte, current [][]byte, depth int, rb *rowBuilder) {
-	if depth == len(parts) {
-		rb.emit(current)
-		return
-	}
-	for _, t := range parts[depth] {
-		current[depth] = t
-		cartesian(parts, current, depth+1, rb)
-	}
-}
-
-// mergeJoinK is the k-way sorted merge join: all inputs are ordered on
-// their key columns; the loop advances every input to the next common key,
-// delimits the matching group in each input, and emits the product of the
-// groups. For k == 2 this is exactly the paper's merge join with
-// backtracking over inner groups; join teams use k > 2 with one loop per
-// input, page loops before tuple loops (§V-B).
-func mergeJoinK(j *plan.Join, inputs [][][]byte, rb *rowBuilder) {
-	k := len(inputs)
-	pos := make([]int, k)
-	for i := 0; i < k; i++ {
-		if len(inputs[i]) == 0 {
+// Run joins corresponding partitions [lo, hi) of the staged inputs —
+// parts[i] is input i's partitions; each input of a merge join is one
+// partition its staging sorted — and hands every joined tuple set to
+// emit, stopping as soon as emit returns false (the caller's pipeline is
+// complete). Fine partitions hold one key value, so their product is the
+// join; a hybrid partition pair is sorted just before the merge walk, so
+// the pair is L2-resident (§V-B).
+func (jl *JoinLoop) Run(parts [][][][]byte, lo, hi int, c *Cursor, emit func(c *Cursor) bool) {
+	c.reset(len(parts))
+	for p := lo; p < hi; p++ {
+		empty := false
+		for i := range parts {
+			c.in[i] = parts[i][p]
+			empty = empty || len(c.in[i]) == 0
+		}
+		if empty {
+			continue
+		}
+		var ok bool
+		switch jl.alg {
+		case plan.FinePartitionJoin:
+			for i, in := range c.in {
+				c.lo[i], c.hi[i] = 0, len(in)
+			}
+			ok = product(c, emit)
+		case plan.HybridJoin:
+			for i, in := range c.in {
+				SortTuples(in, jl.key[i])
+			}
+			ok = jl.merge(c, emit)
+		default:
+			ok = jl.merge(c, emit)
+		}
+		if !ok {
 			return
 		}
 	}
+}
 
-	// crossCmp[i] compares a tuple of input i with a tuple of input 0.
-	crossCmp := make([]func(a, b []byte) int, k)
-	sameCmp := make([]Compare, k)
-	for i := 0; i < k; i++ {
-		crossCmp[i] = CrossCompare(j.Inputs[i].Schema, j.Keys[i], j.Inputs[0].Schema, j.Keys[0])
-		sameCmp[i] = MakeKeyCompare(j.Inputs[i].Schema, []int{j.Keys[i]})
-	}
-
-	ends := make([]int, k)
-	groups := make([][][]byte, k)
-	current := make([][]byte, k)
+// merge is the k-way sorted merge walk over the cursor's inputs: every
+// input is ordered on its key; the walk advances all inputs to the next
+// common key, delimits the matching group in each, and emits the product
+// of the groups. For k == 2 this is the paper's merge join with
+// backtracking over inner groups; join teams use k > 2 (§V-B).
+func (jl *JoinLoop) merge(c *Cursor, emit func(c *Cursor) bool) bool {
+	in, pos, ends, cross, key := c.in, c.lo, c.hi, jl.cross, jl.key
+	clear(pos)
 	for {
-		// Align all inputs on a common key.
-		aligned := false
-		for !aligned {
-			aligned = true
-			for i := 1; i < k; i++ {
-				c := crossCmp[i](inputs[i][pos[i]], inputs[0][pos[0]])
-				for c < 0 {
-					pos[i]++
-					if pos[i] >= len(inputs[i]) {
-						return
-					}
-					c = crossCmp[i](inputs[i][pos[i]], inputs[0][pos[0]])
+		// Align every input on a common key with input 0.
+		for i := 1; i < len(in); i++ {
+			r := cross[i](in[i][pos[i]], in[0][pos[0]])
+			for r < 0 {
+				if pos[i]++; pos[i] >= len(in[i]) {
+					return true
 				}
-				if c > 0 {
-					pos[0]++
-					if pos[0] >= len(inputs[0]) {
-						return
-					}
-					aligned = false
-					break
+				r = cross[i](in[i][pos[i]], in[0][pos[0]])
+			}
+			if r > 0 {
+				if pos[0]++; pos[0] >= len(in[0]) {
+					return true
 				}
+				i = 0 // realign from input 1
 			}
 		}
 		// Delimit the matching group in every input.
-		singletons := true
-		for i := 0; i < k; i++ {
-			e := pos[i] + 1
-			head := inputs[i][pos[i]]
-			for e < len(inputs[i]) && sameCmp[i](inputs[i][e], head) == 0 {
+		single := true
+		for i, t := range in {
+			e, head := pos[i]+1, t[pos[i]]
+			for e < len(t) && key[i](t[e], head) == 0 {
 				e++
 			}
 			ends[i] = e
-			groups[i] = inputs[i][pos[i]:e]
-			if e-pos[i] != 1 {
-				singletons = false
-			}
+			single = single && e-pos[i] == 1
 		}
-		// Emit the product of the groups. Key/foreign-key teams have
-		// singleton groups everywhere but the fact input: keep those
-		// paths free of the recursive product.
-		switch {
-		case singletons:
-			for i := 0; i < k; i++ {
-				current[i] = inputs[i][pos[i]]
+		// Key/foreign-key joins have singleton groups everywhere but the
+		// fact input: keep that path free of the product loops.
+		if single {
+			for i, x := range pos {
+				c.at[i] = x
 			}
-			rb.emit(current)
-		case k == 2:
-			for _, ta := range groups[0] {
-				current[0] = ta
-				for _, tb := range groups[1] {
-					current[1] = tb
-					rb.emit(current)
-				}
+			if !emit(c) {
+				return false
 			}
-		default:
-			cartesian(groups, current, 0, rb)
+		} else if !product(c, emit) {
+			return false
 		}
-		for i := 0; i < k; i++ {
-			pos[i] = ends[i]
-			if pos[i] >= len(inputs[i]) {
-				return
+		for i, t := range in {
+			if pos[i] = ends[i]; pos[i] >= len(t) {
+				return true
 			}
 		}
 	}
+}
+
+// product emits the cross product of the cursor's groups — input i's
+// tuples [lo[i], hi[i]) — one tuple per input at a time: a fine
+// partition's join, and the merge walk's for one key. Two inputs — the
+// binary join — take a plain double loop.
+func product(c *Cursor, emit func(c *Cursor) bool) bool {
+	if at := c.at; len(at) == 2 {
+		lo1, hi0, hi1 := c.lo[1], c.hi[0], c.hi[1]
+		for a := c.lo[0]; a < hi0; a++ {
+			at[0] = a
+			for b := lo1; b < hi1; b++ {
+				at[1] = b
+				if !emit(c) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return productFrom(c, 0, emit)
+}
+
+func productFrom(c *Cursor, d int, emit func(c *Cursor) bool) bool {
+	if d == len(c.at) {
+		return emit(c)
+	}
+	for x := c.lo[d]; x < c.hi[d]; x++ {
+		c.at[d] = x
+		if !productFrom(c, d+1, emit) {
+			return false
+		}
+	}
+	return true
 }

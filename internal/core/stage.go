@@ -3,133 +3,256 @@ package core
 import (
 	"fmt"
 
+	"hique/internal/btree"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/types"
 )
 
-// Staged is the materialised output of a data-staging step: one part for
-// unpartitioned stages, M parts for partitioned ones (paper §IV step 1).
-type Staged struct {
-	Parts  []*storage.Table
-	Schema *types.Schema
-	// Sorted reports whether every part is ordered on the stage's sort
-	// keys.
-	Sorted bool
-	// Owned reports whether the parts were materialised by this stage
-	// (from the page arena) and may be released once the consuming
-	// operator has drained them. Identity stages pass their input
-	// through instead of copying; those parts belong to someone else.
-	Owned bool
+// Arena is the output of a staging step (paper §IV step 1): the projected
+// tuples packed into one flat buffer, their partition routes (partitioned
+// stages only), and the tuple count. The general walk fills one per stage
+// and execution; the fused pipelines keep theirs in pooled scratches, one
+// per morsel worker inside a parallel phase.
+type Arena struct {
+	Data    []byte
+	PartIdx []int32
+	Rows    int
 }
 
-// Release returns owned parts to the page arena. The consuming operator
-// calls it after materialising its own output; pass-through (elided)
-// stages and already-released stages are no-ops.
-func (s *Staged) Release() {
-	if s == nil || !s.Owned {
+// Reset empties the arena for one execution, pre-sizing it from the
+// optimizer's cardinality estimate.
+func (a *Arena) Reset(estRows, width int) {
+	a.Data, a.PartIdx, a.Rows = a.Data[:0], a.PartIdx[:0], 0
+	if want := preSize(estRows, width); want > 0 && cap(a.Data) < want {
+		a.Data = make([]byte, 0, want)
+	}
+}
+
+// preSize converts the optimizer's cardinality estimate into an initial
+// arena capacity, capped so a wild estimate cannot front-load a huge
+// allocation (past the cap the arena grows geometrically as staged
+// tuples actually arrive).
+func preSize(estRows, width int) int {
+	const maxPreSize = 1 << 20
+	return min(max(estRows, 0)*width, maxPreSize)
+}
+
+// Slot reserves the next w-byte tuple at the end of the arena.
+func (a *Arena) Slot(w int) []byte {
+	off := len(a.Data)
+	a.Data = Extend(a.Data, w)
+	return a.Data[off : off+w : off+w]
+}
+
+// Keep commits the tuple Slot reserved last, recording its partition
+// under route (nil when the stage does not partition) — or dropping it
+// again when the route is negative: a key outside the fine directory
+// cannot join.
+func (a *Arena) Keep(slot []byte, route func(t []byte) int32) {
+	if route != nil {
+		p := route(slot)
+		if p < 0 {
+			a.Data = a.Data[:len(a.Data)-len(slot)]
+			return
+		}
+		a.PartIdx = append(a.PartIdx, p)
+	}
+	a.Rows++
+}
+
+// Extend grows a flat buffer by w bytes, reusing capacity.
+func Extend(b []byte, w int) []byte {
+	if len(b)+w <= cap(b) {
+		return b[:len(b)+w]
+	}
+	nb := make([]byte, len(b)+w, 2*(len(b)+w)+256)
+	copy(nb, b)
+	return nb
+}
+
+// Stager is a staging descriptor compiled over its input schema: the
+// residual predicates, the projection, the partition route, and the sort
+// the consuming operator needs. It holds no execution state, so one
+// compiled stage serves concurrent executions and morsel workers alike.
+type Stager struct {
+	Preds   []Pred
+	Project func(src, dst []byte)
+	Width   int // staged tuple width
+	InWidth int // input tuple width
+
+	// Route maps a staged tuple to one of Parts partitions: hash-and-modulo
+	// for coarse partitioning, the value-directory probe for fine (-1
+	// drops the tuple). nil, with Parts 0, when the stage does not
+	// partition.
+	Route func(t []byte) int32
+	Parts int
+
+	// sort orders the staged output (StageSort) or, for a stage that sorts
+	// its partitions, each partition; nil otherwise.
+	sort Compare
+}
+
+// CompileStage compiles a staging descriptor over its input schema.
+func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
+	s := &Stager{
+		Preds:   CompilePreds(in, st.Filters),
+		Project: MakeProjector(in, st.Cols, st.Schema),
+		Width:   st.Schema.TupleSize(),
+		InWidth: in.TupleSize(),
+	}
+	switch st.Action {
+	case plan.StageSort:
+		s.sort = MakeKeyCompare(st.Schema, st.SortKeys)
+	case plan.StagePartitionFine, plan.StagePartitionCoarse:
+		var err error
+		if s.Route, s.Parts, err = stageRouter(st); err != nil {
+			return nil, err
+		}
+		if st.SortPartitions {
+			s.sort = MakeKeyCompare(st.Schema, st.SortKeys)
+		}
+	case plan.StageNone:
+	default:
+		return nil, fmt.Errorf("core: unknown stage action %v", st.Action)
+	}
+	return s, nil
+}
+
+// Stage is the one stage-a-tuple step: filter the input tuple against the
+// bind vector, project it into a new arena slot, and route it.
+func (s *Stager) Stage(a *Arena, tup []byte, params []types.Datum) {
+	if len(s.Preds) > 0 && !MatchPreds(s.Preds, tup, params) {
 		return
 	}
-	s.Owned = false
-	for _, p := range s.Parts {
-		p.Release()
+	slot := a.Slot(s.Width)
+	s.Project(tup, slot)
+	a.Keep(slot, s.Route)
+}
+
+// StagePages is the full-scan staging loop over pages [lo, hi) of t:
+// direct page iteration with offset arithmetic. A caller-only run covers
+// the whole table; a morsel covers its page range into a worker's arena.
+func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum) {
+	inW := s.InWidth
+	for pi := lo; pi < hi; pi++ {
+		pg := t.Page(pi)
+		n := pg.NumTuples()
+		data := pg.Data()
+		for k, base := 0, 0; k < n; k, base = k+1, base+inW {
+			s.Stage(a, data[base:base+inW:base+inW], params)
+		}
 	}
 }
 
-// Rows returns the total staged row count.
-func (s *Staged) Rows() int {
+// Probe hands fn the tuples of t the index entries for key point at, in
+// RID order, until fn returns false, and returns how many it fetched.
+func Probe(t *storage.Table, tree *btree.Tree, key int64, fn func(tup []byte) bool) int {
 	n := 0
-	for _, p := range s.Parts {
-		n += p.NumRows()
-	}
+	tree.Range(key, key, func(_ int64, rid btree.RID) bool {
+		tup, ok := FetchRID(t, rid)
+		if !ok {
+			return true
+		}
+		n++
+		return fn(tup)
+	})
 	return n
 }
 
-// RunStage executes a staging descriptor: scan the input, apply selections,
-// project away unused fields, and interleave the sort or partition
-// pre-processing required by the consuming operator — all in one pass over
-// the input, exactly as the generated staging function does (Listing 1
-// extended with sort/partition steps).
-func RunStage(st *plan.Stage, input *storage.Table) (*Staged, error) {
-	inSchema := input.Schema()
-	filter := MakeFilter(inSchema, st.Filters)
-	project := MakeProjector(inSchema, st.Cols, st.Schema)
-	width := st.Schema.TupleSize()
-
-	switch st.Action {
-	case plan.StageNone, plan.StageSort:
-		// Identity elision: a stage that neither filters, partitions,
-		// nor re-projects adds only a tuple-by-tuple copy — pass the
-		// input through (StageNone) or sort straight off the input's
-		// pages (StageSort) instead of materialising it first.
-		if st.IsIdentity(inSchema) {
-			if st.Action == plan.StageNone {
-				return &Staged{Parts: []*storage.Table{input}, Schema: st.Schema}, nil
-			}
-			cmp := MakeKeyCompare(st.Schema, st.SortKeys)
-			tuples := Flatten(input)
-			SortTuples(tuples, cmp)
-			sorted := storage.NewPooledTable("staged", st.Schema)
-			for _, t := range tuples {
-				sorted.Append(t)
-			}
-			return &Staged{Parts: []*storage.Table{sorted}, Schema: st.Schema, Sorted: true, Owned: true}, nil
-		}
-		out := storage.NewPooledTable("staged", st.Schema)
-		input.Scan(func(tuple []byte) bool {
-			if filter != nil && !filter(tuple) {
-				return true
-			}
-			project(tuple, out.AppendSlot())
-			return true
-		})
-		staged := &Staged{Parts: []*storage.Table{out}, Schema: st.Schema, Owned: true}
-		if st.Action == plan.StageSort {
-			cmp := MakeKeyCompare(st.Schema, st.SortKeys)
-			staged.Parts[0] = SortTablePooled("staged", out, cmp)
-			out.Release()
-			staged.Sorted = true
-		}
-		return staged, nil
-
-	case plan.StagePartitionFine, plan.StagePartitionCoarse:
-		router, m, err := stageRouter(st)
-		if err != nil {
-			return nil, err
-		}
-		parts := make([]*storage.Table, m)
-		for i := range parts {
-			parts[i] = storage.NewPooledTable(fmt.Sprintf("part%d", i), st.Schema)
-		}
-		buf := make([]byte, width)
-		input.Scan(func(tuple []byte) bool {
-			if filter != nil && !filter(tuple) {
-				return true
-			}
-			project(tuple, buf)
-			if p := router(buf); p >= 0 {
-				parts[p].Append(buf)
-			}
-			return true
-		})
-		staged := &Staged{Parts: parts, Schema: st.Schema, Owned: true}
-		if st.SortPartitions {
-			sortParts(staged, st.SortKeys)
-		}
-		return staged, nil
+// FetchRID returns the tuple an index entry points at, or false when its
+// row has since moved out of range.
+func FetchRID(t *storage.Table, rid btree.RID) ([]byte, bool) {
+	if int(rid.Page) >= t.NumPages() {
+		return nil, false
 	}
-	return nil, fmt.Errorf("core: unknown stage action %v", st.Action)
+	page := t.Page(int(rid.Page))
+	if int(rid.Slot) >= page.NumTuples() {
+		return nil, false
+	}
+	return page.Tuple(int(rid.Slot)), true
 }
 
-// sortParts replaces each partition with a sorted copy, returning the
-// unsorted originals to the page arena.
-func sortParts(s *Staged, keys []int) {
-	cmp := MakeKeyCompare(s.Schema, keys)
-	for i, p := range s.Parts {
-		s.Parts[i] = SortTablePooled(p.Name(), p, cmp)
-		p.Release()
+// Order lays the staged tuples out for the consuming operator through b:
+// the stage's partitions — one, in staging order, when it does not
+// partition — each sorted when the stage sorts. presorted skips a sort the
+// staging order already satisfies (an ordered index traversal).
+func (s *Stager) Order(a *Arena, b *Buckets, presorted bool) [][][]byte {
+	parts := b.Bucket(a, s.Width, s.Parts)
+	if !presorted {
+		s.sortEach(parts)
 	}
-	s.Sorted = true
+	return parts
+}
+
+// sortEach sorts each part with the stage's sort, if it has one.
+func (s *Stager) sortEach(parts [][][]byte) {
+	if s.sort == nil {
+		return
+	}
+	for _, p := range parts {
+		SortTuples(p, s.sort)
+	}
+}
+
+// Buckets holds the tuple-reference arrays bucketing fills: the pooled
+// analogue of a partitioned hash table.
+type Buckets struct {
+	refs   [][]byte
+	parts  [][][]byte
+	counts []int
+}
+
+// Bytes reports the size of the reference array, which dominates what the
+// buckets hold.
+func (b *Buckets) Bytes() int { return 24 * cap(b.refs) }
+
+// Bucket groups an arena's w-byte tuples into m partitions by their
+// recorded routes: a counting sort over the flat arena that keeps staging
+// order within each partition. m <= 1 is one partition in staging order.
+// The returned partitions alias the arena.
+func (b *Buckets) Bucket(a *Arena, w, m int) [][][]byte {
+	data, n := a.Data, a.Rows
+	refs := b.refs[:0]
+	if cap(refs) < n {
+		refs = make([][]byte, 0, n)
+	}
+	refs = refs[:n]
+	b.parts = b.parts[:0]
+	if m <= 1 {
+		for k, off := 0, 0; k < n; k, off = k+1, off+w {
+			refs[k] = data[off : off+w : off+w]
+		}
+		b.refs, b.parts = refs, append(b.parts, refs)
+		return b.parts
+	}
+	counts := b.counts[:0]
+	if cap(counts) < m {
+		counts = make([]int, 0, m)
+	}
+	counts = counts[:m]
+	clear(counts)
+	for _, p := range a.PartIdx {
+		counts[p]++
+	}
+	// Prefix sums -> per-partition start offsets.
+	start := 0
+	for p, c := range counts {
+		counts[p] = start
+		start += c
+	}
+	// Stable scatter, laid out partition by partition.
+	for k, p := range a.PartIdx {
+		refs[counts[p]] = data[k*w : k*w+w : k*w+w]
+		counts[p]++
+	}
+	prev := 0
+	for _, end := range counts {
+		b.parts = append(b.parts, refs[prev:end])
+		prev = end
+	}
+	b.refs, b.counts = refs, counts
+	return b.parts
 }
 
 // stageRouter compiles a partitioning stage's route and partition count:

@@ -1,7 +1,8 @@
 // Package arenaowner enforces page-arena ownership (DESIGN.md §3): a
-// value acquired from the arena — a `storage.NewPooledTable` result or a
-// `core.Staged{..., Owned: true}` literal — must be released exactly
-// once on every path, including error and early-return paths. The
+// value acquired from the arena — a `storage.NewPooledTable` result, or
+// the result of a function whose name ends in "Pooled" — must be
+// released exactly once on every path, including error and early-return
+// paths. The
 // analyzer runs a may-state dataflow over the cfgx control-flow graph:
 //
 //	Owned     — holds arena pages; Release is still due
@@ -18,8 +19,8 @@
 //   - use-after-Release: any other use on such a path.
 //
 // Passing the value to a function or capturing it in a closure counts as
-// an ownership transfer/borrow (Escaped) — the engine's RunStage-style
-// callbacks make callee-side tracking the caller's responsibility, and a
+// an ownership transfer/borrow (Escaped) — the engine's callbacks make
+// callee-side tracking the caller's responsibility, and a
 // may-analysis that guessed otherwise would drown the tree in false
 // positives. Reassigning the variable while it may still be Owned is a
 // leak and reported at the assignment.
@@ -29,16 +30,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"hique/internal/lint/analysis"
 	"hique/internal/lint/cfgx"
 	"hique/internal/lint/lintutil"
 )
 
-const (
-	storagePkg = "hique/internal/storage"
-	corePkg    = "hique/internal/core"
-)
+const storagePkg = "hique/internal/storage"
 
 // Analyzer is the arenaowner pass.
 var Analyzer = &analysis.Analyzer{
@@ -85,48 +84,22 @@ func run(pass *analysis.Pass) error {
 }
 
 // acquisition reports whether the expression mints a new owned arena
-// value: storage.NewPooledTable(...), a call returning a pooled table by
-// convention (name ends in "Pooled"), or a core.Staged literal with
-// Owned: true.
+// value: storage.NewPooledTable(...), or a call returning a pooled table
+// by convention (name ends in "Pooled").
 func acquisition(info *types.Info, e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		if lintutil.PkgFuncCall(info, x, storagePkg, "NewPooledTable") {
-			return true
-		}
-		if f := lintutil.CalleeFunc(info, x); f != nil {
-			n := f.Name()
-			if len(n) > 6 && n[len(n)-6:] == "Pooled" {
-				return true
-			}
-		}
-	case *ast.CompositeLit:
-		tv, ok := info.Types[x]
-		if !ok || !lintutil.IsTypeFrom(tv.Type, corePkg, "Staged") {
-			return false
-		}
-		for _, el := range x.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Owned" {
-				if v, ok := kv.Value.(*ast.Ident); ok && v.Name == "true" {
-					return true
-				}
-			}
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return acquisition(info, x.X)
-		}
+	x, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	return false
+	if lintutil.PkgFuncCall(info, x, storagePkg, "NewPooledTable") {
+		return true
+	}
+	f := lintutil.CalleeFunc(info, x)
+	return f != nil && strings.HasSuffix(f.Name(), "Pooled")
 }
 
 // releaseRecv returns the variable whose Release method is being called,
-// when the receiver is a tracked-shape type (storage.Table or
-// core.Staged).
+// when the receiver is a storage.Table.
 func releaseRecv(info *types.Info, call *ast.CallExpr) *types.Var {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Release" {
@@ -136,7 +109,7 @@ func releaseRecv(info *types.Info, call *ast.CallExpr) *types.Var {
 	if !ok {
 		return nil
 	}
-	if !lintutil.IsTypeFrom(tv.Type, storagePkg, "Table") && !lintutil.IsTypeFrom(tv.Type, corePkg, "Staged") {
+	if !lintutil.IsTypeFrom(tv.Type, storagePkg, "Table") {
 		return nil
 	}
 	id := lintutil.RootIdent(sel.X)

@@ -2,10 +2,7 @@
 // released exactly once on every path.
 package codegen
 
-import (
-	"hique/internal/core"
-	"hique/internal/storage"
-)
+import "hique/internal/storage"
 
 var errNope error
 
@@ -53,15 +50,6 @@ func reassign() {
 	t := storage.NewPooledTable()
 	t = storage.NewPooledTable() // want `pooled arena value "t" reassigned while still owned`
 	t.Release()
-}
-
-func stagedLeak(cond bool) error {
-	s := core.Staged{T: nil, Owned: true}
-	if cond {
-		return errNope // want `pooled arena value "s" may leak on this return path`
-	}
-	s.Release()
-	return nil
 }
 
 // borrowed values passed to a callee are the callee's to balance. Clean.

@@ -1,8 +1,7 @@
 // Package linttest is hique's stand-in for
 // golang.org/x/tools/go/analysis/analysistest: it type-checks fixture
 // packages against source stubs of the engine's well-known types
-// (catalog.TableEntry, storage.Table, core.Staged, the hique/runtime
-// ABI), runs a set of analyzers through the real driver (so
+// (catalog.TableEntry, storage.Table, the hique/runtime ABI), runs a set of analyzers through the real driver (so
 // //lint:allow suppression is exercised too), and matches diagnostics
 // against `// want "regex"` annotations in the fixture source.
 //

@@ -1,6 +1,6 @@
 // Package lintutil holds the type- and object-resolution helpers the
 // hique-vet analyzers share: matching calls against the engine's
-// well-known types (catalog.TableEntry, storage.Table, core.Staged) by
+// well-known types (catalog.TableEntry, storage.Table) by
 // package-path suffix, so the same analyzers run unchanged over the real
 // tree and over analysistest fixtures that stub those packages under
 // identical import paths.

@@ -116,6 +116,15 @@ type IndexScanSpec struct {
 // parameter.
 func (s IndexScanSpec) Slot() (int, bool) { return s.Param - 1, s.Param > 0 }
 
+// Key returns the probe key: the baked Value, or the parameter's value
+// from the bind vector.
+func (s *IndexScanSpec) Key(params []types.Datum) int64 {
+	if slot, ok := s.Slot(); ok {
+		return params[slot].I
+	}
+	return s.Value.I
+}
+
 // Stage describes the data-staging step for one operator input: scan,
 // filter, project (dropping unused fields to shrink tuples), and optionally
 // sort or partition, interleaved in one pass (paper §IV step 1).

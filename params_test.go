@@ -286,7 +286,7 @@ func TestPreparedParams(t *testing.T) {
 // walk), and a bound value wider than the column keeps the literal's
 // semantics — never equal, the stored field sorts strictly below it —
 // on every comparison operator, in a scan, an aggregate and a join side,
-// against optimized-iterators.
+// and in the filters of DELETE and UPDATE, against optimized-iterators.
 func TestBoundCharWiderThanColumn(t *testing.T) {
 	build := func(options ...Option) *DB {
 		db := Open(options...)
@@ -338,6 +338,32 @@ func TestBoundCharWiderThanColumn(t *testing.T) {
 						t.Errorf("%s with %q via %s:\n got  %v\n want %v", q, arg, name, got.Rows, want.Rows)
 					}
 				}
+			}
+		}
+	}
+	// The write path: UPDATE then DELETE touch exactly the rows
+	// optimized-iterators selects with the same filter.
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		for _, arg := range []string{"Rxx", "R", "Q", "", "Zz"} {
+			w := build(WithPlanCache(32))
+			want, err := ref.Query(fmt.Sprintf("SELECT id FROM fl WHERE f %s ? ORDER BY id", op), arg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := w.Exec(fmt.Sprintf("UPDATE fl SET k = 99 WHERE f %s ?", op), arg)
+			if err != nil || res.RowsAffected != len(want.Rows) {
+				t.Fatalf("UPDATE f %s %q: %v, %d rows, want %d", op, arg, err, res.RowsAffected, len(want.Rows))
+			}
+			got, err := w.Query("SELECT id FROM fl WHERE k = 99 ORDER BY id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) > 0 && !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("UPDATE f %s %q set\n got  %v\n want %v", op, arg, got.Rows, want.Rows)
+			}
+			res, err = w.Exec(fmt.Sprintf("DELETE FROM fl WHERE f %s ?", op), arg)
+			if err != nil || res.RowsAffected != len(want.Rows) {
+				t.Errorf("DELETE f %s %q: %v, %d rows, want %d", op, arg, err, res.RowsAffected, len(want.Rows))
 			}
 		}
 	}
