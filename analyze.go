@@ -34,10 +34,11 @@ type ParallelStats struct {
 // AnalyzeResult is the outcome of DB.ExplainAnalyze: the optimizer's
 // plan, the execution path and worker target the artefact compiled to,
 // the per-stage execution statistics, and the totals of the actual run
-// that produced them. Path is "fused", "fused-chain" or "general"
-// (always "general" on the interpreted engines); Workers is the
-// compiled worker target of the widest phase, Parallel the phases that
-// actually ran on more than the caller (empty for serial executions).
+// that produced them. Path is "fused" (a single-table pipeline or a
+// chain of fused joins) or "general" (the staged walk; always on the
+// interpreted engines); Workers is the compiled worker target of the
+// widest phase of any join, Parallel the phases that actually ran on
+// more than the caller (empty for serial executions).
 type AnalyzeResult struct {
 	Engine   string          `json:"engine"`
 	Path     string          `json:"path"`

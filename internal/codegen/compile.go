@@ -71,9 +71,9 @@ type CompiledQuery struct {
 	// pipeline, no staged intermediates) rather than the general operator
 	// walk — the execution-path axis of the serving metrics.
 	Fused bool
-	// Path names that strategy — "fused", "fused-chain" (core-run prefix
-	// joins feeding a fused final join) or "general" — and Workers is the
-	// worker target of its widest phase (1: every loop runs on the caller).
+	// Path names that strategy — "fused" or "general" — and Workers is
+	// the worker target of its widest phase, every join of a chain
+	// included (1: every loop runs on the caller).
 	Path    string
 	Workers int
 
@@ -94,23 +94,20 @@ func Generate(p *plan.Plan, level OptLevel) (*CompiledQuery, error) {
 	case OptO2:
 		// Fused fast paths: single-table plans compile to one pipeline
 		// that probes/scans, filters, and projects straight into the
-		// result table or the aggregation tail; two-table equi-join plans
-		// (with optional GROUP BY aggregation, ORDER BY, and LIMIT)
-		// compile to one fused probe→join→filter→aggregate→emit loop.
-		// Both read parameters from the bind vector without an execution
-		// copy of the plan.
+		// result table or the aggregation tail; left-deep equi-join
+		// chains (with optional GROUP BY aggregation, ORDER BY, and LIMIT)
+		// compile to one fused probe→join→filter→aggregate→emit loop per
+		// join, each staging into the next. Both read parameters from the
+		// bind vector without an execution copy of the plan.
 		if !fusionDisabled.Load() {
 			if f := newFused(p); f != nil {
-				q.run, q.Path, q.Workers = f.run, "fused", f.par
+				q.run, q.Workers = f.run, f.par
 			} else if fj := newFusedJoin(p); fj != nil {
-				q.run, q.Path, q.Workers = fj.run, "fused", fj.workers()
-			} else if fc := newFusedChain(p); fc != nil {
-				// N-way left-deep chains: prefix joins through core's staged
-				// operators, the final join + tail in one fused loop.
-				q.run, q.Path, q.Workers = fc.run, "fused-chain", fc.final.workers()
+				q.run, q.Workers = fj.run, fj.workers()
 			}
 		}
 		if q.Fused = q.run != nil; q.Fused {
+			q.Path = "fused"
 			break
 		}
 		eng := core.NewEngine()

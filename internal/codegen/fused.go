@@ -30,7 +30,6 @@ import (
 type fusedQuery struct {
 	p    *plan.Plan
 	base int
-	out  *types.Schema
 	// st is the compiled stage: the predicates, with parameter values read
 	// from the bind vector at execution time, and the projection — into
 	// the result, or into the aggregation tail's staged tuple.
@@ -85,7 +84,6 @@ func newFused(p *plan.Plan) *fusedQuery {
 	f := &fusedQuery{
 		p:      p,
 		base:   st.Input.Base,
-		out:    p.ResultSchema(),
 		st:     s,
 		idx:    st.IndexScan,
 		limit:  loopLimit(p),
@@ -93,7 +91,7 @@ func newFused(p *plan.Plan) *fusedQuery {
 		par:    parallelWorkers(p, entry.Stats.Rows),
 	}
 	if p.Sort != nil {
-		f.sortCmp = core.MakeSortCompare(f.out, p.Sort.Keys)
+		f.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
 	}
 	if p.Agg != nil {
 		if f.agg = newFusedAgg(p.Agg, s, nil); f.agg == nil || f.agg.stream || f.idx != nil {
@@ -128,46 +126,55 @@ func loopLimit(p *plan.Plan) int {
 	return p.Limit
 }
 
-// run executes the pipeline against a bind vector. The result table
-// draws its pages from the storage arena; the caller owns it and
-// releases it after draining (hique's materialisation path does).
-func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
-	if err := f.p.CheckArgs(params); err != nil {
+// runFrame is the run of every fused pipeline: check the bind vector,
+// draw the result table from the storage arena, let fill write the
+// pipeline's rows into it — unless LIMIT 0 leaves nothing to compute —
+// and apply the shared HAVING → ORDER BY → LIMIT tail (cmp is the
+// compiled ORDER BY). The caller owns the returned table and releases it
+// after draining (hique's materialisation path does).
+func runFrame(p *plan.Plan, cmp core.Compare, params []types.Datum, fill func(out *storage.Table)) (*storage.Table, error) {
+	if err := p.CheckArgs(params); err != nil {
 		return nil, err
 	}
-	out := storage.NewPooledTable("result", f.out)
-	if f.p.Limit == 0 {
+	out := storage.NewPooledTable("result", p.ResultSchema())
+	if p.Limit == 0 {
 		return out, nil
 	}
-	// Contained panics in the scan/probe below unwind past the caller's
-	// Release (it never receives out); release here so the arena balance
-	// survives the error path.
+	// A panic inside fill is contained by the serving layer (lease's
+	// containPanic), which never sees this table; without the conditional
+	// release the contained error path would strand the result's arena
+	// pages forever.
 	done := false
 	defer func() {
 		if !done {
 			out.Release()
 		}
 	}()
-	var t0 time.Time
-	if f.traced {
-		t0 = time.Now()
-	}
-	t := f.p.Tables[f.base].Entry.Table
-	if f.agg != nil {
-		f.runAgg(t, params, out)
-		if f.traced {
-			f.p.Trace.Observe(plan.TraceStageAgg, int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
-		}
-	} else {
-		f.runScan(t, params, out)
-		if f.traced {
-			f.p.Trace.Observe(plan.TraceStageProject,
-				int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
-		}
-	}
-	out = core.FinishResult(f.p, f.sortCmp, out, true)
+	fill(out)
+	out = core.FinishResult(p, cmp, out, true)
 	done = true
 	return out, nil
+}
+
+// run executes the pipeline against a bind vector.
+func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
+	return runFrame(f.p, f.sortCmp, params, func(out *storage.Table) {
+		var t0 time.Time
+		if f.traced {
+			t0 = time.Now()
+		}
+		t := f.p.Tables[f.base].Entry.Table
+		stage := plan.TraceStageProject
+		if f.agg != nil {
+			f.runAgg(t, params, out)
+			stage = plan.TraceStageAgg
+		} else {
+			f.runScan(t, params, out)
+		}
+		if f.traced {
+			f.p.Trace.Observe(stage, int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
+		}
+	})
 }
 
 // runScan filters and projects the table into out: through the index
@@ -307,11 +314,12 @@ func (f *fusedQuery) runAgg(t *storage.Table, params []types.Datum, out *storage
 	per, n := pageMorsels(t, max(morsel.Rows, 4*fa.prog.NGroups*fa.prog.NAggs))
 	switch {
 	case !fa.mapped:
-		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.aggIn, f.p.Pool, t, params) {
+		ts.staged.Reset(fa.estRows, f.st.Width)
+		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.staged, f.p.Pool, t, params) {
 			ph.finish(f.p.Trace, plan.TraceStageAgg)
 			morsel.CountQuery()
 		} else {
-			f.st.StagePages(&ts.aggIn, t, 0, pages, params)
+			f.st.StagePages(&ts.staged, t, 0, pages, params)
 		}
 	case n < 2:
 		fa.prog.FoldPages(ts.acc, f.st, ts.aggBuf, t, 0, pages, params)

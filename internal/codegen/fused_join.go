@@ -1,12 +1,15 @@
 // The fused join+aggregation pipeline: the paper's headline claim is
 // that holistically generated code for *whole* plans — joins and grouped
 // aggregation fused into tight loops, not just single-table scans —
-// beats iterator and vectorised engines. A two-table equi-join plan
-// (merge join for index-ordered inputs, hybrid hash-sort-merge for
-// unsorted ones, fine partitioning for small key domains, per the
-// planner's staged-algorithm selection) with optional GROUP BY
-// aggregation, HAVING, ORDER BY and LIMIT compiles into one
-// probe→join→filter→aggregate→emit pipeline.
+// beats iterator and vectorised engines. A left-deep chain of k ≥ 1
+// binary equi-joins (merge join for index-ordered inputs, hybrid
+// hash-sort-merge for unsorted ones, fine partitioning for small key
+// domains, per the planner's staged-algorithm selection; TPC-H Q3 and
+// Q10 are chains of two and three) with optional GROUP BY aggregation,
+// HAVING, ORDER BY and LIMIT compiles into k fused join loops. The last
+// one emits into the plan tail; every other one's tail stages each
+// joined pair straight into the next join's chain-fed input, so no join
+// output is ever materialised as a table.
 //
 // Like the single-table pipeline, this is an execution strategy, never a
 // semantic fork: fused results are byte-identical to the general walk,
@@ -14,12 +17,14 @@
 // the predicates, the staging step (core.Stager), the bucketing
 // (core.Buckets), the join loop and merge walk (core.JoinLoop), the
 // accumulators and group emission (core.AggProgram) and the HAVING /
-// ORDER BY / LIMIT tail (core.FinishResult) — called over pooled state.
+// ORDER BY / LIMIT tail (core.FinishResult) — called over pooled state,
+// and a join emits in the order the walk appends to its output table.
 // What the fusion removes is materialised state and per-execution setup:
 // no Plan.Bind copy (parameters are read from the bind vector), no
-// join-output table (joined tuples feed the aggregation or the final
-// projection directly), and a pooled staging and partition scratch sized
-// from the catalogue's cardinality estimates.
+// join-output table (joined tuples feed the next join's staging, the
+// aggregation or the final projection directly), and a pooled staging
+// and partition scratch sized from the catalogue's cardinality
+// estimates.
 
 package codegen
 
@@ -39,11 +44,9 @@ import (
 // fetch base tuples (scan, index probe, or ordered index traversal).
 type fusedSide struct {
 	*core.Stager
-	base int // index into Plan.Tables; -1 for a chain-fed side
-	// chain marks a side staged from the previous join's materialised
-	// output (fusedChain's final pipeline) instead of a base table; the
-	// table arrives through the execution scratch.
-	chain bool
+	// base indexes Plan.Tables; -1 marks the chain-fed side, which the
+	// previous join's stage tail has staged by the time this join runs.
+	base int
 
 	// idx, when non-nil, replaces the scan with equality probes through
 	// the fractal B+-tree (the stage's IndexScan spec).
@@ -61,8 +64,8 @@ type fusedSide struct {
 
 	// par is the staging scan's worker target, resolved at generation
 	// time from the plan's Parallelism and the catalogued table size
-	// (parallelWorkers); 1 stages on the caller alone. Index probes and
-	// ordered traversals stay serial.
+	// (parallelWorkers); 1 stages on the caller alone. Index probes,
+	// ordered traversals and the chain-fed side stage no scan.
 	par int
 }
 
@@ -97,7 +100,9 @@ type fusedAgg struct {
 	estRows int
 }
 
-// fusedJoin is the compiled two-table pipeline.
+// fusedJoin is one compiled binary join of a left-deep chain: the head of
+// the chain runs it and every join after it (next), so a two-table plan
+// is the chain of one.
 type fusedJoin struct {
 	p     *plan.Plan
 	sides [2]fusedSide
@@ -113,32 +118,40 @@ type fusedJoin struct {
 	// tailCopy, when non-nil, is the fully-fused emit: the tail's output
 	// columns are all direct copies, so the pipeline composes the join's
 	// column mapping with the tail's projection at generation time and
-	// copies staged bytes straight into the output (or aggregation
-	// staging) slot — the assembled join tuple never materialises, not
-	// even in a buffer. Computed output columns fall back to the
-	// joinBuf + projector path.
+	// copies staged bytes straight into the output (or staging) slot —
+	// the assembled join tuple never materialises, not even in a buffer.
+	// Computed output columns fall back to joinBuf + project.
 	tailCopy   [2][]core.CopyRange
 	tailDirect bool
-
-	// Non-aggregate tail: the final projection from the join tuple.
+	// project writes the tail's tuple from the assembled join tuple: the
+	// final projection, or the tail stage's projection.
 	project func(src, dst []byte)
-	// Aggregate tail.
-	agg *fusedAgg
 
-	outSchema *types.Schema
-	outWidth  int
-	sortCmp   core.Compare // final ORDER BY, nil when absent
-	limit     int          // the loop's bound (loopLimit)
+	// The tail is one of three. stage, when non-nil, is a stage tail: each
+	// joined pair is staged — projected and routed — into an arena, which
+	// is the next join's chain-fed side (next non-nil) or a collect-mode
+	// aggregation's input; stageEst pre-sizes it. Otherwise agg is the
+	// map or streaming aggregation, or, nil, the final projection.
+	stage    *core.Stager
+	stageEst int
+	agg      *fusedAgg
+	// next is the chain's next join, which this join's stage tail feeds;
+	// nil for the last join, whose tail is the plan's.
+	next *fusedJoin
+
+	outWidth int          // the final projection's row width
+	sortCmp  core.Compare // final ORDER BY on the chain's head, nil when absent
+	limit    int          // the loop's bound (loopLimit; -1 below the last join)
 	// traced is baked at generation time (see fusedQuery.traced): the
 	// serving path's cached pipelines never carry a trace, so every
 	// trace branch below is statically false for them.
 	traced bool
 	// parJoin is the partition-wise join loop's worker target (1 =
-	// serial). Only partitioned algorithms with a deterministically
-	// mergeable tail — map aggregation's flat arrays, or a plain
-	// projection stitched in partition order — compile a parallel join
-	// phase; merge join and the collect aggregation modes run on the
-	// caller alone (see DESIGN.md §8).
+	// serial). Every fine or hybrid join compiles a parallel join phase
+	// unless its tail is a streaming aggregation, whose groups close in
+	// emit order: map aggregation merges per-chunk flat arrays, and the
+	// projection and stage tails stitch per-chunk outputs in partition
+	// order. Merge join runs on the caller alone (see DESIGN.md §8).
 	parJoin int
 }
 
@@ -165,18 +178,21 @@ type tailState struct {
 	lastPtr [2]*byte
 	lastG   [2]int32
 
-	// Stream and collect aggregation, which only the caller-only run
-	// compiles: the open group, and the staged aggregation input.
+	// groups is a streaming or collect-mode aggregation's open group.
 	groups core.GroupStream
-	aggIn  core.Arena
+	// staged is a stage tail's output (the caller's is swapped into the
+	// next join as its chain-fed side, or ordered by the collect-mode
+	// aggregation) and, in a worker, a staging scan's morsels.
+	staged core.Arena
 }
 
 // joinScratch holds every transient a fused join execution needs: the
 // per-side staging arenas and their buckets (the pooled analogue of a
 // hash table, pre-sized from catalogue estimates), the assembled join
-// tuple, the aggregation staging arena, and the accumulator state. One
-// scratch serves one execution, drawn from a process-wide pool, so a warm
-// analytics query allocates (amortised) nothing.
+// tuple, the stage tail's arena, and the accumulator state. One scratch
+// serves one execution of a whole chain, its joins running one after
+// the other, drawn from a process-wide pool, so a warm analytics query
+// allocates (amortised) nothing.
 type joinScratch struct {
 	staged [2]core.Arena
 	bk     [2]core.Buckets
@@ -187,11 +203,6 @@ type joinScratch struct {
 	// table and map aggregation into mapAgg.
 	tail   tailState
 	mapAgg core.Accum
-	aggBk  core.Buckets
-
-	// chainIn feeds a chain-fed side (fusedSide.chain): the previous
-	// join's materialised output, set per execution by fusedChain.run.
-	chainIn *storage.Table
 
 	// par is the morsel-phase state for parallel executions (staging
 	// scans and the partition-wise join loop reuse it sequentially);
@@ -215,57 +226,72 @@ const maxPooledScratch = 4 << 20
 // release returns the scratch to the pool unless its arenas and
 // reference arrays outgrew maxPooledScratch.
 func (sc *joinScratch) release() {
-	n := cap(sc.tail.arena) + cap(sc.tail.aggIn.Data) + sc.aggBk.Bytes()
+	n := cap(sc.tail.arena) + cap(sc.tail.staged.Data)
 	for i := range sc.staged {
 		n += cap(sc.staged[i].Data) + sc.bk[i].Bytes()
 	}
 	for i := range sc.par.workers {
-		n += cap(sc.par.workers[i].staged.Data) + cap(sc.par.workers[i].tail.arena)
+		n += cap(sc.par.workers[i].tail.staged.Data) + cap(sc.par.workers[i].tail.arena)
 	}
 	if n <= maxPooledScratch {
 		joinScratchPool.Put(sc)
 	}
 }
 
-// newFusedJoin compiles the fused pipeline for a two-table equi-join
-// plan, or returns nil when the plan's shape needs the general operator
-// walk: more tables, a string computed output, or a stage or algorithm
-// the pipeline does not run.
+// newFusedJoin compiles a left-deep chain of binary equi-joins — join 0
+// reads two base tables, join i > 0 the output of join i−1 on one side
+// and a base table on the other — and the plan tail consuming its last
+// join into one fused join per descriptor, and returns the chain's head.
+// It returns nil when the plan's shape needs the general operator walk:
+// no join, a join team or bushy tree, a string computed output, or a
+// stage or algorithm the pipeline does not run.
 func newFusedJoin(p *plan.Plan) *fusedJoin {
-	if len(p.Tables) != 2 || len(p.Joins) != 1 {
-		return nil
+	var next *fusedJoin
+	for ji := len(p.Joins) - 1; ji >= 0; ji-- {
+		if next = compileFusedJoin(p, ji, next); next == nil {
+			return nil
+		}
 	}
-	return compileFusedJoin(p, 0)
+	if next != nil && p.Sort != nil {
+		next.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
+	}
+	return next
 }
 
-// compileFusedJoin compiles join ji and the plan tail into the fused
-// two-input pipeline, or returns nil. For ji > 0 (the final join of a
-// chain newFusedChain vetted as left-deep) the side reading the previous
-// join's output stages from a materialised intermediate supplied at run
-// time.
-func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
+// compileFusedJoin compiles join ji and its tail — a stage tail into
+// next's chain-fed side, or, when next is nil, the plan tail — or
+// returns nil.
+func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 	j := p.Joins[ji]
 	if !j.FusionEligible(ji > 0) {
 		return nil
 	}
-	f := &fusedJoin{p: p, loop: core.CompileJoin(j), limit: loopLimit(p), traced: p.Trace != nil}
+	f := &fusedJoin{p: p, loop: core.CompileJoin(j), limit: -1, traced: p.Trace != nil, next: next}
+	if next == nil {
+		f.limit = loopLimit(p)
+	}
 	if f.traced {
 		f.names = [3]string{plan.TraceJoinStage(ji, 0), plan.TraceJoinStage(ji, 1), plan.TraceJoin(ji)}
 	}
+	fed := 0
 	for i := 0; i < 2; i++ {
 		st := &j.Inputs[i]
 		s := &f.sides[i]
-		s.base = st.Input.Base
-		var in *types.Schema
-		if s.base >= 0 {
-			in = p.Tables[s.base].Entry.Table.Schema()
-		} else {
-			s.chain = true
-			in = p.Joins[st.Input.Join].Schema
-			if st.IndexScan != nil {
-				return nil // index probes only reach base tables
+		s.base, s.estRows, s.par = st.Input.Base, max(int(st.EstRows), 0), 1
+		if s.base < 0 {
+			// The chain-fed side. The planner filters base tables only, so
+			// the previous join's stage tail has nothing to drop.
+			if st.Input.Join != ji-1 || len(st.Filters) != 0 || st.IndexScan != nil {
+				return nil
 			}
+			fed++
+			if s.Stager = compileStage(st, p.Joins[ji-1].Schema); s.Stager == nil {
+				return nil
+			}
+			continue
 		}
+		entry := p.Tables[s.base].Entry
+		in := entry.Table.Schema()
 		if s.Stager = compileStage(st, in); s.Stager == nil {
 			return nil
 		}
@@ -275,8 +301,7 @@ func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
 		// ordered leaf traversal replaces the sort: tuples arrive in
 		// exactly the order the sort would establish (uniqueness means no
 		// ties, so no permutation ambiguity).
-		if st.Action == plan.StageSort && !s.chain && len(st.Filters) == 0 && st.IndexScan == nil {
-			entry := p.Tables[s.base].Entry
+		if st.Action == plan.StageSort && len(st.Filters) == 0 && st.IndexScan == nil {
 			kc := st.Cols[j.Keys[i]].Source
 			name := in.Column(kc).Name
 			stats := &entry.Stats
@@ -285,13 +310,30 @@ func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
 				s.orderedCol = name
 			}
 		}
-		s.estRows = max(int(st.EstRows), 0)
+		// Morsel-driven staging, resolved at generation time like every
+		// other specialisation here (see fused_join_par.go), from the
+		// catalogued table size.
+		if s.idx == nil && s.orderedCol == "" {
+			s.par = parallelWorkers(p, entry.Stats.Rows)
+		}
+	}
+	if (ji > 0) != (fed == 1) {
+		return nil // not left-deep
 	}
 
 	f.joinWidth = j.Schema.TupleSize()
 	f.copySpec = core.JoinCopies(j)
 
 	switch {
+	case next != nil:
+		cs := 0
+		if next.sides[1].base < 0 {
+			cs = 1
+		}
+		st := &p.Joins[ji+1].Inputs[cs]
+		f.stage, f.stageEst = next.sides[cs].Stager, next.sides[cs].estRows
+		f.project = f.stage.Project
+		f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema)
 	case p.Agg != nil:
 		st := &p.Agg.Input
 		if st.Input.Base >= 0 || st.Input.Join != ji || len(st.Filters) != 0 || st.IndexScan != nil {
@@ -313,7 +355,10 @@ func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
 		if f.agg = newFusedAgg(p.Agg, s, at); f.agg == nil {
 			return nil
 		}
-		f.outSchema = p.Agg.Schema
+		f.project = s.Project
+		if !f.agg.mapped && !f.agg.stream {
+			f.stage, f.stageEst = s, f.agg.estRows // collect mode
+		}
 	case p.Final != nil:
 		st := p.Final
 		if st.Input.Base >= 0 || st.Input.Join != ji ||
@@ -321,42 +366,25 @@ func compileFusedJoin(p *plan.Plan, ji int) *fusedJoin {
 			return nil
 		}
 		f.project = core.MakeProjector(j.Schema, st.Cols, st.Schema)
-		f.outSchema = st.Schema
+		f.outWidth = st.Schema.TupleSize()
 		f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema)
 	default:
 		return nil
 	}
-	f.outWidth = f.outSchema.TupleSize()
-	if p.Sort != nil {
-		f.sortCmp = core.MakeSortCompare(f.outSchema, p.Sort.Keys)
-	}
-	// Morsel-driven parallelism, resolved at generation time like every
-	// other specialisation here (see fused_join_par.go): staging
-	// parallelises per side from the catalogued table size (a chain-fed
-	// side from the previous join's estimate); the partition-wise join
-	// loop parallelises when the tail merges deterministically — map
-	// aggregation's flat accumulator arrays, or a plain projection
-	// stitched in partition order. Merge join and the collect aggregation
-	// modes run on the caller alone.
-	for i := 0; i < 2; i++ {
-		s := &f.sides[i]
-		s.par = 1
-		if s.chain {
-			s.par = parallelWorkers(p, int(p.Joins[ji-1].EstRows))
-		} else if s.idx == nil && s.orderedCol == "" {
-			s.par = parallelWorkers(p, p.Tables[s.base].Entry.Stats.Rows)
-		}
-	}
 	f.parJoin = 1
-	if j.Alg != plan.MergeJoin && (f.agg == nil || f.agg.mapped) {
+	if j.Alg != plan.MergeJoin && (f.agg == nil || !f.agg.stream) {
 		f.parJoin = parallelWorkers(p, max(f.sides[0].estRows, f.sides[1].estRows))
 	}
 	return f
 }
 
-// workers is the pipeline's widest compiled worker target.
+// workers is the chain's widest compiled worker target.
 func (f *fusedJoin) workers() int {
-	return max(f.sides[0].par, f.sides[1].par, f.parJoin)
+	w := 1
+	for ; f != nil; f = f.next {
+		w = max(w, f.sides[0].par, f.sides[1].par, f.parJoin)
+	}
+	return w
 }
 
 // newFusedAgg compiles the aggregation tail over its input stage s —
@@ -395,8 +423,8 @@ func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) *fusedAgg {
 }
 
 // begin readies the caller's tail state in sc for one execution: the
-// accumulator arrays for map aggregation, the open group and the staging
-// arena for the stream and collect modes.
+// accumulator arrays for map aggregation, the open group for the stream
+// and collect modes.
 func (fa *fusedAgg) begin(sc *joinScratch) {
 	ts := &sc.tail
 	ts.aggBuf = grown(ts.aggBuf, fa.st.Width)
@@ -406,71 +434,62 @@ func (fa *fusedAgg) begin(sc *joinScratch) {
 		return
 	}
 	ts.groups.Reset(fa.prog)
-	ts.aggIn.Reset(fa.estRows, fa.st.Width)
 }
 
-// run executes the fused pipeline against a bind vector. The result
-// table draws its pages from the storage arena; the caller owns it and
-// releases it after draining.
+// run executes the chain against a bind vector, its joins one after the
+// other over one pooled scratch. The scratch is deliberately NOT
+// returned to its pool when the pipeline panics — a half-mutated scratch
+// must not be recycled.
 func (f *fusedJoin) run(params []types.Datum) (*storage.Table, error) {
-	return f.runWith(params, nil)
-}
-
-// runWith is run with an optional chain input: the previous join's
-// materialised output feeding the pipeline's chain-fed side (nil for the
-// plain two-table pipeline).
-func (f *fusedJoin) runWith(params []types.Datum, chainIn *storage.Table) (*storage.Table, error) {
-	if err := f.p.CheckArgs(params); err != nil {
-		return nil, err
-	}
-	out := storage.NewPooledTable("result", f.outSchema)
-	if f.p.Limit == 0 {
-		return out, nil
-	}
-	// A panic inside the pipeline is contained by the serving layer
-	// (lease's containPanic), which never sees this table; without
-	// the conditional release the contained error path would strand the
-	// result's arena pages forever. The scratch is deliberately NOT
-	// returned to its pool on that path — a half-mutated scratch must not
-	// be recycled.
-	done := false
-	defer func() {
-		if !done {
-			out.Release()
+	return runFrame(f.p, f.sortCmp, params, func(out *storage.Table) {
+		sc := joinScratchPool.Get().(*joinScratch)
+		sc.tail.out = out
+		par := false
+		for j := f; j != nil; j = j.next {
+			par = j.exec(sc, params) || par
 		}
-	}()
-	sc := joinScratchPool.Get().(*joinScratch)
-	sc.chainIn, sc.tail.out = chainIn, out
-	f.exec(sc, params, out)
-	sc.chainIn, sc.tail.out = nil, nil
-	sc.release()
-
-	out = core.FinishResult(f.p, f.sortCmp, out, true)
-	done = true
-	return out, nil
+		if par {
+			morsel.CountQuery()
+		}
+		sc.tail.out = nil
+		sc.release()
+	})
 }
 
-// exec stages and buckets both sides and drives the join loop into the
-// output (or the aggregation tail).
-func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Table) {
+// exec runs one join of the chain: it stages its base sides (the
+// chain-fed side arrives staged in the caller's stage-tail arena),
+// buckets both, and drives the join loop into the tail. It reports
+// whether any phase ran parallel.
+func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	var t0 time.Time
-	parQ := false // did any phase of this execution run parallel?
+	par := false
+	ts := &sc.tail
+	fed := int64(ts.pairs) // the previous join's rows-out
 	var sorted [2]bool
-	for i := 0; i < 2; i++ {
+	for i := range f.sides {
 		if f.traced {
 			t0 = time.Now()
 		}
-		sorted[i] = f.stageSide(sc, i, params, &parQ)
+		s := &f.sides[i]
+		if s.base < 0 {
+			// The previous join staged this side into the tail arena: swap
+			// it in, handing the side's spent arena to this join's tail.
+			sc.staged[i], ts.staged = ts.staged, sc.staged[i]
+		} else {
+			sorted[i] = f.stageSide(sc, i, params, &par)
+		}
 		if f.traced {
-			in := sc.chainIn
-			if !f.sides[i].chain {
-				in = f.p.Tables[f.sides[i].base].Entry.Table
+			in := fed
+			if s.base >= 0 {
+				in = int64(f.p.Tables[s.base].Entry.Table.NumRows())
 			}
-			f.p.Trace.Observe(f.names[i], int64(in.NumRows()), int64(sc.staged[i].Rows), time.Since(t0))
+			f.p.Trace.Observe(f.names[i], in, int64(sc.staged[i].Rows), time.Since(t0))
 		}
 	}
-	ts := &sc.tail
 	f.prepTail(ts)
+	if f.stage != nil {
+		ts.staged.Reset(f.stageEst, f.stage.Width)
+	}
 	if f.agg != nil {
 		f.agg.begin(sc)
 	}
@@ -486,23 +505,20 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 	}
 	if m := len(sc.parts[0]); f.parJoin > 1 && m > 1 {
 		f.joinPar(sc, m)
-		parQ = true
+		par = true
 	} else {
 		f.join(ts, sc.parts[:], 0, m)
-	}
-	if parQ {
-		morsel.CountQuery()
 	}
 
 	pairs := int64(ts.pairs)
 	if f.traced {
 		// The join loop's rows-out is the joined-pair count; the tail
-		// (projection or aggregation updates) runs fused inside the loop,
-		// so its per-stage elapsed time folds into the loop's.
+		// (staging, projection or aggregation updates) runs fused inside
+		// the loop, so its per-stage elapsed time folds into the loop's.
 		f.p.Trace.Observe(f.names[2],
 			int64(sc.staged[0].Rows+sc.staged[1].Rows), pairs, time.Since(t0))
-		if f.agg == nil {
-			f.p.Trace.Observe(plan.TraceStageProject, pairs, int64(out.NumRows()), 0)
+		if f.agg == nil && f.next == nil {
+			f.p.Trace.Observe(plan.TraceStageProject, pairs, int64(ts.out.NumRows()), 0)
 		}
 	}
 
@@ -510,11 +526,12 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum, out *storage.Tab
 		if f.traced {
 			t0 = time.Now()
 		}
-		f.agg.finish(sc, out, f.limit)
+		f.agg.finish(sc, ts.out, f.limit)
 		if f.traced {
-			f.p.Trace.Observe(plan.TraceStageAgg, pairs, int64(out.NumRows()), time.Since(t0))
+			f.p.Trace.Observe(plan.TraceStageAgg, pairs, int64(ts.out.NumRows()), time.Since(t0))
 		}
 	}
+	return par
 }
 
 // prepTail readies a tail state for one join loop: the tuple buffers at
@@ -542,7 +559,8 @@ func (f *fusedJoin) join(ts *tailState, parts [][][][]byte, lo, hi int) {
 // its groups in directory order, a streaming aggregation just flushes its
 // last group; collect modes order the staged aggregation input as its
 // stage says — sorted, or partitioned and each partition sorted — and
-// stream the groups out.
+// stream the groups out. The join's buckets are free by then, so the
+// ordering reuses the first side's.
 func (fa *fusedAgg) finish(sc *joinScratch, out *storage.Table, limit int) {
 	prog, gs := fa.prog, &sc.tail.groups
 	switch {
@@ -551,19 +569,28 @@ func (fa *fusedAgg) finish(sc *joinScratch, out *storage.Table, limit int) {
 	case fa.stream:
 		prog.Flush(gs, out, limit)
 	default:
-		prog.StreamParts(gs, fa.st.Order(&sc.tail.aggIn, &sc.aggBk, false), out, limit)
+		prog.StreamParts(gs, fa.st.Order(&sc.tail.staged, &sc.bk[0], false), out, limit)
 	}
 }
 
-// emit hands one joined pair to the pipeline tail: the final projection
-// for plain joins, the aggregation staging for GROUP BY. When the tail
-// is all direct copies (tailDirect), staged bytes copy straight into the
-// destination slot and the join tuple never materialises; otherwise the
-// pair is assembled into joinBuf and run through the compiled projector.
-// It returns false when the pipeline is complete (row limit hit, or the
-// streaming aggregation reached its group limit).
+// emit hands one joined pair to the join's tail: the next join's
+// chain-fed staging or a collect-mode aggregation's (the stage tail),
+// the map or streaming aggregation, or the final projection. When the
+// tail is all direct copies (tailDirect), staged bytes copy straight into
+// the destination slot and the join tuple never materialises; otherwise
+// the pair is assembled into joinBuf and run through the compiled
+// projector. It returns false when the pipeline is complete (row limit
+// hit, or the streaming aggregation reached its group limit).
 func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
 	ts.pairs++
+	if s := f.stage; s != nil {
+		// Stage the tail's tuple into the arena with its partition route;
+		// the consumer orders the arena once the loop is done.
+		slot := ts.staged.Slot(s.Width)
+		f.fillTail(ts, t0, t1, slot)
+		ts.staged.Keep(slot, s.Route)
+		return true
+	}
 	fa := f.agg
 	if fa == nil {
 		f.fillTail(ts, t0, t1, ts.slot(f.outWidth))
@@ -609,16 +636,8 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
 		acc.AddFrom(fa.prog.Updates, g, t0, t1)
 		return true
 	}
-	if fa.stream {
-		f.fillTail(ts, t0, t1, ts.aggBuf)
-		return fa.prog.Push(&ts.groups, ts.aggBuf, ts.out, f.limit)
-	}
-	// Collect mode: stage the aggregation input tuple into the arena
-	// (and its partition route), deferring group evaluation to finish.
-	slot := ts.aggIn.Slot(fa.st.Width)
-	f.fillTail(ts, t0, t1, slot)
-	ts.aggIn.Keep(slot, fa.st.Route)
-	return true
+	f.fillTail(ts, t0, t1, ts.aggBuf)
+	return fa.prog.Push(&ts.groups, ts.aggBuf, ts.out, f.limit)
 }
 
 // fillTail writes the tail's output tuple for one joined pair.
@@ -631,11 +650,7 @@ func (f *fusedJoin) fillTail(ts *tailState, t0, t1, dst []byte) {
 	buf := ts.joinBuf
 	core.CopyInto(buf, t0, f.copySpec[0])
 	core.CopyInto(buf, t1, f.copySpec[1])
-	if f.agg != nil {
-		f.agg.st.Project(buf, dst)
-	} else {
-		f.project(buf, dst)
-	}
+	f.project(buf, dst)
 }
 
 // makeTailCopy composes the join's column mapping with a tail stage's
@@ -662,44 +677,40 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2
 	return spec, true
 }
 
-// stageSide fetches, filters, projects and routes one join input into
-// the scratch arena — the staging pass of the generated code (Listing 1
-// extended with the join pre-processing). It reports whether the staged
-// tuples are already in key order (the ordered index traversal).
+// stageSide fetches, filters, projects and routes one base-table join
+// input into the scratch arena — the staging pass of the generated code
+// (Listing 1 extended with the join pre-processing). It reports whether
+// the staged tuples are already in key order (the ordered index
+// traversal).
 func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) bool {
 	s := &f.sides[i]
 	a := &sc.staged[i]
 	a.Reset(s.estRows, s.Width)
-	// A chain-fed side stages the previous join's materialised output; no
-	// indexes exist over it, so it always stages by scan.
-	t := sc.chainIn
-	if !s.chain {
-		entry := f.p.Tables[s.base].Entry
-		t = entry.Table
-		if s.idx != nil {
-			if tree := entry.Index(s.idx.Column); tree != nil {
-				core.Probe(t, tree, s.idx.Key(params), func(tup []byte) bool {
-					s.Stage(a, tup, params)
-					return true
-				})
-				return false
-			}
-			// Index dropped since planning: the equality filter is still in
-			// the predicates, so the scan below stays correct.
-		} else if s.orderedCol != "" {
-			if tree := entry.Index(s.orderedCol); tree != nil {
-				// Ordered leaf traversal: the staged tuples arrive already
-				// sorted on the join key, so the merge join starts without a
-				// sort — the paper's case for index-ordered inputs. Such a side
-				// compiles no predicates and no route.
-				tree.Ascend(func(_ int64, rid btree.RID) bool {
-					if tup, ok := core.FetchRID(t, rid); ok {
-						s.Stage(a, tup, params)
-					}
-					return true
-				})
+	entry := f.p.Tables[s.base].Entry
+	t := entry.Table
+	if s.idx != nil {
+		if tree := entry.Index(s.idx.Column); tree != nil {
+			core.Probe(t, tree, s.idx.Key(params), func(tup []byte) bool {
+				s.Stage(a, tup, params)
 				return true
-			}
+			})
+			return false
+		}
+		// Index dropped since planning: the equality filter is still in
+		// the predicates, so the scan below stays correct.
+	} else if s.orderedCol != "" {
+		if tree := entry.Index(s.orderedCol); tree != nil {
+			// Ordered leaf traversal: the staged tuples arrive already
+			// sorted on the join key, so the merge join starts without a
+			// sort — the paper's case for index-ordered inputs. Such a side
+			// compiles no predicates and no route.
+			tree.Ascend(func(_ int64, rid btree.RID) bool {
+				if tup, ok := core.FetchRID(t, rid); ok {
+					s.Stage(a, tup, params)
+				}
+				return true
+			})
+			return true
 		}
 	}
 	if s.par > 1 && sc.par.stageScan(s.Stager, s.par, a, f.p.Pool, t, params) {

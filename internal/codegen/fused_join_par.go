@@ -9,20 +9,22 @@
 //     to the caller-only scan's. Everything downstream (sorts,
 //     partitioning, merge order) is untouched. Index probes and ordered
 //     traversals stay serial — they are already sub-linear. The same
-//     phase stages a chain's intermediate and, for the single-table
-//     pipeline, a collect-mode aggregation's input (fused.go).
+//     phase stages a single-table collect-mode aggregation's input
+//     (fused.go).
 //
-//   - The partition-wise join loop: a morsel is a contiguous chunk of
-//     partitions. Only tails that merge deterministically compile a
-//     parallel loop: map aggregation (per-chunk flat accumulator arrays,
-//     merged in ascending chunk order — a per-slot array add, the payoff
-//     of the PR 5 value-directory layout) and plain projection (chunk
-//     outputs stitched in chunk order, reproducing the caller-only
-//     partition order exactly). Chunk boundaries depend only on the
-//     partition count and the generation-time worker target, never on
-//     claim timing or the admitted worker count, so integer aggregates
-//     are exactly the caller-only values and float sums fold in one
-//     fixed order run to run.
+//   - The partition-wise join loop of every fine or hybrid join: a
+//     morsel is a contiguous chunk of partitions. Every tail but the
+//     streaming aggregation merges deterministically: map aggregation
+//     (per-chunk flat accumulator arrays, merged in ascending chunk order
+//     — a per-slot array add, the payoff of the value-directory layout),
+//     plain projection and the stage tail (chunk outputs stitched or
+//     concatenated in chunk order, reproducing the caller-only partition
+//     order exactly — so a chain's intermediate, a collect-mode
+//     aggregation's input and the result alike). Chunk boundaries depend
+//     only on the partition count and the generation-time worker target,
+//     never on claim timing or the admitted worker count, so integer
+//     aggregates are exactly the caller-only values and float sums fold
+//     in one fixed order run to run.
 //
 // Both phases run the same kernels the caller-only run does (core's
 // StagePages and JoinLoop); what lives here is the split, the per-worker
@@ -51,21 +53,28 @@ func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool
 	pages := t.NumPages()
 	ph.reset(n, workers, -1)
 	ph.run(pool, workers, func(wi int) {
-		a := &ph.workers[wi].staged
+		a := &ph.workers[wi].tail.staged
 		for {
 			m, ok := ph.queue.Next()
 			if !ok {
 				return
 			}
-			mo := parMorsel{worker: int32(wi), start: len(a.Data), pstart: len(a.PartIdx)}
-			a.Rows = 0
+			mo := parMorsel{worker: int32(wi), rows: a.Rows, start: len(a.Data), pstart: len(a.PartIdx)}
 			s.StagePages(a, t, m*per, min((m+1)*per, pages), params)
-			mo.rows, mo.end, mo.pend = a.Rows, len(a.Data), len(a.PartIdx)
+			mo.rows, mo.end, mo.pend = a.Rows-mo.rows, len(a.Data), len(a.PartIdx)
 			ph.complete(m, mo)
 		}
 	})
-	// Concatenate in morsel order: page ranges are claimed out of order
-	// but reassemble into exactly the caller-only scan order.
+	ph.concat(dst)
+	return true
+}
+
+// concat appends the workers' staged morsel ranges — tuples and their
+// partition routes — to dst in morsel order: ranges are claimed out of
+// order but reassemble into exactly the caller-only loop's staging
+// order, whether a staging scan or a join phase's stage tail produced
+// them.
+func (ph *parPhase) concat(dst *core.Arena) {
 	total := 0
 	for k := range ph.morsels {
 		total += ph.morsels[k].end - ph.morsels[k].start
@@ -73,12 +82,13 @@ func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool
 	dst.Data = slices.Grow(dst.Data, total)
 	for k := range ph.morsels {
 		mo := &ph.morsels[k]
-		a := &ph.workers[mo.worker].staged
+		a := &ph.workers[mo.worker].tail.staged
 		dst.Data = append(dst.Data, a.Data[mo.start:mo.end]...)
 		dst.PartIdx = append(dst.PartIdx, a.PartIdx[mo.pstart:mo.pend]...)
-		dst.Rows += mo.rows
 	}
-	return true
+	for i := range ph.workers {
+		dst.Rows += ph.workers[i].tail.staged.Rows
+	}
 }
 
 // joinPar runs the per-partition join loop over m partitions across
@@ -87,22 +97,24 @@ func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool
 // keys (fine), so chunks join independently — sorting a partition pair in
 // place touches disjoint subslices of the shared reference arrays. Chunks
 // are sized to ~4 per worker for claim-level load balancing. Each chunk
-// runs the join loop with the worker's own tail state: rows go to its
-// arena and are stitched into the caller's result in chunk order, map
-// aggregation goes to a per-chunk accumulator merged into the caller's.
+// runs the join loop with the worker's own tail state: rows and staged
+// tuples go to its arenas and are stitched into the caller's result or
+// stage-tail arena in chunk order, map aggregation goes to a per-chunk
+// accumulator merged into the caller's.
 func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 	target := f.parJoin
 	chunks := min(4*target, m)
 	per := (m + chunks - 1) / chunks
 	chunks = (m + per - 1) / per
-	fa := f.agg // non-nil implies mapped (generation-time eligibility)
+	staged := f.stage != nil
+	mapped := !staged && f.agg != nil // generation-time eligibility: not streaming
 	phLimit := f.limit
-	if fa != nil {
+	if f.agg != nil {
 		phLimit = -1 // the limit bounds groups, not joined pairs
 	}
 	ph := &sc.par
 	ph.reset(chunks, target, phLimit)
-	if fa != nil {
+	if mapped {
 		sc.resetChunkMaps(chunks)
 	}
 	parts := sc.parts[:]
@@ -115,12 +127,12 @@ func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 				return
 			}
 			f.prepTail(ts)
-			if fa != nil {
-				ts.acc = sc.chunkMap(wk, c, fa.prog)
+			if mapped {
+				ts.acc = sc.chunkMap(wk, c, f.agg.prog)
 			}
-			mo := parMorsel{worker: int32(wi), start: len(ts.arena)}
+			mo := parMorsel{worker: int32(wi), start: ts.end(staged), pstart: len(ts.staged.PartIdx)}
 			f.join(ts, parts, c*per, min((c+1)*per, m))
-			mo.rows, mo.end = ts.pairs, len(ts.arena)
+			mo.rows, mo.end, mo.pend = ts.pairs, ts.end(staged), len(ts.staged.PartIdx)
 			ph.complete(c, mo)
 		}
 	})
@@ -128,12 +140,24 @@ func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 	for i := range ph.morsels {
 		caller.pairs += ph.morsels[i].rows
 	}
-	if fa != nil {
+	switch {
+	case staged:
+		ph.concat(&caller.staged)
+	case mapped:
 		sc.mergeChunkMaps()
-	} else {
+	default:
 		ph.stitchRows(caller.out, f.outWidth, f.limit)
 	}
 	ph.finish(f.p.Trace, f.names[2])
+}
+
+// end is the length of the arena a join chunk writes to: the stage
+// tail's, or the row arena of the final projection.
+func (ts *tailState) end(staged bool) int {
+	if staged {
+		return len(ts.staged.Data)
+	}
+	return len(ts.arena)
 }
 
 // resetChunkMaps sizes the per-chunk accumulator table of a phase whose

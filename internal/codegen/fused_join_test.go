@@ -88,7 +88,7 @@ func TestFusedJoinSelection(t *testing.T) {
 		}
 	}
 	declined := []string{
-		// Three tables: the fused pipeline is binary.
+		// A join team: the fused join loop is binary.
 		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
 		// Single table: the single-table pipeline's territory.
 		"SELECT id FROM fact WHERE grp = 3",

@@ -51,27 +51,31 @@ func BenchmarkFusedKernels(b *testing.B) {
 	hybrid, merge := plan.HybridJoin, plan.MergeJoin
 	sortAgg, hybridAgg := plan.SortAggregation, plan.HybridAggregation
 	serial, both := []int{1}, []int{1, 2}
-	cat := kernelCatalog()
+	kernels, chain := kernelCatalog(), chainCatalog()
 	for _, c := range []struct {
 		name, q string
 		alg     *plan.JoinAlgorithm // nil: the planner's choice (fine partitions)
 		agg     *plan.AggAlgorithm  // nil: the planner's choice (map, or stream over a merge join's order)
 		workers []int
+		cat     *catalog.Catalog
 	}{
-		{"scan-float-1pct", "SELECT id, price FROM par_fact WHERE price > 990.0", nil, nil, both},
-		{"scan-int-6pct", "SELECT id, price FROM par_fact WHERE grp = 3", nil, nil, both},
-		{"scan-int-all", "SELECT id, price FROM par_fact WHERE grp >= 0", nil, nil, both},
-		{"joinagg-fine", joinAgg, nil, nil, both},
-		{"joinagg-hybrid", joinAgg, &hybrid, nil, both},
-		{"joinagg-merge", joinAgg, &merge, nil, both},
-		{"joinproj-fine", joinProj, nil, nil, both},
-		{"joinproj-hybrid", joinProj, &hybrid, nil, both},
+		{"scan-float-1pct", "SELECT id, price FROM par_fact WHERE price > 990.0", nil, nil, both, kernels},
+		{"scan-int-6pct", "SELECT id, price FROM par_fact WHERE grp = 3", nil, nil, both, kernels},
+		{"scan-int-all", "SELECT id, price FROM par_fact WHERE grp >= 0", nil, nil, both, kernels},
+		{"joinagg-fine", joinAgg, nil, nil, both, kernels},
+		{"joinagg-hybrid", joinAgg, &hybrid, nil, both, kernels},
+		{"joinagg-merge", joinAgg, &merge, nil, both, kernels},
+		{"joinproj-fine", joinProj, nil, nil, both, kernels},
+		{"joinproj-hybrid", joinProj, &hybrid, nil, both, kernels},
 		// The aggregation tails the rows above (all direct map tails) leave
-		// untimed; they compile no parallel join phase.
-		{"aggtail-map-composed", joinAggComputed, nil, nil, serial},
-		{"aggtail-sorted", joinAgg, nil, &sortAgg, serial},
-		{"aggtail-partitioned", joinAgg, nil, &hybridAgg, serial},
-		{"aggtail-stream", selfJoinAgg, &merge, nil, serial},
+		// untimed, each on the caller alone.
+		{"aggtail-map-composed", joinAggComputed, nil, nil, serial, kernels},
+		{"aggtail-sorted", joinAgg, nil, &sortAgg, serial, kernels},
+		{"aggtail-partitioned", joinAgg, nil, &hybridAgg, serial, kernels},
+		{"aggtail-stream", selfJoinAgg, &merge, nil, serial, kernels},
+		// Two joins, the first staging straight into the second: what each
+		// further join of a chain costs.
+		{"chain3", chainQuery, nil, nil, both, chain},
 	} {
 		for _, w := range c.workers {
 			b.Run(fmt.Sprintf("%s/workers-%d", c.name, w), func(b *testing.B) {
@@ -83,7 +87,7 @@ func BenchmarkFusedKernels(b *testing.B) {
 				opts.Parallelism = w
 				opts.ForceJoinAlg = c.alg
 				opts.ForceAggAlg = c.agg
-				p, err := plan.BuildWithOptions(stmt, cat, opts)
+				p, err := plan.BuildWithOptions(stmt, c.cat, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -68,7 +68,7 @@ func parallelWorkers(p *plan.Plan, estRows int) int {
 
 // parMorsel records one morsel's output geometry: which worker ran it,
 // the byte range its rows occupy in that worker's arena, the range of
-// partition routes staged alongside (join staging only), and the row
+// partition routes staged alongside (staged outputs only), and the row
 // count. done flips under the phase mutex when the morsel completes.
 type parMorsel struct {
 	worker       int32
@@ -104,12 +104,11 @@ func (d *rowDst) slot(w int) []byte {
 // query allocates (amortised) nothing. Only the owning worker touches
 // it while a phase runs; the caller reads it after the phase barrier.
 type parWorker struct {
-	// staged receives a staging-scan phase's tuples; tail is the join
-	// phase's tail state, whose row arena also takes the single-table
-	// scan's rows. maps is the map-aggregation accumulator freelist.
-	staged core.Arena
-	tail   tailState
-	maps   []*core.Accum
+	// tail is the join phase's tail state, whose row arena also takes the
+	// single-table scan's rows and whose stage arena a staging scan's
+	// tuples. maps is the map-aggregation accumulator freelist.
+	tail tailState
+	maps []*core.Accum
 
 	// Pad so adjacent workers' hot arena headers do not share a cache
 	// line while both append.
@@ -175,10 +174,9 @@ func (ph *parPhase) reset(nMorsels, workers, limit int) {
 	}
 	ph.workers = ph.workers[:workers]
 	for i := range ph.workers {
-		wk := &ph.workers[i]
-		wk.staged.Data = wk.staged.Data[:0]
-		wk.staged.PartIdx = wk.staged.PartIdx[:0]
-		wk.tail.arena = wk.tail.arena[:0]
+		ts := &ph.workers[i].tail
+		ts.staged.Reset(0, 0)
+		ts.arena = ts.arena[:0]
 	}
 	ph.started = 0
 }

@@ -1,29 +1,35 @@
 // Package codegen implements HIQUE's code generator (paper §V, Figure 3).
 //
-// The generator walks the optimizer's topologically sorted operator
-// descriptor list and instantiates code templates: one staging function per
-// operator input, one evaluation function per operator, and a composing
-// main function that calls them in order. Two artifacts come out of a
-// single walk:
+// The generator instantiates the optimizer's operator descriptors into
+// code. Generate builds the executable query only:
 //
-//  1. Query-specific Go source text — the direct analogue of the C file the
-//     paper emits and compiles with gcc. The text is syntax-checked with
-//     go/parser (our stand-in for the external-compiler step; see
-//     DESIGN.md's substitution table) and is golden-tested for stability.
-//  2. An executable plan: at OptO2 the fused, type-specialised closures of
-//     internal/core (what optimized object code does); at OptO0 a boxed,
-//     indirection-heavy interpretation of the same algorithms (what -O0
-//     object code does: every conceptual step stays a separate call).
+//   - At OptO2, a fused pipeline when the plan's shape allows it: a
+//     single-table plan compiles to one probe/scan→filter→project loop,
+//     or the same scan feeding an aggregation tail (fused.go); a
+//     left-deep chain of binary equi-joins compiles to one
+//     probe→join→filter→aggregate→emit loop per join, each join staging
+//     its output straight into the next one's input and the last
+//     emitting into the plan tail (fused_join.go). Morsel-parallel phases
+//     are decided at generation time (parallel.go, fused_join_par.go).
+//     Any other plan — join teams, bushy trees — runs internal/core's
+//     general walk, which materialises each operator's output (§V-C).
+//   - At OptO0, a boxed, indirection-heavy interpretation of the same
+//     algorithms (interp.go; what -O0 object code does: every conceptual
+//     step stays a separate call).
 //
-// At OptO2 the generator additionally selects a *fused pipeline* when the
-// plan's shape allows it: single-table SELECTs compile to one
-// probe→filter→project loop (fused.go), and two-table equi-joins — with
-// optional GROUP BY aggregation, ORDER BY, and LIMIT — compile to one
-// probe→join→filter→aggregate→emit loop (fused_join.go). The fused paths
-// are execution strategies, never semantic forks: they replicate
-// internal/core's algorithms bit-for-bit (same scan order, sort, partition
-// hash, merge traversal, accumulator arithmetic), so results stay
-// byte-identical to every engine.
+// The fused paths are execution strategies, never semantic forks: they
+// call internal/core's kernels — predicates, staging, bucketing, the
+// join loop, the accumulators and the HAVING / ORDER BY / LIMIT tail —
+// which the general walk runs too, so results stay byte-identical to
+// every engine.
+//
+// The query-specific Go source text, the analogue of the C file the
+// paper emits and compiles with gcc, is rendered from the same
+// descriptors by EmitSource (this file) only when EnsureSource asks for
+// it — Table III and the inspection tools do, the serving path never
+// does. The text is syntax-checked with go/parser (the stand-in for the
+// external-compiler step; see DESIGN.md's substitution table) and
+// golden-tested for stability; it does not execute.
 //
 // Callers: hique.DB compiles through Generate and caches the resulting
 // CompiledQuery in internal/plancache; a cached query is immutable and

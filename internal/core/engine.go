@@ -30,7 +30,7 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 	if err := p.CheckArgs(nil); err != nil {
 		return nil, fmt.Errorf("core: bind the plan before execution: %w", err)
 	}
-	joinOut, err := RunJoins(p, len(p.Joins))
+	joinOut, err := runJoins(p)
 	if err != nil {
 		return nil, err
 	}
@@ -198,16 +198,14 @@ func countRefs(parts [][][]byte) int {
 	return n
 }
 
-// RunJoins runs the plan's first n join descriptors in order — stage each
-// input, run the join loop, materialise its output as a table (§V-C) —
-// and returns those outputs. The general walk runs them all; a fused
-// chain runs its prefix through here, so its intermediates are the walk's
-// own.
-func RunJoins(p *plan.Plan, n int) ([]*storage.Table, error) {
-	joinOut := make([]*storage.Table, n)
+// runJoins runs the plan's join descriptors in order — stage each input,
+// run the join loop, materialise its output as a table (§V-C) — and
+// returns those outputs.
+func runJoins(p *plan.Plan) ([]*storage.Table, error) {
+	joinOut := make([]*storage.Table, len(p.Joins))
 	tr := p.Trace
 	var t0 time.Time
-	for ji, j := range p.Joins[:n] {
+	for ji, j := range p.Joins {
 		parts := make([][][][]byte, len(j.Inputs))
 		staged := 0
 		for i := range j.Inputs {

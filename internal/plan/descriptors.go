@@ -244,8 +244,8 @@ type Join struct {
 
 // FusionEligible reports whether the join's shape allows the holistic
 // fused pipeline: a binary join whose inputs are base tables — or, when
-// chainFed is set (the final join of a left-deep chain), the previous
-// join's output on one side — whose staging matches the algorithm
+// chainFed is set (every join of a left-deep chain but the first), the
+// previous join's output on one side — whose staging matches the algorithm
 // (sorted inputs for merge join, coarse partitions for the hybrid
 // hash-sort-merge join, a value directory for the fine-partition join)
 // and whose staged columns are all direct copies. Filters and index

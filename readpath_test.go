@@ -10,6 +10,7 @@ package hique
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -367,10 +368,14 @@ func TestLockSetDedupes(t *testing.T) {
 // not from the literal text — took a fused pipeline, and that EXPLAIN
 // ANALYZE names that same path and traces it. This is the check the
 // yardstick's codegen.fused_share 0 would have tripped: every existing
-// "is it fused" test planned the literal text.
+// "is it fused" test planned the literal text. The join chains (Q3, Q10)
+// must trace as the general walk does: the same stage names, every
+// join's rows-out, and each chain-fed stage reading the previous join's
+// rows-out. And one parallel Q3 counts as one parallel query, however
+// many of its joins ran a morsel phase.
 func TestTPCHFusesAsQueryShapesIt(t *testing.T) {
-	db := Open(WithCatalog(tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})), WithPlanCache(16))
-	wantPath := map[int]string{1: "fused", 6: "fused", 3: "fused-chain", 10: "fused-chain"}
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})
+	db := Open(WithCatalog(cat), WithPlanCache(16))
 	for _, n := range tpch.QueryNumbers() {
 		text, err := tpch.Query(n)
 		if err != nil {
@@ -389,8 +394,8 @@ func TestTPCHFusesAsQueryShapesIt(t *testing.T) {
 			t.Fatalf("Q%d: no cached artefact under the statement's shape key", n)
 		}
 		cq := v.(*artefact).cq
-		if !cq.Fused || cq.Path != wantPath[n] {
-			t.Errorf("Q%d as Query shapes it: fused=%v path=%q, want %q (shape: %s)", n, cq.Fused, cq.Path, wantPath[n], sc.shape.Out)
+		if !cq.Fused || cq.Path != "fused" {
+			t.Errorf("Q%d as Query shapes it: fused=%v path=%q, want fused (shape: %s)", n, cq.Fused, cq.Path, sc.shape.Out)
 		}
 		a, err := db.ExplainAnalyze(text)
 		if err != nil {
@@ -399,14 +404,71 @@ func TestTPCHFusesAsQueryShapesIt(t *testing.T) {
 		if a.Path != cq.Path || a.Workers != cq.Workers {
 			t.Errorf("Q%d: EXPLAIN ANALYZE reports path=%q workers=%d, the serving artefact has %q/%d", n, a.Path, a.Workers, cq.Path, cq.Workers)
 		}
-		// A traced chain records every join of the plan, prefix included.
-		for ji := range cq.Plan.Joins {
-			if _, ok := stageByName(a.Stages, plan.TraceJoin(ji)); !ok {
-				t.Errorf("Q%d: traced %s run has no %s stage: %+v", n, a.Path, plan.TraceJoin(ji), a.Stages)
-			}
-		}
 		if !strings.Contains(a.String(), "path: "+cq.Path) {
 			t.Errorf("Q%d: rendered analyze output does not name the path:\n%s", n, a)
 		}
+		if len(cq.Plan.Joins) < 2 {
+			continue
+		}
+		codegen.SetFusion(false)
+		w, err := Open(WithCatalog(cat), WithPlanCache(16)).ExplainAnalyze(text)
+		codegen.SetFusion(true)
+		if err != nil {
+			t.Fatalf("Q%d EXPLAIN ANALYZE through the walk: %v", n, err)
+		}
+		if got, want := stageNames(a.Stages), stageNames(w.Stages); !reflect.DeepEqual(got, want) {
+			t.Errorf("Q%d: fused stages %v, the walk's %v", n, got, want)
+		}
+		for ji, j := range cq.Plan.Joins {
+			name := plan.TraceJoin(ji)
+			fs, _ := stageByName(a.Stages, name)
+			if ws, _ := stageByName(w.Stages, name); fs.RowsOut != ws.RowsOut {
+				t.Errorf("Q%d: %s rows-out %d, the walk's %d", n, name, fs.RowsOut, ws.RowsOut)
+			}
+			for s := range j.Inputs {
+				if j.Inputs[s].Input.Base >= 0 {
+					continue
+				}
+				st, _ := stageByName(a.Stages, plan.TraceJoinStage(ji, s))
+				if prev, _ := stageByName(a.Stages, plan.TraceJoin(ji-1)); st.RowsIn != prev.RowsOut {
+					t.Errorf("Q%d: %s rows-in %d, join[%d] rows-out %d", n, st.Name, st.RowsIn, ji-1, prev.RowsOut)
+				}
+			}
+		}
 	}
+
+	prev := codegen.SetParallelThreshold(1)
+	defer codegen.SetParallelThreshold(prev)
+	par := Open(WithCatalog(cat), WithPlanCache(16), WithParallelism(2))
+	q3, err := tpch.Query(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := parallelQueries(t, par)
+	if _, err := par.Query(q3); err != nil {
+		t.Fatal(err)
+	}
+	if d := parallelQueries(t, par) - before; d != 1 {
+		t.Errorf("one parallel Q3 added %d to hique_parallel_queries_total, want 1", d)
+	}
+}
+
+// parallelQueries reads hique_parallel_queries_total from db's registry.
+func parallelQueries(t *testing.T, db *DB) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := db.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "hique_parallel_queries_total "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no hique_parallel_queries_total sample")
+	return 0
 }
