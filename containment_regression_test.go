@@ -2,6 +2,7 @@ package hique
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,13 +14,12 @@ import (
 )
 
 // Regression tests for the panic-containment violations hique-vet's
-// containment analyzer surfaced (PR 9): Insert, refreshStats, and
-// BuildIndex used to run their mutations between a manual Lock/Unlock
-// pair, so a panic inside the mutation unwound to the caller's
-// containPanic with the table writer lock still held — wedging the
-// table forever. The *Locked helpers now register the unlock defer
-// before containPanic, converting the panic to a statement error and
-// then releasing.
+// containment analyzer surfaced: Insert and BuildIndex used to run their
+// mutations between a manual Lock/Unlock pair, so a panic inside the
+// mutation unwound to the caller's containPanic with the table writer
+// lock still held — wedging the table forever. The *Locked helpers now
+// register the unlock defer before containPanic, converting the panic to
+// a statement error and then releasing.
 
 // lockFreeWithin asserts the entry's writer lock can be acquired, i.e.
 // the contained panic did not leak it.
@@ -51,7 +51,7 @@ func TestInsertLockedContainsPanic(t *testing.T) {
 	// column table and panic; the helper must convert it to *PanicError
 	// and release the lock.
 	wide := []types.Datum{types.IntDatum(1), types.IntDatum(2), types.IntDatum(3)}
-	_, err = db.insertLocked(e, "t", wide, nil)
+	_, err = db.insertLocked(e, wide, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("insertLocked error = %v, want *PanicError", err)
@@ -69,16 +69,49 @@ func TestInsertLockedContainsPanic(t *testing.T) {
 	}
 }
 
-func TestRefreshEntryContainsPanic(t *testing.T) {
+// TestInsertPanicRecountsStats: a panic mid-INSERT leaves a partial row
+// in the heap that the value counts never saw. The contained statement
+// rebuilds the statistics from the heap under the still-held lock and
+// bumps the version, so no cached plan outlives them.
+func TestInsertPanicRecountsStats(t *testing.T) {
 	db := Open()
-	// An entry with no heap table makes ComputeStats panic.
-	e := &catalog.TableEntry{}
-	err := db.refreshEntry(e)
+	if err := db.CreateTable("t", Int("id"), Int("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", 1, 2); err != nil { // the table now keeps counts
+		t.Fatal(err)
+	}
+	e, err := db.cat.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.cat.StampFor([]string{"t"})
+	wide := []types.Datum{types.IntDatum(7), types.IntDatum(8), types.IntDatum(9)}
+	_, err = db.insertLocked(e, wide, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("refreshEntry error = %v, want *PanicError", err)
+		t.Fatalf("insertLocked error = %v, want *PanicError", err)
 	}
 	lockFreeWithin(t, e, 2*time.Second)
+	if !reflect.DeepEqual(e.Stats, catalog.ComputeStats(e.Table)) {
+		t.Fatalf("stats after a contained panic: %+v, the heap gives %+v", e.Stats, catalog.ComputeStats(e.Table))
+	}
+	if db.cat.StampFor([]string{"t"}) == before {
+		t.Fatal("a contained panic mid-INSERT left the table's stamp unmoved")
+	}
+	// The counts restart from the heap at the next write.
+	if err := db.Insert("t", 10, 11); err != nil {
+		t.Fatal(err)
+	}
+	checkStats(t, db)
+
+	// An entry with no heap makes the recount itself panic: that too is
+	// contained and releases the lock.
+	bare := &catalog.TableEntry{}
+	if _, err := db.insertLocked(bare, wide, nil); !errors.As(err, &pe) {
+		t.Fatalf("insertLocked on a bare entry: %v, want *PanicError", err)
+	}
+	lockFreeWithin(t, bare, 2*time.Second)
 }
 
 func TestBuildIndexLockedReleasesOnError(t *testing.T) {

@@ -252,9 +252,6 @@ func (db *DB) openDurability() error {
 		_ = log.Close()
 		return fmt.Errorf("hique: durability: %w", err)
 	}
-	for _, name := range db.cat.Names() {
-		db.markStale(name)
-	}
 	db.dur = d
 	if seeded {
 		// Fresh directory over a seed catalogue (e.g. -tpch): checkpoint
@@ -658,14 +655,21 @@ func (d *durability) applyRecord(typ byte, payload []byte) error {
 		if ts != s.TupleSize() {
 			return fmt.Errorf("insert into %q: tuple size %d, schema wants %d", name, ts, s.TupleSize())
 		}
-		for i := 0; i < n; i++ {
+		i := 0
+		for ; i < n; i++ {
 			tuple := r.take(ts)
 			if tuple == nil {
-				return fmt.Errorf("insert into %q: truncated row %d of %d", name, i, n)
+				err = fmt.Errorf("insert into %q: truncated row %d of %d", name, i, n)
+				break
 			}
 			appendRowLocked(e, s.DecodeRow(tuple))
 		}
-		return nil
+		// A truncated record still ends its statement: the rows before
+		// the cut are in the heap.
+		if i > 0 {
+			db.cat.Wrote(e)
+		}
+		return err
 	case recDelete:
 		name := r.str16()
 		filters := r.filters()
@@ -676,7 +680,9 @@ func (d *durability) applyRecord(typ byte, payload []byte) error {
 		if r.bad {
 			return fmt.Errorf("truncated delete record for %q", name)
 		}
-		applyDelete(e, filters)
+		if applyDelete(e, filters) > 0 {
+			db.cat.Wrote(e)
+		}
 		return nil
 	case recUpdate:
 		name := r.str16()
@@ -694,7 +700,9 @@ func (d *durability) applyRecord(typ byte, payload []byte) error {
 		if r.bad {
 			return fmt.Errorf("truncated update record for %q", name)
 		}
-		applyUpdate(e, filters, sets)
+		if applyUpdate(e, filters, sets) > 0 {
+			db.cat.Wrote(e)
+		}
 		return nil
 	}
 	return fmt.Errorf("unknown record type %d", typ)
@@ -732,7 +740,7 @@ func (d *durability) checkpoint() error {
 
 	db.ddlMu.Lock()
 	names := db.cat.Names()
-	unlock, _ := db.lockTables(names, false)
+	unlock, _ := db.lockTables(names)
 	snapLSN := d.log.LastLSN()
 	var buf bytes.Buffer
 	buf.WriteString(snapMagic)

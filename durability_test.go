@@ -103,6 +103,7 @@ func TestDurabilityReplayAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	rs := db2.RecoveryStats()
 	if rs.ReplayedRecords == 0 {
 		t.Fatal("expected WAL replay, got none")
@@ -143,6 +144,7 @@ func TestDurabilityCheckpointPlusTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	rs := db2.RecoveryStats()
 	if rs.SnapshotLSN == 0 {
 		t.Fatal("recovery ignored the checkpoint snapshot")
@@ -173,6 +175,7 @@ func TestDurabilityCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	// Close checkpointed, so recovery is snapshot-only.
 	if rs := db2.RecoveryStats(); rs.ReplayedRecords != 0 {
 		t.Fatalf("clean close still replayed %d records", rs.ReplayedRecords)
@@ -210,6 +213,7 @@ func TestDurabilityTornTailAtOpen(t *testing.T) {
 		t.Fatalf("open over a torn tail must succeed, got %v", err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	if len(warnings) == 0 {
 		t.Fatal("expected a torn-tail warning")
 	}
@@ -303,6 +307,7 @@ func TestDurabilityConcurrentWithCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	nAfter, err := db2.RowCount("kv")
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +351,7 @@ func TestDurabilitySeedRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
+	checkStats(t, db2)
 	requireSameDumps(t, want, engineDumps(t, db2))
 	_ = db
 }
@@ -368,6 +374,7 @@ func TestDurabilityFsyncModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db2.Close()
+			checkStats(t, db2)
 			requireSameDumps(t, want, engineDumps(t, db2))
 		})
 	}

@@ -87,7 +87,7 @@ var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 // VALUES (multi-row), DELETE FROM ... WHERE, UPDATE ... SET ... WHERE —
 // with '?' placeholders bound from args exactly as in Query. The whole
 // statement applies under one writer-lock acquisition with a single
-// statistics-invalidation, so a 1000-row multi-VALUES insert pays the
+// catalogue-version bump, so a 1000-row multi-VALUES insert pays the
 // per-statement costs once, not per row.
 //
 // With the plan cache enabled, the planned write descriptor is cached —
@@ -172,8 +172,8 @@ func (db *DB) planWrite(query string) (*plan.WritePlan, error) {
 // execWrite binds and applies a write plan: coerce the caller arguments,
 // resolve the parameter slots, take the table writer lock, revalidate the
 // plan against the catalogue (the table may have been dropped or
-// recreated since planning — invalidate and replan when it was), mutate,
-// and mark statistics stale exactly once.
+// recreated since planning — invalidate and replan when it was), and
+// mutate.
 func (db *DB) execWrite(wp *plan.WritePlan, args []any, sc *execScratch, invalidate func(), replan func() (*plan.WritePlan, error)) (ExecResult, error) {
 	for attempt := 0; ; attempt++ {
 		params, err := bindValuesInto(sc.params[:0], wp.Params, nil, false, args)
@@ -210,7 +210,7 @@ func (db *DB) execWrite(wp *plan.WritePlan, args []any, sc *execScratch, invalid
 			}
 			continue
 		}
-		n, lsn, err := db.applyLocked(e, wp.Table, bound, walType, sc.wal)
+		n, lsn, err := db.applyLocked(e, bound, walType, sc.wal)
 		if err == nil && db.dur != nil {
 			// The lock is released: waiting out the fsync (group commit
 			// under -fsync=always) stalls only this statement's ack,
@@ -225,37 +225,43 @@ func (db *DB) execWrite(wp *plan.WritePlan, args []any, sc *execScratch, invalid
 // guarantees its release: a panic inside the apply is converted to a
 // statement error *before* the deferred unlock runs, so a contained
 // write-path panic can never wedge the table (the read path's lease
-// gives the same guarantee under reader locks). On a panic the heap may
-// hold a partial batch; statistics are conservatively
-// marked stale so the next query replans against what is actually there.
+// gives the same guarantee under reader locks). The apply step keeps the
+// table's statistics current, and a statement that changed rows bumps the
+// table's version once (Catalog.Wrote); on a panic the heap may hold a
+// partial batch, so recountOnPanic rebuilds the statistics from it.
 //
 // On a durable DB the statement's record is appended to the WAL first,
 // still under the lock: an append failure fails the statement with the
 // heap untouched, and the lock ordering makes per-table LSN order equal
 // apply order. The returned lsn is what the caller must logCommit
 // before acknowledging.
-func (db *DB) applyLocked(e *catalog.TableEntry, name string, w *plan.WritePlan, walType byte, walRec []byte) (n int, lsn uint64, err error) {
+func (db *DB) applyLocked(e *catalog.TableEntry, w *plan.WritePlan, walType byte, walRec []byte) (n int, lsn uint64, err error) {
 	defer e.Unlock()
-	defer func() {
-		if n > 0 || err != nil {
-			db.markStale(name)
-		}
-	}()
+	defer db.recountOnPanic(e, &err)
 	defer containPanic(&err)
 	if db.dur != nil {
 		if lsn, err = db.dur.logAppend(walType, walRec); err != nil {
 			return 0, 0, err
 		}
 	}
-	return applyWrite(e, w), lsn, nil
+	if n = applyWrite(e, w); n > 0 {
+		db.cat.Wrote(e)
+	}
+	return n, lsn, nil
 }
 
-// markStale flags a table's statistics for recomputation before the next
-// query. Called once per write statement, under the table's writer lock.
-func (db *DB) markStale(name string) {
-	db.staleMu.Lock()
-	db.stale[name] = true
-	db.staleMu.Unlock()
+// recountOnPanic runs, still under the writer lock, after containPanic
+// converted a panic in a write's apply step: the heap may hold a partial
+// batch and the value counts a partial tuple, so the statistics are
+// rebuilt from the heap and the version bumped, and the next read plans
+// against what is actually there.
+func (db *DB) recountOnPanic(e *catalog.TableEntry, err *error) {
+	if _, ok := (*err).(*PanicError); !ok {
+		return
+	}
+	defer containPanic(err)
+	e.Recount()
+	db.cat.BumpTableVersion(e.Table.Name())
 }
 
 // checkLiteralWidths rejects oversized string literals in a write plan's
@@ -288,8 +294,9 @@ func checkWidth(table string, col types.Column, d types.Datum) error {
 	return nil
 }
 
-// applyWrite mutates the table under its already-held writer lock and
-// returns the affected row count. The bound plan carries no parameter
+// applyWrite mutates the table under its already-held writer lock,
+// reporting every tuple to the entry's statistics hooks, and returns the
+// affected row count. The bound plan carries no parameter
 // slots and has passed width checks, so no error path remains past this
 // point — the statement applies atomically.
 func applyWrite(e *catalog.TableEntry, w *plan.WritePlan) int {
@@ -324,10 +331,11 @@ func applyInsert(e *catalog.TableEntry, rows [][]plan.WriteValue) int {
 	return len(rows)
 }
 
-// appendRowLocked appends one row and inserts its key into every index on
-// the table, keeping index scans consistent with the heap (previously an
-// insert after BuildIndex was invisible to index-probing plans). Caller
-// holds the entry's writer lock.
+// appendRowLocked appends one row, counts it into the table's statistics
+// and inserts its key into every index on the table, keeping index scans
+// consistent with the heap (previously an insert after BuildIndex was
+// invisible to index-probing plans). Caller holds the entry's writer lock
+// and ends the statement with Catalog.Wrote.
 func appendRowLocked(e *catalog.TableEntry, row []types.Datum) {
 	t := e.Table
 	// Fill the reserved slot in place instead of AppendRow: encoding
@@ -338,6 +346,7 @@ func appendRowLocked(e *catalog.TableEntry, row []types.Datum) {
 	for i := range row {
 		s.PutDatum(slotBytes, i, row[i])
 	}
+	e.Added(slotBytes)
 	if len(e.Indexes) == 0 {
 		return
 	}
@@ -351,43 +360,37 @@ func appendRowLocked(e *catalog.TableEntry, row []types.Datum) {
 	}
 }
 
-// applyDelete removes matching rows by compacting survivors into fresh
-// pages, then rebuilds every index (row identifiers shift).
+// applyDelete removes matching rows by sliding survivors down over them
+// in place (storage.Table.Compact), uncounting each removed row from the
+// statistics, then rebuilds every index (row identifiers shift).
 func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 	t := e.Table
 	if len(filters) == 0 {
 		n := t.NumRows()
 		if n > 0 {
 			t.Truncate()
+			e.Cleared()
 			e.RebuildIndexes(nil)
 		}
 		return n
 	}
 	preds := core.CompilePreds(t.Schema(), filters)
-	removed := 0
-	var survivors [][]byte // alias the old pages, copied on re-append
-	t.Scan(func(tuple []byte) bool {
-		if core.MatchPreds(preds, tuple, nil) {
-			removed++
-		} else {
-			survivors = append(survivors, tuple)
+	removed := t.Compact(func(tuple []byte) bool {
+		if !core.MatchPreds(preds, tuple, nil) {
+			return false
 		}
+		e.Removed(tuple)
 		return true
 	})
-	if removed == 0 {
-		return 0
+	if removed > 0 {
+		e.RebuildIndexes(nil)
 	}
-	t.Truncate()
-	for _, tuple := range survivors {
-		t.Append(tuple)
-	}
-	e.RebuildIndexes(nil)
 	return removed
 }
 
 // applyUpdate assigns the set columns on matching rows in place (NSM
-// tuples are fixed-width, so no row moves), then rebuilds exactly the
-// indexes whose key column was assigned.
+// tuples are fixed-width, so no row moves), recounting each updated row,
+// then rebuilds exactly the indexes whose key column was assigned.
 func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetColumn) int {
 	t := e.Table
 	s := t.Schema()
@@ -403,9 +406,11 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 			if !core.MatchPreds(preds, tuple, nil) {
 				continue
 			}
+			e.Removed(tuple)
 			for k := range sets {
 				s.PutDatum(tuple, sets[k].Col, sets[k].Val.Val)
 			}
+			e.Added(tuple)
 			n++
 		}
 	}

@@ -7,16 +7,46 @@ import (
 	"testing"
 )
 
-func execDB(t *testing.T, options ...Option) *DB {
+// checkStats fails the test unless every table's statistics equal a
+// from-scratch ComputeStats over its heap: the write path maintains them
+// incrementally, and the two may never disagree.
+func checkStats(t testing.TB, db *DB) {
+	t.Helper()
+	if err := db.cat.CheckStats(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// statsDB follows every write statement with checkStats.
+type statsDB struct {
+	*DB
+	t testing.TB
+}
+
+func (d statsDB) Exec(query string, args ...any) (ExecResult, error) {
+	d.t.Helper()
+	res, err := d.DB.Exec(query, args...)
+	checkStats(d.t, d.DB)
+	return res, err
+}
+
+func (d statsDB) Insert(table string, values ...any) error {
+	d.t.Helper()
+	err := d.DB.Insert(table, values...)
+	checkStats(d.t, d.DB)
+	return err
+}
+
+func execDB(t *testing.T, options ...Option) statsDB {
 	t.Helper()
 	db := Open(options...)
 	if err := db.CreateTable("items", Int("id"), Float("price"), Char("label", 8)); err != nil {
 		t.Fatal(err)
 	}
-	return db
+	return statsDB{db, t}
 }
 
-func rowCount(t *testing.T, db *DB, table string) int {
+func rowCount(t *testing.T, db statsDB, table string) int {
 	t.Helper()
 	n, err := db.RowCount(table)
 	if err != nil {
@@ -243,10 +273,11 @@ func TestWriteFilterComparesCharInPlace(t *testing.T) {
 		{"DELETE FROM items WHERE label > ?", []any{"zzzz"}},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
-			if res, err := db.Exec(c.stmt, c.args...); err != nil || res.RowsAffected != 0 {
+			if res, err := db.DB.Exec(c.stmt, c.args...); err != nil || res.RowsAffected != 0 {
 				t.Fatalf("%s: %v / %+v", c.stmt, err, res)
 			}
 		})
+		checkStats(t, db.DB)
 		if allocs > rows/10 {
 			t.Errorf("%s scanning %d rows: %.0f allocs per statement", c.stmt, rows, allocs)
 		}
@@ -257,7 +288,7 @@ func TestWriteFilterComparesCharInPlace(t *testing.T) {
 // query bind parameters accept: int into Float, date strings and
 // integral floats into Date, int64 into Int.
 func TestCoercionUnified(t *testing.T) {
-	db := Open()
+	db := statsDB{Open(), t}
 	if err := db.CreateTable("ev", Int("id"), Float("score"), Date("day")); err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +421,7 @@ func TestPreparedExec(t *testing.T) {
 		if _, err := ins.Run(i, float64(i), "p"); err != nil {
 			t.Fatal(err)
 		}
+		checkStats(t, db.DB)
 	}
 	if rowCount(t, db, "items") != 20 {
 		t.Fatalf("rows = %d", rowCount(t, db, "items"))
@@ -402,6 +434,7 @@ func TestPreparedExec(t *testing.T) {
 	if err != nil || res.RowsAffected != 1 {
 		t.Fatalf("prepared delete: %v / %+v", err, res)
 	}
+	checkStats(t, db.DB)
 }
 
 // TestBatchedInsertSemantics pins that one multi-VALUES statement equals

@@ -121,17 +121,6 @@ type DB struct {
 	// ddlMu serialises CreateTable's existence check with registration.
 	ddlMu sync.Mutex
 
-	// staleMu guards stale and refreshing. stale holds tables whose
-	// statistics need recomputation before the next query, marked under
-	// the table's writer lock so a query holding the reader lock never
-	// observes fresh rows with a stale flag still unset. refreshing
-	// holds tables whose recomputation is in flight: anyStale reports
-	// them too, so no query plans against the old statistics while the
-	// refresh is mid-way.
-	staleMu    sync.Mutex
-	stale      map[string]bool
-	refreshing map[string]bool
-
 	// cache holds compiled holistic queries keyed by normalised SQL +
 	// optimizer configuration; nil when disabled.
 	cache *plancache.Cache
@@ -167,9 +156,9 @@ type Option func(*DB)
 // capacity (<= 0 selects plancache.DefaultCapacity). Cache hits skip
 // parsing, planning, generation, and compilation entirely; entries
 // self-invalidate when the catalogue version changes (DDL, index builds,
-// statistics refresh). A separate same-capacity cache holds planned DML
-// descriptors (see DB.Exec), so write traffic cannot evict compiled
-// queries.
+// writes to a referenced table). A separate same-capacity cache holds
+// planned DML descriptors (see DB.Exec), so write traffic cannot evict
+// compiled queries.
 func WithPlanCache(capacity int) Option {
 	return func(db *DB) {
 		db.cache = plancache.New(capacity)
@@ -220,7 +209,7 @@ func Open(options ...Option) *DB {
 // come up before durability so recovery's fsyncs already observe into
 // the hique_wal_fsync_seconds histogram.
 func newDB(options []Option) (*DB, error) {
-	db := &DB{cat: catalog.New(), opts: plan.DefaultOptions(), stale: map[string]bool{}, refreshing: map[string]bool{}}
+	db := &DB{cat: catalog.New(), opts: plan.DefaultOptions()}
 	db.SetEngine(Holistic)
 	for _, o := range options {
 		o(db)
@@ -349,7 +338,7 @@ func (db *DB) Insert(table string, values ...any) error {
 	if db.dur != nil {
 		walBuf = encodeInsertRow(nil, name, s, row)
 	}
-	lsn, err := db.insertLocked(e, name, row, walBuf)
+	lsn, err := db.insertLocked(e, row, walBuf)
 	if err != nil {
 		return err
 	}
@@ -362,11 +351,13 @@ func (db *DB) Insert(table string, values ...any) error {
 // insertLocked appends one validated row under the entry's writer lock,
 // logging it first on a durable DB. The unlock defer is registered
 // before containPanic so LIFO order converts a panic inside the append
-// into a statement error while the lock is still held, then releases —
-// the write-path containment invariant (hique-vet: containment).
-func (db *DB) insertLocked(e *catalog.TableEntry, name string, row []types.Datum, walBuf []byte) (lsn uint64, err error) {
+// into a statement error while the lock is still held (recountOnPanic
+// then repairs the statistics), then releases — the write-path
+// containment invariant (hique-vet: containment).
+func (db *DB) insertLocked(e *catalog.TableEntry, row []types.Datum, walBuf []byte) (lsn uint64, err error) {
 	e.Lock()
 	defer e.Unlock()
+	defer db.recountOnPanic(e, &err)
 	defer containPanic(&err)
 	if db.dur != nil {
 		if lsn, err = db.dur.logAppend(recInsert, walBuf); err != nil {
@@ -374,86 +365,8 @@ func (db *DB) insertLocked(e *catalog.TableEntry, name string, row []types.Datum
 		}
 	}
 	appendRowLocked(e, row)
-	db.markStale(name)
+	db.cat.Wrote(e)
 	return lsn, nil
-}
-
-// refreshStats recomputes statistics for tables modified since the last
-// query (the optimizer's decisions depend on them) and bumps each
-// table's catalogue version, invalidating cached plans built against the
-// old statistics. It makes a single pass over a snapshot of the stale
-// set: tables re-marked stale while it runs wait for the next call, so a
-// sustained writer cannot trap a reader inside this loop (planLocked's
-// bounded retry handles the rest).
-func (db *DB) refreshStats() {
-	db.staleMu.Lock()
-	names := make([]string, 0, len(db.stale))
-	for n := range db.stale {
-		names = append(names, n)
-		db.refreshing[n] = true
-		delete(db.stale, n)
-	}
-	db.staleMu.Unlock()
-
-	for _, name := range names {
-		if e, err := db.cat.Lookup(name); err == nil {
-			if db.refreshEntry(e) == nil {
-				db.cat.BumpTableVersion(name)
-			}
-		}
-		db.staleMu.Lock()
-		delete(db.refreshing, name)
-		db.staleMu.Unlock()
-	}
-}
-
-// refreshEntry recomputes one table's statistics under its writer lock.
-// The unlock defer is registered before containPanic so a panic inside
-// ComputeStats is contained before the lock releases; on a contained
-// panic the old statistics stay in place and the version is not bumped
-// (hique-vet: containment).
-func (db *DB) refreshEntry(e *catalog.TableEntry) (err error) {
-	e.Lock()
-	defer e.Unlock()
-	defer containPanic(&err)
-	e.Stats = catalog.ComputeStats(e.Table)
-	return nil
-}
-
-// refreshNamesLocked recomputes statistics for the named tables whose
-// writer locks the caller already holds (no new inserts can land while
-// it runs).
-func (db *DB) refreshNamesLocked(names []string) {
-	for _, n := range names {
-		db.staleMu.Lock()
-		// A table mid-refresh elsewhere (refreshing) still has old
-		// stats visible; recompute it here too so the plan matches the
-		// data our writer locks pin. The concurrent refresher's later
-		// recompute is idempotent.
-		wasStale := db.stale[n] || db.refreshing[n]
-		delete(db.stale, n)
-		db.staleMu.Unlock()
-		if !wasStale {
-			continue
-		}
-		if e, err := db.cat.Lookup(n); err == nil {
-			e.Stats = catalog.ComputeStats(e.Table)
-			db.cat.BumpTableVersion(n)
-		}
-	}
-}
-
-// anyStale reports whether any of the named tables has pending
-// statistics work.
-func (db *DB) anyStale(names []string) bool {
-	db.staleMu.Lock()
-	defer db.staleMu.Unlock()
-	for _, n := range names {
-		if db.stale[n] || db.refreshing[n] {
-			return true
-		}
-	}
-	return false
 }
 
 // lockSet is a statement's table entries, deduplicated and sorted by
@@ -464,35 +377,28 @@ func (db *DB) anyStale(names []string) bool {
 type lockSet []*catalog.TableEntry
 
 // lockEntries is the one loop that takes table-entry locks for statement
-// execution: in set order, writer locks when write is set.
-func lockEntries(entries lockSet, write bool) {
+// execution: reader locks, in set order. (Writers lock the one table they
+// mutate.)
+func lockEntries(entries lockSet) {
 	for _, e := range entries {
-		if write {
-			e.Lock()
-		} else {
-			e.RLock()
-		}
+		e.RLock()
 	}
 }
 
 // unlockEntries releases what lockEntries took, in reverse order.
-func unlockEntries(entries lockSet, write bool) {
+func unlockEntries(entries lockSet) {
 	for i := len(entries) - 1; i >= 0; i-- {
-		if write {
-			entries[i].Unlock()
-		} else {
-			entries[i].RUnlock()
-		}
+		entries[i].RUnlock()
 	}
 }
 
-// lockTables resolves the named tables into a lockSet and locks it,
+// lockTables resolves the named tables into a lockSet and read-locks it,
 // returning the matching unlock plus the set actually locked — a name
 // missing from the catalogue is skipped, and callers that later resolve
 // it (a table registered mid-flight) must notice and retry. Two aliases
 // of one table share an entry, which is locked once (a recursive RLock
 // could deadlock against a queued writer).
-func (db *DB) lockTables(names []string, write bool) (unlock func(), entries lockSet) {
+func (db *DB) lockTables(names []string) (unlock func(), entries lockSet) {
 	found := make([]*catalog.TableEntry, 0, len(names))
 	for _, n := range names {
 		if e, err := db.cat.Lookup(n); err == nil {
@@ -501,15 +407,14 @@ func (db *DB) lockTables(names []string, write bool) (unlock func(), entries loc
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].ID() < found[j].ID() })
 	entries = lockSet(slices.Compact(found))
-	lockEntries(entries, write)
-	return func() { unlockEntries(entries, write) }, entries
+	lockEntries(entries)
+	return func() { unlockEntries(entries) }, entries
 }
 
 // planLocked parses and optimises a query, returning the plan together
 // with the locked entries of every referenced table and the function
-// releasing them. The stats-refresh / lock / recheck loop guarantees the
-// plan is built against statistics consistent with the data the locks
-// pin.
+// releasing them. Writers keep statistics current under the writer lock,
+// so the reader locks pin data and statistics that agree.
 func (db *DB) planLocked(query string) (*plan.Plan, lockSet, func(), error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -519,13 +424,8 @@ func (db *DB) planLocked(query string) (*plan.Plan, lockSet, func(), error) {
 	for i, t := range stmt.From {
 		names[i] = t.Name
 	}
-	for attempt := 0; ; attempt++ {
-		db.refreshStats()
-		// After three reader-lock rounds lost to writers slipping inserts
-		// in between refresh and lock, escalate to writer locks so
-		// nothing can land and refresh in place. Bounded latency beats
-		// reader starvation.
-		p, entries, unlock, err := db.planAttempt(stmt, names, attempt >= 3)
+	for {
+		p, entries, unlock, err := db.planAttempt(stmt, names)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -537,16 +437,16 @@ func (db *DB) planLocked(query string) (*plan.Plan, lockSet, func(), error) {
 	}
 }
 
-// planAttempt runs one lock/recheck round for planLocked: acquire the
-// tables (writer locks once reader rounds keep losing to inserts),
-// verify statistics are current, and build the plan under the locks. On
-// success the locks transfer to the caller through the returned unlock
-// function; on retry (a nil plan) or error every lock is released here.
+// planAttempt runs one lock/recheck round for planLocked: take the
+// tables' reader locks and build the plan under them. On success the
+// locks transfer to the caller through the returned unlock function; on
+// retry (a nil plan: a table registered mid-flight) or error every lock
+// is released here.
 // The conditional-release defer is registered before containPanic so a
 // panic inside plan building is contained first and then releases the
 // locks (hique-vet: containment, lockorder).
-func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string, write bool) (p *plan.Plan, entries lockSet, unlock func(), err error) {
-	unlockAll, entries := db.lockTables(names, write)
+func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string) (p *plan.Plan, entries lockSet, unlock func(), err error) {
+	unlockAll, entries := db.lockTables(names)
 	keep := false
 	defer func() {
 		if !keep {
@@ -554,21 +454,25 @@ func (db *DB) planAttempt(stmt *sql.SelectStmt, names []string, write bool) (p *
 		}
 	}()
 	defer containPanic(&err)
-	if write {
-		db.refreshNamesLocked(names)
-	} else if db.anyStale(names) {
-		// An Insert slipped in between the refresh and the lock; its
-		// stats are pending, so release and refresh again.
-		return nil, nil, nil, nil
+	// Build reads the statistics of every table it resolves, and writers
+	// change them under the writer lock, so each name must resolve to a
+	// locked entry first. A name missing at lock time either still is
+	// (fail as Build would) or was registered since (retry).
+	for _, n := range names {
+		if !slices.ContainsFunc(entries, func(e *catalog.TableEntry) bool { return e.Table.Name() == n }) {
+			if _, err := db.cat.Lookup(n); err != nil {
+				return nil, nil, nil, err
+			}
+			return nil, nil, nil, nil
+		}
 	}
 	p, err = plan.BuildWithOptions(stmt, db.cat, db.opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// A table missing at lock time can be registered before Build
-	// resolves it; using the plan then would scan it unlocked. Build
-	// succeeding proves every referenced table exists now, so each
-	// resolved entry must be in the locked set — else retry.
+	// A table dropped and registered again since the lock resolves to a
+	// new entry; using the plan then would scan it unlocked. Each resolved
+	// entry must be in the locked set — else retry.
 	for i := range p.Tables {
 		if !slices.Contains(entries, p.Tables[i].Entry) {
 			return nil, nil, nil, nil
@@ -782,7 +686,7 @@ type artefact struct {
 	// engine is the selection the artefact was prepared under.
 	engine Engine
 	// entries are the referenced tables' locks in acquisition order;
-	// names lists the same tables for the staleness and stamp checks.
+	// names lists the same tables for the stamp check.
 	entries lockSet
 	names   []string
 	// stamp is the catalogue stamp (epoch + referenced tables' versions)
@@ -824,8 +728,8 @@ func (db *DB) prepare(text string, ec engineChoice, compile bool, tr *plan.Trace
 // lease runs one execution of a prepared statement — the single read
 // path behind Query, QueryInto, Prepared.Run, and ExplainAnalyze. With a
 // nil unlock it takes the artefact's reader locks in stored order and
-// validates the artefact under them (pending statistics work or a moved
-// catalogue stamp reports stale, and the caller prepares afresh); a
+// validates the artefact under them (a moved catalogue stamp reports
+// stale, and the caller prepares afresh); a
 // non-nil unlock hands over the locks the prepare step still holds, under
 // which the artefact was just built. It then binds lifted literals (when
 // the artefact was prepared from sc's shape) and caller args into the
@@ -842,13 +746,13 @@ func (db *DB) lease(dst *Result, art *artefact, unlock func(), sc *queryScratch,
 	if !held {
 		temp = tempWarm
 		lockStart := time.Now()
-		lockEntries(art.entries, false)
+		lockEntries(art.entries)
 		db.met.lockWait.Observe(time.Since(lockStart))
-		unlock = func() { unlockEntries(art.entries, false) }
+		unlock = func() { unlockEntries(art.entries) }
 	}
 	defer unlock()
 	defer containPanic(&err)
-	if !held && (db.anyStale(art.names) || db.cat.StampFor(art.names) != art.stamp) {
+	if !held && db.cat.StampFor(art.names) != art.stamp {
 		return true, nil
 	}
 	sc.params, err = bindValuesInto(sc.params[:0], art.plan.Params, sc.shape.Lits, shaped, args)
@@ -945,9 +849,9 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 // artefact Query would run on the selected engine, kept outside the plan
 // cache. It is not pinned to the catalogue state it was compiled
 // against: Run re-validates the referenced tables' catalogue versions
-// and transparently re-plans and re-compiles after inserts, DDL,
-// statistics refreshes, or an engine switch, so a long-lived handle
-// never executes a stale plan.
+// and transparently re-plans and re-compiles after writes, DDL, index
+// builds, or an engine switch, so a long-lived handle never executes a
+// stale plan.
 type Prepared struct {
 	db    *DB
 	query string
@@ -1006,7 +910,7 @@ func (p *Prepared) CompileTime() time.Duration {
 
 // Run executes the prepared query with the given parameter values (one
 // per '?' placeholder). If the catalogue moved since compilation — DDL,
-// inserts, index builds, statistics refresh — the statement is re-planned
+// writes, index builds — the statement is re-planned
 // and re-compiled first, so results always reflect a plan consistent with
 // the data the table locks pin.
 func (p *Prepared) Run(args ...any) (*Result, error) {
@@ -1098,7 +1002,7 @@ func (db *DB) buildIndexLocked(e *catalog.TableEntry, table, column string) (lsn
 // directly (hique-vet: lockorder).
 func (db *DB) TableInfo(name string) (rows int, columns []string, err error) {
 	name = strings.ToLower(name)
-	unlock, entries := db.lockTables([]string{name}, false)
+	unlock, entries := db.lockTables([]string{name})
 	defer unlock()
 	if len(entries) == 0 {
 		return 0, nil, fmt.Errorf("hique: unknown table %q", name)

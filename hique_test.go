@@ -145,7 +145,7 @@ func TestStatsRefreshAfterInsert(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("groups = %d", len(res.Rows))
 	}
-	// More inserts with new keys: stats must refresh so directories stay
+	// More inserts with new keys: the writes must keep the directories
 	// correct.
 	for i := 0; i < 50; i++ {
 		db.Insert("g", 5+i%5, i)

@@ -4,7 +4,11 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,13 +52,17 @@ type TableEntry struct {
 	Stats   TableStats
 	Indexes map[string]*btree.Tree // column name -> index
 
+	// counts holds every column's value counts from the table's first
+	// write on (nil before); the write hooks keep Stats current from them.
+	counts []colCounts
+
 	// id is a process-unique identifier assigned at registration. Every
 	// code path that locks more than one entry acquires the locks in
 	// ascending ID order (hique.DB's lock helpers), which precludes
 	// deadlock against the single-table writer locks of the DML path.
 	id uint64
 
-	// mu serialises writers (row appends, stats refresh, index builds)
+	// mu serialises writers (DML with its statistics upkeep, index builds)
 	// against concurrent readers of this entry. The planner and the
 	// execution engines access Table/Stats/Indexes directly, so the
 	// locking discipline lives in the callers: hique.DB and the serving
@@ -69,8 +77,7 @@ type TableEntry struct {
 // ID.
 func (e *TableEntry) ID() uint64 { return e.id }
 
-// Lock acquires the entry's writer lock (inserts, stats refresh, index
-// builds).
+// Lock acquires the entry's writer lock (DML, index builds).
 func (e *TableEntry) Lock() { e.mu.Lock() }
 
 // Unlock releases the writer lock.
@@ -87,9 +94,9 @@ func (e *TableEntry) RUnlock() { e.mu.RUnlock() }
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*TableEntry
-	// versions counts changes per table name: index builds and
-	// statistics refreshes bump only the affected name, so cached plans
-	// over other tables survive a hot writer.
+	// versions counts changes per table name: index builds and mutating
+	// statements bump only the affected name, so cached plans over other
+	// tables survive a hot writer.
 	versions map[string]uint64
 	// epoch increases on whole-catalogue changes (table registration and
 	// removal) and on explicit BumpVersion calls; it is folded into every
@@ -103,8 +110,8 @@ func (c *Catalog) Version() uint64 { return c.epoch.Load() }
 // BumpVersion advances the epoch, invalidating every cached plan.
 func (c *Catalog) BumpVersion() uint64 { return c.epoch.Add(1) }
 
-// BumpTableVersion records a change scoped to one table (statistics
-// refresh, index build): only cached plans referencing that name
+// BumpTableVersion records a change scoped to one table (a mutating
+// statement, an index build): only cached plans referencing that name
 // invalidate.
 func (c *Catalog) BumpTableVersion(name string) {
 	c.mu.Lock()
@@ -147,23 +154,6 @@ func (c *Catalog) Register(t *storage.Table) *TableEntry {
 	entry := &TableEntry{
 		Table:   t,
 		Stats:   ComputeStats(t),
-		Indexes: make(map[string]*btree.Tree),
-		id:      entryIDs.Add(1),
-	}
-	c.mu.Lock()
-	c.tables[t.Name()] = entry
-	c.versions[t.Name()]++
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	return entry
-}
-
-// RegisterWithoutStats adds a table with row count only (used for staged
-// intermediates where full stats are unnecessary).
-func (c *Catalog) RegisterWithoutStats(t *storage.Table) *TableEntry {
-	entry := &TableEntry{
-		Table:   t,
-		Stats:   TableStats{Rows: t.NumRows(), Columns: make([]ColumnStats, t.Schema().NumColumns())},
 		Indexes: make(map[string]*btree.Tree),
 		id:      entryIDs.Add(1),
 	}
@@ -251,9 +241,9 @@ func buildTree(t *storage.Table, ci int) *btree.Tree {
 // must hold the entry's writer lock: row identifiers change whenever rows
 // move (DELETE compaction) and index keys change when an UPDATE assigns
 // an indexed column, so the write path rebuilds affected trees before the
-// lock releases. Rebuilding does not bump the table version — the write
-// that made it necessary marks statistics stale, and the refresh bumps
-// the version exactly once per statement.
+// lock releases. Rebuilding does not bump the table version: the write
+// that made it necessary ends with Catalog.Wrote, which bumps the version
+// exactly once per statement.
 func (e *TableEntry) RebuildIndexes(columns []string) {
 	rebuild := func(column string) {
 		ci := e.Table.Schema().ColumnIndex(column)
@@ -293,89 +283,346 @@ func (e *TableEntry) IndexColumns() []string {
 	return cols
 }
 
-// ComputeStats scans a table once and derives per-column statistics.
-// Distinct-value counts are exact for small cardinalities and cap out at
-// maxExactDistinct, beyond which the count is reported as the cap (the
-// optimizer only needs "small enough for a value directory" vs "large").
-func ComputeStats(t *storage.Table) TableStats {
-	const maxExactDistinct = 1 << 20
-	s := t.Schema()
-	n := s.NumColumns()
-	stats := TableStats{Rows: t.NumRows(), Columns: make([]ColumnStats, n)}
+// maxExactDistinct caps reported distinct-value counts: the optimizer only
+// needs "small enough for a value directory" vs "large".
+const maxExactDistinct = 1 << 20
 
-	intSets := make([]map[int64]struct{}, n)
-	strSets := make([]map[string]struct{}, n)
-	floatSets := make([]map[float64]struct{}, n)
-	for i := 0; i < n; i++ {
-		switch s.Column(i).Kind {
-		case types.Int, types.Date:
-			intSets[i] = make(map[int64]struct{})
-			stats.Columns[i].Min = int64(^uint64(0) >> 1)
-			stats.Columns[i].Max = -stats.Columns[i].Min - 1
-		case types.Float:
-			floatSets[i] = make(map[float64]struct{})
-		case types.String:
-			strSets[i] = make(map[string]struct{})
-		}
+// colCounts is one column's value→count map, the single structure every
+// statistic of the column derives from. ComputeStats builds it, derives
+// the ColumnStats and drops it; a written table keeps it (TableEntry's
+// write hooks) and derives the same ColumnStats incrementally.
+type colCounts struct {
+	kind      types.Kind
+	off, size int
+	ints      map[int64]int  // Int, Date
+	floats    map[uint64]int // Float, by floatKey
+	strs      map[string]int // String
+	// nans counts NaN floats: in a map[float64] each is a key no lookup
+	// finds again, so every NaN row is a distinct value of its own.
+	nans int
+	// min and max bound the ints present; lost records that a removal took
+	// the last row carrying one of them.
+	min, max int64
+	lost     bool
+	// touchedI/touchedS list the directory values whose count crossed zero
+	// since the last settle. rebuild abandons the list: the directory is
+	// then derived from the keys afresh.
+	touchedI []int64
+	touchedS []string
+	rebuild  bool
+	// dirty records a change since the last settle.
+	dirty bool
+}
+
+func newColCounts(s *types.Schema, i int) colCounts {
+	c := colCounts{kind: s.Column(i).Kind, off: s.Offset(i), size: s.Column(i).Size, dirty: true}
+	switch c.kind {
+	case types.Int, types.Date:
+		c.ints = make(map[int64]int)
+	case types.Float:
+		c.floats = make(map[uint64]int)
+	case types.String:
+		c.strs = make(map[string]int)
 	}
+	return c
+}
 
+// countColumn builds column i's counts from the heap.
+func countColumn(t *storage.Table, i int) colCounts {
+	c := newColCounts(t.Schema(), i)
+	c.rebuild = true
 	t.Scan(func(tuple []byte) bool {
-		for i := 0; i < n; i++ {
-			col := s.Column(i)
-			off := s.Offset(i)
-			switch col.Kind {
-			case types.Int, types.Date:
-				v := types.GetInt(tuple, off)
-				if len(intSets[i]) < maxExactDistinct {
-					intSets[i][v] = struct{}{}
-				}
-				if v < stats.Columns[i].Min {
-					stats.Columns[i].Min = v
-				}
-				if v > stats.Columns[i].Max {
-					stats.Columns[i].Max = v
-				}
-			case types.Float:
-				if len(floatSets[i]) < maxExactDistinct {
-					floatSets[i][types.GetFloat(tuple, off)] = struct{}{}
-				}
-			case types.String:
-				if len(strSets[i]) < maxExactDistinct {
-					strSets[i][types.GetString(tuple, off, col.Size)] = struct{}{}
-				}
-			}
-		}
+		c.add(tuple)
 		return true
 	})
+	return c
+}
 
-	for i := 0; i < n; i++ {
-		switch s.Column(i).Kind {
-		case types.Int, types.Date:
-			stats.Columns[i].DistinctValues = len(intSets[i])
-			if len(intSets[i]) > 0 && len(intSets[i]) <= MaxDirectoryValues {
-				vals := make([]int64, 0, len(intSets[i]))
-				for v := range intSets[i] {
-					vals = append(vals, v)
-				}
-				sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-				stats.Columns[i].IntValues = vals
-			}
-		case types.Float:
-			stats.Columns[i].DistinctValues = len(floatSets[i])
-		case types.String:
-			stats.Columns[i].DistinctValues = len(strSets[i])
-			if len(strSets[i]) > 0 && len(strSets[i]) <= MaxDirectoryValues {
-				vals := make([]string, 0, len(strSets[i]))
-				for v := range strSets[i] {
-					vals = append(vals, v)
-				}
-				sort.Strings(vals)
-				stats.Columns[i].StrValues = vals
-			}
+// touch records a directory value whose count crossed zero, bounded by
+// the directory size: a longer list costs more than rebuilding.
+func touch[T any](list []T, v T, rebuild *bool) []T {
+	if *rebuild {
+		return list
+	}
+	if len(list) == MaxDirectoryValues {
+		*rebuild = true
+		return list[:0]
+	}
+	return append(list, v)
+}
+
+func (c *colCounts) add(tuple []byte) {
+	c.dirty = true
+	switch c.kind {
+	case types.Int, types.Date:
+		v := types.GetInt(tuple, c.off)
+		n := len(c.ints)
+		if c.ints[v]++; len(c.ints) == n {
+			return // not a new value
 		}
-		if stats.Rows == 0 {
-			stats.Columns[i].Min, stats.Columns[i].Max = 0, 0
+		if n == 0 {
+			c.min, c.max = v, v
+		} else {
+			c.min, c.max = min(c.min, v), max(c.max, v)
+		}
+		c.touchedI = touch(c.touchedI, v, &c.rebuild)
+	case types.Float:
+		if v := types.GetFloat(tuple, c.off); v != v {
+			c.nans++
+		} else {
+			c.floats[floatKey(v)]++
+		}
+	case types.String:
+		v := types.GetString(tuple, c.off, c.size)
+		n := len(c.strs)
+		if c.strs[v]++; len(c.strs) > n {
+			c.touchedS = touch(c.touchedS, v, &c.rebuild)
 		}
 	}
+}
+
+func (c *colCounts) remove(tuple []byte) {
+	c.dirty = true
+	switch c.kind {
+	case types.Int, types.Date:
+		v := types.GetInt(tuple, c.off)
+		if n := c.ints[v]; n > 1 {
+			c.ints[v] = n - 1
+			return
+		}
+		delete(c.ints, v)
+		c.lost = c.lost || v == c.min || v == c.max
+		c.touchedI = touch(c.touchedI, v, &c.rebuild)
+	case types.Float:
+		v := types.GetFloat(tuple, c.off)
+		k := floatKey(v)
+		switch n := c.floats[k]; {
+		case v != v:
+			c.nans--
+		case n > 1:
+			c.floats[k] = n - 1
+		default:
+			delete(c.floats, k)
+		}
+	case types.String:
+		v := types.GetString(tuple, c.off, c.size)
+		if n := c.strs[v]; n > 1 {
+			c.strs[v] = n - 1
+			return
+		}
+		delete(c.strs, v)
+		c.touchedS = touch(c.touchedS, v, &c.rebuild)
+	}
+}
+
+// floatKey is a float's map key: its bits, with -0 folded into +0 as
+// float64 equality has it (and keyed on the integer fast path).
+func floatKey(v float64) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return math.Float64bits(v)
+}
+
+// settle derives cs from the counts: the distinct count, the value
+// directory and, for Int/Date columns, the bounds. cs holds what the last
+// settle derived (the zero value on a from-scratch build).
+func (c *colCounts) settle(cs *ColumnStats) {
+	if !c.dirty {
+		return
+	}
+	cs.DistinctValues = min(len(c.ints)+len(c.floats)+len(c.strs)+c.nans, maxExactDistinct)
+	switch c.kind {
+	case types.Int, types.Date:
+		cs.IntValues = settleDir(cs.IntValues, c.ints, c.touchedI, c.rebuild)
+		if c.lost {
+			c.min, c.max = bounds(cs.IntValues, c.ints)
+		}
+		cs.Min, cs.Max = c.min, c.max
+	case types.String:
+		cs.StrValues = settleDir(cs.StrValues, c.strs, c.touchedS, c.rebuild)
+	}
+	c.touchedI, c.touchedS = c.touchedI[:0], c.touchedS[:0]
+	c.rebuild, c.lost, c.dirty = false, false, false
+}
+
+// settleDir returns the sorted distinct keys of counts — nil when there
+// are none or more than MaxDirectoryValues — given dir, the directory the
+// last settle derived, and touched, every value whose count crossed zero
+// since. Unless rebuild is set (or dir is nil) only the touched values
+// move: those with no rows left are dropped, the new ones merged in.
+func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bool) []T {
+	if len(counts) == 0 || len(counts) > MaxDirectoryValues {
+		return nil
+	}
+	if dir == nil || rebuild {
+		keys := make([]T, 0, len(counts))
+		for v := range counts {
+			keys = append(keys, v)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	if len(touched) == 0 {
+		return dir
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	// Drop, compacting from the first touched position.
+	w, _ := slices.BinarySearch(dir, touched[0])
+	j := 0
+	for _, v := range dir[w:] {
+		for j < len(touched) && touched[j] < v {
+			j++
+		}
+		if j < len(touched) && touched[j] == v {
+			if _, ok := counts[v]; !ok {
+				continue
+			}
+		}
+		dir[w] = v
+		w++
+	}
+	dir = dir[:w]
+	// Add: the touched values present but not yet in the directory, merged
+	// from the back so values past the current end cost nothing more.
+	add := touched[:0]
+	for _, v := range touched {
+		if _, ok := counts[v]; ok {
+			if _, had := slices.BinarySearch(dir, v); !had {
+				add = append(add, v)
+			}
+		}
+	}
+	n := len(dir)
+	dir = slices.Grow(dir, len(add))[:n+len(add)]
+	for i, j, w := n-1, len(add)-1, len(dir)-1; j >= 0; w-- {
+		if i >= 0 && dir[i] > add[j] {
+			dir[w] = dir[i]
+			i--
+		} else {
+			dir[w] = add[j]
+			j--
+		}
+	}
+	return dir
+}
+
+// bounds returns the least and greatest key, 0 and 0 when there is none.
+func bounds(dir []int64, counts map[int64]int) (lo, hi int64) {
+	if len(dir) > 0 {
+		return dir[0], dir[len(dir)-1]
+	}
+	first := true
+	for v := range counts {
+		if first {
+			lo, hi, first = v, v, false
+		}
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi
+}
+
+// ComputeStats scans a table and derives its statistics, one column at a
+// time: build the column's counts, derive its ColumnStats, drop them.
+func ComputeStats(t *storage.Table) TableStats {
+	stats := TableStats{Rows: t.NumRows(), Columns: make([]ColumnStats, t.Schema().NumColumns())}
+	for i := range stats.Columns {
+		c := countColumn(t, i)
+		c.settle(&stats.Columns[i])
+	}
 	return stats
+}
+
+// The write hooks below keep Stats current as the heap changes; callers
+// hold the entry's writer lock. A mutating statement reports each tuple
+// it appends (after writing it), each it deletes or overwrites in place
+// (before), or the whole heap emptied, and then calls Catalog.Wrote once.
+// The first hook a table sees counts the heap as it stands: a table that
+// is never written never holds counts.
+
+// Added records a tuple just written to the heap.
+func (e *TableEntry) Added(tuple []byte) {
+	if e.counts == nil {
+		e.countHeap() // the heap already holds tuple
+		return
+	}
+	for i := range e.counts {
+		e.counts[i].add(tuple)
+	}
+}
+
+// Removed records a tuple about to leave the heap or be overwritten.
+func (e *TableEntry) Removed(tuple []byte) {
+	if e.counts == nil {
+		e.countHeap() // the heap still holds tuple
+	}
+	for i := range e.counts {
+		e.counts[i].remove(tuple)
+	}
+}
+
+// Cleared records that every row left the heap.
+func (e *TableEntry) Cleared() {
+	s := e.Table.Schema()
+	e.counts = make([]colCounts, s.NumColumns())
+	for i := range e.counts {
+		e.counts[i] = newColCounts(s, i)
+	}
+}
+
+func (e *TableEntry) countHeap() {
+	e.counts = make([]colCounts, e.Table.Schema().NumColumns())
+	for i := range e.counts {
+		e.counts[i] = countColumn(e.Table, i)
+	}
+}
+
+// Recount rebuilds the entry's statistics from the heap and drops its
+// counts, under the writer lock: the repair after a write was cut short
+// with heap and counts out of step.
+func (e *TableEntry) Recount() {
+	e.counts = nil
+	e.Stats = ComputeStats(e.Table)
+}
+
+// Wrote ends a mutating statement on e, whose writer lock the caller
+// holds: it derives e's statistics from the counts the statement's hooks
+// adjusted and bumps the table's version once, so every cached plan built
+// from the old statistics invalidates.
+func (c *Catalog) Wrote(e *TableEntry) {
+	e.Stats.Rows = e.Table.NumRows()
+	for i := range e.counts {
+		e.counts[i].settle(&e.Stats.Columns[i])
+	}
+	c.BumpTableVersion(e.Table.Name())
+}
+
+// CheckStats compares every table's statistics with ComputeStats over its
+// heap and reports the first difference. It takes no locks: call it on a
+// catalogue no writer is using (tests do, after statements and after
+// recovery).
+func (c *Catalog) CheckStats() error {
+	for _, name := range c.Names() {
+		e, err := c.Lookup(name)
+		if err != nil {
+			continue
+		}
+		want := ComputeStats(e.Table)
+		if e.Stats.Rows != want.Rows {
+			return fmt.Errorf("catalog: %s: kept %d rows, the heap holds %d", name, e.Stats.Rows, want.Rows)
+		}
+		for i := range want.Columns {
+			if got := e.Stats.Columns[i]; !reflect.DeepEqual(got, want.Columns[i]) {
+				return fmt.Errorf("catalog: %s column %d: kept %s, the heap gives %s", name, i, describe(got), describe(want.Columns[i]))
+			}
+		}
+	}
+	return nil
+}
+
+// describe summarises column statistics, directories by size.
+func describe(cs ColumnStats) string {
+	return fmt.Sprintf("{distinct %d, min %d, max %d, %d ints (nil %t), %d strings (nil %t)}",
+		cs.DistinctValues, cs.Min, cs.Max, len(cs.IntValues), cs.IntValues == nil, len(cs.StrValues), cs.StrValues == nil)
 }

@@ -6,8 +6,7 @@
 // leak a table lock.
 //
 // For each function the analyzer finds writer-lock tokens (`e.Lock()` on
-// a catalog.TableEntry, or the unlock closure bound from a
-// `lockTables(names, true)` call) and checks one of two shapes:
+// a catalog.TableEntry) and checks one of two shapes:
 //
 //   - defer-released (shape A): the token is released by a defer (direct
 //     `defer e.Unlock()`, `defer unlock()`, or a deferred closure that
@@ -65,8 +64,6 @@ var trivialSafe = map[string]bool{
 	"Since": true, "Now": true, "Observe": true, "Add": true, "Store": true,
 	"Load": true, "len": true, "cap": true, "append": true, "delete": true,
 	"make": true, "copy": true, "LastLSN": true,
-	// db-local bookkeeping that only flips map entries under their own mutex
-	"markStale": true, "anyStale": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -146,32 +143,10 @@ func isUnlockCall(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// writerLockTablesCall reports whether the call is lockTables with a
-// writer flag that is true or non-literal (conservative).
-func writerLockTablesCall(info *types.Info, call *ast.CallExpr) bool {
-	f := lintutil.CalleeFunc(info, call)
-	if f == nil || f.Name() != "lockTables" {
-		return false
-	}
-	if len(call.Args) < 2 {
-		return true
-	}
-	if id, ok := ast.Unparen(call.Args[1]).(*ast.Ident); ok {
-		switch id.Name {
-		case "true":
-			return true
-		case "false":
-			return false
-		}
-	}
-	return true // non-constant write flag: assume it can be a writer
-}
-
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contained, releasers map[*types.Func]bool) {
 	info := pass.TypesInfo
 
-	// Writer tokens: receiver vars of e.Lock(), unlock vars bound from
-	// writer lockTables calls.
+	// Writer tokens: receiver vars of e.Lock().
 	hasWriter := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -182,9 +157,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contained, releasers map[*
 			return true
 		}
 		if _, m, ok := lintutil.MethodCall(info, call, catalogPkg, "TableEntry"); ok && m == "Lock" {
-			hasWriter = true
-		}
-		if writerLockTablesCall(info, call) {
 			hasWriter = true
 		}
 		return !hasWriter
@@ -399,18 +371,6 @@ func manualTransfer(pass *analysis.Pass, st heldSet, s ast.Stmt, contained, rele
 		report(call.Pos(), "call to %s while %s holds a manually released writer lock, with no panic containment; a panic here skips the unlock and wedges the table (extract a helper with defer unlock + defer containPanic)", name, fd.Name.Name)
 		return true
 	})
-	// Token binding for writer lockTables results.
-	if as, ok := s.(*ast.AssignStmt); ok && len(as.Rhs) == 1 {
-		if call, ok := as.Rhs[0].(*ast.CallExpr); ok && writerLockTablesCall(info, call) {
-			if len(as.Lhs) > 0 {
-				if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					if v := lintutil.LocalVar(info, id); v != nil {
-						st[v] = true
-					}
-				}
-			}
-		}
-	}
 }
 
 // calleeName extracts a bare callee name for trivial-safe matching;

@@ -66,22 +66,6 @@ func lockAndFinish(e *catalog.TableEntry) error {
 	return releaseContained(e)
 }
 
-func lockTables(names []string, write bool) func() { return func() {} }
-
-func planBad(names []string) {
-	unlock := lockTables(names, true)
-	mutate() // want "call to mutate while planBad holds a manually released writer lock"
-	unlock()
-}
-
-// readOnly takes only reader locks; containment does not apply. Clean.
-func readOnly(names []string) int {
-	unlock := lockTables(names, false)
-	n := grow()
-	unlock()
-	return n
-}
-
 // readerEntry uses an entry reader lock; out of scope too. Clean.
 func readerEntry(e *catalog.TableEntry) int {
 	e.RLock()

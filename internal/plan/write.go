@@ -55,7 +55,7 @@ type SetColumn struct {
 // are shared across executions; Bind produces an execution-ready copy
 // with every parameter slot resolved. A write plan depends only on the
 // catalogued table's identity and schema — never on statistics — so it
-// stays valid across stats refreshes; the executor revalidates Entry
+// stays valid as statistics change; the executor revalidates Entry
 // against the catalogue under the writer lock before applying it.
 type WritePlan struct {
 	Kind   WriteKind

@@ -118,10 +118,10 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 				t.Fatalf("write-plan cache hits = %d, want >= %d (repeated DML shapes must be served from cache): %+v",
 					st.WriteCache.Hits, minHits, st.WriteCache)
 			}
-			// Read plans are invalidated by every write's stats refresh,
+			// Read plans are invalidated by every write's version bump,
 			// so their hit count depends on interleaving — assert only
 			// that the repeated SELECT shape hit at all on the compiled
-			// engine. (Write plans are immune to stats refreshes; the
+			// engine. (Write plans are immune to version bumps; the
 			// strict bound above is theirs.)
 			if eng == hique.Holistic && st.Cache.Hits == 0 {
 				t.Fatalf("compiled-query cache never hit: %+v", st.Cache)

@@ -27,8 +27,8 @@
 // the statement reports 422, and the server keeps serving.
 //
 // Concurrency safety of the read path comes from hique.DB itself: query
-// execution holds per-table reader locks while writers (Insert,
-// CreateTable, BuildIndex, statistics refresh) take the corresponding
+// execution holds per-table reader locks while writers (DML with its
+// statistics upkeep, CreateTable, BuildIndex) take the corresponding
 // writer lock, so any number of in-flight queries may share a table
 // while mutations serialise. The serving layer adds the plan cache on
 // top (enable with hique.WithPlanCache), which is what amortises the

@@ -111,6 +111,86 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
+// TestCompact: survivors keep heap order, every page but the last ends
+// full, drop sees each tuple once and in order, and a heap whose middle
+// page is short of capacity compacts just as well.
+func TestCompact(t *testing.T) {
+	s := testSchema()
+	perPage := (PageSize - HeaderSize) / s.TupleSize()
+	const n = 1000
+	for _, c := range []struct {
+		name  string
+		drop  func(id int64) bool
+		short bool // page 0 holds three tuples fewer than it could
+	}{
+		{"none", func(int64) bool { return false }, false},
+		{"first", func(id int64) bool { return id == 0 }, false},
+		{"last", func(id int64) bool { return id == n-1 }, false},
+		{"every third", func(id int64) bool { return id%3 == 0 }, false},
+		{"tail", func(id int64) bool { return id >= n-40 }, false},
+		{"head", func(id int64) bool { return id < int64(perPage)+5 }, false},
+		{"all", func(int64) bool { return true }, false},
+		{"every fifth past a short page", func(id int64) bool { return id%5 == 1 }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl := NewTable("t", s)
+			for i := 0; i < n; i++ {
+				tbl.AppendRow(types.IntDatum(int64(i)), types.FloatDatum(float64(i)), types.StringDatum(fmt.Sprint(i)))
+			}
+			if c.short {
+				tbl.pages[0].setNumTuples(perPage - 3)
+				tbl.rows -= 3
+			}
+			var want, seen []int64
+			tbl.Scan(func(tuple []byte) bool {
+				if id := types.GetInt(tuple, 0); !c.drop(id) {
+					want = append(want, id)
+				}
+				return true
+			})
+			v0 := tbl.Version()
+			removed := tbl.Compact(func(tuple []byte) bool {
+				id := types.GetInt(tuple, 0)
+				seen = append(seen, id)
+				return c.drop(id)
+			})
+			if got := len(seen); got != len(want)+removed {
+				t.Fatalf("drop saw %d tuples, want %d", got, len(want)+removed)
+			}
+			for i := 1; i < len(seen); i++ {
+				if seen[i] <= seen[i-1] {
+					t.Fatalf("drop saw %d after %d", seen[i], seen[i-1])
+				}
+			}
+			if tbl.NumRows() != len(want) {
+				t.Fatalf("NumRows = %d, want %d", tbl.NumRows(), len(want))
+			}
+			if (removed > 0) != (tbl.Version() != v0) {
+				t.Fatalf("removed %d, version %d -> %d", removed, v0, tbl.Version())
+			}
+			var got []int64
+			tbl.Scan(func(tuple []byte) bool {
+				got = append(got, types.GetInt(tuple, 0))
+				if str := types.GetString(tuple, s.Offset(2), 12); str != fmt.Sprint(got[len(got)-1]) {
+					t.Fatalf("row %d carries string %q", got[len(got)-1], str)
+				}
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("survivors %v\nwant %v", got, want)
+			}
+			if removed == 0 {
+				return
+			}
+			for i := 0; i < tbl.NumPages(); i++ {
+				if p := tbl.Page(i); p.NumTuples() == 0 || (i < tbl.NumPages()-1 && !p.Full()) {
+					t.Fatalf("page %d of %d holds %d of %d tuples", i, tbl.NumPages(), p.NumTuples(), p.Capacity())
+				}
+			}
+		})
+	}
+}
+
 func TestManagerSaveLoadRoundTrip(t *testing.T) {
 	m, err := NewManager(t.TempDir())
 	if err != nil {

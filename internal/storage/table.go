@@ -147,3 +147,50 @@ func (t *Table) Truncate() {
 	t.rows = 0
 	t.version++
 }
+
+// Compact removes the tuples drop accepts, sliding each later survivor
+// down over them in heap order, and cuts the emptied tail of pages; it
+// returns how many it removed. drop sees every tuple, in order, before
+// anything overwrites it. Tuples before the first removal stay where they
+// are, so removing recently appended rows moves nothing.
+func (t *Table) Compact(drop func(tuple []byte) bool) int {
+	removed := 0
+	wp, ws := 0, 0 // the slot the next survivor moves to
+	for pi, p := range t.pages {
+		n, ts, data := p.NumTuples(), p.TupleSize(), p.Data()
+		for i := 0; i < n; i++ {
+			tuple := data[i*ts : i*ts+ts]
+			if drop(tuple) {
+				if removed == 0 {
+					wp, ws = pi, i
+				}
+				removed++
+				continue
+			}
+			if removed == 0 {
+				continue
+			}
+			// The write cursor trails the read position, so this never
+			// overwrites a tuple drop has not seen.
+			dst := t.pages[wp]
+			copy(dst.Data()[ws*ts:ws*ts+ts], tuple)
+			if ws++; ws == dst.Capacity() {
+				dst.setNumTuples(ws)
+				wp, ws = wp+1, 0
+			}
+		}
+	}
+	if removed == 0 {
+		return 0
+	}
+	keep := wp
+	if ws > 0 {
+		t.pages[wp].setNumTuples(ws)
+		keep++
+	}
+	clear(t.pages[keep:])
+	t.pages = t.pages[:keep]
+	t.rows -= removed
+	t.version++
+	return removed
+}

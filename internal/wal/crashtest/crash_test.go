@@ -203,7 +203,8 @@ var engines = []hique.Engine{
 // rounds where the device never lied (SIGKILL, torn writes) must also
 // satisfy k >= acked — nothing acknowledged may be lost. The recovered
 // state must agree byte-for-byte with the model under all five
-// engines. Returns k, with the directory checkpointed and closed so
+// engines, and its statistics must equal a recompute over the heap.
+// Returns k, with the directory checkpointed and closed so
 // the next round resumes from statement k.
 func verifyPrefix(t *testing.T, dir string, stmts []stmt, model *hique.DB, kStart, acked int, ackedDurable bool) int {
 	t.Helper()
@@ -212,6 +213,11 @@ func verifyPrefix(t *testing.T, dir string, stmts []stmt, model *hique.DB, kStar
 		t.Fatalf("recovery open: %v", err)
 	}
 	defer db.Close()
+	// Replay maintains statistics through the live write path's apply
+	// step; they must equal a from-scratch recompute over the heap.
+	if err := db.Catalog().CheckStats(); err != nil {
+		t.Fatalf("recovered statistics: %v", err)
+	}
 	got := dumpEngine(t, db, hique.Holistic)
 	k := kStart
 	for dumpEngine(t, model, hique.Holistic) != got {

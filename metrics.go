@@ -133,7 +133,7 @@ func newDBMetrics(db *DB) *dbMetrics {
 	m.reg.CounterFunc("hique_morsels_total", "Morsels processed by parallel execution phases.", "",
 		func() int64 { _, ms := morsel.Stats(); return ms })
 
-	m.reg.GaugeFunc("hique_catalog_version", "Catalogue version (DDL, index builds, statistics refreshes).", "",
+	m.reg.GaugeFunc("hique_catalog_version", "Catalogue epoch: table registrations and drops (writes and index builds move per-table versions).", "",
 		func() float64 { return float64(db.cat.Version()) })
 	m.reg.GaugeFunc("hique_tables", "Catalogued tables.", "",
 		func() float64 { return float64(len(db.cat.Names())) })

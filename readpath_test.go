@@ -4,7 +4,8 @@ package hique
 // prepared artefact through DB.lease, so one table-driven matrix covers
 // all of them — first run, warm hit, re-prepare after a write or an
 // index build on a referenced table, survival of changes to
-// unrelated tables, and 1- to 4-table statements including a self join —
+// unrelated tables, value directories gaining and losing values, and 1-
+// to 4-table statements including a self join —
 // always against the optimized-iterators reference rows.
 
 import (
@@ -225,6 +226,29 @@ func TestReadPathMatrix(t *testing.T) {
 				both(func(d *DB) error { return d.BuildIndex("other", "x") })
 				step("after changes to an unrelated table", 3)
 
+				// Directory churn: a group leaves and comes back, and a join
+				// key outside t2's fine-partition directory must still join.
+				// Each statement on a referenced table costs one re-prepare.
+				both(func(d *DB) error { _, err := d.Exec("DELETE FROM t1 WHERE g = 99"); return err })
+				if got := step("after deleting the last row of a group", 4); got != groups {
+					t.Fatalf("after delete: %d groups, want %d (the emptied group survived)", got, groups)
+				}
+				both(func(d *DB) error { return d.Insert("t1", 1000, 99, 0) })
+				if got := step("after re-inserting the group", 5); got != groups+1 {
+					t.Fatalf("after re-insert: %d groups, want %d", got, groups+1)
+				}
+				prepares := 5
+				if st.tables > 1 {
+					prepares++ // t2 is referenced
+				}
+				both(func(d *DB) error { return d.Insert("t2", 50, 0) })
+				step("after an insert outside t2's directory", prepares)
+				both(func(d *DB) error { return d.Insert("t1", 1001, 7, 50) })
+				if got := step("after a t1 row joining it", prepares+1); got != groups+2 {
+					t.Fatalf("after the joining row: %d groups, want %d (the row did not join)", got, groups+2)
+				}
+				checkStats(t, db)
+
 				for _, name := range db.Tables() {
 					e, err := db.cat.Lookup(name)
 					if err != nil {
@@ -353,7 +377,7 @@ func TestPreparedRunIntoContainsPanic(t *testing.T) {
 // ascending by ID, and the returned unlock releases them.
 func TestLockSetDedupes(t *testing.T) {
 	db := matrixDB(t)
-	unlock, entries := db.lockTables([]string{"t3", "t1", "nosuch", "t3", "t1"}, false)
+	unlock, entries := db.lockTables([]string{"t3", "t1", "nosuch", "t3", "t1"})
 	unlock()
 	if len(entries) != 2 || entries[0].ID() >= entries[1].ID() {
 		t.Fatalf("lock set has %d entries, want two in ascending ID order", len(entries))

@@ -89,7 +89,7 @@ func TestCacheInvalidationOnCreateTable(t *testing.T) {
 }
 
 // TestConcurrentInsertQuery is the -race regression for the serving
-// subsystem's locking: concurrent writers (Insert, stale-stats marking)
+// subsystem's locking: concurrent writers (Insert with its statistics upkeep)
 // and readers (Query through the plan cache) on the same table must not
 // race, and every query must observe an internally consistent snapshot.
 func TestConcurrentInsertQuery(t *testing.T) {
@@ -207,7 +207,7 @@ func TestCacheSurvivesUnrelatedWrites(t *testing.T) {
 		if err := db.Insert("hot", int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Query("SELECT COUNT(*) AS n FROM hot"); err != nil { // forces stats refresh of hot
+		if _, err := db.Query("SELECT COUNT(*) AS n FROM hot"); err != nil { // re-prepares over hot's new version
 			t.Fatal(err)
 		}
 		if _, err := db.Query(q); err != nil {
