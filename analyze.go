@@ -35,10 +35,11 @@ type ParallelStats struct {
 // plan, the execution path and worker target the artefact compiled to,
 // the per-stage execution statistics, and the totals of the actual run
 // that produced them. Path is "fused" (a single-table pipeline or a
-// chain of fused joins) or "general" (the staged walk; always on the
-// interpreted engines); Workers is the compiled worker target of the
-// widest phase of any join, Parallel the phases that actually ran on
-// more than the caller (empty for serial executions).
+// chain of fused joins: every SELECT on the default engine) or
+// "general" (the interpreted engines and -O0); Workers is the compiled
+// worker target of the widest phase of any join, Parallel the phases
+// that actually ran on more than the caller (empty for serial
+// executions).
 type AnalyzeResult struct {
 	Engine   string          `json:"engine"`
 	Path     string          `json:"path"`
@@ -100,7 +101,7 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 		}
 		query = string(sc.shape.Out)
 	}
-	art, unlock, err := db.prepare(query, ec, true, tr)
+	art, unlock, err := db.prepare(query, ec, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 		return nil, err
 	}
 	out := &AnalyzeResult{
-		Engine:  art.exec.Name(),
+		Engine:  ec.name(),
 		Path:    "general",
 		Workers: 1,
 		Plan:    planText,

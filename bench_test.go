@@ -314,12 +314,11 @@ func BenchmarkServingColdVsWarm(b *testing.B) {
 }
 
 // BenchmarkJoinAggServing measures the fused join+aggregation pipeline
-// (DESIGN.md §4.5) against the general operator walk on the exact same
-// plan: the warm analytics shape — two-table equi-join with GROUP BY —
-// runs fused by default; SetFusion(false) forces the staged engine. The
-// authoritative recorded numbers live in BENCH_serving.json (JoinAgg/*,
-// via cmd/hique-bench -json); this wrapper keeps the shape in the
-// `go test -bench` smoke.
+// (DESIGN.md §4.5) on the warm analytics shape — two-table equi-join with
+// GROUP BY — against core's operator walk executing the exact same plan.
+// The authoritative recorded numbers live in BENCH_serving.json
+// (JoinAgg/*, via cmd/hique-bench -json); this wrapper keeps the shape in
+// the `go test -bench` smoke.
 func BenchmarkJoinAggServing(b *testing.B) {
 	const rows = 4096
 	joinDB := func(b *testing.B) *DB {
@@ -363,9 +362,19 @@ func BenchmarkJoinAggServing(b *testing.B) {
 		warm(b, joinDB(b))
 	})
 	b.Run("warm-general", func(b *testing.B) {
-		codegen.SetFusion(false)
-		defer codegen.SetFusion(true)
-		warm(b, joinDB(b))
+		p, _, unlock, err := joinDB(b).planLocked(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		unlock()
+		eng := core.NewEngine()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Execute(p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

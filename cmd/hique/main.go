@@ -25,7 +25,6 @@ import (
 
 	"hique/internal/catalog"
 	"hique/internal/codegen"
-	"hique/internal/core"
 	"hique/internal/dsm"
 	"hique/internal/plan"
 	"hique/internal/sql"
@@ -40,9 +39,17 @@ type executor interface {
 	Execute(p *plan.Plan) (*storage.Table, error)
 }
 
+// codegenExec runs a plan as the holistic engine does: generated and
+// compiled at its optimisation level (-O2: the fused pipelines).
 type codegenExec struct{ level codegen.OptLevel }
 
-func (c codegenExec) Name() string { return "holistic" + c.level.String() }
+func (c codegenExec) Name() string {
+	if c.level == codegen.OptO2 {
+		return "HIQUE"
+	}
+	return "holistic" + c.level.String()
+}
+
 func (c codegenExec) Execute(p *plan.Plan) (*storage.Table, error) {
 	q, err := codegen.Generate(p, c.level)
 	if err != nil {
@@ -80,7 +87,7 @@ func main() {
 		fmt.Printf("generated TPC-H at SF %.3f\n", *tpchSF)
 	}
 
-	var exec executor = core.NewEngine()
+	var exec executor = codegenExec{level: codegen.OptO2}
 	fmt.Println("HIQUE shell — engine:", exec.Name(), "(\\q to quit)")
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -100,7 +107,7 @@ func main() {
 			name := strings.TrimSpace(strings.TrimPrefix(line, `\engine `))
 			switch name {
 			case "holistic":
-				exec = core.NewEngine()
+				exec = codegenExec{level: codegen.OptO2}
 			case "generic-iterators":
 				exec = volcano.NewGeneric()
 			case "optimized-iterators":

@@ -7,7 +7,7 @@ import (
 	"flag"
 	"fmt"
 
-	"hique/internal/core"
+	"hique/internal/codegen"
 	"hique/internal/dsm"
 	"hique/internal/plan"
 	"hique/internal/sql"
@@ -20,6 +20,20 @@ import (
 type engine interface {
 	Name() string
 	Execute(p *plan.Plan) (*storage.Table, error)
+}
+
+// holistic is the paper's engine: the plan generated and compiled at
+// -O2, which runs the fused pipelines.
+type holistic struct{}
+
+func (holistic) Name() string { return "HIQUE" }
+
+func (holistic) Execute(p *plan.Plan) (*storage.Table, error) {
+	q, err := codegen.Generate(p, codegen.OptO2)
+	if err != nil {
+		return nil, err
+	}
+	return q.Run()
 }
 
 func main() {
@@ -36,7 +50,7 @@ func main() {
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),
-		core.NewEngine(),
+		holistic{},
 	}
 
 	fmt.Printf("%-22s %10s %10s %10s\n", "engine", "Q1", "Q3", "Q10")
@@ -65,7 +79,7 @@ func main() {
 	q, _ := tpch.Query(1)
 	stmt, _ := sql.Parse(q)
 	p, _ := plan.Build(stmt, cat)
-	out, err := core.NewEngine().Execute(p)
+	out, err := holistic{}.Execute(p)
 	if err != nil {
 		panic(err)
 	}

@@ -36,7 +36,6 @@ import (
 
 	"hique/internal/catalog"
 	"hique/internal/codegen"
-	"hique/internal/core"
 	"hique/internal/dsm"
 	"hique/internal/morsel"
 	"hique/internal/obs"
@@ -111,9 +110,8 @@ type DB struct {
 	cat *catalog.Catalog
 
 	// mu guards the engine selection.
-	mu     sync.RWMutex
-	engine Engine
-	exec   executor
+	mu sync.RWMutex
+	ec engineChoice
 
 	// opts are the optimizer options, fixed at Open.
 	opts plan.Options
@@ -235,42 +233,23 @@ func (db *DB) Metrics() *obs.Registry { return db.met.reg }
 
 // SetEngine switches the execution engine.
 func (db *DB) SetEngine(e Engine) {
-	var exec executor
+	ec := engineChoice{engine: e}
 	switch e {
 	case GenericIterators:
-		exec = volcano.NewGeneric()
+		ec.exec = volcano.NewGeneric()
 	case OptimizedIterators:
-		exec = volcano.NewOptimized()
+		ec.exec = volcano.NewOptimized()
 	case ColumnStore:
-		exec = dsm.NewEngine()
-	case HolisticUnoptimized:
-		exec = codegenExec{level: codegen.OptO0}
-	default:
-		exec = core.NewEngine()
+		ec.exec = dsm.NewEngine()
 	}
 	db.mu.Lock()
-	db.engine = e
-	db.exec = exec
+	db.ec = ec
 	db.mu.Unlock()
 }
 
 // EngineName reports the active engine.
 func (db *DB) EngineName() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.exec.Name()
-}
-
-type codegenExec struct{ level codegen.OptLevel }
-
-func (c codegenExec) Name() string { return "holistic" + c.level.String() }
-
-func (c codegenExec) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, c.level)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
+	return db.engineChoice().name()
 }
 
 // CreateTable registers an empty table with the given columns.
@@ -611,7 +590,9 @@ var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // engineChoice is the engine selection one statement is prepared and run
 // under, read once so a concurrent SetEngine cannot split a statement
-// across two engines.
+// across two engines. exec interprets bound plans on the iterator and
+// column-store engines; it is nil on the holistic engines, which run
+// every statement as a compiled query.
 type engineChoice struct {
 	engine Engine
 	exec   executor
@@ -620,7 +601,19 @@ type engineChoice struct {
 func (db *DB) engineChoice() engineChoice {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return engineChoice{db.engine, db.exec}
+	return db.ec
+}
+
+// name is the engine's display name: the interpreter's own, "HIQUE" for
+// the paper's engine, "holistic-O0" for its unoptimised level.
+func (ec engineChoice) name() string {
+	switch {
+	case ec.exec != nil:
+		return ec.exec.Name()
+	case ec.engine == HolisticUnoptimized:
+		return "holistic-O0"
+	}
+	return "HIQUE"
 }
 
 func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
@@ -638,7 +631,8 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 	ec := db.engineChoice()
 
 	// Without a cache to keep the artefact in (or with an interpreted
-	// engine, which compiles none) the text is planned as given.
+	// engine, which compiles none) the text is planned — and, on a
+	// holistic engine, compiled — as given.
 	level, compiled := cacheLevel(ec.engine)
 	cached := db.cache != nil && compiled
 	text := query
@@ -661,7 +655,7 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 		}
 		text = string(sc.shape.Out)
 	}
-	art, unlock, err := db.prepare(text, ec, cached, nil)
+	art, unlock, err := db.prepare(text, ec, nil)
 	if err != nil {
 		return err
 	}
@@ -679,12 +673,11 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 // shared across concurrent executions.
 type artefact struct {
 	plan *plan.Plan
-	// cq is the compiled query (holistic engines when the artefact is
-	// kept or traced); when nil, exec interprets the bound plan.
-	cq   *codegen.CompiledQuery
-	exec executor
-	// engine is the selection the artefact was prepared under.
-	engine Engine
+	// cq is the compiled query on the holistic engines; when nil, ec.exec
+	// interprets the bound plan.
+	cq *codegen.CompiledQuery
+	// ec is the engine selection the artefact was prepared under.
+	ec engineChoice
 	// entries are the referenced tables' locks in acquisition order;
 	// names lists the same tables for the stamp check.
 	entries lockSet
@@ -698,24 +691,24 @@ type artefact struct {
 }
 
 // prepare is the one preparation step: plan the text under the table
-// locks, compile it when asked to (and the engine is a holistic one),
-// and stamp the result. The locks planLocked took are still held on
-// success and transfer to the caller through unlock — lease executes
-// under them, Prepare just releases them. tr, when non-nil, is attached
+// locks, compile it on a holistic engine, and stamp the result. The
+// locks planLocked took are still held on success and transfer to the
+// caller through unlock — lease executes under them, Prepare just
+// releases them. tr, when non-nil, is attached
 // to the plan before compilation so fused loops bake their trace hooks
 // in.
-func (db *DB) prepare(text string, ec engineChoice, compile bool, tr *plan.Trace) (*artefact, func(), error) {
+func (db *DB) prepare(text string, ec engineChoice, tr *plan.Trace) (*artefact, func(), error) {
 	p, entries, unlock, err := db.planLocked(text)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.Trace = tr
-	art := &artefact{plan: p, exec: ec.exec, engine: ec.engine, entries: entries, names: make([]string, len(p.Tables))}
+	art := &artefact{plan: p, ec: ec, entries: entries, names: make([]string, len(p.Tables))}
 	for i := range p.Tables {
 		art.names[i] = p.Tables[i].Name
 	}
 	art.stamp = db.cat.StampFor(art.names)
-	if level, ok := cacheLevel(ec.engine); ok && compile {
+	if level, ok := cacheLevel(ec.engine); ok {
 		if art.cq, err = codegen.Generate(p, level); err != nil {
 			unlock()
 			return nil, nil, err
@@ -784,7 +777,7 @@ func (a *artefact) run(params []types.Datum) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.exec.Execute(bp)
+	return a.ec.exec.Execute(bp)
 }
 
 // ensureGrouplessRow appends the aggregate identity row when a
@@ -837,7 +830,7 @@ func (db *DB) GeneratedSource(query string) (string, error) {
 // literal-specialised fused pipeline — and may contain '?' placeholders;
 // Run binds one value per placeholder.
 func (db *DB) Prepare(query string) (*Prepared, error) {
-	art, unlock, err := db.prepare(query, db.engineChoice(), true, nil)
+	art, unlock, err := db.prepare(query, db.engineChoice(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -932,12 +925,12 @@ func (p *Prepared) RunInto(res *Result, args ...any) (err error) {
 	sc := queryScratchPool.Get().(*queryScratch)
 	defer queryScratchPool.Put(sc)
 	ec := db.engineChoice()
-	if art := p.current(); art.engine == ec.engine {
+	if art := p.current(); art.ec.engine == ec.engine {
 		if stale, err := db.lease(res, art, nil, sc, false, args); !stale {
 			return err
 		}
 	}
-	art, unlock, err := db.prepare(p.query, ec, true, nil)
+	art, unlock, err := db.prepare(p.query, ec, nil)
 	if err != nil {
 		return err
 	}

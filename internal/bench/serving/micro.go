@@ -2,8 +2,6 @@
 // behind cmd/hique-bench -json. It lives apart from internal/bench
 // because it drives the public hique API (which internal/bench must not
 // import: the root package's benchmark file imports internal/bench).
-// The one internal import, codegen.SetFusion, pins the fused-vs-general
-// comparison to the exact same cached plan.
 package serving
 
 import (
@@ -14,7 +12,6 @@ import (
 	"time"
 
 	"hique"
-	"hique/internal/codegen"
 )
 
 // MicroResult is one machine-readable serving micro-benchmark row: the
@@ -120,9 +117,8 @@ func Micro() []MicroResult {
 		}
 	})
 
-	// JoinAgg: the fused join+aggregation pipeline against the general
-	// operator walk on the same plan (codegen.SetFusion toggles it), the
-	// analytics serving shape of DESIGN.md §4.5. warm-fused-indexed adds
+	// JoinAgg: the fused join+aggregation pipeline, the analytics serving
+	// shape of DESIGN.md §4.5. warm-merge-indexed adds
 	// B+-trees on both join keys, which flips the planner to the merge
 	// join with the dimension side streamed off the index in key order.
 	const joinRows = 4096
@@ -155,11 +151,6 @@ func Micro() []MicroResult {
 		}
 	}
 	run("JoinAgg/warm-fused", func(b *testing.B) {
-		warmJoin(b, joinDB(hique.WithPlanCache(64)), joinAggQuery)
-	})
-	run("JoinAgg/warm-general", func(b *testing.B) {
-		codegen.SetFusion(false)
-		defer codegen.SetFusion(true)
 		warmJoin(b, joinDB(hique.WithPlanCache(64)), joinAggQuery)
 	})
 	run("JoinAgg/warm-merge-indexed", func(b *testing.B) {

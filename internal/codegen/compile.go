@@ -5,26 +5,12 @@ import (
 	"go/parser"
 	"go/token"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/types"
 )
-
-// fusionDisabled gates the -O2 fused pipelines (single-table and join).
-// It exists for benchmarks and differential tests that need the general
-// operator walk for the exact plan a fused pipeline would claim; serving
-// code never touches it.
-var fusionDisabled atomic.Bool
-
-// SetFusion enables or disables the fused -O2 pipelines process-wide.
-// Fusion is on by default; disabling it forces every plan through the
-// general engine walk. Only already-compiled queries keep their original
-// strategy — the toggle affects subsequent Generate calls.
-func SetFusion(enabled bool) { fusionDisabled.Store(!enabled) }
 
 // OptLevel is the post-generation optimisation level, the analogue of the
 // paper's gcc -O0 / -O2 axis (Table II).
@@ -67,9 +53,9 @@ type CompiledQuery struct {
 	Source string
 	Level  OptLevel
 	Prep   Timings
-	// Fused reports whether Generate selected a fused pipeline (single
-	// pipeline, no staged intermediates) rather than the general operator
-	// walk — the execution-path axis of the serving metrics.
+	// Fused reports whether the query runs a fused pipeline (single
+	// pipeline, no staged intermediates): always at -O2, never at -O0 —
+	// the execution-path axis of the serving metrics.
 	Fused bool
 	// Path names that strategy — "fused" or "general" — and Workers is
 	// the worker target of its widest phase, every join of a chain
@@ -84,45 +70,52 @@ type CompiledQuery struct {
 }
 
 // Generate instantiates the code templates for the plan (Figure 3) into
-// the executable closures and returns the query. The source rendering
-// of the same instantiation never executes, so it is not produced here;
-// EnsureSource emits and syntax-checks it on first request.
+// the executable closures and returns the query. At -O2 every plan the
+// planner emits compiles to a fused pipeline — a single-table plan to one
+// probe/scan → filter → project (or aggregate) loop, a left-deep chain of
+// joins, join teams included, to one fused join loop per join, each
+// staging into the next — which reads parameters from the bind vector
+// without an execution copy of the plan; a plan outside those shapes is
+// an error. The source rendering of the same instantiation never
+// executes, so it is not produced here; EnsureSource emits and
+// syntax-checks it on first request.
 func Generate(p *plan.Plan, level OptLevel) (*CompiledQuery, error) {
 	q := &CompiledQuery{Plan: p, Level: level, Path: "general", Workers: 1}
 	start := time.Now()
 	switch level {
 	case OptO2:
-		// Fused fast paths: single-table plans compile to one pipeline
-		// that probes/scans, filters, and projects straight into the
-		// result table or the aggregation tail; left-deep equi-join
-		// chains (with optional GROUP BY aggregation, ORDER BY, and LIMIT)
-		// compile to one fused probe→join→filter→aggregate→emit loop per
-		// join, each staging into the next. Both read parameters from the
-		// bind vector without an execution copy of the plan.
-		if !fusionDisabled.Load() {
-			if f := newFused(p); f != nil {
-				q.run, q.Workers = f.run, f.par
-			} else if fj := newFusedJoin(p); fj != nil {
-				q.run, q.Workers = fj.run, fj.workers()
+		if len(p.Joins) == 0 {
+			f, err := newFused(p)
+			if err != nil {
+				return nil, err
 			}
+			q.run, q.Workers = f.run, f.par
+		} else {
+			f, err := newFusedJoin(p)
+			if err != nil {
+				return nil, err
+			}
+			q.run, q.Workers = f.run, f.workers()
 		}
-		if q.Fused = q.run != nil; q.Fused {
-			q.Path = "fused"
-			break
-		}
-		eng := core.NewEngine()
-		q.run = func(params []types.Datum) (*storage.Table, error) {
-			return runBound(p, params, eng.Execute)
-		}
+		q.Fused, q.Path = true, "fused"
 	case OptO0:
 		q.run = func(params []types.Datum) (*storage.Table, error) {
-			return runBound(p, params, runO0)
+			bp, err := p.Bind(params)
+			if err != nil {
+				return nil, err
+			}
+			return runO0(bp)
 		}
 	default:
 		return nil, fmt.Errorf("codegen: unknown optimisation level %d", level)
 	}
 	q.Prep.Compile = time.Since(start)
 	return q, nil
+}
+
+// unfusable reports a plan shape no fused pipeline runs.
+func unfusable(format string, args ...any) error {
+	return fmt.Errorf("codegen: no fused pipeline for "+format, args...)
 }
 
 // EnsureSource emits the query-specific source file and "compiles" it
@@ -145,27 +138,6 @@ func (q *CompiledQuery) EnsureSource() error {
 		q.Prep.Compile += time.Since(start)
 	})
 	return q.srcErr
-}
-
-// runBound binds the parameter vector into a pooled execution copy of
-// the plan — one scratch per concurrent caller, reused across executions
-// instead of deep-copying the descriptors every run — and executes it.
-func runBound(p *plan.Plan, params []types.Datum, exec func(*plan.Plan) (*storage.Table, error)) (*storage.Table, error) {
-	if len(p.Params) == 0 {
-		if err := p.CheckArgs(params); err != nil {
-			return nil, err
-		}
-		return exec(p)
-	}
-	sc := plan.GetBindScratch()
-	bp, err := p.BindInto(sc, params)
-	if err != nil {
-		plan.PutBindScratch(sc)
-		return nil, err
-	}
-	out, err := exec(bp)
-	plan.PutBindScratch(sc)
-	return out, err
 }
 
 // Run executes the compiled query against a bind vector and returns its

@@ -7,11 +7,9 @@
 // fusion of the paper's Listing 1 extended across the whole plan: no
 // staged intermediate, no per-execution closure compilation, no separate
 // materialisation pass. HAVING, ORDER BY and LIMIT run through
-// core.FinishResult, the tail the general walk uses.
-// The planner's descriptors are unchanged — the fast path is an
-// execution strategy the generator selects when the plan's shape allows
-// it, never a semantic fork, so every engine keeps byte-identical
-// results.
+// core.FinishResult, the tail core's operator walk uses too. The
+// pipeline runs core's kernels over the planner's descriptors, so every
+// engine keeps byte-identical results.
 
 package codegen
 
@@ -34,9 +32,10 @@ type fusedQuery struct {
 	// from the bind vector at execution time, and the projection — into
 	// the result, or into the aggregation tail's staged tuple.
 	st *core.Stager
-	// idx, when non-nil, replaces the scan with fractal B+-tree lookups;
-	// the matching filter stays in the predicates, so a dropped index
-	// degrades to the scan without changing results.
+	// idx, when non-nil, replaces the scan — into the result or the
+	// aggregation tail — with fractal B+-tree lookups; the matching filter
+	// stays in the predicates, so a dropped index degrades to the scan
+	// without changing results.
 	idx *plan.IndexScanSpec
 	// limit bounds the rows (or groups) the loop produces: the plan's
 	// LIMIT, or -1 when the result is filtered or sorted before the tail
@@ -64,22 +63,19 @@ type fusedQuery struct {
 	sortCmp core.Compare
 }
 
-// newFused compiles the fused pipeline for a single-table plan, or
-// returns nil when the plan's shape needs the general operator walk:
-// joins, staging actions, an index-probed aggregation, or a computed
-// CHAR column.
-func newFused(p *plan.Plan) *fusedQuery {
+// newFused compiles the fused pipeline for a single-table plan.
+func newFused(p *plan.Plan) (*fusedQuery, error) {
 	st := p.Final
 	if p.Agg != nil {
 		st = &p.Agg.Input
 	}
-	if len(p.Joins) != 0 || st == nil || st.Input.Base < 0 || st.Input.Base >= len(p.Tables) {
-		return nil
+	if st == nil || st.Input.Base < 0 || st.Input.Base >= len(p.Tables) {
+		return nil, unfusable("a single-table plan without a base-table input")
 	}
 	entry := p.Tables[st.Input.Base].Entry
-	s := compileStage(st, entry.Table.Schema())
-	if s == nil {
-		return nil
+	s, err := core.CompileStage(st, entry.Table.Schema())
+	if err != nil {
+		return nil, err
 	}
 	f := &fusedQuery{
 		p:      p,
@@ -94,26 +90,16 @@ func newFused(p *plan.Plan) *fusedQuery {
 		f.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
 	}
 	if p.Agg != nil {
-		if f.agg = newFusedAgg(p.Agg, s, nil); f.agg == nil || f.agg.stream || f.idx != nil {
-			return nil
+		if f.agg, err = newFusedAgg(p.Agg, s, nil); err != nil {
+			return nil, err
+		}
+		if f.agg.stream {
+			return nil, unfusable("a streaming aggregation over a base table")
 		}
 	} else if st.Action != plan.StageNone {
-		return nil
+		return nil, unfusable("a %v staging step before the final projection", st.Action)
 	}
-	return f
-}
-
-// compileStage compiles a stage the fused pipelines can run, or returns
-// nil.
-func compileStage(st *plan.Stage, in *types.Schema) *core.Stager {
-	if !st.Projectable() {
-		return nil
-	}
-	s, err := core.CompileStage(st, in)
-	if err != nil {
-		return nil
-	}
-	return s
+	return f, nil
 }
 
 // loopLimit is the bound on what a pipeline's loop produces: the plan's
@@ -163,13 +149,21 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 		if f.traced {
 			t0 = time.Now()
 		}
-		t := f.p.Tables[f.base].Entry.Table
+		entry := f.p.Tables[f.base].Entry
+		t := entry.Table
+		// tree is the index the plan probes, or nil: no index access, or
+		// the index was dropped since planning — the equality filter is
+		// still in the predicates, so the scan stays correct.
+		var tree *btree.Tree
+		if f.idx != nil {
+			tree = entry.Index(f.idx.Column)
+		}
 		stage := plan.TraceStageProject
 		if f.agg != nil {
-			f.runAgg(t, params, out)
+			f.runAgg(t, tree, params, out)
 			stage = plan.TraceStageAgg
 		} else {
-			f.runScan(t, params, out)
+			f.runScan(t, tree, params, out)
 		}
 		if f.traced {
 			f.p.Trace.Observe(stage, int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
@@ -178,33 +172,21 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 }
 
 // runScan filters and projects the table into out: through the index
-// when the plan probes a live one, otherwise by scan.
-func (f *fusedQuery) runScan(t *storage.Table, params []types.Datum, out *storage.Table) {
-	if f.idx != nil {
-		if tree := f.p.Tables[f.base].Entry.Index(f.idx.Column); tree != nil {
-			f.probe(tree, t, params, out)
-			return
-		}
-		// Index dropped since planning: the equality filter is still in
-		// the predicates, so the scan below stays correct.
-	}
-	if f.par > 1 {
+// tree when non-nil, otherwise by scan.
+func (f *fusedQuery) runScan(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) {
+	if tree != nil {
+		core.Probe(t, tree, f.idx.Key(params), func(tup []byte) bool {
+			if !core.MatchPreds(f.st.Preds, tup, params) {
+				return true
+			}
+			f.st.Project(tup, out.AppendSlot())
+			return f.limit < 0 || out.NumRows() < f.limit
+		})
+	} else if f.par > 1 {
 		f.scanPar(t, params, out)
 	} else {
 		f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out})
 	}
-}
-
-// probe fetches the matching tuples through the index, re-applies the
-// residual predicates, and projects straight into the result.
-func (f *fusedQuery) probe(tree *btree.Tree, t *storage.Table, params []types.Datum, out *storage.Table) {
-	core.Probe(t, tree, f.idx.Key(params), func(tup []byte) bool {
-		if !core.MatchPreds(f.st.Preds, tup, params) {
-			return true
-		}
-		f.st.Project(tup, out.AppendSlot())
-		return f.limit < 0 || out.NumRows() < f.limit
-	})
 }
 
 // scanPages is the fused full-scan loop over pages [lo, hi). The
@@ -296,25 +278,32 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 	parPhasePool.Put(ph)
 }
 
-// runAgg drives the scan into the aggregation tail and emits the groups
-// into out. Map and group-less aggregation fold the table chunk by chunk
-// — page-range morsels, each into a private accumulator, merged in
-// ascending chunk order — on every worker count, one included: the split
-// is a pure function of the page count, so float sums fold in one order
-// whatever the worker target, claim timing or admitted helpers. A chunk
-// covers at least four tuples per accumulator slot so the merges stay a
-// fraction of the scan. Collect modes stage as a join side does and
-// stitch in morsel order.
-func (f *fusedQuery) runAgg(t *storage.Table, params []types.Datum, out *storage.Table) {
+// runAgg drives the probe or scan into the aggregation tail and emits
+// the groups into out. Map and group-less aggregation fold the table
+// chunk by chunk — page-range morsels, each into a private accumulator,
+// merged in ascending chunk order — on every worker count, one included:
+// the split is a pure function of the page count, so float sums fold in
+// one order whatever the worker target, claim timing or admitted
+// helpers. A chunk covers at least four tuples per accumulator slot so
+// the merges stay a fraction of the scan. Collect modes stage as a join
+// side does and stitch in morsel order. An index tree, when non-nil,
+// replaces the scan: the caller folds or stages the tuples it fetches.
+func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) {
 	fa := f.agg
 	sc := joinScratchPool.Get().(*joinScratch)
 	ts, ph := &sc.tail, &sc.par
 	fa.begin(sc)
+	if !fa.mapped {
+		ts.staged.Reset(fa.estRows, f.st.Width)
+	}
 	pages := t.NumPages()
 	per, n := pageMorsels(t, max(morsel.Rows, 4*fa.prog.NGroups*fa.prog.NAggs))
 	switch {
+	case tree != nil && fa.mapped:
+		fa.prog.FoldProbe(ts.acc, f.st, ts.aggBuf, t, tree, f.idx.Key(params), params)
+	case tree != nil:
+		f.st.StageProbe(&ts.staged, t, tree, f.idx.Key(params), params)
 	case !fa.mapped:
-		ts.staged.Reset(fa.estRows, f.st.Width)
 		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.staged, f.p.Pool, t, params) {
 			ph.finish(f.p.Trace, plan.TraceStageAgg)
 			morsel.CountQuery()

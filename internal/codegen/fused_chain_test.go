@@ -44,8 +44,8 @@ func chainCatalog() *catalog.Catalog {
 	return cat
 }
 
-// TestFusedChainSelection pins which N-way shapes the join-chain
-// constructor claims and which it declines to the general walk.
+// TestFusedChainSelection pins the N-way chain shapes the join-chain
+// constructor claims.
 func TestFusedChainSelection(t *testing.T) {
 	cat := chainCatalog()
 	fused := []string{
@@ -64,24 +64,14 @@ func TestFusedChainSelection(t *testing.T) {
 		if len(p.Joins) < 2 {
 			t.Fatalf("%q planned %d join(s); the chain test needs at least 2", q, len(p.Joins))
 		}
-		if newFusedJoin(p) == nil {
-			t.Errorf("join chain declined %q", q)
-		}
-	}
-	declined := []string{
-		// A join team: one descriptor with three inputs, not a chain.
-		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
-	}
-	for _, q := range declined {
-		p := buildPlan(t, cat, q)
-		if newFusedJoin(p) != nil {
-			t.Errorf("join chain accepted %q", q)
+		if _, err := newFusedJoin(p); err != nil {
+			t.Errorf("join chain declined %q: %v", q, err)
 		}
 	}
 }
 
 // TestFusedChainMatchesGeneralWalk runs each chain through the fused
-// joins and through the general walk (SetFusion(false)) and requires
+// joins and through core's operator walk and requires
 // byte-identical rows in the same order, and the trace contract: every
 // join's rows-out is the walk's, and a chain-fed stage's rows-in is the
 // previous join's rows-out.
@@ -149,9 +139,6 @@ func TestFusedChainMatchesGeneralWalk(t *testing.T) {
 					j.Out[k].Input = 1 - j.Out[k].Input
 				}
 			}
-			if newFusedJoin(p) == nil {
-				t.Fatal("plan unexpectedly ineligible for the join chain")
-			}
 			want, wantTr := runChain(t, p, false, true, c.params)
 			got, gotTr := runChain(t, p, true, true, c.params)
 			serving, _ := runChain(t, p, true, false, c.params)
@@ -193,31 +180,29 @@ func TestFusedChainMatchesGeneralWalk(t *testing.T) {
 	}
 }
 
-// runChain generates and runs p through the fused chain or the general
-// walk, traced or not, and returns its raw rows in result order and the
-// trace.
+// runChain runs p through the fused chain or core's walk, traced or
+// not, and returns its raw rows in result order and the trace.
 func runChain(t *testing.T, p *plan.Plan, fused, traced bool, params []types.Datum) ([]string, *plan.Trace) {
 	t.Helper()
-	SetFusion(fused)
-	defer SetFusion(true)
 	var tr *plan.Trace
 	if traced {
 		tr = &plan.Trace{}
 	}
 	p.Trace = tr
 	defer func() { p.Trace = nil }()
-	q, err := Generate(p, OptO2)
-	if err != nil {
-		t.Fatal(err)
+	var out *storage.Table
+	if fused {
+		q, err := Generate(p, OptO2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = q.RunParams(params); err != nil {
+			t.Fatal(err)
+		}
+		defer out.Release()
+	} else {
+		out = runWalk(t, p, params...)
 	}
-	if q.Fused != fused {
-		t.Fatalf("Generate selected fused=%v, want %v", q.Fused, fused)
-	}
-	out, err := q.RunParams(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Release()
 	var rows []string
 	out.Scan(func(tup []byte) bool {
 		rows = append(rows, fmt.Sprintf("%x", tup))
@@ -247,9 +232,8 @@ func tracedPhase(tr *plan.Trace, stage string) bool {
 }
 
 // TestFusedChainClaimsTPCHJoins proves the join chain actually serves
-// Q3's three-way and Q10's four-way join at -O2 — without this the
-// golden differential test could pass vacuously through the general
-// fallback.
+// Q3's three-way and Q10's four-way join at -O2 as chains of binary
+// joins.
 func TestFusedChainClaimsTPCHJoins(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.005, Seed: 42})
 	for _, n := range []int{3, 10} {

@@ -1,19 +1,21 @@
 // The fused join+aggregation pipeline: the paper's headline claim is
 // that holistically generated code for *whole* plans — joins and grouped
 // aggregation fused into tight loops, not just single-table scans —
-// beats iterator and vectorised engines. A left-deep chain of k ≥ 1
-// binary equi-joins (merge join for index-ordered inputs, hybrid
+// beats iterator and vectorised engines. A left-deep chain of n ≥ 1
+// equi-joins (merge join for index-ordered inputs, hybrid
 // hash-sort-merge for unsorted ones, fine partitioning for small key
 // domains, per the planner's staged-algorithm selection; TPC-H Q3 and
-// Q10 are chains of two and three) with optional GROUP BY aggregation,
-// HAVING, ORDER BY and LIMIT compiles into k fused join loops. The last
-// one emits into the plan tail; every other one's tail stages each
-// joined pair straight into the next join's chain-fed input, so no join
-// output is ever materialised as a table.
+// Q10 are chains of two and three binary joins) with optional GROUP BY
+// aggregation, HAVING, ORDER BY and LIMIT compiles into n fused join
+// loops. A join team — k ≥ 3 inputs sharing one key class (§V-B) — is
+// the chain of one join with k staged sides: core's merge walk is
+// already k-way, and its fine-partition product takes any k. The last
+// join emits into the plan tail; every other one's tail stages each
+// joined tuple set straight into the next join's chain-fed input, so no
+// join output is ever materialised as a table.
 //
-// Like the single-table pipeline, this is an execution strategy, never a
-// semantic fork: fused results are byte-identical to the general walk,
-// row order included, because every loop here is internal/core's own —
+// Every loop here is internal/core's own, so results are byte-identical
+// to core.Engine's walk (the differential oracle), row order included —
 // the predicates, the staging step (core.Stager), the bucketing
 // (core.Buckets), the join loop and merge walk (core.JoinLoop), the
 // accumulators and group emission (core.AggProgram) and the HAVING /
@@ -45,7 +47,8 @@ import (
 type fusedSide struct {
 	*core.Stager
 	// base indexes Plan.Tables; -1 marks the chain-fed side, which the
-	// previous join's stage tail has staged by the time this join runs.
+	// previous join's stage tail has staged (and, for an unstaged merge
+	// input, emitted in key order) by the time this join runs.
 	base int
 
 	// idx, when non-nil, replaces the scan with equality probes through
@@ -67,6 +70,10 @@ type fusedSide struct {
 	// (parallelWorkers); 1 stages on the caller alone. Index probes,
 	// ordered traversals and the chain-fed side stage no scan.
 	par int
+
+	// name is the staging step's canonical trace name
+	// (plan.TraceJoinStage); rendered only for a traced pipeline.
+	name string
 }
 
 // fusedAgg is the compiled aggregation tail of a fused pipeline: the
@@ -90,38 +97,38 @@ type fusedAgg struct {
 	// direct marks a map aggregation whose every staged column is a plain
 	// copy of a join input column: the program's probes and updates are
 	// then compiled against the staged *side* tuples instead of a composed
-	// aggregation tuple, and sideLk holds each side's probes. The group
-	// contribution of a side is loop-invariant while that side's tuple is
-	// fixed, so the join loop memoises it per side and the inner loop
-	// touches only the aggregate-argument bytes.
+	// aggregation tuple, and sideLk holds each side's probes (up to the
+	// last side that has any). The group contribution of a side is
+	// loop-invariant while that side's tuple is fixed, so the join loop
+	// memoises it per side and the inner loop touches only the
+	// aggregate-argument bytes.
 	direct bool
-	sideLk [2][]core.GroupProbe
+	sideLk [][]core.GroupProbe
 
 	estRows int
 }
 
-// fusedJoin is one compiled binary join of a left-deep chain: the head of
-// the chain runs it and every join after it (next), so a two-table plan
-// is the chain of one.
+// fusedJoin is one compiled join of a left-deep chain — binary, or a
+// team of k inputs: the head of the chain runs it and every join after it
+// (next), so a plan of one join is the chain of one.
 type fusedJoin struct {
 	p     *plan.Plan
-	sides [2]fusedSide
+	sides []fusedSide
 	loop  *core.JoinLoop
-	// names are the canonical trace names of the two staging steps and the
-	// join loop (plan.TraceJoinStage, plan.TraceJoin); rendered only for a
-	// traced pipeline.
-	names [3]string
+	// name is the join loop's canonical trace name (plan.TraceJoin);
+	// rendered only for a traced pipeline.
+	name string
 
 	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
 
-	// tailCopy, when non-nil, is the fully-fused emit: the tail's output
-	// columns are all direct copies, so the pipeline composes the join's
-	// column mapping with the tail's projection at generation time and
-	// copies staged bytes straight into the output (or staging) slot —
+	// tailCopy, when tailDirect, is the fully-fused emit: the tail's
+	// output columns are all direct copies, so the pipeline composes the
+	// join's column mapping with the tail's projection at generation time
+	// and copies staged bytes straight into the output (or staging) slot —
 	// the assembled join tuple never materialises, not even in a buffer.
 	// Computed output columns fall back to joinBuf + project.
-	tailCopy   [2][]core.CopyRange
+	tailCopy   [][]core.CopyRange
 	tailDirect bool
 	// project writes the tail's tuple from the assembled join tuple: the
 	// final projection, or the tail stage's projection.
@@ -175,8 +182,8 @@ type tailState struct {
 	// (identified by its first byte's address, stable for the whole
 	// execution) is unchanged.
 	acc     *core.Accum
-	lastPtr [2]*byte
-	lastG   [2]int32
+	lastPtr []*byte
+	lastG   []int32
 
 	// groups is a streaming or collect-mode aggregation's open group.
 	groups core.GroupStream
@@ -194,9 +201,11 @@ type tailState struct {
 // the other, drawn from a process-wide pool, so a warm analytics query
 // allocates (amortised) nothing.
 type joinScratch struct {
-	staged [2]core.Arena
-	bk     [2]core.Buckets
-	parts  [2][][][]byte // the bucketed sides the join loop reads
+	// One entry per side of the widest join run so far; a join of k sides
+	// uses the first k.
+	staged []core.Arena
+	bk     []core.Buckets
+	parts  [][][][]byte // the bucketed sides the join loop reads
 
 	// tail is the caller's tail state: the one the join loop writes to
 	// when it runs on the caller alone, with rows going to the result
@@ -214,6 +223,16 @@ type joinScratch struct {
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+// sides readies the per-side state for a join of k inputs. It only ever
+// grows: a pooled scratch keeps every side's arenas and buckets.
+func (sc *joinScratch) sides(k int) {
+	for len(sc.staged) < k {
+		sc.staged = append(sc.staged, core.Arena{})
+		sc.bk = append(sc.bk, core.Buckets{})
+		sc.parts = append(sc.parts, nil)
+	}
+}
 
 // maxPooledScratch bounds the staging memory a scratch may keep alive in
 // the pool. A serving-size execution (BENCH_serving's join+aggregation
@@ -238,62 +257,64 @@ func (sc *joinScratch) release() {
 	}
 }
 
-// newFusedJoin compiles a left-deep chain of binary equi-joins — join 0
-// reads two base tables, join i > 0 the output of join i−1 on one side
-// and a base table on the other — and the plan tail consuming its last
-// join into one fused join per descriptor, and returns the chain's head.
-// It returns nil when the plan's shape needs the general operator walk:
-// no join, a join team or bushy tree, a string computed output, or a
-// stage or algorithm the pipeline does not run.
-func newFusedJoin(p *plan.Plan) *fusedJoin {
+// newFusedJoin compiles a left-deep chain of equi-joins — join 0 reads
+// base tables only, join i > 0 the output of join i−1 on one side and
+// base tables on the others — and the plan tail consuming its last join
+// into one fused join per descriptor, and returns the chain's head.
+func newFusedJoin(p *plan.Plan) (*fusedJoin, error) {
 	var next *fusedJoin
 	for ji := len(p.Joins) - 1; ji >= 0; ji-- {
-		if next = compileFusedJoin(p, ji, next); next == nil {
-			return nil
+		var err error
+		if next, err = compileFusedJoin(p, ji, next); err != nil {
+			return nil, err
 		}
 	}
-	if next != nil && p.Sort != nil {
+	if p.Sort != nil {
 		next.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
 	}
-	return next
+	return next, nil
 }
 
 // compileFusedJoin compiles join ji and its tail — a stage tail into
-// next's chain-fed side, or, when next is nil, the plan tail — or
-// returns nil.
-func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
+// next's chain-fed side, or, when next is nil, the plan tail.
+func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error) {
 	j := p.Joins[ji]
 	if !j.FusionEligible(ji > 0) {
-		return nil
+		return nil, unfusable("join %d: a %v join of %d inputs staged other than its loop reads", ji, j.Alg, len(j.Inputs))
 	}
-	f := &fusedJoin{p: p, loop: core.CompileJoin(j), limit: -1, traced: p.Trace != nil, next: next}
+	f := &fusedJoin{p: p, sides: make([]fusedSide, len(j.Inputs)), loop: core.CompileJoin(j), limit: -1, traced: p.Trace != nil, next: next}
 	if next == nil {
 		f.limit = loopLimit(p)
 	}
 	if f.traced {
-		f.names = [3]string{plan.TraceJoinStage(ji, 0), plan.TraceJoinStage(ji, 1), plan.TraceJoin(ji)}
+		f.name = plan.TraceJoin(ji)
 	}
-	fed := 0
-	for i := 0; i < 2; i++ {
+	fed, est := 0, 0 // est: the largest side's estimate
+	for i := range f.sides {
 		st := &j.Inputs[i]
 		s := &f.sides[i]
 		s.base, s.estRows, s.par = st.Input.Base, max(int(st.EstRows), 0), 1
+		est = max(est, s.estRows)
+		if f.traced {
+			s.name = plan.TraceJoinStage(ji, i)
+		}
+		var err error
 		if s.base < 0 {
 			// The chain-fed side. The planner filters base tables only, so
 			// the previous join's stage tail has nothing to drop.
 			if st.Input.Join != ji-1 || len(st.Filters) != 0 || st.IndexScan != nil {
-				return nil
+				return nil, unfusable("join %d: a filtered or non-adjacent intermediate input", ji)
 			}
 			fed++
-			if s.Stager = compileStage(st, p.Joins[ji-1].Schema); s.Stager == nil {
-				return nil
+			if s.Stager, err = core.CompileStage(st, p.Joins[ji-1].Schema); err != nil {
+				return nil, err
 			}
 			continue
 		}
 		entry := p.Tables[s.base].Entry
 		in := entry.Table.Schema()
-		if s.Stager = compileStage(st, in); s.Stager == nil {
-			return nil
+		if s.Stager, err = core.CompileStage(st, in); err != nil {
+			return nil, err
 		}
 		s.idx = st.IndexScan
 		// Merge join. If the base table carries a B+-tree on the join-key
@@ -318,7 +339,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 		}
 	}
 	if (ji > 0) != (fed == 1) {
-		return nil // not left-deep
+		return nil, unfusable("join %d: not a left-deep chain", ji)
 	}
 
 	f.joinWidth = j.Schema.TupleSize()
@@ -327,8 +348,8 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 	switch {
 	case next != nil:
 		cs := 0
-		if next.sides[1].base < 0 {
-			cs = 1
+		for next.sides[cs].base >= 0 {
+			cs++
 		}
 		st := &p.Joins[ji+1].Inputs[cs]
 		f.stage, f.stageEst = next.sides[cs].Stager, next.sides[cs].estRows
@@ -337,7 +358,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 	case p.Agg != nil:
 		st := &p.Agg.Input
 		if st.Input.Base >= 0 || st.Input.Join != ji || len(st.Filters) != 0 || st.IndexScan != nil {
-			return nil
+			return nil, unfusable("an aggregation over anything but the last join's output")
 		}
 		var at core.ColumnAt // nil: the composed aggregation tuple
 		if f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema); f.tailDirect {
@@ -348,12 +369,12 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 				return int8(o.Input), j.Inputs[o.Input].Schema.Offset(o.Col)
 			}
 		}
-		s := compileStage(st, j.Schema)
-		if s == nil {
-			return nil
+		s, err := core.CompileStage(st, j.Schema)
+		if err != nil {
+			return nil, err
 		}
-		if f.agg = newFusedAgg(p.Agg, s, at); f.agg == nil {
-			return nil
+		if f.agg, err = newFusedAgg(p.Agg, s, at); err != nil {
+			return nil, err
 		}
 		f.project = s.Project
 		if !f.agg.mapped && !f.agg.stream {
@@ -363,40 +384,42 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) *fusedJoin {
 		st := p.Final
 		if st.Input.Base >= 0 || st.Input.Join != ji ||
 			st.Action != plan.StageNone || len(st.Filters) != 0 || st.IndexScan != nil || !st.Projectable() {
-			return nil
+			return nil, unfusable("a final projection that stages, filters or computes CHAR over the last join")
 		}
 		f.project = core.MakeProjector(j.Schema, st.Cols, st.Schema)
 		f.outWidth = st.Schema.TupleSize()
 		f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema)
 	default:
-		return nil
+		return nil, unfusable("a plan without aggregation or final projection")
 	}
 	f.parJoin = 1
 	if j.Alg != plan.MergeJoin && (f.agg == nil || !f.agg.stream) {
-		f.parJoin = parallelWorkers(p, max(f.sides[0].estRows, f.sides[1].estRows))
+		f.parJoin = parallelWorkers(p, est)
 	}
-	return f
+	return f, nil
 }
 
 // workers is the chain's widest compiled worker target.
 func (f *fusedJoin) workers() int {
 	w := 1
 	for ; f != nil; f = f.next {
-		w = max(w, f.sides[0].par, f.sides[1].par, f.parJoin)
+		w = max(w, f.parJoin)
+		for i := range f.sides {
+			w = max(w, f.sides[i].par)
+		}
 	}
 	return w
 }
 
 // newFusedAgg compiles the aggregation tail over its input stage s —
 // compiled over a join's output, or the base table of the single-table
-// pipeline — or returns nil when the algorithm or staging shape is
-// outside the fused pipelines. The caller has vetted the input reference.
-// at, when non-nil, resolves a staged aggregation column to the staged
-// join-side tuple it is a plain copy of, which lets map aggregation bind
-// its directory probes and updates to the side tuples directly.
-func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) *fusedAgg {
+// pipeline. The caller has vetted the input reference. at, when non-nil,
+// resolves a staged aggregation column to the staged join-side tuple it
+// is a plain copy of, which lets map aggregation bind its directory
+// probes and updates to the side tuples directly.
+func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) (*fusedAgg, error) {
 	if !a.FusionEligible() {
-		return nil
+		return nil, unfusable("a %v aggregation over a %v input", a.Alg, a.Input.Action)
 	}
 	fa := &fusedAgg{st: s, estRows: max(int(a.Input.EstRows), 0)}
 	switch {
@@ -412,14 +435,15 @@ func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) *fusedAgg {
 		at = nil
 	}
 	if fa.prog = core.CompileAgg(a, a.Input.Schema, at); fa.prog == nil {
-		return nil
+		return nil, unfusable("map aggregation over a grouping attribute without a directory form")
 	}
 	if fa.direct {
 		for _, pr := range fa.prog.Probes {
+			fa.sideLk = grown(fa.sideLk, max(len(fa.sideLk), int(pr.Src)+1))
 			fa.sideLk[pr.Src] = append(fa.sideLk[pr.Src], pr)
 		}
 	}
-	return fa
+	return fa, nil
 }
 
 // begin readies the caller's tail state in sc for one execution: the
@@ -458,14 +482,15 @@ func (f *fusedJoin) run(params []types.Datum) (*storage.Table, error) {
 
 // exec runs one join of the chain: it stages its base sides (the
 // chain-fed side arrives staged in the caller's stage-tail arena),
-// buckets both, and drives the join loop into the tail. It reports
+// buckets them all, and drives the join loop into the tail. It reports
 // whether any phase ran parallel.
 func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	var t0 time.Time
 	par := false
 	ts := &sc.tail
 	fed := int64(ts.pairs) // the previous join's rows-out
-	var sorted [2]bool
+	sc.sides(len(f.sides))
+	var sorted uint64 // bit i: side i staged in key order (sides past 63 sort)
 	for i := range f.sides {
 		if f.traced {
 			t0 = time.Now()
@@ -475,15 +500,15 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 			// The previous join staged this side into the tail arena: swap
 			// it in, handing the side's spent arena to this join's tail.
 			sc.staged[i], ts.staged = ts.staged, sc.staged[i]
-		} else {
-			sorted[i] = f.stageSide(sc, i, params, &par)
+		} else if f.stageSide(sc, i, params, &par) {
+			sorted |= 1 << i
 		}
 		if f.traced {
 			in := fed
 			if s.base >= 0 {
 				in = int64(f.p.Tables[s.base].Entry.Table.NumRows())
 			}
-			f.p.Trace.Observe(f.names[i], in, int64(sc.staged[i].Rows), time.Since(t0))
+			f.p.Trace.Observe(s.name, in, int64(sc.staged[i].Rows), time.Since(t0))
 		}
 	}
 	f.prepTail(ts)
@@ -497,17 +522,20 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	if f.traced {
 		t0 = time.Now()
 	}
-	// Both sides stage before either is bucketed: bucketing each right
+	// Every side stages before any is bucketed: bucketing each right
 	// after its staging moves a collection into the join loop on
 	// analytic-size inputs (DESIGN.md §4.5).
-	for i := range sc.parts {
-		sc.parts[i] = f.sides[i].Order(&sc.staged[i], &sc.bk[i], sorted[i])
+	parts := sc.parts[:len(f.sides)]
+	staged := 0
+	for i := range parts {
+		parts[i] = f.sides[i].Order(&sc.staged[i], &sc.bk[i], sorted&(1<<i) != 0)
+		staged += sc.staged[i].Rows
 	}
-	if m := len(sc.parts[0]); f.parJoin > 1 && m > 1 {
-		f.joinPar(sc, m)
+	if m := len(parts[0]); f.parJoin > 1 && m > 1 {
+		f.joinPar(sc, parts)
 		par = true
 	} else {
-		f.join(ts, sc.parts[:], 0, m)
+		f.join(ts, parts, 0, m)
 	}
 
 	pairs := int64(ts.pairs)
@@ -515,8 +543,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 		// The join loop's rows-out is the joined-pair count; the tail
 		// (staging, projection or aggregation updates) runs fused inside
 		// the loop, so its per-stage elapsed time folds into the loop's.
-		f.p.Trace.Observe(f.names[2],
-			int64(sc.staged[0].Rows+sc.staged[1].Rows), pairs, time.Since(t0))
+		f.p.Trace.Observe(f.name, int64(staged), pairs, time.Since(t0))
 		if f.agg == nil && f.next == nil {
 			f.p.Trace.Observe(plan.TraceStageProject, pairs, int64(ts.out.NumRows()), 0)
 		}
@@ -540,11 +567,12 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 // values).
 func (f *fusedJoin) prepTail(ts *tailState) {
 	ts.joinBuf = grown(ts.joinBuf, f.joinWidth)
-	if f.agg != nil {
-		ts.aggBuf = grown(ts.aggBuf, f.agg.st.Width)
+	if fa := f.agg; fa != nil {
+		ts.aggBuf = grown(ts.aggBuf, fa.st.Width)
+		ts.lastPtr, ts.lastG = grown(ts.lastPtr, len(fa.sideLk)), grown(ts.lastG, len(fa.sideLk))
+		clear(ts.lastPtr)
 	}
 	ts.pairs, ts.rows = 0, 0
-	ts.lastPtr[0], ts.lastPtr[1] = nil, nil
 }
 
 // join runs core's join loop over partitions [lo, hi) of the bucketed
@@ -552,7 +580,7 @@ func (f *fusedJoin) prepTail(ts *tailState) {
 // them per morsel inside a parallel join phase. It stops when the tail
 // reports the pipeline complete.
 func (f *fusedJoin) join(ts *tailState, parts [][][][]byte, lo, hi int) {
-	f.loop.Run(parts, lo, hi, &ts.cur, func(c *core.Cursor) bool { return f.emit(ts, c.Tuple(0), c.Tuple(1)) })
+	f.loop.Run(parts, lo, hi, &ts.cur, func(c *core.Cursor) bool { return f.emit(ts, c) })
 }
 
 // finish completes the aggregation tail into out: map aggregation emits
@@ -560,7 +588,7 @@ func (f *fusedJoin) join(ts *tailState, parts [][][][]byte, lo, hi int) {
 // last group; collect modes order the staged aggregation input as its
 // stage says — sorted, or partitioned and each partition sorted — and
 // stream the groups out. The join's buckets are free by then, so the
-// ordering reuses the first side's.
+// ordering reuses the first side's (a single-table pipeline has none yet).
 func (fa *fusedAgg) finish(sc *joinScratch, out *storage.Table, limit int) {
 	prog, gs := fa.prog, &sc.tail.groups
 	switch {
@@ -569,31 +597,32 @@ func (fa *fusedAgg) finish(sc *joinScratch, out *storage.Table, limit int) {
 	case fa.stream:
 		prog.Flush(gs, out, limit)
 	default:
+		sc.sides(1)
 		prog.StreamParts(gs, fa.st.Order(&sc.tail.staged, &sc.bk[0], false), out, limit)
 	}
 }
 
-// emit hands one joined pair to the join's tail: the next join's
+// emit hands one joined tuple set to the join's tail: the next join's
 // chain-fed staging or a collect-mode aggregation's (the stage tail),
 // the map or streaming aggregation, or the final projection. When the
 // tail is all direct copies (tailDirect), staged bytes copy straight into
 // the destination slot and the join tuple never materialises; otherwise
-// the pair is assembled into joinBuf and run through the compiled
+// the set is assembled into joinBuf and run through the compiled
 // projector. It returns false when the pipeline is complete (row limit
 // hit, or the streaming aggregation reached its group limit).
-func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
+func (f *fusedJoin) emit(ts *tailState, c *core.Cursor) bool {
 	ts.pairs++
 	if s := f.stage; s != nil {
 		// Stage the tail's tuple into the arena with its partition route;
 		// the consumer orders the arena once the loop is done.
 		slot := ts.staged.Slot(s.Width)
-		f.fillTail(ts, t0, t1, slot)
+		f.fillTail(ts, c, slot)
 		ts.staged.Keep(slot, s.Route)
 		return true
 	}
 	fa := f.agg
 	if fa == nil {
-		f.fillTail(ts, t0, t1, ts.slot(f.outWidth))
+		f.fillTail(ts, c, ts.slot(f.outWidth))
 		return f.limit < 0 || ts.rows < f.limit
 	}
 	if fa.mapped {
@@ -601,10 +630,10 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
 		// directories and update the flat aggregate arrays right here in
 		// the join loop (paper Fig. 4) — no staging, no sort, no state
 		// but the arrays. A negative group is a value outside its
-		// directory (stale statistics): the pair is skipped.
+		// directory (stale statistics): the set is skipped.
 		acc := ts.acc
 		if !fa.direct {
-			f.fillTail(ts, t0, t1, ts.aggBuf)
+			f.fillTail(ts, c, ts.aggBuf)
 			if g := core.Locate(fa.prog.Probes, ts.aggBuf); g >= 0 {
 				acc.Add(fa.prog.Updates, int(g), ts.aggBuf)
 			}
@@ -614,15 +643,11 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
 		// contribution is invariant while its tuple is fixed, which
 		// hoists the directory probe out of the join's inner loop.
 		g := 0
-		for s := 0; s < 2; s++ {
-			lks := fa.sideLk[s]
+		for s, lks := range fa.sideLk {
 			if len(lks) == 0 {
 				continue
 			}
-			t := t0
-			if s == 1 {
-				t = t1
-			}
+			t := c.Tuple(s)
 			pg := ts.lastG[s]
 			if ts.lastPtr[s] != &t[0] {
 				pg = core.Locate(lks, t)
@@ -633,44 +658,46 @@ func (f *fusedJoin) emit(ts *tailState, t0, t1 []byte) bool {
 			}
 			g += int(pg)
 		}
-		acc.AddFrom(fa.prog.Updates, g, t0, t1)
+		acc.AddFrom(fa.prog.Updates, g, c)
 		return true
 	}
-	f.fillTail(ts, t0, t1, ts.aggBuf)
+	f.fillTail(ts, c, ts.aggBuf)
 	return fa.prog.Push(&ts.groups, ts.aggBuf, ts.out, f.limit)
 }
 
-// fillTail writes the tail's output tuple for one joined pair.
-func (f *fusedJoin) fillTail(ts *tailState, t0, t1, dst []byte) {
+// fillTail writes the tail's output tuple for the cursor's tuple set.
+func (f *fusedJoin) fillTail(ts *tailState, c *core.Cursor, dst []byte) {
 	if f.tailDirect {
-		core.CopyInto(dst, t0, f.tailCopy[0])
-		core.CopyInto(dst, t1, f.tailCopy[1])
+		for i, spec := range f.tailCopy {
+			core.CopyInto(dst, c.Tuple(i), spec)
+		}
 		return
 	}
 	buf := ts.joinBuf
-	core.CopyInto(buf, t0, f.copySpec[0])
-	core.CopyInto(buf, t1, f.copySpec[1])
+	for i, spec := range f.copySpec {
+		core.CopyInto(buf, c.Tuple(i), spec)
+	}
 	f.project(buf, dst)
 }
 
 // makeTailCopy composes the join's column mapping with a tail stage's
 // projection: when every tail output column is a direct copy of a join
-// column (itself a direct copy of a staged column), the result is a pair
-// of coalesced staged→output byte-range lists and the join tuple needs
-// no buffer at all. ok is false when any column is computed or widths
-// disagree.
-func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([2][]core.CopyRange, bool) {
-	var spec [2][]core.CopyRange
+// column (itself a direct copy of a staged column), the result is one
+// coalesced staged→output byte-range list per side and the join tuple
+// needs no buffer at all. ok is false when any column is computed or
+// widths disagree.
+func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([][]core.CopyRange, bool) {
+	spec := make([][]core.CopyRange, len(j.Inputs))
 	for i := range cols {
 		c := &cols[i]
 		if c.Source < 0 || c.Compute != nil {
-			return spec, false
+			return nil, false
 		}
 		o := j.Out[c.Source]
 		src := j.Inputs[o.Input].Schema
 		size := out.Column(i).Size
 		if src.Column(o.Col).Size != size {
-			return spec, false
+			return nil, false
 		}
 		spec[o.Input] = core.AppendCopy(spec[o.Input], core.CopyRange{SrcOff: src.Offset(o.Col), DstOff: out.Offset(i), Size: size})
 	}
@@ -690,10 +717,7 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 	t := entry.Table
 	if s.idx != nil {
 		if tree := entry.Index(s.idx.Column); tree != nil {
-			core.Probe(t, tree, s.idx.Key(params), func(tup []byte) bool {
-				s.Stage(a, tup, params)
-				return true
-			})
+			s.StageProbe(a, t, tree, s.idx.Key(params), params)
 			return false
 		}
 		// Index dropped since planning: the equality filter is still in
@@ -714,7 +738,7 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 		}
 	}
 	if s.par > 1 && sc.par.stageScan(s.Stager, s.par, a, f.p.Pool, t, params) {
-		sc.par.finish(f.p.Trace, f.names[i])
+		sc.par.finish(f.p.Trace, s.name)
 		*par = true
 		return false
 	}
@@ -722,10 +746,11 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 	return false
 }
 
-// grown returns b resliced to n bytes, reallocating only when short.
-func grown(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
+// grown returns s resliced to n elements, reallocating only when short
+// (the elements within the old capacity carry over).
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	return b[:n]
+	return s[:n]
 }

@@ -91,18 +91,19 @@ func (ph *parPhase) concat(dst *core.Arena) {
 	}
 }
 
-// joinPar runs the per-partition join loop over m partitions across
-// workers. A morsel is a contiguous chunk of partitions; corresponding
-// partitions on both sides hold disjoint key ranges (coarse) or single
-// keys (fine), so chunks join independently — sorting a partition pair in
-// place touches disjoint subslices of the shared reference arrays. Chunks
+// joinPar runs the per-partition join loop over the bucketed sides'
+// partitions across workers. A morsel is a contiguous chunk of
+// partitions; corresponding partitions of every side hold disjoint key
+// ranges (coarse) or single keys (fine), so chunks join independently —
+// sorting a partition set in place touches disjoint subslices of the
+// shared reference arrays. Chunks
 // are sized to ~4 per worker for claim-level load balancing. Each chunk
 // runs the join loop with the worker's own tail state: rows and staged
 // tuples go to its arenas and are stitched into the caller's result or
 // stage-tail arena in chunk order, map aggregation goes to a per-chunk
 // accumulator merged into the caller's.
-func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
-	target := f.parJoin
+func (f *fusedJoin) joinPar(sc *joinScratch, parts [][][][]byte) {
+	target, m := f.parJoin, len(parts[0])
 	chunks := min(4*target, m)
 	per := (m + chunks - 1) / chunks
 	chunks = (m + per - 1) / per
@@ -117,7 +118,6 @@ func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 	if mapped {
 		sc.resetChunkMaps(chunks)
 	}
-	parts := sc.parts[:]
 	ph.run(f.p.Pool, target, func(wi int) {
 		wk := &ph.workers[wi]
 		ts := &wk.tail
@@ -148,7 +148,7 @@ func (f *fusedJoin) joinPar(sc *joinScratch, m int) {
 	default:
 		ph.stitchRows(caller.out, f.outWidth, f.limit)
 	}
-	ph.finish(f.p.Trace, f.names[2])
+	ph.finish(f.p.Trace, f.name)
 }
 
 // end is the length of the arena a join chunk writes to: the stage

@@ -1,9 +1,11 @@
 package codegen
 
 import (
+	"strings"
 	"testing"
 
 	"hique/internal/catalog"
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -11,7 +13,8 @@ import (
 )
 
 // fusedJoinCatalog builds a two-table star pair big enough for real
-// staging decisions plus a third table to prove the multi-join decline.
+// staging decisions plus a third table sharing the key class: a join
+// team.
 func fusedJoinCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -50,9 +53,24 @@ func buildPlan(t *testing.T, cat *catalog.Catalog, query string) *plan.Plan {
 	return p
 }
 
-// TestFusedJoinSelection pins which plan shapes the fused join pipeline
-// claims: without this, a silent decline would route everything through
-// the general walk and the differential tests would pass vacuously.
+// runWalk runs p through core's operator walk, the differential oracle,
+// on a copy bound to params.
+func runWalk(t *testing.T, p *plan.Plan, params ...types.Datum) *storage.Table {
+	t.Helper()
+	bp, err := p.Bind(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.NewEngine().Execute(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFusedJoinSelection pins the plan shapes the fused join pipeline
+// claims — binary joins and join teams — and that a plan outside them is
+// an error naming its shape.
 func TestFusedJoinSelection(t *testing.T) {
 	cat := fusedJoinCatalog(t)
 	fused := []string{
@@ -69,11 +87,14 @@ func TestFusedJoinSelection(t *testing.T) {
 		"SELECT f.id FROM fact f, dim d WHERE f.grp = d.id AND d.label = ?",
 		// HAVING filters the emitted groups in the shared result tail.
 		"SELECT d.label, COUNT(*) AS n FROM fact f, dim d WHERE f.grp = d.id GROUP BY d.label HAVING n > 10 ORDER BY n DESC LIMIT 2",
+		// A join team: one join of three inputs on one key class.
+		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
+		"SELECT d.label, SUM(x.w) AS w FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id GROUP BY d.label",
 	}
 	for _, q := range fused {
 		p := buildPlan(t, cat, q)
-		if newFusedJoin(p) == nil {
-			t.Errorf("fused join declined %q (alg %v)", q, p.Joins[0].Alg)
+		if _, err := newFusedJoin(p); err != nil {
+			t.Errorf("fused join declined %q (alg %v): %v", q, p.Joins[0].Alg, err)
 		}
 	}
 	// The single-table pipeline sorts a plain projection and filters
@@ -83,64 +104,43 @@ func TestFusedJoinSelection(t *testing.T) {
 		"SELECT id FROM fact WHERE price > ? ORDER BY id LIMIT 7",
 		"SELECT grp, COUNT(*) AS n FROM fact GROUP BY grp HAVING n >= 50 ORDER BY grp LIMIT 5",
 	} {
-		if newFused(buildPlan(t, cat, q)) == nil {
-			t.Errorf("single-table pipeline declined %q", q)
+		if _, err := newFused(buildPlan(t, cat, q)); err != nil {
+			t.Errorf("single-table pipeline declined %q: %v", q, err)
 		}
 	}
-	declined := []string{
-		// A join team: the fused join loop is binary.
-		"SELECT f.id FROM fact f, dim d, ext x WHERE f.grp = d.id AND d.id = x.id",
-		// Single table: the single-table pipeline's territory.
-		"SELECT id FROM fact WHERE grp = 3",
-	}
-	for _, q := range declined {
-		p := buildPlan(t, cat, q)
-		if len(p.Joins) == 1 && newFusedJoin(p) != nil && len(p.Tables) != 2 {
-			t.Errorf("fused join accepted %q", q)
-		}
-		if len(p.Tables) != 2 && newFusedJoin(p) != nil {
-			t.Errorf("fused join accepted %q", q)
-		}
+	// A join input staged for another algorithm than the join's.
+	p := buildPlan(t, cat, fused[0])
+	p.Joins[0].Inputs[1].Action = plan.StageNone
+	if _, err := Generate(p, OptO2); err == nil || !strings.Contains(err.Error(), "no fused pipeline for join 0") {
+		t.Errorf("Generate on a mis-staged join: %v, want the shape named", err)
 	}
 }
 
 // TestFusedJoinGenerateUsesPipeline proves Generate at -O2 wires the
-// fused runner (and that SetFusion(false) restores the general walk).
+// fused runner, and that it returns the walk's rows in the walk's order.
 func TestFusedJoinGenerateUsesPipeline(t *testing.T) {
 	cat := fusedJoinCatalog(t)
 	p := buildPlan(t, cat, "SELECT d.label, COUNT(*) AS n FROM fact f, dim d WHERE f.grp = d.id GROUP BY d.label ORDER BY d.label")
-	if newFusedJoin(p) == nil {
-		t.Fatal("plan unexpectedly ineligible")
-	}
 	q, err := Generate(p, OptO2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := q.Run()
-	if err != nil {
-		t.Fatal(err)
+	if !q.Fused || q.Path != "fused" {
+		t.Fatalf("Generate compiled fused=%v path=%q", q.Fused, q.Path)
 	}
-	defer want.Release()
-
-	SetFusion(false)
-	defer SetFusion(true)
-	gq, err := Generate(p, OptO2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := gq.Run()
+	got, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Release()
-
+	want := runWalk(t, p)
 	if want.NumRows() != got.NumRows() {
-		t.Fatalf("fused %d rows, general %d", want.NumRows(), got.NumRows())
+		t.Fatalf("fused %d rows, walk %d", got.NumRows(), want.NumRows())
 	}
 	for r := 0; r < want.NumRows(); r++ {
 		wt, gt := want.Tuple(r), got.Tuple(r)
 		if string(wt) != string(gt) {
-			t.Fatalf("row %d: fused %x, general %x", r, wt, gt)
+			t.Fatalf("row %d: fused %x, walk %x", r, gt, wt)
 		}
 	}
 }

@@ -40,9 +40,9 @@ func mustPanic(t *testing.T, fn func()) {
 
 func TestFusedRunReleasesArenaOnPanic(t *testing.T) {
 	p := planWith(t, "SELECT sale_id, qty FROM sales", plan.DefaultOptions())
-	f := newFused(p)
-	if f == nil {
-		t.Fatal("plan did not compile to a fused scan")
+	f, err := newFused(p)
+	if err != nil {
+		t.Fatalf("plan did not compile to a fused scan: %v", err)
 	}
 	// Let the scan append enough rows to draw real pages from the arena,
 	// then blow up mid-stream: the pages already inside `out` are exactly
@@ -64,9 +64,9 @@ func TestFusedRunReleasesArenaOnPanic(t *testing.T) {
 
 func TestFusedJoinRunReleasesArenaOnPanic(t *testing.T) {
 	p := planWith(t, "SELECT sale_id, cat FROM sales, prods WHERE sales.prod = prods.prod_id ORDER BY sale_id", plan.DefaultOptions())
-	f := newFusedJoin(p)
-	if f == nil {
-		t.Fatal("plan did not compile to a fused join")
+	f, err := newFusedJoin(p)
+	if err != nil {
+		t.Fatalf("plan did not compile to a fused join: %v", err)
 	}
 	if f.sortCmp == nil {
 		t.Fatal("ORDER BY plan has no sort comparator")

@@ -41,8 +41,8 @@ var parallelThreshold atomic.Int64
 func init() { parallelThreshold.Store(DefaultParallelThreshold) }
 
 // SetParallelThreshold overrides the serial/parallel estimate threshold
-// process-wide and returns the previous value. Like SetFusion it exists
-// for tests and benchmarks that need parallel pipelines on small
+// process-wide and returns the previous value. It exists for tests and
+// benchmarks that need parallel pipelines on small
 // fixtures (or serial ones on large); serving code never touches it.
 // Only subsequent Generate calls observe the change.
 func SetParallelThreshold(rows int) int {

@@ -44,8 +44,8 @@ func parCatalog(n int) *catalog.Catalog {
 	return cat
 }
 
-// runParallelVsSerial compiles q at OptO2 serial, parallel (workers=4)
-// and once more through the general walk (fusion off), requires
+// runParallelVsSerial compiles q at OptO2 serial and parallel
+// (workers=4), runs it once more through core's walk, requires
 // byte-identical raw-order results, and returns them.
 func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ...types.Datum) []string {
 	t.Helper()
@@ -56,24 +56,23 @@ func runParallelVsSerial(t *testing.T, cat *catalog.Catalog, q string, params ..
 	serial, parallel := plan.DefaultOptions(), plan.DefaultOptions()
 	serial.Parallelism = 1
 	parallel.Parallelism = 4
-	defer SetFusion(true)
 	var ref []string
 	for i, opts := range []plan.Options{serial, parallel, serial} {
-		SetFusion(i < 2)
 		p, err := plan.BuildWithOptions(stmt, cat, opts)
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
 		}
-		cq, err := Generate(p, OptO2)
-		if err != nil {
-			t.Fatalf("generate %q: %v", q, err)
-		}
-		if cq.Fused != (i < 2) {
-			t.Fatalf("%q: run %d compiled fused=%v", q, i, cq.Fused)
-		}
-		out, err := cq.Run(params...)
-		if err != nil {
-			t.Fatalf("run %q: %v", q, err)
+		var out *storage.Table
+		if i < 2 {
+			cq, err := Generate(p, OptO2)
+			if err != nil {
+				t.Fatalf("generate %q: %v", q, err)
+			}
+			if out, err = cq.Run(params...); err != nil {
+				t.Fatalf("run %q: %v", q, err)
+			}
+		} else {
+			out = runWalk(t, p, params...)
 		}
 		got := rowsAsStrings(out)
 		if ref == nil {

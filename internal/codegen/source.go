@@ -3,25 +3,24 @@
 // The generator instantiates the optimizer's operator descriptors into
 // code. Generate builds the executable query only:
 //
-//   - At OptO2, a fused pipeline when the plan's shape allows it: a
+//   - At OptO2, a fused pipeline for every plan the planner emits: a
 //     single-table plan compiles to one probe/scan→filter→project loop,
-//     or the same scan feeding an aggregation tail (fused.go); a
-//     left-deep chain of binary equi-joins compiles to one
-//     probe→join→filter→aggregate→emit loop per join, each join staging
-//     its output straight into the next one's input and the last
-//     emitting into the plan tail (fused_join.go). Morsel-parallel phases
-//     are decided at generation time (parallel.go, fused_join_par.go).
-//     Any other plan — join teams, bushy trees — runs internal/core's
-//     general walk, which materialises each operator's output (§V-C).
+//     or the same probe or scan feeding an aggregation tail (fused.go);
+//     a left-deep chain of equi-joins — binary joins or a join team of k
+//     inputs — compiles to one probe→join→filter→aggregate→emit loop per
+//     join, each join staging its output straight into the next one's
+//     input and the last emitting into the plan tail (fused_join.go).
+//     Morsel-parallel phases are decided at generation time (parallel.go,
+//     fused_join_par.go). A plan outside those shapes is an error.
 //   - At OptO0, a boxed, indirection-heavy interpretation of the same
 //     algorithms (interp.go; what -O0 object code does: every conceptual
 //     step stays a separate call).
 //
-// The fused paths are execution strategies, never semantic forks: they
-// call internal/core's kernels — predicates, staging, bucketing, the
-// join loop, the accumulators and the HAVING / ORDER BY / LIMIT tail —
-// which the general walk runs too, so results stay byte-identical to
-// every engine.
+// The fused pipelines call internal/core's kernels — predicates,
+// staging, bucketing, the join loop, the accumulators and the HAVING /
+// ORDER BY / LIMIT tail — which core.Engine's operator walk, the
+// differential oracle, runs too, so results stay byte-identical to every
+// engine.
 //
 // The query-specific Go source text, the analogue of the C file the
 // paper emits and compiles with gcc, is rendered from the same
@@ -34,9 +33,9 @@
 // Callers: hique.DB compiles through Generate and caches the resulting
 // CompiledQuery in internal/plancache; a cached query is immutable and
 // shared across concurrent executions. Everything mutable an execution
-// needs — bind scratch (general path), staging arenas and hash/partition
-// scratch (fused join), accumulator state — is drawn from sync.Pools per
-// run, so a warm serving path allocates (amortised) nothing. Result tables
+// needs — staging arenas and hash/partition scratch, accumulator state —
+// is drawn from sync.Pools per run, so a warm serving path allocates
+// (amortised) nothing. Result tables
 // come from the storage page arena; the caller owns them and must Release
 // after draining.
 package codegen
@@ -121,17 +120,6 @@ func EmitSource(p *plan.Plan) string {
 	}
 	emitComposer(w, p, calls)
 	return w.b.String()
-}
-
-func goKind(k types.Kind) string {
-	switch k {
-	case types.Int, types.Date:
-		return "int64"
-	case types.Float:
-		return "float64"
-	default:
-		return "[]byte"
-	}
 }
 
 func readField(k types.Kind, off, size int) string {

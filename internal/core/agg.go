@@ -128,19 +128,22 @@ func compileUpdates(a *plan.Agg, staged *types.Schema, at ColumnAt) []AggUpdate 
 }
 
 // Add folds one staged tuple into group g.
-func (a *Accum) Add(ups []AggUpdate, g int, t []byte) { a.AddFrom(ups, g, t, nil) }
-
-// AddFrom folds one joined pair into group g without staging it: each
-// update reads the side tuple it was compiled against (Src 1 is t1).
-func (a *Accum) AddFrom(ups []AggUpdate, g int, t0, t1 []byte) {
+func (a *Accum) Add(ups []AggUpdate, g int, t []byte) {
 	a.tuples[g]++
 	base := g * a.nAggs
 	for _, u := range ups {
-		if u.Src == 1 {
-			u.Fn(a, base, t1)
-		} else {
-			u.Fn(a, base, t0)
-		}
+		u.Fn(a, base, t)
+	}
+}
+
+// AddFrom folds one joined tuple set into group g without staging it:
+// each update reads the cursor's tuple of the input it was compiled
+// against.
+func (a *Accum) AddFrom(ups []AggUpdate, g int, c *Cursor) {
+	a.tuples[g]++
+	base := g * a.nAggs
+	for _, u := range ups {
+		u.Fn(a, base, c.Tuple(int(u.Src)))
 	}
 }
 

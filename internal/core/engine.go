@@ -127,10 +127,7 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 	if tree == nil {
 		prog.FoldPages(&acc, s, buf, in, 0, in.NumPages(), nil)
 	} else {
-		rows = Probe(in, tree, a.Input.IndexScan.Key(nil), func(tup []byte) bool {
-			prog.fold(&acc, s, buf, tup, 1, nil)
-			return true
-		})
+		rows = prog.FoldProbe(&acc, s, buf, in, tree, a.Input.IndexScan.Key(nil), nil)
 	}
 	prog.EmitMapGroups(&acc, out, -1)
 	return out, rows, nil
@@ -178,10 +175,7 @@ func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) ([][][]byte, int
 	a := Arena{Data: make([]byte, 0, min(max(int(st.EstRows), 0), in.NumRows())*s.Width)}
 	rows := in.NumRows()
 	if tree != nil {
-		rows = Probe(in, tree, st.IndexScan.Key(nil), func(tup []byte) bool {
-			s.Stage(&a, tup, nil)
-			return true
-		})
+		rows = s.StageProbe(&a, in, tree, st.IndexScan.Key(nil), nil)
 	} else {
 		s.StagePages(&a, in, 0, in.NumPages(), nil)
 	}

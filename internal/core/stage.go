@@ -95,6 +95,9 @@ type Stager struct {
 
 // CompileStage compiles a staging descriptor over its input schema.
 func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
+	if !st.Projectable() {
+		return nil, fmt.Errorf("core: stage computes a CHAR column")
+	}
 	s := &Stager{
 		Preds:   CompilePreds(in, st.Filters),
 		Project: MakeProjector(in, st.Cols, st.Schema),
@@ -143,6 +146,26 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 			s.Stage(a, data[base:base+inW:base+inW], params)
 		}
 	}
+}
+
+// StageProbe stages the tuples of t the index entries for key point at —
+// an index-probed input's staging pass — and returns how many the probe
+// fetched.
+func (s *Stager) StageProbe(a *Arena, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
+	return Probe(t, tree, key, func(tup []byte) bool {
+		s.Stage(a, tup, params)
+		return true
+	})
+}
+
+// FoldProbe is FoldPages over the tuples of t the index entries for key
+// point at — an index-probed map aggregation's single pass — and returns
+// how many the probe fetched.
+func (p *AggProgram) FoldProbe(acc *Accum, s *Stager, buf []byte, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
+	return Probe(t, tree, key, func(tup []byte) bool {
+		p.fold(acc, s, buf, tup, 1, params)
+		return true
+	})
 }
 
 // Probe hands fn the tuples of t the index entries for key point at, in

@@ -366,11 +366,6 @@ func closeRow(a, b *storage.Table, i int, tol float64) bool {
 func TestAllEnginesAgreeDefaultPlans(t *testing.T) {
 	cat := fixture(7, 5000, 200, 800)
 	runCorpus(t, cat, plan.DefaultOptions())
-	// And with the -O2 engine on the general walk for the plans its fused
-	// pipelines would otherwise claim.
-	codegen.SetFusion(false)
-	defer codegen.SetFusion(true)
-	runCorpus(t, cat, plan.DefaultOptions())
 }
 
 func TestAllEnginesAgreeForcedMerge(t *testing.T) {
@@ -405,6 +400,18 @@ func TestAllEnginesAgreeNoTeams(t *testing.T) {
 	runCorpus(t, cat, opts)
 }
 
+// TestAllEnginesAgreeNoTeamsForcedMerge chains the shared-key joins as
+// binary merge joins: the second one's chain-fed input arrives in key
+// order from the first and is not sorted again.
+func TestAllEnginesAgreeNoTeamsForcedMerge(t *testing.T) {
+	cat := fixture(16, 3000, 120, 400)
+	opts := plan.DefaultOptions()
+	opts.EnableJoinTeams = false
+	merge := plan.MergeJoin
+	opts.ForceJoinAlg = &merge
+	runCorpus(t, cat, opts)
+}
+
 func TestAllEnginesAgreeRandomisedQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomised differential testing skipped in -short mode")
@@ -412,5 +419,56 @@ func TestAllEnginesAgreeRandomisedQuick(t *testing.T) {
 	for seed := int64(20); seed < 26; seed++ {
 		cat := fixture(seed, 1000+int(seed)*137, 50+int(seed), 100)
 		runCorpus(t, cat, plan.DefaultOptions())
+	}
+}
+
+// plannerVariants are the planner settings the census runs the corpus
+// under: the defaults, each join and aggregation algorithm forced, join
+// teams off, and teams off with merge join forced.
+func plannerVariants() map[string]plan.Options {
+	out := map[string]plan.Options{"default": plan.DefaultOptions()}
+	for _, alg := range []plan.JoinAlgorithm{plan.MergeJoin, plan.HybridJoin, plan.FinePartitionJoin} {
+		opts := plan.DefaultOptions()
+		a := alg
+		opts.ForceJoinAlg = &a
+		out["join="+alg.String()] = opts
+	}
+	for _, alg := range []plan.AggAlgorithm{plan.SortAggregation, plan.HybridAggregation, plan.MapAggregation} {
+		opts := plan.DefaultOptions()
+		a := alg
+		opts.ForceAggAlg = &a
+		out["agg="+alg.String()] = opts
+	}
+	noTeams := plan.DefaultOptions()
+	noTeams.EnableJoinTeams = false
+	out["teams=off"] = noTeams
+	merge := plan.MergeJoin
+	noTeams.ForceJoinAlg = &merge
+	out["teams=off,join=merge"] = noTeams
+	return out
+}
+
+// TestFusionCensus requires -O2 to compile every corpus statement to a
+// fused pipeline under every planner variant: there is no general-walk
+// fallback to land on.
+func TestFusionCensus(t *testing.T) {
+	cat := fixture(12, 3000, 150, 500)
+	for name, opts := range plannerVariants() {
+		for _, q := range corpus {
+			stmt, err := sql.Parse(q)
+			if err != nil {
+				t.Fatalf("parse %q: %v", q, err)
+			}
+			p, err := plan.BuildWithOptions(stmt, cat, opts)
+			if err != nil {
+				t.Fatalf("%s: plan %q: %v", name, q, err)
+			}
+			cq, err := codegen.Generate(p, codegen.OptO2)
+			if err != nil {
+				t.Errorf("%s: %q: %v", name, q, err)
+			} else if !cq.Fused {
+				t.Errorf("%s: %q: not fused", name, q)
+			}
+		}
 	}
 }

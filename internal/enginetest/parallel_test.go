@@ -143,14 +143,13 @@ func tpchStatements() []string {
 	return out
 }
 
-// TestParallelScanAggregateAndTPCH sweeps what ISSUE 20 moved onto the
-// fused pipelines — single-table aggregation (the aggregate matrix, the
-// Q1 and Q6 shapes, empty selections, LIMIT 0, CHAR predicates) over a
-// table of several morsels, and TPC-H Q1/Q3/Q6/Q10 — across fusion on and
-// off and workers {1, 2, 3, 8}, as Prepare with literals compiles them
-// and as DB.Query's auto-parameterisation (or Prepare with '?') does.
-// The reference rows come from the general walk and optimized-iterators;
-// dm, da and db stay below one morsel throughout.
+// TestParallelScanAggregateAndTPCH sweeps single-table aggregation (the
+// aggregate matrix, the Q1 and Q6 shapes, empty selections, LIMIT 0,
+// CHAR predicates) over a table of several morsels, and TPC-H
+// Q1/Q3/Q6/Q10, across workers {1, 2, 3, 8}, as Prepare with literals
+// compiles them and as DB.Query's auto-parameterisation (or Prepare with
+// '?') does. The reference rows come from core's walk and
+// optimized-iterators; dm, da and db stay below one morsel throughout.
 func TestParallelScanAggregateAndTPCH(t *testing.T) {
 	lowThreshold(t)
 	cat := fixture(15, 2*morsel.Rows+900, 200, 800)
@@ -166,14 +165,10 @@ func TestParallelScanAggregateAndTPCH(t *testing.T) {
 	}
 	tc := tpchCatalog()
 	engs := []engine{core.NewEngine(), volcano.NewOptimized(), codegenEngine{level: codegen.OptO2}}
-	defer codegen.SetFusion(true)
-	for _, fusion := range []bool{true, false} {
-		codegen.SetFusion(fusion)
-		for _, w := range parallelWorkerCounts {
-			opts := plan.DefaultOptions()
-			opts.Parallelism = w
-			runQueries(t, cat, opts, single, engs, 0)
-			runQueries(t, tc, opts, tpchStatements(), engs, 1e-9)
-		}
+	for _, w := range parallelWorkerCounts {
+		opts := plan.DefaultOptions()
+		opts.Parallelism = w
+		runQueries(t, cat, opts, single, engs, 0)
+		runQueries(t, tc, opts, tpchStatements(), engs, 1e-9)
 	}
 }

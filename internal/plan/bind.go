@@ -1,15 +1,10 @@
 package plan
 
-import (
-	"sync"
-
-	"hique/internal/types"
-)
+import "hique/internal/types"
 
 // CheckArgs validates a bind vector against the plan's parameter slots:
 // exact arity and, per slot, the kind the compared column expects.
-// Arguments must already be coerced (Bind and BindInto perform no
-// conversion).
+// Arguments must already be coerced (Bind performs no conversion).
 func (p *Plan) CheckArgs(args []types.Datum) error {
 	return checkParamArgs(p.Params, args)
 }
@@ -25,46 +20,6 @@ func (p *Plan) CheckArgs(args []types.Datum) error {
 // Arguments must already be coerced to the slot kinds in Params; Bind
 // validates arity and kind but performs no conversion.
 func (p *Plan) Bind(args []types.Datum) (*Plan, error) {
-	return p.bind(nil, args)
-}
-
-// BindScratch is a reusable execution copy for Bind: all the memory a
-// bound plan needs — the plan header, join and stage descriptors, and the
-// filter/index-spec backing arrays — retained across executions so a
-// repeated Prepared.Run or plan-cache hit binds into the same scratch
-// instead of deep-copying afresh. Obtain one with GetBindScratch, hand it
-// back with PutBindScratch once the execution that used the bound plan
-// has completed; the bound plan aliases scratch memory and must not be
-// used afterwards.
-type BindScratch struct {
-	plan     Plan
-	joins    []Join
-	joinPtrs []*Join
-	stages   []Stage
-	agg      Agg
-	final    Stage
-	filters  []Filter
-	specs    []IndexScanSpec
-}
-
-var bindScratchPool = sync.Pool{New: func() any { return new(BindScratch) }}
-
-// GetBindScratch draws a scratch from the process-wide pool.
-func GetBindScratch() *BindScratch { return bindScratchPool.Get().(*BindScratch) }
-
-// PutBindScratch returns a scratch to the pool. The caller must be done
-// with every plan bound into it.
-func PutBindScratch(s *BindScratch) { bindScratchPool.Put(s) }
-
-// BindInto is Bind with the execution copy drawn from scratch instead of
-// the heap: the returned plan and its descriptors alias scratch memory,
-// so repeated executions of the same compiled query recycle one
-// allocation-free copy per concurrent caller.
-func (p *Plan) BindInto(scratch *BindScratch, args []types.Datum) (*Plan, error) {
-	return p.bind(scratch, args)
-}
-
-func (p *Plan) bind(scratch *BindScratch, args []types.Datum) (*Plan, error) {
 	if err := p.CheckArgs(args); err != nil {
 		return nil, err
 	}
@@ -72,125 +27,38 @@ func (p *Plan) bind(scratch *BindScratch, args []types.Datum) (*Plan, error) {
 		return p, nil
 	}
 
-	b := binder{scratch: scratch, args: args}
-	var q *Plan
-	if scratch != nil {
-		scratch.joins = scratch.joins[:0]
-		scratch.joinPtrs = scratch.joinPtrs[:0]
-		scratch.stages = scratch.stages[:0]
-		scratch.filters = scratch.filters[:0]
-		scratch.specs = scratch.specs[:0]
-		scratch.plan = *p
-		q = &scratch.plan
-	} else {
-		q = new(Plan)
-		*q = *p
-	}
+	q := new(Plan)
+	*q = *p
 	q.Params = nil // the copy is fully bound; Bind on it again is an arity error
 
 	if len(p.Joins) > 0 {
-		joins := b.joinSlice(len(p.Joins))
-		ptrs := b.joinPtrSlice(len(p.Joins))
+		joins := make([]Join, len(p.Joins))
+		q.Joins = make([]*Join, len(p.Joins))
 		for i, j := range p.Joins {
 			joins[i] = *j
-			joins[i].Inputs = b.stageSlice(len(j.Inputs))
+			joins[i].Inputs = make([]Stage, len(j.Inputs))
 			for k := range j.Inputs {
-				joins[i].Inputs[k] = b.bindStage(&j.Inputs[k])
+				joins[i].Inputs[k] = bindStage(&j.Inputs[k], args)
 			}
-			ptrs[i] = &joins[i]
+			q.Joins[i] = &joins[i]
 		}
-		q.Joins = ptrs
-	} else {
-		q.Joins = nil
 	}
 	if p.Agg != nil {
-		var na *Agg
-		if scratch != nil {
-			na = &scratch.agg
-		} else {
-			na = new(Agg)
-		}
+		na := new(Agg)
 		*na = *p.Agg
-		na.Input = b.bindStage(&p.Agg.Input)
+		na.Input = bindStage(&p.Agg.Input, args)
 		q.Agg = na
 	}
 	if p.Final != nil {
-		var nf *Stage
-		if scratch != nil {
-			nf = &scratch.final
-		} else {
-			nf = new(Stage)
-		}
-		*nf = b.bindStage(p.Final)
-		q.Final = nf
+		nf := bindStage(p.Final, args)
+		q.Final = &nf
 	}
 	return q, nil
 }
 
-// binder allocates the slices a bound plan needs, drawing from the
-// scratch's retained backing arrays when one is supplied.
-type binder struct {
-	scratch *BindScratch
-	args    []types.Datum
-}
-
-func (b *binder) joinSlice(n int) []Join {
-	if b.scratch == nil {
-		return make([]Join, n)
-	}
-	off := len(b.scratch.joins)
-	b.scratch.joins = grow(b.scratch.joins, n)
-	return b.scratch.joins[off : off+n]
-}
-
-func (b *binder) joinPtrSlice(n int) []*Join {
-	if b.scratch == nil {
-		return make([]*Join, n)
-	}
-	off := len(b.scratch.joinPtrs)
-	b.scratch.joinPtrs = grow(b.scratch.joinPtrs, n)
-	return b.scratch.joinPtrs[off : off+n]
-}
-
-func (b *binder) stageSlice(n int) []Stage {
-	if b.scratch == nil {
-		return make([]Stage, n)
-	}
-	off := len(b.scratch.stages)
-	b.scratch.stages = grow(b.scratch.stages, n)
-	return b.scratch.stages[off : off+n]
-}
-
-func (b *binder) filterSlice(n int) []Filter {
-	if b.scratch == nil {
-		return make([]Filter, n)
-	}
-	off := len(b.scratch.filters)
-	b.scratch.filters = grow(b.scratch.filters, n)
-	return b.scratch.filters[off : off+n]
-}
-
-func (b *binder) spec() *IndexScanSpec {
-	if b.scratch == nil {
-		return new(IndexScanSpec)
-	}
-	b.scratch.specs = grow(b.scratch.specs, 1)
-	return &b.scratch.specs[len(b.scratch.specs)-1]
-}
-
-// grow extends s by n elements, reusing capacity when available.
-func grow[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s[:len(s)+n]
-	}
-	out := make([]T, len(s)+n, 2*(len(s)+n))
-	copy(out, s)
-	return out
-}
-
 // bindStage returns a copy of the stage with parameter slots substituted.
 // Stages without parameters are copied by value but share their slices.
-func (b *binder) bindStage(st *Stage) Stage {
+func bindStage(st *Stage, args []types.Datum) Stage {
 	out := *st
 	hasParam := false
 	for i := range st.Filters {
@@ -200,11 +68,10 @@ func (b *binder) bindStage(st *Stage) Stage {
 		}
 	}
 	if hasParam {
-		fs := b.filterSlice(len(st.Filters))
-		copy(fs, st.Filters)
+		fs := append([]Filter(nil), st.Filters...)
 		for i := range fs {
 			if slot, ok := fs[i].Slot(); ok {
-				fs[i].Val = b.args[slot]
+				fs[i].Val = args[slot]
 				fs[i].Param = 0
 			}
 		}
@@ -212,9 +79,9 @@ func (b *binder) bindStage(st *Stage) Stage {
 	}
 	if st.IndexScan != nil {
 		if slot, ok := st.IndexScan.Slot(); ok {
-			spec := b.spec()
+			spec := new(IndexScanSpec)
 			*spec = *st.IndexScan
-			spec.Value = b.args[slot]
+			spec.Value = args[slot]
 			spec.Param = 0
 			out.IndexScan = spec
 		}

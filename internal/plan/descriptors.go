@@ -243,28 +243,31 @@ type Join struct {
 }
 
 // FusionEligible reports whether the join's shape allows the holistic
-// fused pipeline: a binary join whose inputs are base tables — or, when
-// chainFed is set (every join of a left-deep chain but the first), the
-// previous join's output on one side — whose staging matches the algorithm
-// (sorted inputs for merge join, coarse partitions for the hybrid
-// hash-sort-merge join, a value directory for the fine-partition join)
-// and whose staged columns are all direct copies. Filters and index
+// fused pipeline: a join of k ≥ 2 inputs — a binary join or a join team —
+// whose inputs are base tables — or, when chainFed is set (every join of
+// a left-deep chain but the first), the previous join's output on one
+// side — whose staging matches the algorithm (sorted inputs for merge
+// join, coarse partitions for the hybrid hash-sort-merge join, a value
+// directory for the fine-partition join) and whose staged columns are
+// all direct copies. A chain-fed merge input may also be unstaged: the
+// previous merge join already emits it in key order. Filters and index
 // specs on the inputs may carry parameter slots — including on the
 // join-key columns themselves — since the fused executor reads the bind
 // vector at run time. This is the one structural predicate: the planner
 // and the generator agree on what "fusible" means through it.
 func (j *Join) FusionEligible(chainFed bool) bool {
-	if len(j.Inputs) != 2 || len(j.Keys) != 2 {
+	if len(j.Inputs) < 2 || len(j.Keys) != len(j.Inputs) {
 		return false
 	}
 	for i := range j.Inputs {
 		st := &j.Inputs[i]
-		if st.Input.Base < 0 && !chainFed {
+		fed := st.Input.Base < 0
+		if fed && !chainFed {
 			return false
 		}
 		switch j.Alg {
 		case MergeJoin:
-			if st.Action != StageSort {
+			if st.Action != StageSort && !(fed && st.Action == StageNone) {
 				return false
 			}
 		case HybridJoin:
@@ -273,7 +276,7 @@ func (j *Join) FusionEligible(chainFed bool) bool {
 			}
 		case FinePartitionJoin:
 			// A missing directory (nil, as opposed to an empty one) is a
-			// plan-level error the general path reports.
+			// plan-level error.
 			if st.Action != StagePartitionFine || st.FineValues == nil {
 				return false
 			}
@@ -354,7 +357,8 @@ type Agg struct {
 // case) or explicitly sorted (StageSort), hybrid hash-sort aggregation
 // over coarse partitions, and map aggregation through its value
 // directories (the Figure 4 offset formula updates aggregate arrays
-// inside the join loop — the fully-fused headline pipeline).
+// inside the join loop — the fully-fused headline pipeline; a
+// group-less aggregate is the one-group map and needs none).
 func (a *Agg) FusionEligible() bool {
 	switch a.Alg {
 	case SortAggregation:
@@ -362,8 +366,7 @@ func (a *Agg) FusionEligible() bool {
 	case HybridAggregation:
 		return a.Input.Action == StagePartitionCoarse && a.Input.Partitions > 0
 	case MapAggregation:
-		return a.Input.Action == StageNone &&
-			len(a.GroupCols) > 0 && len(a.Directories) == len(a.GroupCols)
+		return a.Input.Action == StageNone && len(a.Directories) == len(a.GroupCols)
 	}
 	return false
 }

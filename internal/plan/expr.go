@@ -15,12 +15,11 @@
 // Agg.FusionEligible) tell the generator which shapes its fused pipelines
 // may claim.
 //
-// Ownership and pooling: a built Plan is immutable once cached — parameter
-// slots (ParamSlot, the Filter/IndexScanSpec Param encoding) are resolved
-// by Bind into a copy, never in place, and the serving path recycles those
-// copies through the pooled BindScratch (GetBindScratch/PutBindScratch,
-// one per concurrent caller). The fused pipelines skip Bind entirely and
-// read the bind vector at execution time.
+// Ownership: a built Plan is immutable once cached — parameter slots
+// (ParamSlot, the Filter/IndexScanSpec Param encoding) are resolved by
+// Bind into a copy, never in place. The fused pipelines skip Bind
+// entirely and read the bind vector at execution time; the interpreted
+// engines and -O0 bind a copy per execution.
 package plan
 
 import (

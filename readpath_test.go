@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hique/internal/codegen"
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/tpch"
@@ -387,6 +388,26 @@ func TestLockSetDedupes(t *testing.T) {
 	}
 }
 
+// walkStages runs text through core's operator walk, the differential
+// oracle, traced, and returns the stages it recorded.
+func walkStages(t *testing.T, db *DB, text string) []StageStats {
+	t.Helper()
+	p, _, unlock, err := db.planLocked(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlock()
+	p.Trace = &plan.Trace{}
+	if _, err := core.NewEngine().Execute(p); err != nil {
+		t.Fatalf("%q through the walk: %v", text, err)
+	}
+	var out []StageStats
+	for _, s := range p.Trace.Stages {
+		out = append(out, StageStats{Name: s.Name, RowsIn: s.RowsIn, RowsOut: s.RowsOut})
+	}
+	return out
+}
+
 // TestTPCHFusesAsQueryShapesIt asserts, for the four TPC-H texts, that the
 // artefact DB.Query caches — compiled from the auto-parameterised shape,
 // not from the literal text — took a fused pipeline, and that EXPLAIN
@@ -434,19 +455,14 @@ func TestTPCHFusesAsQueryShapesIt(t *testing.T) {
 		if len(cq.Plan.Joins) < 2 {
 			continue
 		}
-		codegen.SetFusion(false)
-		w, err := Open(WithCatalog(cat), WithPlanCache(16)).ExplainAnalyze(text)
-		codegen.SetFusion(true)
-		if err != nil {
-			t.Fatalf("Q%d EXPLAIN ANALYZE through the walk: %v", n, err)
-		}
-		if got, want := stageNames(a.Stages), stageNames(w.Stages); !reflect.DeepEqual(got, want) {
+		w := walkStages(t, db, text)
+		if got, want := stageNames(a.Stages), stageNames(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("Q%d: fused stages %v, the walk's %v", n, got, want)
 		}
 		for ji, j := range cq.Plan.Joins {
 			name := plan.TraceJoin(ji)
 			fs, _ := stageByName(a.Stages, name)
-			if ws, _ := stageByName(w.Stages, name); fs.RowsOut != ws.RowsOut {
+			if ws, _ := stageByName(w, name); fs.RowsOut != ws.RowsOut {
 				t.Errorf("Q%d: %s rows-out %d, the walk's %d", n, name, fs.RowsOut, ws.RowsOut)
 			}
 			for s := range j.Inputs {
@@ -495,4 +511,66 @@ func parallelQueries(t *testing.T, db *DB) int64 {
 	}
 	t.Fatal("no hique_parallel_queries_total sample")
 	return 0
+}
+
+// TestUncachedQueriesRunFused: without a plan cache — Open's default, and
+// hique-server -cache 0 — every SELECT still compiles at -O2 and runs a
+// fused pipeline, single-table, join, join+aggregate and join team
+// alike; the latency histogram records only path="fused", and EXPLAIN
+// ANALYZE names the path the query ran.
+func TestUncachedQueriesRunFused(t *testing.T) {
+	db := Open()
+	for _, name := range []string{"ua", "ub", "uc"} {
+		if err := db.CreateTable(name, Int("k"), Int("v")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if err := db.Insert(name, int64(i%20), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stmts := []string{
+		"SELECT v FROM ua WHERE k = 3",
+		"SELECT ua.v, ub.v FROM ua, ub WHERE ua.k = ub.k AND ua.v < 50",
+		"SELECT ua.k, COUNT(*) AS n, SUM(ub.v) AS s FROM ua, ub WHERE ua.k = ub.k GROUP BY ua.k",
+		"SELECT ua.k, COUNT(*) AS n FROM ua, ub, uc WHERE ua.k = ub.k AND ub.k = uc.k GROUP BY ua.k",
+	}
+	for _, q := range stmts {
+		if _, err := db.Query(q); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		a, err := db.ExplainAnalyze(q)
+		if err != nil {
+			t.Fatalf("EXPLAIN ANALYZE %q: %v", q, err)
+		}
+		if a.Path != "fused" {
+			t.Errorf("%q: EXPLAIN ANALYZE reports path=%q, want fused", q, a.Path)
+		}
+	}
+	var b strings.Builder
+	if err := db.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	fused := 0.0
+	for _, line := range strings.Split(b.String(), "\n") {
+		sample, v, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(sample, "hique_query_duration_seconds_count{") {
+			continue
+		}
+		n, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case strings.Contains(sample, `path="fused"`):
+			fused += n
+		case n != 0:
+			t.Errorf("%s %v: an uncached SELECT ran off the fused path", sample, n)
+		}
+	}
+	// Each statement runs twice: the query and its EXPLAIN ANALYZE.
+	if want := float64(2 * len(stmts)); fused != want {
+		t.Errorf("path=\"fused\" counts %v executions, want %v", fused, want)
+	}
 }
