@@ -36,10 +36,10 @@ type ParallelStats struct {
 // the per-stage execution statistics, and the totals of the actual run
 // that produced them. Path is "fused" (a single-table pipeline or a
 // chain of fused joins: every SELECT on the default engine) or
-// "general" (the interpreted engines and -O0); Workers is the compiled
-// worker target of the widest phase of any join, Parallel the phases
-// that actually ran on more than the caller (empty for serial
-// executions).
+// "general" (an injected executor: the interpreted engines and -O0);
+// Workers is the compiled worker target of the widest phase of any join,
+// Parallel the phases that actually ran on more than the caller (empty
+// for serial executions).
 type AnalyzeResult struct {
 	Engine   string          `json:"engine"`
 	Path     string          `json:"path"`
@@ -74,10 +74,10 @@ func (a *AnalyzeResult) String() string {
 // ExplainAnalyze plans, executes, and profiles a SELECT statement: the
 // engines record per-stage row counts and timings into a pooled trace
 // attached to this execution only. The statement actually runs (its
-// result is drained to count rows), on the engine currently selected —
-// holistic engines compile a dedicated traced pipeline, so cached
-// serving pipelines never carry trace branches and pay nothing when
-// tracing is not requested. The text is shaped exactly as Query shapes
+// result is drained to count rows) on the DB's engine — the default
+// compiles a dedicated traced pipeline, so cached serving pipelines
+// never carry trace branches and pay nothing when tracing is not
+// requested. The text is shaped exactly as Query shapes
 // it (literals lifted into bind slots when the plan cache is on), so the
 // plan, path and worker target reported are the serving artefact's, not
 // those of a literal-specialised sibling.
@@ -89,19 +89,16 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 	tr := plan.GetTrace()
 	defer plan.PutTrace(tr)
 
-	// The serving path for holistic engines is the codegen pipeline;
-	// prepare compiles a fresh artefact against the traced plan so fused
+	// prepare builds a fresh artefact against the traced plan, so fused
 	// loops bake their trace hooks in (codegen.fusedQuery.traced).
-	ec := db.engineChoice()
-	_, compiled := cacheLevel(ec.engine)
-	shaped := db.cache != nil && compiled
+	shaped := db.cache != nil
 	if shaped {
 		if err := sc.shape.Shape(query); err != nil {
 			return nil, err
 		}
 		query = string(sc.shape.Out)
 	}
-	art, unlock, err := db.prepare(query, ec, tr)
+	art, unlock, err := db.prepare(query, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +108,7 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 		return nil, err
 	}
 	out := &AnalyzeResult{
-		Engine:  ec.name(),
+		Engine:  db.EngineName(),
 		Path:    "general",
 		Workers: 1,
 		Plan:    planText,

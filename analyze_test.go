@@ -16,9 +16,9 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-)
 
-var analyzeEngines = []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
+	"hique/internal/enginetest"
+)
 
 var analyzeQueries = []struct {
 	name string
@@ -69,13 +69,13 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 				a      *AnalyzeResult
 			}
 			var runs []run
-			for _, e := range analyzeEngines {
-				db := joinTestDB(t, WithEngine(e))
+			for _, e := range enginetest.DBEngines() {
+				db := joinTestDB(t, WithEngine(e.Engine))
 				a, err := db.ExplainAnalyze(q.sql, q.args...)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
 				}
-				runs = append(runs, run{engine: e.String(), a: a})
+				runs = append(runs, run{engine: e.Name, a: a})
 			}
 			base := runs[0]
 			if base.a.Rows == 0 {

@@ -30,7 +30,6 @@ func main() {
 	dir := flag.String("dir", "", "load tables from this directory instead of generating TPC-H")
 	qnum := flag.Int("q", 0, "use TPC-H query 1, 3 or 10 instead of a SQL argument")
 	analyze := flag.Bool("analyze", false, "execute the query and report per-stage rows and timings (EXPLAIN ANALYZE)")
-	engine := flag.String("engine", "holistic", "engine for -analyze: holistic, generic-iterators, optimized-iterators, column-store, holistic-O0")
 	flag.Parse()
 
 	query := strings.Join(flag.Args(), " ")
@@ -73,17 +72,12 @@ func main() {
 	}
 
 	if *analyze {
-		eng, ok := hique.EngineByName(*engine)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
-			os.Exit(2)
-		}
 		// An "EXPLAIN ANALYZE SELECT ..." argument is accepted too — the
 		// keywords are implied by -analyze.
 		if rest, ok := hique.StripExplainAnalyze(query); ok {
 			query = rest
 		}
-		db := hique.Open(hique.WithCatalog(cat), hique.WithEngine(eng))
+		db := hique.Open(hique.WithCatalog(cat))
 		a, err := db.ExplainAnalyze(query)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

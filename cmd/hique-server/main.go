@@ -100,7 +100,6 @@ func main() {
 	workers := flag.Int("workers", 8, "maximum concurrently executing queries")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "admission wait before 503")
 	cacheSize := flag.Int("cache", 256, "plan cache capacity in entries (0 disables)")
-	engine := flag.String("engine", "holistic", "execution engine (holistic, generic-iterators, optimized-iterators, column-store, holistic-O0)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	mutexFrac := flag.Int("mutexprofile", 0, "mutex profile sampling fraction (runtime.SetMutexProfileFraction; 0 disables)")
 	blockRate := flag.Int("blockprofile", 0, "block profile sampling rate in ns (runtime.SetBlockProfileRate; 0 disables)")
@@ -112,11 +111,7 @@ func main() {
 	if *dir != "" && *dataDir != "" {
 		fatal(fmt.Errorf("-dir and -data are mutually exclusive: -dir loads a table snapshot, -data opens a durable database"))
 	}
-	e, ok := hique.EngineByName(*engine)
-	if !ok {
-		fatal(fmt.Errorf("unknown engine %q", *engine))
-	}
-	opts := []hique.Option{hique.WithEngine(e)}
+	var opts []hique.Option
 	if *cacheSize > 0 {
 		opts = append(opts, hique.WithPlanCache(*cacheSize))
 	}

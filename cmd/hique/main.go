@@ -1,4 +1,5 @@
-// Command hique is an interactive SQL shell over the holistic engine.
+// Command hique is an interactive SQL shell over a hique.DB — the same
+// database, locks and write path the HTTP server wraps.
 //
 // Usage:
 //
@@ -6,11 +7,10 @@
 //	hique -dir ./data           # open tables written by hique-gen
 //	hique -tpch 0.01            # in-memory TPC-H at the given scale
 //
-// Shell commands:
+// A line is a SELECT, an INSERT/UPDATE/DELETE, or EXPLAIN ANALYZE
+// followed by a SELECT. Shell commands:
 //
 //	\tables              list tables
-//	\engine NAME         switch engine (holistic, generic-iterators,
-//	                     optimized-iterators, column-store, holistic-O0)
 //	\explain SELECT ...  show the optimizer plan
 //	\source  SELECT ...  show the generated source
 //	\q                   quit
@@ -23,47 +23,22 @@ import (
 	"os"
 	"strings"
 
+	"hique"
 	"hique/internal/catalog"
-	"hique/internal/codegen"
-	"hique/internal/dsm"
-	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
 	"hique/internal/tpch"
-	"hique/internal/types"
-	"hique/internal/volcano"
 )
 
-type executor interface {
-	Name() string
-	Execute(p *plan.Plan) (*storage.Table, error)
-}
-
-// codegenExec runs a plan as the holistic engine does: generated and
-// compiled at its optimisation level (-O2: the fused pipelines).
-type codegenExec struct{ level codegen.OptLevel }
-
-func (c codegenExec) Name() string {
-	if c.level == codegen.OptO2 {
-		return "HIQUE"
-	}
-	return "holistic" + c.level.String()
-}
-
-func (c codegenExec) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, c.level)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
-}
+// maxShown caps the rows a query prints; the total is reported.
+const maxShown = 50
 
 func main() {
 	dir := flag.String("dir", "", "open tables from this directory")
 	tpchSF := flag.Float64("tpch", 0, "load an in-memory TPC-H catalogue at this scale factor")
 	flag.Parse()
 
-	cat := catalog.New()
+	var opts []hique.Option
 	switch {
 	case *dir != "":
 		mgr, err := storage.NewManager(*dir)
@@ -74,6 +49,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		cat := catalog.New()
 		for _, n := range names {
 			t, err := mgr.Load(n)
 			if err != nil {
@@ -82,13 +58,14 @@ func main() {
 			cat.Register(t)
 			fmt.Printf("loaded %s (%d rows)\n", n, t.NumRows())
 		}
+		opts = append(opts, hique.WithCatalog(cat))
 	case *tpchSF > 0:
-		cat = tpch.Generate(tpch.Config{ScaleFactor: *tpchSF, Seed: 42})
+		opts = append(opts, hique.WithCatalog(tpch.Generate(tpch.Config{ScaleFactor: *tpchSF, Seed: 42})))
 		fmt.Printf("generated TPC-H at SF %.3f\n", *tpchSF)
 	}
+	db := hique.Open(opts...)
 
-	var exec executor = codegenExec{level: codegen.OptO2}
-	fmt.Println("HIQUE shell — engine:", exec.Name(), "(\\q to quit)")
+	fmt.Println("HIQUE shell — engine:", db.EngineName(), "(\\q to quit)")
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Print("hique> ")
@@ -99,81 +76,71 @@ func main() {
 		case line == `\q`:
 			return
 		case line == `\tables`:
-			for _, n := range cat.Names() {
-				e, _ := cat.Lookup(n)
-				fmt.Printf("  %-12s %9d rows  %s\n", n, e.Table.NumRows(), e.Table.Schema())
+			for _, n := range db.Tables() {
+				rows, cols, err := db.TableInfo(n)
+				if err != nil {
+					fmt.Println("error:", err)
+					continue
+				}
+				fmt.Printf("  %-12s %9d rows  %s\n", n, rows, strings.Join(cols, ", "))
 			}
-		case strings.HasPrefix(line, `\engine `):
-			name := strings.TrimSpace(strings.TrimPrefix(line, `\engine `))
-			switch name {
-			case "holistic":
-				exec = codegenExec{level: codegen.OptO2}
-			case "generic-iterators":
-				exec = volcano.NewGeneric()
-			case "optimized-iterators":
-				exec = volcano.NewOptimized()
-			case "column-store":
-				exec = dsm.NewEngine()
-			case "holistic-O0":
-				exec = codegenExec{level: codegen.OptO0}
-			default:
-				fmt.Println("unknown engine:", name)
-			}
-			fmt.Println("engine:", exec.Name())
 		case strings.HasPrefix(line, `\explain `):
-			if p, err := buildPlan(cat, strings.TrimPrefix(line, `\explain `)); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Print(p.Explain())
-			}
+			show(db.Explain(strings.TrimPrefix(line, `\explain `)))
 		case strings.HasPrefix(line, `\source `):
-			if p, err := buildPlan(cat, strings.TrimPrefix(line, `\source `)); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Print(codegen.EmitSource(p))
-			}
+			show(db.GeneratedSource(strings.TrimPrefix(line, `\source `)))
 		default:
-			runQuery(cat, exec, line)
+			run(db, line)
 		}
 		fmt.Print("hique> ")
 	}
 }
 
-func buildPlan(cat *catalog.Catalog, query string) (*plan.Plan, error) {
-	stmt, err := sql.Parse(query)
+// show prints a rendered plan or source, or the error producing it.
+func show(text string, err error) {
 	if err != nil {
-		return nil, err
+		fmt.Println("error:", err)
+		return
 	}
-	return plan.Build(stmt, cat)
+	fmt.Print(text)
 }
 
-func runQuery(cat *catalog.Catalog, exec executor, query string) {
-	p, err := buildPlan(cat, query)
+// run executes one statement and prints its outcome.
+func run(db *hique.DB, stmt string) {
+	if rest, ok := hique.StripExplainAnalyze(stmt); ok {
+		a, err := db.ExplainAnalyze(rest)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		fmt.Print(a.String())
+		return
+	}
+	if sql.IsDML(stmt) {
+		res, err := db.Exec(stmt)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		fmt.Printf("(%d rows affected)\n", res.RowsAffected)
+		return
+	}
+	res, err := db.Query(stmt)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	out, err := exec.Execute(p)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	s := out.Schema()
-	fmt.Println(strings.Join(p.OutputNames, " | "))
-	shown := 0
-	out.Scan(func(tuple []byte) bool {
-		cells := make([]string, s.NumColumns())
-		for i := range cells {
-			cells[i] = s.GetDatum(tuple, i).String()
+	fmt.Println(strings.Join(res.Columns, " | "))
+	for _, row := range res.Rows[:min(len(res.Rows), maxShown)] {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = fmt.Sprint(v)
 		}
 		fmt.Println(strings.Join(cells, " | "))
-		shown++
-		return shown < 50
-	})
-	if out.NumRows() > shown {
-		fmt.Printf("... (%d rows total)\n", out.NumRows())
+	}
+	if len(res.Rows) > maxShown {
+		fmt.Printf("... (%d rows total)\n", len(res.Rows))
 	} else {
-		fmt.Printf("(%d rows)\n", out.NumRows())
+		fmt.Printf("(%d rows)\n", len(res.Rows))
 	}
 }
 
@@ -181,6 +148,3 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }
-
-// silence unused-import lint for types (Datum String used via schema).
-var _ = types.IntDatum

@@ -10,48 +10,42 @@ import (
 	"time"
 )
 
-// allEngines is the differential set every durability test diffs
-// recovered state across.
-var allEngines = []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
-
-// engineDumps runs a canonical query set under every engine and renders
-// the results; recovered state must reproduce these byte-identically.
-func engineDumps(t *testing.T, db *DB) map[Engine]string {
+// engineDumps runs a canonical query set under every engine, each a DB
+// opened over db's catalogue, and renders the results by engine name;
+// recovered state must reproduce these byte-identically.
+func engineDumps(t *testing.T, db *DB) map[string]string {
 	t.Helper()
 	queries := []string{
 		"SELECT k, v, s FROM kv",
 		"SELECT k, v FROM kv WHERE k >= 10",
 		"SELECT COUNT(*), SUM(v) FROM kv",
 	}
-	dumps := make(map[Engine]string, len(allEngines))
-	for _, e := range allEngines {
-		db.SetEngine(e)
+	dbs := engineDBs(db.Catalog())
+	dumps := make(map[string]string, len(dbs))
+	for _, e := range dbs {
 		var b strings.Builder
 		for _, q := range queries {
-			res, err := db.Query(q)
+			res, err := e.Query(q)
 			if err != nil {
-				t.Fatalf("engine %v: %s: %v", e, q, err)
+				t.Fatalf("engine %s: %s: %v", e.name, q, err)
 			}
 			fmt.Fprintf(&b, "%s: %v\n", q, res.Rows)
 		}
-		dumps[e] = b.String()
-	}
-	db.SetEngine(Holistic)
-	for _, e := range allEngines[1:] {
-		if dumps[e] != dumps[allEngines[0]] {
-			t.Fatalf("engines disagree before any recovery:\n%v: %s\n%v: %s",
-				allEngines[0], dumps[allEngines[0]], e, dumps[e])
+		dumps[e.name] = b.String()
+		if dumps[e.name] != dumps[dbs[0].name] {
+			t.Fatalf("engines disagree before any recovery:\n%s: %s\n%s: %s",
+				dbs[0].name, dumps[dbs[0].name], e.name, dumps[e.name])
 		}
 	}
 	return dumps
 }
 
 // requireSameDumps diffs two engine dump sets.
-func requireSameDumps(t *testing.T, want, got map[Engine]string) {
+func requireSameDumps(t *testing.T, want, got map[string]string) {
 	t.Helper()
-	for _, e := range allEngines {
+	for e := range want {
 		if got[e] != want[e] {
-			t.Fatalf("engine %v diverged after recovery:\nbefore: %s\nafter:  %s", e, want[e], got[e])
+			t.Fatalf("engine %s diverged after recovery:\nbefore: %s\nafter:  %s", e, want[e], got[e])
 		}
 	}
 }

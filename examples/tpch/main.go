@@ -6,35 +6,19 @@ package main
 import (
 	"flag"
 	"fmt"
+	"time"
 
 	"hique/internal/codegen"
 	"hique/internal/dsm"
 	"hique/internal/plan"
 	"hique/internal/sql"
-	"hique/internal/storage"
 	"hique/internal/tpch"
 	"hique/internal/volcano"
-	"time"
 )
-
-type engine interface {
-	Name() string
-	Execute(p *plan.Plan) (*storage.Table, error)
-}
 
 // holistic is the paper's engine: the plan generated and compiled at
 // -O2, which runs the fused pipelines.
-type holistic struct{}
-
-func (holistic) Name() string { return "HIQUE" }
-
-func (holistic) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, codegen.OptO2)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
-}
+var holistic = codegen.Executor{Level: codegen.OptO2}
 
 func main() {
 	sf := flag.Float64("sf", 0.05, "TPC-H scale factor")
@@ -46,11 +30,11 @@ func main() {
 	li, _ := cat.Lookup("lineitem")
 	fmt.Printf("done in %s (%d lineitems)\n\n", time.Since(start).Round(time.Millisecond), li.Table.NumRows())
 
-	engines := []engine{
+	engines := []plan.Executor{
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),
-		holistic{},
+		holistic,
 	}
 
 	fmt.Printf("%-22s %10s %10s %10s\n", "engine", "Q1", "Q3", "Q10")
@@ -79,7 +63,7 @@ func main() {
 	q, _ := tpch.Query(1)
 	stmt, _ := sql.Parse(q)
 	p, _ := plan.Build(stmt, cat)
-	out, err := holistic{}.Execute(p)
+	out, err := holistic.Execute(p)
 	if err != nil {
 		panic(err)
 	}

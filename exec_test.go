@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"hique/internal/dsm"
+	"hique/internal/enginetest"
 )
 
 // checkStats fails the test unless every table's statistics equal a
@@ -210,10 +213,9 @@ func TestOversizedStringsRejected(t *testing.T) {
 // stored values only, so DELETE/UPDATE filters accept wide comparands
 // too.
 func TestOversizedStringComparisons(t *testing.T) {
-	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
-	for _, eng := range engines {
-		t.Run(eng.String(), func(t *testing.T) {
-			db := execDB(t, WithEngine(eng)) // label is Char(8)
+	for _, eng := range enginetest.DBEngines() {
+		t.Run(eng.Name, func(t *testing.T) {
+			db := execDB(t, WithEngine(eng.Engine)) // label is Char(8)
 			for i, label := range []string{"aaaa", "zzzzzzzz", "mmmm"} {
 				if err := db.Insert("items", i, float64(i), label); err != nil {
 					t.Fatal(err)
@@ -387,7 +389,7 @@ func TestDMLMaintainsIndexes(t *testing.T) {
 // path rejects Float grouping) reports a statement error, and the same DB
 // keeps answering.
 func TestEnginePanicContained(t *testing.T) {
-	db := execDB(t, WithEngine(ColumnStore))
+	db := execDB(t, WithEngine(dsm.NewEngine()))
 	for i := 0; i < 10; i++ {
 		if err := db.Insert("items", i, float64(i)+0.5, "x"); err != nil {
 			t.Fatal(err)

@@ -71,8 +71,6 @@ var joinQueries = []struct {
 // on both join keys switch the planner to the merge join, with the
 // dimension side streamed off the B+-tree in key order).
 func TestFusedJoinMatchesAllEngines(t *testing.T) {
-	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
-
 	cachedIndexed := joinTestDB(t, WithPlanCache(64))
 	for _, idx := range [][2]string{{"fact", "grp"}, {"fact", "id"}, {"dim", "id"}} {
 		if err := cachedIndexed.BuildIndex(idx[0], idx[1]); err != nil {
@@ -84,40 +82,39 @@ func TestFusedJoinMatchesAllEngines(t *testing.T) {
 		{"prepared-literal", preparedLiteralRoute(joinTestDB(t))},
 		{"cached-indexed", cachedIndexed.Query},
 	}
-	uncached := joinTestDB(t)
-	indexed := joinTestDB(t) // index-backed, uncached: every engine sees the merge-selected plan
+	uncached := engineDBs(joinTestDB(t).Catalog())
+	indexedDB := joinTestDB(t) // index-backed, uncached: every engine sees the merge-selected plan
 	for _, idx := range [][2]string{{"fact", "grp"}, {"fact", "id"}, {"dim", "id"}} {
-		if err := indexed.BuildIndex(idx[0], idx[1]); err != nil {
+		if err := indexedDB.BuildIndex(idx[0], idx[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	indexed := engineDBs(indexedDB.Catalog())
 
 	for _, q := range joinQueries {
 		var want *Result
-		for _, e := range engines {
-			uncached.SetEngine(e)
-			got, err := uncached.Query(q.sql, q.args...)
+		for _, db := range uncached {
+			got, err := db.Query(q.sql, q.args...)
 			if err != nil {
-				t.Fatalf("%s on %v: %v", q.sql, e, err)
+				t.Fatalf("%s on %s: %v", q.sql, db.name, err)
 			}
 			if want == nil {
 				want = got
 				continue
 			}
 			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s: engine %v diverges:\n got %v\nwant %v", q.sql, e, got.Rows, want.Rows)
+				t.Fatalf("%s: engine %s diverges:\n got %v\nwant %v", q.sql, db.name, got.Rows, want.Rows)
 			}
 		}
 		// The index-backed plan (merge join) must produce the same rows
 		// on every engine as the un-indexed plan.
-		for _, e := range engines {
-			indexed.SetEngine(e)
-			got, err := indexed.Query(q.sql, q.args...)
+		for _, db := range indexed {
+			got, err := db.Query(q.sql, q.args...)
 			if err != nil {
-				t.Fatalf("%s indexed on %v: %v", q.sql, e, err)
+				t.Fatalf("%s indexed on %s: %v", q.sql, db.name, err)
 			}
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s: indexed %v diverges:\n got %v\nwant %v", q.sql, e, got.Rows, want.Rows)
+				t.Fatalf("%s: indexed %s diverges:\n got %v\nwant %v", q.sql, db.name, got.Rows, want.Rows)
 			}
 		}
 		for _, r := range routes {
@@ -143,8 +140,8 @@ func TestFusedJoinMatchesAllEngines(t *testing.T) {
 // the count and that every emitted row is a real group of the unlimited
 // result.
 func TestGroupByLimitAcrossEngines(t *testing.T) {
-	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
 	db := joinTestDB(t)
+	engines := engineDBs(db.Catalog())
 	cached := joinTestDB(t, WithPlanCache(64))
 
 	cases := []struct {
@@ -164,28 +161,27 @@ func TestGroupByLimitAcrossEngines(t *testing.T) {
 	for _, c := range cases {
 		var wantFull *Result
 		for _, e := range engines {
-			db.SetEngine(e)
-			full, err := db.Query(c.full)
+			full, err := e.Query(c.full)
 			if err != nil {
-				t.Fatalf("%s on %v: %v", c.full, e, err)
+				t.Fatalf("%s on %s: %v", c.full, e.name, err)
 			}
 			if wantFull == nil {
 				wantFull = full
 			}
-			limited, err := db.Query(c.limited)
+			limited, err := e.Query(c.limited)
 			if err != nil {
-				t.Fatalf("%s on %v: %v", c.limited, e, err)
+				t.Fatalf("%s on %s: %v", c.limited, e.name, err)
 			}
 			n := c.n
 			if n > len(full.Rows) {
 				n = len(full.Rows)
 			}
 			if len(limited.Rows) != n {
-				t.Fatalf("%s on %v: %d rows, want %d (groups, not input rows)", c.limited, e, len(limited.Rows), n)
+				t.Fatalf("%s on %s: %d rows, want %d (groups, not input rows)", c.limited, e.name, len(limited.Rows), n)
 			}
 			if !reflect.DeepEqual(limited.Rows, full.Rows[:n]) {
-				t.Fatalf("%s on %v: limited rows are not the first %d groups:\n got %v\nwant %v",
-					c.limited, e, n, limited.Rows, full.Rows[:n])
+				t.Fatalf("%s on %s: limited rows are not the first %d groups:\n got %v\nwant %v",
+					c.limited, e.name, n, limited.Rows, full.Rows[:n])
 			}
 		}
 		// Warm cached (fused) route agrees with the engines.
@@ -227,12 +223,11 @@ func TestGroupByLimitAcrossEngines(t *testing.T) {
 		}
 	}
 	for _, e := range engines {
-		db.SetEngine(e)
-		res, err := db.Query(unordered)
+		res, err := e.Query(unordered)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(res, fmt.Sprintf("engine %v", e))
+		check(res, "engine "+e.name)
 	}
 	for pass := 0; pass < 2; pass++ {
 		res, err := cached.Query(unordered)

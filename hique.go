@@ -36,7 +36,6 @@ import (
 
 	"hique/internal/catalog"
 	"hique/internal/codegen"
-	"hique/internal/dsm"
 	"hique/internal/morsel"
 	"hique/internal/obs"
 	"hique/internal/plan"
@@ -66,52 +65,23 @@ func Date(name string) Column { return Column{Name: name, kind: types.Date, size
 // Char declares a fixed-width string column.
 func Char(name string, width int) Column { return Column{Name: name, kind: types.String, size: width} }
 
-// Engine selects the execution engine for a DB.
-type Engine int
+// Engine executes a DB's bound plans. A DB opened without WithEngine
+// keeps none: it runs every SELECT as compiled -O2 generated code, the
+// paper's engine. Any other executor is a comparator fixed at Open.
+type Engine = plan.Executor
 
-const (
-	// Holistic is the paper's engine: per-query generated code (default).
-	Holistic Engine = iota
-	// GenericIterators is the interpreted Volcano baseline.
-	GenericIterators
-	// OptimizedIterators is the type-specialised Volcano baseline.
-	OptimizedIterators
-	// ColumnStore is the DSM (MonetDB-style) comparator engine.
-	ColumnStore
-	// HolisticUnoptimized runs generated plans at the -O0 level (boxed
-	// templates); useful for studying the optimisation gap (Table II).
-	HolisticUnoptimized
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	return [...]string{"holistic", "generic-iterators", "optimized-iterators", "column-store", "holistic-O0"}[e]
-}
-
-// EngineByName resolves an engine from its String form; ok reports
-// whether the name is known.
-func EngineByName(name string) (Engine, bool) {
-	for _, e := range []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized} {
-		if e.String() == name {
-			return e, true
-		}
-	}
-	return Holistic, false
-}
-
-type executor interface {
-	Name() string
-	Execute(p *plan.Plan) (*storage.Table, error)
-}
+// OptimizedIterators is the type-specialised Volcano baseline, the
+// independent reference result checks compare the holistic engine with.
+var OptimizedIterators Engine = volcano.NewOptimized()
 
 // DB is an embedded HIQUE database: a catalogue of in-memory tables and a
 // query engine. All methods are safe for concurrent use.
 type DB struct {
 	cat *catalog.Catalog
 
-	// mu guards the engine selection.
-	mu sync.RWMutex
-	ec engineChoice
+	// exec runs every SELECT's bound plan; nil runs each as compiled -O2
+	// code. Fixed at Open.
+	exec Engine
 
 	// opts are the optimizer options, fixed at Open.
 	opts plan.Options
@@ -119,7 +89,7 @@ type DB struct {
 	// ddlMu serialises CreateTable's existence check with registration.
 	ddlMu sync.Mutex
 
-	// cache holds compiled holistic queries keyed by normalised SQL +
+	// cache holds prepared SELECT artefacts keyed by normalised SQL +
 	// optimizer configuration; nil when disabled.
 	cache *plancache.Cache
 
@@ -170,9 +140,10 @@ func WithCatalog(cat *catalog.Catalog) Option {
 	return func(db *DB) { db.cat = cat }
 }
 
-// WithEngine selects the initial execution engine.
+// WithEngine fixes the engine every SELECT runs on; nil keeps the
+// default compiled -O2 pipeline.
 func WithEngine(e Engine) Option {
-	return func(db *DB) { db.SetEngine(e) }
+	return func(db *DB) { db.exec = e }
 }
 
 // WithParallelism sets the worker target for morsel-driven parallel
@@ -192,7 +163,7 @@ func WithParallelism(n int) Option {
 }
 
 // Open creates a database using the holistic engine. Options enable the
-// plan cache, adopt an existing catalogue, pick another engine, or make
+// plan cache, adopt an existing catalogue, inject another engine, or make
 // the database durable (WithDurability; recovery failures panic here —
 // servers should use OpenDurable for an error instead).
 func Open(options ...Option) *DB {
@@ -208,7 +179,6 @@ func Open(options ...Option) *DB {
 // the hique_wal_fsync_seconds histogram.
 func newDB(options []Option) (*DB, error) {
 	db := &DB{cat: catalog.New(), opts: plan.DefaultOptions()}
-	db.SetEngine(Holistic)
 	for _, o := range options {
 		o(db)
 	}
@@ -231,25 +201,13 @@ func newDB(options []Option) (*DB, error) {
 // Telemetry is always on; recording costs a few atomic adds per query.
 func (db *DB) Metrics() *obs.Registry { return db.met.reg }
 
-// SetEngine switches the execution engine.
-func (db *DB) SetEngine(e Engine) {
-	ec := engineChoice{engine: e}
-	switch e {
-	case GenericIterators:
-		ec.exec = volcano.NewGeneric()
-	case OptimizedIterators:
-		ec.exec = volcano.NewOptimized()
-	case ColumnStore:
-		ec.exec = dsm.NewEngine()
-	}
-	db.mu.Lock()
-	db.ec = ec
-	db.mu.Unlock()
-}
-
-// EngineName reports the active engine.
+// EngineName reports the engine's display name: "HIQUE" for the
+// default, the injected executor's own otherwise.
 func (db *DB) EngineName() string {
-	return db.engineChoice().name()
+	if db.exec != nil {
+		return db.exec.Name()
+	}
+	return "HIQUE"
 }
 
 // CreateTable registers an empty table with the given columns.
@@ -532,31 +490,17 @@ func materialiseInto(res *Result, columns []string, out *storage.Table, elapsed 
 	res.Rows = rows
 }
 
-// cacheLevel maps an engine to the optimisation level its compiled
-// queries run at; ok is false for the interpreted engines, which have no
-// compiled artefact to cache.
-func cacheLevel(e Engine) (codegen.OptLevel, bool) {
-	switch e {
-	case Holistic:
-		return codegen.OptO2, true
-	case HolisticUnoptimized:
-		return codegen.OptO0, true
-	default:
-		return codegen.OptO2, false
-	}
-}
-
 // Query parses, optimises, and executes a SELECT statement. The
 // statement may contain '?' placeholders, one value per placeholder in
 // args: db.Query("SELECT * FROM t WHERE id = ?", 42).
 //
-// With the plan cache enabled (WithPlanCache) and a holistic engine
-// active, a repeated statement skips the whole preparation pipeline: the
-// cache is consulted with only a lexer pass, and a hit runs the
-// previously compiled query with a freshly bound parameter vector. That
-// lexer pass also lifts literal comparison constants out of the WHERE
-// clause, so even un-annotated SQL collapses to its shape and N
-// distinct-constant point queries compile exactly once.
+// With the plan cache enabled (WithPlanCache), a repeated statement skips
+// the whole preparation pipeline: the cache is consulted with only a
+// lexer pass, and a hit runs the previously prepared artefact with a
+// freshly bound parameter vector. That lexer pass also lifts literal
+// comparison constants out of the WHERE clause, so even un-annotated SQL
+// collapses to its shape and N distinct-constant point queries compile
+// exactly once.
 func (db *DB) Query(query string, args ...any) (*Result, error) {
 	res := &Result{}
 	if err := db.queryInto(res, query, args); err != nil {
@@ -588,34 +532,6 @@ type queryScratch struct {
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
-// engineChoice is the engine selection one statement is prepared and run
-// under, read once so a concurrent SetEngine cannot split a statement
-// across two engines. exec interprets bound plans on the iterator and
-// column-store engines; it is nil on the holistic engines, which run
-// every statement as a compiled query.
-type engineChoice struct {
-	engine Engine
-	exec   executor
-}
-
-func (db *DB) engineChoice() engineChoice {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.ec
-}
-
-// name is the engine's display name: the interpreter's own, "HIQUE" for
-// the paper's engine, "holistic-O0" for its unoptimised level.
-func (ec engineChoice) name() string {
-	switch {
-	case ec.exec != nil:
-		return ec.exec.Name()
-	case ec.engine == HolisticUnoptimized:
-		return "holistic-O0"
-	}
-	return "HIQUE"
-}
-
 func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 	// Count the statement and classify its failure on the way out;
 	// registered before containPanic so the LIFO defer order lets the
@@ -628,13 +544,10 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 	defer containPanic(&err)
 	sc := queryScratchPool.Get().(*queryScratch)
 	defer queryScratchPool.Put(sc)
-	ec := db.engineChoice()
 
-	// Without a cache to keep the artefact in (or with an interpreted
-	// engine, which compiles none) the text is planned — and, on a
-	// holistic engine, compiled — as given.
-	level, compiled := cacheLevel(ec.engine)
-	cached := db.cache != nil && compiled
+	// Without a cache to keep the artefact in, the text is prepared as
+	// given.
+	cached := db.cache != nil
 	text := query
 	if cached {
 		// The shape is already normalized and its arity known, so the
@@ -642,7 +555,7 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 		if err := sc.shape.Shape(query); err != nil {
 			return err
 		}
-		sc.key = codegen.AppendCacheKey(sc.key[:0], sc.shape.Out, len(sc.shape.Lits), db.opts, level)
+		sc.key = codegen.AppendCacheKey(sc.key[:0], sc.shape.Out, len(sc.shape.Lits), db.opts, codegen.OptO2)
 		if v, _, ok := db.cache.GetStamped(sc.key); ok {
 			// Read keys and write keys occupy distinct caches, so the
 			// entry is always an artefact.
@@ -655,7 +568,7 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 		}
 		text = string(sc.shape.Out)
 	}
-	art, unlock, err := db.prepare(text, ec, nil)
+	art, unlock, err := db.prepare(text, nil)
 	if err != nil {
 		return err
 	}
@@ -673,11 +586,9 @@ func (db *DB) queryInto(dst *Result, query string, args []any) (err error) {
 // shared across concurrent executions.
 type artefact struct {
 	plan *plan.Plan
-	// cq is the compiled query on the holistic engines; when nil, ec.exec
-	// interprets the bound plan.
+	// cq is the compiled -O2 query on a DB without an executor; when nil,
+	// the DB's executor runs the bound plan.
 	cq *codegen.CompiledQuery
-	// ec is the engine selection the artefact was prepared under.
-	ec engineChoice
 	// entries are the referenced tables' locks in acquisition order;
 	// names lists the same tables for the stamp check.
 	entries lockSet
@@ -691,30 +602,29 @@ type artefact struct {
 }
 
 // prepare is the one preparation step: plan the text under the table
-// locks, compile it on a holistic engine, and stamp the result. The
-// locks planLocked took are still held on success and transfer to the
+// locks, compile it unless the DB has an executor, and stamp the result.
+// The locks planLocked took are still held on success and transfer to the
 // caller through unlock — lease executes under them, Prepare just
-// releases them. tr, when non-nil, is attached
-// to the plan before compilation so fused loops bake their trace hooks
-// in.
-func (db *DB) prepare(text string, ec engineChoice, tr *plan.Trace) (*artefact, func(), error) {
+// releases them. tr, when non-nil, is attached to the plan before
+// compilation so fused loops bake their trace hooks in.
+func (db *DB) prepare(text string, tr *plan.Trace) (*artefact, func(), error) {
 	p, entries, unlock, err := db.planLocked(text)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.Trace = tr
-	art := &artefact{plan: p, ec: ec, entries: entries, names: make([]string, len(p.Tables))}
+	art := &artefact{plan: p, entries: entries, names: make([]string, len(p.Tables))}
 	for i := range p.Tables {
 		art.names[i] = p.Tables[i].Name
 	}
 	art.stamp = db.cat.StampFor(art.names)
-	if level, ok := cacheLevel(ec.engine); ok {
-		if art.cq, err = codegen.Generate(p, level); err != nil {
+	if db.exec == nil {
+		if art.cq, err = codegen.Generate(p, codegen.OptO2); err != nil {
 			unlock()
 			return nil, nil, err
 		}
 	}
-	art.lat = db.met.latFor(p, art.cq != nil && art.cq.Fused)
+	art.lat = db.met.latFor(p, art.cq != nil)
 	return art, unlock, nil
 }
 
@@ -753,7 +663,7 @@ func (db *DB) lease(dst *Result, art *artefact, unlock func(), sc *queryScratch,
 		return false, err
 	}
 	start := time.Now()
-	out, err := art.run(sc.params)
+	out, err := art.run(db.exec, sc.params)
 	elapsed := time.Since(start)
 	if err != nil {
 		return false, err
@@ -768,8 +678,8 @@ func (db *DB) lease(dst *Result, art *artefact, unlock func(), sc *queryScratch,
 }
 
 // run executes the artefact against a bind vector already coerced to the
-// plan's slot kinds.
-func (a *artefact) run(params []types.Datum) (*storage.Table, error) {
+// plan's slot kinds: the compiled query, or else the bound plan on exec.
+func (a *artefact) run(exec Engine, params []types.Datum) (*storage.Table, error) {
 	if a.cq != nil {
 		return a.cq.RunParams(params)
 	}
@@ -777,7 +687,7 @@ func (a *artefact) run(params []types.Datum) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.ec.exec.Execute(bp)
+	return exec.Execute(bp)
 }
 
 // ensureGrouplessRow appends the aggregate identity row when a
@@ -830,7 +740,7 @@ func (db *DB) GeneratedSource(query string) (string, error) {
 // literal-specialised fused pipeline — and may contain '?' placeholders;
 // Run binds one value per placeholder.
 func (db *DB) Prepare(query string) (*Prepared, error) {
-	art, unlock, err := db.prepare(query, db.engineChoice(), nil)
+	art, unlock, err := db.prepare(query, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -839,12 +749,11 @@ func (db *DB) Prepare(query string) (*Prepared, error) {
 }
 
 // Prepared is a statement handle ready for repeated execution: the
-// artefact Query would run on the selected engine, kept outside the plan
-// cache. It is not pinned to the catalogue state it was compiled
-// against: Run re-validates the referenced tables' catalogue versions
-// and transparently re-plans and re-compiles after writes, DDL, index
-// builds, or an engine switch, so a long-lived handle never executes a
-// stale plan.
+// artefact Query would run, kept outside the plan cache. It is not
+// pinned to the catalogue state it was compiled against: Run
+// re-validates the referenced tables' catalogue versions and
+// transparently re-plans and re-compiles after writes, DDL, or index
+// builds, so a long-lived handle never executes a stale plan.
 type Prepared struct {
 	db    *DB
 	query string
@@ -862,7 +771,7 @@ func (p *Prepared) current() *artefact {
 
 // compiled returns the current compiled query with its source emitted
 // and syntax-checked (paper Table III's generate and compile steps), or
-// nil when the handle was prepared under an interpreted engine.
+// nil on a DB with an executor.
 func (p *Prepared) compiled() *codegen.CompiledQuery {
 	cq := p.current().cq
 	if cq != nil {
@@ -874,8 +783,8 @@ func (p *Prepared) compiled() *codegen.CompiledQuery {
 	return cq
 }
 
-// Source returns the generated source file (empty under an interpreted
-// engine, which generates none).
+// Source returns the generated source file (empty on a DB with an
+// executor, which compiles none).
 func (p *Prepared) Source() string {
 	if cq := p.compiled(); cq != nil {
 		return cq.Source
@@ -924,13 +833,10 @@ func (p *Prepared) RunInto(res *Result, args ...any) (err error) {
 	res.Reset()
 	sc := queryScratchPool.Get().(*queryScratch)
 	defer queryScratchPool.Put(sc)
-	ec := db.engineChoice()
-	if art := p.current(); art.ec.engine == ec.engine {
-		if stale, err := db.lease(res, art, nil, sc, false, args); !stale {
-			return err
-		}
+	if stale, err := db.lease(res, p.current(), nil, sc, false, args); !stale {
+		return err
 	}
-	art, unlock, err := db.prepare(p.query, ec, nil)
+	art, unlock, err := db.prepare(p.query, nil)
 	if err != nil {
 		return err
 	}

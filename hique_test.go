@@ -3,7 +3,27 @@ package hique
 import (
 	"strings"
 	"testing"
+
+	"hique/internal/catalog"
+	"hique/internal/enginetest"
 )
+
+// engineDB is one engine's DB over a shared catalogue.
+type engineDB struct {
+	name string
+	*DB
+}
+
+// engineDBs opens one DB per engine of enginetest.DBEngines over cat,
+// each with opts: the DB-level differential tests cover all five engines
+// this way.
+func engineDBs(cat *catalog.Catalog, opts ...Option) []engineDB {
+	var dbs []engineDB
+	for _, e := range enginetest.DBEngines() {
+		dbs = append(dbs, engineDB{e.Name, Open(append([]Option{WithCatalog(cat), WithEngine(e.Engine)}, opts...)...)})
+	}
+	return dbs
+}
 
 func seedDB(t *testing.T) *DB {
 	t.Helper()
@@ -57,15 +77,13 @@ func TestAggregationThroughFacade(t *testing.T) {
 }
 
 func TestAllEnginesThroughFacade(t *testing.T) {
-	for _, e := range []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized} {
-		db := seedDB(t)
-		db.SetEngine(e)
+	for _, db := range engineDBs(seedDB(t).Catalog()) {
 		res, err := db.Query("SELECT dept, SUM(salary) AS total FROM emp GROUP BY dept ORDER BY total DESC")
 		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+			t.Fatalf("%s: %v", db.name, err)
 		}
 		if len(res.Rows) != 3 {
-			t.Errorf("%v: groups = %d", e, len(res.Rows))
+			t.Errorf("%s: groups = %d", db.name, len(res.Rows))
 		}
 	}
 }

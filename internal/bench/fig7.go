@@ -12,12 +12,6 @@ import (
 	"hique/internal/volcano"
 )
 
-// planEngine abstracts the engines the Figure 7 comparisons run on.
-type planEngine interface {
-	Name() string
-	Execute(p *plan.Plan) (*storage.Table, error)
-}
-
 // tupleTable builds a 72-byte-tuple table: one key column plus eight
 // payload ints, with keys cycling over `distinct` values. Column names are
 // prefixed so multi-table catalogues resolve unambiguously.
@@ -55,7 +49,7 @@ func mustPlan(cat *catalog.Catalog, query string, opts plan.Options) *plan.Plan 
 	return p
 }
 
-func runTimed(e planEngine, p *plan.Plan, reps int) float64 {
+func runTimed(e plan.Executor, p *plan.Plan, reps int) float64 {
 	return timeIt(reps, func() {
 		if _, err := e.Execute(p); err != nil {
 			panic(fmt.Sprintf("bench: %s: %v", e.Name(), err))
@@ -82,7 +76,7 @@ func Fig7a(scale float64) Result {
 	type series struct {
 		name string
 		alg  plan.JoinAlgorithm
-		eng  planEngine
+		eng  plan.Executor
 	}
 	all := []series{
 		{"Merge - Iterators", plan.MergeJoin, volcano.NewOptimized()},
@@ -136,7 +130,7 @@ func Fig7b(scale float64) Result {
 	type series struct {
 		name  string
 		alg   plan.JoinAlgorithm
-		eng   planEngine
+		eng   plan.Executor
 		teams bool
 	}
 	all := []series{
@@ -198,7 +192,7 @@ func Fig7c(scale float64) Result {
 	type series struct {
 		name string
 		alg  plan.JoinAlgorithm
-		eng  planEngine
+		eng  plan.Executor
 	}
 	all := []series{
 		{"Merge - Iterators", plan.MergeJoin, volcano.NewOptimized()},
@@ -249,7 +243,7 @@ func Fig7d(scale float64) Result {
 	type series struct {
 		name string
 		alg  plan.AggAlgorithm
-		eng  planEngine
+		eng  plan.Executor
 	}
 	all := []series{
 		{"Sort - Iterators", plan.SortAggregation, volcano.NewOptimized()},

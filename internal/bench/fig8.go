@@ -21,7 +21,7 @@ import (
 func Fig8(sf float64) Result {
 	cat := tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: 42})
 
-	engines := []planEngine{
+	engines := []plan.Executor{
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),

@@ -10,7 +10,6 @@ import (
 	"hique/internal/hwsim"
 	"hique/internal/plan"
 	"hique/internal/sql"
-	"hique/internal/storage"
 	"hique/internal/tpch"
 	"hique/internal/volcano"
 )
@@ -90,12 +89,12 @@ func Tab2(scale float64) Result {
 
 	type rowSpec struct {
 		name     string
-		o0Engine planEngine
-		o2Engine planEngine
+		o0Engine plan.Executor
+		o2Engine plan.Executor
 	}
 	rows := []rowSpec{
 		{"Iterators", volcano.NewGeneric(), volcano.NewOptimized()},
-		{"Holistic (generated)", codegenRunner{codegen.OptO0}, codegenRunner{codegen.OptO2}},
+		{"Holistic (generated)", codegen.Executor{Level: codegen.OptO0}, codegen.Executor{Level: codegen.OptO2}},
 	}
 	for _, r := range rows {
 		cells := []string{r.name}
@@ -137,21 +136,6 @@ func Tab2(scale float64) Result {
 		"Paper shape to verify: optimisation helps most on the inflationary join; least where staging dominates.",
 	}
 	return res
-}
-
-// codegenRunner adapts a codegen optimisation level to the engine surface.
-type codegenRunner struct {
-	level codegen.OptLevel
-}
-
-func (c codegenRunner) Name() string { return "codegen" + c.level.String() }
-
-func (c codegenRunner) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, c.level)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
 }
 
 // Tab3 reproduces the query-preparation cost table (paper Table III):

@@ -113,6 +113,30 @@ func Generate(p *plan.Plan, level OptLevel) (*CompiledQuery, error) {
 	return q, nil
 }
 
+// Executor is the generated code as a plan executor: each Execute
+// generates the bound plan at Level and runs it once. It is how -O0 is
+// injected into a DB and how the differential tests and experiments run
+// either level beside the other engines.
+type Executor struct{ Level OptLevel }
+
+// Name is "HIQUE" for the paper's engine and "holistic-O0" for its
+// unoptimised level.
+func (e Executor) Name() string {
+	if e.Level == OptO0 {
+		return "holistic-O0"
+	}
+	return "HIQUE"
+}
+
+// Execute generates the plan at e.Level and runs it.
+func (e Executor) Execute(p *plan.Plan) (*storage.Table, error) {
+	q, err := Generate(p, e.Level)
+	if err != nil {
+		return nil, err
+	}
+	return q.Run()
+}
+
 // unfusable reports a plan shape no fused pipeline runs.
 func unfusable(format string, args ...any) error {
 	return fmt.Errorf("codegen: no fused pipeline for "+format, args...)

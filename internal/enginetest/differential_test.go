@@ -23,27 +23,6 @@ import (
 	"hique/internal/volcano"
 )
 
-// engine abstracts the executors under test.
-type engine interface {
-	Name() string
-	Execute(p *plan.Plan) (*storage.Table, error)
-}
-
-// codegenEngine adapts a codegen optimisation level to the engine surface.
-type codegenEngine struct {
-	level codegen.OptLevel
-}
-
-func (c codegenEngine) Name() string { return "codegen" + c.level.String() }
-
-func (c codegenEngine) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, c.level)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
-}
-
 // shapedEngine is the -O2 generator over the statement as DB.Query shapes
 // it when the plan cache is on: literals lifted into bind slots by the
 // lexer pass, the plan built from the parameterised text, the lifted
@@ -87,11 +66,11 @@ func (e shapedEngine) Execute(*plan.Plan) (*storage.Table, error) {
 	return q.Run(params...)
 }
 
-func engines() []engine {
-	return []engine{
+func engines() []plan.Executor {
+	return []plan.Executor{
 		core.NewEngine(),
-		codegenEngine{level: codegen.OptO0},
-		codegenEngine{level: codegen.OptO2},
+		codegen.Executor{Level: codegen.OptO0},
+		codegen.Executor{Level: codegen.OptO2},
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),
@@ -304,7 +283,7 @@ func runCorpus(t *testing.T, cat *catalog.Catalog, opts plan.Options) {
 // exactly, as the corpus always has; the TPC-H statements pass 1e-9, the
 // relative float tolerance the yardstick applies to them (their sums are
 // not order-exact, and the fused scan folds them chunk by chunk).
-func runQueries(t *testing.T, cat *catalog.Catalog, opts plan.Options, stmts []string, engs []engine, floatTol float64) {
+func runQueries(t *testing.T, cat *catalog.Catalog, opts plan.Options, stmts []string, engs []plan.Executor, floatTol float64) {
 	t.Helper()
 	for _, q := range stmts {
 		stmt, err := sql.Parse(q)

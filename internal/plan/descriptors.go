@@ -7,6 +7,7 @@ import (
 	"hique/internal/catalog"
 	"hique/internal/morsel"
 	"hique/internal/sql"
+	"hique/internal/storage"
 	"hique/internal/types"
 )
 
@@ -463,6 +464,16 @@ type Plan struct {
 	// both are execution attachments, not optimizer outputs.
 	Parallelism int
 	Pool        *morsel.Pool
+}
+
+// Executor runs a bound plan to its result table: the one surface every
+// engine implements — the generated code at either level, the operator
+// walk, the iterator and column-store comparators. A DB takes one at
+// Open (hique.WithEngine); the differential tests and the experiments
+// run plans through it directly.
+type Executor interface {
+	Name() string
+	Execute(p *Plan) (*storage.Table, error)
 }
 
 // ResultSchema returns the schema of the query result.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hique"
+	"hique/internal/dsm"
 )
 
 // postStmt posts a parameterized statement and decodes whichever body
@@ -97,7 +98,7 @@ func TestDMLEndpoint(t *testing.T) {
 func TestPanicStatementReturns422AndServerSurvives(t *testing.T) {
 	// The column-store engine's aggregation path panics on Float grouping
 	// columns (no value directory, index out of range in the comparator).
-	db := hique.Open(hique.WithEngine(hique.ColumnStore))
+	db := hique.Open(hique.WithEngine(dsm.NewEngine()))
 	if err := db.CreateTable("items", hique.Int("id"), hique.Float("price")); err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"hique"
+	"hique/internal/enginetest"
 )
 
 // TestMixedReadWriteWorkload drives concurrent parameterized INSERTs,
 // DELETEs, and point SELECTs through the HTTP server on every engine,
-// then checks the deterministic final row count and — on the holistic
-// engines — that the plan cache served the repeated shapes. Run with
+// then checks the deterministic final row count and — on the default
+// engine — that the plan cache served the repeated shapes. Run with
 // -race (CI does), this is the write path's concurrency proof: writers
 // serialise on the table writer lock while point reads overlap.
 func TestMixedReadWriteWorkload(t *testing.T) {
@@ -24,13 +25,9 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 		perW     = 60 // rows inserted per worker
 		delEvery = 3  // every 3rd id deleted by its worker
 	)
-	engines := []hique.Engine{
-		hique.Holistic, hique.GenericIterators, hique.OptimizedIterators,
-		hique.ColumnStore, hique.HolisticUnoptimized,
-	}
-	for _, eng := range engines {
-		t.Run(eng.String(), func(t *testing.T) {
-			db := hique.Open(hique.WithPlanCache(128), hique.WithEngine(eng))
+	for _, eng := range enginetest.DBEngines() {
+		t.Run(eng.Name, func(t *testing.T) {
+			db := hique.Open(hique.WithPlanCache(128), hique.WithEngine(eng.Engine))
 			if err := db.CreateTable("events", hique.Int("id"), hique.Int("grp"), hique.Float("v")); err != nil {
 				t.Fatal(err)
 			}
@@ -110,8 +107,8 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 			}
 
 			// The repeated INSERT/DELETE shapes must have hit the write-
-			// plan cache; on the holistic engines the repeated SELECT
-			// shape hits the compiled-query cache too.
+			// plan cache; on the default engine the repeated SELECT
+			// shape hits the read-plan cache too.
 			st := db.Stats()
 			minHits := uint64(workers*perW) / 2
 			if st.WriteCache.Hits < minHits {
@@ -120,10 +117,10 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 			}
 			// Read plans are invalidated by every write's version bump,
 			// so their hit count depends on interleaving — assert only
-			// that the repeated SELECT shape hit at all on the compiled
+			// that the repeated SELECT shape hit at all on the default
 			// engine. (Write plans are immune to version bumps; the
 			// strict bound above is theirs.)
-			if eng == hique.Holistic && st.Cache.Hits == 0 {
+			if eng.Engine == nil && st.Cache.Hits == 0 {
 				t.Fatalf("compiled-query cache never hit: %+v", st.Cache)
 			}
 		})

@@ -166,11 +166,7 @@ func canonical(t *storage.Table) []string {
 
 func TestQueriesAgreeAcrossEngines(t *testing.T) {
 	cat := Generate(Config{ScaleFactor: 0.02, Seed: 6})
-	type engine interface {
-		Name() string
-		Execute(p *plan.Plan) (*storage.Table, error)
-	}
-	engines := []engine{core.NewEngine(), volcano.NewGeneric(), volcano.NewOptimized(), dsm.NewEngine()}
+	engines := []plan.Executor{core.NewEngine(), volcano.NewGeneric(), volcano.NewOptimized(), dsm.NewEngine()}
 	for _, n := range QueryNumbers() {
 		q, _ := Query(n)
 		stmt, err := sql.Parse(q)
@@ -232,33 +228,16 @@ func TestQueryUnsupportedNumbersReturnTypedError(t *testing.T) {
 	}
 }
 
-// codegenEngine adapts a codegen optimisation level to the engine surface.
-type codegenEngine struct{ level codegen.OptLevel }
-
-func (c codegenEngine) Name() string { return "codegen" + c.level.String() }
-
-func (c codegenEngine) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := codegen.Generate(p, c.level)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
-}
-
 // TestTPCHGoldenResultsAcrossEngines pins Q1/Q3/Q6/Q10 at SF 0.01 with
 // Seed 42 — the exact catalogue hique-server's -tpch flag loads, so the
 // conformance suite's goldens and these agree — and asserts byte-identical
 // results across every engine.
 func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 	cat := Generate(Config{ScaleFactor: 0.01, Seed: 42})
-	type engine interface {
-		Name() string
-		Execute(p *plan.Plan) (*storage.Table, error)
-	}
-	engines := []engine{
+	engines := []plan.Executor{
 		core.NewEngine(),
-		codegenEngine{level: codegen.OptO0},
-		codegenEngine{level: codegen.OptO2},
+		codegen.Executor{Level: codegen.OptO0},
+		codegen.Executor{Level: codegen.OptO2},
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),

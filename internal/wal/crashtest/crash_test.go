@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hique"
+	"hique/internal/enginetest"
 	"hique/internal/wal"
 )
 
@@ -177,11 +178,10 @@ func runChild(t *testing.T, dir string, seed int64, n, start, killAfter int, ext
 	return acked, clean
 }
 
-// dumpHolistic renders the full kv state (heap order included) under
-// one engine; "<no-table>" stands for the pre-DDL state.
-func dumpEngine(t *testing.T, db *hique.DB, e hique.Engine) string {
+// dump renders the full kv state (heap order included) on db's engine;
+// "<no-table>" stands for the pre-DDL state.
+func dump(t *testing.T, db *hique.DB) string {
 	t.Helper()
-	db.SetEngine(e)
 	res, err := db.Query("SELECT k, v, s FROM kv")
 	if err != nil {
 		if strings.Contains(err.Error(), "kv") {
@@ -192,9 +192,11 @@ func dumpEngine(t *testing.T, db *hique.DB, e hique.Engine) string {
 	return fmt.Sprintf("%v", res.Rows)
 }
 
-var engines = []hique.Engine{
-	hique.Holistic, hique.GenericIterators, hique.OptimizedIterators,
-	hique.ColumnStore, hique.HolisticUnoptimized,
+// dumpEngine renders the same state read through engine e: a DB opened
+// over db's catalogue with e injected.
+func dumpEngine(t *testing.T, db *hique.DB, e hique.Engine) string {
+	t.Helper()
+	return dump(t, hique.Open(hique.WithCatalog(db.Catalog()), hique.WithEngine(e)))
 }
 
 // verifyPrefix reopens the crashed directory and locates the unique
@@ -218,9 +220,9 @@ func verifyPrefix(t *testing.T, dir string, stmts []stmt, model *hique.DB, kStar
 	if err := db.Catalog().CheckStats(); err != nil {
 		t.Fatalf("recovered statistics: %v", err)
 	}
-	got := dumpEngine(t, db, hique.Holistic)
+	got := dump(t, db)
 	k := kStart
-	for dumpEngine(t, model, hique.Holistic) != got {
+	for dump(t, model) != got {
 		if k >= len(stmts) {
 			t.Fatalf("recovered state matches no prefix of the workload (searched from %d)", kStart)
 		}
@@ -239,13 +241,13 @@ func verifyPrefix(t *testing.T, dir string, stmts []stmt, model *hique.DB, kStar
 			t.Fatalf("model statement %d: %v", k, err)
 		}
 		k++
-		if dumpEngine(t, model, hique.Holistic) != got {
+		if dump(t, model) != got {
 			t.Fatalf("lost acknowledged statement %d: recovered state stops before acked=%d", k-1, acked)
 		}
 	}
-	for _, e := range engines {
-		if w, g := dumpEngine(t, model, e), dumpEngine(t, db, e); g != w {
-			t.Fatalf("engine %v disagrees with model at prefix %d:\nmodel:     %s\nrecovered: %s", e, k, w, g)
+	for _, e := range enginetest.DBEngines() {
+		if w, g := dumpEngine(t, model, e.Engine), dumpEngine(t, db, e.Engine); g != w {
+			t.Fatalf("engine %s disagrees with model at prefix %d:\nmodel:     %s\nrecovered: %s", e.Name, k, w, g)
 		}
 	}
 	rs := db.RecoveryStats()

@@ -25,7 +25,7 @@ const (
 
 const (
 	pathFused   = iota // fused codegen pipeline (newFused / newFusedJoin)
-	pathGeneral        // staged operator walk or interpreted engine
+	pathGeneral        // DML, or an injected executor (interpreted engines, -O0)
 	nPath
 )
 

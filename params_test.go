@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hique/internal/enginetest"
 )
 
 // paramsDB builds a small two-table dataset exercising every column kind.
@@ -93,9 +95,9 @@ var equivalenceQueries = []struct {
 // parameterized execution returns results identical to literal execution
 // on every engine.
 func TestParamEquivalenceAcrossEngines(t *testing.T) {
-	for _, e := range []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized} {
-		t.Run(e.String(), func(t *testing.T) {
-			db := paramsDB(t, WithEngine(e))
+	for _, e := range enginetest.DBEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			db := paramsDB(t, WithEngine(e.Engine))
 			for _, q := range equivalenceQueries {
 				want, err := db.Query(q.literal)
 				if err != nil {

@@ -92,8 +92,6 @@ func preparedLiteralRoute(db *DB) func(string, ...any) (*Result, error) {
 // prepared handle with the literals baked in, and (d) an
 // index-accelerated variant.
 func TestFastPathMatchesAllEngines(t *testing.T) {
-	engines := []Engine{Holistic, GenericIterators, OptimizedIterators, ColumnStore, HolisticUnoptimized}
-
 	cachedIndexed := poolTestDB(t, WithPlanCache(64))
 	if err := cachedIndexed.BuildIndex("pts", "id"); err != nil {
 		t.Fatal(err)
@@ -103,22 +101,21 @@ func TestFastPathMatchesAllEngines(t *testing.T) {
 		{"prepared-literal", preparedLiteralRoute(poolTestDB(t))},
 		{"cached-indexed", cachedIndexed.Query},
 	}
-	uncached := poolTestDB(t)
+	uncached := engineDBs(poolTestDB(t).Catalog())
 
 	for _, q := range fastPathQueries {
 		var want *Result
-		for _, e := range engines {
-			uncached.SetEngine(e)
-			got, err := uncached.Query(q.sql, q.args...)
+		for _, db := range uncached {
+			got, err := db.Query(q.sql, q.args...)
 			if err != nil {
-				t.Fatalf("%s on %v: %v", q.sql, e, err)
+				t.Fatalf("%s on %s: %v", q.sql, db.name, err)
 			}
 			if want == nil {
 				want = got
 				continue
 			}
 			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s: engine %v diverges:\n got %v\nwant %v", q.sql, e, got.Rows, want.Rows)
+				t.Fatalf("%s: engine %s diverges:\n got %v\nwant %v", q.sql, db.name, got.Rows, want.Rows)
 			}
 		}
 		for _, r := range routes {

@@ -18,6 +18,7 @@ import (
 
 	"hique/internal/codegen"
 	"hique/internal/core"
+	"hique/internal/enginetest"
 	"hique/internal/plan"
 	"hique/internal/storage"
 	"hique/internal/tpch"
@@ -266,37 +267,24 @@ func TestReadPathMatrix(t *testing.T) {
 }
 
 // TestPreparedFollowsEngine: a handle runs what Query would run on the
-// selected engine — compiled at the engine's level, or interpreted — and
-// returns the reference rows on all five; switching the engine re-prepares
-// it.
+// DB's engine — compiled at -O2 on the default, the bound plan handed to
+// an injected executor otherwise — and returns the reference rows on all
+// five.
 func TestPreparedFollowsEngine(t *testing.T) {
 	const q = "SELECT t1.g, COUNT(*) AS n FROM t1, t2 WHERE t1.k2 = t2.id AND t1.id < ? GROUP BY t1.g ORDER BY t1.g"
 	want, err := matrixDB(t, WithEngine(OptimizedIterators)).Query(q, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	levelOf := func(pr *Prepared) string {
-		if cq := pr.current().cq; cq != nil {
-			return cq.Level.String()
-		}
-		return "interpreted"
-	}
-	wantLevel := map[Engine]string{
-		Holistic:            codegen.OptO2.String(),
-		HolisticUnoptimized: codegen.OptO0.String(),
-		GenericIterators:    "interpreted",
-		OptimizedIterators:  "interpreted",
-		ColumnStore:         "interpreted",
-	}
-	for e, level := range wantLevel {
-		t.Run(e.String(), func(t *testing.T) {
-			db := matrixDB(t, WithEngine(e))
+	for _, e := range enginetest.DBEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			db := matrixDB(t, WithEngine(e.Engine))
 			pr, err := db.Prepare(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := levelOf(pr); got != level {
-				t.Fatalf("artefact is %s, want %s", got, level)
+			if compiled := pr.current().cq != nil; compiled != (e.Engine == nil) {
+				t.Fatalf("artefact compiled = %v on %s", compiled, db.EngineName())
 			}
 			for pass := 0; pass < 2; pass++ {
 				got, err := pr.Run(40)
@@ -306,21 +294,6 @@ func TestPreparedFollowsEngine(t *testing.T) {
 				if !reflect.DeepEqual(got.Rows, want.Rows) {
 					t.Fatalf("pass %d: got %v\nwant %v", pass, got.Rows, want.Rows)
 				}
-			}
-			next := Holistic
-			if e == Holistic {
-				next = HolisticUnoptimized
-			}
-			db.SetEngine(next)
-			got, err := pr.Run(40)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("after SetEngine(%v): got %v\nwant %v", next, got.Rows, want.Rows)
-			}
-			if got := levelOf(pr); got != wantLevel[next] {
-				t.Fatalf("after SetEngine(%v): artefact is %s, want %s", next, got, wantLevel[next])
 			}
 		})
 	}

@@ -6,11 +6,13 @@ package hique
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"hique/internal/codegen"
+	"hique/internal/enginetest"
 	"hique/internal/morsel"
 )
 
@@ -160,9 +162,8 @@ func TestConcurrentInsertQuery(t *testing.T) {
 // path (COUNT(*)/SUM with no GROUP BY) on every engine; it used to
 // panic on all of them.
 func TestGrouplessAggregateAllEngines(t *testing.T) {
-	db := cachedDB(t)
-	for _, e := range []Engine{Holistic, HolisticUnoptimized, GenericIterators, OptimizedIterators, ColumnStore} {
-		db.SetEngine(e)
+	for _, db := range engineDBs(cachedDB(t).Catalog(), WithPlanCache(16)) {
+		e := db.name
 		res, err := db.Query("SELECT COUNT(*) AS n, SUM(amount) AS total FROM orders")
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
@@ -188,6 +189,56 @@ func TestGrouplessAggregateAllEngines(t *testing.T) {
 		if n := res.Rows[0][0].(int64); n != 0 {
 			t.Fatalf("%v (empty): count = %d, want 0", e, n)
 		}
+	}
+}
+
+// TestInjectedEnginesServeFromCache: every engine takes the one prepare
+// → cache → lease path. With the plan cache on, a literal-varying
+// statement repeated on an injected engine is served from the cache and
+// returns the default engine's rows; a write to its table re-prepares it
+// rather than serving the stale artefact.
+func TestInjectedEnginesServeFromCache(t *testing.T) {
+	const q = "SELECT grp, COUNT(*) AS n, SUM(amount) AS s FROM orders WHERE id < %d GROUP BY grp ORDER BY grp"
+	for _, e := range enginetest.DBEngines()[1:] {
+		t.Run(e.Name, func(t *testing.T) {
+			ref := cachedDB(t)
+			db := Open(WithCatalog(ref.Catalog()), WithEngine(e.Engine), WithPlanCache(16))
+			// run executes the statement on db, compares it with the
+			// default engine, and returns the cache counters it moved.
+			run := func(limit int) (hits, invalidations uint64) {
+				t.Helper()
+				stmt := fmt.Sprintf(q, limit)
+				want, err := ref.Query(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := db.Stats().Cache
+				got, err := db.Query(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("id < %d: got %v\nwant %v", limit, got.Rows, want.Rows)
+				}
+				after := db.Stats().Cache
+				return after.Hits - before.Hits, after.Invalidations - before.Invalidations
+			}
+			run(10)
+			for _, limit := range []int{50, 90} {
+				if hits, _ := run(limit); hits != 1 {
+					t.Fatalf("id < %d: %d cache hits, want 1", limit, hits)
+				}
+			}
+			if err := db.Insert("orders", 5, 1, 1000.0); err != nil {
+				t.Fatal(err)
+			}
+			if hits, inv := run(20); hits != 0 || inv != 1 {
+				t.Fatalf("after a write: %d hits, %d invalidations; want a re-prepare (0, 1)", hits, inv)
+			}
+			if hits, _ := run(30); hits != 1 {
+				t.Fatalf("after the re-prepare: %d cache hits, want 1", hits)
+			}
+		})
 	}
 }
 
