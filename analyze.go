@@ -12,12 +12,17 @@ import (
 // Names are canonical across engines (join[J].stage[K], join[J],
 // aggregate, project, sort); RowsOut of the join and terminal stages is
 // the operator's output cardinality on every engine, while RowsIn and
-// Elapsed describe how this engine decomposed the work.
+// Elapsed describe how this engine decomposed the work. A stage that
+// scans a base table reports as RowsIn the tuples it examined — those on
+// the pages it read, or those an index probe fetched — and the pages it
+// read and skipped on their bounds.
 type StageStats struct {
-	Name      string `json:"name"`
-	RowsIn    int64  `json:"rows_in"`
-	RowsOut   int64  `json:"rows_out"`
-	ElapsedUs int64  `json:"elapsed_us"`
+	Name         string `json:"name"`
+	RowsIn       int64  `json:"rows_in"`
+	RowsOut      int64  `json:"rows_out"`
+	ElapsedUs    int64  `json:"elapsed_us"`
+	PagesRead    int64  `json:"pages_read,omitempty"`
+	PagesSkipped int64  `json:"pages_skipped,omitempty"`
 }
 
 // ParallelStats is one morsel-driven parallel phase of an EXPLAIN
@@ -60,8 +65,12 @@ func (a *AnalyzeResult) String() string {
 	}
 	fmt.Fprintf(&b, "engine: %s  path: %s  workers: %d\n", a.Engine, a.Path, a.Workers)
 	for _, s := range a.Stages {
-		fmt.Fprintf(&b, "%-18s rows_in=%-10d rows_out=%-10d elapsed=%s\n",
+		fmt.Fprintf(&b, "%-18s rows_in=%-10d rows_out=%-10d elapsed=%s",
 			s.Name, s.RowsIn, s.RowsOut, time.Duration(s.ElapsedUs)*time.Microsecond)
+		if s.PagesRead+s.PagesSkipped > 0 {
+			fmt.Fprintf(&b, " pages_read=%d pages_skipped=%d", s.PagesRead, s.PagesSkipped)
+		}
+		b.WriteByte('\n')
 	}
 	for _, p := range a.Parallel {
 		fmt.Fprintf(&b, "%-18s workers=%d morsels=%d rows=%v\n",
@@ -121,10 +130,12 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 	}
 	for i, s := range tr.Stages {
 		out.Stages[i] = StageStats{
-			Name:      s.Name,
-			RowsIn:    s.RowsIn,
-			RowsOut:   s.RowsOut,
-			ElapsedUs: s.Elapsed.Microseconds(),
+			Name:         s.Name,
+			RowsIn:       s.RowsIn,
+			RowsOut:      s.RowsOut,
+			ElapsedUs:    s.Elapsed.Microseconds(),
+			PagesRead:    s.PagesRead,
+			PagesSkipped: s.PagesSkipped,
 		}
 	}
 	for _, p := range tr.Parallel {

@@ -15,6 +15,7 @@ package hique
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"hique/internal/enginetest"
@@ -187,5 +188,76 @@ func TestStripExplainAnalyze(t *testing.T) {
 		if ok && rest != c.rest {
 			t.Errorf("%q: rest = %q, want %q", c.in, rest, c.rest)
 		}
+	}
+}
+
+// TestExplainAnalyzeReportsWhatTheScanRead: a stage that scans a base
+// table reports as rows in the tuples it examined — those on the pages it
+// read, or those an index probe fetched — not the table's size, and the
+// pages it read and skipped on their bounds. fact's ids ascend with the
+// heap, so a key predicate reads one page; every skip is counted on
+// hique_scan_pages_skipped_total.
+func TestExplainAnalyzeReportsWhatTheScanRead(t *testing.T) {
+	db := joinTestDB(t)
+	e, err := db.cat.Lookup("fact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := int64(e.Table.NumPages())
+	perPage := int64(e.Table.Page(0).NumTuples())
+	lastPage := int64(e.Table.Page(int(pages - 1)).NumTuples())
+	scrape := func() string {
+		var b strings.Builder
+		if err := db.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "hique_scan_pages_skipped_total ") {
+				return line
+			}
+		}
+		t.Fatal("hique_scan_pages_skipped_total is not exposed")
+		return ""
+	}
+	before := scrape()
+	for _, c := range []struct {
+		sql           string
+		stage         string
+		rowsIn        int64
+		read, skipped int64
+	}{
+		{"SELECT id, price FROM fact WHERE id = 300", "project", perPage, 1, pages - 1},
+		{"SELECT id, price FROM fact WHERE price > 1.0", "project", 1500, pages, 0},
+		{"SELECT COUNT(*) AS n FROM fact WHERE id >= 1490", "aggregate", lastPage, 1, pages - 1},
+		{"SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.id AND f.id < 10 ORDER BY f.id", "join[0].stage[0]", perPage, 1, pages - 1},
+	} {
+		a, err := db.ExplainAnalyze(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		s, ok := stageByName(a.Stages, c.stage)
+		if !ok {
+			t.Fatalf("%s: no stage %s in %+v", c.sql, c.stage, a.Stages)
+		}
+		if s.RowsIn != c.rowsIn || s.PagesRead != c.read || s.PagesSkipped != c.skipped {
+			t.Errorf("%s: %s read %d rows on %d pages and skipped %d; want %d rows, %d pages, %d skipped",
+				c.sql, c.stage, s.RowsIn, s.PagesRead, s.PagesSkipped, c.rowsIn, c.read, c.skipped)
+		}
+	}
+	if after := scrape(); after == before {
+		t.Errorf("hique_scan_pages_skipped_total did not move: %s", after)
+	}
+
+	// An index probe examines the tuples it fetches and reads no page.
+	if err := db.BuildIndex("fact", "grp"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := db.ExplainAnalyze("SELECT id FROM fact WHERE grp = 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := stageByName(a.Stages, "project")
+	if s.RowsIn != int64(a.Rows) || s.PagesRead != 0 || s.PagesSkipped != 0 {
+		t.Errorf("index probe: %+v, want %d rows in and no pages", s, a.Rows)
 	}
 }

@@ -361,8 +361,9 @@ func appendRowLocked(e *catalog.TableEntry, row []types.Datum) {
 }
 
 // applyDelete removes matching rows by sliding survivors down over them
-// in place (storage.Table.Compact), uncounting each removed row from the
-// statistics, then rebuilds every index (row identifiers shift).
+// in place (storage.Table.Compact), skipping the pages whose bounds the
+// filters exclude and uncounting each removed row from the statistics,
+// then rebuilds every index (row identifiers shift).
 func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 	t := e.Table
 	if len(filters) == 0 {
@@ -375,13 +376,22 @@ func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 		return n
 	}
 	preds := core.CompilePreds(t.Schema(), filters)
-	removed := t.Compact(func(tuple []byte) bool {
+	prune := core.Pruner(preds)
+	skipped := 0
+	removed := t.Compact(func(pi int) bool {
+		if len(prune) > 0 && !core.PageMayMatch(prune, t, pi, nil) {
+			skipped++
+			return true
+		}
+		return false
+	}, func(tuple []byte) bool {
 		if !core.MatchPreds(preds, tuple, nil) {
 			return false
 		}
 		e.Removed(tuple)
 		return true
 	})
+	core.CountSkipped(skipped)
 	if removed > 0 {
 		e.RebuildIndexes(nil)
 	}
@@ -389,14 +399,20 @@ func applyDelete(e *catalog.TableEntry, filters []plan.Filter) int {
 }
 
 // applyUpdate assigns the set columns on matching rows in place (NSM
-// tuples are fixed-width, so no row moves), recounting each updated row,
-// then rebuilds exactly the indexes whose key column was assigned.
+// tuples are fixed-width, so no row moves), skipping the pages whose
+// bounds the filters exclude and recounting each updated row, then
+// rebuilds exactly the indexes whose key column was assigned.
 func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetColumn) int {
 	t := e.Table
 	s := t.Schema()
 	preds := core.CompilePreds(s, filters)
-	n := 0
+	prune := core.Pruner(preds)
+	n, skipped := 0, 0
 	for pi := 0; pi < t.NumPages(); pi++ {
+		if len(prune) > 0 && !core.PageMayMatch(prune, t, pi, nil) {
+			skipped++
+			continue
+		}
 		pg := t.Page(pi)
 		cnt := pg.NumTuples()
 		ts := pg.TupleSize()
@@ -406,6 +422,12 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 			if !core.MatchPreds(preds, tuple, nil) {
 				continue
 			}
+			if n == 0 {
+				// Page bytes change without going through Append: record
+				// the mutation before the first write, so engines revalidate
+				// cached derived forms and the page's bounds settle again.
+				t.Rewrite(pi)
+			}
 			e.Removed(tuple)
 			for k := range sets {
 				s.PutDatum(tuple, sets[k].Col, sets[k].Val.Val)
@@ -414,10 +436,8 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 			n++
 		}
 	}
+	core.CountSkipped(skipped)
 	if n > 0 {
-		// Page bytes changed without going through Append: record the
-		// mutation so engines revalidate cached derived forms.
-		t.BumpVersion()
 		if len(e.Indexes) > 0 {
 			touched := make([]string, 0, len(sets))
 			for k := range sets {

@@ -149,8 +149,9 @@ func New() *Catalog {
 	return &Catalog{tables: make(map[string]*TableEntry), versions: make(map[string]uint64)}
 }
 
-// Register adds a table and computes its statistics.
+// Register adds a table and computes its statistics and page bounds.
 func (c *Catalog) Register(t *storage.Table) *TableEntry {
+	t.Settle()
 	entry := &TableEntry{
 		Table:   t,
 		Stats:   ComputeStats(t),
@@ -578,28 +579,33 @@ func (e *TableEntry) countHeap() {
 	}
 }
 
-// Recount rebuilds the entry's statistics from the heap and drops its
-// counts, under the writer lock: the repair after a write was cut short
-// with heap and counts out of step.
+// Recount rebuilds the entry's statistics and every page's bounds from
+// the heap and drops its counts, under the writer lock: the repair after a
+// write was cut short with heap and counts out of step.
 func (e *TableEntry) Recount() {
 	e.counts = nil
 	e.Stats = ComputeStats(e.Table)
+	e.Table.Rewrite(0)
+	e.Table.Settle()
 }
 
 // Wrote ends a mutating statement on e, whose writer lock the caller
 // holds: it derives e's statistics from the counts the statement's hooks
-// adjusted and bumps the table's version once, so every cached plan built
-// from the old statistics invalidates.
+// adjusted, recomputes the bounds of the pages from the lowest one the
+// statement touched (storage.Table.Settle), and bumps the table's version
+// once, so every cached plan built from the old statistics invalidates.
 func (c *Catalog) Wrote(e *TableEntry) {
 	e.Stats.Rows = e.Table.NumRows()
 	for i := range e.counts {
 		e.counts[i].settle(&e.Stats.Columns[i])
 	}
+	e.Table.Settle()
 	c.BumpTableVersion(e.Table.Name())
 }
 
 // CheckStats compares every table's statistics with ComputeStats over its
-// heap and reports the first difference. It takes no locks: call it on a
+// heap, and the bounds of every settled page with a recompute over the
+// page, and reports the first difference. It takes no locks: call it on a
 // catalogue no writer is using (tests do, after statements and after
 // recovery).
 func (c *Catalog) CheckStats() error {
@@ -616,6 +622,9 @@ func (c *Catalog) CheckStats() error {
 			if got := e.Stats.Columns[i]; !reflect.DeepEqual(got, want.Columns[i]) {
 				return fmt.Errorf("catalog: %s column %d: kept %s, the heap gives %s", name, i, describe(got), describe(want.Columns[i]))
 			}
+		}
+		if err := e.Table.CheckBounds(); err != nil {
+			return err
 		}
 	}
 	return nil

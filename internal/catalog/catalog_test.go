@@ -138,9 +138,9 @@ func TestIndexRIDsResolveToMatchingTuples(t *testing.T) {
 }
 
 // statsDriver mutates a catalogued table the way the write path does —
-// in-place appends, compacting deletes, in-place updates, truncation —
-// reporting every tuple to the entry's hooks and ending each statement
-// with Wrote.
+// in-place appends, compacting deletes, in-place updates recorded with
+// Rewrite, truncation — reporting every tuple to the entry's hooks and
+// ending each statement with Wrote.
 type statsDriver struct {
 	t *testing.T
 	c *Catalog
@@ -160,7 +160,7 @@ func (d statsDriver) insert(rows ...[]types.Datum) {
 }
 
 func (d statsDriver) delete(match func(tuple []byte) bool) {
-	removed := d.e.Table.Compact(func(tuple []byte) bool {
+	removed := d.e.Table.Compact(func(int) bool { return false }, func(tuple []byte) bool {
 		if !match(tuple) {
 			return false
 		}
@@ -189,6 +189,9 @@ func (d statsDriver) update(match func(tuple []byte) bool, col int, v types.Datu
 			tuple := pg.Tuple(i)
 			if !match(tuple) {
 				continue
+			}
+			if n == 0 {
+				d.e.Table.Rewrite(p)
 			}
 			d.e.Removed(tuple)
 			s.PutDatum(tuple, col, v)

@@ -159,47 +159,62 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 			tree = entry.Index(f.idx.Column)
 		}
 		stage := plan.TraceStageProject
+		var read core.Pages
 		if f.agg != nil {
-			f.runAgg(t, tree, params, out)
+			read = f.runAgg(t, tree, params, out)
 			stage = plan.TraceStageAgg
 		} else {
-			f.runScan(t, tree, params, out)
+			read = f.runScan(t, tree, params, out)
 		}
+		core.CountSkipped(read.Skipped)
 		if f.traced {
-			f.p.Trace.Observe(stage, int64(t.NumRows()), int64(out.NumRows()), time.Since(t0))
+			f.p.Trace.Observe(stage, int64(read.Rows), int64(out.NumRows()), time.Since(t0))
+			f.p.Trace.ObservePages(stage, int64(read.Read), int64(read.Skipped))
 		}
 	})
 }
 
 // runScan filters and projects the table into out: through the index
-// tree when non-nil, otherwise by scan.
-func (f *fusedQuery) runScan(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) {
+// tree when non-nil, otherwise by scan. It returns what the loop read:
+// the tuples the probe fetched, or the scan's pages.
+func (f *fusedQuery) runScan(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) core.Pages {
 	if tree != nil {
-		core.Probe(t, tree, f.idx.Key(params), func(tup []byte) bool {
+		n := core.Probe(t, tree, f.idx.Key(params), func(tup []byte) bool {
 			if !core.MatchPreds(f.st.Preds, tup, params) {
 				return true
 			}
 			f.st.Project(tup, out.AppendSlot())
 			return f.limit < 0 || out.NumRows() < f.limit
 		})
-	} else if f.par > 1 {
-		f.scanPar(t, params, out)
-	} else {
-		f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out})
+		return core.Pages{Rows: n}
 	}
+	if f.par > 1 {
+		return f.scanPar(t, params, out)
+	}
+	return f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out})
 }
 
-// scanPages is the fused full-scan loop over pages [lo, hi). The
-// caller-only run covers the whole table with dst on the result; a
-// morsel covers its page range with dst on the worker's arena. It stops
-// early once dst holds limit rows.
-func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datum, dst *rowDst) {
+// scanPages is the fused full-scan loop over pages [lo, hi), skipping the
+// pages whose bounds the predicates exclude. The caller-only run covers
+// the whole table with dst on the result; a morsel covers its page range
+// with dst on the worker's arena. It stops early once dst holds limit
+// rows, and returns the pages it read and skipped.
+func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datum, dst *rowDst) core.Pages {
+	prune := f.st.Prune
+	var read core.Pages
 	for pi := lo; pi < hi; pi++ {
+		if len(prune) > 0 && !core.PageMayMatch(prune, t, pi, params) {
+			read.Skipped++
+			continue
+		}
 		pg := t.Page(pi)
+		read.Read++
+		read.Rows += pg.NumTuples()
 		if !f.scanPage(pg.Data(), pg.NumTuples(), params, dst) {
-			return
+			break
 		}
 	}
+	return read
 }
 
 // scanPage filters and projects one page's n tuples into dst: direct
@@ -247,14 +262,14 @@ func (f *fusedQuery) scanPage(data []byte, n int, params []types.Datum, dst *row
 // back in morsel order — byte-identical to the caller-only scan, LIMIT
 // included (a morsel emits at most limit rows, and once the completed
 // morsel prefix covers the limit the unclaimed tail is cancelled).
-func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storage.Table) {
+func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storage.Table) core.Pages {
 	per, n := pageMorsels(t, morsel.Rows)
 	pages := t.NumPages()
-	if n < 2 {
-		// Table shrank below one morsel since planning: the caller-only
-		// run is strictly cheaper.
-		f.scanPages(t, 0, pages, params, &rowDst{out: out})
-		return
+	if n < 2 || core.FewCandidates(f.st.Prune, t, params, morsel.Rows) {
+		// Table shrank below one morsel since planning, or its bounds
+		// leave less than one morsel to read: the caller-only run is
+		// strictly cheaper.
+		return f.scanPages(t, 0, pages, params, &rowDst{out: out})
 	}
 	ph := parPhasePool.Get().(*parPhase)
 	ph.reset(n, f.par, f.limit)
@@ -267,15 +282,17 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 			}
 			mo := parMorsel{worker: int32(wi), start: len(dst.arena)}
 			dst.rows = 0
-			f.scanPages(t, m*per, min((m+1)*per, pages), params, dst)
+			mo.pages = f.scanPages(t, m*per, min((m+1)*per, pages), params, dst)
 			mo.rows, mo.end = dst.rows, len(dst.arena)
 			ph.complete(m, mo)
 		}
 	})
 	ph.stitchRows(out, f.st.Width, f.limit)
+	read := ph.pages()
 	ph.finish(f.p.Trace, plan.TraceStageProject)
 	morsel.CountQuery()
 	parPhasePool.Put(ph)
+	return read
 }
 
 // runAgg drives the probe or scan into the aggregation tail and emits
@@ -287,8 +304,10 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 // helpers. A chunk covers at least four tuples per accumulator slot so
 // the merges stay a fraction of the scan. Collect modes stage as a join
 // side does and stitch in morsel order. An index tree, when non-nil,
-// replaces the scan: the caller folds or stages the tuples it fetches.
-func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) {
+// replaces the scan: the caller folds or stages the tuples it fetches. A
+// scan whose unskipped pages hold fewer than morsel.Rows tuples runs on
+// the caller alone, in one fold. It returns what the probe or scan read.
+func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) core.Pages {
 	fa := f.agg
 	sc := joinScratchPool.Get().(*joinScratch)
 	ts, ph := &sc.tail, &sc.par
@@ -298,20 +317,22 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 	}
 	pages := t.NumPages()
 	per, n := pageMorsels(t, max(morsel.Rows, 4*fa.prog.NGroups*fa.prog.NAggs))
+	var read core.Pages
 	switch {
 	case tree != nil && fa.mapped:
-		fa.prog.FoldProbe(ts.acc, f.st, ts.aggBuf, t, tree, f.idx.Key(params), params)
+		read.Rows = fa.prog.FoldProbe(ts.acc, f.st, ts.aggBuf, t, tree, f.idx.Key(params), params)
 	case tree != nil:
-		f.st.StageProbe(&ts.staged, t, tree, f.idx.Key(params), params)
+		read.Rows = f.st.StageProbe(&ts.staged, t, tree, f.idx.Key(params), params)
 	case !fa.mapped:
 		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.staged, f.p.Pool, t, params) {
+			read = ph.pages()
 			ph.finish(f.p.Trace, plan.TraceStageAgg)
 			morsel.CountQuery()
 		} else {
-			f.st.StagePages(&ts.staged, t, 0, pages, params)
+			read = f.st.StagePages(&ts.staged, t, 0, pages, params)
 		}
-	case n < 2:
-		fa.prog.FoldPages(ts.acc, f.st, ts.aggBuf, t, 0, pages, params)
+	case n < 2 || core.FewCandidates(f.st.Prune, t, params, morsel.Rows):
+		_, read = fa.prog.FoldPages(ts.acc, f.st, ts.aggBuf, t, 0, pages, params)
 	default:
 		ph.reset(n, f.par, -1)
 		sc.resetChunkMaps(n)
@@ -325,11 +346,12 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 					return
 				}
 				acc := sc.chunkMap(wk, m, fa.prog)
-				folded := fa.prog.FoldPages(acc, f.st, buf, t, m*per, min((m+1)*per, pages), params)
-				ph.complete(m, parMorsel{worker: int32(wi), rows: folded})
+				folded, pg := fa.prog.FoldPages(acc, f.st, buf, t, m*per, min((m+1)*per, pages), params)
+				ph.complete(m, parMorsel{worker: int32(wi), rows: folded, pages: pg})
 			}
 		})
 		sc.mergeChunkMaps()
+		read = ph.pages()
 		if f.par > 1 {
 			ph.finish(f.p.Trace, plan.TraceStageAgg)
 			morsel.CountQuery()
@@ -337,4 +359,5 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 	}
 	fa.finish(sc, out, f.limit)
 	sc.release()
+	return read
 }

@@ -496,18 +496,23 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 			t0 = time.Now()
 		}
 		s := &f.sides[i]
+		in := fed
 		if s.base < 0 {
 			// The previous join staged this side into the tail arena: swap
 			// it in, handing the side's spent arena to this join's tail.
 			sc.staged[i], ts.staged = ts.staged, sc.staged[i]
-		} else if f.stageSide(sc, i, params, &par) {
-			sorted |= 1 << i
+		} else {
+			read, ordered := f.stageSide(sc, i, params, &par)
+			core.CountSkipped(read.Skipped)
+			if ordered {
+				sorted |= 1 << i
+			}
+			if f.traced {
+				in = int64(read.Rows)
+				f.p.Trace.ObservePages(s.name, int64(read.Read), int64(read.Skipped))
+			}
 		}
 		if f.traced {
-			in := fed
-			if s.base >= 0 {
-				in = int64(f.p.Tables[s.base].Entry.Table.NumRows())
-			}
 			f.p.Trace.Observe(s.name, in, int64(sc.staged[i].Rows), time.Since(t0))
 		}
 	}
@@ -706,10 +711,10 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([]
 
 // stageSide fetches, filters, projects and routes one base-table join
 // input into the scratch arena — the staging pass of the generated code
-// (Listing 1 extended with the join pre-processing). It reports whether
-// the staged tuples are already in key order (the ordered index
-// traversal).
-func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) bool {
+// (Listing 1 extended with the join pre-processing). It returns what the
+// probe, traversal or scan read, and whether the staged tuples are
+// already in key order (the ordered index traversal).
+func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) (core.Pages, bool) {
 	s := &f.sides[i]
 	a := &sc.staged[i]
 	a.Reset(s.estRows, s.Width)
@@ -717,8 +722,7 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 	t := entry.Table
 	if s.idx != nil {
 		if tree := entry.Index(s.idx.Column); tree != nil {
-			s.StageProbe(a, t, tree, s.idx.Key(params), params)
-			return false
+			return core.Pages{Rows: s.StageProbe(a, t, tree, s.idx.Key(params), params)}, false
 		}
 		// Index dropped since planning: the equality filter is still in
 		// the predicates, so the scan below stays correct.
@@ -728,22 +732,24 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 			// sorted on the join key, so the merge join starts without a
 			// sort — the paper's case for index-ordered inputs. Such a side
 			// compiles no predicates and no route.
+			var read core.Pages
 			tree.Ascend(func(_ int64, rid btree.RID) bool {
 				if tup, ok := core.FetchRID(t, rid); ok {
 					s.Stage(a, tup, params)
+					read.Rows++
 				}
 				return true
 			})
-			return true
+			return read, true
 		}
 	}
 	if s.par > 1 && sc.par.stageScan(s.Stager, s.par, a, f.p.Pool, t, params) {
+		read := sc.par.pages()
 		sc.par.finish(f.p.Trace, s.name)
 		*par = true
-		return false
+		return read, false
 	}
-	s.StagePages(a, t, 0, t.NumPages(), params)
-	return false
+	return s.StagePages(a, t, 0, t.NumPages(), params), false
 }
 
 // grown returns s resliced to n elements, reallocating only when short

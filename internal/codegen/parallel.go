@@ -68,14 +68,16 @@ func parallelWorkers(p *plan.Plan, estRows int) int {
 
 // parMorsel records one morsel's output geometry: which worker ran it,
 // the byte range its rows occupy in that worker's arena, the range of
-// partition routes staged alongside (staged outputs only), and the row
-// count. done flips under the phase mutex when the morsel completes.
+// partition routes staged alongside (staged outputs only), the row
+// count, and the pages a scan morsel read and skipped. done flips under
+// the phase mutex when the morsel completes.
 type parMorsel struct {
 	worker       int32
 	done         bool
 	rows         int
 	start, end   int
 	pstart, pend int
+	pages        core.Pages
 }
 
 // rowDst is where a fused loop writes its output rows: the result
@@ -269,6 +271,18 @@ func (ph *parPhase) finish(tr *plan.Trace, stage string) int {
 		tr.ObserveParallel(stage, ph.started, rows)
 	}
 	return done
+}
+
+// pages sums the page tallies of the completed morsels: what a scan
+// phase read and skipped.
+func (ph *parPhase) pages() core.Pages {
+	var read core.Pages
+	for i := range ph.morsels {
+		if ph.morsels[i].done {
+			read.Add(ph.morsels[i].pages)
+		}
+	}
+	return read
 }
 
 // stitchRows appends the per-morsel output ranges to out in morsel

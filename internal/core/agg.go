@@ -417,17 +417,25 @@ func (p *AggProgram) StreamParts(gs *GroupStream, parts [][][]byte, out *storage
 }
 
 // FoldPages is map aggregation's single pass (Figure 4, no staging) over
-// pages [lo, hi) of t: filter and project each tuple through s into buf,
-// locate its group through the value directories (slot 0 for a
-// group-less aggregate), and update acc in place. It returns the number
-// of tuples folded.
-func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Table, lo, hi int, params []types.Datum) int {
+// pages [lo, hi) of t: skip the pages whose bounds s's predicates
+// exclude, filter and project each tuple through s into buf, locate its
+// group through the value directories (slot 0 for a group-less
+// aggregate), and update acc in place. It returns the number of tuples
+// folded and the pages it read and skipped.
+func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Table, lo, hi int, params []types.Datum) (int, Pages) {
 	n := 0
+	var tally Pages
 	for pi := lo; pi < hi; pi++ {
+		if len(s.Prune) > 0 && !PageMayMatch(s.Prune, t, pi, params) {
+			tally.Skipped++
+			continue
+		}
 		pg := t.Page(pi)
+		tally.Read++
+		tally.Rows += pg.NumTuples()
 		n += p.fold(acc, s, buf, pg.Data(), pg.NumTuples(), params)
 	}
-	return n
+	return n, tally
 }
 
 // fold folds the n consecutive input tuples in data — a page, or one

@@ -21,6 +21,7 @@ import (
 
 	"hique/internal/plan"
 	"hique/internal/sql"
+	"hique/internal/storage"
 	"hique/internal/types"
 )
 
@@ -163,6 +164,9 @@ type Pred struct {
 	F    float64
 	S    string // baked CHAR value, unpadded
 	Size int    // CHAR column width
+	// Bound is the column's slot in a page's bounds
+	// (storage.BoundSlot), -1 when the column keeps none.
+	Bound int
 }
 
 // CompilePreds lowers a stage's filters over the input schema; a
@@ -173,7 +177,7 @@ func CompilePreds(in *types.Schema, filters []plan.Filter) []Pred {
 		c := in.Column(flt.Col)
 		slot, _ := flt.Slot()
 		preds[k] = Pred{Off: in.Offset(flt.Col), Op: flt.Op, Kind: c.Kind, Slot: slot,
-			I: flt.Val.I, F: flt.Val.F, S: flt.Val.S, Size: c.Size}
+			I: flt.Val.I, F: flt.Val.F, S: flt.Val.S, Size: c.Size, Bound: storage.BoundSlot(in, flt.Col)}
 	}
 	return preds
 }

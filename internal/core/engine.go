@@ -123,9 +123,11 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 	var acc Accum
 	acc.Reset(prog.NGroups, prog.NAggs)
 	buf := make([]byte, s.Width)
-	rows := in.NumRows()
+	var rows int
 	if tree == nil {
-		prog.FoldPages(&acc, s, buf, in, 0, in.NumPages(), nil)
+		_, pg := prog.FoldPages(&acc, s, buf, in, 0, in.NumPages(), nil)
+		CountSkipped(pg.Skipped)
+		rows = pg.Rows
 	} else {
 		rows = prog.FoldProbe(&acc, s, buf, in, tree, a.Input.IndexScan.Key(nil), nil)
 	}
@@ -159,7 +161,8 @@ func stageInput(p *plan.Plan, joinOut []*storage.Table, st *plan.Stage) (*storag
 // non-nil, otherwise every page — into an arena, then lay it out for the
 // consuming operator. An identity stage that neither partitions nor
 // probes references the input's pages instead of copying them. It also
-// returns the input row count the trace reports.
+// returns the input row count the trace reports: the tuples the probe
+// fetched or the scan examined.
 func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) ([][][]byte, int, error) {
 	s, err := CompileStage(st, in.Schema())
 	if err != nil {
@@ -173,11 +176,13 @@ func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) ([][][]byte, int
 	// The arena lives for this one operator: size it from the estimate,
 	// which the input's row count bounds, instead of growing it.
 	a := Arena{Data: make([]byte, 0, min(max(int(st.EstRows), 0), in.NumRows())*s.Width)}
-	rows := in.NumRows()
+	var rows int
 	if tree != nil {
 		rows = s.StageProbe(&a, in, tree, st.IndexScan.Key(nil), nil)
 	} else {
-		s.StagePages(&a, in, 0, in.NumPages(), nil)
+		pg := s.StagePages(&a, in, 0, in.NumPages(), nil)
+		CountSkipped(pg.Skipped)
+		rows = pg.Rows
 	}
 	var b Buckets
 	return s.Order(&a, &b, false), rows, nil

@@ -76,7 +76,9 @@ func Extend(b []byte, w int) []byte {
 // the consuming operator needs. It holds no execution state, so one
 // compiled stage serves concurrent executions and morsel workers alike.
 type Stager struct {
-	Preds   []Pred
+	Preds []Pred
+	// Prune is the part of Preds a page's bounds can judge (Pruner).
+	Prune   []Pred
 	Project func(src, dst []byte)
 	Width   int // staged tuple width
 	InWidth int // input tuple width
@@ -98,8 +100,10 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 	if !st.Projectable() {
 		return nil, fmt.Errorf("core: stage computes a CHAR column")
 	}
+	preds := CompilePreds(in, st.Filters)
 	s := &Stager{
-		Preds:   CompilePreds(in, st.Filters),
+		Preds:   preds,
+		Prune:   Pruner(preds),
 		Project: MakeProjector(in, st.Cols, st.Schema),
 		Width:   st.Schema.TupleSize(),
 		InWidth: in.TupleSize(),
@@ -134,18 +138,27 @@ func (s *Stager) Stage(a *Arena, tup []byte, params []types.Datum) {
 }
 
 // StagePages is the full-scan staging loop over pages [lo, hi) of t:
-// direct page iteration with offset arithmetic. A caller-only run covers
-// the whole table; a morsel covers its page range into a worker's arena.
-func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum) {
+// direct page iteration with offset arithmetic, skipping the pages whose
+// bounds the predicates exclude. A caller-only run covers the whole
+// table; a morsel covers its page range into a worker's arena.
+func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum) Pages {
 	inW := s.InWidth
+	var tally Pages
 	for pi := lo; pi < hi; pi++ {
+		if len(s.Prune) > 0 && !PageMayMatch(s.Prune, t, pi, params) {
+			tally.Skipped++
+			continue
+		}
 		pg := t.Page(pi)
 		n := pg.NumTuples()
 		data := pg.Data()
+		tally.Read++
+		tally.Rows += n
 		for k, base := 0, 0; k < n; k, base = k+1, base+inW {
 			s.Stage(a, data[base:base+inW:base+inW], params)
 		}
 	}
+	return tally
 }
 
 // StageProbe stages the tuples of t the index entries for key point at —

@@ -36,12 +36,17 @@ type Trace struct {
 	Parallel []ParallelTrace
 }
 
-// StageTrace is one recorded pipeline stage.
+// StageTrace is one recorded pipeline stage. A stage that scans a base
+// table also records the pages it read and the pages their bounds let it
+// skip; RowsIn is then the tuples on the pages read (or the tuples an
+// index probe fetched), not the table's size.
 type StageTrace struct {
-	Name    string
-	RowsIn  int64
-	RowsOut int64
-	Elapsed time.Duration
+	Name         string
+	RowsIn       int64
+	RowsOut      int64
+	Elapsed      time.Duration
+	PagesRead    int64
+	PagesSkipped int64
 }
 
 // ParallelTrace describes one morsel-driven parallel phase: how many
@@ -61,16 +66,33 @@ func (t *Trace) Observe(name string, rowsIn, rowsOut int64, elapsed time.Duratio
 	if t == nil {
 		return
 	}
+	s := t.stage(name)
+	s.RowsIn += rowsIn
+	s.RowsOut += rowsOut
+	s.Elapsed += elapsed
+}
+
+// ObservePages merges the pages a stage's scan read and skipped into the
+// trace, accumulating like Observe. Safe to call on a nil trace.
+func (t *Trace) ObservePages(name string, read, skipped int64) {
+	if t == nil {
+		return
+	}
+	s := t.stage(name)
+	s.PagesRead += read
+	s.PagesSkipped += skipped
+}
+
+// stage returns the named stage's record, appending an empty one on the
+// name's first observation.
+func (t *Trace) stage(name string) *StageTrace {
 	for i := range t.Stages {
 		if t.Stages[i].Name == name {
-			s := &t.Stages[i]
-			s.RowsIn += rowsIn
-			s.RowsOut += rowsOut
-			s.Elapsed += elapsed
-			return
+			return &t.Stages[i]
 		}
 	}
-	t.Stages = append(t.Stages, StageTrace{Name: name, RowsIn: rowsIn, RowsOut: rowsOut, Elapsed: elapsed})
+	t.Stages = append(t.Stages, StageTrace{Name: name})
+	return &t.Stages[len(t.Stages)-1]
 }
 
 // ObserveParallel records one morsel-driven parallel phase. Safe to
@@ -92,8 +114,12 @@ func (t *Trace) Reset() {
 func (t *Trace) String() string {
 	var b strings.Builder
 	for _, s := range t.Stages {
-		fmt.Fprintf(&b, "%-18s rows_in=%-8d rows_out=%-8d elapsed=%s\n",
+		fmt.Fprintf(&b, "%-18s rows_in=%-8d rows_out=%-8d elapsed=%s",
 			s.Name, s.RowsIn, s.RowsOut, s.Elapsed)
+		if s.PagesRead+s.PagesSkipped > 0 {
+			fmt.Fprintf(&b, " pages_read=%d pages_skipped=%d", s.PagesRead, s.PagesSkipped)
+		}
+		b.WriteByte('\n')
 	}
 	for _, p := range t.Parallel {
 		fmt.Fprintf(&b, "%-18s workers=%d morsels=%d rows=%v\n",

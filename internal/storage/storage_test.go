@@ -112,25 +112,42 @@ func TestTruncate(t *testing.T) {
 }
 
 // TestCompact: survivors keep heap order, every page but the last ends
-// full, drop sees each tuple once and in order, and a heap whose middle
-// page is short of capacity compacts just as well.
+// full, drop sees each tuple of every page skip does not exclude once and
+// in order, a skipped page survives whole — before the first removal in
+// place, after it sliding down — and a heap whose middle page is short of
+// capacity compacts just as well. The settle mark drops to the page of
+// the first removal.
 func TestCompact(t *testing.T) {
 	s := testSchema()
 	perPage := (PageSize - HeaderSize) / s.TupleSize()
 	const n = 1000
+	pages := (n + perPage - 1) / perPage
+	noSkip := func(int) bool { return false }
 	for _, c := range []struct {
 		name  string
+		skip  func(page int) bool
 		drop  func(id int64) bool
 		short bool // page 0 holds three tuples fewer than it could
 	}{
-		{"none", func(int64) bool { return false }, false},
-		{"first", func(id int64) bool { return id == 0 }, false},
-		{"last", func(id int64) bool { return id == n-1 }, false},
-		{"every third", func(id int64) bool { return id%3 == 0 }, false},
-		{"tail", func(id int64) bool { return id >= n-40 }, false},
-		{"head", func(id int64) bool { return id < int64(perPage)+5 }, false},
-		{"all", func(int64) bool { return true }, false},
-		{"every fifth past a short page", func(id int64) bool { return id%5 == 1 }, true},
+		{"none", noSkip, func(int64) bool { return false }, false},
+		{"first", noSkip, func(id int64) bool { return id == 0 }, false},
+		{"last", noSkip, func(id int64) bool { return id == n-1 }, false},
+		{"every third", noSkip, func(id int64) bool { return id%3 == 0 }, false},
+		{"tail", noSkip, func(id int64) bool { return id >= n-40 }, false},
+		{"head", noSkip, func(id int64) bool { return id < int64(perPage)+5 }, false},
+		{"all", noSkip, func(int64) bool { return true }, false},
+		{"every fifth past a short page", noSkip, func(id int64) bool { return id%5 == 1 }, true},
+		{"skipped pages before the first removal", func(p int) bool { return p < 3 },
+			func(id int64) bool { return id%7 == 0 }, false},
+		{"skipped pages after the first removal slide", func(p int) bool { return p == 2 || p == 4 },
+			func(id int64) bool { return id%4 == 0 }, false},
+		{"a skipped page drop would empty survives", func(p int) bool { return p == 1 },
+			func(int64) bool { return true }, false},
+		{"emptied tail behind skipped pages", func(p int) bool { return p < pages-2 },
+			func(int64) bool { return true }, false},
+		{"every page skipped", func(int) bool { return true }, func(int64) bool { return true }, false},
+		{"skips past a short page", func(p int) bool { return p%2 == 1 },
+			func(id int64) bool { return id%3 == 2 }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tbl := NewTable("t", s)
@@ -141,29 +158,43 @@ func TestCompact(t *testing.T) {
 				tbl.pages[0].setNumTuples(perPage - 3)
 				tbl.rows -= 3
 			}
-			var want, seen []int64
-			tbl.Scan(func(tuple []byte) bool {
-				if id := types.GetInt(tuple, 0); !c.drop(id) {
-					want = append(want, id)
+			tbl.Settle()
+			var want, seen, wantSeen []int64
+			first := -1 // the page of the first removal
+			for pi := 0; pi < tbl.NumPages(); pi++ {
+				pg := tbl.Page(pi)
+				for i := 0; i < pg.NumTuples(); i++ {
+					id := types.GetInt(pg.Tuple(i), 0)
+					if c.skip(pi) {
+						want = append(want, id)
+						continue
+					}
+					wantSeen = append(wantSeen, id)
+					if !c.drop(id) {
+						want = append(want, id)
+					} else if first < 0 {
+						first = pi
+					}
 				}
-				return true
-			})
-			v0 := tbl.Version()
-			removed := tbl.Compact(func(tuple []byte) bool {
+			}
+			v0, before := tbl.Version(), tbl.NumRows()
+			lastSkip := -1
+			removed := tbl.Compact(func(p int) bool {
+				if p <= lastSkip {
+					t.Fatalf("skip asked about page %d after page %d", p, lastSkip)
+				}
+				lastSkip = p
+				return c.skip(p)
+			}, func(tuple []byte) bool {
 				id := types.GetInt(tuple, 0)
 				seen = append(seen, id)
 				return c.drop(id)
 			})
-			if got := len(seen); got != len(want)+removed {
-				t.Fatalf("drop saw %d tuples, want %d", got, len(want)+removed)
+			if fmt.Sprint(seen) != fmt.Sprint(wantSeen) {
+				t.Fatalf("drop saw %v\nwant %v", seen, wantSeen)
 			}
-			for i := 1; i < len(seen); i++ {
-				if seen[i] <= seen[i-1] {
-					t.Fatalf("drop saw %d after %d", seen[i], seen[i-1])
-				}
-			}
-			if tbl.NumRows() != len(want) {
-				t.Fatalf("NumRows = %d, want %d", tbl.NumRows(), len(want))
+			if tbl.NumRows() != len(want) || removed != before-len(want) {
+				t.Fatalf("NumRows = %d, removed %d, want %d rows", tbl.NumRows(), removed, len(want))
 			}
 			if (removed > 0) != (tbl.Version() != v0) {
 				t.Fatalf("removed %d, version %d -> %d", removed, v0, tbl.Version())
@@ -180,15 +211,81 @@ func TestCompact(t *testing.T) {
 				t.Fatalf("survivors %v\nwant %v", got, want)
 			}
 			if removed == 0 {
+				if tbl.NumPages() > 0 && tbl.PageBounds(tbl.NumPages()-1) == nil {
+					t.Fatal("a compaction that removed nothing lowered the settle mark")
+				}
 				return
 			}
+			if first > 0 && tbl.PageBounds(first-1) == nil {
+				t.Fatalf("page %d, before the first removal, lost its bounds", first-1)
+			}
+			if first < tbl.NumPages() && tbl.PageBounds(first) != nil {
+				t.Fatalf("page %d, the first removal's, kept its bounds", first)
+			}
 			for i := 0; i < tbl.NumPages(); i++ {
-				if p := tbl.Page(i); p.NumTuples() == 0 || (i < tbl.NumPages()-1 && !p.Full()) {
+				if p := tbl.Page(i); p.NumTuples() == 0 || (i < tbl.NumPages()-1 && !p.Full() && !(c.short && i == 0 && i < first)) {
 					t.Fatalf("page %d of %d holds %d of %d tuples", i, tbl.NumPages(), p.NumTuples(), p.Capacity())
 				}
 			}
 		})
 	}
+}
+
+// TestSettleMarks: Settle computes exact per-page bounds of the Int/Date
+// columns only, and every mutation lowers the settle mark to the first
+// page it touched, so that page and every later one lose their bounds
+// until the next Settle.
+func TestSettleMarks(t *testing.T) {
+	s := types.NewSchema(types.Col("id", types.Int), types.Col("v", types.Float), types.Col("day", types.Date))
+	if BoundSlot(s, 0) != 0 || BoundSlot(s, 1) != -1 || BoundSlot(s, 2) != 1 {
+		t.Fatalf("bound slots %d %d %d", BoundSlot(s, 0), BoundSlot(s, 1), BoundSlot(s, 2))
+	}
+	tbl := NewTable("t", s)
+	perPage := (PageSize - HeaderSize) / s.TupleSize()
+	for i := 0; i < 3*perPage+5; i++ {
+		tbl.AppendRow(types.IntDatum(int64(i)), types.FloatDatum(0), types.DateDatum(int64(-i)))
+	}
+	if tbl.PageBounds(0) != nil {
+		t.Fatal("a table never settled has bounds")
+	}
+	tbl.Settle()
+	for pi := 0; pi < tbl.NumPages(); pi++ {
+		lo, hi := int64(pi*perPage), int64(min((pi+1)*perPage, tbl.NumRows())-1)
+		if got, want := fmt.Sprint(tbl.PageBounds(pi)), fmt.Sprint([]int64{lo, hi, -hi, -lo}); got != want {
+			t.Fatalf("page %d bounds %s, want %s", pi, got, want)
+		}
+	}
+	settled := func(want int) {
+		t.Helper()
+		for pi := 0; pi < tbl.NumPages(); pi++ {
+			if has := tbl.PageBounds(pi) != nil; has != (pi < want) {
+				t.Fatalf("page %d has bounds %t with the mark at %d", pi, has, want)
+			}
+		}
+		if err := tbl.CheckBounds(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled(4)
+	tbl.AppendRow(types.IntDatum(-7), types.FloatDatum(0), types.DateDatum(0))
+	settled(3)
+	tbl.Settle()
+	if b := tbl.PageBounds(3); b[0] != -7 {
+		t.Fatalf("page 3 bounds %v after an append of -7", b)
+	}
+	tbl.Rewrite(1)
+	settled(1)
+	tbl.Settle()
+	tbl.Page(2).setNumTuples(0)
+	tbl.Rewrite(2)
+	tbl.Settle()
+	if b := tbl.PageBounds(2); b[0] <= b[1] {
+		t.Fatalf("an empty page's bounds %v admit a value", b)
+	}
+	tbl.Truncate()
+	settled(0)
+	tbl.Settle()
+	settled(0)
 }
 
 func TestManagerSaveLoadRoundTrip(t *testing.T) {

@@ -22,6 +22,13 @@ type Table struct {
 	// pooled marks tables created by NewPooledTable: their pages come
 	// from the page arena and return to it on Release.
 	pooled bool
+
+	// settled is the settle mark: the pages before it carry exact bounds
+	// in bounds, 2 int64 per Int/Date column (boundOffs) per page. See
+	// bounds.go.
+	settled   int
+	bounds    []int64
+	boundOffs []int
 }
 
 // NewTable creates an empty heap table.
@@ -44,10 +51,19 @@ func (t *Table) NumRows() int { return t.rows }
 // Page returns the i-th page.
 func (t *Table) Page(i int) *Page { return t.pages[i] }
 
+// touch lowers the settle mark to page pi, whose tuples are changing.
+func (t *Table) touch(pi int) {
+	if pi < t.settled {
+		t.settled = pi
+	}
+}
+
 // lastPage returns the final page, appending a fresh one if the heap is
-// empty or the final page is full.
+// empty or the final page is full, and lowers the settle mark to it: the
+// caller is about to write a tuple there.
 func (t *Table) lastPage() *Page {
 	if n := len(t.pages); n > 0 && !t.pages[n-1].Full() {
+		t.touch(n - 1)
 		return t.pages[n-1]
 	}
 	var p *Page
@@ -62,17 +78,22 @@ func (t *Table) lastPage() *Page {
 }
 
 // Version returns the table's mutation counter. It advances on every
-// append and truncate, and on BumpVersion for in-place page mutations, so
-// a cached derived form of the heap (e.g. the DSM engine's vertical
-// decomposition) is valid exactly while the version it was built at still
-// matches. Readers observe it under the same table lock that orders the
+// append, compaction and truncate, and on Rewrite for in-place page
+// mutations, so a cached derived form of the heap (e.g. the DSM engine's
+// vertical decomposition) is valid exactly while the version it was built
+// at still matches. Readers observe it under the same table lock that orders the
 // mutations themselves.
 func (t *Table) Version() uint64 { return t.version }
 
-// BumpVersion records a mutation performed directly on page bytes (the
-// SQL UPDATE path writes fields in place), invalidating cached derived
-// forms. Call once per mutation batch under the writer lock.
-func (t *Table) BumpVersion() { t.version++ }
+// Rewrite records that the caller is about to overwrite tuples in place
+// from page first on (the SQL UPDATE path writes fields in place): it
+// advances the version, invalidating cached derived forms, and lowers the
+// settle mark to first. Call it under the writer lock before the batch's
+// first write, so a batch cut short by a panic is covered too.
+func (t *Table) Rewrite(first int) {
+	t.version++
+	t.touch(first)
+}
 
 // Append adds a tuple (raw bytes of schema width) to the table.
 func (t *Table) Append(tuple []byte) {
@@ -146,23 +167,33 @@ func (t *Table) Truncate() {
 	t.pages = nil
 	t.rows = 0
 	t.version++
+	t.touch(0)
 }
 
 // Compact removes the tuples drop accepts, sliding each later survivor
 // down over them in heap order, and cuts the emptied tail of pages; it
-// returns how many it removed. drop sees every tuple, in order, before
-// anything overwrites it. Tuples before the first removal stay where they
-// are, so removing recently appended rows moves nothing.
-func (t *Table) Compact(drop func(tuple []byte) bool) int {
-	removed := 0
+// returns how many it removed. skip, called once per page before any of
+// its tuples moves, excludes whole pages: drop never sees their tuples,
+// and all of them survive. drop sees every tuple of every other page, in
+// order, before anything overwrites it. Tuples before the first removal
+// stay where they are, so removing recently appended rows moves nothing
+// and a skipped page before it is not even read; a page after it slides
+// down with the survivors, skipped or not. The settle mark drops to the
+// page of the first removal.
+func (t *Table) Compact(skip func(page int) bool, drop func(tuple []byte) bool) int {
+	removed, first := 0, 0
 	wp, ws := 0, 0 // the slot the next survivor moves to
 	for pi, p := range t.pages {
+		keepAll := skip(pi)
+		if keepAll && removed == 0 {
+			continue
+		}
 		n, ts, data := p.NumTuples(), p.TupleSize(), p.Data()
 		for i := 0; i < n; i++ {
 			tuple := data[i*ts : i*ts+ts]
-			if drop(tuple) {
+			if !keepAll && drop(tuple) {
 				if removed == 0 {
-					wp, ws = pi, i
+					first, wp, ws = pi, pi, i
 				}
 				removed++
 				continue
@@ -192,5 +223,6 @@ func (t *Table) Compact(drop func(tuple []byte) bool) int {
 	t.pages = t.pages[:keep]
 	t.rows -= removed
 	t.version++
+	t.touch(first)
 	return removed
 }

@@ -3,6 +3,7 @@ package hique
 import (
 	"errors"
 
+	"hique/internal/core"
 	"hique/internal/morsel"
 	"hique/internal/obs"
 	"hique/internal/plan"
@@ -132,6 +133,11 @@ func newDBMetrics(db *DB) *dbMetrics {
 		func() int64 { q, _ := morsel.Stats(); return q })
 	m.reg.CounterFunc("hique_morsels_total", "Morsels processed by parallel execution phases.", "",
 		func() int64 { _, ms := morsel.Stats(); return ms })
+	// Pages a scan, staging pass, map fold or DML victim search skipped
+	// because their min/max bounds exclude its predicates; counted once per
+	// scan and process-global like the morsel counters.
+	m.reg.CounterFunc("hique_scan_pages_skipped_total", "Heap pages page loops skipped on their per-page min/max bounds.", "",
+		core.SkippedPages)
 
 	m.reg.GaugeFunc("hique_catalog_version", "Catalogue epoch: table registrations and drops (writes and index builds move per-table versions).", "",
 		func() float64 { return float64(db.cat.Version()) })
