@@ -41,7 +41,7 @@ type ParallelStats struct {
 // the per-stage execution statistics, and the totals of the actual run
 // that produced them. Path is "fused" (a single-table pipeline or a
 // chain of fused joins: every SELECT on the default engine) or
-// "general" (an injected executor: the interpreted engines and -O0);
+// "general" (an injected executor: the comparator engines);
 // Workers is the compiled worker target of the widest phase of any join,
 // Parallel the phases that actually ran on more than the caller (empty
 // for serial executions).

@@ -43,8 +43,8 @@ func BenchmarkFig6AggProfiling(b *testing.B) {
 	}
 }
 
-// BenchmarkTab2OptimisationLevels regenerates Table II (the -O0 / -O2
-// response-time grid).
+// BenchmarkTab2OptimisationLevels regenerates Table II at the level the
+// test binary was compiled at (-O0 under -gcflags='hique/...=-N -l').
 func BenchmarkTab2OptimisationLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bench.Tab2(benchScale)

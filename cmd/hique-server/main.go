@@ -64,6 +64,7 @@ import (
 	"hique/internal/server"
 	"hique/internal/storage"
 	"hique/internal/tpch"
+	"hique/internal/wal"
 )
 
 // swapHandler lets the listener come up before recovery completes: it
@@ -137,7 +138,7 @@ func main() {
 
 	var db *hique.DB
 	if *dataDir != "" {
-		mode, ok := hique.ParseFsyncMode(*fsyncMode)
+		mode, ok := wal.ParsePolicy(*fsyncMode)
 		if !ok {
 			fatal(fmt.Errorf("unknown -fsync policy %q (want always, interval, or off)", *fsyncMode))
 		}

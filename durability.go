@@ -41,47 +41,21 @@ import (
 )
 
 // FsyncMode is the durability/latency trade-off for acknowledged writes
-// (the -fsync server flag).
-type FsyncMode int
+// (the -fsync server flag): the WAL's sync policy, named in the facade.
+type FsyncMode = wal.SyncPolicy
 
 const (
 	// FsyncAlways fsyncs before every statement acknowledgement (group
 	// commit batches concurrent writers into shared fsyncs).
-	FsyncAlways FsyncMode = iota
+	FsyncAlways = wal.SyncAlways
 	// FsyncInterval acknowledges immediately and fsyncs on a background
 	// cadence: a crash loses at most the last interval.
-	FsyncInterval
+	FsyncInterval = wal.SyncInterval
 	// FsyncOff never fsyncs the log explicitly: a crash loses everything
 	// since the last checkpoint (or clean close). The log is still
 	// written, so a clean process exit loses nothing.
-	FsyncOff
+	FsyncOff = wal.SyncOff
 )
-
-// String names the mode using the -fsync flag vocabulary.
-func (m FsyncMode) String() string {
-	return [...]string{"always", "interval", "off"}[m]
-}
-
-// ParseFsyncMode resolves a -fsync flag value; ok is false for unknown
-// names.
-func ParseFsyncMode(s string) (FsyncMode, bool) {
-	for _, m := range []FsyncMode{FsyncAlways, FsyncInterval, FsyncOff} {
-		if m.String() == s {
-			return m, true
-		}
-	}
-	return FsyncAlways, false
-}
-
-func (m FsyncMode) walPolicy() wal.SyncPolicy {
-	switch m {
-	case FsyncInterval:
-		return wal.SyncInterval
-	case FsyncOff:
-		return wal.SyncOff
-	}
-	return wal.SyncAlways
-}
 
 // durabilityConfig collects the durability options before Open wires
 // them up; a nil config (or empty dir) means an in-memory DB.
@@ -234,7 +208,7 @@ func (db *DB) openDurability() error {
 	d.snapLSN.Store(snapLSN)
 	d.recoveredLSN = snapLSN
 	log, err := wal.Open(filepath.Join(cfg.dir, "wal"), wal.Options{
-		Policy:       cfg.mode.walPolicy(),
+		Policy:       cfg.mode,
 		Interval:     cfg.fsyncIvl,
 		SegmentSize:  cfg.segmentSize,
 		StartLSN:     snapLSN + 1,

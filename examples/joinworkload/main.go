@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"hique/internal/catalog"
-	"hique/internal/core"
+	"hique/internal/codegen"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -66,7 +66,7 @@ func main() {
 				panic(err)
 			}
 			start := time.Now()
-			if _, err := core.NewEngine().Execute(p); err != nil {
+			if _, err := (codegen.Executor{}).Execute(p); err != nil {
 				panic(err)
 			}
 			return time.Since(start)

@@ -18,7 +18,7 @@ import (
 
 // holistic is the paper's engine: the plan generated and compiled at
 // -O2, which runs the fused pipelines.
-var holistic = codegen.Executor{Level: codegen.OptO2}
+var holistic = codegen.Executor{}
 
 func main() {
 	sf := flag.Float64("sf", 0.05, "TPC-H scale factor")

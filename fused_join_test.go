@@ -2,7 +2,7 @@ package hique
 
 // Tests for the fused join+aggregation pipeline: two-table equi-joins
 // with optional GROUP BY, ORDER BY, and LIMIT must produce byte-identical
-// results across all five engines and across the fused/cached/general
+// results across all four engines and across the fused/cached/general
 // execution routes — literal, parameterized, and index-backed alike. The
 // concurrency test runs under -race in CI and doubles as the deadlock
 // check for the multi-table (ID-ordered) reader locks against the DML
@@ -65,7 +65,7 @@ var joinQueries = []struct {
 }
 
 // TestFusedJoinMatchesAllEngines asserts byte-identical results for
-// every join shape across (a) all five engines uncached, (b) the cached
+// every join shape across (a) all four engines uncached, (b) the cached
 // holistic path with auto-parameterization (the fused pipeline), (c) a
 // prepared handle with the literals baked in, and (d) index-backed variants (indexes
 // on both join keys switch the planner to the merge join, with the

@@ -15,7 +15,7 @@ type engineDB struct {
 }
 
 // engineDBs opens one DB per engine of enginetest.DBEngines over cat,
-// each with opts: the DB-level differential tests cover all five engines
+// each with opts: the DB-level differential tests cover all four engines
 // this way.
 func engineDBs(cat *catalog.Catalog, opts ...Option) []engineDB {
 	var dbs []engineDB

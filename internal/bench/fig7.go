@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"hique/internal/catalog"
-	"hique/internal/core"
+	"hique/internal/codegen"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -81,8 +81,8 @@ func Fig7a(scale float64) Result {
 	all := []series{
 		{"Merge - Iterators", plan.MergeJoin, volcano.NewOptimized()},
 		{"Hybrid - Iterators", plan.HybridJoin, volcano.NewOptimized()},
-		{"Merge - HIQUE", plan.MergeJoin, core.NewEngine()},
-		{"Hybrid - HIQUE", plan.HybridJoin, core.NewEngine()},
+		{"Merge - HIQUE", plan.MergeJoin, codegen.Executor{}},
+		{"Hybrid - HIQUE", plan.HybridJoin, codegen.Executor{}},
 	}
 	rows := make([][]string, len(all))
 	for i, s := range all {
@@ -135,9 +135,9 @@ func Fig7b(scale float64) Result {
 	}
 	all := []series{
 		{"Merge - Iterators", plan.MergeJoin, volcano.NewOptimized(), false},
-		{"Merge - HIQUE (binary)", plan.MergeJoin, core.NewEngine(), false},
-		{"Merge - HIQUE (team)", plan.MergeJoin, core.NewEngine(), true},
-		{"Hybrid - HIQUE (team)", plan.HybridJoin, core.NewEngine(), true},
+		{"Merge - HIQUE (binary)", plan.MergeJoin, codegen.Executor{}, false},
+		{"Merge - HIQUE (team)", plan.MergeJoin, codegen.Executor{}, true},
+		{"Hybrid - HIQUE (team)", plan.HybridJoin, codegen.Executor{}, true},
 	}
 	rows := make([][]string, len(all))
 	for i, s := range all {
@@ -197,8 +197,8 @@ func Fig7c(scale float64) Result {
 	all := []series{
 		{"Merge - Iterators", plan.MergeJoin, volcano.NewOptimized()},
 		{"Hybrid - Iterators", plan.HybridJoin, volcano.NewOptimized()},
-		{"Merge - HIQUE", plan.MergeJoin, core.NewEngine()},
-		{"Hybrid - HIQUE", plan.HybridJoin, core.NewEngine()},
+		{"Merge - HIQUE", plan.MergeJoin, codegen.Executor{}},
+		{"Hybrid - HIQUE", plan.HybridJoin, codegen.Executor{}},
 	}
 	rows := make([][]string, len(all))
 	for i, s := range all {
@@ -249,9 +249,9 @@ func Fig7d(scale float64) Result {
 		{"Sort - Iterators", plan.SortAggregation, volcano.NewOptimized()},
 		{"Hybrid - Iterators", plan.HybridAggregation, volcano.NewOptimized()},
 		{"Map - Iterators", plan.MapAggregation, volcano.NewOptimized()},
-		{"Sort - HIQUE", plan.SortAggregation, core.NewEngine()},
-		{"Hybrid - HIQUE", plan.HybridAggregation, core.NewEngine()},
-		{"Map - HIQUE", plan.MapAggregation, core.NewEngine()},
+		{"Sort - HIQUE", plan.SortAggregation, codegen.Executor{}},
+		{"Hybrid - HIQUE", plan.HybridAggregation, codegen.Executor{}},
+		{"Map - HIQUE", plan.MapAggregation, codegen.Executor{}},
 	}
 	rows := make([][]string, len(all))
 	for i, s := range all {

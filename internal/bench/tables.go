@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"hique/internal/catalog"
@@ -38,27 +40,26 @@ func Tab1() Result {
 }
 
 // Tab2 reproduces the compiler-optimisation study (paper Table II): the
-// four §VI-A queries under unoptimized and optimized code for each code
-// class. Go has no post-hoc -O0/-O2 switch, so the axis is reproduced at
-// the level the substitution table in DESIGN.md describes: "-O0" runs the
-// boxed, per-step-indirection variant of each class, "-O2" the fused
-// type-specialised variant. For the holistic row these are exactly the
-// codegen OptO0/OptO2 executables of the same generated plan.
+// four §VI-A queries on each code class, timed at the optimisation level
+// this binary was compiled at. As in the paper, -O0 and -O2 are two
+// compilations of the same code: the default build is -O2, and
+// -gcflags='hique/...=-N -l' (optimisations and inlining off) is -O0
+// (DESIGN.md §1). One run fills one level's columns;
+// the table is the pair of runs.
 func Tab2(scale float64) Result {
+	level := buildOptLevel()
 	res := Result{
 		ID:    "TabII",
-		Title: "Effect of code optimisation level (response times in seconds)",
+		Title: fmt.Sprintf("Effect of code optimisation level, this build %s (response times in seconds)", level),
 		Header: []string{"Implementation",
-			"Join1 -O0", "Join1 -O2",
-			"Join2 -O0", "Join2 -O2",
-			"Agg1 -O0", "Agg1 -O2",
-			"Agg2 -O0", "Agg2 -O2"},
+			"Join1 " + level, "Join2 " + level, "Agg1 " + level, "Agg2 " + level},
 	}
 
 	// The four workloads as SQL over catalogued tables.
 	j1n := max(int(10000*scale), 200)
 	j2n := max(int(1000000*scale), 2000)
 	an := max(int(1000000*scale), 2000)
+	aggGroups := max(int(100000*scale), 100)
 
 	type workload struct {
 		cat   *catalog.Catalog
@@ -83,59 +84,65 @@ func Tab2(scale float64) Result {
 	workloads := []workload{
 		mkJoin(j1n, max(j1n/1000, 2), plan.MergeJoin),
 		mkJoin(j2n, max(j2n/10, 2), plan.HybridJoin),
-		mkAgg(an, max(int(100000*scale), 100), plan.HybridAggregation),
+		mkAgg(an, aggGroups, plan.HybridAggregation),
 		mkAgg(an, 10, plan.MapAggregation),
 	}
-
-	type rowSpec struct {
-		name     string
-		o0Engine plan.Executor
-		o2Engine plan.Executor
-	}
-	rows := []rowSpec{
-		{"Iterators", volcano.NewGeneric(), volcano.NewOptimized()},
-		{"Holistic (generated)", codegen.Executor{Level: codegen.OptO0}, codegen.Executor{Level: codegen.OptO2}},
-	}
-	for _, r := range rows {
-		cells := []string{r.name}
+	engineRow := func(name string, e plan.Executor) []string {
+		cells := []string{name}
 		for _, w := range workloads {
 			p := mustPlan(w.cat, w.query, w.opts)
-			cells = append(cells, fmt.Sprintf("%.3f", runTimed(r.o0Engine, p, 1)))
-			cells = append(cells, fmt.Sprintf("%.3f", runTimed(r.o2Engine, p, 1)))
+			cells = append(cells, fmt.Sprintf("%.4f", runTimed(e, p, 1)))
 		}
-		res.Rows = append(res.Rows, cells)
+		return cells
 	}
 
-	// Hard-coded shapes: generic vs optimized plays the same role.
 	outer1 := hardcoded.BuildJoinInput("o", j1n, max(j1n/1000, 2))
 	inner1 := hardcoded.BuildJoinInput("i", j1n, max(j1n/1000, 2))
 	outer2 := hardcoded.BuildJoinInput("o", j2n, max(j2n/10, 2))
 	inner2 := hardcoded.BuildJoinInput("i", j2n, max(j2n/10, 2))
-	agg1 := hardcoded.BuildAggInput(an, max(int(100000*scale), 100))
+	agg1 := hardcoded.BuildAggInput(an, aggGroups)
 	agg2 := hardcoded.BuildAggInput(an, 10)
 	parts := partitionsFor(j2n)
-	hcRow := []string{"Hard-coded"}
-	for _, pair := range [][2]hardcoded.Shape{
-		{hardcoded.GenericHardcoded, hardcoded.OptimizedHardcoded},
-	} {
-		g, o := pair[0], pair[1]
-		hcRow = append(hcRow,
-			secs(timeIt(1, func() { hardcoded.RunMergeJoin(g, outer1, inner1, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunMergeJoin(o, outer1, inner1, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunHybridJoin(g, outer2, inner2, parts, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunHybridJoin(o, outer2, inner2, parts, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunHybridAgg(g, agg1, parts, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunHybridAgg(o, agg1, parts, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunMapAgg(g, agg2, 10, nil) })),
-			secs(timeIt(1, func() { hardcoded.RunMapAgg(o, agg2, 10, nil) })),
-		)
+	shapeRow := func(name string, s hardcoded.Shape) []string {
+		return []string{name,
+			secs(timeIt(1, func() { hardcoded.RunMergeJoin(s, outer1, inner1, nil) })),
+			secs(timeIt(1, func() { hardcoded.RunHybridJoin(s, outer2, inner2, parts, nil) })),
+			secs(timeIt(1, func() { hardcoded.RunHybridAgg(s, agg1, parts, nil) })),
+			secs(timeIt(1, func() { hardcoded.RunMapAgg(s, agg2, 10, nil) })),
+		}
 	}
-	res.Rows = append(res.Rows, hcRow)
+
+	res.Rows = [][]string{
+		engineRow("Generic iterators", volcano.NewGeneric()),
+		engineRow("Optimised iterators", volcano.NewOptimized()),
+		shapeRow("Generic hard-coded", hardcoded.GenericHardcoded),
+		shapeRow("Optimised hard-coded", hardcoded.OptimizedHardcoded),
+		engineRow("HIQUE", codegen.Executor{}),
+	}
 	res.Notes = []string{
-		"-O0 = boxed values + per-step indirection; -O2 = fused type-specialised code (DESIGN.md substitution).",
+		"-O2: go run ./cmd/hique-bench -experiment tab2; -O0: the same with -gcflags='hique/...=-N -l'.",
 		"Paper shape to verify: optimisation helps most on the inflationary join; least where staging dominates.",
 	}
 	return res
+}
+
+// buildOptLevel names the level this binary's own code was compiled at:
+// "-O0" when its -gcflags setting turns optimisations off (-N), "-O2"
+// otherwise. go build, go run and go test all record the setting.
+func buildOptLevel() string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key != "-gcflags" {
+				continue
+			}
+			for _, f := range strings.Fields(s.Value) {
+				if f == "-N" || strings.HasSuffix(f, "=-N") {
+					return "-O0"
+				}
+			}
+		}
+	}
+	return "-O2"
 }
 
 // Tab3 reproduces the query-preparation cost table (paper Table III):
@@ -147,7 +154,7 @@ func Tab3(sf float64) Result {
 		ID:    "TabIII",
 		Title: "Query preparation cost (TPC-H)",
 		Header: []string{"Query", "Parse (ms)", "Optimize (ms)", "Generate (ms)",
-			"Compile -O0 (ms)", "Compile -O2 (ms)", "Source (bytes)"},
+			"Compile (ms)", "Source (bytes)"},
 	}
 	for _, n := range tpch.QueryNumbers() {
 		q, _ := tpch.Query(n)
@@ -178,23 +185,19 @@ func Tab3(sf float64) Result {
 		})
 		// Compile = closure construction + the emitted file's syntax
 		// check, which Generate leaves to EnsureSource.
-		compile := func(level codegen.OptLevel) func() {
-			return func() {
-				cq, err := codegen.Generate(p, level)
-				if err == nil {
-					err = cq.EnsureSource()
-				}
-				if err != nil {
-					panic(err)
-				}
+		compileT := timeIt(5, func() {
+			cq, err := codegen.Generate(p, codegen.OptO2)
+			if err == nil {
+				err = cq.EnsureSource()
 			}
-		}
-		c0 := timeIt(5, compile(codegen.OptO0))
-		c2 := timeIt(5, compile(codegen.OptO2))
+			if err != nil {
+				panic(err)
+			}
+		})
 
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("#%d", n),
-			ms(parseT), ms(optT), ms(genT), ms(c0), ms(c2),
+			ms(parseT), ms(optT), ms(genT), ms(compileT),
 			fmt.Sprintf("%d", srcBytes),
 		})
 	}

@@ -78,46 +78,6 @@ var testQueries = []string{
 	"SELECT qty, AVG(amount) AS mean, MIN(sale_id), MAX(sale_id) FROM sales GROUP BY qty ORDER BY qty",
 }
 
-func TestO0AndO2Agree(t *testing.T) {
-	cat := testCatalog()
-	for _, q := range testQueries {
-		p := mustPlan(t, cat, q)
-		var results [][]string
-		for _, level := range []OptLevel{OptO0, OptO2} {
-			cq, err := Generate(p, level)
-			if err != nil {
-				t.Fatalf("%s: Generate(%v): %v", q, level, err)
-			}
-			out, err := cq.Run()
-			if err != nil {
-				t.Fatalf("%s: Run(%v): %v", q, level, err)
-			}
-			rows := rowsAsStrings(out)
-			// Normalise order for queries without ORDER BY.
-			if p.Sort == nil {
-				sortStrings(rows)
-			}
-			results = append(results, rows)
-		}
-		if len(results[0]) != len(results[1]) {
-			t.Fatalf("%s: O0 rows %d != O2 rows %d", q, len(results[0]), len(results[1]))
-		}
-		for i := range results[0] {
-			if results[0][i] != results[1][i] {
-				t.Fatalf("%s: row %d differs:\n  O0: %s\n  O2: %s", q, i, results[0][i], results[1][i])
-			}
-		}
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 func TestGeneratedSourceParses(t *testing.T) {
 	cat := testCatalog()
 	for _, q := range testQueries {
@@ -189,7 +149,7 @@ func TestTimingsPopulated(t *testing.T) {
 }
 
 func TestOptLevelString(t *testing.T) {
-	if OptO0.String() != "-O0" || OptO2.String() != "-O2" {
+	if OptO2.String() != "-O2" {
 		t.Error("OptLevel strings wrong")
 	}
 }

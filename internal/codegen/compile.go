@@ -12,25 +12,17 @@ import (
 	"hique/internal/types"
 )
 
-// OptLevel is the post-generation optimisation level, the analogue of the
-// paper's gcc -O0 / -O2 axis (Table II).
+// OptLevel names the optimisation level Generate builds at. OptO2 is
+// its only value: the paper's -O0 / -O2 axis (Table II) is the Go
+// compiler's, the same source built with and without
+// -gcflags='hique/...=-N -l' (internal/bench.Tab2).
 type OptLevel int
 
-const (
-	// OptO0 runs the generated algorithms with boxed values and
-	// per-step indirection (unoptimized object code).
-	OptO0 OptLevel = iota
-	// OptO2 runs the fused, type-specialised closures (optimized code).
-	OptO2
-)
+// OptO2 runs the fused, type-specialised closures.
+const OptO2 OptLevel = 1
 
 // String renders the flag spelling used in the paper.
-func (l OptLevel) String() string {
-	if l == OptO0 {
-		return "-O0"
-	}
-	return "-O2"
-}
+func (l OptLevel) String() string { return "-O2" }
 
 // Timings records the query-preparation cost breakdown reported in
 // Table III. Generate fills Compile with the closure construction time;
@@ -51,13 +43,12 @@ type CompiledQuery struct {
 	Plan *plan.Plan
 	// Source is the generated source file; empty until EnsureSource runs.
 	Source string
-	Level  OptLevel
 	Prep   Timings
 	// Fused reports whether the query runs a fused pipeline (single
-	// pipeline, no staged intermediates): always at -O2, never at -O0 —
-	// the execution-path axis of the serving metrics.
+	// pipeline, no staged intermediates): always — the execution-path
+	// axis of the serving metrics.
 	Fused bool
-	// Path names that strategy — "fused" or "general" — and Workers is
+	// Path names that strategy — always "fused" — and Workers is
 	// the worker target of its widest phase, every join of a chain
 	// included (1: every loop runs on the caller).
 	Path    string
@@ -80,57 +71,39 @@ type CompiledQuery struct {
 // executes, so it is not produced here; EnsureSource emits and
 // syntax-checks it on first request.
 func Generate(p *plan.Plan, level OptLevel) (*CompiledQuery, error) {
-	q := &CompiledQuery{Plan: p, Level: level, Path: "general", Workers: 1}
-	start := time.Now()
-	switch level {
-	case OptO2:
-		if len(p.Joins) == 0 {
-			f, err := newFused(p)
-			if err != nil {
-				return nil, err
-			}
-			q.run, q.Workers = f.run, f.par
-		} else {
-			f, err := newFusedJoin(p)
-			if err != nil {
-				return nil, err
-			}
-			q.run, q.Workers = f.run, f.workers()
-		}
-		q.Fused, q.Path = true, "fused"
-	case OptO0:
-		q.run = func(params []types.Datum) (*storage.Table, error) {
-			bp, err := p.Bind(params)
-			if err != nil {
-				return nil, err
-			}
-			return runO0(bp)
-		}
-	default:
+	if level != OptO2 {
 		return nil, fmt.Errorf("codegen: unknown optimisation level %d", level)
+	}
+	q := &CompiledQuery{Plan: p, Fused: true, Path: "fused"}
+	start := time.Now()
+	if len(p.Joins) == 0 {
+		f, err := newFused(p)
+		if err != nil {
+			return nil, err
+		}
+		q.run, q.Workers = f.run, f.par
+	} else {
+		f, err := newFusedJoin(p)
+		if err != nil {
+			return nil, err
+		}
+		q.run, q.Workers = f.run, f.workers()
 	}
 	q.Prep.Compile = time.Since(start)
 	return q, nil
 }
 
 // Executor is the generated code as a plan executor: each Execute
-// generates the bound plan at Level and runs it once. It is how -O0 is
-// injected into a DB and how the differential tests and experiments run
-// either level beside the other engines.
-type Executor struct{ Level OptLevel }
+// generates the plan and runs it once. It is how the differential tests
+// and the experiments run HIQUE beside the other engines.
+type Executor struct{}
 
-// Name is "HIQUE" for the paper's engine and "holistic-O0" for its
-// unoptimised level.
-func (e Executor) Name() string {
-	if e.Level == OptO0 {
-		return "holistic-O0"
-	}
-	return "HIQUE"
-}
+// Name is the paper's name for the engine.
+func (Executor) Name() string { return "HIQUE" }
 
-// Execute generates the plan at e.Level and runs it.
-func (e Executor) Execute(p *plan.Plan) (*storage.Table, error) {
-	q, err := Generate(p, e.Level)
+// Execute generates the plan and runs it.
+func (Executor) Execute(p *plan.Plan) (*storage.Table, error) {
+	q, err := Generate(p, OptO2)
 	if err != nil {
 		return nil, err
 	}

@@ -1,20 +1,17 @@
 // Package codegen implements HIQUE's code generator (paper §V, Figure 3).
 //
 // The generator instantiates the optimizer's operator descriptors into
-// code. Generate builds the executable query only:
-//
-//   - At OptO2, a fused pipeline for every plan the planner emits: a
-//     single-table plan compiles to one probe/scan→filter→project loop,
-//     or the same probe or scan feeding an aggregation tail (fused.go);
-//     a left-deep chain of equi-joins — binary joins or a join team of k
-//     inputs — compiles to one probe→join→filter→aggregate→emit loop per
-//     join, each join staging its output straight into the next one's
-//     input and the last emitting into the plan tail (fused_join.go).
-//     Morsel-parallel phases are decided at generation time (parallel.go,
-//     fused_join_par.go). A plan outside those shapes is an error.
-//   - At OptO0, a boxed, indirection-heavy interpretation of the same
-//     algorithms (interp.go; what -O0 object code does: every conceptual
-//     step stays a separate call).
+// code. Generate builds the executable query only: a fused pipeline for
+// every plan the planner emits. A single-table plan compiles to one
+// probe/scan→filter→project loop, or the same probe or scan feeding an
+// aggregation tail (fused.go); a left-deep chain of equi-joins — binary
+// joins or a join team of k inputs — compiles to one
+// probe→join→filter→aggregate→emit loop per join, each join staging its
+// output straight into the next one's input and the last emitting into
+// the plan tail (fused_join.go). Morsel-parallel phases are decided at
+// generation time (parallel.go, fused_join_par.go). A plan outside those
+// shapes is an error. The paper's -O0 is this same code built with
+// -gcflags='hique/...=-N -l' (internal/bench.Tab2).
 //
 // The fused pipelines call internal/core's kernels — predicates,
 // staging, bucketing, the join loop, the accumulators and the HAVING /

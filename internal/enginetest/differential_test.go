@@ -69,8 +69,7 @@ func (e shapedEngine) Execute(*plan.Plan) (*storage.Table, error) {
 func engines() []plan.Executor {
 	return []plan.Executor{
 		core.NewEngine(),
-		codegen.Executor{Level: codegen.OptO0},
-		codegen.Executor{Level: codegen.OptO2},
+		codegen.Executor{},
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),

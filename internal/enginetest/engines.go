@@ -1,7 +1,6 @@
 package enginetest
 
 import (
-	"hique/internal/codegen"
 	"hique/internal/dsm"
 	"hique/internal/plan"
 	"hique/internal/volcano"
@@ -16,7 +15,7 @@ type Named struct {
 	Engine plan.Executor
 }
 
-// DBEngines returns the five engines every DB-level differential,
+// DBEngines returns the four engines every DB-level differential,
 // durability and crash test covers. The values are fresh on each call:
 // the column store caches its decompositions per table.
 func DBEngines() []Named {
@@ -25,6 +24,5 @@ func DBEngines() []Named {
 		{"generic-iterators", volcano.NewGeneric()},
 		{"optimized-iterators", volcano.NewOptimized()},
 		{"column-store", dsm.NewEngine()},
-		{"holistic-O0", codegen.Executor{Level: codegen.OptO0}},
 	}
 }

@@ -83,7 +83,7 @@ func TestParallelRowOrderMatchesSerial(t *testing.T) {
 
 func rowOrderMatchesSerial(t *testing.T, cat *catalog.Catalog, stmts []string) {
 	t.Helper()
-	eng := codegen.Executor{Level: codegen.OptO2}
+	eng := codegen.Executor{}
 	merge, hybrid, fine := plan.MergeJoin, plan.HybridJoin, plan.FinePartitionJoin
 	for _, alg := range []*plan.JoinAlgorithm{nil, &merge, &hybrid, &fine} {
 		name := "planner"
@@ -164,7 +164,7 @@ func TestParallelScanAggregateAndTPCH(t *testing.T) {
 		t.Fatalf("only %d single-table statements selected from the corpus", len(single))
 	}
 	tc := tpchCatalog()
-	engs := []plan.Executor{core.NewEngine(), volcano.NewOptimized(), codegen.Executor{Level: codegen.OptO2}}
+	engs := []plan.Executor{core.NewEngine(), volcano.NewOptimized(), codegen.Executor{}}
 	for _, w := range parallelWorkerCounts {
 		opts := plan.DefaultOptions()
 		opts.Parallelism = w

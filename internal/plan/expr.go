@@ -19,7 +19,7 @@
 // (ParamSlot, the Filter/IndexScanSpec Param encoding) are resolved by
 // Bind into a copy, never in place. The fused pipelines skip Bind
 // entirely and read the bind vector at execution time; the interpreted
-// engines and -O0 bind a copy per execution.
+// engines bind a copy per execution.
 package plan
 
 import (

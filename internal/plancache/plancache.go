@@ -8,10 +8,12 @@
 //
 // Entries are keyed by codegen.CacheKey (normalised SQL + optimizer
 // configuration) and stamped with a catalogue stamp (epoch + referenced
-// tables' versions) taken at compile time. A lookup whose stored stamp
-// differs from the current stamp evicts the entry and reports a miss —
-// stale plans self-invalidate on the next touch, no invalidation
-// broadcast needed. Eviction is LRU.
+// tables' versions) taken at compile time. A lookup (GetStamped) returns
+// the stored stamp; the caller compares it with the current stamp under
+// the table locks it holds and calls Invalidate on a mismatch, which
+// evicts the entry and turns the hit into a miss — stale plans
+// self-invalidate on the next touch, no invalidation broadcast needed.
+// Eviction is LRU.
 //
 // Callers: hique.DB owns two instances — the read cache (compiled-query
 // entries wrapped with their metric handles) and the write cache (*plan.WritePlan
@@ -19,9 +21,8 @@
 // values are immutable and shared across concurrent executions: the
 // cache hands out the same pointer to every hitter, so anything
 // per-execution (bind vectors, scratches, results) lives outside the
-// cached artefact. GetStamped is the warm path's spelling: it takes the
-// key as bytes from a pooled buffer and leaves stamp validation to the
-// caller, which re-checks under the table locks it holds.
+// cached artefact. GetStamped takes the key as bytes, so the warm path
+// probes with a pooled buffer.
 package plancache
 
 import (
@@ -76,33 +77,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Get returns the value cached under key, provided its stored stamp
-// matches the value stampOf computes from the cached value (the caller
-// derives the current catalogue stamp from the plan's referenced
-// tables). A mismatch drops the entry (counted as an invalidation) and
-// reports a miss. stampOf runs under the cache lock; it must not call
-// back into the cache.
-func (c *Cache) Get(key string, stampOf func(any) uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if e.stamp != stampOf(e.value) {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.invalidations++
-		c.misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return e.value, true
-}
-
 // GetStamped returns the value cached under key together with
 // the catalogue stamp it was stored with, leaving validation to the
 // caller: compare the stored stamp against the current catalogue stamp
@@ -149,12 +123,13 @@ func (c *Cache) Put(key string, stamp uint64, v any) {
 }
 
 // Invalidate drops the entry under key after the caller's post-lookup
-// validation failed (a writer raced in between Get and the caller's
-// table locks). The caller's premature hit is always reclassified as a
-// miss — even when a concurrent invalidator already removed the entry,
-// each rejecting caller had its own counted hit to take back — while
-// the invalidation counter tracks entries actually dropped. Call only
-// after a Get on the same key returned true.
+// validation failed (the stored stamp is not the current one: a writer
+// raced in before the caller's table locks). The caller's premature hit
+// is always reclassified as a miss — even when a concurrent invalidator
+// already removed the entry, each rejecting caller had its own counted
+// hit to take back — while the invalidation counter tracks entries
+// actually dropped. Call only after a GetStamped on the same key
+// returned true.
 func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

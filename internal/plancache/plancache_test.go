@@ -9,19 +9,29 @@ type artefact struct{ id int }
 
 func dummy() *artefact { return &artefact{} }
 
-// at returns a stamp callback reporting the given current catalogue stamp.
-func at(stamp uint64) func(any) uint64 {
-	return func(any) uint64 { return stamp }
+// get is the serving path's lookup protocol: GetStamped, then compare
+// the stored stamp with the current catalogue stamp and Invalidate on a
+// mismatch.
+func get(c *Cache, key string, current uint64) (any, bool) {
+	v, stamp, ok := c.GetStamped([]byte(key))
+	if !ok {
+		return nil, false
+	}
+	if stamp != current {
+		c.Invalidate(key)
+		return nil, false
+	}
+	return v, true
 }
 
 func TestHitMissCounters(t *testing.T) {
 	c := New(4)
-	if _, ok := c.Get("q1", at(1)); ok {
+	if _, ok := get(c, "q1", 1); ok {
 		t.Fatal("hit on empty cache")
 	}
 	q := dummy()
 	c.Put("q1", 1, q)
-	got, ok := c.Get("q1", at(1))
+	got, ok := get(c, "q1", 1)
 	if !ok || got != q {
 		t.Fatal("expected hit returning the stored query")
 	}
@@ -34,10 +44,10 @@ func TestHitMissCounters(t *testing.T) {
 func TestVersionMismatchInvalidates(t *testing.T) {
 	c := New(4)
 	c.Put("q1", 1, dummy())
-	if _, ok := c.Get("q1", at(2)); ok {
+	if _, ok := get(c, "q1", 2); ok {
 		t.Fatal("stale entry served despite version bump")
 	}
-	if _, ok := c.Get("q1", at(1)); ok {
+	if _, ok := get(c, "q1", 1); ok {
 		t.Fatal("invalidated entry still present")
 	}
 	s := c.Stats()
@@ -56,17 +66,17 @@ func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	c.Put("a", 1, dummy())
 	c.Put("b", 1, dummy())
-	if _, ok := c.Get("a", at(1)); !ok { // touch a: b becomes LRU
+	if _, ok := get(c, "a", 1); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
 	c.Put("c", 1, dummy()) // evicts b
-	if _, ok := c.Get("b", at(1)); ok {
+	if _, ok := get(c, "b", 1); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get("a", at(1)); !ok {
+	if _, ok := get(c, "a", 1); !ok {
 		t.Fatal("a should have survived")
 	}
-	if _, ok := c.Get("c", at(1)); !ok {
+	if _, ok := get(c, "c", 1); !ok {
 		t.Fatal("c should be present")
 	}
 	s := c.Stats()
@@ -83,7 +93,7 @@ func TestPutReplacesInPlace(t *testing.T) {
 	q1, q2 := dummy(), dummy()
 	c.Put("a", 1, q1)
 	c.Put("a", 2, q2)
-	if got, ok := c.Get("a", at(2)); !ok || got != q2 {
+	if got, ok := get(c, "a", 2); !ok || got != q2 {
 		t.Fatal("replacement not visible")
 	}
 	if c.Len() != 1 {
@@ -99,7 +109,7 @@ func TestPurge(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("len after purge = %d", c.Len())
 	}
-	if _, ok := c.Get("a", at(1)); ok {
+	if _, ok := get(c, "a", 1); ok {
 		t.Fatal("purged entry served")
 	}
 }
@@ -112,7 +122,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("q%d", (g+i)%32)
-				if _, ok := c.Get(key, at(uint64(i%3))); !ok {
+				if _, ok := get(c, key, uint64(i%3)); !ok {
 					c.Put(key, uint64(i%3), dummy())
 				}
 			}
@@ -134,10 +144,10 @@ func TestInvalidateReclassifiesHit(t *testing.T) {
 	// Two callers hit the same entry, then both reject it after their
 	// under-lock re-check: each takes back its own hit, the entry drop
 	// counts once.
-	if _, ok := c.Get("q1", at(1)); !ok {
+	if _, ok := get(c, "q1", 1); !ok {
 		t.Fatal("expected hit")
 	}
-	if _, ok := c.Get("q1", at(1)); !ok {
+	if _, ok := get(c, "q1", 1); !ok {
 		t.Fatal("expected hit")
 	}
 	c.Invalidate("q1")

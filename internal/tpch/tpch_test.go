@@ -236,8 +236,7 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 	cat := Generate(Config{ScaleFactor: 0.01, Seed: 42})
 	engines := []plan.Executor{
 		core.NewEngine(),
-		codegen.Executor{Level: codegen.OptO0},
-		codegen.Executor{Level: codegen.OptO2},
+		codegen.Executor{},
 		volcano.NewGeneric(),
 		volcano.NewOptimized(),
 		dsm.NewEngine(),

@@ -26,7 +26,7 @@ const (
 
 const (
 	pathFused   = iota // fused codegen pipeline (newFused / newFusedJoin)
-	pathGeneral        // DML, or an injected executor (interpreted engines, -O0)
+	pathGeneral        // DML, or an injected executor (the comparator engines)
 	nPath
 )
 

@@ -87,7 +87,7 @@ func preparedLiteralRoute(db *DB) func(string, ...any) (*Result, error) {
 }
 
 // TestFastPathMatchesAllEngines asserts byte-identical results for every
-// query shape across (a) all five engines uncached, (b) the cached
+// query shape across (a) all four engines uncached, (b) the cached
 // holistic path with auto-parameterization (the fused pipeline), (c) a
 // prepared handle with the literals baked in, and (d) an
 // index-accelerated variant.
