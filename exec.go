@@ -408,20 +408,18 @@ func applyUpdate(e *catalog.TableEntry, filters []plan.Filter, sets []plan.SetCo
 	preds := core.CompilePreds(s, filters)
 	prune := core.Pruner(preds)
 	n, skipped := 0, 0
+	sc := core.GetScratch()
+	defer sc.Put()
 	for pi := 0; pi < t.NumPages(); pi++ {
 		if len(prune) > 0 && !core.PageMayMatch(prune, t, pi, nil) {
 			skipped++
 			continue
 		}
 		pg := t.Page(pi)
-		cnt := pg.NumTuples()
 		ts := pg.TupleSize()
 		data := pg.Data()
-		for i := 0; i < cnt; i++ {
-			tuple := data[i*ts : i*ts+ts]
-			if !core.MatchPreds(preds, tuple, nil) {
-				continue
-			}
+		for _, i := range sc.Select(preds, data, pg.NumTuples(), ts, nil) {
+			tuple := data[int(i)*ts : int(i)*ts+ts]
 			if n == 0 {
 				// Page bytes change without going through Append: record
 				// the mutation before the first write, so engines revalidate

@@ -191,15 +191,19 @@ func (f *fusedQuery) runScan(t *storage.Table, tree *btree.Tree, params []types.
 	if f.par > 1 {
 		return f.scanPar(t, params, out)
 	}
-	return f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out})
+	sc := core.GetScratch()
+	defer sc.Put()
+	return f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out}, sc)
 }
 
 // scanPages is the fused full-scan loop over pages [lo, hi), skipping the
 // pages whose bounds the predicates exclude. The caller-only run covers
 // the whole table with dst on the result; a morsel covers its page range
 // with dst on the worker's arena. It stops early once dst holds limit
-// rows, and returns the pages it read and skipped.
-func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datum, dst *rowDst) core.Pages {
+// rows, and returns the pages it read and skipped. sc is the caller's,
+// drawn once per worker: a LIMIT scan's morsels read a few tuples each,
+// and a pool round trip per morsel would be a large share of them.
+func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datum, dst *rowDst, sc *core.Scratch) core.Pages {
 	prune := f.st.Prune
 	var read core.Pages
 	for pi := lo; pi < hi; pi++ {
@@ -210,50 +214,39 @@ func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datu
 		pg := t.Page(pi)
 		read.Read++
 		read.Rows += pg.NumTuples()
-		if !f.scanPage(pg.Data(), pg.NumTuples(), params, dst) {
+		if !f.scanPage(sc, pg.Data(), pg.NumTuples(), params, dst) {
 			break
 		}
 	}
 	return read
 }
 
-// scanPage filters and projects one page's n tuples into dst: direct
-// iteration with offset arithmetic, the Listing 1 pattern, specialised
-// further for the dominant serving shape (a single integer predicate).
-// It returns false once dst holds limit rows. The page body is its own
-// function so that the tuple loops keep nothing of the page walk live
-// across their calls (DESIGN.md §8.3 has the measurement).
-func (f *fusedQuery) scanPage(data []byte, n int, params []types.Datum, dst *rowDst) bool {
+// scanPage filters one page's n tuples into a selection vector
+// (core.SelectPage) and projects the survivors into dst: direct iteration
+// with offset arithmetic, the Listing 1 pattern. Under LIMIT it filters
+// the page a prefix at a time, each as long as the rows still missing, so
+// it examines no more tuples than the limit needs, and it returns false
+// once dst holds limit rows. The page body is its own function so that
+// the tuple loop keeps nothing of the page walk live across its calls
+// (DESIGN.md §8.3 has the measurement).
+func (f *fusedQuery) scanPage(sc *core.Scratch, data []byte, n int, params []types.Datum, dst *rowDst) bool {
 	s := f.st
 	w := s.InWidth
-	if len(s.Preds) == 1 && (s.Preds[0].Kind == types.Int || s.Preds[0].Kind == types.Date) {
-		pr := &s.Preds[0]
-		v, op, off := pr.I, pr.Op, pr.Off
-		if pr.Slot >= 0 {
-			v = params[pr.Slot].I
-		}
-		for i, base := 0, 0; i < n; i, base = i+1, base+w {
-			if !core.CmpOrdered(types.GetInt(data, base+off), v, op) {
-				continue
-			}
-			s.Project(data[base:base+w:base+w], dst.slot(s.Width))
-			if f.limit >= 0 && dst.rows >= f.limit {
+	for lo := 0; lo < n; {
+		cnt := n - lo
+		if f.limit >= 0 {
+			if dst.rows >= f.limit {
 				return false
 			}
+			cnt = min(cnt, f.limit-dst.rows)
 		}
-		return true
+		for _, i := range sc.Select(s.Preds, data[lo*w:], cnt, w, params) {
+			base := (lo + int(i)) * w
+			s.Project(data[base:base+w:base+w], dst.slot(s.Width))
+		}
+		lo += cnt
 	}
-	for i, base := 0, 0; i < n; i, base = i+1, base+w {
-		tup := data[base : base+w : base+w]
-		if !core.MatchPreds(s.Preds, tup, params) {
-			continue
-		}
-		s.Project(tup, dst.slot(s.Width))
-		if f.limit >= 0 && dst.rows >= f.limit {
-			return false
-		}
-	}
-	return true
+	return f.limit < 0 || dst.rows < f.limit
 }
 
 // scanPar splits the scan into page-range morsels executed by up to
@@ -269,12 +262,16 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 		// Table shrank below one morsel since planning, or its bounds
 		// leave less than one morsel to read: the caller-only run is
 		// strictly cheaper.
-		return f.scanPages(t, 0, pages, params, &rowDst{out: out})
+		sc := core.GetScratch()
+		defer sc.Put()
+		return f.scanPages(t, 0, pages, params, &rowDst{out: out}, sc)
 	}
 	ph := parPhasePool.Get().(*parPhase)
 	ph.reset(n, f.par, f.limit)
 	ph.run(f.p.Pool, f.par, func(wi int) {
 		dst := &ph.workers[wi].tail.rowDst
+		sc := core.GetScratch()
+		defer sc.Put()
 		for {
 			m, ok := ph.queue.Next()
 			if !ok {
@@ -282,7 +279,7 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 			}
 			mo := parMorsel{worker: int32(wi), start: len(dst.arena)}
 			dst.rows = 0
-			mo.pages = f.scanPages(t, m*per, min((m+1)*per, pages), params, dst)
+			mo.pages = f.scanPages(t, m*per, min((m+1)*per, pages), params, dst, sc)
 			mo.rows, mo.end = dst.rows, len(dst.arena)
 			ph.complete(m, mo)
 		}

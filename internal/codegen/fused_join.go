@@ -115,9 +115,10 @@ type fusedJoin struct {
 	p     *plan.Plan
 	sides []fusedSide
 	loop  *core.JoinLoop
-	// name is the join loop's canonical trace name (plan.TraceJoin);
+	// name and order are the canonical trace names of the join loop
+	// (plan.TraceJoin) and of its inputs' ordering (plan.TraceJoinOrder);
 	// rendered only for a traced pipeline.
-	name string
+	name, order string
 
 	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
@@ -287,7 +288,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 		f.limit = loopLimit(p)
 	}
 	if f.traced {
-		f.name = plan.TraceJoin(ji)
+		f.name, f.order = plan.TraceJoin(ji), plan.TraceJoinOrder(ji)
 	}
 	fed, est := 0, 0 // est: the largest side's estimate
 	for i := range f.sides {
@@ -535,6 +536,10 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	for i := range parts {
 		parts[i] = f.sides[i].Order(&sc.staged[i], &sc.bk[i], sorted&(1<<i) != 0)
 		staged += sc.staged[i].Rows
+	}
+	if f.traced {
+		f.p.Trace.Observe(f.order, int64(staged), int64(staged), time.Since(t0))
+		t0 = time.Now()
 	}
 	if m := len(parts[0]); f.parJoin > 1 && m > 1 {
 		f.joinPar(sc, parts)

@@ -418,13 +418,16 @@ func (p *AggProgram) StreamParts(gs *GroupStream, parts [][][]byte, out *storage
 
 // FoldPages is map aggregation's single pass (Figure 4, no staging) over
 // pages [lo, hi) of t: skip the pages whose bounds s's predicates
-// exclude, filter and project each tuple through s into buf, locate its
-// group through the value directories (slot 0 for a group-less
-// aggregate), and update acc in place. It returns the number of tuples
+// exclude, filter each page read into a selection vector, project each
+// survivor through s into buf, locate its group through the value
+// directories (slot 0 for a group-less aggregate), and update acc in
+// place. It returns the number of tuples
 // folded and the pages it read and skipped.
 func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Table, lo, hi int, params []types.Datum) (int, Pages) {
 	n := 0
 	var tally Pages
+	sc := GetScratch()
+	defer sc.Put()
 	for pi := lo; pi < hi; pi++ {
 		if len(s.Prune) > 0 && !PageMayMatch(s.Prune, t, pi, params) {
 			tally.Skipped++
@@ -433,22 +436,19 @@ func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Tab
 		pg := t.Page(pi)
 		tally.Read++
 		tally.Rows += pg.NumTuples()
-		n += p.fold(acc, s, buf, pg.Data(), pg.NumTuples(), params)
+		n += p.fold(acc, s, buf, pg.Data(), sc.Select(s.Preds, pg.Data(), pg.NumTuples(), s.InWidth, params))
 	}
 	return n, tally
 }
 
-// fold folds the n consecutive input tuples in data — a page, or one
-// tuple an index probe fetched.
-func (p *AggProgram) fold(acc *Accum, s *Stager, buf, data []byte, n int, params []types.Datum) int {
-	w, preds, project, probes, updates := s.InWidth, s.Preds, s.Project, p.Probes, p.Updates
+// fold folds the tuples of data that sel selects — a page's survivors,
+// or the one tuple an index probe fetched.
+func (p *AggProgram) fold(acc *Accum, s *Stager, buf, data []byte, sel []int32) int {
+	w, project, probes, updates := s.InWidth, s.Project, p.Probes, p.Updates
 	folded := 0
-	for k, base := 0, 0; k < n; k, base = k+1, base+w {
-		tup := data[base : base+w : base+w]
-		if !MatchPreds(preds, tup, params) {
-			continue
-		}
-		project(tup, buf)
+	for _, k := range sel {
+		base := int(k) * w
+		project(data[base:base+w:base+w], buf)
 		if g := Locate(probes, buf); g >= 0 {
 			acc.Add(updates, int(g), buf)
 			folded++

@@ -18,6 +18,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"hique/internal/plan"
 	"hique/internal/sql"
@@ -182,39 +183,161 @@ func CompilePreds(in *types.Schema, filters []plan.Filter) []Pred {
 	return preds
 }
 
-// MatchPreds evaluates a compiled predicate conjunction against one tuple,
-// reading parameterized comparison values from the bind vector.
+// SelectPage filters the n tuples of width w packed in data through a
+// predicate conjunction, reading parameterized values from the bind
+// vector, and returns the indexes of the tuples that pass, in page order,
+// in sel's storage (grown when short). The first predicate runs over the
+// whole page and each later one over the survivors so far, in one loop
+// per predicate with its kind and operator lowered out of it: a numeric
+// predicate becomes one unsigned range test (numRange), a CHAR one a bit
+// of a three-way-compare mask, so no tuple branches on its outcome. Every
+// page loop filters through it; a fetched tuple is a page of one
+// (MatchPreds).
+func SelectPage(preds []Pred, data []byte, n, w int, params []types.Datum, sel []int32) []int32 {
+	if cap(sel) < n {
+		sel = make([]int32, n)
+	}
+	sel = sel[:n]
+	if len(preds) == 0 {
+		for i := range sel {
+			sel[i] = int32(i)
+		}
+		return sel
+	}
+	sel = preds[0].keep(data, w, params, sel, true)
+	for i := 1; i < len(preds) && len(sel) > 0; i++ {
+		sel = preds[i].keep(data, w, params, sel, false)
+	}
+	return sel
+}
+
+// MatchPreds reports whether one tuple passes every predicate. It stays
+// for the paths that fetch tuples one at a time — index probes, the
+// ordered traversal, the DELETE compaction callback — and filters through
+// SelectPage, so a tuple passes exactly when a page scan would keep it.
 func MatchPreds(preds []Pred, tup []byte, params []types.Datum) bool {
-	for i := range preds {
-		pr := &preds[i]
-		switch pr.Kind {
-		case types.Int, types.Date:
-			v := pr.I
-			if pr.Slot >= 0 {
-				v = params[pr.Slot].I
-			}
-			if !CmpOrdered(types.GetInt(tup, pr.Off), v, pr.Op) {
-				return false
-			}
-		case types.Float:
-			v := pr.F
-			if pr.Slot >= 0 {
-				v = params[pr.Slot].F
-			}
-			if !CmpOrdered(types.GetFloat(tup, pr.Off), v, pr.Op) {
-				return false
-			}
-		case types.String:
-			v := pr.S
-			if pr.Slot >= 0 {
-				v = params[pr.Slot].S
-			}
-			if !pr.Op.Holds(cmpChar(tup[pr.Off:pr.Off+pr.Size], v)) {
-				return false
+	var one [1]int32
+	return len(SelectPage(preds, tup, 1, len(tup), params, one[:0])) == 1
+}
+
+// keep compacts sel to the tuples that pass the predicate. all says that
+// sel stands for the whole page — its length the tuple count, its
+// contents not yet written — which the first predicate walks by offset.
+func (pr *Pred) keep(data []byte, w int, params []types.Datum, sel []int32, all bool) []int32 {
+	k := 0
+	off := pr.Off
+	if pr.Kind == types.String {
+		v := pr.S
+		if pr.Slot >= 0 {
+			v = params[pr.Slot].S
+		}
+		// Bit c+1 of mask says whether the operator holds when the field
+		// compares c (-1, 0, +1) with the value.
+		var mask uint
+		for c := -1; c <= 1; c++ {
+			if pr.Op.Holds(c) {
+				mask |= 1 << (c + 1)
 			}
 		}
+		end := off + pr.Size
+		if all {
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+		}
+		for _, i := range sel {
+			b := int(i) * w
+			sel[k] = i
+			k += int(mask >> (cmpChar(data[b+off:b+end], v) + 1) & 1)
+		}
+		return sel[:k]
 	}
-	return true
+	lo, span, ok := pr.numRange(params)
+	if !ok {
+		return sel[:0]
+	}
+	// A float field compares through its order key (floatKey): fm
+	// applies the key's flip to floats and leaves integers as they are.
+	var fm int64
+	if pr.Kind == types.Float {
+		fm = -1
+	}
+	if all {
+		for i, o := 0, off; i < len(sel); i, o = i+1, o+w {
+			x := types.GetInt(data, o)
+			x ^= int64(uint64(x>>63)>>1) & fm
+			sel[k] = int32(i)
+			k += b2i(uint64(x-lo) <= span)
+		}
+		return sel[:k]
+	}
+	for _, i := range sel {
+		x := types.GetInt(data, int(i)*w+off)
+		x ^= int64(uint64(x>>63)>>1) & fm
+		sel[k] = i
+		k += b2i(uint64(x-lo) <= span)
+	}
+	return sel[:k]
+}
+
+// numRange lowers a numeric predicate to the keys that pass it: those at
+// most span above lo, mod 2^64 — a range that may wrap, so x <> v is the
+// range from v+1 round to v-1. ok is false when no key passes. A float
+// compares through its order key: the range of keys equal to the value
+// spans both zeros, and a NaN's key lies outside every range but <>'s
+// (a NaN value passes <> alone).
+func (pr *Pred) numRange(params []types.Datum) (lo int64, span uint64, ok bool) {
+	var eq0, eq1, least, most int64 // the keys equal to the value; the keys that order
+	if pr.Kind == types.Float {
+		v := pr.F
+		if pr.Slot >= 0 {
+			v = params[pr.Slot].F
+		}
+		if v != v {
+			return 0, math.MaxUint64, pr.Op == sql.CmpNe
+		}
+		eq0, eq1 = floatKey(v), floatKey(v)
+		if v == 0 {
+			eq0, eq1 = floatKey(math.Copysign(0, -1)), floatKey(0)
+		}
+		least, most = floatKey(math.Inf(-1)), floatKey(math.Inf(1))
+	} else {
+		v := pr.I
+		if pr.Slot >= 0 {
+			v = params[pr.Slot].I
+		}
+		eq0, eq1, least, most = v, v, math.MinInt64, math.MaxInt64
+	}
+	switch pr.Op {
+	case sql.CmpEq:
+		return eq0, uint64(eq1 - eq0), true
+	case sql.CmpNe:
+		return eq1 + 1, math.MaxUint64 - uint64(eq1-eq0) - 1, true
+	case sql.CmpLt:
+		return least, uint64(eq0 - 1 - least), eq0 != least
+	case sql.CmpLe:
+		return least, uint64(eq1 - least), true
+	case sql.CmpGt:
+		return eq1 + 1, uint64(most - eq1 - 1), eq1 != most
+	default:
+		return eq0, uint64(most - eq0), true
+	}
+}
+
+// floatKey maps a float's bits to an integer that orders as the float
+// does: a negative float's magnitude bits flip, so -0 sits just below +0
+// and the NaNs lie beyond the infinities.
+func floatKey(f float64) int64 {
+	x := int64(math.Float64bits(f))
+	return x ^ int64(uint64(x>>63)>>1)
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cmpChar three-way compares a stored CHAR field with a value as if the
@@ -241,24 +364,6 @@ func cmpChar(field []byte, v string) int {
 		}
 	}
 	return 0
-}
-
-// CmpOrdered applies a comparison operator to two ordered values.
-func CmpOrdered[T int64 | float64](x, v T, op sql.CmpOp) bool {
-	switch op {
-	case sql.CmpEq:
-		return x == v
-	case sql.CmpNe:
-		return x != v
-	case sql.CmpLt:
-		return x < v
-	case sql.CmpLe:
-		return x <= v
-	case sql.CmpGt:
-		return x > v
-	default:
-		return x >= v
-	}
 }
 
 // MakeProjector compiles a staged-column list into a closure that fills an

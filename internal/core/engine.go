@@ -64,12 +64,12 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 			// copy, so the input itself is the result.
 			result = in
 		} else {
-			var parts [][][]byte
-			if parts, inRows, err = stage(p.Final, in, tree); err != nil {
+			var sg *staged
+			if sg, inRows, err = stage(p.Final, in, tree); err != nil {
 				return nil, err
 			}
 			result, resultOwned = storage.NewPooledTable("result", p.Final.Schema), true
-			for _, t := range parts[0] {
+			for _, t := range sg.order()[0] {
 				result.Append(t)
 			}
 		}
@@ -107,14 +107,14 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 	}
 	out := storage.NewTable("agg", a.Schema)
 	if !mapped {
-		parts, _, err := stage(&a.Input, in, tree)
+		sg, _, err := stage(&a.Input, in, tree)
 		if err != nil {
 			return nil, 0, err
 		}
 		var gs GroupStream
 		gs.Reset(prog)
-		prog.StreamParts(&gs, parts, out, -1)
-		return out, countRefs(parts), nil
+		prog.StreamParts(&gs, sg.order(), out, -1)
+		return out, sg.rows, nil
 	}
 	s, err := CompileStage(&a.Input, in.Schema())
 	if err != nil {
@@ -158,43 +158,53 @@ func stageInput(p *plan.Plan, joinOut []*storage.Table, st *plan.Stage) (*storag
 
 // stage runs one staging step of the walk (§IV step 1): filter, project
 // and route the input — the tuples the index probe fetches when tree is
-// non-nil, otherwise every page — into an arena, then lay it out for the
-// consuming operator. An identity stage that neither partitions nor
-// probes references the input's pages instead of copying them. It also
-// returns the input row count the trace reports: the tuples the probe
-// fetched or the scan examined.
-func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) ([][][]byte, int, error) {
+// non-nil, otherwise every page — into an arena, which order then lays
+// out for the consuming operator. An identity stage that neither
+// partitions nor probes references the input's pages instead of copying
+// them. It also returns the input row count the trace reports: the tuples
+// the probe fetched or the scan examined.
+func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) (*staged, int, error) {
 	s, err := CompileStage(st, in.Schema())
 	if err != nil {
 		return nil, 0, err
 	}
 	if s.Route == nil && st.IsIdentity(in.Schema()) {
-		parts := [][][]byte{Flatten(in)}
-		s.sortEach(parts)
-		return parts, in.NumRows(), nil
+		return &staged{s: s, flat: Flatten(in), rows: in.NumRows()}, in.NumRows(), nil
 	}
 	// The arena lives for this one operator: size it from the estimate,
 	// which the input's row count bounds, instead of growing it.
-	a := Arena{Data: make([]byte, 0, min(max(int(st.EstRows), 0), in.NumRows())*s.Width)}
+	a := &Arena{Data: make([]byte, 0, min(max(int(st.EstRows), 0), in.NumRows())*s.Width)}
 	var rows int
 	if tree != nil {
-		rows = s.StageProbe(&a, in, tree, st.IndexScan.Key(nil), nil)
+		rows = s.StageProbe(a, in, tree, st.IndexScan.Key(nil), nil)
 	} else {
-		pg := s.StagePages(&a, in, 0, in.NumPages(), nil)
+		pg := s.StagePages(a, in, 0, in.NumPages(), nil)
 		CountSkipped(pg.Skipped)
 		rows = pg.Rows
 	}
-	var b Buckets
-	return s.Order(&a, &b, false), rows, nil
+	return &staged{s: s, a: a, rows: a.Rows}, rows, nil
 }
 
-// countRefs counts the tuples of staged parts.
-func countRefs(parts [][][]byte) int {
-	n := 0
-	for _, part := range parts {
-		n += len(part)
+// staged is one walk stage's output before its ordering: the arena, or
+// — a nil arena — an identity stage's references to its input's own
+// tuples.
+type staged struct {
+	s    *Stager
+	a    *Arena
+	flat [][]byte
+	rows int // tuples staged
+}
+
+// order lays the staged tuples out for the consuming operator: the
+// stage's partitions, each sorted when the stage sorts.
+func (sg *staged) order() [][][]byte {
+	if sg.a == nil {
+		parts := [][][]byte{sg.flat}
+		sg.s.sortEach(parts)
+		return parts
 	}
-	return n
+	var b Buckets
+	return sg.s.Order(sg.a, &b, false)
 }
 
 // runJoins runs the plan's join descriptors in order — stage each input,
@@ -205,8 +215,8 @@ func runJoins(p *plan.Plan) ([]*storage.Table, error) {
 	tr := p.Trace
 	var t0 time.Time
 	for ji, j := range p.Joins {
-		parts := make([][][][]byte, len(j.Inputs))
-		staged := 0
+		inputs := make([]*staged, len(j.Inputs))
+		total := 0
 		for i := range j.Inputs {
 			if tr != nil {
 				t0 = time.Now()
@@ -216,19 +226,25 @@ func runJoins(p *plan.Plan) ([]*storage.Table, error) {
 				return nil, err
 			}
 			rows := 0
-			if parts[i], rows, err = stage(&j.Inputs[i], in, tree); err != nil {
+			if inputs[i], rows, err = stage(&j.Inputs[i], in, tree); err != nil {
 				return nil, err
 			}
-			if len(parts[i]) != len(parts[0]) {
-				return nil, fmt.Errorf("core: join input %d has %d partitions, want %d", i, len(parts[i]), len(parts[0]))
-			}
-			out := countRefs(parts[i])
-			staged += out
+			total += inputs[i].rows
 			if tr != nil {
-				tr.Observe(plan.TraceJoinStage(ji, i), int64(rows), int64(out), time.Since(t0))
+				tr.Observe(plan.TraceJoinStage(ji, i), int64(rows), int64(inputs[i].rows), time.Since(t0))
 			}
 		}
 		if tr != nil {
+			t0 = time.Now()
+		}
+		parts := make([][][][]byte, len(j.Inputs))
+		for i, sg := range inputs {
+			if parts[i] = sg.order(); len(parts[i]) != len(parts[0]) {
+				return nil, fmt.Errorf("core: join input %d has %d partitions, want %d", i, len(parts[i]), len(parts[0]))
+			}
+		}
+		if tr != nil {
+			tr.Observe(plan.TraceJoinOrder(ji), int64(total), int64(total), time.Since(t0))
 			t0 = time.Now()
 		}
 		out := storage.NewTable("joined", j.Schema)
@@ -242,7 +258,7 @@ func runJoins(p *plan.Plan) ([]*storage.Table, error) {
 			return true
 		})
 		if tr != nil {
-			tr.Observe(plan.TraceJoin(ji), int64(staged), int64(out.NumRows()), time.Since(t0))
+			tr.Observe(plan.TraceJoin(ji), int64(total), int64(out.NumRows()), time.Since(t0))
 		}
 		joinOut[ji] = out
 	}

@@ -50,15 +50,15 @@ type JoinLoop struct {
 	// cross[i] compares a tuple of input i with one of input 0; key[i]
 	// orders input i on its join key.
 	cross []func(a, b []byte) int
-	key   []Compare
+	key   []KeySort
 }
 
 // CompileJoin compiles the loop of a join over its staged inputs.
 func CompileJoin(j *plan.Join) *JoinLoop {
-	jl := &JoinLoop{alg: j.Alg, cross: make([]func(a, b []byte) int, len(j.Inputs)), key: make([]Compare, len(j.Inputs))}
+	jl := &JoinLoop{alg: j.Alg, cross: make([]func(a, b []byte) int, len(j.Inputs)), key: make([]KeySort, len(j.Inputs))}
 	for i := range j.Inputs {
 		jl.cross[i] = CrossCompare(j.Inputs[i].Schema, j.Keys[i], j.Inputs[0].Schema, j.Keys[0])
-		jl.key[i] = MakeKeyCompare(j.Inputs[i].Schema, []int{j.Keys[i]})
+		jl.key[i] = CompileKeySort(j.Inputs[i].Schema, []int{j.Keys[i]})
 	}
 	return jl
 }
@@ -110,7 +110,7 @@ func (jl *JoinLoop) Run(parts [][][][]byte, lo, hi int, c *Cursor, emit func(c *
 			ok = product(c, emit)
 		case plan.HybridJoin:
 			for i, in := range c.in {
-				SortTuples(in, jl.key[i])
+				jl.key[i].Sort(in)
 			}
 			ok = jl.merge(c, emit)
 		default:
@@ -151,7 +151,7 @@ func (jl *JoinLoop) merge(c *Cursor, emit func(c *Cursor) bool) bool {
 		single := true
 		for i, t := range in {
 			e, head := pos[i]+1, t[pos[i]]
-			for e < len(t) && key[i](t[e], head) == 0 {
+			for e < len(t) && key[i].Cmp(t[e], head) == 0 {
 				e++
 			}
 			ends[i] = e

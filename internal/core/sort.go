@@ -2,8 +2,10 @@ package core
 
 import (
 	"container/heap"
+	"math/bits"
 
 	"hique/internal/storage"
+	"hique/internal/types"
 )
 
 // sortRunTuples is the run size used by the cache-conscious sort: quicksort
@@ -26,6 +28,121 @@ func Flatten(t *storage.Table) [][]byte {
 		}
 	}
 	return out
+}
+
+// KeySort is a sort compiled from a schema and its key columns. A single
+// Int/Date key radix-sorts the keys it reads once per tuple (radixSort);
+// any other key, a short input and a key range too wide to pack sort
+// through the comparator (SortTuples).
+type KeySort struct {
+	Cmp Compare
+	off int // the single Int/Date key's offset; -1 when there is none
+}
+
+// CompileKeySort compiles the sort over the given key columns of schema.
+func CompileKeySort(schema *types.Schema, keys []int) KeySort {
+	ks := KeySort{Cmp: MakeKeyCompare(schema, keys), off: -1}
+	if len(keys) == 1 {
+		if k := schema.Column(keys[0]).Kind; k == types.Int || k == types.Date {
+			ks.off = schema.Offset(keys[0])
+		}
+	}
+	return ks
+}
+
+// radixMin is the shortest input the radix path takes: below it the
+// counting passes cost more than the comparisons they save.
+const radixMin = 256
+
+// Sort orders tuples on the key in place.
+func (ks KeySort) Sort(tuples [][]byte) {
+	if ks.off < 0 || len(tuples) < radixMin || !radixSort(tuples, ks.off) {
+		SortTuples(tuples, ks.Cmp)
+	}
+}
+
+// radixSort stably sorts tuples on the int64 key at off and reports
+// whether it could: one pass reads every key for its range and returns at
+// once when the keys already ascend; otherwise each tuple's key, less the
+// minimum, is packed above its index into one uint64 — false when the two
+// need more than 64 bits — and an LSD radix sort over the key bits orders
+// the packed values. The index bits need no pass (the values start in
+// index order and every pass is stable), so ties keep their input order;
+// the indexes then permute the references in place.
+func radixSort(tuples [][]byte, off int) bool {
+	n := len(tuples)
+	if n < 2 {
+		return true
+	}
+	lo := types.GetInt(tuples[0], off)
+	hi, prev, inversions := lo, lo, 0
+	for _, t := range tuples[1:] {
+		k := types.GetInt(t, off)
+		lo, hi = min(lo, k), max(hi, k)
+		inversions += b2i(k < prev)
+		prev = k
+	}
+	if inversions == 0 {
+		return true
+	}
+	idxBits, keyBits := bits.Len(uint(n-1)), bits.Len64(uint64(hi-lo))
+	if idxBits+keyBits > 64 {
+		return false
+	}
+	sc := GetScratch()
+	defer sc.Put()
+	if cap(sc.keys) < 2*n {
+		sc.keys = make([]uint64, 2*n)
+	}
+	keys, tmp := sc.keys[:n], sc.keys[n:2*n]
+	for i, t := range tuples {
+		keys[i] = uint64(types.GetInt(t, off)-lo)<<idxBits | uint64(i)
+	}
+	// Equal-width digits of at most 11 bits: the fewest passes, each
+	// histogram cache-resident.
+	passes := (keyBits + 10) / 11
+	width := (keyBits + passes - 1) / passes
+	var hist [1 << 11]int
+	count := hist[:1<<width]
+	mask := uint64(1)<<width - 1
+	for p := 0; p < passes; p++ {
+		shift := idxBits + p*width
+		clear(count)
+		for _, x := range keys {
+			count[x>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, x := range keys {
+			d := x >> shift & mask
+			tmp[count[d]] = x
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	// Position j takes the tuple at index keys[j]: follow each cycle of
+	// the permutation, marking a filled position by pointing its entry at
+	// itself.
+	idx := uint64(1)<<idxBits - 1
+	for j := range keys {
+		if int(keys[j]&idx) == j {
+			continue
+		}
+		first, at := tuples[j], j
+		for {
+			src := int(keys[at] & idx)
+			keys[at] = uint64(at)
+			if src == j {
+				tuples[at] = first
+				break
+			}
+			tuples[at], at = tuples[src], src
+		}
+	}
+	return true
 }
 
 // SortTuples sorts tuple references in place using quicksort over

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"hique/internal/btree"
 	"hique/internal/plan"
@@ -91,8 +92,8 @@ type Stager struct {
 	Parts int
 
 	// sort orders the staged output (StageSort) or, for a stage that sorts
-	// its partitions, each partition; nil otherwise.
-	sort Compare
+	// its partitions, each partition; its Cmp is nil otherwise.
+	sort KeySort
 }
 
 // CompileStage compiles a staging descriptor over its input schema.
@@ -110,14 +111,14 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 	}
 	switch st.Action {
 	case plan.StageSort:
-		s.sort = MakeKeyCompare(st.Schema, st.SortKeys)
+		s.sort = CompileKeySort(st.Schema, st.SortKeys)
 	case plan.StagePartitionFine, plan.StagePartitionCoarse:
 		var err error
 		if s.Route, s.Parts, err = stageRouter(st); err != nil {
 			return nil, err
 		}
 		if st.SortPartitions {
-			s.sort = MakeKeyCompare(st.Schema, st.SortKeys)
+			s.sort = CompileKeySort(st.Schema, st.SortKeys)
 		}
 	case plan.StageNone:
 	default:
@@ -139,11 +140,15 @@ func (s *Stager) Stage(a *Arena, tup []byte, params []types.Datum) {
 
 // StagePages is the full-scan staging loop over pages [lo, hi) of t:
 // direct page iteration with offset arithmetic, skipping the pages whose
-// bounds the predicates exclude. A caller-only run covers the whole
-// table; a morsel covers its page range into a worker's arena.
+// bounds the predicates exclude and filtering each page read into a
+// selection vector before projecting its survivors. A caller-only run
+// covers the whole table; a morsel covers its page range into a worker's
+// arena.
 func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum) Pages {
-	inW := s.InWidth
+	inW, w := s.InWidth, s.Width
 	var tally Pages
+	sc := GetScratch()
+	defer sc.Put()
 	for pi := lo; pi < hi; pi++ {
 		if len(s.Prune) > 0 && !PageMayMatch(s.Prune, t, pi, params) {
 			tally.Skipped++
@@ -154,8 +159,11 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 		data := pg.Data()
 		tally.Read++
 		tally.Rows += n
-		for k, base := 0, 0; k < n; k, base = k+1, base+inW {
-			s.Stage(a, data[base:base+inW:base+inW], params)
+		for _, k := range sc.Select(s.Preds, data, n, inW, params) {
+			base := int(k) * inW
+			slot := a.Slot(w)
+			s.Project(data[base:base+inW:base+inW], slot)
+			a.Keep(slot, s.Route)
 		}
 	}
 	return tally
@@ -176,7 +184,8 @@ func (s *Stager) StageProbe(a *Arena, t *storage.Table, tree *btree.Tree, key in
 // how many the probe fetched.
 func (p *AggProgram) FoldProbe(acc *Accum, s *Stager, buf []byte, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
 	return Probe(t, tree, key, func(tup []byte) bool {
-		p.fold(acc, s, buf, tup, 1, params)
+		var one [1]int32
+		p.fold(acc, s, buf, tup, SelectPage(s.Preds, tup, 1, s.InWidth, params, one[:0]))
 		return true
 	})
 }
@@ -223,12 +232,45 @@ func (s *Stager) Order(a *Arena, b *Buckets, presorted bool) [][][]byte {
 
 // sortEach sorts each part with the stage's sort, if it has one.
 func (s *Stager) sortEach(parts [][][]byte) {
-	if s.sort == nil {
+	if s.sort.Cmp == nil {
 		return
 	}
 	for _, p := range parts {
-		SortTuples(p, s.sort)
+		s.sort.Sort(p)
 	}
+}
+
+// Scratch is the pooled working memory of the staging kernels: a page
+// loop's selection vector and a radix sort's packed keys. One pool serves
+// both, so neither allocates once warm.
+type Scratch struct {
+	sel  []int32
+	keys []uint64 // the packed keys, then their ping-pong copy
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch draws a scratch from the pool.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// Put returns the scratch to the pool; the caller must not use it after.
+// A scratch a sort grew past maxPooledScratch goes to the collector
+// instead: pooled memory is live memory, held once per P.
+func (sc *Scratch) Put() {
+	if 8*cap(sc.keys) <= maxPooledScratch {
+		scratchPool.Put(sc)
+	}
+}
+
+// maxPooledScratch is the largest sort scratch the pool keeps, the fused
+// join's bound on its own pooled scratch.
+const maxPooledScratch = 4 << 20
+
+// Select filters one page through preds (SelectPage) into the scratch's
+// selection vector and returns the survivors, valid until the next call.
+func (sc *Scratch) Select(preds []Pred, data []byte, n, w int, params []types.Datum) []int32 {
+	sc.sel = SelectPage(preds, data, n, w, params, sc.sel)
+	return sc.sel
 }
 
 // Buckets holds the tuple-reference arrays bucketing fills: the pooled

@@ -233,6 +233,8 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 		out.names = append(out.names, j.Inputs[o.Input].Schema.Column(o.Col).Name)
 	}
 	if tr != nil {
+		// A hash join orders nothing: its order stage is empty.
+		tr.Observe(plan.TraceJoinOrder(ji), stagedSum, stagedSum, 0)
 		tr.Observe(plan.TraceJoin(ji), stagedSum, int64(out.rows), time.Since(tj))
 	}
 	return out, nil

@@ -18,6 +18,10 @@ import (
 //
 //	join[J].stage[K]  staging of input K of join J (rows out = staged
 //	                  tuples after filters and partition routing)
+//	join[J].order     bucketing and sorting join J's staged inputs for
+//	                  its loop (rows in = rows out = staged tuples); a
+//	                  hybrid join sorts each partition pair inside its
+//	                  loop, a hash join orders nothing (zero elapsed)
 //	join[J]           the join loop (rows out = joined tuples)
 //	aggregate         the aggregation operator (rows out = groups)
 //	project           the final projection (rows out = result tuples)
@@ -151,6 +155,9 @@ const (
 // traced executions, so the formatting allocation never touches the
 // serving hot path.
 func TraceJoinStage(j, k int) string { return fmt.Sprintf("join[%d].stage[%d]", j, k) }
+
+// TraceJoinOrder names the ordering of join j's staged inputs.
+func TraceJoinOrder(j int) string { return fmt.Sprintf("join[%d].order", j) }
 
 // TraceJoin names join j's join loop.
 func TraceJoin(j int) string { return fmt.Sprintf("join[%d]", j) }

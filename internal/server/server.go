@@ -36,6 +36,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -205,11 +206,33 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers with v encoded as JSON. It encodes into a pooled
+// buffer before writing anything, so a value encoding/json refuses — a
+// NaN or an infinity in a result row — answers 422 with the reason,
+// counted in hique_server_errors_total, instead of a 200 with an empty
+// body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.errors.Add(1)
+		status = http.StatusUnprocessableEntity
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: "result is not encodable as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
 }
+
+// bodyPool recycles response buffers up to maxPooledBody bytes; a larger
+// result's buffer goes to the collector rather than pinning its size.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 // SessionHeader carries the client's session ID; the server mints one
 // for requests without it and returns it in both the response body and
@@ -231,11 +254,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty sql"})
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty sql"})
 		return
 	}
 
@@ -262,7 +285,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Rejected before admission: no session is minted, so overload
 		// cannot inflate the registry.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
 	sess, ok := s.noteOutcome(w, r, qerr)
@@ -271,7 +294,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.note(res.Elapsed, false, time.Now())
 	s.noteSlow("select", req.SQL, len(req.Params), res.Elapsed, len(res.Rows), sess.ID)
-	writeJSON(w, http.StatusOK, queryResponse{
+	s.writeJSON(w, http.StatusOK, queryResponse{
 		Columns:   res.Columns,
 		Rows:      res.Rows,
 		RowCount:  len(res.Rows),
@@ -305,7 +328,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, stmt stri
 	})
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
 	sess, ok := s.noteOutcome(w, r, qerr)
@@ -313,7 +336,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, stmt stri
 		return
 	}
 	sess.note(a.Elapsed, false, time.Now())
-	writeJSON(w, http.StatusOK, analyzeResponse{
+	s.writeJSON(w, http.StatusOK, analyzeResponse{
 		Engine:    a.Engine,
 		Path:      a.Path,
 		Workers:   a.Workers,
@@ -337,7 +360,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, req *queryRe
 	})
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
 		return
 	}
 	sess, ok := s.noteOutcome(w, r, qerr)
@@ -346,7 +369,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, req *queryRe
 	}
 	sess.note(er.Elapsed, false, time.Now())
 	s.noteSlow("dml", req.SQL, len(req.Params), er.Elapsed, er.RowsAffected, sess.ID)
-	writeJSON(w, http.StatusOK, execResponse{
+	s.writeJSON(w, http.StatusOK, execResponse{
 		RowsAffected: er.RowsAffected,
 		ElapsedUs:    er.Elapsed.Microseconds(),
 		Session:      sess.ID,
@@ -437,7 +460,7 @@ func (s *Server) noteOutcome(w http.ResponseWriter, r *http.Request, qerr error)
 	if errors.As(qerr, &bindErr) {
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, errorResponse{Error: qerr.Error()})
+	s.writeJSON(w, status, errorResponse{Error: qerr.Error()})
 	return sess, false
 }
 
@@ -448,10 +471,10 @@ func (s *Server) noteOutcome(w http.ResponseWriter, r *http.Request, qerr error)
 // balancers stop routing to it while in-flight statements finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // statsResponse is the GET /stats body.
@@ -469,7 +492,7 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, statsResponse{
+	s.writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSec: time.Since(s.started).Seconds(),
 		Queries:   s.queries.Load(),
 		Errors:    s.errors.Load(),
@@ -502,9 +525,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, tableInfo{Name: n, Rows: rows, Columns: cols})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sessions.List())
+	s.writeJSON(w, http.StatusOK, s.sessions.List())
 }

@@ -117,6 +117,28 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteResultAnswers422 pins that a result encoding/json cannot
+// encode — a row holding NaN or an infinity — answers 422 with the
+// reason and counts as an error, not 200 with an empty body.
+func TestNonFiniteResultAnswers422(t *testing.T) {
+	s := New(testDB(t), Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// price is 0 at id 0 and 1.5 at id 1: NaN and +Inf.
+	resp, _, bad := postQuery(t, ts, "SELECT id, price / 0.0 AS x FROM items WHERE id < 2", "")
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(bad.Error, "JSON") {
+		t.Fatalf("status = %d, err = %q; want 422 naming the JSON encoding", resp.StatusCode, bad.Error)
+	}
+	if got := s.errors.Load(); got != 1 {
+		t.Errorf("errors counted = %d, want 1", got)
+	}
+	resp, ok, _ := postQuery(t, ts, "SELECT id, price / 2.0 AS x FROM items WHERE id < 2", "")
+	if resp.StatusCode != http.StatusOK || ok.RowCount != 2 {
+		t.Fatalf("finite result after the refused one: status %d, %d rows", resp.StatusCode, ok.RowCount)
+	}
+}
+
 func TestConcurrentQueries(t *testing.T) {
 	s := New(testDB(t), Config{Workers: 8, QueueWait: 5 * time.Second})
 	ts := httptest.NewServer(s.Handler())

@@ -175,6 +175,9 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 		offsets[i] = offsets[i-1] + len(j.Inputs[i-1].Cols)
 	}
 
+	// ord accumulates the time spent partitioning and sorting the staged
+	// inputs (the trace's join[J].order); the join loop's time excludes it.
+	var ord time.Duration
 	var joined []Row
 	switch j.Alg {
 	case plan.MergeJoin:
@@ -183,7 +186,7 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 				stagedOut[i] = int64(len(staged[i]))
 			}
 		}
-		rows, err := e.cascadeMerge(j, staged, offsets, nil)
+		rows, err := e.cascadeMerge(j, staged, offsets, tr, &ord)
 		if err != nil {
 			return nil, err
 		}
@@ -193,6 +196,10 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 		// Partition every input identically, then join partition-wise.
 		m := partitionCountOf(j)
 		parts := make([][][]Row, k)
+		var tp time.Time
+		if tr != nil {
+			tp = time.Now()
+		}
 		for i := range staged {
 			p, err := e.partitionRows(staged[i], &j.Inputs[i], j.Keys[i], m)
 			if err != nil {
@@ -207,6 +214,9 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 					stagedOut[i] += int64(len(p[pi]))
 				}
 			}
+		}
+		if tr != nil {
+			ord += time.Since(tp)
 		}
 		for pi := 0; pi < m; pi++ {
 			slice := make([][]Row, k)
@@ -225,7 +235,7 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 				joined = appendCartesian(joined, slice, offsets)
 				continue
 			}
-			rows, err := e.cascadeMerge(j, slice, offsets, nil)
+			rows, err := e.cascadeMerge(j, slice, offsets, tr, &ord)
 			if err != nil {
 				return nil, err
 			}
@@ -248,7 +258,8 @@ func (e *Engine) runJoin(tr *plan.Trace, ji int, j *plan.Join, resolve func(plan
 			tr.Observe(plan.TraceJoinStage(ji, i), inRows[i], stagedOut[i], stageEl[i])
 			sum += stagedOut[i]
 		}
-		tr.Observe(plan.TraceJoin(ji), sum, int64(len(out)), time.Since(tj))
+		tr.Observe(plan.TraceJoinOrder(ji), sum, sum, ord)
+		tr.Observe(plan.TraceJoin(ji), sum, int64(len(out)), time.Since(tj)-ord)
 	}
 	return out, nil
 }
@@ -310,8 +321,13 @@ func hashRowKey(d types.Datum) uint64 {
 
 // cascadeMerge runs the k-input join as a left-deep cascade of binary
 // merge joins over key-sorted streams; the intermediate stays sorted on
-// the shared key so later merges need no re-sort.
-func (e *Engine) cascadeMerge(j *plan.Join, staged [][]Row, offsets []int, _ any) ([]Row, error) {
+// the shared key so later merges need no re-sort. On a traced execution
+// the time the sorts take adds to *ord.
+func (e *Engine) cascadeMerge(j *plan.Join, staged [][]Row, offsets []int, tr *plan.Trace, ord *time.Duration) ([]Row, error) {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
 	// Sort each input on its key.
 	sorted := make([][]Row, len(staged))
 	for i := range staged {
@@ -321,6 +337,9 @@ func (e *Engine) cascadeMerge(j *plan.Join, staged [][]Row, offsets []int, _ any
 			return nil, err
 		}
 		sorted[i] = rows
+	}
+	if tr != nil {
+		*ord += time.Since(t0)
 	}
 	cur := sorted[0]
 	curKey := j.Keys[0]
