@@ -15,7 +15,10 @@ import (
 // Elapsed describe how this engine decomposed the work. A stage that
 // scans a base table reports as RowsIn the tuples it examined — those on
 // the pages it read, or those an index probe fetched — and the pages it
-// read and skipped on their bounds.
+// read and skipped on their bounds. KeysDropped is what a join-key filter
+// kept out of a join input's staging (on join[J].order, summed over its
+// inputs): RowsOut + KeysDropped is the unfiltered staging's RowsOut, the
+// count the engines that filter no keys report.
 type StageStats struct {
 	Name         string `json:"name"`
 	RowsIn       int64  `json:"rows_in"`
@@ -23,6 +26,7 @@ type StageStats struct {
 	ElapsedUs    int64  `json:"elapsed_us"`
 	PagesRead    int64  `json:"pages_read,omitempty"`
 	PagesSkipped int64  `json:"pages_skipped,omitempty"`
+	KeysDropped  int64  `json:"keys_dropped,omitempty"`
 }
 
 // ParallelStats is one morsel-driven parallel phase of an EXPLAIN
@@ -69,6 +73,9 @@ func (a *AnalyzeResult) String() string {
 			s.Name, s.RowsIn, s.RowsOut, time.Duration(s.ElapsedUs)*time.Microsecond)
 		if s.PagesRead+s.PagesSkipped > 0 {
 			fmt.Fprintf(&b, " pages_read=%d pages_skipped=%d", s.PagesRead, s.PagesSkipped)
+		}
+		if s.KeysDropped > 0 {
+			fmt.Fprintf(&b, " keys_dropped=%d", s.KeysDropped)
 		}
 		b.WriteByte('\n')
 	}
@@ -136,6 +143,7 @@ func (db *DB) ExplainAnalyze(query string, args ...any) (res *AnalyzeResult, err
 			ElapsedUs:    s.Elapsed.Microseconds(),
 			PagesRead:    s.PagesRead,
 			PagesSkipped: s.PagesSkipped,
+			KeysDropped:  s.KeysDropped,
 		}
 	}
 	for _, p := range tr.Parallel {

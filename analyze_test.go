@@ -5,7 +5,10 @@ package hique
 // RowsOut and terminal-stage RowsOut — must agree with each other and
 // with the actual result cardinality. RowsIn and Elapsed are advisory
 // (engines differ in where they apply filters), so they are only checked
-// for sanity, never for equality.
+// for sanity, never for equality. A join stage's RowsOut counts what the
+// engine staged after any join-key filter, so the invariant is RowsOut +
+// KeysDropped: the fused pipeline's key filter drops from its staging what
+// the other engines stage and never join.
 //
 // The query list deliberately avoids LIMIT (the fused pipeline stops
 // early while general engines truncate after the fact, so intermediate
@@ -15,6 +18,7 @@ package hique
 import (
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,6 +35,10 @@ var analyzeQueries = []struct {
 	{name: "join", sql: "SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.id ORDER BY f.id"},
 	{name: "join-agg", sql: "SELECT d.label, COUNT(*) AS n FROM fact f, dim d WHERE f.grp = d.id GROUP BY d.label ORDER BY d.label"},
 	{name: "join-param", sql: "SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.id AND f.price > ? ORDER BY f.id", args: []any{500.0}},
+	// Each side's predicates leave key sets that partly miss each other's,
+	// over more keys than a fine partition join takes: the join-key filter
+	// drops tuples (asserted in the test).
+	{name: "join-keys-dropped", sql: "SELECT a.id, b.price FROM fact a, fact b WHERE a.id = b.id AND a.price > 600.0 AND b.grp < 12 ORDER BY a.id"},
 }
 
 func stageNames(stages []StageStats) []string {
@@ -82,6 +90,12 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 			if base.a.Rows == 0 {
 				t.Fatalf("degenerate test query: 0 rows")
 			}
+			if q.name == "join-keys-dropped" {
+				order, _ := stageByName(base.a.Stages, "join[0].order")
+				if order.KeysDropped == 0 || !strings.Contains(base.a.String(), " keys_dropped=") {
+					t.Errorf("%s dropped no keys:\n%s", base.engine, base.a)
+				}
+			}
 			baseNames := stageNames(base.a.Stages)
 			baseTerm, ok := terminalStage(base.a.Stages)
 			if !ok {
@@ -104,8 +118,9 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 					t.Errorf("terminal RowsOut differ: %s=%d %s=%d",
 						base.engine, baseTerm.RowsOut, r.engine, term.RowsOut)
 				}
-				// Every join stage's output cardinality is an invariant of
-				// the query, not of the engine.
+				// Every join stage's output cardinality, with what a
+				// join-key filter kept out of it, is an invariant of the
+				// query, not of the engine.
 				for _, s := range base.a.Stages {
 					if len(s.Name) < 4 || s.Name[:4] != "join" {
 						continue
@@ -115,9 +130,9 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 						t.Errorf("%s missing stage %s", r.engine, s.Name)
 						continue
 					}
-					if rs.RowsOut != s.RowsOut {
-						t.Errorf("stage %s RowsOut differ: %s=%d %s=%d",
-							s.Name, base.engine, s.RowsOut, r.engine, rs.RowsOut)
+					if rs.RowsOut+rs.KeysDropped != s.RowsOut+s.KeysDropped {
+						t.Errorf("stage %s RowsOut + KeysDropped differ: %s=%d+%d %s=%d+%d",
+							s.Name, base.engine, s.RowsOut, s.KeysDropped, r.engine, rs.RowsOut, rs.KeysDropped)
 					}
 				}
 				for _, s := range r.a.Stages {
@@ -188,6 +203,58 @@ func TestStripExplainAnalyze(t *testing.T) {
 		if ok && rest != c.rest {
 			t.Errorf("%q: rest = %q, want %q", c.in, rest, c.rest)
 		}
+	}
+}
+
+// TestJoinKeysDroppedCounted: the tuples the fused join's key filter keeps
+// out of a staging scan are reported on that stage and, summed, on the
+// join's order stage, and counted once per stage on
+// hique_join_keys_dropped_total by the traced run and the plain query alike
+// (the filter runs in the serving pipeline, not only the traced one).
+func TestJoinKeysDroppedCounted(t *testing.T) {
+	db := joinTestDB(t)
+	const q = "SELECT a.id, b.price FROM fact a, fact b WHERE a.id = b.id AND a.price > 600.0 AND b.grp < 12 ORDER BY a.id"
+	counter := func() int64 {
+		var b strings.Builder
+		if err := db.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "hique_join_keys_dropped_total "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("hique_join_keys_dropped_total is not exposed")
+		return 0
+	}
+	before := counter()
+	a, err := db.ExplainAnalyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sides int64
+	for _, s := range a.Stages {
+		if strings.Contains(s.Name, ".stage[") {
+			sides += s.KeysDropped
+		}
+	}
+	order, _ := stageByName(a.Stages, "join[0].order")
+	if sides == 0 || order.KeysDropped != sides {
+		t.Fatalf("stages dropped %d keys, join[0].order reports %d:\n%s", sides, order.KeysDropped, a)
+	}
+	traced := counter()
+	if traced-before < sides {
+		t.Errorf("hique_join_keys_dropped_total moved %d over a traced run that dropped %d", traced-before, sides)
+	}
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter() - traced; n < sides {
+		t.Errorf("hique_join_keys_dropped_total moved %d over a query that drops %d", n, sides)
 	}
 }
 

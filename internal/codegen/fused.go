@@ -249,6 +249,11 @@ func (f *fusedQuery) scanPage(sc *core.Scratch, data []byte, n int, params []typ
 	return f.limit < 0 || dst.rows < f.limit
 }
 
+// scanClaimed, when non-nil, is called by scanPar's workers with each
+// morsel they claim, before they scan it: a test hook that orders claims
+// against a LIMIT's cancel. It is nil outside tests.
+var scanClaimed func(ph *parPhase, m int)
+
 // scanPar splits the scan into page-range morsels executed by up to
 // f.par workers: every worker runs scanPages into its private arena,
 // records each morsel's byte range, and the caller stitches the ranges
@@ -276,6 +281,9 @@ func (f *fusedQuery) scanPar(t *storage.Table, params []types.Datum, out *storag
 			m, ok := ph.queue.Next()
 			if !ok {
 				return
+			}
+			if scanClaimed != nil {
+				scanClaimed(ph, m)
 			}
 			mo := parMorsel{worker: int32(wi), start: len(dst.arena)}
 			dst.rows = 0
@@ -321,12 +329,12 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 	case tree != nil:
 		read.Rows = f.st.StageProbe(&ts.staged, t, tree, f.idx.Key(params), params)
 	case !fa.mapped:
-		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.staged, f.p.Pool, t, params) {
+		if f.par > 1 && ph.stageScan(f.st, f.par, &ts.staged, f.p.Pool, t, params, nil) {
 			read = ph.pages()
 			ph.finish(f.p.Trace, plan.TraceStageAgg)
 			morsel.CountQuery()
 		} else {
-			read = f.st.StagePages(&ts.staged, t, 0, pages, params)
+			read = f.st.StagePages(&ts.staged, t, 0, pages, params, nil)
 		}
 	case n < 2 || core.FewCandidates(f.st.Prune, t, params, morsel.Rows):
 		_, read = fa.prog.FoldPages(ts.acc, f.st, ts.aggBuf, t, 0, pages, params)

@@ -120,6 +120,11 @@ type fusedJoin struct {
 	// rendered only for a traced pipeline.
 	name, order string
 
+	// first is the side staged first (keyFilterPlan); keyOff, when >= 0,
+	// is its staged key's offset, from whose keys exec builds the filter
+	// the sides with a Stager.KeyOff stage through.
+	first, keyOff int
+
 	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
 
@@ -207,6 +212,8 @@ type joinScratch struct {
 	staged []core.Arena
 	bk     []core.Buckets
 	parts  [][][][]byte // the bucketed sides the join loop reads
+	// filter is the running join's key filter, built from its first side.
+	filter core.KeyFilter
 
 	// tail is the caller's tail state: the one the join loop writes to
 	// when it runs on the caller alone, with rows going to the result
@@ -246,7 +253,7 @@ const maxPooledScratch = 4 << 20
 // release returns the scratch to the pool unless its arenas and
 // reference arrays outgrew maxPooledScratch.
 func (sc *joinScratch) release() {
-	n := cap(sc.tail.arena) + cap(sc.tail.staged.Data)
+	n := cap(sc.tail.arena) + cap(sc.tail.staged.Data) + sc.filter.Bytes()
 	for i := range sc.staged {
 		n += cap(sc.staged[i].Data) + sc.bk[i].Bytes()
 	}
@@ -317,21 +324,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 		if s.Stager, err = core.CompileStage(st, in); err != nil {
 			return nil, err
 		}
-		s.idx = st.IndexScan
-		// Merge join. If the base table carries a B+-tree on the join-key
-		// column, the key is unique, and nothing filters the side, the
-		// ordered leaf traversal replaces the sort: tuples arrive in
-		// exactly the order the sort would establish (uniqueness means no
-		// ties, so no permutation ambiguity).
-		if st.Action == plan.StageSort && len(st.Filters) == 0 && st.IndexScan == nil {
-			kc := st.Cols[j.Keys[i]].Source
-			name := in.Column(kc).Name
-			stats := &entry.Stats
-			if entry.Index(name) != nil && stats.Rows > 0 &&
-				stats.Columns[kc].DistinctValues == stats.Rows {
-				s.orderedCol = name
-			}
-		}
+		s.idx, s.orderedCol = st.IndexScan, orderedColumn(p, j, i)
 		// Morsel-driven staging, resolved at generation time like every
 		// other specialisation here (see fused_join_par.go), from the
 		// catalogued table size.
@@ -341,6 +334,13 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 	}
 	if (ji > 0) != (fed == 1) {
 		return nil, unfusable("join %d: not a left-deep chain", ji)
+	}
+	first, keyOffs := keyFilterPlan(p, j)
+	f.first, f.keyOff = first, -1
+	for i, off := range keyOffs {
+		if f.sides[i].KeyOff = off; off >= 0 {
+			f.keyOff = j.Inputs[first].Schema.Offset(j.Keys[first])
+		}
 	}
 
 	f.joinWidth = j.Schema.TupleSize()
@@ -398,6 +398,77 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 		f.parJoin = parallelWorkers(p, est)
 	}
 	return f, nil
+}
+
+// orderedColumn names the base column of join j's input i whose B+-tree
+// yields that input in join-key order, or "" when there is none. Merge
+// join: if the base table carries a B+-tree on the join-key column, the key
+// is unique, and nothing filters the side, the ordered leaf traversal
+// replaces the sort — tuples arrive in exactly the order the sort would
+// establish (uniqueness means no ties, so no permutation ambiguity).
+func orderedColumn(p *plan.Plan, j *plan.Join, i int) string {
+	st := &j.Inputs[i]
+	if st.Input.Base < 0 || st.Action != plan.StageSort || len(st.Filters) != 0 || st.IndexScan != nil {
+		return ""
+	}
+	entry := p.Tables[st.Input.Base].Entry
+	kc := st.Cols[j.Keys[i]].Source
+	name := entry.Table.Schema().Column(kc).Name
+	if stats := &entry.Stats; entry.Index(name) != nil && stats.Rows > 0 &&
+		stats.Columns[kc].DistinctValues == stats.Rows {
+		return name
+	}
+	return ""
+}
+
+// keyFilterPlan decides how join j stages its inputs. first is the input
+// staged first: the chain-fed one, else the base input with the smallest
+// estimate (the lowest index among equals); the others follow in index
+// order. keyOffs[i], when >= 0, is the offset of input i's join key in its
+// base tuples: its staging scan drops the tuples whose key the first
+// input's staged tuples lack, through the join-key filter built from them.
+// A join none of whose inputs is filtered stages in index order (first 0).
+// Only Int/Date keys filter, and only inputs staged by a scan of a base
+// column: an index probe or an ordered traversal fetches no pages to
+// refine. A fine partition join filters nothing, since its value directory
+// already drops the keys outside the inputs' common catalogued domain, and
+// dropping those as well would count tuples its route drops anyway.
+func keyFilterPlan(p *plan.Plan, j *plan.Join) (first int, keyOffs []int) {
+	for i := range j.Inputs {
+		if in := &j.Inputs[i]; in.Input.Base < 0 {
+			first = i
+			break
+		} else if in.EstRows < j.Inputs[first].EstRows {
+			first = i
+		}
+	}
+	k := j.Inputs[first].Schema.Column(j.Keys[first]).Kind
+	filters := j.Alg != plan.FinePartitionJoin && (k == types.Int || k == types.Date)
+	keyOffs, some := make([]int, len(j.Inputs)), false
+	for i := range j.Inputs {
+		st := &j.Inputs[i]
+		c := st.Cols[j.Keys[i]]
+		keyOffs[i] = -1
+		if filters && i != first && st.Input.Base >= 0 && st.IndexScan == nil && c.Source >= 0 && c.Compute == nil && orderedColumn(p, j, i) == "" {
+			keyOffs[i], some = p.Tables[st.Input.Base].Entry.Table.Schema().Offset(c.Source), true
+		}
+	}
+	if !some {
+		first = 0
+	}
+	return first, keyOffs
+}
+
+// nthStaged is the index of the k-th input a join stages: first, then the
+// others in index order.
+func nthStaged(k, first int) int {
+	if k > first {
+		return k
+	}
+	if k == 0 {
+		return first
+	}
+	return k - 1
 }
 
 // workers is the chain's widest compiled worker target.
@@ -492,7 +563,11 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	fed := int64(ts.pairs) // the previous join's rows-out
 	sc.sides(len(f.sides))
 	var sorted uint64 // bit i: side i staged in key order (sides past 63 sort)
-	for i := range f.sides {
+	var kf *core.KeyFilter
+	dropped := 0
+	// The first side stages first and its keys build the filter.
+	for k := range f.sides {
+		i := nthStaged(k, f.first)
 		if f.traced {
 			t0 = time.Now()
 		}
@@ -503,15 +578,21 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 			// it in, handing the side's spent arena to this join's tail.
 			sc.staged[i], ts.staged = ts.staged, sc.staged[i]
 		} else {
-			read, ordered := f.stageSide(sc, i, params, &par)
+			read, ordered := f.stageSide(sc, i, params, &par, kf)
 			core.CountSkipped(read.Skipped)
+			core.CountDropped(read.Dropped)
+			dropped += read.Dropped
 			if ordered {
 				sorted |= 1 << i
 			}
 			if f.traced {
 				in = int64(read.Rows)
 				f.p.Trace.ObservePages(s.name, int64(read.Read), int64(read.Skipped))
+				f.p.Trace.ObserveDropped(s.name, int64(read.Dropped))
 			}
+		}
+		if k == 0 && f.keyOff >= 0 && sc.filter.Build(&sc.staged[i], s.Width, f.keyOff) {
+			kf = &sc.filter
 		}
 		if f.traced {
 			f.p.Trace.Observe(s.name, in, int64(sc.staged[i].Rows), time.Since(t0))
@@ -539,6 +620,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 	}
 	if f.traced {
 		f.p.Trace.Observe(f.order, int64(staged), int64(staged), time.Since(t0))
+		f.p.Trace.ObserveDropped(f.order, int64(dropped))
 		t0 = time.Now()
 	}
 	if m := len(parts[0]); f.parJoin > 1 && m > 1 {
@@ -716,11 +798,16 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([]
 
 // stageSide fetches, filters, projects and routes one base-table join
 // input into the scratch arena — the staging pass of the generated code
-// (Listing 1 extended with the join pre-processing). It returns what the
-// probe, traversal or scan read, and whether the staged tuples are
-// already in key order (the ordered index traversal).
-func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool) (core.Pages, bool) {
+// (Listing 1 extended with the join pre-processing); a side with a key
+// offset also drops from its scan the tuples whose key kf, when non-nil,
+// lacks. It returns what the probe, traversal or scan read, and whether
+// the staged tuples are already in key order (the ordered index
+// traversal).
+func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool, kf *core.KeyFilter) (core.Pages, bool) {
 	s := &f.sides[i]
+	if s.KeyOff < 0 {
+		kf = nil
+	}
 	a := &sc.staged[i]
 	a.Reset(s.estRows, s.Width)
 	entry := f.p.Tables[s.base].Entry
@@ -748,13 +835,13 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 			return read, true
 		}
 	}
-	if s.par > 1 && sc.par.stageScan(s.Stager, s.par, a, f.p.Pool, t, params) {
+	if s.par > 1 && sc.par.stageScan(s.Stager, s.par, a, f.p.Pool, t, params, kf) {
 		read := sc.par.pages()
 		sc.par.finish(f.p.Trace, s.name)
 		*par = true
 		return read, false
 	}
-	return s.StagePages(a, t, 0, t.NumPages(), params), false
+	return s.StagePages(a, t, 0, t.NumPages(), params, kf), false
 }
 
 // grown returns s resliced to n elements, reallocating only when short

@@ -41,13 +41,14 @@ import (
 )
 
 // stageScan splits a staging scan of t into page-range morsels: up to
-// workers workers run s.StagePages into private arenas and the caller
+// workers workers run s.StagePages into private arenas, all through the
+// join-key filter kf (nil: none), which they only read, and the caller
 // concatenates the per-morsel ranges into dst. It returns false (having
 // staged nothing) when the table, or what its page bounds leave of it
 // (core.FewCandidates), is too small to split, in which case the caller
 // stages on its own; after true the caller owes ph.finish, and ph.pages
 // tallies what the scan read.
-func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool *morsel.Pool, t *storage.Table, params []types.Datum) bool {
+func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool *morsel.Pool, t *storage.Table, params []types.Datum, kf *core.KeyFilter) bool {
 	per, n := pageMorsels(t, morsel.Rows)
 	if n < 2 || core.FewCandidates(s.Prune, t, params, morsel.Rows) {
 		return false
@@ -62,7 +63,7 @@ func (ph *parPhase) stageScan(s *core.Stager, workers int, dst *core.Arena, pool
 				return
 			}
 			mo := parMorsel{worker: int32(wi), rows: a.Rows, start: len(a.Data), pstart: len(a.PartIdx)}
-			mo.pages = s.StagePages(a, t, m*per, min((m+1)*per, pages), params)
+			mo.pages = s.StagePages(a, t, m*per, min((m+1)*per, pages), params, kf)
 			mo.rows, mo.end, mo.pend = a.Rows-mo.rows, len(a.Data), len(a.PartIdx)
 			ph.complete(m, mo)
 		}

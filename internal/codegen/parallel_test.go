@@ -157,19 +157,30 @@ func TestParallelScanParamPredicateInWorkers(t *testing.T) {
 		types.IntDatum(777), types.IntDatum(1))
 }
 
+// TestParallelScanLimitCancelsUnclaimedMorsels: once the completed morsel
+// prefix satisfies the LIMIT, no worker claims another morsel. The claim
+// hook holds every morsel but the first until the queue is cancelled, so
+// when the first morsel's five rows cancel it each worker holds at most one
+// morsel, whatever the scheduling: at most one claim per worker may
+// happen, where a scan that ignored its limit would claim all 32.
 func TestParallelScanLimitCancelsUnclaimedMorsels(t *testing.T) {
 	forceParallel(t)
-	// 32 morsels of matching rows; LIMIT 5 is satisfied by the first.
+	const workers = 4 // runParallelVsSerial's parallel target
 	cat := parCatalog(32 * morsel.Rows)
-	q := "SELECT id FROM pt WHERE id >= 0 LIMIT 5"
-	_, m0 := morsel.Stats()
-	runParallelVsSerial(t, cat, q)
-	_, m1 := morsel.Stats()
-	// The parallel run of runParallelVsSerial processes some morsels;
-	// cancellation must keep that well under the full split. A few
-	// morsels may race past the cancel, but not most of them.
-	if d := m1 - m0; d <= 0 || d >= 32 {
-		t.Errorf("limit cancellation processed %d morsels, want 0 < n < 32", d)
+	var claims atomic.Int32
+	deadline := time.Now().Add(10 * time.Second)
+	scanClaimed = func(ph *parPhase, m int) {
+		claims.Add(1)
+		for m > 0 && !ph.queue.Cancelled() && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+	}
+	t.Cleanup(func() { scanClaimed = nil })
+	if rows := runParallelVsSerial(t, cat, "SELECT id FROM pt WHERE id >= 0 LIMIT 5"); len(rows) != 5 {
+		t.Fatalf("LIMIT 5 returned %d rows", len(rows))
+	}
+	if n := claims.Load(); n < 1 || n > workers {
+		t.Errorf("the parallel scan claimed %d morsels, want 1 to %d", n, workers)
 	}
 }
 

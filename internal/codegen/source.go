@@ -39,8 +39,10 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/types"
@@ -85,9 +87,10 @@ func EmitSource(p *plan.Plan) string {
 
 	var calls []string
 	for ji, j := range p.Joins {
+		_, keyOffs := keyFilterPlan(p, j)
 		for i := range j.Inputs {
 			fn := fmt.Sprintf("stageJoin%dInput%d", ji, i)
-			emitStageFunc(w, fn, &j.Inputs[i], stageInputSchema(p, &j.Inputs[i]))
+			emitStageFunc(w, fn, &j.Inputs[i], stageInputSchema(p, &j.Inputs[i]), keyOffs[i])
 			calls = append(calls, fn)
 		}
 		fn := fmt.Sprintf("evalJoin%d", ji)
@@ -97,7 +100,7 @@ func EmitSource(p *plan.Plan) string {
 	if p.Agg != nil {
 		if p.Agg.Alg != plan.MapAggregation {
 			fn := "stageAggInput"
-			emitStageFunc(w, fn, &p.Agg.Input, stageInputSchema(p, &p.Agg.Input))
+			emitStageFunc(w, fn, &p.Agg.Input, stageInputSchema(p, &p.Agg.Input), -1)
 			calls = append(calls, fn)
 		}
 		emitAggFunc(w, "evalAggregate", p.Agg)
@@ -108,7 +111,7 @@ func EmitSource(p *plan.Plan) string {
 		calls = append(calls, "evalHaving")
 	}
 	if p.Final != nil {
-		emitStageFunc(w, "evalProject", p.Final, stageInputSchema(p, p.Final))
+		emitStageFunc(w, "evalProject", p.Final, stageInputSchema(p, p.Final), -1)
 		calls = append(calls, "evalProject")
 	}
 	if p.Sort != nil {
@@ -200,17 +203,22 @@ func exprGo(e plan.Expr, schema *types.Schema) string {
 // offsets resolve against the stage's real input schema (the base table's
 // catalogue schema or the producing join's output schema): filters may
 // reference columns the projection drops, so the staged column list alone
-// cannot position them.
-func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types.Schema) {
+// cannot position them. A join input the join's key filter refines
+// (keyFilterPlan) passes its join key's input offset as keyOff (else -1)
+// and also drops the tuples whose key the filter lacks.
+func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types.Schema, keyOff int) {
 	in := st.Input.String()
 	w.line("// %s stages %s: filter, project to %d columns (%d bytes/tuple),",
 		name, in, len(st.Cols), st.Schema.TupleSize())
 	w.line("// then %s.", stageActionComment(st))
+	params := "in *runtime.Table"
 	if stageHasParams(st) {
-		w.line("func %s(in *runtime.Table, bind runtime.Bind, out *runtime.Staging) {", name)
-	} else {
-		w.line("func %s(in *runtime.Table, out *runtime.Staging) {", name)
+		params += ", bind runtime.Bind"
 	}
+	if keyOff >= 0 {
+		params += ", keys *runtime.KeyFilter"
+	}
+	w.line("func %s(%s, out *runtime.Staging) {", name, params)
 	w.in()
 	w.line("for p := 0; p < in.NumPages; p++ {")
 	w.in()
@@ -232,6 +240,9 @@ func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types
 		} else {
 			w.line("if !(%s %s %s) { continue }", readField(kind, off, 8), cmpOpGo(f.Op), val)
 		}
+	}
+	if keyOff >= 0 {
+		w.line("if !keys.Has(runtime.Int64At(tuple, %d)) { continue } // join-key filter: no tuple of the first-staged input has this key", keyOff)
 	}
 	w.line("dst := out.Alloc(%d)", st.Schema.TupleSize())
 	for i, c := range st.Cols {
@@ -300,13 +311,13 @@ func readFieldStage(v *plan.ColExpr, inSchema *types.Schema) string {
 func stageActionComment(st *plan.Stage) string {
 	switch st.Action {
 	case plan.StageSort:
-		return fmt.Sprintf("sort on columns %v (quicksort over L2-sized runs + merge)", st.SortKeys)
+		return fmt.Sprintf("sort on columns %v (%s)", st.SortKeys, sortMethod(st))
 	case plan.StagePartitionFine:
 		return fmt.Sprintf("fine-partition through a %d-entry value directory", len(st.FineValues))
 	case plan.StagePartitionCoarse:
 		s := fmt.Sprintf("hash-partition into %d partitions", st.Partitions)
 		if st.SortPartitions {
-			s += ", sorting each partition"
+			s += ", sorting each partition (" + sortMethod(st) + ")"
 		}
 		return s
 	default:
@@ -338,14 +349,28 @@ func emitPostStage(w *sourceWriter, st *plan.Stage) {
 	if firstKey(st.SortKeys) >= st.Schema.NumColumns() {
 		return
 	}
-	switch st.Action {
-	case plan.StageSort:
+	switch {
+	case st.Action == plan.StageSort && radixKey(st):
+		w.line("out.RadixSort(%d) // key offset baked in", st.Schema.Offset(st.SortKeys[0]))
+	case st.Action == plan.StageSort:
 		w.line("out.SortRunsAndMerge(%d) // key column offsets baked into comparator", st.Schema.Offset(firstKey(st.SortKeys)))
-	case plan.StagePartitionCoarse:
-		if st.SortPartitions {
-			w.line("out.SortEachPartition(%d)", st.Schema.Offset(firstKey(st.SortKeys)))
-		}
+	case st.Action == plan.StagePartitionCoarse && st.SortPartitions:
+		w.line("out.SortEachPartition(%d)", st.Schema.Offset(firstKey(st.SortKeys)))
 	}
+}
+
+// radixKey reports whether the stage sorts on one Int/Date key, which
+// core.KeySort radix-sorts.
+func radixKey(st *plan.Stage) bool {
+	return len(st.SortKeys) == 1 && (st.Schema.Column(st.SortKeys[0]).Kind == types.Int || st.Schema.Column(st.SortKeys[0]).Kind == types.Date)
+}
+
+// sortMethod names the sort a stage runs.
+func sortMethod(st *plan.Stage) string {
+	if radixKey(st) {
+		return "stable LSD radix sort over the key's bits; quicksort under 256 tuples"
+	}
+	return "quicksort over L2-sized runs + merge"
 }
 
 func firstKey(keys []int) int {
@@ -650,9 +675,19 @@ func emitComposer(w *sourceWriter, p *plan.Plan, calls []string) {
 	}
 	w.in()
 	for ji, j := range p.Joins {
-		for i := range j.Inputs {
+		first, keyOffs := keyFilterPlan(p, j)
+		for k := range j.Inputs {
+			i := nthStaged(k, first)
+			keys := ""
+			if keyOffs[i] >= 0 {
+				keys = fmt.Sprintf(", keys%d", ji)
+			}
 			w.line("s%d_%d := runtime.NewStaging(%d)", ji, i, maxPartitions(&j.Inputs[i]))
-			w.line("stageJoin%dInput%d(db.Input(%q)%s, s%d_%d)", ji, i, j.Inputs[i].Input, bindArg(&j.Inputs[i]), ji, i)
+			w.line("stageJoin%dInput%d(db.Input(%q)%s%s, s%d_%d)", ji, i, j.Inputs[i].Input, bindArg(&j.Inputs[i]), keys, ji, i)
+			if k == 0 && slices.Max(keyOffs) >= 0 {
+				w.line("keys%d := runtime.NewKeyFilter(s%d_%d, %d, %d) // its staged join keys",
+					ji, ji, i, j.Inputs[i].Schema.Offset(j.Keys[i]), core.MaxKeyFilterBits)
+			}
 		}
 		args := make([]string, len(j.Inputs))
 		for i := range j.Inputs {

@@ -178,7 +178,7 @@ func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) (*staged, int, e
 	if tree != nil {
 		rows = s.StageProbe(a, in, tree, st.IndexScan.Key(nil), nil)
 	} else {
-		pg := s.StagePages(a, in, 0, in.NumPages(), nil)
+		pg := s.StagePages(a, in, 0, in.NumPages(), nil, nil)
 		CountSkipped(pg.Skipped)
 		rows = pg.Rows
 	}

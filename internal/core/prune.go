@@ -15,14 +15,16 @@ import (
 // the DML victim search — through the one helper.
 
 // Pages tallies what a page loop did: the pages it read and the tuples on
-// them, and the pages their bounds let it skip.
-type Pages struct{ Read, Rows, Skipped int }
+// them, the pages their bounds let it skip, and the tuples a join-key
+// filter dropped (StagePages).
+type Pages struct{ Read, Rows, Skipped, Dropped int }
 
 // Add accumulates q into p.
 func (p *Pages) Add(q Pages) {
 	p.Read += q.Read
 	p.Rows += q.Rows
 	p.Skipped += q.Skipped
+	p.Dropped += q.Dropped
 }
 
 // Pruner returns the predicates of preds that a page's bounds can judge,
@@ -101,10 +103,12 @@ func FewCandidates(prune []Pred, t *storage.Table, params []types.Datum, rows in
 }
 
 // skippedPages counts the pages page loops skipped on their bounds,
-// re-exported as hique_scan_pages_skipped_total. Like the morsel counters
-// it is process-wide: the loops run inside compiled artefacts that may
-// outlive any one DB handle.
-var skippedPages atomic.Int64
+// re-exported as hique_scan_pages_skipped_total, and droppedKeys the
+// tuples join-key filters dropped from staging scans, re-exported as
+// hique_join_keys_dropped_total. Like the morsel counters they are
+// process-wide: the loops run inside compiled artefacts that may outlive
+// any one DB handle.
+var skippedPages, droppedKeys atomic.Int64
 
 // CountSkipped records the pages one scan skipped; call it once per scan.
 func CountSkipped(pages int) {
@@ -113,5 +117,17 @@ func CountSkipped(pages int) {
 	}
 }
 
+// CountDropped records the tuples one staging scan's join-key filter
+// dropped; call it once per stage.
+func CountDropped(tuples int) {
+	if tuples > 0 {
+		droppedKeys.Add(int64(tuples))
+	}
+}
+
 // SkippedPages returns the process-wide count of skipped pages.
 func SkippedPages() int64 { return skippedPages.Load() }
+
+// DroppedKeys returns the process-wide count of tuples join-key filters
+// dropped.
+func DroppedKeys() int64 { return droppedKeys.Load() }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"container/heap"
+	"math"
 	"math/bits"
+	"slices"
 
 	"hique/internal/storage"
 	"hique/internal/types"
@@ -143,6 +145,72 @@ func radixSort(tuples [][]byte, off int) bool {
 		}
 	}
 	return true
+}
+
+// MaxKeyFilterBits caps a KeyFilter's span: keys spread over this many
+// values or more (1 MiB of bits) build no filter.
+const MaxKeyFilterBits = 1 << 23
+
+// KeyFilter is the exact set of the int64 join keys one side of a join
+// staged: a bitmap over their [min, max]. A tuple of another side whose key
+// is not in it cannot join, so that side's staging drops it before
+// projecting it (a semijoin reduction). The bits are the caller's pooled
+// memory, reused from one Build to the next.
+type KeyFilter struct {
+	lo   int64
+	top  uint64 // the bitmap's last bit: past the span, so always clear
+	bits []uint64
+}
+
+// Build fills the filter from the int64 keys at off of the arena's w-byte
+// tuples and reports whether it could: false when they span
+// MaxKeyFilterBits or more. An empty arena builds the empty filter, which
+// drops every key.
+func (f *KeyFilter) Build(a *Arena, w, off int) bool {
+	data := a.Data[:a.Rows*w]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for o := off; o < len(data); o += w {
+		k := types.GetInt(data, o)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// One less than the count of values in [lo, hi], so it cannot
+	// overflow; an empty arena leaves it 1 and sets no bit. The bitmap ends
+	// past bit span+1, so its top bit stands for no key.
+	span := uint64(hi - lo)
+	if span >= MaxKeyFilterBits-1 {
+		return false
+	}
+	words := int((span+1)>>6) + 1
+	f.lo, f.top = lo, uint64(words)<<6-1
+	f.bits = slices.Grow(f.bits[:0], words)[:words]
+	clear(f.bits)
+	for o := off; o < len(data); o += w {
+		d := uint64(types.GetInt(data, o) - lo)
+		f.bits[d>>6] |= 1 << (d & 63)
+	}
+	return true
+}
+
+// Bytes reports the bitmap's retained size.
+func (f *KeyFilter) Bytes() int { return 8 * cap(f.bits) }
+
+// Has reports whether k is one of the filter's keys: one wrapping
+// subtraction and one bit test, a key outside the span testing the clear
+// top bit.
+func (f *KeyFilter) Has(k int64) bool {
+	d := min(uint64(k-f.lo), f.top)
+	return f.bits[d>>6]>>(d&63)&1 != 0
+}
+
+// Refine compacts the selection vector sel over a page of w-byte tuples to
+// the tuples whose int64 key at off is in the filter, keeping their order.
+func (f *KeyFilter) Refine(sel []int32, data []byte, w, off int) []int32 {
+	k := 0
+	for _, i := range sel {
+		sel[k] = i
+		k += b2i(f.Has(types.GetInt(data, int(i)*w+off)))
+	}
+	return sel[:k]
 }
 
 // SortTuples sorts tuple references in place using quicksort over

@@ -94,6 +94,10 @@ type Stager struct {
 	// sort orders the staged output (StageSort) or, for a stage that sorts
 	// its partitions, each partition; its Cmp is nil otherwise.
 	sort KeySort
+
+	// KeyOff is the input offset of the int64 join key a KeyFilter handed
+	// to StagePages tests; the join compiling the stage sets it.
+	KeyOff int
 }
 
 // CompileStage compiles a staging descriptor over its input schema.
@@ -141,10 +145,11 @@ func (s *Stager) Stage(a *Arena, tup []byte, params []types.Datum) {
 // StagePages is the full-scan staging loop over pages [lo, hi) of t:
 // direct page iteration with offset arithmetic, skipping the pages whose
 // bounds the predicates exclude and filtering each page read into a
-// selection vector before projecting its survivors. A caller-only run
-// covers the whole table; a morsel covers its page range into a worker's
-// arena.
-func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum) Pages {
+// selection vector before projecting its survivors. A non-nil kf refines
+// the selection to the tuples whose join key (at KeyOff) is in it, and the
+// tally counts the tuples it dropped. A caller-only run covers the whole
+// table; a morsel covers its page range into a worker's arena.
+func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum, kf *KeyFilter) Pages {
 	inW, w := s.InWidth, s.Width
 	var tally Pages
 	sc := GetScratch()
@@ -159,7 +164,13 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 		data := pg.Data()
 		tally.Read++
 		tally.Rows += n
-		for _, k := range sc.Select(s.Preds, data, n, inW, params) {
+		sel := sc.Select(s.Preds, data, n, inW, params)
+		if kf != nil {
+			m := len(sel)
+			sel = kf.Refine(sel, data, inW, s.KeyOff)
+			tally.Dropped += m - len(sel)
+		}
+		for _, k := range sel {
 			base := int(k) * inW
 			slot := a.Slot(w)
 			s.Project(data[base:base+inW:base+inW], slot)

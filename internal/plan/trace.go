@@ -43,7 +43,12 @@ type Trace struct {
 // StageTrace is one recorded pipeline stage. A stage that scans a base
 // table also records the pages it read and the pages their bounds let it
 // skip; RowsIn is then the tuples on the pages read (or the tuples an
-// index probe fetched), not the table's size.
+// index probe fetched), not the table's size. KeysDropped counts the
+// tuples a join-key filter dropped from a join input's staging (on
+// join[J].order, the sum over its inputs): tuples that passed the stage's
+// own predicates but whose key no tuple of the join's first-staged input
+// holds, so they cannot join. RowsOut + KeysDropped is what the stage
+// would stage unfiltered.
 type StageTrace struct {
 	Name         string
 	RowsIn       int64
@@ -51,6 +56,7 @@ type StageTrace struct {
 	Elapsed      time.Duration
 	PagesRead    int64
 	PagesSkipped int64
+	KeysDropped  int64
 }
 
 // ParallelTrace describes one morsel-driven parallel phase: how many
@@ -85,6 +91,14 @@ func (t *Trace) ObservePages(name string, read, skipped int64) {
 	s := t.stage(name)
 	s.PagesRead += read
 	s.PagesSkipped += skipped
+}
+
+// ObserveDropped merges the tuples a stage's join-key filter dropped into
+// the trace, accumulating like Observe. Safe to call on a nil trace.
+func (t *Trace) ObserveDropped(name string, tuples int64) {
+	if t != nil {
+		t.stage(name).KeysDropped += tuples
+	}
 }
 
 // stage returns the named stage's record, appending an empty one on the
@@ -122,6 +136,9 @@ func (t *Trace) String() string {
 			s.Name, s.RowsIn, s.RowsOut, s.Elapsed)
 		if s.PagesRead+s.PagesSkipped > 0 {
 			fmt.Fprintf(&b, " pages_read=%d pages_skipped=%d", s.PagesRead, s.PagesSkipped)
+		}
+		if s.KeysDropped > 0 {
+			fmt.Fprintf(&b, " keys_dropped=%d", s.KeysDropped)
 		}
 		b.WriteByte('\n')
 	}

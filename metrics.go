@@ -138,6 +138,11 @@ func newDBMetrics(db *DB) *dbMetrics {
 	// scan and process-global like the morsel counters.
 	m.reg.CounterFunc("hique_scan_pages_skipped_total", "Heap pages page loops skipped on their per-page min/max bounds.", "",
 		core.SkippedPages)
+	// Tuples a fused join's key filter kept out of a staging scan (their
+	// key is absent from the join's first-staged input); counted once per
+	// stage, process-global likewise.
+	m.reg.CounterFunc("hique_join_keys_dropped_total", "Join-input tuples staging scans dropped because their key is absent from the join's first-staged input.", "",
+		core.DroppedKeys)
 
 	m.reg.GaugeFunc("hique_catalog_version", "Catalogue epoch: table registrations and drops (writes and index builds move per-table versions).", "",
 		func() float64 { return float64(db.cat.Version()) })

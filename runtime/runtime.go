@@ -222,6 +222,11 @@ func (s *Staging) SortPartition(k, keyOff int) {
 // SortRunsAndMerge orders partition 0 (the whole input when unpartitioned).
 func (s *Staging) SortRunsAndMerge(keyOff int) { s.SortPartition(0, keyOff) }
 
+// RadixSort orders partition 0 by the int64 key at keyOff, stably: the
+// engine's radix sort of a single Int/Date key, which the reference ABI
+// reproduces with SortRunsAndMerge's order.
+func (s *Staging) RadixSort(keyOff int) { s.SortPartition(0, keyOff) }
+
 // SortEachPartition orders every partition independently.
 func (s *Staging) SortEachPartition(keyOff int) {
 	for k := range s.parts {
@@ -242,6 +247,42 @@ func (s *Staging) AsTable() *Table {
 	}
 	return out
 }
+
+// KeyFilter is the join-key filter of the staging template: the keys one
+// join input staged, which the join's other inputs test before staging a
+// tuple (reference: a set).
+type KeyFilter struct {
+	keys map[int64]bool
+}
+
+// NewKeyFilter collects the int64 keys at keyOff of every staged tuple. It
+// returns nil, the filter that keeps every key, when they span maxSpan
+// values or more, as the engine's bitmap does.
+func NewKeyFilter(s *Staging, keyOff int, maxSpan int64) *KeyFilter {
+	f := &KeyFilter{keys: map[int64]bool{}}
+	lo, hi := int64(0), int64(0)
+	for _, t := range s.parts {
+		if t == nil {
+			continue
+		}
+		for _, r := range t.rows() {
+			k := Int64At(r, keyOff)
+			if len(f.keys) == 0 {
+				lo, hi = k, k
+			}
+			lo, hi = min(lo, k), max(hi, k)
+			f.keys[k] = true
+		}
+	}
+	if uint64(hi-lo) >= uint64(maxSpan-1) {
+		return nil
+	}
+	return f
+}
+
+// Has reports whether k is one of the filter's keys; a nil filter has
+// every key.
+func (f *KeyFilter) Has(k int64) bool { return f == nil || f.keys[k] }
 
 // Bind is the bind vector a parameterized artefact reads its constants
 // from at run time.
