@@ -18,14 +18,14 @@ import (
 // -gcflags='hique/...=-N -l' (internal/bench.Tab2).
 type OptLevel int
 
-// OptO2 runs the fused, type-specialised closures.
+// OptO2 runs the fused, type-specialised pipelines.
 const OptO2 OptLevel = 1
 
 // String renders the flag spelling used in the paper.
 func (l OptLevel) String() string { return "-O2" }
 
 // Timings records the query-preparation cost breakdown reported in
-// Table III. Generate fills Compile with the closure construction time;
+// Table III. Generate fills Compile with the pipeline construction time;
 // the source-side figures stay zero until EnsureSource runs.
 type Timings struct {
 	Generate time.Duration // emitting the source file
@@ -61,7 +61,7 @@ type CompiledQuery struct {
 }
 
 // Generate instantiates the code templates for the plan (Figure 3) into
-// the executable closures and returns the query. At -O2 every plan the
+// the executable pipeline and returns the query. At -O2 every plan the
 // planner emits compiles to a fused pipeline — a single-table plan to one
 // probe/scan → filter → project (or aggregate) loop, a left-deep chain of
 // joins, join teams included, to one fused join loop per join, each

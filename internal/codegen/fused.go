@@ -90,7 +90,7 @@ func newFused(p *plan.Plan) (*fusedQuery, error) {
 		f.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
 	}
 	if p.Agg != nil {
-		if f.agg, err = newFusedAgg(p.Agg, s, nil); err != nil {
+		if f.agg, err = newFusedAgg(p.Agg, s, entry.Table.Schema(), nil); err != nil {
 			return nil, err
 		}
 		if f.agg.stream {
@@ -178,21 +178,21 @@ func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
 // tree when non-nil, otherwise by scan. It returns what the loop read:
 // the tuples the probe fetched, or the scan's pages.
 func (f *fusedQuery) runScan(t *storage.Table, tree *btree.Tree, params []types.Datum, out *storage.Table) core.Pages {
+	if f.par > 1 && tree == nil {
+		return f.scanPar(t, params, out)
+	}
+	sc := core.GetScratch()
+	defer sc.Put()
 	if tree != nil {
 		n := core.Probe(t, tree, f.idx.Key(params), func(tup []byte) bool {
 			if !core.MatchPreds(f.st.Preds, tup, params) {
 				return true
 			}
-			f.st.Project(tup, out.AppendSlot())
+			f.st.Project(sc, tup, len(tup), sc.One(), out.AppendSlot())
 			return f.limit < 0 || out.NumRows() < f.limit
 		})
 		return core.Pages{Rows: n}
 	}
-	if f.par > 1 {
-		return f.scanPar(t, params, out)
-	}
-	sc := core.GetScratch()
-	defer sc.Put()
 	return f.scanPages(t, 0, t.NumPages(), params, &rowDst{out: out}, sc)
 }
 
@@ -222,13 +222,13 @@ func (f *fusedQuery) scanPages(t *storage.Table, lo, hi int, params []types.Datu
 }
 
 // scanPage filters one page's n tuples into a selection vector
-// (core.SelectPage) and projects the survivors into dst: direct iteration
-// with offset arithmetic, the Listing 1 pattern. Under LIMIT it filters
-// the page a prefix at a time, each as long as the rows still missing, so
-// it examines no more tuples than the limit needs, and it returns false
-// once dst holds limit rows. The page body is its own function so that
-// the tuple loop keeps nothing of the page walk live across its calls
-// (DESIGN.md §8.3 has the measurement).
+// (core.SelectPage) and projects the survivors into dst in one batch per
+// run of contiguous output slots: the Listing 1 pattern, page at a time.
+// Under LIMIT it filters the page a prefix at a time, each as long as
+// the rows still missing, so it examines no more tuples than the limit
+// needs, and it returns false once dst holds limit rows. The page body is
+// its own function so that the tuple loop keeps nothing of the page walk
+// live across its calls (DESIGN.md §8.3 has the measurement).
 func (f *fusedQuery) scanPage(sc *core.Scratch, data []byte, n int, params []types.Datum, dst *rowDst) bool {
 	s := f.st
 	w := s.InWidth
@@ -240,9 +240,10 @@ func (f *fusedQuery) scanPage(sc *core.Scratch, data []byte, n int, params []typ
 			}
 			cnt = min(cnt, f.limit-dst.rows)
 		}
-		for _, i := range sc.Select(s.Preds, data[lo*w:], cnt, w, params) {
-			base := (lo + int(i)) * w
-			s.Project(data[base:base+w:base+w], dst.slot(s.Width))
+		for sel := sc.Select(s.Preds, data[lo*w:], cnt, w, params); len(sel) > 0; {
+			slots, k := dst.slots(len(sel), s.Width)
+			s.Project(sc, data[lo*w:], w, sel[:k], slots)
+			sel = sel[k:]
 		}
 		lo += cnt
 	}
@@ -325,7 +326,7 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 	var read core.Pages
 	switch {
 	case tree != nil && fa.mapped:
-		read.Rows = fa.prog.FoldProbe(ts.acc, f.st, ts.aggBuf, t, tree, f.idx.Key(params), params)
+		read.Rows = fa.prog.FoldProbe(ts.acc, f.st, t, tree, f.idx.Key(params), params)
 	case tree != nil:
 		read.Rows = f.st.StageProbe(&ts.staged, t, tree, f.idx.Key(params), params)
 	case !fa.mapped:
@@ -337,21 +338,19 @@ func (f *fusedQuery) runAgg(t *storage.Table, tree *btree.Tree, params []types.D
 			read = f.st.StagePages(&ts.staged, t, 0, pages, params, nil)
 		}
 	case n < 2 || core.FewCandidates(f.st.Prune, t, params, morsel.Rows):
-		_, read = fa.prog.FoldPages(ts.acc, f.st, ts.aggBuf, t, 0, pages, params)
+		_, read = fa.prog.FoldPages(ts.acc, f.st, t, 0, pages, params)
 	default:
 		ph.reset(n, f.par, -1)
 		sc.resetChunkMaps(n)
 		ph.run(f.p.Pool, f.par, func(wi int) {
 			wk := &ph.workers[wi]
-			buf := grown(wk.tail.aggBuf, f.st.Width)
-			wk.tail.aggBuf = buf
 			for {
 				m, ok := ph.queue.Next()
 				if !ok {
 					return
 				}
 				acc := sc.chunkMap(wk, m, fa.prog)
-				folded, pg := fa.prog.FoldPages(acc, f.st, buf, t, m*per, min((m+1)*per, pages), params)
+				folded, pg := fa.prog.FoldPages(acc, f.st, t, m*per, min((m+1)*per, pages), params)
 				ph.complete(m, parMorsel{worker: int32(wi), rows: folded, pages: pg})
 			}
 		})

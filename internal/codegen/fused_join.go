@@ -136,9 +136,9 @@ type fusedJoin struct {
 	// Computed output columns fall back to joinBuf + project.
 	tailCopy   [][]core.CopyRange
 	tailDirect bool
-	// project writes the tail's tuple from the assembled join tuple: the
-	// final projection, or the tail stage's projection.
-	project func(src, dst []byte)
+	// project writes the tail's tuple from the assembled join tuple, a
+	// batch of one: the final projection, or the tail stage's projection.
+	project func(sc *core.Scratch, data []byte, w int, sel []int32, dst []byte)
 
 	// The tail is one of three. stage, when non-nil, is a stage tail: each
 	// joined pair is staged — projected and routed — into an arena, which
@@ -177,7 +177,10 @@ type tailState struct {
 	// a streaming aggregation emits its closed groups.
 	rowDst
 	joinBuf []byte // assembled join tuple (tails that are not direct copies)
-	aggBuf  []byte // staged aggregation tuple
+	aggBuf  []byte // a streaming aggregation's staged tuple
+	// vec holds the registers of the tail's batch-of-one projections and
+	// folds, drawn from core's scratch pool for one join loop.
+	vec *core.Scratch
 	// pairs counts joined tuples handed to the tail: the join's rows-out.
 	pairs int
 	// cur is the join loop's cursor.
@@ -361,7 +364,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 		if st.Input.Base >= 0 || st.Input.Join != ji || len(st.Filters) != 0 || st.IndexScan != nil {
 			return nil, unfusable("an aggregation over anything but the last join's output")
 		}
-		var at core.ColumnAt // nil: the composed aggregation tuple
+		var at core.ColumnAt // nil: the assembled join tuple
 		if f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema); f.tailDirect {
 			// Every staged column is a width-matched copy of a join input
 			// column: resolve to that side's staged tuple.
@@ -374,7 +377,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 		if err != nil {
 			return nil, err
 		}
-		if f.agg, err = newFusedAgg(p.Agg, s, at); err != nil {
+		if f.agg, err = newFusedAgg(p.Agg, s, j.Schema, at); err != nil {
 			return nil, err
 		}
 		f.project = s.Project
@@ -387,7 +390,7 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 			st.Action != plan.StageNone || len(st.Filters) != 0 || st.IndexScan != nil || !st.Projectable() {
 			return nil, unfusable("a final projection that stages, filters or computes CHAR over the last join")
 		}
-		f.project = core.MakeProjector(j.Schema, st.Cols, st.Schema)
+		f.project = core.MakeProjector(j.Schema, st.Cols, st.Schema).Project
 		f.outWidth = st.Schema.TupleSize()
 		f.tailCopy, f.tailDirect = makeTailCopy(j, st.Cols, st.Schema)
 	default:
@@ -484,12 +487,12 @@ func (f *fusedJoin) workers() int {
 }
 
 // newFusedAgg compiles the aggregation tail over its input stage s —
-// compiled over a join's output, or the base table of the single-table
-// pipeline. The caller has vetted the input reference. at, when non-nil,
-// resolves a staged aggregation column to the staged join-side tuple it
-// is a plain copy of, which lets map aggregation bind its directory
-// probes and updates to the side tuples directly.
-func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) (*fusedAgg, error) {
+// compiled over in, a join's output or the base table of the
+// single-table pipeline. The caller has vetted the input reference. at,
+// when non-nil, resolves a staged aggregation column to the staged
+// join-side tuple it is a plain copy of, which lets map aggregation bind
+// its directory probes and updates to the side tuples directly.
+func newFusedAgg(a *plan.Agg, s *core.Stager, in *types.Schema, at core.ColumnAt) (*fusedAgg, error) {
 	if !a.FusionEligible() {
 		return nil, unfusable("a %v aggregation over a %v input", a.Alg, a.Input.Action)
 	}
@@ -506,12 +509,12 @@ func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) (*fusedAgg, erro
 	if !fa.direct {
 		at = nil
 	}
-	if fa.prog = core.CompileAgg(a, a.Input.Schema, at); fa.prog == nil {
+	if fa.prog = core.CompileAgg(a, in, at); fa.prog == nil {
 		return nil, unfusable("map aggregation over a grouping attribute without a directory form")
 	}
 	if fa.direct {
 		for _, pr := range fa.prog.Probes {
-			fa.sideLk = grown(fa.sideLk, max(len(fa.sideLk), int(pr.Src)+1))
+			fa.sideLk = core.Grown(fa.sideLk, max(len(fa.sideLk), int(pr.Src)+1))
 			fa.sideLk[pr.Src] = append(fa.sideLk[pr.Src], pr)
 		}
 	}
@@ -523,7 +526,6 @@ func newFusedAgg(a *plan.Agg, s *core.Stager, at core.ColumnAt) (*fusedAgg, erro
 // and collect modes.
 func (fa *fusedAgg) begin(sc *joinScratch) {
 	ts := &sc.tail
-	ts.aggBuf = grown(ts.aggBuf, fa.st.Width)
 	if fa.mapped {
 		ts.acc = &sc.mapAgg
 		ts.acc.Reset(fa.prog.NGroups, fa.prog.NAggs)
@@ -658,10 +660,10 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 // cleared (the state is pooled, so they carry a prior execution's
 // values).
 func (f *fusedJoin) prepTail(ts *tailState) {
-	ts.joinBuf = grown(ts.joinBuf, f.joinWidth)
+	ts.joinBuf = core.Grown(ts.joinBuf, f.joinWidth)
 	if fa := f.agg; fa != nil {
-		ts.aggBuf = grown(ts.aggBuf, fa.st.Width)
-		ts.lastPtr, ts.lastG = grown(ts.lastPtr, len(fa.sideLk)), grown(ts.lastG, len(fa.sideLk))
+		ts.aggBuf = core.Grown(ts.aggBuf, fa.st.Width)
+		ts.lastPtr, ts.lastG = core.Grown(ts.lastPtr, len(fa.sideLk)), core.Grown(ts.lastG, len(fa.sideLk))
 		clear(ts.lastPtr)
 	}
 	ts.pairs, ts.rows = 0, 0
@@ -672,7 +674,10 @@ func (f *fusedJoin) prepTail(ts *tailState) {
 // them per morsel inside a parallel join phase. It stops when the tail
 // reports the pipeline complete.
 func (f *fusedJoin) join(ts *tailState, parts [][][][]byte, lo, hi int) {
+	ts.vec = core.GetScratch()
 	f.loop.Run(parts, lo, hi, &ts.cur, func(c *core.Cursor) bool { return f.emit(ts, c) })
+	ts.vec.Put()
+	ts.vec = nil
 }
 
 // finish completes the aggregation tail into out: map aggregation emits
@@ -707,14 +712,14 @@ func (f *fusedJoin) emit(ts *tailState, c *core.Cursor) bool {
 	if s := f.stage; s != nil {
 		// Stage the tail's tuple into the arena with its partition route;
 		// the consumer orders the arena once the loop is done.
-		slot := ts.staged.Slot(s.Width)
-		f.fillTail(ts, c, slot)
-		ts.staged.Keep(slot, s.Route)
+		f.fillTail(ts, c, ts.staged.Slots(1, s.Width))
+		ts.staged.Keep(1, s.Width, s.Route)
 		return true
 	}
 	fa := f.agg
 	if fa == nil {
-		f.fillTail(ts, c, ts.slot(f.outWidth))
+		slot, _ := ts.slots(1, f.outWidth)
+		f.fillTail(ts, c, slot)
 		return f.limit < 0 || ts.rows < f.limit
 	}
 	if fa.mapped {
@@ -725,10 +730,9 @@ func (f *fusedJoin) emit(ts *tailState, c *core.Cursor) bool {
 		// directory (stale statistics): the set is skipped.
 		acc := ts.acc
 		if !fa.direct {
-			f.fillTail(ts, c, ts.aggBuf)
-			if g := core.Locate(fa.prog.Probes, ts.aggBuf); g >= 0 {
-				acc.Add(fa.prog.Updates, int(g), ts.aggBuf)
-			}
+			// The program reads the assembled join tuple, a batch of one.
+			var one [1]int32
+			fa.prog.FoldBatch(acc, ts.vec, f.assemble(ts, c), 0, one[:])
 			return true
 		}
 		// Side-bound probes with a per-side memo: a side's group
@@ -765,11 +769,15 @@ func (f *fusedJoin) fillTail(ts *tailState, c *core.Cursor, dst []byte) {
 		}
 		return
 	}
-	buf := ts.joinBuf
+	f.project(ts.vec, f.assemble(ts, c), 0, ts.vec.One(), dst)
+}
+
+// assemble writes the join tuple of the cursor's tuple set into joinBuf.
+func (f *fusedJoin) assemble(ts *tailState, c *core.Cursor) []byte {
 	for i, spec := range f.copySpec {
-		core.CopyInto(buf, c.Tuple(i), spec)
+		core.CopyInto(ts.joinBuf, c.Tuple(i), spec)
 	}
-	f.project(buf, dst)
+	return ts.joinBuf
 }
 
 // makeTailCopy composes the join's column mapping with a tail stage's
@@ -825,9 +833,11 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 			// sort — the paper's case for index-ordered inputs. Such a side
 			// compiles no predicates and no route.
 			var read core.Pages
+			vec := core.GetScratch()
+			defer vec.Put()
 			tree.Ascend(func(_ int64, rid btree.RID) bool {
 				if tup, ok := core.FetchRID(t, rid); ok {
-					s.Stage(a, tup, params)
+					s.Stage(vec, a, tup, params)
 					read.Rows++
 				}
 				return true

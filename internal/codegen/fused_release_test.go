@@ -3,6 +3,7 @@ package codegen
 import (
 	"testing"
 
+	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -49,11 +50,11 @@ func TestFusedRunReleasesArenaOnPanic(t *testing.T) {
 	// what leaked before run released on the unwind path.
 	orig := f.st.Project
 	rows := 0
-	f.st.Project = func(src, dst []byte) {
-		if rows++; rows > 600 {
+	f.st.Project = func(sc *core.Scratch, data []byte, w int, sel []int32, dst []byte) {
+		if rows += len(sel); rows > 600 {
 			panic("sabotaged projector")
 		}
-		orig(src, dst)
+		orig(sc, data, w, sel, dst)
 	}
 	before, _ := storage.ArenaStats()
 	mustPanic(t, func() { f.run(nil) })

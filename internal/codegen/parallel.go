@@ -90,15 +90,19 @@ type rowDst struct {
 	rows  int
 }
 
-// slot reserves the next w-byte output row.
-func (d *rowDst) slot(w int) []byte {
-	d.rows++
+// slots reserves up to n contiguous w-byte output rows, at least one, and
+// returns them with their count: on the result table, as many as its last
+// page holds.
+func (d *rowDst) slots(n, w int) ([]byte, int) {
 	if d.out != nil {
-		return d.out.AppendSlot()
+		b, k := d.out.AppendSlots(n)
+		d.rows += k
+		return b, k
 	}
 	off := len(d.arena)
-	d.arena = core.Extend(d.arena, w)
-	return d.arena[off : off+w]
+	d.arena = core.Extend(d.arena, n*w)
+	d.rows += n
+	return d.arena[off:], n
 }
 
 // parWorker is one worker's private output state, retained across

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 
+	"hique/internal/btree"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -45,13 +47,18 @@ func fill[T int64 | float64](s []T, n int, v T) []T {
 	return s
 }
 
-// AggUpdate is one compiled per-tuple accumulator update: Fn folds the
-// aggregate argument it reads from t into the slots of the group at base.
-// Src names the tuple Fn must be handed, in the terms of the ColumnAt the
-// update was compiled with.
+// AggUpdate is one compiled aggregate update: the function, the
+// argument's kind, and the aggregate's position; Reg is the fold
+// program's register holding the argument (-1 for COUNT, which reads
+// none), and Src and Off locate it, in the terms of the ColumnAt the
+// update was compiled with, for a tuple-at-a-time caller.
 type AggUpdate struct {
-	Src int8
-	Fn  func(a *Accum, base int, t []byte)
+	Func  sql.AggFunc
+	Float bool
+	Idx   int
+	Reg   int
+	Src   int8
+	Off   int
 }
 
 // ColumnAt resolves a staged aggregation column to the tuple a compiled
@@ -60,79 +67,86 @@ type AggUpdate struct {
 // staged join inputs instead, so no aggregation tuple is ever composed.
 type ColumnAt func(col int) (src int8, off int)
 
-// compileUpdates builds the per-tuple update of each aggregate: inlined,
-// type-specialised, no dispatch (the paper stresses the importance of
-// call-free aggregation inner loops). The state is passed in, not
-// captured, so one compiled program serves concurrent executions.
-func compileUpdates(a *plan.Agg, staged *types.Schema, at ColumnAt) []AggUpdate {
+// compileUpdates compiles each aggregate's update, and into args the
+// program computing its argument from a tuple of the aggregation
+// stage's input schema in: a plain copy is a load of the input column, a
+// computed column its expression.
+func compileUpdates(a *plan.Agg, in *types.Schema, at ColumnAt, args *vecProg) []AggUpdate {
 	ups := make([]AggUpdate, 0, len(a.Aggs))
 	for i := range a.Aggs {
 		spec := &a.Aggs[i]
 		if spec.Star {
 			continue // covered by tuples
 		}
-		idx := i
-		src, off := at(spec.Col)
-		isFloat := staged.Column(spec.Col).Kind == types.Float
-		var fn func(a *Accum, base int, t []byte)
-		switch spec.Func {
-		case sql.AggSum:
-			if isFloat {
-				fn = func(a *Accum, base int, t []byte) { a.sumF[base+idx] += types.GetFloat(t, off) }
-			} else {
-				fn = func(a *Accum, base int, t []byte) { a.sumI[base+idx] += types.GetInt(t, off) }
+		u := AggUpdate{Func: spec.Func, Idx: i, Reg: -1, Float: a.Input.Schema.Column(spec.Col).Kind == types.Float}
+		u.Src, u.Off = at(spec.Col)
+		if c := &a.Input.Cols[spec.Col]; spec.Func != sql.AggCount {
+			e := c.Compute
+			if e == nil {
+				e = &plan.ColExpr{Col: c.Source, K: in.Column(c.Source).Kind}
 			}
-		case sql.AggAvg:
-			if isFloat {
-				fn = func(a *Accum, base int, t []byte) { a.sumF[base+idx] += types.GetFloat(t, off); a.cnt[base+idx]++ }
-			} else {
-				fn = func(a *Accum, base int, t []byte) {
-					a.sumF[base+idx] += float64(types.GetInt(t, off))
-					a.cnt[base+idx]++
-				}
-			}
-		case sql.AggCount:
-			fn = func(a *Accum, base int, t []byte) { a.cnt[base+idx]++ }
-		case sql.AggMin:
-			if isFloat {
-				fn = func(a *Accum, base int, t []byte) {
-					if v := types.GetFloat(t, off); v < a.minF[base+idx] {
-						a.minF[base+idx] = v
-					}
-				}
-			} else {
-				fn = func(a *Accum, base int, t []byte) {
-					if v := types.GetInt(t, off); v < a.minI[base+idx] {
-						a.minI[base+idx] = v
-					}
-				}
-			}
-		case sql.AggMax:
-			if isFloat {
-				fn = func(a *Accum, base int, t []byte) {
-					if v := types.GetFloat(t, off); v > a.maxF[base+idx] {
-						a.maxF[base+idx] = v
-					}
-				}
-			} else {
-				fn = func(a *Accum, base int, t []byte) {
-					if v := types.GetInt(t, off); v > a.maxI[base+idx] {
-						a.maxI[base+idx] = v
-					}
-				}
-			}
+			u.Reg = args.expr(e, in, u.Float)
 		}
-		ups = append(ups, AggUpdate{Src: src, Fn: fn})
+		ups = append(ups, u)
 	}
 	return ups
 }
 
-// Add folds one staged tuple into group g.
+// update folds one aggregate over a batch: the j-th argument value —
+// xf[j] for a Float argument, xi[j] otherwise — into group g[j]'s slot.
+// It is the only form of every aggregate function; a tuple-at-a-time
+// caller passes a batch of one. The slots see their values in batch
+// order, as the tuple-at-a-time loop would add them.
+func (a *Accum) update(u *AggUpdate, g []int32, xf []float64, xi []int64) {
+	n, i := a.nAggs, u.Idx
+	if u.Func == sql.AggCount || u.Func == sql.AggAvg {
+		for _, gi := range g {
+			a.cnt[int(gi)*n+i]++
+		}
+	}
+	switch {
+	case u.Func == sql.AggCount:
+	case u.Func == sql.AggAvg && !u.Float:
+		xi = xi[:len(g)]
+		for j, gi := range g {
+			a.sumF[int(gi)*n+i] += float64(xi[j])
+		}
+	case u.Float:
+		foldInto(u.Func, a.sumF, a.minF, a.maxF, g, xf, n, i)
+	default:
+		foldInto(u.Func, a.sumI, a.minI, a.maxI, g, xi, n, i)
+	}
+}
+
+// foldInto folds x[j] into slot g[j]*n+i of the array fn keeps: a sum
+// (SUM, and AVG over floats), a minimum or a maximum.
+func foldInto[T int64 | float64](fn sql.AggFunc, sum, lo, hi []T, g []int32, x []T, n, i int) {
+	x = x[:len(g)]
+	switch fn {
+	case sql.AggMin:
+		for j, gi := range g {
+			if s := int(gi)*n + i; x[j] < lo[s] {
+				lo[s] = x[j]
+			}
+		}
+	case sql.AggMax:
+		for j, gi := range g {
+			if s := int(gi)*n + i; x[j] > hi[s] {
+				hi[s] = x[j]
+			}
+		}
+	default:
+		for j, gi := range g {
+			sum[int(gi)*n+i] += x[j]
+		}
+	}
+}
+
+// Add folds one staged tuple into group g: a batch of one.
 func (a *Accum) Add(ups []AggUpdate, g int, t []byte) {
 	a.tuples[g]++
-	base := g * a.nAggs
-	for _, u := range ups {
-		u.Fn(a, base, t)
+	for i := range ups {
+		a.addOne(&ups[i], g, t)
 	}
 }
 
@@ -141,10 +155,20 @@ func (a *Accum) Add(ups []AggUpdate, g int, t []byte) {
 // against.
 func (a *Accum) AddFrom(ups []AggUpdate, g int, c *Cursor) {
 	a.tuples[g]++
-	base := g * a.nAggs
-	for _, u := range ups {
-		u.Fn(a, base, c.Tuple(int(u.Src)))
+	for i := range ups {
+		a.addOne(&ups[i], g, c.Tuple(int(ups[i].Src)))
 	}
+}
+
+// addOne applies update u to group g, reading the argument at u.Off in t.
+func (a *Accum) addOne(u *AggUpdate, g int, t []byte) {
+	gs, xf, xi := [1]int32{int32(g)}, [1]float64{}, [1]int64{}
+	if u.Reg >= 0 && u.Float {
+		xf[0] = types.GetFloat(t, u.Off)
+	} else if u.Reg >= 0 {
+		xi[0] = types.GetInt(t, u.Off)
+	}
+	a.update(u, gs[:], xf[:], xi[:])
 }
 
 // Merge folds src's accumulators into a: per-slot adds for SUM/COUNT and
@@ -218,39 +242,40 @@ func (a *Accum) finalise(o *aggOut, g int, dst []byte) {
 	}
 }
 
-// GroupProbe is one grouping attribute's value-directory probe, bound to
-// its source tuple and pre-multiplied by its Figure 4 stride.
+// GroupProbe is one grouping attribute's value-directory probe, with its
+// Figure 4 stride. Src and Off locate the attribute in the terms of the
+// program's ColumnAt, In in a tuple of the aggregation stage's input.
 type GroupProbe struct {
-	Src    int8
-	Fn     func(t []byte) int32
-	Stride int32
+	Dir     *Dir
+	Src     int8
+	Off, In int
+	Stride  int32
 }
 
-// Locate applies the Figure 4 offset formula: the sum of the directory
-// indexes of t's grouping values times their strides, or -1 when a value
-// is outside its directory (stale statistics; the tuple is skipped).
+// Locate applies the Figure 4 offset formula to one tuple, a batch of
+// one: the sum of the directory indexes of t's grouping values times
+// their strides, or -1 when a value is outside its directory (stale
+// statistics; the tuple is skipped).
 func Locate(probes []GroupProbe, t []byte) int32 {
-	var g int32
+	var g, one [1]int32
 	for i := range probes {
-		di := probes[i].Fn(t)
-		if di < 0 {
-			return -1
-		}
-		g += di * probes[i].Stride
+		probes[i].Dir.Probe(t, 0, probes[i].Off, one[:], g[:], probes[i].Stride)
 	}
-	return g
+	return g[0]
 }
 
 // AggProgram is an aggregation descriptor compiled once per plan: the
-// per-tuple updates, the group-emission program, and — under map
-// aggregation — the directory probes and group geometry. It holds no
-// execution state; every method takes the Accum or GroupStream it
-// writes to, so the general walk and the fused pipelines (caller-only
-// and per-worker alike) run the same code over their own state.
+// updates and the program computing their arguments, the group-emission
+// program, and — under map aggregation — the directory probes and group
+// geometry. It holds no execution state; every method takes the Accum
+// or GroupStream it writes to, so the general walk and the fused
+// pipelines (caller-only and per-worker alike) run the same code over
+// their own state.
 type AggProgram struct {
 	agg     *plan.Agg
 	NAggs   int
 	Updates []AggUpdate
+	args    vecProg
 	outs    []aggOut
 
 	// Sort and hybrid aggregation: the grouping comparator, and the group
@@ -264,20 +289,22 @@ type AggProgram struct {
 	NGroups int
 }
 
-// CompileAgg compiles the descriptor over the staged schema. at resolves
-// the columns the updates and probes read; nil means the staged tuple
-// itself. The result is nil when a grouping attribute's kind has no
-// directory form.
-func CompileAgg(a *plan.Agg, staged *types.Schema, at ColumnAt) *AggProgram {
+// CompileAgg compiles the descriptor over in, the schema of the tuples
+// its input stage reads, which a fold reads. at resolves the staged
+// columns the tuple-at-a-time updates and probes read; nil means the
+// staged tuple itself. The result is nil when a grouping attribute's
+// kind has no directory form.
+func CompileAgg(a *plan.Agg, in *types.Schema, at ColumnAt) *AggProgram {
+	staged := a.Input.Schema
 	if at == nil {
 		at = func(col int) (int8, int) { return 0, staged.Offset(col) }
 	}
 	p := &AggProgram{
-		agg:     a,
-		NAggs:   len(a.Aggs),
-		Updates: compileUpdates(a, staged, at),
-		outs:    make([]aggOut, 0, len(a.Aggs)),
+		agg:   a,
+		NAggs: len(a.Aggs),
+		outs:  make([]aggOut, 0, len(a.Aggs)),
 	}
+	p.Updates = compileUpdates(a, in, at, &p.args)
 	mapped := a.Alg == plan.MapAggregation
 	if mapped {
 		// offset(v1..vn) = sum of directory indexes times the product of
@@ -286,12 +313,15 @@ func CompileAgg(a *plan.Agg, staged *types.Schema, at ColumnAt) *AggProgram {
 		p.NGroups = 1
 		for i := len(a.GroupCols) - 1; i >= 0; i-- {
 			c := staged.Column(a.GroupCols[i])
-			src, off := at(a.GroupCols[i])
-			fn := DirProbe(c.Kind, off, c.Size, a.Directories[i])
-			if fn == nil {
+			dir := DirProbe(c.Kind, c.Size, a.Directories[i])
+			if dir == nil {
 				return nil
 			}
-			p.Probes[i] = GroupProbe{Src: src, Fn: fn, Stride: int32(p.NGroups)}
+			// A grouping column is a plain copy (the planner stages
+			// columns, not expressions, to group on).
+			pr := GroupProbe{Dir: dir, In: in.Offset(a.Input.Cols[a.GroupCols[i]].Source), Stride: int32(p.NGroups)}
+			pr.Src, pr.Off = at(a.GroupCols[i])
+			p.Probes[i] = pr
 			p.NGroups *= len(a.Directories[i])
 		}
 	} else {
@@ -418,12 +448,10 @@ func (p *AggProgram) StreamParts(gs *GroupStream, parts [][][]byte, out *storage
 
 // FoldPages is map aggregation's single pass (Figure 4, no staging) over
 // pages [lo, hi) of t: skip the pages whose bounds s's predicates
-// exclude, filter each page read into a selection vector, project each
-// survivor through s into buf, locate its group through the value
-// directories (slot 0 for a group-less aggregate), and update acc in
-// place. It returns the number of tuples
-// folded and the pages it read and skipped.
-func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Table, lo, hi int, params []types.Datum) (int, Pages) {
+// exclude, filter each page read into a selection vector, and fold its
+// survivors (FoldBatch). It returns the number of tuples folded and the
+// pages it read and skipped.
+func (p *AggProgram) FoldPages(acc *Accum, s *Stager, t *storage.Table, lo, hi int, params []types.Datum) (int, Pages) {
 	n := 0
 	var tally Pages
 	sc := GetScratch()
@@ -436,106 +464,159 @@ func (p *AggProgram) FoldPages(acc *Accum, s *Stager, buf []byte, t *storage.Tab
 		pg := t.Page(pi)
 		tally.Read++
 		tally.Rows += pg.NumTuples()
-		n += p.fold(acc, s, buf, pg.Data(), sc.Select(s.Preds, pg.Data(), pg.NumTuples(), s.InWidth, params))
+		n += p.FoldBatch(acc, sc, pg.Data(), s.InWidth, sc.Select(s.Preds, pg.Data(), pg.NumTuples(), s.InWidth, params))
 	}
 	return n, tally
 }
 
-// fold folds the tuples of data that sel selects — a page's survivors,
-// or the one tuple an index probe fetched.
-func (p *AggProgram) fold(acc *Accum, s *Stager, buf, data []byte, sel []int32) int {
-	w, project, probes, updates := s.InWidth, s.Project, p.Probes, p.Updates
-	folded := 0
-	for _, k := range sel {
-		base := int(k) * w
-		project(data[base:base+w:base+w], buf)
-		if g := Locate(probes, buf); g >= 0 {
-			acc.Add(updates, int(g), buf)
-			folded++
-		}
-	}
-	return folded
+// FoldProbe is FoldPages over the tuples of t the index entries for key
+// point at — an index-probed map aggregation's single pass, a batch of
+// one per tuple — and returns how many the probe fetched.
+func (p *AggProgram) FoldProbe(acc *Accum, s *Stager, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
+	sc := GetScratch()
+	defer sc.Put()
+	return Probe(t, tree, key, func(tup []byte) bool {
+		var one [1]int32
+		p.FoldBatch(acc, sc, tup, 0, SelectPage(s.Preds, tup, 1, s.InWidth, params, one[:0]))
+		return true
+	})
 }
 
-// DirProbe compiles the lookup of the key at off in a tuple against a
-// sorted, distinct value directory (the paper's value-partition map,
-// §V-B): the key's directory index, or -1 when it is absent — a fine
-// partition route drops such a tuple (it cannot join), map aggregation
-// skips it. An empty directory routes everything to -1. The result is
-// nil when the kind has no directory form.
-func DirProbe(kind types.Kind, off, size int, dir []types.Datum) func(t []byte) int32 {
+// FoldBatch folds the tuples of data (width w, in the aggregation stage's
+// input schema) that sel selects into acc, and returns how many it
+// folded: one loop per grouping attribute builds their group slots in the
+// scratch (slot 0 for a group-less aggregate), the tuples a directory
+// misses are compacted out of sel, the argument program computes every
+// aggregate's argument into registers, and one loop per aggregate
+// updates the arrays. It overwrites sel.
+func (p *AggProgram) FoldBatch(acc *Accum, sc *Scratch, data []byte, w int, sel []int32) int {
+	if len(sel) == 0 {
+		return 0 // most pages of a selective scan: skip the loops' set-up
+	}
+	g := Grown(sc.g, len(sel))
+	sc.g = g
+	clear(g)
+	for i := range p.Probes {
+		pr := &p.Probes[i]
+		pr.Dir.Probe(data, w, pr.In, sel, g, pr.Stride)
+	}
+	if len(p.Probes) > 0 {
+		k := 0
+		for j, gi := range g {
+			sel[k], g[k] = sel[j], gi
+			k += b2i(gi >= 0)
+		}
+		sel, g = sel[:k], g[:k]
+	}
+	p.args.run(sc, data, w, sel)
+	for _, gi := range g {
+		acc.tuples[gi]++
+	}
+	for i := range p.Updates {
+		if u := &p.Updates[i]; u.Float {
+			acc.update(u, g, sc.floats(u.Reg), nil)
+		} else {
+			acc.update(u, g, nil, sc.ints(u.Reg))
+		}
+	}
+	return len(g)
+}
+
+// Dir is a value directory compiled for lookup (the paper's
+// value-partition map, §V-B): a sorted, distinct list of values, probed
+// by offset when it is a dense Int/Date range, by table when it is
+// CHAR(1), and by binary search otherwise.
+type Dir struct {
+	dense bool // ints is the range lo, lo+1, ..., lo+n-1
+	lo, n int64
+	ints  []int64
+	char1 *[256]int32 // CHAR(1): each byte's index
+	strs  []string
+	size  int // CHAR width
+}
+
+// DirProbe compiles the lookup of a key of the given kind and width
+// against a sorted, distinct value directory: a fine partition route
+// drops a tuple whose key is absent (it cannot join), map aggregation
+// skips it. An empty directory misses everything. The result is nil
+// when the kind has no directory form.
+func DirProbe(kind types.Kind, size int, dir []types.Datum) *Dir {
+	d := &Dir{size: size}
 	switch kind {
 	case types.Int, types.Date:
-		vals := make([]int64, len(dir))
-		for i, d := range dir {
-			vals[i] = d.I
+		d.ints = make([]int64, len(dir))
+		for i, v := range dir {
+			d.ints[i] = v.I
 		}
 		// Dense contiguous domains (surrogate keys) probe by offset; the
 		// directory is sorted and distinct, so span == n-1 proves it, and
 		// the offset is the index the search would find.
-		if n := len(vals); n > 0 && vals[n-1]-vals[0] == int64(n-1) {
-			lo, hi := vals[0], int64(n)
-			return func(t []byte) int32 {
-				v := types.GetInt(t, off) - lo
-				if v < 0 || v >= hi {
-					return -1
-				}
-				return int32(v)
-			}
-		}
-		return func(t []byte) int32 {
-			v := types.GetInt(t, off)
-			lo, hi := 0, len(vals)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if vals[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(vals) && vals[lo] == v {
-				return int32(lo)
-			}
-			return -1
+		n := int64(len(d.ints))
+		d.dense = n > 0 && d.ints[n-1]-d.ints[0] == n-1
+		if d.dense {
+			d.lo, d.n = d.ints[0], n
 		}
 	case types.String:
+		d.strs = make([]string, len(dir))
+		for i, v := range dir {
+			d.strs[i] = v.S
+		}
 		if size == 1 {
 			// CHAR(1) is a dense domain: the byte indexes a table of the
-			// indexes the search below would find.
-			var tab [256]int32
-			for b := range tab {
-				tab[b] = -1
+			// indexes the search would find.
+			d.char1 = new([256]int32)
+			for b := range d.char1 {
+				d.char1[b] = search(d.strs, types.GetString([]byte{byte(b)}, 0, 1))
 			}
-			for i, d := range dir {
-				if len(d.S) == 0 {
-					tab[0] = int32(i)
-				} else if len(d.S) == 1 {
-					tab[d.S[0]] = int32(i)
-				}
-			}
-			return func(t []byte) int32 { return tab[t[off]] }
 		}
-		vals := make([]string, len(dir))
-		for i, d := range dir {
-			vals[i] = d.S
+	default:
+		return nil
+	}
+	return d
+}
+
+// Probe is one grouping attribute's loop over a batch: it adds stride
+// times the directory index of the key at off in each tuple of data
+// (width w) that sel selects to that tuple's group slot g[j] — the
+// Figure 4 offset formula, one attribute at a time — and sets the slot
+// to -1, for good, when the key is absent.
+func (d *Dir) Probe(data []byte, w, off int, sel, g []int32, stride int32) {
+	g = g[:len(sel)]
+	switch {
+	case d.dense:
+		for j, k := range sel {
+			v := types.GetInt(data, int(k)*w+off) - d.lo
+			di := int32(v)
+			if uint64(v) >= uint64(d.n) {
+				di = -1
+			}
+			g[j] = place(g[j], di, stride)
 		}
-		return func(t []byte) int32 {
-			v := types.GetString(t, off, size)
-			lo, hi := 0, len(vals)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if vals[mid] < v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(vals) && vals[lo] == v {
-				return int32(lo)
-			}
-			return -1
+	case d.char1 != nil:
+		for j, k := range sel {
+			g[j] = place(g[j], d.char1[data[int(k)*w+off]], stride)
+		}
+	case d.strs != nil:
+		for j, k := range sel {
+			g[j] = place(g[j], search(d.strs, types.GetString(data, int(k)*w+off, d.size)), stride)
+		}
+	default:
+		for j, k := range sel {
+			g[j] = place(g[j], search(d.ints, types.GetInt(data, int(k)*w+off)), stride)
 		}
 	}
-	return nil
+}
+
+// place adds directory index di times stride to group slot s: -1 when
+// either is -1.
+func place(s, di, stride int32) int32 {
+	return (s + di*stride) | (s|di)>>31
+}
+
+// search is the index of v in the sorted, distinct vals, or -1.
+func search[T int64 | string](vals []T, v T) int32 {
+	if i, ok := slices.BinarySearch(vals, v); ok {
+		return int32(i)
+	}
+	return -1
 }

@@ -8,11 +8,14 @@
 // directories).
 //
 // The functions in this package are "instantiated templates": they are
-// built by composing type- and offset-specialised closures at plan time, so
-// the per-tuple inner loops contain no interface dispatch, no boxing, and
-// no function calls other than the fused closures themselves. This is the
-// closure-compilation substitution for the paper's C source generation
-// documented in DESIGN.md.
+// compiled once per plan into type- and offset-specialised descriptors
+// (predicates, projections, expression programs, aggregate updates), so
+// the inner loops contain no interface dispatch and no boxing. They run
+// page at a time: one loop per predicate, expression node, grouping
+// attribute and aggregate over a page's selection vector, so the
+// dispatch between them is paid per page, not per tuple. The paper's C
+// is tuple-at-a-time because gcc inlines its templates; Go cannot inline
+// a closure composed at run time (vector.go, DESIGN.md §1).
 package core
 
 import (
@@ -364,125 +367,4 @@ func cmpChar(field []byte, v string) int {
 		}
 	}
 	return 0
-}
-
-// MakeProjector compiles a staged-column list into a closure that fills an
-// output tuple from an input tuple: direct copies become offset-to-offset
-// copies, computed columns become fused arithmetic.
-func MakeProjector(in *types.Schema, cols []plan.OutputColumn, out *types.Schema) func(src, dst []byte) {
-	type copySpec struct{ srcOff, dstOff, size int }
-	var copies []copySpec
-	type computeSpec struct {
-		eval   func(src []byte) // writes into dst via captured closure
-		dstOff int
-	}
-	steps := make([]func(src, dst []byte), 0, len(cols))
-
-	for i, c := range cols {
-		dstOff := out.Offset(i)
-		if c.Source >= 0 && c.Compute == nil {
-			copies = append(copies, copySpec{in.Offset(c.Source), dstOff, c.Size})
-			continue
-		}
-		expr := c.Compute
-		switch expr.Kind() {
-		case types.Int, types.Date:
-			eval := CompileIntExpr(expr, in)
-			off := dstOff
-			steps = append(steps, func(src, dst []byte) {
-				types.PutInt(dst, off, eval(src))
-			})
-		case types.Float:
-			eval := CompileFloatExpr(expr, in)
-			off := dstOff
-			steps = append(steps, func(src, dst []byte) {
-				types.PutFloat(dst, off, eval(src))
-			})
-		default:
-			panic(fmt.Sprintf("core.MakeProjector: unsupported computed kind %v", expr.Kind()))
-		}
-	}
-
-	// Coalesce adjacent copies into single memmoves (the generated code
-	// copies whole field runs where offsets line up).
-	merged := make([]copySpec, 0, len(copies))
-	for _, c := range copies {
-		if n := len(merged); n > 0 {
-			last := &merged[n-1]
-			if last.srcOff+last.size == c.srcOff && last.dstOff+last.size == c.dstOff {
-				last.size += c.size
-				continue
-			}
-		}
-		merged = append(merged, c)
-	}
-
-	return func(src, dst []byte) {
-		for _, c := range merged {
-			copy(dst[c.dstOff:c.dstOff+c.size], src[c.srcOff:c.srcOff+c.size])
-		}
-		for _, s := range steps {
-			s(src, dst)
-		}
-	}
-}
-
-// CompileFloatExpr fuses a float-valued expression tree into a single
-// closure over raw tuple bytes with offsets and constants baked in — the
-// closure-compilation analogue of the arithmetic the generated C inlines.
-func CompileFloatExpr(e plan.Expr, schema *types.Schema) func(t []byte) float64 {
-	switch v := e.(type) {
-	case *plan.ColExpr:
-		off := schema.Offset(v.Col)
-		if v.K == types.Float {
-			return func(t []byte) float64 { return types.GetFloat(t, off) }
-		}
-		return func(t []byte) float64 { return float64(types.GetInt(t, off)) }
-	case *plan.ConstExpr:
-		c := v.D.F
-		if v.D.Kind != types.Float {
-			c = float64(v.D.I)
-		}
-		return func([]byte) float64 { return c }
-	case *plan.ArithExpr:
-		l := CompileFloatExpr(v.L, schema)
-		r := CompileFloatExpr(v.R, schema)
-		switch v.Op {
-		case sql.OpAdd:
-			return func(t []byte) float64 { return l(t) + r(t) }
-		case sql.OpSub:
-			return func(t []byte) float64 { return l(t) - r(t) }
-		case sql.OpMul:
-			return func(t []byte) float64 { return l(t) * r(t) }
-		case sql.OpDiv:
-			return func(t []byte) float64 { return l(t) / r(t) }
-		}
-	}
-	panic(fmt.Sprintf("core.CompileFloatExpr: bad node %T", e))
-}
-
-// CompileIntExpr is the integer analogue of CompileFloatExpr.
-func CompileIntExpr(e plan.Expr, schema *types.Schema) func(t []byte) int64 {
-	switch v := e.(type) {
-	case *plan.ColExpr:
-		off := schema.Offset(v.Col)
-		return func(t []byte) int64 { return types.GetInt(t, off) }
-	case *plan.ConstExpr:
-		c := v.D.I
-		return func([]byte) int64 { return c }
-	case *plan.ArithExpr:
-		l := CompileIntExpr(v.L, schema)
-		r := CompileIntExpr(v.R, schema)
-		switch v.Op {
-		case sql.OpAdd:
-			return func(t []byte) int64 { return l(t) + r(t) }
-		case sql.OpSub:
-			return func(t []byte) int64 { return l(t) - r(t) }
-		case sql.OpMul:
-			return func(t []byte) int64 { return l(t) * r(t) }
-		case sql.OpDiv:
-			return func(t []byte) int64 { return l(t) / r(t) }
-		}
-	}
-	panic(fmt.Sprintf("core.CompileIntExpr: bad node %T", e))
 }

@@ -565,13 +565,14 @@ func TestDirProbeDenseChar1(t *testing.T) {
 		{types.StringDatum(""), types.StringDatum("F"), types.StringDatum("O")},
 	}
 	for _, dir := range dirs {
-		dense := DirProbe(types.String, 2, 1, dir)
+		dense := DirProbe(types.String, 1, dir)
 		// The same directory over a CHAR(2) column takes the search lane.
-		search := DirProbe(types.String, 2, 2, dir)
+		search := DirProbe(types.String, 2, dir)
 		tuple := make([]byte, 4)
 		for b := 0; b < 256; b++ {
 			tuple[2] = byte(b)
-			if got, want := dense(tuple), search(tuple); got != want {
+			got := Locate([]GroupProbe{{Dir: dense, Off: 2, Stride: 1}}, tuple)
+			if want := Locate([]GroupProbe{{Dir: search, Off: 2, Stride: 1}}, tuple); got != want {
 				t.Fatalf("directory %v byte %d: dense form = %d, search = %d", dir, b, got, want)
 			}
 		}

@@ -97,13 +97,13 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 	if mapped && len(a.Directories) != len(a.GroupCols) {
 		return nil, 0, fmt.Errorf("core: map aggregation needs one directory per grouping attribute")
 	}
-	prog := CompileAgg(a, a.Input.Schema, nil)
-	if prog == nil {
-		return nil, 0, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
-	}
 	in, tree, err := stageInput(p, joinOut, &a.Input)
 	if err != nil {
 		return nil, 0, err
+	}
+	prog := CompileAgg(a, in.Schema(), nil)
+	if prog == nil {
+		return nil, 0, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
 	}
 	out := storage.NewTable("agg", a.Schema)
 	if !mapped {
@@ -122,14 +122,13 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 	}
 	var acc Accum
 	acc.Reset(prog.NGroups, prog.NAggs)
-	buf := make([]byte, s.Width)
 	var rows int
 	if tree == nil {
-		_, pg := prog.FoldPages(&acc, s, buf, in, 0, in.NumPages(), nil)
+		_, pg := prog.FoldPages(&acc, s, in, 0, in.NumPages(), nil)
 		CountSkipped(pg.Skipped)
 		rows = pg.Rows
 	} else {
-		rows = prog.FoldProbe(&acc, s, buf, in, tree, a.Input.IndexScan.Key(nil), nil)
+		rows = prog.FoldProbe(&acc, s, in, tree, a.Input.IndexScan.Key(nil), nil)
 	}
 	prog.EmitMapGroups(&acc, out, -1)
 	return out, rows, nil

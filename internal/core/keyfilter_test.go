@@ -141,7 +141,11 @@ func TestKeyFilterMatchesMap(t *testing.T) {
 // dropped.
 func TestStagePagesDropsFilteredKeys(t *testing.T) {
 	in := keyTable(5000, func(i int) int64 { return int64(i*7919) % 1000 })
-	st := &Stager{Project: func(src, dst []byte) { copy(dst, src) }, Width: 16, InWidth: 16, KeyOff: 8}
+	st := &Stager{Project: func(_ *Scratch, data []byte, w int, sel []int32, dst []byte) {
+		for j, k := range sel {
+			copy(dst[j*w:(j+1)*w], data[int(k)*w:])
+		}
+	}, Width: 16, InWidth: 16, KeyOff: 8}
 	var all, kept Arena
 	st.StagePages(&all, in, 0, in.NumPages(), nil, nil)
 	var f KeyFilter

@@ -39,27 +39,31 @@ func preSize(estRows, width int) int {
 	return min(max(estRows, 0)*width, maxPreSize)
 }
 
-// Slot reserves the next w-byte tuple at the end of the arena.
-func (a *Arena) Slot(w int) []byte {
+// Slots reserves the next n w-byte tuples at the end of the arena.
+func (a *Arena) Slots(n, w int) []byte {
 	off := len(a.Data)
-	a.Data = Extend(a.Data, w)
-	return a.Data[off : off+w : off+w]
+	a.Data = Extend(a.Data, n*w)
+	return a.Data[off : off+n*w : off+n*w]
 }
 
-// Keep commits the tuple Slot reserved last, recording its partition
-// under route (nil when the stage does not partition) — or dropping it
-// again when the route is negative: a key outside the fine directory
-// cannot join.
-func (a *Arena) Keep(slot []byte, route func(t []byte) int32) {
-	if route != nil {
-		p := route(slot)
-		if p < 0 {
-			a.Data = a.Data[:len(a.Data)-len(slot)]
-			return
-		}
-		a.PartIdx = append(a.PartIdx, p)
+// Keep commits the n tuples Slots reserved last, recording each one's
+// partition under route (nil when the stage does not partition) — or
+// dropping it again when its route is negative: a key outside the fine
+// directory cannot join. The kept tuples stay in order.
+func (a *Arena) Keep(n, w int, route func(t []byte) int32) {
+	if route == nil {
+		a.Rows += n
+		return
 	}
-	a.Rows++
+	end := len(a.Data) - n*w
+	for o := end; n > 0; o, n = o+w, n-1 { // by count: tuples may be zero-width
+		if p := route(a.Data[o : o+w : o+w]); p >= 0 {
+			end += copy(a.Data[end:end+w], a.Data[o:o+w])
+			a.PartIdx = append(a.PartIdx, p)
+			a.Rows++
+		}
+	}
+	a.Data = a.Data[:end]
 }
 
 // Extend grows a flat buffer by w bytes, reusing capacity.
@@ -79,8 +83,9 @@ func Extend(b []byte, w int) []byte {
 type Stager struct {
 	Preds []Pred
 	// Prune is the part of Preds a page's bounds can judge (Pruner).
-	Prune   []Pred
-	Project func(src, dst []byte)
+	Prune []Pred
+	// Project is the compiled projection's (*Projector).Project.
+	Project func(sc *Scratch, data []byte, w int, sel []int32, dst []byte)
 	Width   int // staged tuple width
 	InWidth int // input tuple width
 
@@ -109,7 +114,7 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 	s := &Stager{
 		Preds:   preds,
 		Prune:   Pruner(preds),
-		Project: MakeProjector(in, st.Cols, st.Schema),
+		Project: MakeProjector(in, st.Cols, st.Schema).Project,
 		Width:   st.Schema.TupleSize(),
 		InWidth: in.TupleSize(),
 	}
@@ -132,22 +137,22 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 }
 
 // Stage is the one stage-a-tuple step: filter the input tuple against the
-// bind vector, project it into a new arena slot, and route it.
-func (s *Stager) Stage(a *Arena, tup []byte, params []types.Datum) {
+// bind vector, project it into a new arena slot — a batch of one, with
+// sc's registers — and route it.
+func (s *Stager) Stage(sc *Scratch, a *Arena, tup []byte, params []types.Datum) {
 	if len(s.Preds) > 0 && !MatchPreds(s.Preds, tup, params) {
 		return
 	}
-	slot := a.Slot(s.Width)
-	s.Project(tup, slot)
-	a.Keep(slot, s.Route)
+	s.Project(sc, tup, len(tup), sc.One(), a.Slots(1, s.Width))
+	a.Keep(1, s.Width, s.Route)
 }
 
 // StagePages is the full-scan staging loop over pages [lo, hi) of t:
 // direct page iteration with offset arithmetic, skipping the pages whose
 // bounds the predicates exclude and filtering each page read into a
-// selection vector before projecting its survivors. A non-nil kf refines
-// the selection to the tuples whose join key (at KeyOff) is in it, and the
-// tally counts the tuples it dropped. A caller-only run covers the whole
+// selection vector before projecting its survivors in one batch. A
+// non-nil kf refines the selection to the tuples whose join key (at
+// KeyOff) is in it, and the tally counts the tuples it dropped. A caller-only run covers the whole
 // table; a morsel covers its page range into a worker's arena.
 func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum, kf *KeyFilter) Pages {
 	inW, w := s.InWidth, s.Width
@@ -170,11 +175,9 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 			sel = kf.Refine(sel, data, inW, s.KeyOff)
 			tally.Dropped += m - len(sel)
 		}
-		for _, k := range sel {
-			base := int(k) * inW
-			slot := a.Slot(w)
-			s.Project(data[base:base+inW:base+inW], slot)
-			a.Keep(slot, s.Route)
+		if len(sel) > 0 {
+			s.Project(sc, data, inW, sel, a.Slots(len(sel), w))
+			a.Keep(len(sel), w, s.Route)
 		}
 	}
 	return tally
@@ -184,19 +187,10 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 // an index-probed input's staging pass — and returns how many the probe
 // fetched.
 func (s *Stager) StageProbe(a *Arena, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
+	sc := GetScratch()
+	defer sc.Put()
 	return Probe(t, tree, key, func(tup []byte) bool {
-		s.Stage(a, tup, params)
-		return true
-	})
-}
-
-// FoldProbe is FoldPages over the tuples of t the index entries for key
-// point at — an index-probed map aggregation's single pass — and returns
-// how many the probe fetched.
-func (p *AggProgram) FoldProbe(acc *Accum, s *Stager, buf []byte, t *storage.Table, tree *btree.Tree, key int64, params []types.Datum) int {
-	return Probe(t, tree, key, func(tup []byte) bool {
-		var one [1]int32
-		p.fold(acc, s, buf, tup, SelectPage(s.Preds, tup, 1, s.InWidth, params, one[:0]))
+		s.Stage(sc, a, tup, params)
 		return true
 	})
 }
@@ -251,12 +245,21 @@ func (s *Stager) sortEach(parts [][][]byte) {
 	}
 }
 
-// Scratch is the pooled working memory of the staging kernels: a page
-// loop's selection vector and a radix sort's packed keys. One pool serves
-// both, so neither allocates once warm.
+// Scratch is the pooled working memory of the page kernels: a page
+// loop's selection vector, the registers of a vector program and the
+// group slots of a fold, and a radix sort's packed keys. One pool serves
+// them all, so none allocates once warm.
 type Scratch struct {
 	sel  []int32
 	keys []uint64 // the packed keys, then their ping-pong copy
+
+	// fr and ir hold a vector program's float and int registers, n
+	// values each; g is a fold's group-slot vector.
+	fr  []float64
+	ir  []int64
+	n   int
+	g   []int32
+	one [1]int32 // the selection of a batch of one: tuple 0
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -276,6 +279,33 @@ func (sc *Scratch) Put() {
 // maxPooledScratch is the largest sort scratch the pool keeps, the fused
 // join's bound on its own pooled scratch.
 const maxPooledScratch = 4 << 20
+
+// One returns the selection of a batch of one, for kernels that only
+// read their selection. It lives in the scratch, so a call through a
+// function value does not move it to the heap.
+func (sc *Scratch) One() []int32 { return sc.one[:] }
+
+// floats returns float register r of the last program run, nil for -1
+// (a constant operand); ints the int one.
+func (sc *Scratch) floats(r int) []float64 { return register(sc.fr, r, sc.n) }
+func (sc *Scratch) ints(r int) []int64     { return register(sc.ir, r, sc.n) }
+
+func register[T any](file []T, r, n int) []T {
+	if r < 0 {
+		return nil
+	}
+	return file[r*n : (r+1)*n : (r+1)*n]
+}
+
+// Grown returns s resliced to n elements, reallocating only when short
+// (the elements within the old capacity carry over, and the new capacity
+// leaves room to grow).
+func Grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
 
 // Select filters one page through preds (SelectPage) into the scratch's
 // selection vector and returns the survivors, valid until the next call.
@@ -363,11 +393,12 @@ func stageRouter(st *plan.Stage) (func(tuple []byte) int32, int, error) {
 		return nil, 0, fmt.Errorf("core: fine partitioning without a value directory")
 	}
 	col := st.Schema.Column(st.PartitionKey)
-	router := DirProbe(col.Kind, st.Schema.Offset(st.PartitionKey), col.Size, st.FineValues)
-	if router == nil {
+	dir := DirProbe(col.Kind, col.Size, st.FineValues)
+	if dir == nil {
 		return nil, 0, fmt.Errorf("core: fine partitioning on %v column", col.Kind)
 	}
-	return router, len(st.FineValues), nil
+	probe := []GroupProbe{{Dir: dir, Off: st.Schema.Offset(st.PartitionKey), Stride: 1}}
+	return func(t []byte) int32 { return Locate(probe, t) }, len(st.FineValues), nil
 }
 
 // CoarseRouter maps a tuple to one of m partitions by hash-and-modulo

@@ -303,7 +303,7 @@ func runQueries(t *testing.T, cat *catalog.Catalog, opts plan.Options, stmts []s
 				t.Fatalf("%s: %q: %v", e.Name(), q, err)
 			}
 			got := canonical(out, ordered)
-			if ref == nil {
+			if refOut == nil { // the first engine's rows, an empty set included
 				ref, refOut, refName = got, out, e.Name()
 				continue
 			}

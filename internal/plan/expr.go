@@ -31,8 +31,8 @@ import (
 
 // Expr is a bound scalar expression over a known input schema. Engines
 // lower these trees themselves: the generic iterator engine interprets them
-// datum-at-a-time, the holistic code generator compiles them into fused
-// closures and source text.
+// datum-at-a-time, the holistic code generator compiles them into page-
+// at-a-time vector programs and source text.
 type Expr interface {
 	// Kind returns the expression's result type.
 	Kind() types.Kind

@@ -124,6 +124,21 @@ func (t *Table) AppendSlot() []byte {
 	return p.buf[off : off+ts : off+ts]
 }
 
+// AppendSlots is AppendSlot for a batch: it reserves as many of the next
+// n slots as the final page holds, at least one, and returns them —
+// contiguous, the caller to fill every byte — with their count.
+func (t *Table) AppendSlots(n int) ([]byte, int) {
+	p := t.lastPage()
+	ts := p.TupleSize()
+	have := p.NumTuples()
+	k := min(n, p.Capacity()-have)
+	off := HeaderSize + have*ts
+	p.setNumTuples(have + k)
+	t.rows += k
+	t.version += uint64(k)
+	return p.buf[off : off+k*ts : off+k*ts], k
+}
+
 // Tuple returns the raw bytes of global row r (scanning page by page).
 // Intended for tests and small results, not inner loops.
 func (t *Table) Tuple(r int) []byte {

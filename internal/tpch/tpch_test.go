@@ -188,7 +188,7 @@ func TestQueriesAgreeAcrossEngines(t *testing.T) {
 			// Q3/Q10 are top-k on revenue: ties at the cut make strict
 			// row-for-row comparison flaky, so compare the revenue
 			// multiset plus full rows for the untied prefix.
-			if ref == nil {
+			if refName == "" { // the first engine's rows, an empty set included
 				ref, refName = rows, e.Name()
 				continue
 			}
@@ -269,7 +269,7 @@ func TestTPCHGoldenResultsAcrossEngines(t *testing.T) {
 				t.Fatalf("Q%d on %s: %v", n, e.Name(), err)
 			}
 			rows := canonical(out)
-			if ref == nil {
+			if refOut == nil { // the first engine's rows, an empty set included
 				ref, refOut, refName = rows, out, e.Name()
 				g := golden[n]
 				if len(rows) != g.rows {
