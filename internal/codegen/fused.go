@@ -59,8 +59,8 @@ type fusedQuery struct {
 	// aggregation input's projection and coarse route, as a join side
 	// stages — and sort in fusedAgg.finish.
 	agg *fusedAgg
-	// sortCmp is the ORDER BY over the result, nil when absent.
-	sortCmp core.Compare
+	// sortKey is the ORDER BY's key over the result, nil when absent.
+	sortKey *core.Key
 }
 
 // newFused compiles the fused pipeline for a single-table plan.
@@ -86,9 +86,7 @@ func newFused(p *plan.Plan) (*fusedQuery, error) {
 		traced: p.Trace != nil,
 		par:    parallelWorkers(p, entry.Stats.Rows),
 	}
-	if p.Sort != nil {
-		f.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
-	}
+	f.sortKey = orderKey(p)
 	if p.Agg != nil {
 		if f.agg, err = newFusedAgg(p.Agg, s, entry.Table.Schema(), nil); err != nil {
 			return nil, err
@@ -100,6 +98,15 @@ func newFused(p *plan.Plan) (*fusedQuery, error) {
 		return nil, unfusable("a %v staging step before the final projection", st.Action)
 	}
 	return f, nil
+}
+
+// orderKey compiles the plan's ORDER BY over its result, nil when absent.
+func orderKey(p *plan.Plan) *core.Key {
+	if p.Sort == nil {
+		return nil
+	}
+	k := core.CompileOrder(p.ResultSchema(), p.Sort.Keys)
+	return &k
 }
 
 // loopLimit is the bound on what a pipeline's loop produces: the plan's
@@ -115,10 +122,10 @@ func loopLimit(p *plan.Plan) int {
 // runFrame is the run of every fused pipeline: check the bind vector,
 // draw the result table from the storage arena, let fill write the
 // pipeline's rows into it — unless LIMIT 0 leaves nothing to compute —
-// and apply the shared HAVING → ORDER BY → LIMIT tail (cmp is the
+// and apply the shared HAVING → ORDER BY → LIMIT tail (order is the
 // compiled ORDER BY). The caller owns the returned table and releases it
 // after draining (hique's materialisation path does).
-func runFrame(p *plan.Plan, cmp core.Compare, params []types.Datum, fill func(out *storage.Table)) (*storage.Table, error) {
+func runFrame(p *plan.Plan, order *core.Key, params []types.Datum, fill func(out *storage.Table)) (*storage.Table, error) {
 	if err := p.CheckArgs(params); err != nil {
 		return nil, err
 	}
@@ -137,14 +144,14 @@ func runFrame(p *plan.Plan, cmp core.Compare, params []types.Datum, fill func(ou
 		}
 	}()
 	fill(out)
-	out = core.FinishResult(p, cmp, out, true)
+	out = core.FinishResult(p, order, out, true)
 	done = true
 	return out, nil
 }
 
 // run executes the pipeline against a bind vector.
 func (f *fusedQuery) run(params []types.Datum) (*storage.Table, error) {
-	return runFrame(f.p, f.sortCmp, params, func(out *storage.Table) {
+	return runFrame(f.p, f.sortKey, params, func(out *storage.Table) {
 		var t0 time.Time
 		if f.traced {
 			t0 = time.Now()

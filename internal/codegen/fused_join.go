@@ -120,10 +120,11 @@ type fusedJoin struct {
 	// rendered only for a traced pipeline.
 	name, order string
 
-	// first is the side staged first (keyFilterPlan); keyOff, when >= 0,
-	// is its staged key's offset, from whose keys exec builds the filter
-	// the sides with a Stager.KeyOff stage through.
-	first, keyOff int
+	// first is the side staged first (keyFilterPlan); filterKey, when it
+	// has a word, is its staged join key, from which exec builds the
+	// filter the sides with a Stager.FilterKey stage through.
+	first     int
+	filterKey core.Key
 
 	copySpec  [][]core.CopyRange // per side: staged tuple -> join tuple
 	joinWidth int
@@ -152,9 +153,9 @@ type fusedJoin struct {
 	// nil for the last join, whose tail is the plan's.
 	next *fusedJoin
 
-	outWidth int          // the final projection's row width
-	sortCmp  core.Compare // final ORDER BY on the chain's head, nil when absent
-	limit    int          // the loop's bound (loopLimit; -1 below the last join)
+	outWidth int       // the final projection's row width
+	sortKey  *core.Key // final ORDER BY on the chain's head, nil when absent
+	limit    int       // the loop's bound (loopLimit; -1 below the last join)
 	// traced is baked at generation time (see fusedQuery.traced): the
 	// serving path's cached pipelines never carry a trace, so every
 	// trace branch below is statically false for them.
@@ -280,9 +281,7 @@ func newFusedJoin(p *plan.Plan) (*fusedJoin, error) {
 			return nil, err
 		}
 	}
-	if p.Sort != nil {
-		next.sortCmp = core.MakeSortCompare(p.ResultSchema(), p.Sort.Keys)
-	}
+	next.sortKey = orderKey(p)
 	return next, nil
 }
 
@@ -338,11 +337,12 @@ func compileFusedJoin(p *plan.Plan, ji int, next *fusedJoin) (*fusedJoin, error)
 	if (ji > 0) != (fed == 1) {
 		return nil, unfusable("join %d: not a left-deep chain", ji)
 	}
-	first, keyOffs := keyFilterPlan(p, j)
-	f.first, f.keyOff = first, -1
-	for i, off := range keyOffs {
-		if f.sides[i].KeyOff = off; off >= 0 {
-			f.keyOff = j.Inputs[first].Schema.Offset(j.Keys[first])
+	first, keyCols := keyFilterPlan(p, j)
+	f.first = first
+	for i, col := range keyCols {
+		if col >= 0 {
+			f.sides[i].FilterKey = core.CompileKey(p.Tables[f.sides[i].base].Entry.Table.Schema(), []int{col})
+			f.filterKey = core.CompileKey(j.Inputs[first].Schema, []int{j.Keys[first]})
 		}
 	}
 
@@ -427,16 +427,17 @@ func orderedColumn(p *plan.Plan, j *plan.Join, i int) string {
 // keyFilterPlan decides how join j stages its inputs. first is the input
 // staged first: the chain-fed one, else the base input with the smallest
 // estimate (the lowest index among equals); the others follow in index
-// order. keyOffs[i], when >= 0, is the offset of input i's join key in its
-// base tuples: its staging scan drops the tuples whose key the first
-// input's staged tuples lack, through the join-key filter built from them.
-// A join none of whose inputs is filtered stages in index order (first 0).
-// Only Int/Date keys filter, and only inputs staged by a scan of a base
+// order. keyCols[i], when >= 0, is input i's join key column in its base
+// table: its staging scan drops the tuples whose key the first input's
+// staged tuples lack, through the join-key filter built from them. A join
+// none of whose inputs is filtered stages in index order (first 0). Only
+// keys that encode to one word on every input filter (core.Key: numeric,
+// or CHAR of at most 8 bytes), and only inputs staged by a scan of a base
 // column: an index probe or an ordered traversal fetches no pages to
 // refine. A fine partition join filters nothing, since its value directory
 // already drops the keys outside the inputs' common catalogued domain, and
 // dropping those as well would count tuples its route drops anyway.
-func keyFilterPlan(p *plan.Plan, j *plan.Join) (first int, keyOffs []int) {
+func keyFilterPlan(p *plan.Plan, j *plan.Join) (first int, keyCols []int) {
 	for i := range j.Inputs {
 		if in := &j.Inputs[i]; in.Input.Base < 0 {
 			first = i
@@ -445,21 +446,24 @@ func keyFilterPlan(p *plan.Plan, j *plan.Join) (first int, keyOffs []int) {
 			first = i
 		}
 	}
-	k := j.Inputs[first].Schema.Column(j.Keys[first]).Kind
-	filters := j.Alg != plan.FinePartitionJoin && (k == types.Int || k == types.Date)
-	keyOffs, some := make([]int, len(j.Inputs)), false
+	filters := j.Alg != plan.FinePartitionJoin
+	for i := range j.Inputs {
+		c := j.Inputs[i].Schema.Column(j.Keys[i])
+		filters = filters && (c.Kind != types.String || c.Size <= 8)
+	}
+	keyCols, some := make([]int, len(j.Inputs)), false
 	for i := range j.Inputs {
 		st := &j.Inputs[i]
 		c := st.Cols[j.Keys[i]]
-		keyOffs[i] = -1
+		keyCols[i] = -1
 		if filters && i != first && st.Input.Base >= 0 && st.IndexScan == nil && c.Source >= 0 && c.Compute == nil && orderedColumn(p, j, i) == "" {
-			keyOffs[i], some = p.Tables[st.Input.Base].Entry.Table.Schema().Offset(c.Source), true
+			keyCols[i], some = c.Source, true
 		}
 	}
 	if !some {
 		first = 0
 	}
-	return first, keyOffs
+	return first, keyCols
 }
 
 // nthStaged is the index of the k-th input a join stages: first, then the
@@ -539,7 +543,7 @@ func (fa *fusedAgg) begin(sc *joinScratch) {
 // returned to its pool when the pipeline panics — a half-mutated scratch
 // must not be recycled.
 func (f *fusedJoin) run(params []types.Datum) (*storage.Table, error) {
-	return runFrame(f.p, f.sortCmp, params, func(out *storage.Table) {
+	return runFrame(f.p, f.sortKey, params, func(out *storage.Table) {
 		sc := joinScratchPool.Get().(*joinScratch)
 		sc.tail.out = out
 		par := false
@@ -593,7 +597,7 @@ func (f *fusedJoin) exec(sc *joinScratch, params []types.Datum) bool {
 				f.p.Trace.ObserveDropped(s.name, int64(read.Dropped))
 			}
 		}
-		if k == 0 && f.keyOff >= 0 && sc.filter.Build(&sc.staged[i], s.Width, f.keyOff) {
+		if k == 0 && f.filterKey.Words() > 0 && sc.filter.Build(&sc.staged[i], s.Width, &f.filterKey) {
 			kf = &sc.filter
 		}
 		if f.traced {
@@ -813,7 +817,7 @@ func makeTailCopy(j *plan.Join, cols []plan.OutputColumn, out *types.Schema) ([]
 // traversal).
 func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par *bool, kf *core.KeyFilter) (core.Pages, bool) {
 	s := &f.sides[i]
-	if s.KeyOff < 0 {
+	if s.FilterKey.Words() == 0 {
 		kf = nil
 	}
 	a := &sc.staged[i]

@@ -7,6 +7,7 @@ import (
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
+	"hique/internal/types"
 )
 
 // Regression tests for the contained-panic arena leak (hique-vet:
@@ -69,13 +70,15 @@ func TestFusedJoinRunReleasesArenaOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan did not compile to a fused join: %v", err)
 	}
-	if f.sortCmp == nil {
-		t.Fatal("ORDER BY plan has no sort comparator")
+	if f.sortKey == nil {
+		t.Fatal("ORDER BY plan has no sort key")
 	}
 	// The join itself completes (its result holds arena pages); the sort
-	// comparator then panics before SortTablePooled appends anything, so
-	// any post-test imbalance is the join result failing to release.
-	f.sortCmp = func(a, b []byte) int { panic("sabotaged comparator") }
+	// then panics before SortTablePooled appends anything — its key reads
+	// past the result's tuples — so any post-test imbalance is the join
+	// result failing to release.
+	bad := core.CompileKey(types.NewSchema(types.CharCol("pad", 4096), types.Col("k", types.Int)), []int{1})
+	f.sortKey = &bad
 	before, _ := storage.ArenaStats()
 	mustPanic(t, func() { f.run(nil) })
 	if after, _ := storage.ArenaStats(); after != before {

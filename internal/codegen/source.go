@@ -87,10 +87,10 @@ func EmitSource(p *plan.Plan) string {
 
 	var calls []string
 	for ji, j := range p.Joins {
-		_, keyOffs := keyFilterPlan(p, j)
+		_, keyCols := keyFilterPlan(p, j)
 		for i := range j.Inputs {
 			fn := fmt.Sprintf("stageJoin%dInput%d", ji, i)
-			emitStageFunc(w, fn, &j.Inputs[i], stageInputSchema(p, &j.Inputs[i]), keyOffs[i])
+			emitStageFunc(w, fn, &j.Inputs[i], stageInputSchema(p, &j.Inputs[i]), keyCols[i])
 			calls = append(calls, fn)
 		}
 		fn := fmt.Sprintf("evalJoin%d", ji)
@@ -120,6 +120,13 @@ func EmitSource(p *plan.Plan) string {
 	}
 	emitComposer(w, p, calls)
 	return w.b.String()
+}
+
+// keyWordGo reads column col of schema as its one-word key (core.Key).
+func keyWordGo(schema *types.Schema, col int) string {
+	c := schema.Column(col)
+	enc := map[types.Kind]string{types.Int: "Int", types.Date: "Int", types.Float: "Float", types.String: "Char"}[c.Kind]
+	return fmt.Sprintf("runtime.%sWord(%s)", enc, readField(c.Kind, schema.Offset(col), c.Size))
 }
 
 func readField(k types.Kind, off, size int) string {
@@ -204,9 +211,9 @@ func exprGo(e plan.Expr, schema *types.Schema) string {
 // catalogue schema or the producing join's output schema): filters may
 // reference columns the projection drops, so the staged column list alone
 // cannot position them. A join input the join's key filter refines
-// (keyFilterPlan) passes its join key's input offset as keyOff (else -1)
+// (keyFilterPlan) passes its join key's input column as keyCol (else -1)
 // and also drops the tuples whose key the filter lacks.
-func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types.Schema, keyOff int) {
+func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types.Schema, keyCol int) {
 	in := st.Input.String()
 	w.line("// %s stages %s: filter, project to %d columns (%d bytes/tuple),",
 		name, in, len(st.Cols), st.Schema.TupleSize())
@@ -215,7 +222,7 @@ func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types
 	if stageHasParams(st) {
 		params += ", bind runtime.Bind"
 	}
-	if keyOff >= 0 {
+	if keyCol >= 0 {
 		params += ", keys *runtime.KeyFilter"
 	}
 	w.line("func %s(%s, out *runtime.Staging) {", name, params)
@@ -241,8 +248,8 @@ func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types
 			w.line("if !(%s %s %s) { continue }", readField(kind, off, 8), cmpOpGo(f.Op), val)
 		}
 	}
-	if keyOff >= 0 {
-		w.line("if !keys.Has(runtime.Int64At(tuple, %d)) { continue } // join-key filter: no tuple of the first-staged input has this key", keyOff)
+	if keyCol >= 0 {
+		w.line("if !keys.Has(%s) { continue } // join-key filter: no tuple of the first-staged input has this key", keyWordGo(inSchema, keyCol))
 	}
 	w.line("dst := out.Alloc(%d)", st.Schema.TupleSize())
 	for i, c := range st.Cols {
@@ -311,13 +318,13 @@ func readFieldStage(v *plan.ColExpr, inSchema *types.Schema) string {
 func stageActionComment(st *plan.Stage) string {
 	switch st.Action {
 	case plan.StageSort:
-		return fmt.Sprintf("sort on columns %v (%s)", st.SortKeys, sortMethod(st))
+		return fmt.Sprintf("sort on columns %v (%s)", st.SortKeys, sortMethod)
 	case plan.StagePartitionFine:
 		return fmt.Sprintf("fine-partition through a %d-entry value directory", len(st.FineValues))
 	case plan.StagePartitionCoarse:
 		s := fmt.Sprintf("hash-partition into %d partitions", st.Partitions)
 		if st.SortPartitions {
-			s += ", sorting each partition (" + sortMethod(st) + ")"
+			s += ", sorting each partition (" + sortMethod + ")"
 		}
 		return s
 	default:
@@ -350,28 +357,15 @@ func emitPostStage(w *sourceWriter, st *plan.Stage) {
 		return
 	}
 	switch {
-	case st.Action == plan.StageSort && radixKey(st):
-		w.line("out.RadixSort(%d) // key offset baked in", st.Schema.Offset(st.SortKeys[0]))
 	case st.Action == plan.StageSort:
-		w.line("out.SortRunsAndMerge(%d) // key column offsets baked into comparator", st.Schema.Offset(firstKey(st.SortKeys)))
+		w.line("out.RadixSort(%d) // key word offsets baked in", st.Schema.Offset(firstKey(st.SortKeys)))
 	case st.Action == plan.StagePartitionCoarse && st.SortPartitions:
 		w.line("out.SortEachPartition(%d)", st.Schema.Offset(firstKey(st.SortKeys)))
 	}
 }
 
-// radixKey reports whether the stage sorts on one Int/Date key, which
-// core.KeySort radix-sorts.
-func radixKey(st *plan.Stage) bool {
-	return len(st.SortKeys) == 1 && (st.Schema.Column(st.SortKeys[0]).Kind == types.Int || st.Schema.Column(st.SortKeys[0]).Kind == types.Date)
-}
-
-// sortMethod names the sort a stage runs.
-func sortMethod(st *plan.Stage) string {
-	if radixKey(st) {
-		return "stable LSD radix sort over the key's bits; quicksort under 256 tuples"
-	}
-	return "quicksort over L2-sized runs + merge"
-}
+// sortMethod names the sort every stage runs: core.Key's.
+const sortMethod = "stable radix sort over the key's order-preserving words"
 
 func firstKey(keys []int) int {
 	if len(keys) > 0 {
@@ -657,7 +651,7 @@ func emitSortFunc(w *sourceWriter, name string, p *plan.Plan) {
 		}
 		w.line("// key: column %d (%s), %s", k.Col, p.ResultSchema().Column(k.Col).Name, dir)
 	}
-	w.line("result.SortRunsAndMerge(%d)", p.ResultSchema().Offset(p.Sort.Keys[0].Col))
+	w.line("result.RadixSort(%d)", p.ResultSchema().Offset(p.Sort.Keys[0].Col))
 	w.out()
 	w.line("}")
 	w.blank()
@@ -675,18 +669,18 @@ func emitComposer(w *sourceWriter, p *plan.Plan, calls []string) {
 	}
 	w.in()
 	for ji, j := range p.Joins {
-		first, keyOffs := keyFilterPlan(p, j)
+		first, keyCols := keyFilterPlan(p, j)
 		for k := range j.Inputs {
 			i := nthStaged(k, first)
 			keys := ""
-			if keyOffs[i] >= 0 {
+			if keyCols[i] >= 0 {
 				keys = fmt.Sprintf(", keys%d", ji)
 			}
 			w.line("s%d_%d := runtime.NewStaging(%d)", ji, i, maxPartitions(&j.Inputs[i]))
 			w.line("stageJoin%dInput%d(db.Input(%q)%s%s, s%d_%d)", ji, i, j.Inputs[i].Input, bindArg(&j.Inputs[i]), keys, ji, i)
-			if k == 0 && slices.Max(keyOffs) >= 0 {
-				w.line("keys%d := runtime.NewKeyFilter(s%d_%d, %d, %d) // its staged join keys",
-					ji, ji, i, j.Inputs[i].Schema.Offset(j.Keys[i]), core.MaxKeyFilterBits)
+			if k == 0 && slices.Max(keyCols) >= 0 {
+				w.line("keys%d := runtime.NewKeyFilter(s%d_%d, func(tuple []byte) uint64 { return %s }, %d) // its staged join keys",
+					ji, ji, i, keyWordGo(j.Inputs[i].Schema, j.Keys[i]), core.MaxKeyFilterBits)
 			}
 		}
 		args := make([]string, len(j.Inputs))

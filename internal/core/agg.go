@@ -278,10 +278,10 @@ type AggProgram struct {
 	args    vecProg
 	outs    []aggOut
 
-	// Sort and hybrid aggregation: the grouping comparator, and the group
+	// Sort and hybrid aggregation: the grouping key, and the group
 	// columns' copies from a representative staged tuple.
-	sameGroup Compare
-	copies    []CopyRange
+	group  Key
+	copies []CopyRange
 
 	// Map aggregation: one probe per grouping attribute, and the size of
 	// the group space (the product of the directory sizes).
@@ -325,7 +325,7 @@ func CompileAgg(a *plan.Agg, in *types.Schema, at ColumnAt) *AggProgram {
 			p.NGroups *= len(a.Directories[i])
 		}
 	} else {
-		p.sameGroup = MakeKeyCompare(staged, a.GroupCols)
+		p.group = CompileKey(staged, a.GroupCols)
 		p.copies = make([]CopyRange, 0, len(a.GroupCols))
 		if len(a.GroupCols) == 0 {
 			// A group-less aggregate is also the one-group, no-probe map:
@@ -403,7 +403,7 @@ func (gs *GroupStream) Reset(p *AggProgram) {
 // emitting the previous group into out when it closes. It returns false
 // once limit groups have been emitted (-1: no limit).
 func (p *AggProgram) Push(gs *GroupStream, t []byte, out *storage.Table, limit int) bool {
-	if gs.open && p.sameGroup(gs.rep, t) != 0 && !p.Flush(gs, out, limit) {
+	if gs.open && p.group.Compare(gs.rep, &p.group, t) != 0 && !p.Flush(gs, out, limit) {
 		return false
 	}
 	if !gs.open {

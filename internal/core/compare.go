@@ -10,7 +10,11 @@
 // The functions in this package are "instantiated templates": they are
 // compiled once per plan into type- and offset-specialised descriptors
 // (predicates, projections, expression programs, aggregate updates), so
-// the inner loops contain no interface dispatch and no boxing. They run
+// the inner loops contain no interface dispatch and no boxing. A key —
+// a sort's, a join's, a group's, ORDER BY's — compiles into one
+// order-preserving encoding of fixed-width words (Key), and every ordered
+// comparison compares those words: the stable radix sort, the merge
+// walk, the stream-group boundary and the join-key filter alike. They run
 // page at a time: one loop per predicate, expression node, grouping
 // attribute and aggregate over a page's selection vector, so the
 // dispatch between them is paid per page, not per tuple. The paper's C
@@ -19,8 +23,6 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 
 	"hique/internal/plan"
@@ -28,131 +30,6 @@ import (
 	"hique/internal/storage"
 	"hique/internal/types"
 )
-
-// Compare is a specialised tuple comparator over raw tuple bytes.
-type Compare func(a, b []byte) int
-
-// MakeKeyCompare builds a comparator over the given columns of a schema.
-// Single-column integer keys — the common join case — get a dedicated fast
-// path with the offset baked in.
-func MakeKeyCompare(schema *types.Schema, keys []int) Compare {
-	if len(keys) == 1 {
-		c := schema.Column(keys[0])
-		off := schema.Offset(keys[0])
-		switch c.Kind {
-		case types.Int, types.Date:
-			return func(a, b []byte) int {
-				x, y := types.GetInt(a, off), types.GetInt(b, off)
-				switch {
-				case x < y:
-					return -1
-				case x > y:
-					return 1
-				}
-				return 0
-			}
-		case types.Float:
-			return func(a, b []byte) int {
-				x, y := types.GetFloat(a, off), types.GetFloat(b, off)
-				switch {
-				case x < y:
-					return -1
-				case x > y:
-					return 1
-				}
-				return 0
-			}
-		case types.String:
-			end := off + c.Size
-			return func(a, b []byte) int {
-				return bytes.Compare(a[off:end], b[off:end])
-			}
-		}
-	}
-	cmps := make([]Compare, len(keys))
-	for i, k := range keys {
-		cmps[i] = MakeKeyCompare(schema, []int{k})
-	}
-	return func(a, b []byte) int {
-		for _, c := range cmps {
-			if r := c(a, b); r != 0 {
-				return r
-			}
-		}
-		return 0
-	}
-}
-
-// MakeSortCompare builds a comparator honouring per-key descending flags
-// (used by the final ORDER BY operator).
-func MakeSortCompare(schema *types.Schema, keys []plan.SortKey) Compare {
-	cmps := make([]Compare, len(keys))
-	for i, k := range keys {
-		base := MakeKeyCompare(schema, []int{k.Col})
-		if k.Desc {
-			inner := base
-			cmps[i] = func(a, b []byte) int { return -inner(a, b) }
-		} else {
-			cmps[i] = base
-		}
-	}
-	if len(cmps) == 1 {
-		return cmps[0]
-	}
-	return func(a, b []byte) int {
-		for _, c := range cmps {
-			if r := c(a, b); r != 0 {
-				return r
-			}
-		}
-		return 0
-	}
-}
-
-// CrossCompare compares tuples from two different schemas on their key
-// columns (merge-join needs this: the two staged inputs have distinct
-// layouts).
-func CrossCompare(sa *types.Schema, ka int, sb *types.Schema, kb int) func(a, b []byte) int {
-	ca, cb := sa.Column(ka), sb.Column(kb)
-	offA, offB := sa.Offset(ka), sb.Offset(kb)
-	if ca.Kind != cb.Kind {
-		panic(fmt.Sprintf("core.CrossCompare: kind mismatch %v vs %v", ca.Kind, cb.Kind))
-	}
-	switch ca.Kind {
-	case types.Int, types.Date:
-		return func(a, b []byte) int {
-			x, y := types.GetInt(a, offA), types.GetInt(b, offB)
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
-			}
-			return 0
-		}
-	case types.Float:
-		return func(a, b []byte) int {
-			x, y := types.GetFloat(a, offA), types.GetFloat(b, offB)
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
-			}
-			return 0
-		}
-	case types.String:
-		size := ca.Size
-		if cb.Size < size {
-			size = cb.Size
-		}
-		endA, endB := offA+size, offB+size
-		return func(a, b []byte) int {
-			return bytes.Compare(a[offA:endA], b[offB:endB])
-		}
-	}
-	panic("core.CrossCompare: bad kind")
-}
 
 // Pred is one compiled filter (the Listing 1 pattern): the column's offset,
 // kind and width and the operator baked at generation time, the comparison

@@ -329,7 +329,8 @@ func TestSortTuplesMatchesStdSort(t *testing.T) {
 			tbl.AppendRow(types.IntDatum(k))
 		}
 		tuples := Flatten(tbl)
-		SortTuples(tuples, MakeKeyCompare(schema, []int{0}))
+		key := CompileKey(schema, []int{0})
+		key.Sort(tuples)
 		got := make([]int64, len(tuples))
 		for i, tp := range tuples {
 			got[i] = types.GetInt(tp, 0)
@@ -349,16 +350,17 @@ func TestSortTuplesMatchesStdSort(t *testing.T) {
 }
 
 func TestSortTuplesLargeInput(t *testing.T) {
-	// Force the run-merge path: > L2/2 bytes of tuples.
+	// Past the L2 cache: 3.2 MB of tuples.
 	schema := types.NewSchema(types.Col("k", types.Int), types.CharCol("pad", 56))
 	tbl := storage.NewTable("t", schema)
 	rng := rand.New(rand.NewSource(1))
-	const n = 50000 // 64B * 50k = 3.2MB > 1MB run size
+	const n = 50000 // 64B * 50k = 3.2MB
 	for i := 0; i < n; i++ {
 		tbl.AppendRow(types.IntDatum(rng.Int63n(1e9)), types.StringDatum("x"))
 	}
 	tuples := Flatten(tbl)
-	SortTuples(tuples, MakeKeyCompare(schema, []int{0}))
+	key := CompileKey(schema, []int{0})
+	key.Sort(tuples)
 	prev := int64(-1)
 	for _, tp := range tuples {
 		k := types.GetInt(tp, 0)

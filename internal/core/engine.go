@@ -79,11 +79,12 @@ func (e *Engine) Execute(p *plan.Plan) (*storage.Table, error) {
 	default:
 		return nil, fmt.Errorf("core: plan has neither aggregation nor final projection")
 	}
-	var cmp Compare
+	var order *Key
 	if p.Sort != nil {
-		cmp = MakeSortCompare(result.Schema(), p.Sort.Keys)
+		k := CompileOrder(result.Schema(), p.Sort.Keys)
+		order = &k
 	}
-	return FinishResult(p, cmp, result, resultOwned), nil
+	return FinishResult(p, order, result, resultOwned), nil
 }
 
 // runAgg evaluates the plan's aggregation over its input: map aggregation
@@ -266,10 +267,10 @@ func runJoins(p *plan.Plan) ([]*storage.Table, error) {
 
 // FinishResult applies the tail the general walk and the fused pipelines
 // share, in SQL order: HAVING over the aggregated groups, the final
-// ordering by cmp (the compiled ORDER BY, nil when the plan has none), and
+// ordering on order (the compiled ORDER BY, nil when the plan has none), and
 // LIMIT. Each replaced result the execution owned is released, and each
 // replacement draws from the arena.
-func FinishResult(p *plan.Plan, cmp Compare, result *storage.Table, owned bool) *storage.Table {
+func FinishResult(p *plan.Plan, order *Key, result *storage.Table, owned bool) *storage.Table {
 	if len(p.Having) > 0 {
 		s := result.Schema()
 		kept := storage.NewPooledTable("result", s)
@@ -287,12 +288,12 @@ func FinishResult(p *plan.Plan, cmp Compare, result *storage.Table, owned bool) 
 		}
 		result, owned = kept, true
 	}
-	if cmp != nil {
+	if order != nil {
 		var t0 time.Time
 		if p.Trace != nil {
 			t0 = time.Now()
 		}
-		sorted := SortTablePooled("result", result, cmp)
+		sorted := SortTablePooled("result", result, order)
 		if owned {
 			result.Release()
 		}

@@ -43,22 +43,20 @@ func JoinCopies(j *plan.Join) [][]CopyRange {
 
 // JoinLoop is a join descriptor's compiled loop: the nested-loops
 // template of Listing 2 specialised to the descriptor's algorithm, with
-// the merge walk's comparators compiled once per join (§V-B). It holds
-// no execution state; the caller's Cursor does.
+// each input's join key encoded once per join (§V-B). It holds no
+// execution state; the caller's Cursor does.
 type JoinLoop struct {
 	alg plan.JoinAlgorithm
-	// cross[i] compares a tuple of input i with one of input 0; key[i]
-	// orders input i on its join key.
-	cross []func(a, b []byte) int
-	key   []KeySort
+	// key[i] is input i's join key: it orders input i, and the merge
+	// walk compares it with input 0's word by word.
+	key []Key
 }
 
 // CompileJoin compiles the loop of a join over its staged inputs.
 func CompileJoin(j *plan.Join) *JoinLoop {
-	jl := &JoinLoop{alg: j.Alg, cross: make([]func(a, b []byte) int, len(j.Inputs)), key: make([]KeySort, len(j.Inputs))}
+	jl := &JoinLoop{alg: j.Alg, key: make([]Key, len(j.Inputs))}
 	for i := range j.Inputs {
-		jl.cross[i] = CrossCompare(j.Inputs[i].Schema, j.Keys[i], j.Inputs[0].Schema, j.Keys[0])
-		jl.key[i] = CompileKeySort(j.Inputs[i].Schema, []int{j.Keys[i]})
+		jl.key[i] = CompileKey(j.Inputs[i].Schema, []int{j.Keys[i]})
 	}
 	return jl
 }
@@ -128,17 +126,17 @@ func (jl *JoinLoop) Run(parts [][][][]byte, lo, hi int, c *Cursor, emit func(c *
 // of the groups. For k == 2 this is the paper's merge join with
 // backtracking over inner groups; join teams use k > 2 (§V-B).
 func (jl *JoinLoop) merge(c *Cursor, emit func(c *Cursor) bool) bool {
-	in, pos, ends, cross, key := c.in, c.lo, c.hi, jl.cross, jl.key
+	in, pos, ends, key := c.in, c.lo, c.hi, jl.key
 	clear(pos)
 	for {
 		// Align every input on a common key with input 0.
 		for i := 1; i < len(in); i++ {
-			r := cross[i](in[i][pos[i]], in[0][pos[0]])
+			r := key[i].Compare(in[i][pos[i]], &key[0], in[0][pos[0]])
 			for r < 0 {
 				if pos[i]++; pos[i] >= len(in[i]) {
 					return true
 				}
-				r = cross[i](in[i][pos[i]], in[0][pos[0]])
+				r = key[i].Compare(in[i][pos[i]], &key[0], in[0][pos[0]])
 			}
 			if r > 0 {
 				if pos[0]++; pos[0] >= len(in[0]) {
@@ -151,7 +149,7 @@ func (jl *JoinLoop) merge(c *Cursor, emit func(c *Cursor) bool) bool {
 		single := true
 		for i, t := range in {
 			e, head := pos[i]+1, t[pos[i]]
-			for e < len(t) && key[i].Cmp(t[e], head) == 0 {
+			for e < len(t) && key[i].Compare(t[e], &key[i], head) == 0 {
 				e++
 			}
 			ends[i] = e

@@ -12,6 +12,12 @@ import (
 	"hique/internal/types"
 )
 
+// keyCol is the key column of keyed tuples, a one-word key at offset 8.
+var keyCol = CompileKey(types.NewSchema(types.Col("seq", types.Int), types.Col("key", types.Int)), []int{1})
+
+// has tests an Int key's word against f.
+func has(f *KeyFilter, k int64) bool { return f.Has(uint64(k) ^ 1<<63) }
+
 // keyArena stages keys as (seq INT, key INT) tuples, the key at offset 8.
 func keyArena(keys []int64) *Arena {
 	tuples, _ := keyed(keys)
@@ -50,7 +56,7 @@ func checkKeyFilter(t *testing.T, build, probes []int64) {
 	var f KeyFilter
 	values := new(big.Int).Sub(big.NewInt(hi), big.NewInt(lo))
 	wantBuilt := values.Add(values, big.NewInt(1)).Cmp(big.NewInt(MaxKeyFilterBits)) < 0
-	if built := f.Build(keyArena(build), 16, 8); built != wantBuilt {
+	if built := f.Build(keyArena(build), 16, &keyCol); built != wantBuilt {
 		t.Fatalf("%d keys over [%d, %d]: Build = %v, want %v", len(build), lo, hi, built, wantBuilt)
 	}
 	if !wantBuilt {
@@ -66,8 +72,8 @@ func checkKeyFilter(t *testing.T, build, probes []int64) {
 	ks = append(ks, lo-1, hi+1, lo-64, hi+64, math.MinInt64, math.MinInt64+1, math.MaxInt64-1, math.MaxInt64, 0, -1)
 	ks = append(ks, probes...)
 	for _, k := range ks {
-		if f.Has(k) != set[k] {
-			t.Fatalf("%d keys over [%d, %d]: Has(%d) = %v, want %v", len(build), lo, hi, k, f.Has(k), set[k])
+		if has(&f, k) != set[k] {
+			t.Fatalf("%d keys over [%d, %d]: Has(%d) = %v, want %v", len(build), lo, hi, k, has(&f, k), set[k])
 		}
 	}
 	page, _ := keyed(ks)
@@ -77,7 +83,7 @@ func checkKeyFilter(t *testing.T, build, probes []int64) {
 		data = append(data, tup...)
 		sel[i] = int32(i)
 	}
-	got := f.Refine(sel, data, 16, 8)
+	got := f.Refine(sel, data, 16, &keyCol)
 	var want []int32
 	for i, k := range ks {
 		if set[k] {
@@ -126,11 +132,11 @@ func TestKeyFilterMatchesMap(t *testing.T) {
 	// A rebuild reuses the bitmap: no bit of a wider earlier filter may
 	// survive into a narrower one.
 	var f KeyFilter
-	f.Build(keyArena(gen(2000, func() int64 { return rng.Int63n(1 << 16) })), 16, 8)
-	f.Build(keyArena([]int64{5, 70}), 16, 8)
+	f.Build(keyArena(gen(2000, func() int64 { return rng.Int63n(1 << 16) })), 16, &keyCol)
+	f.Build(keyArena([]int64{5, 70}), 16, &keyCol)
 	for k := int64(0); k < 1<<16; k++ {
-		if f.Has(k) != (k == 5 || k == 70) {
-			t.Fatalf("rebuilt filter: Has(%d) = %v", k, f.Has(k))
+		if has(&f, k) != (k == 5 || k == 70) {
+			t.Fatalf("rebuilt filter: Has(%d) = %v", k, has(&f, k))
 		}
 	}
 }
@@ -145,17 +151,17 @@ func TestStagePagesDropsFilteredKeys(t *testing.T) {
 		for j, k := range sel {
 			copy(dst[j*w:(j+1)*w], data[int(k)*w:])
 		}
-	}, Width: 16, InWidth: 16, KeyOff: 8}
+	}, Width: 16, InWidth: 16, FilterKey: keyCol}
 	var all, kept Arena
 	st.StagePages(&all, in, 0, in.NumPages(), nil, nil)
 	var f KeyFilter
-	if !f.Build(keyArena([]int64{3, 500, 999, 2000}), 16, 8) {
+	if !f.Build(keyArena([]int64{3, 500, 999, 2000}), 16, &keyCol) {
 		t.Fatal("filter not built")
 	}
 	pg := st.StagePages(&kept, in, 0, in.NumPages(), nil, &f)
 	var want []byte
 	for o := 0; o < len(all.Data); o += 16 {
-		if f.Has(types.GetInt(all.Data, o+8)) {
+		if has(&f, types.GetInt(all.Data, o+8)) {
 			want = append(want, all.Data[o:o+16]...)
 		}
 	}

@@ -97,12 +97,13 @@ type Stager struct {
 	Parts int
 
 	// sort orders the staged output (StageSort) or, for a stage that sorts
-	// its partitions, each partition; its Cmp is nil otherwise.
-	sort KeySort
+	// its partitions, each partition; it has no words otherwise.
+	sort Key
 
-	// KeyOff is the input offset of the int64 join key a KeyFilter handed
-	// to StagePages tests; the join compiling the stage sets it.
-	KeyOff int
+	// FilterKey is the one-word join key, over the input schema, that a
+	// KeyFilter handed to StagePages tests; the join compiling the stage
+	// sets it.
+	FilterKey Key
 }
 
 // CompileStage compiles a staging descriptor over its input schema.
@@ -120,14 +121,14 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 	}
 	switch st.Action {
 	case plan.StageSort:
-		s.sort = CompileKeySort(st.Schema, st.SortKeys)
+		s.sort = CompileKey(st.Schema, st.SortKeys)
 	case plan.StagePartitionFine, plan.StagePartitionCoarse:
 		var err error
 		if s.Route, s.Parts, err = stageRouter(st); err != nil {
 			return nil, err
 		}
 		if st.SortPartitions {
-			s.sort = CompileKeySort(st.Schema, st.SortKeys)
+			s.sort = CompileKey(st.Schema, st.SortKeys)
 		}
 	case plan.StageNone:
 	default:
@@ -151,9 +152,10 @@ func (s *Stager) Stage(sc *Scratch, a *Arena, tup []byte, params []types.Datum) 
 // direct page iteration with offset arithmetic, skipping the pages whose
 // bounds the predicates exclude and filtering each page read into a
 // selection vector before projecting its survivors in one batch. A
-// non-nil kf refines the selection to the tuples whose join key (at
-// KeyOff) is in it, and the tally counts the tuples it dropped. A caller-only run covers the whole
-// table; a morsel covers its page range into a worker's arena.
+// non-nil kf refines the selection to the tuples whose join key
+// (FilterKey) is in it, and the tally counts the tuples it dropped. A
+// caller-only run covers the whole table; a morsel covers its page range
+// into a worker's arena.
 func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []types.Datum, kf *KeyFilter) Pages {
 	inW, w := s.InWidth, s.Width
 	var tally Pages
@@ -172,7 +174,7 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 		sel := sc.Select(s.Preds, data, n, inW, params)
 		if kf != nil {
 			m := len(sel)
-			sel = kf.Refine(sel, data, inW, s.KeyOff)
+			sel = kf.Refine(sel, data, inW, &s.FilterKey)
 			tally.Dropped += m - len(sel)
 		}
 		if len(sel) > 0 {
@@ -235,11 +237,8 @@ func (s *Stager) Order(a *Arena, b *Buckets, presorted bool) [][][]byte {
 	return parts
 }
 
-// sortEach sorts each part with the stage's sort, if it has one.
+// sortEach sorts each part on the stage's sort key, if it has one.
 func (s *Stager) sortEach(parts [][][]byte) {
-	if s.sort.Cmp == nil {
-		return
-	}
 	for _, p := range parts {
 		s.sort.Sort(p)
 	}
@@ -247,11 +246,11 @@ func (s *Stager) sortEach(parts [][][]byte) {
 
 // Scratch is the pooled working memory of the page kernels: a page
 // loop's selection vector, the registers of a vector program and the
-// group slots of a fold, and a radix sort's packed keys. One pool serves
+// group slots of a fold, and a radix sort's key words. One pool serves
 // them all, so none allocates once warm.
 type Scratch struct {
 	sel  []int32
-	keys []uint64 // the packed keys, then their ping-pong copy
+	keys []uint64 // a radix sort's words and their ping-pong copy, then any indexes
 
 	// fr and ir hold a vector program's float and int registers, n
 	// values each; g is a fold's group-slot vector.
@@ -414,10 +413,20 @@ func CoarseRouter(schema *types.Schema, key, m int) func(tuple []byte) int32 {
 	off := schema.Offset(key)
 	mask := uint64(m - 1)
 	if col.Kind == types.String {
+		// Without its zero padding, so equal values route alike whatever
+		// the column's width.
 		end := off + col.Size
-		return func(t []byte) int32 { return int32(HashBytes(t[off:end]) & mask) }
+		return func(t []byte) int32 {
+			e := end
+			for e > off && t[e-1] == 0 {
+				e--
+			}
+			return int32(HashBytes(t[off:e]) & mask)
+		}
 	}
-	// Int, Date, and Float (raw bits; equal floats have equal bits).
+	// Int, Date, and Float by its bits: -0 and +0 differ in the sign bit
+	// alone, which HashInt leaves in bits 63 and 34, past any mask, so
+	// they route alike.
 	return func(t []byte) int32 { return int32(HashInt(types.GetInt(t, off)) & mask) }
 }
 

@@ -9,6 +9,7 @@ package dsm
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"hique/internal/plan"
@@ -24,6 +25,22 @@ type column struct {
 	ints []int64
 	fls  []float64
 	strs []string
+}
+
+// keys returns a numeric column's values as join keys: integers as they
+// are, floats by their bits with -0 folded into +0, so that equal keys
+// are the == ones.
+func (c *column) keys() []int64 {
+	if c.kind != types.Float {
+		return c.ints
+	}
+	out := make([]int64, len(c.fls))
+	for i, f := range c.fls {
+		if out[i] = int64(math.Float64bits(f)); f == 0 {
+			out[i] = 0
+		}
+	}
+	return out
 }
 
 func (c *column) length() int {

@@ -259,10 +259,10 @@ func hashJoin(left *colTable, lk int, right *colTable, rk int) (*colTable, error
 		}
 	default:
 		build := make(map[int64][]int32, right.rows)
-		for i, v := range rcol.ints {
+		for i, v := range rcol.keys() {
 			build[v] = append(build[v], int32(i))
 		}
-		for i, v := range lcol.ints {
+		for i, v := range lcol.keys() {
 			for _, r := range build[v] {
 				li = append(li, int32(i))
 				ri = append(ri, r)

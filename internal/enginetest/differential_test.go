@@ -82,6 +82,7 @@ func engines() []plan.Executor {
 //	dm(k2 INT, bucket INT)
 //	xt(k3 INT, weight FLOAT)
 //	da(ka INT, v INT), db(kb INT, w INT)   disjoint key domains
+//	fa(fk FLOAT, fv INT), fb(gk FLOAT, gw INT)   float keys, both zeros
 func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 	cat := catalog.New()
 	rng := rand.New(rand.NewSource(seed))
@@ -132,6 +133,26 @@ func fixture(seed int64, nEv, nDm, nXt int) *catalog.Catalog {
 	}
 	cat.Register(da)
 	cat.Register(db)
+
+	// fa and fb join on a float key that holds -0 on some rows and +0 on
+	// others: every zero joins every zero.
+	fa := storage.NewTable("fa", types.NewSchema(
+		types.Col("fk", types.Float), types.Col("fv", types.Int)))
+	fb := storage.NewTable("fb", types.NewSchema(
+		types.Col("gk", types.Float), types.Col("gw", types.Int)))
+	for i := 0; i < 600; i++ {
+		fk, gk := float64(i%40)/4-2, float64(i%30)/2-3
+		if i%7 == 0 {
+			fk = math.Copysign(0, -1)
+		}
+		if i%11 == 0 {
+			gk = math.Copysign(0, -1)
+		}
+		fa.AppendRow(types.FloatDatum(fk), types.IntDatum(int64(i)))
+		fb.AppendRow(types.FloatDatum(gk), types.IntDatum(int64(i)))
+	}
+	cat.Register(fa)
+	cat.Register(fb)
 	return cat
 }
 
@@ -189,6 +210,9 @@ var corpus = []string{
 	// value directory, no rows, no error.
 	"SELECT da.v, db.w FROM da, db WHERE da.ka = db.kb",
 	"SELECT da.ka, COUNT(*) AS n, SUM(db.w) AS s FROM da, db WHERE da.ka = db.kb GROUP BY da.ka",
+	// A float join key: -0 joins +0.
+	"SELECT fv, gw FROM fa, fb WHERE fa.fk = fb.gk",
+	"SELECT COUNT(*) AS n, SUM(gw) AS s FROM fa, fb WHERE fa.fk = fb.gk AND fv < 300",
 	// COUNT is the one aggregate a CHAR argument may feed.
 	"SELECT grp, COUNT(tag) AS n FROM ev GROUP BY grp ORDER BY grp",
 	// The Q1 shape: CHAR and Int grouping columns through the value

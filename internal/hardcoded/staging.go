@@ -16,25 +16,15 @@ type staged struct {
 
 func (s *staged) addr(i int) int64 { return s.base + int64(i)*TupleWidth }
 
-// keyCmp is the shared type-specific comparator (field 0, int64).
-func keyCmp(a, b []byte) int {
-	x, y := types.GetInt(a, 0), types.GetInt(b, 0)
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
-}
-
-// stageSorted materialises and sorts a table on its key. The code (and
+// stageSorted materialises and sorts a table on its key (field 0) through
+// core's compiled key sort. The code (and
 // therefore the simulated access pattern) is identical for all five
 // shapes, per §VI-A: staging differences are not what the experiment
 // measures.
 func stageSorted(t *storage.Table, probe *hwsim.Probe) staged {
 	tuples := core.Flatten(t)
-	core.SortTuples(tuples, keyCmp)
+	key := core.CompileKey(t.Schema(), []int{0})
+	key.Sort(tuples)
 	out := staged{tuples: tuples}
 	if probe != nil {
 		out.base = probe.AllocBase(int64(len(tuples)) * TupleWidth)
@@ -55,8 +45,9 @@ func stagePartitioned(t *storage.Table, m int, probe *hwsim.Probe) []staged {
 		return true
 	})
 	out := make([]staged, m)
+	key := core.CompileKey(t.Schema(), []int{0})
 	for i := range parts {
-		core.SortTuples(parts[i], keyCmp)
+		key.Sort(parts[i])
 		out[i] = staged{tuples: parts[i]}
 		if probe != nil {
 			out[i].base = probe.AllocBase(int64(len(parts[i])) * TupleWidth)

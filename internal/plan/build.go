@@ -619,8 +619,8 @@ func (b *builder) planTeamJoin() error {
 }
 
 func (b *builder) chooseTeamAlgorithm(keyCols []int) JoinAlgorithm {
-	if b.opts.ForceJoinAlg != nil {
-		return *b.opts.ForceJoinAlg
+	if alg, ok := b.forcedJoinAlg(0, keyCols[0]); ok {
+		return alg
 	}
 	// Merge team when the largest input sorts comfortably; hybrid when
 	// inputs are large enough that partitioned sorting pays off.
@@ -919,8 +919,8 @@ func (b *builder) emitBinaryJoin(cur *relation, e joinEdge, est float64) (*relat
 
 // chooseBinaryAlgorithm applies the paper's selection heuristics.
 func (b *builder) chooseBinaryAlgorithm(e joinEdge, cur *relation) JoinAlgorithm {
-	if b.opts.ForceJoinAlg != nil {
-		return *b.opts.ForceJoinAlg
+	if alg, ok := b.forcedJoinAlg(e.rt, e.rc); ok {
+		return alg
 	}
 	// Interesting order: if the existing intermediate is already sorted
 	// on the key class, merging avoids re-staging entirely.
@@ -958,6 +958,17 @@ func (b *builder) chooseBinaryAlgorithm(e joinEdge, cur *relation) JoinAlgorithm
 		return MergeJoin
 	}
 	return HybridJoin
+}
+
+// forcedJoinAlg is the forced join algorithm on table ti's key column ci,
+// if any — unless it is fine partitioning over a float key, which has no
+// value directory: the heuristics choose then.
+func (b *builder) forcedJoinAlg(ti, ci int) (JoinAlgorithm, bool) {
+	f := b.opts.ForceJoinAlg
+	if f == nil || *f == FinePartitionJoin && b.tables[ti].Entry.Table.Schema().Column(ci).Kind == types.Float {
+		return 0, false
+	}
+	return *f, true
 }
 
 // joinKeyIndexOrdered reports whether a base table's join-key column is

@@ -17,6 +17,8 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 
 	"hique/internal/types"
@@ -86,8 +88,10 @@ func (t *Table) rows() [][]byte {
 	return out
 }
 
-// SortRunsAndMerge orders the tuples by the int64 key at keyOff.
-func (t *Table) SortRunsAndMerge(keyOff int) {
+// RadixSort orders the tuples by the int64 key at keyOff, stably: the
+// engine's radix sort over encoded key words, which the reference ABI
+// reproduces with a stable comparison sort.
+func (t *Table) RadixSort(keyOff int) {
 	rows := t.rows()
 	sort.SliceStable(rows, func(i, j int) bool {
 		return Int64At(rows[i], keyOff) < Int64At(rows[j], keyOff)
@@ -215,16 +219,11 @@ func (s *Staging) Page(p int) *Page {
 // sorts just before joining).
 func (s *Staging) SortPartition(k, keyOff int) {
 	if s.parts[k] != nil {
-		s.parts[k].SortRunsAndMerge(keyOff)
+		s.parts[k].RadixSort(keyOff)
 	}
 }
 
-// SortRunsAndMerge orders partition 0 (the whole input when unpartitioned).
-func (s *Staging) SortRunsAndMerge(keyOff int) { s.SortPartition(0, keyOff) }
-
-// RadixSort orders partition 0 by the int64 key at keyOff, stably: the
-// engine's radix sort of a single Int/Date key, which the reference ABI
-// reproduces with SortRunsAndMerge's order.
+// RadixSort orders partition 0 (the whole input when unpartitioned).
 func (s *Staging) RadixSort(keyOff int) { s.SortPartition(0, keyOff) }
 
 // SortEachPartition orders every partition independently.
@@ -250,23 +249,23 @@ func (s *Staging) AsTable() *Table {
 
 // KeyFilter is the join-key filter of the staging template: the keys one
 // join input staged, which the join's other inputs test before staging a
-// tuple (reference: a set).
+// tuple (reference: a set of key words).
 type KeyFilter struct {
-	keys map[int64]bool
+	keys map[uint64]bool
 }
 
-// NewKeyFilter collects the int64 keys at keyOff of every staged tuple. It
-// returns nil, the filter that keeps every key, when they span maxSpan
+// NewKeyFilter collects the key word of every staged tuple. It returns
+// nil, the filter that keeps every key, when the words span maxSpan
 // values or more, as the engine's bitmap does.
-func NewKeyFilter(s *Staging, keyOff int, maxSpan int64) *KeyFilter {
-	f := &KeyFilter{keys: map[int64]bool{}}
-	lo, hi := int64(0), int64(0)
+func NewKeyFilter(s *Staging, word func(tuple []byte) uint64, maxSpan uint64) *KeyFilter {
+	f := &KeyFilter{keys: map[uint64]bool{}}
+	lo, hi := uint64(0), uint64(0)
 	for _, t := range s.parts {
 		if t == nil {
 			continue
 		}
 		for _, r := range t.rows() {
-			k := Int64At(r, keyOff)
+			k := word(r)
 			if len(f.keys) == 0 {
 				lo, hi = k, k
 			}
@@ -274,15 +273,38 @@ func NewKeyFilter(s *Staging, keyOff int, maxSpan int64) *KeyFilter {
 			f.keys[k] = true
 		}
 	}
-	if uint64(hi-lo) >= uint64(maxSpan-1) {
+	if hi-lo >= maxSpan-1 {
 		return nil
 	}
 	return f
 }
 
-// Has reports whether k is one of the filter's keys; a nil filter has
-// every key.
-func (f *KeyFilter) Has(k int64) bool { return f == nil || f.keys[k] }
+// Has reports whether the key word k is one of the filter's keys; a nil
+// filter has every key.
+func (f *KeyFilter) Has(k uint64) bool { return f == nil || f.keys[k] }
+
+// IntWord, FloatWord and CharWord are a join key's one word, the engine's
+// order-preserving key encoding: an Int or Date with its sign bit
+// flipped; a Float's bits ordered as the float, -0 as +0; a CHAR of at
+// most 8 bytes big-endian, zero-padded.
+func IntWord(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+func FloatWord(v float64) uint64 {
+	x := math.Float64bits(v)
+	if x == 1<<63 { // -0
+		x = 0
+	}
+	if x>>63 != 0 {
+		return ^x
+	}
+	return x | 1<<63
+}
+
+func CharWord(b []byte) uint64 {
+	var x [8]byte
+	copy(x[:], b)
+	return binary.BigEndian.Uint64(x[:])
+}
 
 // Bind is the bind vector a parameterized artefact reads its constants
 // from at run time.
