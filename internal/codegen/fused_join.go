@@ -246,16 +246,9 @@ func (sc *joinScratch) sides(k int) {
 	}
 }
 
-// maxPooledScratch bounds the staging memory a scratch may keep alive in
-// the pool. A serving-size execution (BENCH_serving's join+aggregation
-// holds ~100 KB) stays allocation-free; an analytic-size one (28 MB for
-// TPC-H Q3 at SF 0.1) goes back to the collector instead: kept in every
-// P's pool slot it stays live and doubles through GC pacing into
-// resident memory (tpch_analytic peak_rss_mb 243 → 335 when pooled).
-const maxPooledScratch = 4 << 20
-
 // release returns the scratch to the pool unless its arenas and
-// reference arrays outgrew maxPooledScratch.
+// reference arrays outgrew core.MaxPooledScratch (BENCH_serving's
+// join+aggregation holds ~100 KB).
 func (sc *joinScratch) release() {
 	n := cap(sc.tail.arena) + cap(sc.tail.staged.Data) + sc.filter.Bytes()
 	for i := range sc.staged {
@@ -264,7 +257,7 @@ func (sc *joinScratch) release() {
 	for i := range sc.par.workers {
 		n += cap(sc.par.workers[i].tail.staged.Data) + cap(sc.par.workers[i].tail.arena)
 	}
-	if n <= maxPooledScratch {
+	if n <= core.MaxPooledScratch {
 		joinScratchPool.Put(sc)
 	}
 }
@@ -448,8 +441,7 @@ func keyFilterPlan(p *plan.Plan, j *plan.Join) (first int, keyCols []int) {
 	}
 	filters := j.Alg != plan.FinePartitionJoin
 	for i := range j.Inputs {
-		c := j.Inputs[i].Schema.Column(j.Keys[i])
-		filters = filters && (c.Kind != types.String || c.Size <= 8)
+		filters = filters && core.CompileKey(j.Inputs[i].Schema, j.Keys[i:i+1]).Words() == 1
 	}
 	keyCols, some := make([]int, len(j.Inputs)), false
 	for i := range j.Inputs {
@@ -513,9 +505,7 @@ func newFusedAgg(a *plan.Agg, s *core.Stager, in *types.Schema, at core.ColumnAt
 	if !fa.direct {
 		at = nil
 	}
-	if fa.prog = core.CompileAgg(a, in, at); fa.prog == nil {
-		return nil, unfusable("map aggregation over a grouping attribute without a directory form")
-	}
+	fa.prog = core.CompileAgg(a, in, at)
 	if fa.direct {
 		for _, pr := range fa.prog.Probes {
 			fa.sideLk = core.Grown(fa.sideLk, max(len(fa.sideLk), int(pr.Src)+1))
@@ -717,7 +707,7 @@ func (f *fusedJoin) emit(ts *tailState, c *core.Cursor) bool {
 		// Stage the tail's tuple into the arena with its partition route;
 		// the consumer orders the arena once the loop is done.
 		f.fillTail(ts, c, ts.staged.Slots(1, s.Width))
-		ts.staged.Keep(1, s.Width, s.Route)
+		ts.staged.Keep(ts.vec, 1, s.Width, s.Router)
 		return true
 	}
 	fa := f.agg
@@ -750,7 +740,7 @@ func (f *fusedJoin) emit(ts *tailState, c *core.Cursor) bool {
 			t := c.Tuple(s)
 			pg := ts.lastG[s]
 			if ts.lastPtr[s] != &t[0] {
-				pg = core.Locate(lks, t)
+				pg = core.Locate(ts.vec, lks, t)
 				ts.lastPtr[s], ts.lastG[s] = &t[0], pg
 			}
 			if pg < 0 {
@@ -856,13 +846,4 @@ func (f *fusedJoin) stageSide(sc *joinScratch, i int, params []types.Datum, par 
 		return read, false
 	}
 	return s.StagePages(a, t, 0, t.NumPages(), params, kf), false
-}
-
-// grown returns s resliced to n elements, reallocating only when short
-// (the elements within the old capacity carry over).
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
-	}
-	return s[:n]
 }

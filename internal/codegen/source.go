@@ -122,21 +122,25 @@ func EmitSource(p *plan.Plan) string {
 	return w.b.String()
 }
 
-// keyWordGo reads column col of schema as its one-word key (core.Key).
-func keyWordGo(schema *types.Schema, col int) string {
+// keyWordGo reads column col of schema, in the tuple variable v, as its
+// one-word key (core.Key).
+func keyWordGo(v string, schema *types.Schema, col int) string {
 	c := schema.Column(col)
 	enc := map[types.Kind]string{types.Int: "Int", types.Date: "Int", types.Float: "Float", types.String: "Char"}[c.Kind]
-	return fmt.Sprintf("runtime.%sWord(%s)", enc, readField(c.Kind, schema.Offset(col), c.Size))
+	return fmt.Sprintf("runtime.%sWord(%s)", enc, fieldIn(v, c.Kind, schema.Offset(col), c.Size))
 }
 
-func readField(k types.Kind, off, size int) string {
+func readField(k types.Kind, off, size int) string { return fieldIn("tuple", k, off, size) }
+
+// fieldIn reads the field at off of the tuple variable v.
+func fieldIn(v string, k types.Kind, off, size int) string {
 	switch k {
 	case types.Int, types.Date:
-		return fmt.Sprintf("runtime.Int64At(tuple, %d)", off)
+		return fmt.Sprintf("runtime.Int64At(%s, %d)", v, off)
 	case types.Float:
-		return fmt.Sprintf("runtime.Float64At(tuple, %d)", off)
+		return fmt.Sprintf("runtime.Float64At(%s, %d)", v, off)
 	default:
-		return fmt.Sprintf("tuple[%d:%d]", off, off+size)
+		return fmt.Sprintf("%s[%d:%d]", v, off, off+size)
 	}
 }
 
@@ -179,29 +183,6 @@ func stageHasParams(st *plan.Stage) bool {
 		}
 	}
 	return false
-}
-
-// exprGo renders a bound scalar expression with offsets baked in.
-func exprGo(e plan.Expr, schema *types.Schema) string {
-	switch v := e.(type) {
-	case *plan.ColExpr:
-		c := schema.Column(v.Col)
-		return readField(c.Kind, schema.Offset(v.Col), c.Size)
-	case *plan.ConstExpr:
-		return litGo(v.D)
-	case *plan.ArithExpr:
-		l, r := exprGo(v.L, schema), exprGo(v.R, schema)
-		if v.Kind() == types.Float {
-			if v.L.Kind() != types.Float {
-				l = "float64(" + l + ")"
-			}
-			if v.R.Kind() != types.Float {
-				r = "float64(" + r + ")"
-			}
-		}
-		return fmt.Sprintf("(%s %c %s)", l, v.Op, r)
-	}
-	return "/* unsupported */ 0"
 }
 
 // emitStageFunc renders the staging template: the page/tuple scan loops of
@@ -249,16 +230,16 @@ func emitStageFunc(w *sourceWriter, name string, st *plan.Stage, inSchema *types
 		}
 	}
 	if keyCol >= 0 {
-		w.line("if !keys.Has(%s) { continue } // join-key filter: no tuple of the first-staged input has this key", keyWordGo(inSchema, keyCol))
+		w.line("if !keys.Has(%s) { continue } // join-key filter: no tuple of the first-staged input has this key", keyWordGo("tuple", inSchema, keyCol))
 	}
 	w.line("dst := out.Alloc(%d)", st.Schema.TupleSize())
 	for i, c := range st.Cols {
 		dstOff := st.Schema.Offset(i)
 		if c.Compute != nil {
 			if c.Kind == types.Float {
-				w.line("runtime.PutFloat64(dst, %d, %s)", dstOff, exprGoInput(c.Compute, inSchema))
+				w.line("runtime.PutFloat64(dst, %d, %s)", dstOff, exprGo(c.Compute, inSchema))
 			} else {
-				w.line("runtime.PutInt64(dst, %d, %s)", dstOff, exprGoInput(c.Compute, inSchema))
+				w.line("runtime.PutInt64(dst, %d, %s)", dstOff, exprGo(c.Compute, inSchema))
 			}
 			continue
 		}
@@ -286,14 +267,16 @@ func stageInputSchema(p *plan.Plan, st *plan.Stage) *types.Schema {
 	return p.Joins[st.Input.Join].Schema
 }
 
-func exprGoInput(e plan.Expr, inSchema *types.Schema) string {
+// exprGo renders a computed column's expression over the stage's input
+// tuple, offsets baked in.
+func exprGo(e plan.Expr, inSchema *types.Schema) string {
 	switch v := e.(type) {
 	case *plan.ColExpr:
-		return readFieldStage(v, inSchema)
+		return readField(v.K, inSchema.Offset(v.Col), 8)
 	case *plan.ConstExpr:
 		return litGo(v.D)
 	case *plan.ArithExpr:
-		l, r := exprGoInput(v.L, inSchema), exprGoInput(v.R, inSchema)
+		l, r := exprGo(v.L, inSchema), exprGo(v.R, inSchema)
 		if v.Kind() == types.Float {
 			if v.L.Kind() != types.Float {
 				l = "float64(" + l + ")"
@@ -305,14 +288,6 @@ func exprGoInput(e plan.Expr, inSchema *types.Schema) string {
 		return fmt.Sprintf("(%s %c %s)", l, v.Op, r)
 	}
 	return "0"
-}
-
-func readFieldStage(v *plan.ColExpr, inSchema *types.Schema) string {
-	off := inSchema.Offset(v.Col)
-	if v.K == types.Float {
-		return fmt.Sprintf("runtime.Float64At(tuple, %d)", off)
-	}
-	return fmt.Sprintf("runtime.Int64At(tuple, %d)", off)
 }
 
 func stageActionComment(st *plan.Stage) string {
@@ -336,19 +311,13 @@ func emitRouting(w *sourceWriter, st *plan.Stage) {
 	// Group-less aggregates stage an empty tuple into a single
 	// partition; there is no key to route on, so the emitted code
 	// appends directly.
-	if st.PartitionKey >= st.Schema.NumColumns() {
+	switch {
+	case st.PartitionKey >= st.Schema.NumColumns() || st.Action != plan.StagePartitionFine && st.Action != plan.StagePartitionCoarse:
 		w.line("out.Append(dst)")
-		return
-	}
-	switch st.Action {
-	case plan.StagePartitionFine:
-		off := st.Schema.Offset(st.PartitionKey)
-		w.line("out.RouteFine(dst, runtime.Int64At(dst, %d)) // binary search in value directory", off)
-	case plan.StagePartitionCoarse:
-		off := st.Schema.Offset(st.PartitionKey)
-		w.line("out.Route(dst, int(runtime.Hash(runtime.Int64At(dst, %d)) & %d))", off, st.Partitions-1)
+	case st.Action == plan.StagePartitionFine:
+		w.line("out.RouteFine(dst, %s) // value directory probe", keyWordGo("dst", st.Schema, st.PartitionKey))
 	default:
-		w.line("out.Append(dst)")
+		w.line("out.Route(dst, int(runtime.Hash(%s) & %d))", keyWordGo("dst", st.Schema, st.PartitionKey), st.Partitions-1)
 	}
 }
 
@@ -421,9 +390,7 @@ func emitJoinFunc(w *sourceWriter, name string, ji int, j *plan.Join) {
 	// Key comparisons: every input against input 0 (the equivalence
 	// class guarantees transitivity).
 	for i := 1; i < len(j.Inputs); i++ {
-		off0 := j.Inputs[0].Schema.Offset(j.Keys[0])
-		offI := j.Inputs[i].Schema.Offset(j.Keys[i])
-		w.line("if runtime.Int64At(tuple0, %d) != runtime.Int64At(tuple%d, %d) {", off0, i, offI)
+		w.line("if %s != %s {", keyWordGo("tuple0", j.Inputs[0].Schema, j.Keys[0]), keyWordGo(fmt.Sprint("tuple", i), j.Inputs[i].Schema, j.Keys[i]))
 		w.in()
 		if j.Alg == plan.MergeJoin || j.Alg == plan.HybridJoin {
 			w.line("runtime.UpdateMergeBounds() // advance/backtrack loop bounds (condition variable)")
@@ -462,11 +429,8 @@ func emitJoinFunc(w *sourceWriter, name string, ji int, j *plan.Join) {
 
 func partitionCount(j *plan.Join) int {
 	for i := range j.Inputs {
-		switch j.Inputs[i].Action {
-		case plan.StagePartitionCoarse:
-			return j.Inputs[i].Partitions
-		case plan.StagePartitionFine:
-			return len(j.Inputs[i].FineValues)
+		if st := &j.Inputs[i]; st.Action == plan.StagePartitionCoarse || st.Action == plan.StagePartitionFine {
+			return maxPartitions(st)
 		}
 	}
 	return 1
@@ -494,13 +458,7 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 		// COUNT(*)-only aggregations fold entirely into counts; declaring
 		// the per-aggregate arrays anyway would leave aggs unused and the
 		// unit would not compile.
-		hasValueAggs := false
-		for _, spec := range a.Aggs {
-			if !spec.Star {
-				hasValueAggs = true
-			}
-		}
-		if hasValueAggs {
+		if slices.ContainsFunc(a.Aggs, func(spec plan.AggSpec) bool { return !spec.Star }) {
 			w.line("var aggs [%d][%d]float64 // one flat array per aggregate (Fig. 4)", len(a.Aggs), s)
 		}
 		w.line("var counts [%d]int64", s)
@@ -513,9 +471,8 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 		w.line("tuple := page.Data[t*%d : (t+1)*%d]", width, width)
 		terms := make([]string, len(a.GroupCols))
 		for i, gc := range a.GroupCols {
-			off := a.Input.Schema.Offset(gc)
-			w.line("g%d := runtime.DirLookup%d(runtime.Int64At(tuple, %d)) // binary search, directory %d",
-				i, i, off, i)
+			w.line("g%d := runtime.DirLookup%d(%s) // value directory %d probe",
+				i, i, keyWordGo("tuple", a.Input.Schema, gc), i)
 			if strides[i] == 1 {
 				terms[i] = fmt.Sprintf("g%d", i)
 			} else {
@@ -528,20 +485,18 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 			if spec.Star {
 				continue
 			}
-			off := a.Input.Schema.Offset(spec.Col)
+			kind := a.Input.Schema.Column(spec.Col).Kind
+			v := readField(kind, a.Input.Schema.Offset(spec.Col), 8)
 			switch spec.Func {
 			case sql.AggSum, sql.AggAvg:
-				expr := readField(a.Input.Schema.Column(spec.Col).Kind, off, 8)
-				if a.Input.Schema.Column(spec.Col).Kind != types.Float {
-					expr = "float64(" + expr + ")"
+				if kind != types.Float {
+					v = "float64(" + v + ")"
 				}
-				w.line("aggs[%d][slot] += %s", i, expr)
+				w.line("aggs[%d][slot] += %s", i, v)
 			case sql.AggMin:
-				w.line("if v := %s; float64(v) < aggs[%d][slot] { aggs[%d][slot] = float64(v) }",
-					readField(a.Input.Schema.Column(spec.Col).Kind, off, 8), i, i)
+				w.line("if v := %s; float64(v) < aggs[%d][slot] { aggs[%d][slot] = float64(v) }", v, i, i)
 			case sql.AggMax:
-				w.line("if v := %s; float64(v) > aggs[%d][slot] { aggs[%d][slot] = float64(v) }",
-					readField(a.Input.Schema.Column(spec.Col).Kind, off, 8), i, i)
+				w.line("if v := %s; float64(v) > aggs[%d][slot] { aggs[%d][slot] = float64(v) }", v, i, i)
 			case sql.AggCount:
 				w.line("aggs[%d][slot]++", i)
 			}
@@ -680,7 +635,7 @@ func emitComposer(w *sourceWriter, p *plan.Plan, calls []string) {
 			w.line("stageJoin%dInput%d(db.Input(%q)%s%s, s%d_%d)", ji, i, j.Inputs[i].Input, bindArg(&j.Inputs[i]), keys, ji, i)
 			if k == 0 && slices.Max(keyCols) >= 0 {
 				w.line("keys%d := runtime.NewKeyFilter(s%d_%d, func(tuple []byte) uint64 { return %s }, %d) // its staged join keys",
-					ji, ji, i, keyWordGo(j.Inputs[i].Schema, j.Keys[i]), core.MaxKeyFilterBits)
+					ji, ji, i, keyWordGo("tuple", j.Inputs[i].Schema, j.Keys[i]), core.MaxKeyFilterBits)
 			}
 		}
 		args := make([]string, len(j.Inputs))

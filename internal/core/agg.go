@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"slices"
+	"sort"
 
 	"hique/internal/btree"
 	"hique/internal/plan"
@@ -256,10 +257,10 @@ type GroupProbe struct {
 // one: the sum of the directory indexes of t's grouping values times
 // their strides, or -1 when a value is outside its directory (stale
 // statistics; the tuple is skipped).
-func Locate(probes []GroupProbe, t []byte) int32 {
-	var g, one [1]int32
+func Locate(sc *Scratch, probes []GroupProbe, t []byte) int32 {
+	var g [1]int32
 	for i := range probes {
-		probes[i].Dir.Probe(t, 0, probes[i].Off, one[:], g[:], probes[i].Stride)
+		probes[i].Dir.Probe(sc, t, 0, probes[i].Off, sc.One(), g[:], probes[i].Stride)
 	}
 	return g[0]
 }
@@ -292,8 +293,7 @@ type AggProgram struct {
 // CompileAgg compiles the descriptor over in, the schema of the tuples
 // its input stage reads, which a fold reads. at resolves the staged
 // columns the tuple-at-a-time updates and probes read; nil means the
-// staged tuple itself. The result is nil when a grouping attribute's
-// kind has no directory form.
+// staged tuple itself.
 func CompileAgg(a *plan.Agg, in *types.Schema, at ColumnAt) *AggProgram {
 	staged := a.Input.Schema
 	if at == nil {
@@ -312,13 +312,9 @@ func CompileAgg(a *plan.Agg, in *types.Schema, at ColumnAt) *AggProgram {
 		p.Probes = make([]GroupProbe, len(a.GroupCols))
 		p.NGroups = 1
 		for i := len(a.GroupCols) - 1; i >= 0; i-- {
-			c := staged.Column(a.GroupCols[i])
-			dir := DirProbe(c.Kind, c.Size, a.Directories[i])
-			if dir == nil {
-				return nil
-			}
 			// A grouping column is a plain copy (the planner stages
 			// columns, not expressions, to group on).
+			dir := CompileDir(staged.Column(a.GroupCols[i]), a.Directories[i])
 			pr := GroupProbe{Dir: dir, In: in.Offset(a.Input.Cols[a.GroupCols[i]].Source), Stride: int32(p.NGroups)}
 			pr.Src, pr.Off = at(a.GroupCols[i])
 			p.Probes[i] = pr
@@ -498,7 +494,7 @@ func (p *AggProgram) FoldBatch(acc *Accum, sc *Scratch, data []byte, w int, sel 
 	clear(g)
 	for i := range p.Probes {
 		pr := &p.Probes[i]
-		pr.Dir.Probe(data, w, pr.In, sel, g, pr.Stride)
+		pr.Dir.Probe(sc, data, w, pr.In, sel, g, pr.Stride)
 	}
 	if len(p.Probes) > 0 {
 		k := 0
@@ -523,54 +519,52 @@ func (p *AggProgram) FoldBatch(acc *Accum, sc *Scratch, data []byte, w int, sel 
 }
 
 // Dir is a value directory compiled for lookup (the paper's
-// value-partition map, §V-B): a sorted, distinct list of values, probed
-// by offset when it is a dense Int/Date range, by table when it is
-// CHAR(1), and by binary search otherwise.
+// value-partition map, §V-B): the sorted, distinct directory values in
+// the encoding of the column probed (Key), in one of two forms, neither
+// of which knows the column's kind. A one-word key whose values span few
+// codes, once the encoding's always-zero low bits are shifted out (a
+// CHAR(n < 8) word has 64−8n of them), probes a rank table: a code less
+// the smallest, shifted, indexes the value's directory index. Every other
+// key — a Float, a sparse Int, a CHAR of any width — binary-searches the
+// values' fixed-width word tuples.
 type Dir struct {
-	dense bool // ints is the range lo, lo+1, ..., lo+n-1
-	lo, n int64
-	ints  []int64
-	char1 *[256]int32 // CHAR(1): each byte's index
-	strs  []string
-	size  int // CHAR width
+	key   Key // the probed column's, at offset 0
+	lo    uint64
+	shift uint
+	rank  []int32  // the rank table, each index plus one (0: a gap); nil for the search form
+	vals  []uint64 // the search form's word tuples, ascending
+	idx   []int32  // the directory index of each word tuple
 }
 
-// DirProbe compiles the lookup of a key of the given kind and width
-// against a sorted, distinct value directory: a fine partition route
-// drops a tuple whose key is absent (it cannot join), map aggregation
-// skips it. An empty directory misses everything. The result is nil
-// when the kind has no directory form.
-func DirProbe(kind types.Kind, size int, dir []types.Datum) *Dir {
-	d := &Dir{size: size}
-	switch kind {
-	case types.Int, types.Date:
-		d.ints = make([]int64, len(dir))
-		for i, v := range dir {
-			d.ints[i] = v.I
+// CompileDir compiles the lookup of column c against a sorted, distinct
+// value directory: a fine partition route drops a tuple whose key is
+// absent (it cannot join), map aggregation skips it. Each value is
+// encoded as the column stores it; one the column cannot hold (a CHAR
+// value wider than it) no probe can equal, and is left out. An empty
+// directory misses everything.
+func CompileDir(c types.Column, dir []types.Datum) *Dir {
+	s := types.NewSchema(c)
+	d := &Dir{key: CompileKey(s, []int{0})}
+	t := make([]byte, s.TupleSize())
+	for i, v := range dir {
+		if s.PutDatum(t, 0, v); types.Compare(s.GetDatum(t, 0), v) != 0 {
+			continue
 		}
-		// Dense contiguous domains (surrogate keys) probe by offset; the
-		// directory is sorted and distinct, so span == n-1 proves it, and
-		// the offset is the index the search would find.
-		n := int64(len(d.ints))
-		d.dense = n > 0 && d.ints[n-1]-d.ints[0] == n-1
-		if d.dense {
-			d.lo, d.n = d.ints[0], n
+		for k := range d.key.words {
+			d.vals = append(d.vals, d.key.words[k].at(t))
 		}
-	case types.String:
-		d.strs = make([]string, len(dir))
-		for i, v := range dir {
-			d.strs[i] = v.S
+		d.idx = append(d.idx, int32(i))
+	}
+	if len(d.idx) == 0 || len(d.key.words) != 1 {
+		return d
+	}
+	d.shift = uint(64 - 8*d.key.words[0].n)
+	if span := (d.vals[len(d.vals)-1] - d.vals[0]) >> d.shift; span < uint64(4*len(d.idx)+256) {
+		d.lo, d.rank = d.vals[0], make([]int32, span+1)
+		for i, x := range d.vals {
+			d.rank[(x-d.lo)>>d.shift] = d.idx[i] + 1
 		}
-		if size == 1 {
-			// CHAR(1) is a dense domain: the byte indexes a table of the
-			// indexes the search would find.
-			d.char1 = new([256]int32)
-			for b := range d.char1 {
-				d.char1[b] = search(d.strs, types.GetString([]byte{byte(b)}, 0, 1))
-			}
-		}
-	default:
-		return nil
+		d.vals, d.idx = nil, nil
 	}
 	return d
 }
@@ -579,44 +573,50 @@ func DirProbe(kind types.Kind, size int, dir []types.Datum) *Dir {
 // times the directory index of the key at off in each tuple of data
 // (width w) that sel selects to that tuple's group slot g[j] — the
 // Figure 4 offset formula, one attribute at a time — and sets the slot
-// to -1, for good, when the key is absent.
-func (d *Dir) Probe(data []byte, w, off int, sel, g []int32, stride int32) {
+// to -1, for good, when the key is absent. The keys' words are read in
+// one batch (Key.readBatch). A code below the rank table's smallest wraps
+// past the table's end, so one bound test covers both sides.
+func (d *Dir) Probe(sc *Scratch, data []byte, w, off int, sel, g []int32, stride int32) {
 	g = g[:len(sel)]
-	switch {
-	case d.dense:
-		for j, k := range sel {
-			v := types.GetInt(data, int(k)*w+off) - d.lo
-			di := int32(v)
-			if uint64(v) >= uint64(d.n) {
-				di = -1
+	x := d.key.readBatch(sc, batch{data: data, w: w, off: off, sel: sel})
+	if rank, lo, shift := d.rank, d.lo, d.shift; rank != nil {
+		for j, v := range x[:len(g)] {
+			r, di := (v-lo)>>shift, int32(-1)
+			if r < uint64(len(rank)) {
+				di = rank[r] - 1
 			}
 			g[j] = place(g[j], di, stride)
 		}
-	case d.char1 != nil:
-		for j, k := range sel {
-			g[j] = place(g[j], d.char1[data[int(k)*w+off]], stride)
-		}
-	case d.strs != nil:
-		for j, k := range sel {
-			g[j] = place(g[j], search(d.strs, types.GetString(data, int(k)*w+off, d.size)), stride)
-		}
-	default:
-		for j, k := range sel {
-			g[j] = place(g[j], search(d.ints, types.GetInt(data, int(k)*w+off)), stride)
+		return
+	}
+	for j := range g {
+		g[j] = place(g[j], d.search(x, len(g), j), stride)
+	}
+}
+
+// search is the directory index of tuple j's key, word i of which is
+// x[i*n+j], or -1: a binary search over the values' word tuples.
+func (d *Dir) search(x []uint64, n, j int) int32 {
+	h := sort.Search(len(d.idx), func(h int) bool { return d.cmp(h, x, n, j) >= 0 })
+	if h < len(d.idx) && d.cmp(h, x, n, j) == 0 {
+		return d.idx[h]
+	}
+	return -1
+}
+
+// cmp three-way compares value h's words with tuple j's key.
+func (d *Dir) cmp(h int, x []uint64, n, j int) int {
+	nw := len(d.key.words)
+	for i, v := range d.vals[h*nw : h*nw+nw] {
+		if c := cmp.Compare(v, x[i*n+j]); c != 0 {
+			return c
 		}
 	}
+	return 0
 }
 
 // place adds directory index di times stride to group slot s: -1 when
 // either is -1.
 func place(s, di, stride int32) int32 {
 	return (s + di*stride) | (s|di)>>31
-}
-
-// search is the index of v in the sorted, distinct vals, or -1.
-func search[T int64 | string](vals []T, v T) int32 {
-	if i, ok := slices.BinarySearch(vals, v); ok {
-		return int32(i)
-	}
-	return -1
 }

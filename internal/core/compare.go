@@ -14,12 +14,16 @@
 // a sort's, a join's, a group's, ORDER BY's — compiles into one
 // order-preserving encoding of fixed-width words (Key), and every ordered
 // comparison compares those words: the stable radix sort, the merge
-// walk, the stream-group boundary and the join-key filter alike. They run
-// page at a time: one loop per predicate, expression node, grouping
-// attribute and aggregate over a page's selection vector, so the
-// dispatch between them is paid per page, not per tuple. The paper's C
-// is tuple-at-a-time because gcc inlines its templates; Go cannot inline
-// a closure composed at run time (vector.go, DESIGN.md §1).
+// walk, the stream-group boundary and the join-key filter alike. The
+// value directories of map aggregation and fine partitioning (Dir) are
+// built from their values' words and probe a batch's words, and the
+// coarse route hashes them, so no lookup or route branches on a
+// column's kind. The kernels run page at a time: one loop per predicate,
+// expression node, grouping attribute and aggregate over a page's
+// selection vector, so the dispatch between them is paid per page, not
+// per tuple. The paper's C is tuple-at-a-time because gcc inlines its
+// templates; Go cannot inline a closure composed at run time (vector.go,
+// DESIGN.md §1).
 package core
 
 import (

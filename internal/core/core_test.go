@@ -546,37 +546,15 @@ func TestFineRouterNilVersusEmptyDirectory(t *testing.T) {
 		t.Error("nil value directory: want an error")
 	}
 	st.FineValues = []types.Datum{}
-	route, n, err := stageRouter(st)
+	r, n, err := stageRouter(st)
 	if err != nil || n != 0 {
 		t.Fatalf("empty value directory: partitions = %d, err = %v", n, err)
 	}
 	tuple := make([]byte, schema.TupleSize())
 	types.PutInt(tuple, 0, 3)
-	if p := route(tuple); p != -1 {
-		t.Errorf("empty value directory routed a tuple to %d", p)
-	}
-}
-
-// TestDirProbeDenseChar1 pins the CHAR(1) table form against the search
-// it replaces: the index the binary search would return, -1 for a byte
-// outside the directory and for every byte of an empty directory.
-func TestDirProbeDenseChar1(t *testing.T) {
-	dirs := [][]types.Datum{
-		{},
-		{types.StringDatum("A"), types.StringDatum("N"), types.StringDatum("R")},
-		{types.StringDatum(""), types.StringDatum("F"), types.StringDatum("O")},
-	}
-	for _, dir := range dirs {
-		dense := DirProbe(types.String, 1, dir)
-		// The same directory over a CHAR(2) column takes the search lane.
-		search := DirProbe(types.String, 2, dir)
-		tuple := make([]byte, 4)
-		for b := 0; b < 256; b++ {
-			tuple[2] = byte(b)
-			got := Locate([]GroupProbe{{Dir: dense, Off: 2, Stride: 1}}, tuple)
-			if want := Locate([]GroupProbe{{Dir: search, Off: 2, Stride: 1}}, tuple); got != want {
-				t.Fatalf("directory %v byte %d: dense form = %d, search = %d", dir, b, got, want)
-			}
-		}
+	sc := GetScratch()
+	defer sc.Put()
+	if p := r.route(sc, tuple, len(tuple), 1); p[0] != -1 {
+		t.Errorf("empty value directory routed a tuple to %d", p[0])
 	}
 }

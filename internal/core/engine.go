@@ -103,9 +103,6 @@ func runAgg(p *plan.Plan, joinOut []*storage.Table) (*storage.Table, int, error)
 		return nil, 0, err
 	}
 	prog := CompileAgg(a, in.Schema(), nil)
-	if prog == nil {
-		return nil, 0, fmt.Errorf("core: map aggregation over a grouping attribute without a directory form")
-	}
 	out := storage.NewTable("agg", a.Schema)
 	if !mapped {
 		sg, _, err := stage(&a.Input, in, tree)
@@ -168,7 +165,7 @@ func stage(st *plan.Stage, in *storage.Table, tree *btree.Tree) (*staged, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	if s.Route == nil && st.IsIdentity(in.Schema()) {
+	if s.Router == nil && st.IsIdentity(in.Schema()) {
 		return &staged{s: s, flat: Flatten(in), rows: in.NumRows()}, in.NumRows(), nil
 	}
 	// The arena lives for this one operator: size it from the estimate,

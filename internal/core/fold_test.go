@@ -94,12 +94,12 @@ func refProjector(in *types.Schema, cols []plan.OutputColumn, out *types.Schema)
 	}
 }
 
-// refDirProbe is the per-tuple directory lookup: a linear search.
-func refDirProbe(kind types.Kind, off, size int, dir []types.Datum) func(t []byte) int32 {
+// refDirProbe is the per-tuple directory lookup of column col: a linear
+// search for the value types.Compare calls equal.
+func refDirProbe(s *types.Schema, col int, dir []types.Datum) func(t []byte) int32 {
 	return func(t []byte) int32 {
 		for i, d := range dir {
-			if kind == types.String && types.GetString(t, off, size) == d.S ||
-				kind != types.String && types.GetInt(t, off) == d.I {
+			if types.Compare(s.GetDatum(t, col), d) == 0 {
 				return int32(i)
 			}
 		}
@@ -122,8 +122,7 @@ func newRefFolder(a *plan.Agg, in *types.Schema) *refFolder {
 	stride := int32(1)
 	r.probes, r.strides = make([]func([]byte) int32, len(a.GroupCols)), make([]int32, len(a.GroupCols))
 	for i := len(a.GroupCols) - 1; i >= 0; i-- {
-		c := st.Column(a.GroupCols[i])
-		r.probes[i] = refDirProbe(c.Kind, st.Offset(a.GroupCols[i]), c.Size, a.Directories[i])
+		r.probes[i] = refDirProbe(st, a.GroupCols[i], a.Directories[i])
 		r.strides[i] = stride
 		stride *= int32(len(a.Directories[i]))
 	}
@@ -208,17 +207,21 @@ func (r *refFolder) fold(acc *Accum, data []byte, w int, sel []int32) int {
 }
 
 // foldSchema is the fold tests' input: a dense, a sparse and a value Int
-// column, a Date, CHAR(1) and CHAR(3) columns, and two Floats.
+// column, a Date, CHAR(1) and CHAR(3) columns, two Floats, and a Float and
+// a CHAR(16) grouping column.
 var foldSchema = types.NewSchema(
 	types.Col("k", types.Int), types.Col("sp", types.Int), types.Col("d", types.Date),
 	types.CharCol("f", 1), types.CharCol("s", 3), types.Col("x", types.Float),
-	types.Col("y", types.Int), types.Col("z", types.Float))
+	types.Col("y", types.Int), types.Col("z", types.Float),
+	types.Col("fg", types.Float), types.CharCol("l", 16))
 
 var (
 	sparseVals = []int64{-7, 3, 100, 1 << 40} // the last is in no directory
 	dateVals   = []int64{9000, 9001, 9500, 12000}
 	char1Vals  = []string{"A", "N", "R", "X", ""}
 	charNVals  = []string{"ab", "abc", "b", "zz", ""}
+	floatVals  = []float64{math.Inf(-1), -2.5, math.Copysign(0, -1), 0, 1.5, 3.25, math.Inf(1)} // 3.25 is in no directory
+	char16Vals = []string{"", "alpha", "alphabet-soup-16", "alphabet-soup-1x", "beta", "zz"}    // "alphabet-soup-1x" is in none
 )
 
 // foldTable fills a table of n rows from rng; every grouping column
@@ -234,7 +237,9 @@ func foldTable(rng *rand.Rand, n int) *storage.Table {
 			types.StringDatum(charNVals[rng.Intn(len(charNVals))]),
 			types.FloatDatum(math.Ldexp(rng.Float64()-0.5, rng.Intn(80)-20)),
 			types.IntDatum(rng.Int63n(1<<40)-1<<39),
-			types.FloatDatum(float64(rng.Intn(2001)-1000)/10))
+			types.FloatDatum(float64(rng.Intn(2001)-1000)/10),
+			types.FloatDatum(floatVals[rng.Intn(len(floatVals))]),
+			types.StringDatum(char16Vals[rng.Intn(len(char16Vals))]))
 	}
 	return t
 }
@@ -246,6 +251,8 @@ var foldDirs = [][]types.Datum{
 	2: {types.DateDatum(9000), types.DateDatum(9001), types.DateDatum(12000)},
 	3: {types.StringDatum(""), types.StringDatum("A"), types.StringDatum("N"), types.StringDatum("R")},
 	4: {types.StringDatum("ab"), types.StringDatum("abc"), types.StringDatum("b")},
+	8: {types.FloatDatum(math.Inf(-1)), types.FloatDatum(-2.5), types.FloatDatum(0), types.FloatDatum(1.5), types.FloatDatum(math.Inf(1))},
+	9: {types.StringDatum(""), types.StringDatum("alpha"), types.StringDatum("alphabet-soup-16"), types.StringDatum("beta"), types.StringDatum("zz")},
 }
 
 func col(i int) plan.Expr {
@@ -330,8 +337,9 @@ func everyAgg() []foldArg {
 }
 
 // foldCases are the grouping layouts: none, each column kind alone —
-// dense Int, sparse Int, Date, CHAR(1), CHAR(3) — and combinations.
-var foldCases = [][]int{{}, {0}, {1}, {2}, {3}, {4}, {3, 0}, {4, 2, 1}, {0, 1, 2, 3, 4}}
+// dense Int, sparse Int, Date, CHAR(1), CHAR(3), Float, CHAR(16) — and
+// combinations.
+var foldCases = [][]int{{}, {0}, {1}, {2}, {3}, {4}, {8}, {9}, {3, 0}, {4, 2, 1}, {9, 8, 3}, {0, 1, 2, 3, 4}}
 
 // selections yields the selection vectors a page of n tuples is folded
 // with: the full page, a random subset, none, and each single tuple's.
@@ -355,9 +363,6 @@ func selections(rng *rand.Rand, n int) [][]int32 {
 func checkFold(t *testing.T, rng *rand.Rand, tab *storage.Table, a *plan.Agg) {
 	t.Helper()
 	prog := CompileAgg(a, foldSchema, nil)
-	if prog == nil {
-		t.Fatal("no directory form")
-	}
 	ref := newRefFolder(a, foldSchema)
 	var got, want, single Accum
 	got.Reset(prog.NGroups, prog.NAggs)
@@ -376,7 +381,7 @@ func checkFold(t *testing.T, rng *rand.Rand, tab *storage.Table, a *plan.Agg) {
 			n := ref.fold(&want, pg.Data(), w, sel)
 			for _, k := range sel {
 				stage.Project(sc, pg.Data()[int(k)*w:], w, sc.One(), staged)
-				if g := Locate(prog.Probes, staged); g >= 0 {
+				if g := Locate(sc, prog.Probes, staged); g >= 0 {
 					single.Add(prog.Updates, int(g), staged)
 				}
 			}

@@ -83,7 +83,9 @@ func checkKeyFilter(t *testing.T, build, probes []int64) {
 		data = append(data, tup...)
 		sel[i] = int32(i)
 	}
-	got := f.Refine(sel, data, 16, &keyCol)
+	sc := GetScratch()
+	defer sc.Put()
+	got := f.Refine(sc, sel, data, 16, &keyCol)
 	var want []int32
 	for i, k := range ks {
 		if set[k] {

@@ -38,9 +38,10 @@ func Flatten(t *storage.Table) [][]byte {
 // join-key filter all read the same words.
 type Key struct{ words []keyWord }
 
-// keyWord is one word of a key: the column's bytes at off — n of them
-// for a CHAR word — read as enc says, then xored with flip. An Int word's
-// flip includes the sign bit, so its read is one load and one xor.
+// keyWord is one word of a key: the column's n bytes at off — eight, but
+// for a CHAR column's last word — read as enc says, then xored with flip.
+// An Int word's flip includes the sign bit, so its read is one load and
+// one xor.
 type keyWord struct {
 	off, n int
 	enc    uint8
@@ -84,14 +85,14 @@ func (k *Key) add(schema *types.Schema, col int, desc bool) {
 			k.words = append(k.words, keyWord{off: off + b, n: min(8, c.Size-b), enc: encChar, flip: flip})
 		}
 	case types.Float:
-		k.words = append(k.words, keyWord{off: off, enc: encFloat, flip: flip})
+		k.words = append(k.words, keyWord{off: off, n: 8, enc: encFloat, flip: flip})
 	default:
-		k.words = append(k.words, keyWord{off: off, enc: encInt, flip: flip ^ 1<<63})
+		k.words = append(k.words, keyWord{off: off, n: 8, enc: encInt, flip: flip ^ 1<<63})
 	}
 }
 
 // Words reports how many words the key encodes to.
-func (k *Key) Words() int { return len(k.words) }
+func (k Key) Words() int { return len(k.words) }
 
 // at reads the word of tuple t (or of the tuple t starts with). An Int
 // word is one load and one xor, inlined into the caller's loop; other
@@ -105,20 +106,94 @@ func (w *keyWord) at(t []byte) uint64 {
 
 // read reads a Float or CHAR word.
 func (w *keyWord) read(t []byte) uint64 {
-	var x uint64
-	switch o := w.off; {
-	case w.enc == encFloat:
-		x = floatWord(types.GetFloat(t, o))
-	case o+8 <= len(t):
-		// Eight bytes, those past the column masked off.
-		x = binary.BigEndian.Uint64(t[o:o+8]) &^ (1<<(64-8*w.n) - 1)
-	default:
-		for _, b := range t[o : o+w.n] {
-			x = x<<8 | uint64(b)
-		}
-		x <<= 64 - 8*w.n
+	x := load(t, w.off)
+	if w.enc == encFloat {
+		return floatWord(math.Float64frombits(x)) ^ w.flip
 	}
-	return x ^ w.flip
+	return charWord(x, w.n) ^ w.flip
+}
+
+// batch is the tuples the word reader reads: refs[j], or — refs nil —
+// the w-byte tuple sel[j] of data; every word is read off bytes further
+// into its tuple than the key says.
+type batch struct {
+	refs   [][]byte
+	data   []byte
+	w, off int
+	sel    []int32
+}
+
+// readBatch reads the key's words of a batch of n tuples into the scratch,
+// word-major — word i of tuple j at [i*n+j] — valid until the next call.
+// It is the one reader of key words in bulk: directory probes, routes,
+// the join-key filter and the radix sort's extraction all go through it.
+func (k *Key) readBatch(sc *Scratch, b batch) []uint64 {
+	n := len(b.refs) + len(b.sel) // one of them is empty
+	x := Grown(sc.words, len(k.words)*n)
+	sc.words = x
+	for i := range k.words {
+		k.words[i].fill(x[i*n:(i+1)*n], b)
+	}
+	return x
+}
+
+// fill reads the word of each of len(x) tuples of b into x: one loop
+// loads each tuple's bytes — an Int word decoded on the way, a CHAR(1)
+// word's byte alone — and a second decodes a Float or CHAR word.
+func (w *keyWord) fill(x []uint64, b batch) {
+	o, data, tw, flip := w.off+b.off, b.data, b.w, w.flip
+	if w.enc != encInt {
+		flip = 0 // the decode loop applies it
+	}
+	switch {
+	case b.refs != nil:
+		for j, t := range b.refs[:len(x)] {
+			x[j] = load(t, o) ^ flip
+		}
+	case w.n == 1: // a CHAR(1) word: its byte alone loads faster than eight
+		for j, k := range b.sel[:len(x)] {
+			x[j] = uint64(data[int(k)*tw+o])<<56 ^ w.flip
+		}
+		return
+	default:
+		for j, k := range b.sel[:len(x)] {
+			x[j] = load(data, int(k)*tw+o) ^ flip
+		}
+	}
+	if w.enc != encInt {
+		w.decode(x)
+	}
+}
+
+// load is the eight bytes of t at o, little-endian, zeros standing in
+// for bytes past t's end (a CHAR column's last word, ending a tuple).
+func load(t []byte, o int) uint64 {
+	if o+8 <= len(t) {
+		return binary.LittleEndian.Uint64(t[o:])
+	}
+	var b [8]byte
+	copy(b[:], t[o:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// decode turns loaded Float or CHAR words into their encoding in place.
+func (w *keyWord) decode(x []uint64) {
+	flip, n := w.flip, w.n // locals: the stores to x could alias w
+	if w.enc == encFloat {
+		for i := range x {
+			x[i] = floatWord(math.Float64frombits(x[i])) ^ flip
+		}
+		return
+	}
+	for i := range x {
+		x[i] = charWord(x[i], n) ^ flip
+	}
+}
+
+// charWord is the encoding of a loaded CHAR word of n bytes: its bytes
+// reversed into big-endian order, those past the column masked off.
+func charWord(x uint64, n int) uint64 {
+	return bits.ReverseBytes64(x) &^ (1<<(64-8*n) - 1)
 }
 
 // floatWord is a float's order key as an unsigned word, -0 folded into +0.
@@ -206,23 +281,22 @@ func (k *Key) sortFrom(sc *Scratch, tuples [][]byte, w int) {
 	}
 }
 
-// radixSort stably sorts n >= 2 tuples on one word of their key. One pass
-// reads every word into the scratch, for its range, and returns at once
-// when the words already ascend. Otherwise each word, less the minimum,
-// is packed above its index into one uint64 — or, when the two need more
-// than 64 bits, carried beside it — and an LSD radix sort over the word's
-// bits orders them. Packed, the index bits need no pass: the values start
-// in index order and every pass is stable, so ties keep their input
-// order. The indexes then permute the references in place.
+// radixSort stably sorts n >= 2 tuples on one word of their key. The
+// word reader fills every word into the scratch, and one pass takes their
+// range, returning at once when the words already ascend. Otherwise each
+// word, less the minimum, is packed above its index into one uint64 — or,
+// when the two need more than 64 bits, carried beside it — and an LSD
+// radix sort over the word's bits orders them. Packed, the index bits
+// need no pass: the values start in index order and every pass is
+// stable, so ties keep their input order. The indexes then permute the
+// references in place.
 func radixSort(sc *Scratch, tuples [][]byte, word *keyWord) {
 	n := len(tuples)
 	if cap(sc.keys) < 2*n {
 		sc.keys = make([]uint64, 2*n)
 	}
 	keys := sc.keys[:n]
-	for i, t := range tuples {
-		keys[i] = word.at(t)
-	}
+	word.fill(keys, batch{refs: tuples})
 	lo, hi, inversions := keys[0], keys[0], 0
 	for i := 1; i < n; i++ {
 		x := keys[i]
@@ -330,12 +404,12 @@ type KeyFilter struct {
 // MaxKeyFilterBits or more. An empty arena builds the empty filter, which
 // drops every key.
 func (f *KeyFilter) Build(a *Arena, w int, key *Key) bool {
-	word := &key.words[0]
-	data := a.Data[:a.Rows*w]
+	sc := GetScratch()
+	defer sc.Put()
+	x := key.readBatch(sc, batch{data: a.Data, w: w, sel: sc.seq(a.Rows)})
 	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for o := 0; o < len(data); o += w {
-		x := word.at(data[o:])
-		lo, hi = min(lo, x), max(hi, x)
+	for _, v := range x {
+		lo, hi = min(lo, v), max(hi, v)
 	}
 	// One less than the count of values in [lo, hi], so it cannot
 	// overflow; an empty arena leaves it 1 and sets no bit. The bitmap ends
@@ -348,8 +422,8 @@ func (f *KeyFilter) Build(a *Arena, w int, key *Key) bool {
 	f.lo, f.top = lo, uint64(words)<<6-1
 	f.bits = slices.Grow(f.bits[:0], words)[:words]
 	clear(f.bits)
-	for o := 0; o < len(data); o += w {
-		d := word.at(data[o:]) - lo
+	for _, v := range x {
+		d := v - lo
 		f.bits[d>>6] |= 1 << (d & 63)
 	}
 	return true
@@ -368,11 +442,11 @@ func (f *KeyFilter) Has(x uint64) bool {
 
 // Refine compacts the selection vector sel over a page of w-byte tuples to
 // the tuples whose one-word key is in the filter, keeping their order.
-func (f *KeyFilter) Refine(sel []int32, data []byte, w int, key *Key) []int32 {
-	word, k := &key.words[0], 0
-	for _, i := range sel {
+func (f *KeyFilter) Refine(sc *Scratch, sel []int32, data []byte, w int, key *Key) []int32 {
+	x, k := key.readBatch(sc, batch{data: data, w: w, sel: sel}), 0
+	for j, i := range sel {
 		sel[k] = i
-		k += b2i(f.Has(word.at(data[int(i)*w:])))
+		k += b2i(f.Has(x[j]))
 	}
 	return sel[:k]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"hique/internal/btree"
@@ -46,18 +47,20 @@ func (a *Arena) Slots(n, w int) []byte {
 	return a.Data[off : off+n*w : off+n*w]
 }
 
-// Keep commits the n tuples Slots reserved last, recording each one's
-// partition under route (nil when the stage does not partition) — or
-// dropping it again when its route is negative: a key outside the fine
-// directory cannot join. The kept tuples stay in order.
-func (a *Arena) Keep(n, w int, route func(t []byte) int32) {
-	if route == nil {
+// Keep commits the n tuples Slots reserved last. Under a route r (nil
+// when the stage does not partition) it routes them as one batch and
+// records each one's partition — or drops it again when the fine route
+// finds its key outside the directory: it cannot join. The kept tuples
+// stay in order.
+func (a *Arena) Keep(sc *Scratch, n, w int, r *Router) {
+	if r == nil {
 		a.Rows += n
 		return
 	}
 	end := len(a.Data) - n*w
-	for o := end; n > 0; o, n = o+w, n-1 { // by count: tuples may be zero-width
-		if p := route(a.Data[o : o+w : o+w]); p >= 0 {
+	for j, p := range r.route(sc, a.Data[end:], w, n) {
+		if p >= 0 {
+			o := len(a.Data) - (n-j)*w
 			end += copy(a.Data[end:end+w], a.Data[o:o+w])
 			a.PartIdx = append(a.PartIdx, p)
 			a.Rows++
@@ -89,12 +92,10 @@ type Stager struct {
 	Width   int // staged tuple width
 	InWidth int // input tuple width
 
-	// Route maps a staged tuple to one of Parts partitions: hash-and-modulo
-	// for coarse partitioning, the value-directory probe for fine (-1
-	// drops the tuple). nil, with Parts 0, when the stage does not
-	// partition.
-	Route func(t []byte) int32
-	Parts int
+	// Router sends staged tuples to Parts partitions (Arena.Keep); nil,
+	// with Parts 0, when the stage does not partition.
+	Router *Router
+	Parts  int
 
 	// sort orders the staged output (StageSort) or, for a stage that sorts
 	// its partitions, each partition; it has no words otherwise.
@@ -124,7 +125,7 @@ func CompileStage(st *plan.Stage, in *types.Schema) (*Stager, error) {
 		s.sort = CompileKey(st.Schema, st.SortKeys)
 	case plan.StagePartitionFine, plan.StagePartitionCoarse:
 		var err error
-		if s.Route, s.Parts, err = stageRouter(st); err != nil {
+		if s.Router, s.Parts, err = stageRouter(st); err != nil {
 			return nil, err
 		}
 		if st.SortPartitions {
@@ -145,7 +146,7 @@ func (s *Stager) Stage(sc *Scratch, a *Arena, tup []byte, params []types.Datum) 
 		return
 	}
 	s.Project(sc, tup, len(tup), sc.One(), a.Slots(1, s.Width))
-	a.Keep(1, s.Width, s.Route)
+	a.Keep(sc, 1, s.Width, s.Router)
 }
 
 // StagePages is the full-scan staging loop over pages [lo, hi) of t:
@@ -174,12 +175,12 @@ func (s *Stager) StagePages(a *Arena, t *storage.Table, lo, hi int, params []typ
 		sel := sc.Select(s.Preds, data, n, inW, params)
 		if kf != nil {
 			m := len(sel)
-			sel = kf.Refine(sel, data, inW, &s.FilterKey)
+			sel = kf.Refine(sc, sel, data, inW, &s.FilterKey)
 			tally.Dropped += m - len(sel)
 		}
 		if len(sel) > 0 {
 			s.Project(sc, data, inW, sel, a.Slots(len(sel), w))
-			a.Keep(len(sel), w, s.Route)
+			a.Keep(sc, len(sel), w, s.Router)
 		}
 	}
 	return tally
@@ -245,12 +246,14 @@ func (s *Stager) sortEach(parts [][][]byte) {
 }
 
 // Scratch is the pooled working memory of the page kernels: a page
-// loop's selection vector, the registers of a vector program and the
-// group slots of a fold, and a radix sort's key words. One pool serves
-// them all, so none allocates once warm.
+// loop's selection vector, the registers of a vector program, the group
+// slots of a fold (or a route's partitions), a batch's key words, and a
+// radix sort's. One pool serves them all, so none allocates once warm.
 type Scratch struct {
-	sel  []int32
-	keys []uint64 // a radix sort's words and their ping-pong copy, then any indexes
+	sel   []int32
+	iota  []int32  // the selection 0, 1, 2, ... of tuples read in a row
+	words []uint64 // the key words Key.readBatch read
+	keys  []uint64 // a radix sort's words and their ping-pong copy, then any indexes
 
 	// fr and ir hold a vector program's float and int registers, n
 	// values each; g is a fold's group-slot vector.
@@ -267,17 +270,30 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // Put returns the scratch to the pool; the caller must not use it after.
-// A scratch a sort grew past maxPooledScratch goes to the collector
-// instead: pooled memory is live memory, held once per P.
+// A scratch a sort or a large batch of key words grew past
+// MaxPooledScratch goes to the collector instead.
 func (sc *Scratch) Put() {
-	if 8*cap(sc.keys) <= maxPooledScratch {
+	if 8*(cap(sc.keys)+cap(sc.words))+4*cap(sc.iota) <= MaxPooledScratch {
 		scratchPool.Put(sc)
 	}
 }
 
-// maxPooledScratch is the largest sort scratch the pool keeps, the fused
-// join's bound on its own pooled scratch.
-const maxPooledScratch = 4 << 20
+// MaxPooledScratch bounds the memory a pooled scratch — this package's,
+// or the fused join's staging scratch — may keep alive: pooled memory is
+// live memory, held once per P. A serving-size execution stays
+// allocation-free; an analytic-size one (28 MB of staging for TPC-H Q3 at
+// SF 0.1) goes back to the collector instead, since kept in every P's
+// pool slot it doubles through GC pacing into resident memory
+// (tpch_analytic peak_rss_mb 243 → 335 when pooled).
+const MaxPooledScratch = 4 << 20
+
+// seq returns the selection of tuples 0 to n-1.
+func (sc *Scratch) seq(n int) []int32 {
+	for i := len(sc.iota); i < n; i++ {
+		sc.iota = append(sc.iota, int32(i))
+	}
+	return sc.iota[:n]
+}
 
 // One returns the selection of a batch of one, for kernels that only
 // read their selection. It lives in the scratch, so a call through a
@@ -381,67 +397,74 @@ func (b *Buckets) Bucket(a *Arena, w, m int) [][][]byte {
 // zero partitions, every tuple dropped — when the join inputs' key
 // domains are disjoint; it is nil only when the planner chose fine
 // partitioning over a key domain the catalogue never tracked.
-func stageRouter(st *plan.Stage) (func(tuple []byte) int32, int, error) {
+func stageRouter(st *plan.Stage) (*Router, int, error) {
 	if st.Action == plan.StagePartitionCoarse {
 		if st.Partitions <= 0 {
 			return nil, 0, fmt.Errorf("core: coarse partitioning with %d partitions", st.Partitions)
 		}
-		return CoarseRouter(st.Schema, st.PartitionKey, st.Partitions), st.Partitions, nil
+		// A group-less aggregate stages an empty tuple with no
+		// partitioning key: it, and a single partition, route everything
+		// to partition 0 without hashing.
+		if st.PartitionKey >= st.Schema.NumColumns() || st.Partitions == 1 {
+			return &Router{}, st.Partitions, nil
+		}
+		key := CompileKey(types.NewSchema(st.Schema.Column(st.PartitionKey)), []int{0})
+		return &Router{key: key, off: st.Schema.Offset(st.PartitionKey), mask: uint64(st.Partitions - 1)}, st.Partitions, nil
 	}
 	if st.FineValues == nil {
 		return nil, 0, fmt.Errorf("core: fine partitioning without a value directory")
 	}
-	col := st.Schema.Column(st.PartitionKey)
-	dir := DirProbe(col.Kind, col.Size, st.FineValues)
-	if dir == nil {
-		return nil, 0, fmt.Errorf("core: fine partitioning on %v column", col.Kind)
-	}
-	probe := []GroupProbe{{Dir: dir, Off: st.Schema.Offset(st.PartitionKey), Stride: 1}}
-	return func(t []byte) int32 { return Locate(probe, t) }, len(st.FineValues), nil
+	return &Router{dir: CompileDir(st.Schema.Column(st.PartitionKey), st.FineValues), off: st.Schema.Offset(st.PartitionKey)}, len(st.FineValues), nil
 }
 
-// CoarseRouter maps a tuple to one of m partitions by hash-and-modulo
-// (§V-B, coarse-grained partitioning). m must be a power of two. A
-// group-less aggregate stages an empty tuple with no partitioning key;
-// it, and a single partition, route everything to partition 0 without
-// hashing.
-func CoarseRouter(schema *types.Schema, key, m int) func(tuple []byte) int32 {
-	if key >= schema.NumColumns() || m <= 1 {
-		return func([]byte) int32 { return 0 }
-	}
-	col := schema.Column(key)
-	off := schema.Offset(key)
-	mask := uint64(m - 1)
-	if col.Kind == types.String {
-		// Without its zero padding, so equal values route alike whatever
-		// the column's width.
-		end := off + col.Size
-		return func(t []byte) int32 {
-			e := end
-			for e > off && t[e-1] == 0 {
-				e--
+// Router sends staged tuples to partitions, a batch at a time (§V-B):
+// the fine route is the batch's probe of the value directory dir; the
+// coarse one hashes the key's words into mask+1 partitions, a power of
+// two (mask 0: all to partition 0). off is the partition key's offset in
+// the staged tuple.
+type Router struct {
+	dir  *Dir
+	key  Key // the coarse partition key, at offset 0
+	off  int
+	mask uint64
+}
+
+// route returns the partitions of the n w-byte tuples of data in the
+// scratch's slot vector, -1 for a tuple the fine route drops. The coarse
+// hash folds the key's nonzero words through HashInt, so a CHAR's zero
+// padding words never count: equal CHAR values of different widths route
+// alike, as do -0 and +0, whose words are equal. An Int or Date word is
+// hashed with its sign flip undone, which keeps the partitions of a hash
+// of the value; any other word with its bytes reversed, so that the low
+// bits the multiplicative hash mixes into the partition carry a CHAR's
+// leading bytes and a Float's sign and exponent.
+func (r *Router) route(sc *Scratch, data []byte, w, n int) []int32 {
+	g := Grown(sc.g, n)
+	sc.g = g
+	clear(g)
+	if r.dir != nil {
+		r.dir.Probe(sc, data, w, r.off, sc.seq(n), g, 1)
+	} else if r.mask != 0 {
+		x := r.key.readBatch(sc, batch{data: data, w: w, off: r.off, sel: sc.seq(n)})
+		for j := range g {
+			h := uint64(0)
+			for i := range r.key.words {
+				v := bits.ReverseBytes64(x[i*n+j])
+				if r.key.words[i].enc == encInt {
+					v = x[i*n+j] ^ 1<<63
+				}
+				if v != 0 {
+					h = HashInt(int64(h ^ v))
+				}
 			}
-			return int32(HashBytes(t[off:e]) & mask)
+			g[j] = int32(h & r.mask)
 		}
 	}
-	// Int, Date, and Float by its bits: -0 and +0 differ in the sign bit
-	// alone, which HashInt leaves in bits 63 and 34, past any mask, so
-	// they route alike.
-	return func(t []byte) int32 { return int32(HashInt(types.GetInt(t, off)) & mask) }
+	return g
 }
 
 // HashInt is a Fibonacci multiplicative hash over a 64-bit key.
 func HashInt(v int64) uint64 {
 	x := uint64(v) * 0x9E3779B97F4A7C15
 	return x ^ (x >> 29)
-}
-
-// HashBytes is FNV-1a over the key bytes.
-func HashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

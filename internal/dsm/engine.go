@@ -293,10 +293,17 @@ func (e *Engine) runAgg(a *plan.Agg, resolve func(plan.InputRef) (*colTable, err
 	// Pass 1: assign group ids.
 	gids := make([]int32, in.rows)
 	var nGroups int
-	if len(a.GroupCols) == 1 && in.cols[a.GroupCols[0]].kind != types.String {
+	// Numeric group columns are keyed as join keys are (column.keys), so
+	// -0 and +0 fall into one group.
+	keys := make([][]int64, len(a.GroupCols))
+	for k, g := range a.GroupCols {
+		if in.cols[g].kind != types.String {
+			keys[k] = in.cols[g].keys()
+		}
+	}
+	if len(a.GroupCols) == 1 && keys[0] != nil {
 		m := make(map[int64]int32, 1024)
-		col := in.cols[a.GroupCols[0]]
-		for i, v := range col.ints {
+		for i, v := range keys[0] {
 			id, ok := m[v]
 			if !ok {
 				id = int32(len(m))
@@ -310,15 +317,11 @@ func (e *Engine) runAgg(a *plan.Agg, resolve func(plan.InputRef) (*colTable, err
 		keyBuf := make([]byte, 0, 64)
 		for i := 0; i < in.rows; i++ {
 			keyBuf = keyBuf[:0]
-			for _, g := range a.GroupCols {
-				col := in.cols[g]
-				switch col.kind {
-				case types.String:
-					keyBuf = append(keyBuf, col.strs[i]...)
-				case types.Float:
-					keyBuf = appendFloatKey(keyBuf, col.fls[i])
-				default:
-					keyBuf = appendIntKey(keyBuf, col.ints[i])
+			for k, g := range a.GroupCols {
+				if keys[k] != nil {
+					keyBuf = appendIntKey(keyBuf, keys[k][i])
+				} else {
+					keyBuf = append(keyBuf, in.cols[g].strs[i]...)
 				}
 				keyBuf = append(keyBuf, 0)
 			}
@@ -364,10 +367,6 @@ func appendIntKey(b []byte, v int64) []byte {
 		b = append(b, byte(v>>(8*i)))
 	}
 	return b
-}
-
-func appendFloatKey(b []byte, v float64) []byte {
-	return appendIntKey(b, int64(math.Float64bits(v)))
 }
 
 // aggregateColumn computes one aggregate as an array pass over the input

@@ -213,6 +213,10 @@ var corpus = []string{
 	// A float join key: -0 joins +0.
 	"SELECT fv, gw FROM fa, fb WHERE fa.fk = fb.gk",
 	"SELECT COUNT(*) AS n, SUM(gw) AS s FROM fa, fb WHERE fa.fk = fb.gk AND fv < 300",
+	// A float grouping column: -0 and +0 are one group, alone and beside
+	// a second column.
+	"SELECT fk, COUNT(*) AS n, SUM(fv) AS s FROM fa GROUP BY fk ORDER BY fk",
+	"SELECT fk, gk, COUNT(*) AS n, MIN(fv) AS lo FROM fa, fb WHERE fa.fv = fb.gw GROUP BY fk, gk ORDER BY fk, gk",
 	// COUNT is the one aggregate a CHAR argument may feed.
 	"SELECT grp, COUNT(tag) AS n FROM ev GROUP BY grp ORDER BY grp",
 	// The Q1 shape: CHAR and Int grouping columns through the value

@@ -280,17 +280,20 @@ func (b *builder) groupColumnDistinct(rel *relation, pos int, g *sql.ColRef) flo
 // chooseAggAlgorithm applies §V-B's selection rule: map aggregation when
 // the value directories plus aggregate arrays fit comfortably in L2, sort
 // aggregation when the input already carries the right order, hybrid
-// hash-sort otherwise.
+// hash-sort otherwise. A forced algorithm applies unless it is map
+// aggregation over a grouping attribute the catalogue keeps no directory
+// for (a Float): the rule chooses then.
 func (b *builder) chooseAggAlgorithm(agg *Agg, st *Stage, rel *relation, groupRelPos []int) {
-	if b.opts.ForceAggAlg != nil {
-		agg.Alg = *b.opts.ForceAggAlg
-		if agg.Alg == MapAggregation {
-			if dirs, _, ok := b.aggDirectories(rel); ok {
+	if f := b.opts.ForceAggAlg; f != nil {
+		dirs, _, ok := b.aggDirectories(rel)
+		if *f != MapAggregation || ok || len(agg.GroupCols) == 0 {
+			agg.Alg = *f
+			if agg.Alg == MapAggregation {
 				agg.Directories = dirs
 			}
+			b.configureAggStaging(agg, st)
+			return
 		}
-		b.configureAggStaging(agg, st)
-		return
 	}
 
 	// Map aggregation requires value directories for every grouping

@@ -10,6 +10,8 @@ import (
 
 	"hique"
 	"hique/internal/dsm"
+	"hique/internal/plan"
+	"hique/internal/storage"
 )
 
 // postStmt posts a parameterized statement and decodes whichever body
@@ -90,15 +92,24 @@ func TestDMLEndpoint(t *testing.T) {
 	}
 }
 
+// panicEngine is the column-store engine, except that a statement with an
+// aggregation panics inside Execute.
+type panicEngine struct{ hique.Engine }
+
+func (e panicEngine) Execute(p *plan.Plan) (*storage.Table, error) {
+	if p.Agg != nil {
+		panic("panicEngine: aggregation")
+	}
+	return e.Engine.Execute(p)
+}
+
 // TestPanicStatementReturns422AndServerSurvives is the crash-proofing
 // regression test: a statement that drives the engine into a panic
 // answers 422 and the same server then answers a normal query — the
 // process does not exit, the worker pool does not leak a slot, and the
 // table locks release.
 func TestPanicStatementReturns422AndServerSurvives(t *testing.T) {
-	// The column-store engine's aggregation path panics on Float grouping
-	// columns (no value directory, index out of range in the comparator).
-	db := hique.Open(hique.WithEngine(dsm.NewEngine()))
+	db := hique.Open(hique.WithEngine(panicEngine{dsm.NewEngine()}))
 	if err := db.CreateTable("items", hique.Int("id"), hique.Float("price")); err != nil {
 		t.Fatal(err)
 	}

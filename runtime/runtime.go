@@ -121,8 +121,8 @@ func (t *Table) Truncate(n int) {
 type Staging struct {
 	parts  []*Table
 	width  int
-	fine   []int64 // value directory for RouteFine
-	starts []int   // page index base per partition, for StartPage/EndPage
+	fine   []uint64 // value directory for RouteFine
+	starts []int    // page index base per partition, for StartPage/EndPage
 }
 
 // NewStaging returns a staging area with the given partition count.
@@ -160,9 +160,9 @@ func (s *Staging) Append(dst []byte) { s.part(0, len(dst)).append(dst) }
 // Route commits dst into the given hash partition.
 func (s *Staging) Route(dst []byte, part int) { s.part(part, len(dst)).append(dst) }
 
-// RouteFine commits dst into the partition its key maps to through the
-// value directory (reference: first-fit growth).
-func (s *Staging) RouteFine(dst []byte, key int64) {
+// RouteFine commits dst into the partition its key word maps to through
+// the value directory (reference: first-fit growth).
+func (s *Staging) RouteFine(dst []byte, key uint64) {
 	for i, v := range s.fine {
 		if v == key {
 			s.part(i%len(s.parts), len(dst)).append(dst)
@@ -421,9 +421,9 @@ func CmpBytes[B []byte | string](a []byte, b B) int {
 	return 0
 }
 
-// Hash is the partition hash of the generated Route calls
-// (Fibonacci-style multiplicative hash; masked by the caller).
-func Hash(v int64) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
+// Hash is the partition hash of the generated Route calls over a key
+// word (Fibonacci-style multiplicative hash; masked by the caller).
+func Hash(w uint64) uint64 { return w * 0x9e3779b97f4a7c15 }
 
 // UpdateMergeBounds is the merge join's advance/backtrack step (the
 // paper's condition-variable loop bounds). The reference ABI keeps it a
@@ -431,17 +431,17 @@ func Hash(v int64) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
 // tightening, just slower.
 func UpdateMergeBounds() {}
 
-// DirLookupN binary-searches group directory N for a key, returning its
+// DirLookupN probes group directory N for a key word, returning its
 // ordinal. The directories are query-constant; the reference ABI
 // resolves them as identity buckets.
-func DirLookup0(v int64) int { return int(v) }
-func DirLookup1(v int64) int { return int(v) }
-func DirLookup2(v int64) int { return int(v) }
-func DirLookup3(v int64) int { return int(v) }
-func DirLookup4(v int64) int { return int(v) }
-func DirLookup5(v int64) int { return int(v) }
-func DirLookup6(v int64) int { return int(v) }
-func DirLookup7(v int64) int { return int(v) }
+func DirLookup0(w uint64) int { return int(w) }
+func DirLookup1(w uint64) int { return int(w) }
+func DirLookup2(w uint64) int { return int(w) }
+func DirLookup3(w uint64) int { return int(w) }
+func DirLookup4(w uint64) int { return int(w) }
+func DirLookup5(w uint64) int { return int(w) }
+func DirLookup6(w uint64) int { return int(w) }
+func DirLookup7(w uint64) int { return int(w) }
 
 // EmitGroups materialises the flat map-aggregation arrays into out, one
 // row per non-empty slot.
