@@ -115,10 +115,11 @@ func benchCatalogAndPlan(b *testing.B, query string) *plan.Plan {
 	return p
 }
 
-// BenchmarkQ1Holistic times TPC-H Q1 on the holistic engine.
+// BenchmarkQ1Holistic times TPC-H Q1 on the holistic engine: the
+// generated code, each execution generating the plan and running it.
 func BenchmarkQ1Holistic(b *testing.B) {
 	p := benchCatalogAndPlan(b, tpch.Q1)
-	eng := core.NewEngine()
+	eng := codegen.Executor{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(p); err != nil {
@@ -140,10 +141,11 @@ func BenchmarkQ1GenericIterators(b *testing.B) {
 	}
 }
 
-// BenchmarkQ3Holistic times TPC-H Q3 on the holistic engine.
+// BenchmarkQ3Holistic times TPC-H Q3 on the holistic engine: the
+// generated code, each execution generating the plan and running it.
 func BenchmarkQ3Holistic(b *testing.B) {
 	p := benchCatalogAndPlan(b, tpch.Q3)
-	eng := core.NewEngine()
+	eng := codegen.Executor{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Execute(p); err != nil {

@@ -32,10 +32,17 @@ type ColumnStats struct {
 	Min, Max int64
 	// IntValues holds the sorted distinct values of an Int/Date column
 	// when there are at most MaxDirectoryValues of them; nil otherwise.
+	// A write's settle edits it in place: plans read a column's directory
+	// through TableEntry.Directory, never through these slices.
 	IntValues []int64
 	// StrValues is the analogous directory for String columns.
 	StrValues []string
 }
+
+// DirectoryLen is the size of the column's value directory, 0 when the
+// catalogue keeps none: what the planner's rules read, without a
+// snapshot.
+func (cs *ColumnStats) DirectoryLen() int { return len(cs.IntValues) + len(cs.StrValues) }
 
 // TableStats summarises a table.
 type TableStats struct {
@@ -55,6 +62,14 @@ type TableEntry struct {
 	// counts holds every column's value counts from the table's first
 	// write on (nil before); the write hooks keep Stats current from them.
 	counts []colCounts
+
+	// dirs holds each column's directory snapshot, nil until Directory
+	// builds it after the directory last changed; gens counts each
+	// directory's changes. dirMu guards both: planners build snapshots
+	// holding only the reader lock.
+	dirMu sync.Mutex
+	dirs  []*Directory
+	gens  []uint64
 
 	// id is a process-unique identifier assigned at registration. Every
 	// code path that locks more than one entry acquires the locks in
@@ -427,34 +442,38 @@ func floatKey(v float64) uint64 {
 
 // settle derives cs from the counts: the distinct count, the value
 // directory and, for Int/Date columns, the bounds. cs holds what the last
-// settle derived (the zero value on a from-scratch build).
-func (c *colCounts) settle(cs *ColumnStats) {
+// settle derived (the zero value on a from-scratch build). It reports
+// whether the directory may have gained or lost a value.
+func (c *colCounts) settle(cs *ColumnStats) (changed bool) {
 	if !c.dirty {
-		return
+		return false
 	}
 	cs.DistinctValues = min(len(c.ints)+len(c.floats)+len(c.strs)+c.nans, maxExactDistinct)
 	switch c.kind {
 	case types.Int, types.Date:
-		cs.IntValues = settleDir(cs.IntValues, c.ints, c.touchedI, c.rebuild)
+		cs.IntValues, changed = settleDir(cs.IntValues, c.ints, c.touchedI, c.rebuild)
 		if c.lost {
 			c.min, c.max = bounds(cs.IntValues, c.ints)
 		}
 		cs.Min, cs.Max = c.min, c.max
 	case types.String:
-		cs.StrValues = settleDir(cs.StrValues, c.strs, c.touchedS, c.rebuild)
+		cs.StrValues, changed = settleDir(cs.StrValues, c.strs, c.touchedS, c.rebuild)
 	}
 	c.touchedI, c.touchedS = c.touchedI[:0], c.touchedS[:0]
 	c.rebuild, c.lost, c.dirty = false, false, false
+	return changed
 }
 
 // settleDir returns the sorted distinct keys of counts — nil when there
 // are none or more than MaxDirectoryValues — given dir, the directory the
 // last settle derived, and touched, every value whose count crossed zero
 // since. Unless rebuild is set (or dir is nil) only the touched values
-// move: those with no rows left are dropped, the new ones merged in.
-func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bool) []T {
+// move, in place: those with no rows left are dropped, the new ones
+// merged in. It reports whether the directory changed; a rebuild counts
+// as a change.
+func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bool) ([]T, bool) {
 	if len(counts) == 0 || len(counts) > MaxDirectoryValues {
-		return nil
+		return nil, dir != nil
 	}
 	if dir == nil || rebuild {
 		keys := make([]T, 0, len(counts))
@@ -462,10 +481,10 @@ func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bo
 			keys = append(keys, v)
 		}
 		slices.Sort(keys)
-		return keys
+		return keys, true
 	}
 	if len(touched) == 0 {
-		return dir
+		return dir, false
 	}
 	slices.Sort(touched)
 	touched = slices.Compact(touched)
@@ -484,6 +503,7 @@ func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bo
 		dir[w] = v
 		w++
 	}
+	dropped := w < len(dir)
 	dir = dir[:w]
 	// Add: the touched values present but not yet in the directory, merged
 	// from the back so values past the current end cost nothing more.
@@ -506,7 +526,7 @@ func settleDir[T cmp.Ordered](dir []T, counts map[T]int, touched []T, rebuild bo
 			j--
 		}
 	}
-	return dir
+	return dir, dropped || len(add) > 0
 }
 
 // bounds returns the least and greatest key, 0 and 0 when there is none.
@@ -587,17 +607,24 @@ func (e *TableEntry) Recount() {
 	e.Stats = ComputeStats(e.Table)
 	e.Table.Rewrite(0)
 	e.Table.Settle()
+	for i := range e.Stats.Columns {
+		e.dirChanged(i)
+	}
 }
 
 // Wrote ends a mutating statement on e, whose writer lock the caller
 // holds: it derives e's statistics from the counts the statement's hooks
-// adjusted, recomputes the bounds of the pages from the lowest one the
-// statement touched (storage.Table.Settle), and bumps the table's version
-// once, so every cached plan built from the old statistics invalidates.
+// adjusted (a directory that gained or lost a value drops its snapshot
+// and moves to a new generation), recomputes the bounds of the pages
+// from the lowest one the statement touched (storage.Table.Settle), and
+// bumps the table's version once, so every cached plan built from the
+// old statistics invalidates.
 func (c *Catalog) Wrote(e *TableEntry) {
 	e.Stats.Rows = e.Table.NumRows()
 	for i := range e.counts {
-		e.counts[i].settle(&e.Stats.Columns[i])
+		if e.counts[i].settle(&e.Stats.Columns[i]) {
+			e.dirChanged(i)
+		}
 	}
 	e.Table.Settle()
 	c.BumpTableVersion(e.Table.Name())

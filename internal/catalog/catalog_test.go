@@ -205,11 +205,21 @@ func (d statsDriver) update(match func(tuple []byte) bool, col int, v types.Datu
 }
 
 // check asserts the maintained statistics equal ComputeStats over the
-// heap (reflect.DeepEqual: directories' nil-versus-empty included).
+// heap (reflect.DeepEqual: directories' nil-versus-empty included), and
+// that every column's directory snapshot holds the directory's values:
+// a snapshot taken here survives to the next check only if no write in
+// between changed the directory.
 func (d statsDriver) check(step string) {
 	d.t.Helper()
 	if err := d.c.CheckStats(); err != nil {
 		d.t.Fatalf("%s: %v", step, err)
+	}
+	for ci := range d.e.Stats.Columns {
+		cs, snap := &d.e.Stats.Columns[ci], d.e.Directory(ci)
+		if snap == nil && cs.DirectoryLen() > 0 ||
+			snap != nil && (!slices.Equal(snap.Ints, cs.IntValues) || !slices.Equal(snap.Strs, cs.StrValues)) {
+			d.t.Fatalf("%s: column %d's snapshot %v differs from its directory", step, ci, snap)
+		}
 	}
 }
 

@@ -165,7 +165,15 @@ func TestMapAggregationSourceHasOffsetFormula(t *testing.T) {
 	if !strings.Contains(src, "offset formula") {
 		t.Error("map aggregation source missing offset formula comment")
 	}
-	if !strings.Contains(src, "DirLookup") {
+	if !strings.Contains(src, "runtime.DirIndex(dir0, ") || !strings.Contains(src, "if g1 < 0 { continue }") {
 		t.Error("map aggregation source missing directory lookups")
+	}
+	// Each directory is emitted as data: one key word per value.
+	for i, d := range p.Agg.Directories {
+		_, rest, ok := strings.Cut(src, fmt.Sprintf("dir%d := []uint64{", i))
+		words, _, _ := strings.Cut(rest, "}")
+		if n := len(strings.Split(words, ", ")); !ok || n != d.Len() {
+			t.Errorf("directory %d: emitted %d words, want %d", i, n, d.Len())
+		}
 	}
 }

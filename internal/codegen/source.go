@@ -42,6 +42,7 @@ import (
 	"slices"
 	"strings"
 
+	"hique/internal/catalog"
 	"hique/internal/core"
 	"hique/internal/plan"
 	"hique/internal/sql"
@@ -128,6 +129,19 @@ func keyWordGo(v string, schema *types.Schema, col int) string {
 	c := schema.Column(col)
 	enc := map[types.Kind]string{types.Int: "Int", types.Date: "Int", types.Float: "Float", types.String: "Char"}[c.Kind]
 	return fmt.Sprintf("runtime.%sWord(%s)", enc, fieldIn(v, c.Kind, schema.Offset(col), c.Size))
+}
+
+// dirWordsGo renders a value directory as the key words keyWordGo's
+// probe of column c computes, in directory order.
+func dirWordsGo(c types.Column, d *catalog.Directory) string {
+	var b strings.Builder
+	for i, w := range core.DirWords(c, d) {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%#x", w)
+	}
+	return b.String()
 }
 
 func readField(k types.Kind, off, size int) string { return fieldIn("tuple", k, off, size) }
@@ -295,7 +309,7 @@ func stageActionComment(st *plan.Stage) string {
 	case plan.StageSort:
 		return fmt.Sprintf("sort on columns %v (%s)", st.SortKeys, sortMethod)
 	case plan.StagePartitionFine:
-		return fmt.Sprintf("fine-partition through a %d-entry value directory", len(st.FineValues))
+		return fmt.Sprintf("fine-partition through a %d-entry value directory", st.FineValues.Len())
 	case plan.StagePartitionCoarse:
 		s := fmt.Sprintf("hash-partition into %d partitions", st.Partitions)
 		if st.SortPartitions {
@@ -447,13 +461,14 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 
 	if a.Alg == plan.MapAggregation {
 		for i, d := range a.Directories {
-			w.line("// directory %d: %d distinct values of %s", i, len(d), a.Input.Schema.Column(a.GroupCols[i]).Name)
+			w.line("// directory %d: %d distinct values of %s, as key words", i, d.Len(), a.Input.Schema.Column(a.GroupCols[i]).Name)
+			w.line("dir%d := []uint64{%s}", i, dirWordsGo(a.Input.Schema.Column(a.GroupCols[i]), d))
 		}
 		strides := make([]int, len(a.GroupCols))
 		s := 1
 		for i := len(a.GroupCols) - 1; i >= 0; i-- {
 			strides[i] = s
-			s *= len(a.Directories[i])
+			s *= a.Directories[i].Len()
 		}
 		// COUNT(*)-only aggregations fold entirely into counts; declaring
 		// the per-aggregate arrays anyway would leave aggs unused and the
@@ -471,8 +486,8 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 		w.line("tuple := page.Data[t*%d : (t+1)*%d]", width, width)
 		terms := make([]string, len(a.GroupCols))
 		for i, gc := range a.GroupCols {
-			w.line("g%d := runtime.DirLookup%d(%s) // value directory %d probe",
-				i, i, keyWordGo("tuple", a.Input.Schema, gc), i)
+			w.line("g%d := runtime.DirIndex(dir%d, %s) // value directory %d probe", i, i, keyWordGo("tuple", a.Input.Schema, gc), i)
+			w.line("if g%d < 0 { continue } // absent from the directory: no group", i)
 			if strides[i] == 1 {
 				terms[i] = fmt.Sprintf("g%d", i)
 			} else {
@@ -688,7 +703,7 @@ func maxPartitions(st *plan.Stage) int {
 	case plan.StagePartitionCoarse:
 		return st.Partitions
 	case plan.StagePartitionFine:
-		return len(st.FineValues)
+		return st.FineValues.Len()
 	}
 	return 1
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hique/internal/btree"
+	"hique/internal/catalog"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -314,11 +315,11 @@ func CompileAgg(a *plan.Agg, in *types.Schema, at ColumnAt) *AggProgram {
 		for i := len(a.GroupCols) - 1; i >= 0; i-- {
 			// A grouping column is a plain copy (the planner stages
 			// columns, not expressions, to group on).
-			dir := CompileDir(staged.Column(a.GroupCols[i]), a.Directories[i])
+			dir := DirOf(staged.Column(a.GroupCols[i]), a.Directories[i])
 			pr := GroupProbe{Dir: dir, In: in.Offset(a.Input.Cols[a.GroupCols[i]].Source), Stride: int32(p.NGroups)}
 			pr.Src, pr.Off = at(a.GroupCols[i])
 			p.Probes[i] = pr
-			p.NGroups *= len(a.Directories[i])
+			p.NGroups *= a.Directories[i].Len()
 		}
 	} else {
 		p.group = CompileKey(staged, a.GroupCols)
@@ -362,13 +363,13 @@ func (p *AggProgram) EmitMapGroups(acc *Accum, out *storage.Table, limit int) {
 		if acc.tuples[g] == 0 {
 			continue
 		}
-		// A group column is the directory datum at index g / stride mod
+		// A group column is the directory value at index g / stride mod
 		// the directory's size.
 		dst := out.AppendSlot()
 		for pos, ref := range p.agg.Output {
 			if !ref.IsAgg {
 				dir := p.agg.Directories[ref.Index]
-				p.agg.Schema.PutDatum(dst, pos, dir[g/int(p.Probes[ref.Index].Stride)%len(dir)])
+				p.agg.Schema.PutDatum(dst, pos, dir.Datum(g/int(p.Probes[ref.Index].Stride)%dir.Len()))
 			}
 		}
 		p.emit(acc, g, nil, dst)
@@ -536,18 +537,25 @@ type Dir struct {
 	idx   []int32  // the directory index of each word tuple
 }
 
-// CompileDir compiles the lookup of column c against a sorted, distinct
-// value directory: a fine partition route drops a tuple whose key is
-// absent (it cannot join), map aggregation skips it. Each value is
-// encoded as the column stores it; one the column cannot hold (a CHAR
-// value wider than it) no probe can equal, and is left out. An empty
+// DirOf is the lookup of the value directory snapshot d compiled for
+// column c: a fine partition route drops a tuple whose key is absent (it
+// cannot join), map aggregation skips it. It is compiled on the first
+// probe of d by a column of c's kind and width and kept on the snapshot,
+// so every plan holding d shares it.
+func DirOf(c types.Column, d *catalog.Directory) *Dir {
+	return d.Compiled(c, compileDir).(*Dir)
+}
+
+// compileDir compiles column c's lookup of dir: each value is encoded as
+// the column stores it, and one the column cannot hold (a CHAR value
+// wider than it) no probe can equal, so it is left out. An empty
 // directory misses everything.
-func CompileDir(c types.Column, dir []types.Datum) *Dir {
+func compileDir(c types.Column, dir *catalog.Directory) any {
 	s := types.NewSchema(c)
 	d := &Dir{key: CompileKey(s, []int{0})}
 	t := make([]byte, s.TupleSize())
-	for i, v := range dir {
-		if s.PutDatum(t, 0, v); types.Compare(s.GetDatum(t, 0), v) != 0 {
+	for i := 0; i < dir.Len(); i++ {
+		if !putDirValue(t, c, dir, i) {
 			continue
 		}
 		for k := range d.key.words {
@@ -567,6 +575,36 @@ func CompileDir(c types.Column, dir []types.Datum) *Dir {
 		d.vals, d.idx = nil, nil
 	}
 	return d
+}
+
+// putDirValue writes value i of dir into t, a tuple of column c alone,
+// and reports whether c holds it (c stores a longer CHAR value cut).
+func putDirValue(t []byte, c types.Column, dir *catalog.Directory, i int) bool {
+	switch c.Kind {
+	case types.String:
+		types.PutString(t, 0, c.Size, dir.Strs[i])
+		return len(dir.Strs[i]) <= c.Size
+	case types.Float:
+		types.PutFloat(t, 0, dir.Floats[i])
+	default:
+		types.PutInt(t, 0, dir.Ints[i])
+	}
+	return true
+}
+
+// DirWords is the first key word of each of dir's values as column c
+// encodes it, in directory order: the directory as data for the emitted
+// source's probe (runtime.DirIndex), whose key word of a CHAR column is
+// its first.
+func DirWords(c types.Column, dir *catalog.Directory) []uint64 {
+	s := types.NewSchema(c)
+	k, t := CompileKey(s, []int{0}), make([]byte, s.TupleSize())
+	out := make([]uint64, dir.Len())
+	for i := range out {
+		putDirValue(t, c, dir, i)
+		out[i] = k.words[0].at(t)
+	}
+	return out
 }
 
 // Probe is one grouping attribute's loop over a batch: it adds stride

@@ -545,7 +545,7 @@ func TestFineRouterNilVersusEmptyDirectory(t *testing.T) {
 	if _, _, err := stageRouter(st); err == nil {
 		t.Error("nil value directory: want an error")
 	}
-	st.FineValues = []types.Datum{}
+	st.FineValues = &catalog.Directory{Kind: types.Int}
 	r, n, err := stageRouter(st)
 	if err != nil || n != 0 {
 		t.Fatalf("empty value directory: partitions = %d, err = %v", n, err)

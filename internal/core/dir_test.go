@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"hique/internal/catalog"
 	"hique/internal/plan"
 	"hique/internal/types"
 )
@@ -18,6 +19,28 @@ func refSearch(dir []types.Datum, v types.Datum) int32 {
 		return int32(i)
 	}
 	return -1
+}
+
+// snapshot is a directory snapshot of a column of the given kind,
+// holding dir's values.
+func snapshot(kind types.Kind, dir []types.Datum) *catalog.Directory {
+	d := &catalog.Directory{Kind: kind}
+	for _, v := range dir {
+		switch kind {
+		case types.String:
+			d.Strs = append(d.Strs, v.S)
+		case types.Float:
+			d.Floats = append(d.Floats, v.F)
+		default:
+			d.Ints = append(d.Ints, v.I)
+		}
+	}
+	return d
+}
+
+// compileDatums compiles column c's lookup of the directory dir.
+func compileDatums(c types.Column, dir []types.Datum) *Dir {
+	return DirOf(c, snapshot(c.Kind, dir))
 }
 
 // dirCase is one directory test: a column, its sorted, distinct
@@ -119,7 +142,7 @@ func genDirCase(rng *rand.Rand, kind uint8, n int) dirCase {
 // the oracle.
 func checkDir(t *testing.T, rng *rand.Rand, c dirCase) {
 	t.Helper()
-	d := CompileDir(c.col, c.dir)
+	d := compileDatums(c.col, c.dir)
 	s := types.NewSchema(types.Col("seq", types.Int), c.col)
 	w, off := s.TupleSize(), s.Offset(1)
 	var data []byte
@@ -208,7 +231,7 @@ func TestDirForms(t *testing.T) {
 		{types.CharCol("c", 3), strs("", "AA", "AB"), false},
 		{types.CharCol("c", 16), strs("A", "B"), false},
 	} {
-		if d := CompileDir(c.col, c.dir); (d.rank != nil) != c.rank {
+		if d := compileDatums(c.col, c.dir); (d.rank != nil) != c.rank {
 			t.Errorf("%v(%d) directory %v: rank table %v, want %v", c.col.Kind, c.col.Size, c.dir, d.rank != nil, c.rank)
 		}
 	}
@@ -228,8 +251,9 @@ func TestDirProbeDenseChar1(t *testing.T) {
 	sc := GetScratch()
 	defer sc.Put()
 	for _, dir := range dirs {
-		dense := CompileDir(types.CharCol("c", 1), dir)
-		search := CompileDir(types.CharCol("c", 9), dir)
+		snap := snapshot(types.String, dir)
+		dense := DirOf(types.CharCol("c", 1), snap)
+		search := DirOf(types.CharCol("c", 9), snap)
 		if len(dir) > 0 && dense.rank == nil || search.rank != nil {
 			t.Fatalf("directory %v: CHAR(1) rank table %v, CHAR(9) rank table %v", dir, dense.rank != nil, search.rank != nil)
 		}
@@ -266,7 +290,7 @@ func TestRoutesAgreeAcrossWidths(t *testing.T) {
 	stage := func(c types.Column, fine []types.Datum) *plan.Stage {
 		st := &plan.Stage{Schema: types.NewSchema(types.Col("pad", types.Int), c), PartitionKey: 1}
 		if fine != nil {
-			st.Action, st.FineValues = plan.StagePartitionFine, fine
+			st.Action, st.FineValues = plan.StagePartitionFine, snapshot(c.Kind, fine)
 		} else {
 			st.Action, st.Partitions = plan.StagePartitionCoarse, 64
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hique/internal/catalog"
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
@@ -96,10 +97,10 @@ func refProjector(in *types.Schema, cols []plan.OutputColumn, out *types.Schema)
 
 // refDirProbe is the per-tuple directory lookup of column col: a linear
 // search for the value types.Compare calls equal.
-func refDirProbe(s *types.Schema, col int, dir []types.Datum) func(t []byte) int32 {
+func refDirProbe(s *types.Schema, col int, dir *catalog.Directory) func(t []byte) int32 {
 	return func(t []byte) int32 {
-		for i, d := range dir {
-			if types.Compare(s.GetDatum(t, col), d) == 0 {
+		for i := 0; i < dir.Len(); i++ {
+			if types.Compare(s.GetDatum(t, col), dir.Datum(i)) == 0 {
 				return int32(i)
 			}
 		}
@@ -124,7 +125,7 @@ func newRefFolder(a *plan.Agg, in *types.Schema) *refFolder {
 	for i := len(a.GroupCols) - 1; i >= 0; i-- {
 		r.probes[i] = refDirProbe(st, a.GroupCols[i], a.Directories[i])
 		r.strides[i] = stride
-		stride *= int32(len(a.Directories[i]))
+		stride *= int32(a.Directories[i].Len())
 	}
 	for i := range a.Aggs {
 		spec := &a.Aggs[i]
@@ -301,7 +302,7 @@ func foldAgg(groups []int, args []foldArg) *plan.Agg {
 		a.Input.Cols = append(a.Input.Cols, plan.OutputColumn{Name: c.Name, Source: g, Kind: c.Kind, Size: c.Size})
 		staged, result = append(staged, c), append(result, c)
 		a.GroupCols = append(a.GroupCols, i)
-		a.Directories = append(a.Directories, foldDirs[g])
+		a.Directories = append(a.Directories, snapshot(c.Kind, foldDirs[g]))
 		a.Output = append(a.Output, plan.OutputRef{Index: i})
 	}
 	for i, arg := range args {

@@ -414,7 +414,7 @@ func stageRouter(st *plan.Stage) (*Router, int, error) {
 	if st.FineValues == nil {
 		return nil, 0, fmt.Errorf("core: fine partitioning without a value directory")
 	}
-	return &Router{dir: CompileDir(st.Schema.Column(st.PartitionKey), st.FineValues), off: st.Schema.Offset(st.PartitionKey)}, len(st.FineValues), nil
+	return &Router{dir: DirOf(st.Schema.Column(st.PartitionKey), st.FineValues), off: st.Schema.Offset(st.PartitionKey)}, st.FineValues.Len(), nil
 }
 
 // Router sends staged tuples to partitions, a batch at a time (§V-B):

@@ -788,7 +788,7 @@ func (b *builder) applyJoinStaging(st *Stage, keyPos, ti, keyCol int, alg JoinAl
 	case FinePartitionJoin:
 		st.Action = StagePartitionFine
 		st.PartitionKey = keyPos
-		st.FineValues = b.fineDirectory(ti, keyCol)
+		st.FineValues = b.tables[ti].Entry.Directory(keyCol)
 	case HybridJoin:
 		st.Action = StagePartitionCoarse
 		st.PartitionKey = keyPos
@@ -798,25 +798,6 @@ func (b *builder) applyJoinStaging(st *Stage, keyPos, ti, keyCol int, alg JoinAl
 		// cache-resident (§V-B); the stage records the sort keys so
 		// the join knows what order to establish.
 	}
-}
-
-// fineDirectory returns the sorted distinct values of a base column (the
-// value-partition map of §V-B).
-func (b *builder) fineDirectory(ti, ci int) []types.Datum {
-	cs := &b.tables[ti].Entry.Stats.Columns[ci]
-	kind := b.tables[ti].Entry.Table.Schema().Column(ci).Kind
-	var out []types.Datum
-	switch kind {
-	case types.Int, types.Date:
-		for _, v := range cs.IntValues {
-			out = append(out, types.Datum{Kind: kind, I: v})
-		}
-	case types.String:
-		for _, v := range cs.StrValues {
-			out = append(out, types.StringDatum(v))
-		}
-	}
-	return out
 }
 
 // coarsePartitions sizes M so the largest expected partition fits in half
@@ -897,7 +878,7 @@ func (b *builder) emitBinaryJoin(cur *relation, e joinEdge, est float64) (*relat
 	case FinePartitionJoin:
 		leftStage.Action = StagePartitionFine
 		leftStage.PartitionKey = leftKeyPos
-		leftStage.FineValues = b.fineDirectory(e.rt, e.rc)
+		leftStage.FineValues = b.tables[e.rt].Entry.Directory(e.rc)
 	case HybridJoin:
 		leftStage.Action = StagePartitionCoarse
 		leftStage.PartitionKey = leftKeyPos
@@ -942,9 +923,9 @@ func (b *builder) chooseBinaryAlgorithm(e joinEdge, cur *relation) JoinAlgorithm
 	}
 	// Fine partitioning when the key domain is small enough for a
 	// cache-resident value directory.
-	rightDV := b.tables[e.rt].Entry.Stats.Columns[e.rc].DistinctValues
-	if rightDV > 0 && rightDV <= b.opts.FinePartitionMaxValues &&
-		len(b.fineDirectory(e.rt, e.rc)) == rightDV {
+	right := &b.tables[e.rt].Entry.Stats.Columns[e.rc]
+	if rightDV := right.DistinctValues; rightDV > 0 && rightDV <= b.opts.FinePartitionMaxValues &&
+		right.DirectoryLen() == rightDV {
 		return FinePartitionJoin
 	}
 	// Small inputs: sorting both sides is cheap and the merge's linear
@@ -1004,39 +985,26 @@ func reconcilePartitions(j *Join) {
 // reconcileFineDirectories gives every fine-partitioned input the same
 // value directory: the intersection of the per-input directories. Keys
 // outside the intersection cannot produce join matches, so dropping them
-// during staging is both correct and a free semi-join reduction. Inputs
-// whose key domain the catalogue did not track (a nil directory) do not
-// narrow it. Disjoint domains intersect to an empty, non-nil directory:
-// the executors tell "no row can join" from "no directory was planned".
+// during staging is both correct and a free semi-join reduction. When one
+// directory lies within the others — a key/foreign-key join — it is the
+// intersection, and the plan shares the catalogue's snapshot; only
+// otherwise does the plan get a directory of its own. Inputs whose key
+// domain the catalogue did not track (a nil directory) do not narrow it.
+// Disjoint domains intersect to an empty, non-nil directory: the
+// executors tell "no row can join" from "no directory was planned".
 func reconcileFineDirectories(j *Join) {
 	if j.Alg != FinePartitionJoin {
 		return
 	}
-	var common []types.Datum
+	var common *catalog.Directory
 	for i := range j.Inputs {
-		fv := j.Inputs[i].FineValues
-		if fv == nil {
-			continue
-		}
-		if common == nil {
-			common = fv
-			continue
-		}
-		next := []types.Datum{}
-		a, c := 0, 0
-		for a < len(common) && c < len(fv) {
-			switch cmp := types.Compare(common[a], fv[c]); {
-			case cmp < 0:
-				a++
-			case cmp > 0:
-				c++
-			default:
-				next = append(next, common[a])
-				a++
-				c++
+		if fv := j.Inputs[i].FineValues; fv != nil {
+			if common == nil {
+				common = fv
+			} else {
+				common = common.Meet(fv)
 			}
 		}
-		common = next
 	}
 	for i := range j.Inputs {
 		if j.Inputs[i].Action == StagePartitionFine {

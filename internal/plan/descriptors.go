@@ -147,8 +147,10 @@ type Stage struct {
 	PartitionKey int
 	// Partitions is M, the partition count, for coarse partitioning.
 	Partitions int
-	// FineValues is the sorted value directory for fine partitioning.
-	FineValues []types.Datum
+	// FineValues is the value directory for fine partitioning: the
+	// catalogue's snapshot of the key column's, or the join inputs'
+	// intersection.
+	FineValues *catalog.Directory
 	// SortPartitions requests sorting each partition on SortKeys after
 	// partitioning (the hybrid hash-sort staging of §V-B).
 	SortPartitions bool
@@ -346,8 +348,9 @@ type Agg struct {
 	// Schema is the result schema (select-list shaped).
 	Schema *types.Schema
 	// Directories hold the per-attribute value directories for map
-	// aggregation, parallel to GroupCols (paper Fig. 4).
-	Directories [][]types.Datum
+	// aggregation, parallel to GroupCols (paper Fig. 4): the catalogue's
+	// snapshots of the grouping columns'.
+	Directories []*catalog.Directory
 	// EstGroups is the optimizer's estimate of the group count.
 	EstGroups float64
 }

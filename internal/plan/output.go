@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hique/internal/catalog"
 	"hique/internal/sql"
 	"hique/internal/types"
 )
@@ -284,12 +285,12 @@ func (b *builder) groupColumnDistinct(rel *relation, pos int, g *sql.ColRef) flo
 // aggregation over a grouping attribute the catalogue keeps no directory
 // for (a Float): the rule chooses then.
 func (b *builder) chooseAggAlgorithm(agg *Agg, st *Stage, rel *relation, groupRelPos []int) {
+	cols, dirBytes, product, ok := b.aggDirectories(rel)
 	if f := b.opts.ForceAggAlg; f != nil {
-		dirs, _, ok := b.aggDirectories(rel)
 		if *f != MapAggregation || ok || len(agg.GroupCols) == 0 {
 			agg.Alg = *f
 			if agg.Alg == MapAggregation {
-				agg.Directories = dirs
+				agg.Directories = b.directories(cols)
 			}
 			b.configureAggStaging(agg, st)
 			return
@@ -301,20 +302,15 @@ func (b *builder) chooseAggAlgorithm(agg *Agg, st *Stage, rel *relation, groupRe
 	// table columns with small domains — including through a join, since
 	// a join never widens a column's value domain. The cache rule of
 	// §V-B: directories plus aggregate arrays must fit in the lowest
-	// cache level.
-	if len(agg.GroupCols) > 0 {
-		if dirs, product, ok := b.aggDirectories(rel); ok {
-			dirBytes := 0
-			for _, d := range dirs {
-				dirBytes += len(d) * 16
-			}
-			arrayBytes := product * 8 * float64(len(agg.Aggs)+1)
-			if float64(dirBytes)+arrayBytes <= float64(b.opts.L2CacheBytes)/2 {
-				agg.Alg = MapAggregation
-				agg.Directories = dirs
-				b.configureAggStaging(agg, st)
-				return
-			}
+	// cache level. The rule reads the directories' sizes; only the
+	// chosen plan takes their snapshots.
+	if ok {
+		arrayBytes := product * 8 * float64(len(agg.Aggs)+1)
+		if dirBytes+arrayBytes <= float64(b.opts.L2CacheBytes)/2 {
+			agg.Alg = MapAggregation
+			agg.Directories = b.directories(cols)
+			b.configureAggStaging(agg, st)
+			return
 		}
 	}
 
@@ -338,34 +334,47 @@ func (b *builder) chooseAggAlgorithm(agg *Agg, st *Stage, rel *relation, groupRe
 	b.configureAggStaging(agg, st)
 }
 
-// aggDirectories collects the per-attribute value directories for map
-// aggregation. It returns ok=false if any grouping attribute lacks a
-// directory (large domain, or a column the catalogue keeps no values
-// for). Grouping columns are resolved to their base-table origin — a
-// join restricts but never widens a column's domain, so the base
-// directory stays a valid (possibly sparse) group index.
-func (b *builder) aggDirectories(rel *relation) ([][]types.Datum, float64, bool) {
+// aggDirectories resolves each grouping attribute to the base column
+// whose value directory map aggregation would probe, and sizes them: the
+// directories' bytes and the product of their sizes, the group space. It
+// returns ok=false if any grouping attribute lacks a directory (large
+// domain, or a column the catalogue keeps no values for). Grouping
+// columns are resolved to their base-table origin — a join restricts but
+// never widens a column's domain, so the base directory stays a valid
+// (possibly sparse) group index.
+func (b *builder) aggDirectories(rel *relation) (cols [][2]int, dirBytes, product float64, ok bool) {
 	if len(b.stmt.GroupBy) == 0 {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	dirs := make([][]types.Datum, len(b.stmt.GroupBy))
-	product := 1.0
+	cols = make([][2]int, len(b.stmt.GroupBy))
+	product = 1
 	for i := range b.stmt.GroupBy {
 		ti, ci, err := b.resolveColumn(&b.stmt.GroupBy[i])
 		if err != nil {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
 		if rel.ref.Base >= 0 && ti != rel.ref.Base {
-			return nil, 0, false
+			return nil, 0, 0, false
 		}
-		dir := b.fineDirectory(ti, ci)
-		if len(dir) == 0 {
-			return nil, 0, false
+		n := b.tables[ti].Entry.Stats.Columns[ci].DirectoryLen()
+		if n == 0 {
+			return nil, 0, 0, false
 		}
-		dirs[i] = dir
-		product *= float64(len(dir))
+		cols[i] = [2]int{ti, ci}
+		dirBytes += float64(n * 16)
+		product *= float64(n)
 	}
-	return dirs, product, true
+	return cols, dirBytes, product, true
+}
+
+// directories takes the catalogue's snapshots of the given base columns'
+// value directories.
+func (b *builder) directories(cols [][2]int) []*catalog.Directory {
+	dirs := make([]*catalog.Directory, len(cols))
+	for i, c := range cols {
+		dirs[i] = b.tables[c[0]].Entry.Directory(c[1])
+	}
+	return dirs
 }
 
 // configureAggStaging sets the stage action matching the algorithm.

@@ -188,7 +188,7 @@ func TestMapAggregationChosenForSmallDomain(t *testing.T) {
 	if p.Agg.Alg != MapAggregation {
 		t.Errorf("algorithm = %v, want map (grp has 50 values)", p.Agg.Alg)
 	}
-	if len(p.Agg.Directories) != 1 || len(p.Agg.Directories[0]) != 50 {
+	if len(p.Agg.Directories) != 1 || p.Agg.Directories[0].Len() != 50 {
 		t.Errorf("directories = %v", p.Agg.Directories)
 	}
 	if p.Agg.Input.Action != StageNone {

@@ -220,7 +220,7 @@ func (m *mapAggIter) Open() error {
 	m.strides = make([]int, len(m.agg.GroupCols))
 	for i := len(m.agg.GroupCols) - 1; i >= 0; i-- {
 		m.strides[i] = n
-		n *= len(m.agg.Directories[i])
+		n *= m.agg.Directories[i].Len()
 	}
 	m.states = make([]*aggState, n)
 	m.emitPos = 0
@@ -242,7 +242,7 @@ func (m *mapAggIter) Next() (Row, bool, error) {
 			slot := 0
 			miss := false
 			for i, gc := range m.agg.GroupCols {
-				di := dirLookup(m.agg.Directories[i], row[gc])
+				di := m.agg.Directories[i].Index(row[gc])
 				if di < 0 {
 					miss = true
 					break
@@ -270,7 +270,7 @@ func (m *mapAggIter) Next() (Row, bool, error) {
 		for i := range m.agg.GroupCols {
 			m.idxs[i] = rem / m.strides[i]
 			rem %= m.strides[i]
-			rep[m.agg.GroupCols[i]] = m.agg.Directories[i][m.idxs[i]]
+			rep[m.agg.GroupCols[i]] = m.agg.Directories[i].Datum(m.idxs[i])
 		}
 		return m.states[slot].result(m.agg, rep), true, nil
 	}
@@ -278,19 +278,3 @@ func (m *mapAggIter) Next() (Row, bool, error) {
 }
 
 func (m *mapAggIter) Close() error { return m.child.Close() }
-
-func dirLookup(dir []types.Datum, v types.Datum) int {
-	lo, hi := 0, len(dir)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if types.Compare(dir[mid], v) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(dir) && types.Compare(dir[lo], v) == 0 {
-		return lo
-	}
-	return -1
-}

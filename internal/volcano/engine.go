@@ -270,7 +270,7 @@ func partitionCountOf(j *plan.Join) int {
 		case plan.StagePartitionCoarse:
 			return j.Inputs[i].Partitions
 		case plan.StagePartitionFine:
-			return len(j.Inputs[i].FineValues)
+			return j.Inputs[i].FineValues.Len()
 		}
 	}
 	return 1
@@ -288,7 +288,7 @@ func (e *Engine) partitionRows(rows []Row, st *plan.Stage, key, m int) ([][]Row,
 	switch st.Action {
 	case plan.StagePartitionFine:
 		for _, r := range rows {
-			if p := dirLookup(st.FineValues, r[key]); p >= 0 {
+			if p := st.FineValues.Index(r[key]); p >= 0 {
 				out[p] = append(out[p], r)
 			}
 		}

@@ -19,6 +19,7 @@ package runtime
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"hique/internal/types"
@@ -431,17 +432,16 @@ func Hash(w uint64) uint64 { return w * 0x9e3779b97f4a7c15 }
 // tightening, just slower.
 func UpdateMergeBounds() {}
 
-// DirLookupN probes group directory N for a key word, returning its
-// ordinal. The directories are query-constant; the reference ABI
-// resolves them as identity buckets.
-func DirLookup0(w uint64) int { return int(w) }
-func DirLookup1(w uint64) int { return int(w) }
-func DirLookup2(w uint64) int { return int(w) }
-func DirLookup3(w uint64) int { return int(w) }
-func DirLookup4(w uint64) int { return int(w) }
-func DirLookup5(w uint64) int { return int(w) }
-func DirLookup6(w uint64) int { return int(w) }
-func DirLookup7(w uint64) int { return int(w) }
+// DirIndex is the index of key word w in dir, a value directory's key
+// words in ascending order (the map aggregation's group ordinal), or -1
+// when the directory does not hold it: a binary search.
+func DirIndex(dir []uint64, w uint64) int {
+	i, ok := slices.BinarySearch(dir, w)
+	if !ok {
+		return -1
+	}
+	return i
+}
 
 // EmitGroups materialises the flat map-aggregation arrays into out, one
 // row per non-empty slot.
