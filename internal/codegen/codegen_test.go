@@ -10,6 +10,7 @@ import (
 	"hique/internal/plan"
 	"hique/internal/sql"
 	"hique/internal/storage"
+	"hique/internal/tpch"
 	"hique/internal/types"
 )
 
@@ -148,6 +149,39 @@ func TestTimingsPopulated(t *testing.T) {
 	}
 }
 
+// TestWideCharDirectoryWords pins the emitted directory of a CHAR column
+// wider than one word: every customer name starts "Customer", so a
+// directory keyed by the first word alone holds one value 150 times.
+// Each value must emit all its words, no two values the same, and the
+// probe must read them all.
+func TestWideCharDirectoryWords(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.001, Seed: 42})
+	p := mustPlan(t, cat, "SELECT c_name, COUNT(*) AS n FROM customer GROUP BY c_name")
+	if p.Agg == nil || p.Agg.Alg != plan.MapAggregation {
+		t.Fatalf("planner chose %v; map expected", p.Agg.Alg)
+	}
+	src := EmitSource(p)
+	_, rest, ok := strings.Cut(src, "dir0 := []uint64{")
+	list, _, _ := strings.Cut(rest, "}")
+	words := strings.Split(list, ", ")
+	const m = 3 // CHAR(18): ⌈18/8⌉ words
+	if n := p.Agg.Directories[0].Len(); !ok || len(words) != n*m {
+		t.Fatalf("directory 0: emitted %d words, want %d values × %d", len(words), n, m)
+	}
+	seen := map[string]bool{}
+	for i := 0; i < len(words); i += m {
+		v := strings.Join(words[i:i+m], ", ")
+		if seen[v] {
+			t.Errorf("directory 0 holds %s twice", v)
+		}
+		seen[v] = true
+	}
+	probe := "runtime.DirIndex(dir0, runtime.CharWord(tuple[0:8]), runtime.CharWord(tuple[8:16]), runtime.CharWord(tuple[16:18]))"
+	if !strings.Contains(src, probe) {
+		t.Errorf("source lacks the three-word probe %s", probe)
+	}
+}
+
 func TestOptLevelString(t *testing.T) {
 	if OptO2.String() != "-O2" {
 		t.Error("OptLevel strings wrong")
@@ -168,7 +202,7 @@ func TestMapAggregationSourceHasOffsetFormula(t *testing.T) {
 	if !strings.Contains(src, "runtime.DirIndex(dir0, ") || !strings.Contains(src, "if g1 < 0 { continue }") {
 		t.Error("map aggregation source missing directory lookups")
 	}
-	// Each directory is emitted as data: one key word per value.
+	// Each directory is emitted as data: one key word per Int value.
 	for i, d := range p.Agg.Directories {
 		_, rest, ok := strings.Cut(src, fmt.Sprintf("dir%d := []uint64{", i))
 		words, _, _ := strings.Cut(rest, "}")

@@ -123,15 +123,54 @@ func EmitSource(p *plan.Plan) string {
 	return w.b.String()
 }
 
-// keyWordGo reads column col of schema, in the tuple variable v, as its
-// one-word key (core.Key).
-func keyWordGo(v string, schema *types.Schema, col int) string {
-	c := schema.Column(col)
-	enc := map[types.Kind]string{types.Int: "Int", types.Date: "Int", types.Float: "Float", types.String: "Char"}[c.Kind]
-	return fmt.Sprintf("runtime.%sWord(%s)", enc, fieldIn(v, c.Kind, schema.Offset(col), c.Size))
+// keyWordsGo reads column col of schema, in the tuple variable v, as its
+// key words (core.Key): one for a number, one per 8 bytes of a CHAR.
+func keyWordsGo(v string, schema *types.Schema, col int) []string {
+	c, off := schema.Column(col), schema.Offset(col)
+	switch c.Kind {
+	case types.String:
+		words := make([]string, 0, (c.Size+7)/8)
+		for b := 0; b < c.Size; b += 8 {
+			words = append(words, fmt.Sprintf("runtime.CharWord(%s[%d:%d])", v, off+b, off+min(b+8, c.Size)))
+		}
+		return words
+	case types.Float:
+		return []string{fmt.Sprintf("runtime.FloatWord(%s)", fieldIn(v, c.Kind, off, c.Size))}
+	default:
+		return []string{fmt.Sprintf("runtime.IntWord(%s)", fieldIn(v, c.Kind, off, c.Size))}
+	}
 }
 
-// dirWordsGo renders a value directory as the key words keyWordGo's
+// keyWordGo is a column's first key word: the one a hash route or the
+// join-key filter reads.
+func keyWordGo(v string, schema *types.Schema, col int) string {
+	return keyWordsGo(v, schema, col)[0]
+}
+
+// keyWordsArg is a column's key words as a call's trailing arguments.
+func keyWordsArg(v string, schema *types.Schema, col int) string {
+	return strings.Join(keyWordsGo(v, schema, col), ", ")
+}
+
+// keyDiffersGo tests two join key columns for a difference in any word,
+// the shorter CHAR's missing words zero, as its padding is.
+func keyDiffersGo(v0 string, s0 *types.Schema, c0 int, v1 string, s1 *types.Schema, c1 int) string {
+	a, b := keyWordsGo(v0, s0, c0), keyWordsGo(v1, s1, c1)
+	terms := make([]string, max(len(a), len(b)))
+	for i := range terms {
+		x, y := "0", "0"
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		terms[i] = x + " != " + y
+	}
+	return strings.Join(terms, " || ")
+}
+
+// dirWordsGo renders a value directory as the key words keyWordsGo's
 // probe of column c computes, in directory order.
 func dirWordsGo(c types.Column, d *catalog.Directory) string {
 	var b strings.Builder
@@ -329,7 +368,7 @@ func emitRouting(w *sourceWriter, st *plan.Stage) {
 	case st.PartitionKey >= st.Schema.NumColumns() || st.Action != plan.StagePartitionFine && st.Action != plan.StagePartitionCoarse:
 		w.line("out.Append(dst)")
 	case st.Action == plan.StagePartitionFine:
-		w.line("out.RouteFine(dst, %s) // value directory probe", keyWordGo("dst", st.Schema, st.PartitionKey))
+		w.line("out.RouteFine(dst, %s) // value directory probe", keyWordsArg("dst", st.Schema, st.PartitionKey))
 	default:
 		w.line("out.Route(dst, int(runtime.Hash(%s) & %d))", keyWordGo("dst", st.Schema, st.PartitionKey), st.Partitions-1)
 	}
@@ -404,7 +443,7 @@ func emitJoinFunc(w *sourceWriter, name string, ji int, j *plan.Join) {
 	// Key comparisons: every input against input 0 (the equivalence
 	// class guarantees transitivity).
 	for i := 1; i < len(j.Inputs); i++ {
-		w.line("if %s != %s {", keyWordGo("tuple0", j.Inputs[0].Schema, j.Keys[0]), keyWordGo(fmt.Sprint("tuple", i), j.Inputs[i].Schema, j.Keys[i]))
+		w.line("if %s {", keyDiffersGo("tuple0", j.Inputs[0].Schema, j.Keys[0], fmt.Sprint("tuple", i), j.Inputs[i].Schema, j.Keys[i]))
 		w.in()
 		if j.Alg == plan.MergeJoin || j.Alg == plan.HybridJoin {
 			w.line("runtime.UpdateMergeBounds() // advance/backtrack loop bounds (condition variable)")
@@ -461,8 +500,9 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 
 	if a.Alg == plan.MapAggregation {
 		for i, d := range a.Directories {
-			w.line("// directory %d: %d distinct values of %s, as key words", i, d.Len(), a.Input.Schema.Column(a.GroupCols[i]).Name)
-			w.line("dir%d := []uint64{%s}", i, dirWordsGo(a.Input.Schema.Column(a.GroupCols[i]), d))
+			c := a.Input.Schema.Column(a.GroupCols[i])
+			w.line("// directory %d: %d distinct values of %s, as %d key words each", i, d.Len(), c.Name, len(keyWordsGo("tuple", a.Input.Schema, a.GroupCols[i])))
+			w.line("dir%d := []uint64{%s}", i, dirWordsGo(c, d))
 		}
 		strides := make([]int, len(a.GroupCols))
 		s := 1
@@ -486,7 +526,7 @@ func emitAggFunc(w *sourceWriter, name string, a *plan.Agg) {
 		w.line("tuple := page.Data[t*%d : (t+1)*%d]", width, width)
 		terms := make([]string, len(a.GroupCols))
 		for i, gc := range a.GroupCols {
-			w.line("g%d := runtime.DirIndex(dir%d, %s) // value directory %d probe", i, i, keyWordGo("tuple", a.Input.Schema, gc), i)
+			w.line("g%d := runtime.DirIndex(dir%d, %s) // value directory %d probe", i, i, keyWordsArg("tuple", a.Input.Schema, gc), i)
 			w.line("if g%d < 0 { continue } // absent from the directory: no group", i)
 			if strides[i] == 1 {
 				terms[i] = fmt.Sprintf("g%d", i)

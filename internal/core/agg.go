@@ -592,17 +592,19 @@ func putDirValue(t []byte, c types.Column, dir *catalog.Directory, i int) bool {
 	return true
 }
 
-// DirWords is the first key word of each of dir's values as column c
-// encodes it, in directory order: the directory as data for the emitted
-// source's probe (runtime.DirIndex), whose key word of a CHAR column is
-// its first.
+// DirWords is the key words of each of dir's values as column c encodes
+// them, value after value in directory order, c's key Words() of them
+// each: the directory as data for the emitted source's probe
+// (runtime.DirIndex), which reads every word of a CHAR column.
 func DirWords(c types.Column, dir *catalog.Directory) []uint64 {
 	s := types.NewSchema(c)
 	k, t := CompileKey(s, []int{0}), make([]byte, s.TupleSize())
-	out := make([]uint64, dir.Len())
-	for i := range out {
+	out := make([]uint64, 0, dir.Len()*k.Words())
+	for i := range dir.Len() {
 		putDirValue(t, c, dir, i)
-		out[i] = k.words[0].at(t)
+		for _, kw := range k.words {
+			out = append(out, kw.at(t))
+		}
 	}
 	return out
 }

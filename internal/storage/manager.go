@@ -107,7 +107,9 @@ func WriteSchema(w io.Writer, s *types.Schema) error { return writeSchema(w, s) 
 func ReadSchema(r io.Reader) (*types.Schema, error) { return readSchema(r) }
 
 // ReadTable deserialises a table written by WriteTable, restoring page
-// IDs from the page headers and validating the row count.
+// IDs from the page headers. It rejects a page whose header does not fit
+// the schema (tuple size other than its width, more tuples than fit) and
+// a row count the pages do not add up to.
 func ReadTable(r io.Reader, name string) (*Table, error) { return readTable(r, name) }
 
 func writeTable(w io.Writer, t *Table) error {
@@ -150,20 +152,39 @@ func readTable(r io.Reader, name string) (*Table, error) {
 	numPages := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	numRows := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	t := NewTable(name, schema)
-	for i := 0; i < numPages; i++ {
-		buf := make([]byte, PageSize)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("page %d: %w", i, err)
+	t.pages = make([]*Page, 0, min(numPages, maxLoadPages))
+	width := schema.TupleSize()
+	// The pages load into slabs of up to maxLoadPages frames, one slab for
+	// any table below 64 MB, so a scan of a loaded table streams through
+	// memory; the cap bounds what a garbled page count allocates before
+	// the read runs out.
+	for i := 0; i < numPages; i += maxLoadPages {
+		n := min(maxLoadPages, numPages-i)
+		slab, frames := make([]byte, n*PageSize), make([]Page, n)
+		if _, err := io.ReadFull(r, slab); err != nil {
+			return nil, fmt.Errorf("pages %d-%d: %w", i, i+n-1, err)
 		}
-		p := pageFromBytes(buf)
-		t.pages = append(t.pages, p)
-		t.rows += p.NumTuples()
+		for j := range frames {
+			p := &frames[j]
+			p.buf = frame(slab, j)
+			if ts := p.TupleSize(); ts != width {
+				return nil, fmt.Errorf("page %d: tuple size %d, schema width %d", i+j, ts, width)
+			}
+			if c := p.Capacity(); p.NumTuples() > c {
+				return nil, fmt.Errorf("page %d: %d tuples, capacity %d", i+j, p.NumTuples(), c)
+			}
+			t.pages = append(t.pages, p)
+			t.rows += p.NumTuples()
+		}
 	}
 	if t.rows != numRows {
 		return nil, fmt.Errorf("row count mismatch: header %d, pages %d", numRows, t.rows)
 	}
 	return t, nil
 }
+
+// maxLoadPages caps a load slab at 64 MB.
+const maxLoadPages = 1 << 14
 
 func writeSchema(w io.Writer, s *types.Schema) error {
 	var n [4]byte

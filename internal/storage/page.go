@@ -33,7 +33,9 @@ const (
 )
 
 // Page is a single NSM page. The zero value is not usable; create pages
-// through NewPage or Table.appendPage.
+// through NewPage or a table's appends. buf is exactly PageSize bytes and
+// its capacity ends there too: a page cut from an extent never reaches
+// into its neighbour.
 type Page struct {
 	buf []byte
 }
@@ -46,16 +48,23 @@ func NewPage(tupleSize int) *Page {
 		panic(fmt.Sprintf("storage.NewPage: tuple size %d out of range", tupleSize))
 	}
 	p := &Page{buf: make([]byte, PageSize)}
-	binary.LittleEndian.PutUint32(p.buf[4:8], uint32(tupleSize))
+	p.init(tupleSize, 0)
 	return p
 }
 
-// pageFromBytes wraps an existing 4096-byte buffer as a page.
-func pageFromBytes(buf []byte) *Page {
-	if len(buf) != PageSize {
-		panic("storage: page buffer must be exactly PageSize bytes")
-	}
-	return &Page{buf: buf}
+// frame is the i-th PageSize frame of an extent, its capacity bounded at
+// the frame's end.
+func frame(ext []byte, i int) []byte {
+	return ext[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+}
+
+// init empties the page and sets its header for tuples of the given
+// width at position id. The tuple area keeps its bytes: NumTuples governs
+// validity and every append overwrites its slot.
+func (p *Page) init(tupleSize, id int) {
+	p.setNumTuples(0)
+	binary.LittleEndian.PutUint32(p.buf[4:8], uint32(tupleSize))
+	p.setID(id)
 }
 
 // NumTuples returns the number of tuples stored in the page.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +13,10 @@ import (
 // amortised ("intermediate results are materialised inside the buffer
 // pool", §V-C) — on a warm serving path the arena makes that true: a
 // repeated query reuses the frames the previous execution returned
-// instead of allocating fresh 4096-byte pages every run.
+// instead of allocating fresh 4096-byte pages every run. Arena frames
+// stay single 4 KB allocations, not extents: a frame returns to the pool
+// on its own, and a pooled table's pages come from whatever frames the
+// pool holds. Base tables take theirs from extents (Table.lastPage).
 //
 // Accounting is shared with internal/buffer (Pool.Usage reports the
 // arena counters next to the frame-pool hit/miss counters): arenaGets -
@@ -38,17 +40,12 @@ func ArenaStats() (inUse, recycled int64) {
 	return arenaGets.Load() - puts, puts
 }
 
-// newPooledPage draws a page frame from the arena and re-initialises its
-// header for tuples of the given width. The tuple area keeps whatever
-// bytes the previous user wrote; NumTuples governs validity and every
-// append fully overwrites its slot.
-func newPooledPage(tupleSize, id int) *Page {
+// pooledFrame draws a page frame from the arena. The tuple area keeps
+// whatever bytes the previous user wrote; the caller re-initialises the
+// header (Page.init).
+func pooledFrame() *Page {
 	arenaGets.Add(1)
-	p := pagePool.Get().(*Page)
-	p.setNumTuples(0)
-	binary.LittleEndian.PutUint32(p.buf[4:8], uint32(tupleSize))
-	p.setID(id)
-	return p
+	return pagePool.Get().(*Page)
 }
 
 // NewPooledTable creates an empty heap table whose pages come from the

@@ -1,9 +1,14 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hique/internal/types"
 )
@@ -385,5 +390,152 @@ func TestSaveLoadQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fillPages appends rows of the test schema until tbl holds n pages.
+func fillPages(tbl *Table, n int) {
+	tuple := make([]byte, tbl.Schema().TupleSize())
+	for i := 0; tbl.NumPages() < n || !tbl.Page(n-1).Full(); i++ {
+		types.PutInt(tuple, 0, int64(i))
+		tbl.Append(tuple)
+	}
+}
+
+// start is the address of page p's first byte.
+func start(p *Page) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(p.Bytes()))) }
+
+// TestExtentLayout: a table cuts its pages from extents as large as the
+// table, capped at maxExtentPages, so consecutive pages of one extent are
+// adjacent in memory; no page reaches past its 4 KB.
+func TestExtentLayout(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	const n = 300
+	tuple := make([]byte, tbl.Schema().TupleSize())
+	var starts []int // the first page of each extent
+	for tbl.NumPages() < n {
+		fresh := len(tbl.ext) == 0 && len(tbl.spare) == 0
+		before := tbl.NumPages()
+		tbl.Append(tuple)
+		if tbl.NumPages() == before {
+			continue
+		}
+		if fresh {
+			if got, want := len(tbl.ext)/PageSize+1, min(maxExtentPages, max(1, before)); got != want {
+				t.Fatalf("page %d: extent of %d pages, want %d", before, got, want)
+			}
+			starts = append(starts, before)
+		}
+	}
+	if want := []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 192, 256}; !slices.Equal(starts, want) {
+		t.Fatalf("extents start at pages %v, want %v", starts, want)
+	}
+	for i := 0; i < n; i++ {
+		p := tbl.Page(i)
+		if len(p.Bytes()) != PageSize || cap(p.Bytes()) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want %d", i, len(p.Bytes()), cap(p.Bytes()), PageSize)
+		}
+		if i+1 < n && !slices.Contains(starts, i+1) && start(tbl.Page(i+1)) != start(p)+PageSize {
+			t.Errorf("pages %d and %d of one extent are not adjacent", i, i+1)
+		}
+	}
+
+	one := NewTable("one", testSchema())
+	one.Append(tuple)
+	if one.NumPages() != 1 || len(one.ext) != 0 {
+		t.Errorf("a one-row table holds %d pages and %d spare extent bytes, want 1 and 0", one.NumPages(), len(one.ext))
+	}
+}
+
+// TestCompactReusesFrames: the frames Compact cuts are the next appends'
+// pages, so delete/insert churn allocates nothing.
+func TestCompactReusesFrames(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	fillPages(tbl, 10)
+	perPage := tbl.Page(0).Capacity()
+	keep := int64(6*perPage + 5)
+	frames := map[uintptr]bool{}
+	for i := 6; i < 10; i++ {
+		frames[start(tbl.Page(i))] = true
+	}
+	tuple := make([]byte, tbl.Schema().TupleSize())
+	churn := func() {
+		tbl.Compact(func(pi int) bool { return pi < 6 }, func(tu []byte) bool { return types.GetInt(tu, 0) >= keep })
+		for i := keep; i < int64(10*perPage); i++ {
+			types.PutInt(tuple, 0, i)
+			tbl.Append(tuple)
+		}
+	}
+	churn()
+	for i := 6; i < 10; i++ {
+		if !frames[start(tbl.Page(i))] {
+			t.Errorf("page %d after Compact and Append is a new frame", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
+		t.Errorf("Compact + Append allocated %v times a round, want 0", allocs)
+	}
+	if tbl.NumRows() != 10*perPage || tbl.NumPages() != 10 {
+		t.Fatalf("after churn: %d rows in %d pages, want %d in 10", tbl.NumRows(), tbl.NumPages(), 10*perPage)
+	}
+}
+
+// TestReadTableOneSlab: a table ReadTable loads is one slab, its pages
+// adjacent and byte-identical to the pages written.
+func TestReadTableOneSlab(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	fillPages(tbl, 150)
+	tbl.Append(make([]byte, tbl.Schema().TupleSize())) // a part-full last page
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTable(&buf, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumPages() != tbl.NumPages() || got.NumRows() != tbl.NumRows() {
+		t.Fatalf("read %d pages, %d rows; wrote %d, %d", got.NumPages(), got.NumRows(), tbl.NumPages(), tbl.NumRows())
+	}
+	for i := 0; i < got.NumPages(); i++ {
+		if !bytes.Equal(got.Page(i).Bytes(), tbl.Page(i).Bytes()) || cap(got.Page(i).Bytes()) != PageSize {
+			t.Fatalf("page %d differs from the page written", i)
+		}
+		if i > 0 && start(got.Page(i)) != start(got.Page(i-1))+PageSize {
+			t.Fatalf("pages %d and %d are not adjacent", i-1, i)
+		}
+	}
+}
+
+// TestReadTableRejectsMalformedPages: a page whose header does not fit
+// the schema, or a page cut short, is an error naming the page, not a
+// table that panics on its first scan.
+func TestReadTableRejectsMalformedPages(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	fillPages(tbl, 3)
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tbl); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	pageAt := len(good) - 3*PageSize + PageSize // page 1's header
+	for _, c := range []struct {
+		name, want string
+		mangle     func(b []byte) []byte
+	}{
+		{"tuple size", "page 1: tuple size 7", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[pageAt+4:], 7)
+			return b
+		}},
+		{"count past capacity", "page 1: 4000 tuples", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[pageAt:], 4000)
+			return b
+		}},
+		{"truncated page", "pages 0-2", func(b []byte) []byte { return b[:len(b)-100] }},
+	} {
+		_, err := ReadTable(bytes.NewReader(c.mangle(slices.Clone(good))), "t")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

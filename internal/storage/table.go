@@ -22,6 +22,11 @@ type Table struct {
 	// pooled marks tables created by NewPooledTable: their pages come
 	// from the page arena and return to it on Release.
 	pooled bool
+	// The other tables cut their pages from extents: ext is the unused
+	// tail of the current one, and spare holds the frames Compact cut,
+	// reused before ext, the lowest address last.
+	ext   []byte
+	spare []*Page
 
 	// settled is the settle mark: the pages before it carry exact bounds
 	// in bounds, 2 int64 per Int/Date column (boundOffs) per page. See
@@ -67,15 +72,27 @@ func (t *Table) lastPage() *Page {
 		return t.pages[n-1]
 	}
 	var p *Page
-	if t.pooled {
-		p = newPooledPage(t.schema.TupleSize(), len(t.pages))
-	} else {
-		p = NewPage(t.schema.TupleSize())
-		p.setID(len(t.pages))
+	switch n := len(t.spare); {
+	case t.pooled:
+		p = pooledFrame()
+	case n > 0:
+		p, t.spare = t.spare[n-1], t.spare[:n-1]
+	default:
+		if len(t.ext) == 0 {
+			t.ext = make([]byte, min(maxExtentPages, max(1, len(t.pages)))*PageSize)
+		}
+		p = &Page{buf: frame(t.ext, 0)}
+		t.ext = t.ext[PageSize:]
 	}
+	p.init(t.schema.TupleSize(), len(t.pages))
 	t.pages = append(t.pages, p)
 	return p
 }
+
+// maxExtentPages caps an extent. A table's extents grow with it, each as
+// many pages as the table holds, so a scan streams through runs of
+// adjacent pages while a one-row table still costs one page.
+const maxExtentPages = 64
 
 // Version returns the table's mutation counter. It advances on every
 // append, compaction and truncate, and on Rewrite for in-place page
@@ -177,9 +194,10 @@ func (t *Table) Rows() [][]types.Datum {
 	return out
 }
 
-// Truncate removes all tuples but keeps the schema.
+// Truncate removes all tuples but keeps the schema; the pages, extent
+// and spare frames are dropped with them.
 func (t *Table) Truncate() {
-	t.pages = nil
+	t.pages, t.ext, t.spare = nil, nil, nil
 	t.rows = 0
 	t.version++
 	t.touch(0)
@@ -194,7 +212,9 @@ func (t *Table) Truncate() {
 // stay where they are, so removing recently appended rows moves nothing
 // and a skipped page before it is not even read; a page after it slides
 // down with the survivors, skipped or not. The settle mark drops to the
-// page of the first removal.
+// page of the first removal. The cut frames become spares the next
+// appends reuse, so the table keeps its high-water mark of frames until
+// Truncate (a pooled table keeps no spares: its frames are the arena's).
 func (t *Table) Compact(skip func(page int) bool, drop func(tuple []byte) bool) int {
 	removed, first := 0, 0
 	wp, ws := 0, 0 // the slot the next survivor moves to
@@ -233,6 +253,11 @@ func (t *Table) Compact(skip func(page int) bool, drop func(tuple []byte) bool) 
 	if ws > 0 {
 		t.pages[wp].setNumTuples(ws)
 		keep++
+	}
+	if !t.pooled {
+		for i := len(t.pages) - 1; i >= keep; i-- {
+			t.spare = append(t.spare, t.pages[i])
+		}
 	}
 	clear(t.pages[keep:])
 	t.pages = t.pages[:keep]

@@ -122,7 +122,7 @@ func (t *Table) Truncate(n int) {
 type Staging struct {
 	parts  []*Table
 	width  int
-	fine   []uint64 // value directory for RouteFine
+	fine   []uint64 // value directory for RouteFine, the key words of each value in turn
 	starts []int    // page index base per partition, for StartPage/EndPage
 }
 
@@ -161,17 +161,20 @@ func (s *Staging) Append(dst []byte) { s.part(0, len(dst)).append(dst) }
 // Route commits dst into the given hash partition.
 func (s *Staging) Route(dst []byte, part int) { s.part(part, len(dst)).append(dst) }
 
-// RouteFine commits dst into the partition its key word maps to through
+// RouteFine commits dst into the partition its key words map to through
 // the value directory (reference: first-fit growth).
-func (s *Staging) RouteFine(dst []byte, key uint64) {
-	for i, v := range s.fine {
-		if v == key {
-			s.part(i%len(s.parts), len(dst)).append(dst)
-			return
+func (s *Staging) RouteFine(dst []byte, key ...uint64) {
+	m := len(key)
+	i := 0
+	for ; i*m < len(s.fine); i++ {
+		if slices.Equal(s.fine[i*m:i*m+m], key) {
+			break
 		}
 	}
-	s.fine = append(s.fine, key)
-	s.part((len(s.fine)-1)%len(s.parts), len(dst)).append(dst)
+	if i*m == len(s.fine) {
+		s.fine = append(s.fine, key...)
+	}
+	s.part(i%len(s.parts), len(dst)).append(dst)
 }
 
 // Partitions returns the partition count.
@@ -284,10 +287,10 @@ func NewKeyFilter(s *Staging, word func(tuple []byte) uint64, maxSpan uint64) *K
 // filter has every key.
 func (f *KeyFilter) Has(k uint64) bool { return f == nil || f.keys[k] }
 
-// IntWord, FloatWord and CharWord are a join key's one word, the engine's
+// IntWord, FloatWord and CharWord are a key's words, the engine's
 // order-preserving key encoding: an Int or Date with its sign bit
-// flipped; a Float's bits ordered as the float, -0 as +0; a CHAR of at
-// most 8 bytes big-endian, zero-padded.
+// flipped; a Float's bits ordered as the float, -0 as +0; each 8 bytes of
+// a CHAR big-endian, the last zero-padded.
 func IntWord(v int64) uint64 { return uint64(v) ^ 1<<63 }
 
 func FloatWord(v float64) uint64 {
@@ -432,11 +435,13 @@ func Hash(w uint64) uint64 { return w * 0x9e3779b97f4a7c15 }
 // tightening, just slower.
 func UpdateMergeBounds() {}
 
-// DirIndex is the index of key word w in dir, a value directory's key
-// words in ascending order (the map aggregation's group ordinal), or -1
-// when the directory does not hold it: a binary search.
-func DirIndex(dir []uint64, w uint64) int {
-	i, ok := slices.BinarySearch(dir, w)
+// DirIndex is the index of the value whose key words are key in dir, a
+// value directory's values in ascending order, len(key) words each (the
+// map aggregation's group ordinal), or -1 when the directory does not
+// hold it: a binary search comparing every word.
+func DirIndex(dir []uint64, key ...uint64) int {
+	m := len(key)
+	i, ok := sort.Find(len(dir)/m, func(i int) int { return slices.Compare(key, dir[i*m:i*m+m]) })
 	if !ok {
 		return -1
 	}
